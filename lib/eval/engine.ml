@@ -482,8 +482,8 @@ let bridge_base_facts (m : Ast.module_) =
   in
   { m with Ast.rules = m.Ast.rules @ bridges }
 
-let plan_in_module t (m : Ast.module_) pred adorn =
-  let k = plan_key m pred adorn in
+let plan_in_module ?(key_suffix = "") t (m : Ast.module_) pred adorn =
+  let k = plan_key m pred adorn ^ key_suffix in
   match with_plans t (fun () -> Hashtbl.find_opt t.plans k) with
   | Some p ->
     Atomic.incr t.plan_hits;
@@ -514,6 +514,20 @@ let plan_for t ~pred ~arity ~adorn =
 (* Module calls                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Seed an instance with the query's bound arguments (the magic seed,
+   or its goal-id wrapping). *)
+let add_query_seed inst (plan : Optimizer.plan) (args : Term.t array) =
+  match plan.Optimizer.seed with
+  | Some s ->
+    let bound = Array.of_list (List.map (fun i -> args.(i)) s.Optimizer.seed_positions) in
+    let seed =
+      if s.Optimizer.goal_id then
+        [| Term.app (Magic.goal_wrapper plan.Optimizer.answer_pred) bound |]
+      else bound
+    in
+    ignore (Fixpoint.add_seed inst seed)
+  | None -> ()
+
 let rec call_module t (m : Ast.module_) pred args env : Tuple.t Seq.t =
   if t.call_depth > max_call_depth then
     raise (Engine_error "module call depth exceeded (recursive module invocation?)");
@@ -541,19 +555,7 @@ let rec call_module t (m : Ast.module_) pred args env : Tuple.t Seq.t =
         end
         else Fixpoint.create ~workers:t.workers ~backjump:t.backjump (compile t plan)
       in
-      (match plan.Optimizer.seed with
-      | Some s ->
-        let bound = List.map (fun i -> resolved.(i)) s.Optimizer.seed_positions in
-        let seed =
-          if s.Optimizer.goal_id then
-            [| Term.app
-                 (Magic.goal_wrapper plan.Optimizer.answer_pred)
-                 (Array.of_list bound)
-            |]
-          else Array.of_list bound
-        in
-        ignore (Fixpoint.add_seed inst seed)
-      | None -> ());
+      add_query_seed inst plan resolved;
       let pattern = resolved, Bindenv.empty in
       if plan.Optimizer.lazy_eval then begin
         (* answers surface at the end of every iteration *)
@@ -861,20 +863,27 @@ let why t src =
       let adorn =
         Array.map (fun arg -> if Term.is_ground arg then Ast.Bound else Ast.Free) a.Ast.args
       in
-      match plan_in_module t m a.Ast.pred adorn with
+      (* Trees are drawn from the facts a plan materializes.  Context
+         factoring derives no intermediate source-level facts (no
+         path(2, 4) under path(1, 4)), so unless the module names its
+         rewriting, explain with supplementary magic — under a key of
+         its own, so the serving plan stays cached as it is. *)
+      let names_rewriting =
+        List.exists (function Ast.Ann_rewriting _ -> true | _ -> false) m.Ast.annotations
+      in
+      let m, key_suffix =
+        if names_rewriting then m, ""
+        else
+          ( { m with
+              Ast.annotations = Ast.Ann_rewriting Ast.Supplementary_magic :: m.Ast.annotations
+            },
+            "::why" )
+      in
+      match plan_in_module ~key_suffix t m a.Ast.pred adorn with
       | Error e -> Error e
       | Ok plan ->
         let inst = Fixpoint.create ~trace:true (compile t plan) in
-        (match plan.Optimizer.seed with
-        | Some sd ->
-          let bound = List.map (fun i -> a.Ast.args.(i)) sd.Optimizer.seed_positions in
-          let seed =
-            if sd.Optimizer.goal_id then
-              [| Term.app (Magic.goal_wrapper plan.Optimizer.answer_pred) (Array.of_list bound) |]
-            else Array.of_list bound
-          in
-          ignore (Fixpoint.add_seed inst seed)
-        | None -> ());
+        add_query_seed inst plan a.Ast.args;
         protected_run t inst;
         let ms = Fixpoint.module_structure inst in
         let source_name slot =
@@ -996,16 +1005,7 @@ let explain_analyze t src =
       | Ok plan ->
         let t0 = Obs.now_ns () in
         let inst = Fixpoint.create ~profile:true (compile t plan) in
-        (match plan.Optimizer.seed with
-        | Some sd ->
-          let bound = List.map (fun i -> a.Ast.args.(i)) sd.Optimizer.seed_positions in
-          let seed =
-            if sd.Optimizer.goal_id then
-              [| Term.app (Magic.goal_wrapper plan.Optimizer.answer_pred) (Array.of_list bound) |]
-            else Array.of_list bound
-          in
-          ignore (Fixpoint.add_seed inst seed)
-        | None -> ());
+        add_query_seed inst plan a.Ast.args;
         protected_run t inst;
         let elapsed = Obs.now_ns () - t0 in
         let buf = Buffer.create 1024 in

@@ -850,10 +850,21 @@ let reset_for_reopen t =
   if t.profile then
     List.iter (fun (c : crule) -> reset_prof c.prof) (Module_struct.all_rules t.ms)
 
+let single_context t =
+  match t.ms.plan.Coral_rewrite.Optimizer.seed with
+  | Some s -> s.Coral_rewrite.Optimizer.single_context
+  | None -> false
+
 let add_seed t terms =
   let tuple = Tuple.of_terms terms in
   if t.ms.seed_slot < 0 then false
   else begin
+    (* a context-free plan pairs every seed with every answer: a second
+       context would silently receive the first one's answers *)
+    (match t.seeds with
+    | first :: _ when single_context t && not (Tuple.equal first tuple) ->
+      invalid_arg "Fixpoint.add_seed: a single-context plan already holds a different seed"
+    | _ -> ());
     let rel = t.ms.rels.(t.ms.seed_slot) in
     if t.os then begin
       let fresh = find_goal t.goal_tables.(t.ms.seed_slot) tuple = None in

@@ -104,7 +104,11 @@ val add_seed : t -> Term.t array -> bool
 (** Insert a magic seed tuple (the query's bound constants); returns
     false for a repeated seed.  A new seed re-opens a completed
     evaluation (save-module semantics: no derivations are repeated,
-    the new seed flows through the existing cursors). *)
+    the new seed flows through the existing cursors).
+
+    @raise Invalid_argument when the plan is single-context (see
+    {!Coral_rewrite.Optimizer.seed}) and the instance already holds a
+    different seed. *)
 
 val step : t -> bool
 (** Perform one unit of work (one semi-naive round, a stratum-phase

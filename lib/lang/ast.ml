@@ -48,9 +48,15 @@ type rule = { head : head; body : literal list }
 
 type export = { epred : Symbol.t; arity : int; adorn : adornment }
 
-(** Program rewriting methods (section 4.1). *)
+(** Program rewriting methods (section 4.1).  A module that names none
+    gets a per-program choice: context factoring when the query
+    predicate is left- or right-linear for the query form, supplementary
+    magic otherwise. *)
 type rewriting =
-  | Supplementary_magic  (** the default *)
+  | Supplementary_magic
+      (** the default where factoring does not apply, or where a
+          [@save_module] (right-linear case), [@multiset] or
+          [@aggregate_selection] annotation rules it out *)
   | Magic
   | Supplementary_magic_goal_id
   | Factoring

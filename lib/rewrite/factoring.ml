@@ -1,6 +1,8 @@
 open Coral_term
 open Coral_lang
 
+type linearity = Left_linear | Right_linear
+
 let seed_name apred = Symbol.intern ("m_seed#" ^ Symbol.name apred)
 let ans_name apred = Symbol.intern ("ans#" ^ Symbol.name apred)
 
@@ -23,7 +25,7 @@ let is_var = function Term.Var _ -> true | _ -> false
 let vids terms =
   List.concat_map Term.vars terms |> List.map (fun (v : Term.var) -> v.Term.vid)
 
-let rewrite (adorned : Adorn.t) : Magic.result option =
+let rewrite (adorned : Adorn.t) : (linearity * Magic.result) option =
   let origin = adorned.Adorn.origin in
   let qpred = adorned.Adorn.query_pred in
   let _, qad = Symbol.Tbl.find origin qpred in
@@ -127,12 +129,13 @@ let rewrite (adorned : Adorn.t) : Magic.result option =
             @ recursive
           in
           Some
-            { Magic.mrules = out;
-              answer_pred = qpred;
-              seed_pred = seed;
-              seed_positions = bound_pos;
-              goal_id = false
-            }
+            ( Left_linear,
+              { Magic.mrules = out;
+                answer_pred = qpred;
+                seed_pred = seed;
+                seed_positions = bound_pos;
+                goal_id = false
+              } )
         end
         else if right_linear then begin
           (* context-free answers + magic context propagation *)
@@ -187,12 +190,13 @@ let rewrite (adorned : Adorn.t) : Magic.result option =
             }
           in
           Some
-            { Magic.mrules = (bootstrap :: magic_rules) @ ans_rules @ [ reconstitute ];
-              answer_pred = qpred;
-              seed_pred = seed;
-              seed_positions = bound_pos;
-              goal_id = false
-            }
+            ( Right_linear,
+              { Magic.mrules = (bootstrap :: magic_rules) @ ans_rules @ [ reconstitute ];
+                answer_pred = qpred;
+                seed_pred = seed;
+                seed_positions = bound_pos;
+                goal_id = false
+              } )
         end
         else None
       end

@@ -15,9 +15,18 @@ open Coral_lang
     contexts, answers are produced context-free from exit rules, and one
     reconstitution rule pairs the original seed with the answers.
 
+    A right-linear rewrite answers one query context per evaluation: the
+    reconstitution rule pairs {e every} seed with {e every} context-free
+    answer, so an instance must never receive a second, distinct seed.
+    Left-linear rewrites keep the context in each answer tuple and serve
+    any number of seeds.
+
     [rewrite] returns [None] when the (adorned) program is not linear in
     one of these senses; the optimizer then falls back to Supplementary
     Magic, mirroring CORAL's behaviour of choosing factoring only where
-    it applies. *)
+    it applies.  When the program is both, the left-linear rewrite is
+    chosen. *)
 
-val rewrite : Adorn.t -> Magic.result option
+type linearity = Left_linear | Right_linear
+
+val rewrite : Adorn.t -> (linearity * Magic.result) option

@@ -7,6 +7,7 @@ type seed = {
   seed_pred : Symbol.t;
   seed_positions : int list;
   goal_id : bool;
+  single_context : bool;
 }
 
 type plan = {
@@ -218,7 +219,8 @@ let plan_query ~module_:(m : Ast.module_) ~pred ~adorn:query_adorn =
               ~seed:
                 { seed_pred = mr.Magic.seed_pred;
                   seed_positions = mr.Magic.seed_positions;
-                  goal_id = false
+                  goal_id = false;
+                  single_context = false
                 }
               ~prules:guarded ~answer_pred:mr.Magic.answer_pred
               ~origin:(origin_assoc adorned.Adorn.origin) ()
@@ -235,28 +237,74 @@ let plan_query ~module_:(m : Ast.module_) ~pred ~adorn:query_adorn =
             let adorned =
               span "adorn" (fun () -> Adorn.adorn ~sip m.Ast.rules ~query:pred ~adorn:query_adorn)
             in
-            let chosen = Option.value requested_rewriting ~default:Ast.Supplementary_magic in
-            let mr =
-              match chosen with
-              | Ast.Magic ->
+            let supp_magic () = span "supp_magic" (fun () -> Supp_magic.rewrite adorned) in
+            let shape what =
+              Printf.sprintf "%s is %s for %s" (Symbol.name pred) what
+                (Ast.adornment_to_string query_adorn)
+            in
+            (* Context factoring where the program's shape allows it
+               (paper section 4.1: each technique is superior for some
+               programs).  A right-linear plan answers one context per
+               instance, so a saved module — which feeds every later
+               call's seed into the same instance — takes only the
+               left-linear form. *)
+            let factored () =
+              match span "factoring" (fun () -> Factoring.rewrite adorned) with
+              | None -> Error (shape "neither left- nor right-linear")
+              | Some (Factoring.Right_linear, _) when has Ast.Ann_save_module ->
+                Error
+                  (shape "right-linear"
+                 ^ ", whose context-free answers cannot serve a @save_module instance's later calls"
+                  )
+              | Some (Factoring.Left_linear, r) ->
+                note ("context factoring: " ^ shape "left-linear");
+                Ok (r, false)
+              | Some (Factoring.Right_linear, r) ->
+                note ("context factoring: " ^ shape "right-linear");
+                Ok (r, true)
+            in
+            (* factoring changes which derivations exist, so it would
+               change what a multiset counts or an aggregate selection
+               keeps on the query predicate *)
+            let counted_query_pred =
+              List.exists
+                (function
+                  | Ast.Ann_multiset (p, _) -> Symbol.equal p pred
+                  | Ast.Ann_aggregate_selection { sel_pred; _ } -> Symbol.equal sel_pred pred
+                  | _ -> false)
+                anns
+            in
+            let mr, single_context =
+              match requested_rewriting with
+              | Some Ast.Magic ->
                 note "magic templates rewriting";
-                span "magic" (fun () -> Magic.rewrite adorned)
-              | Ast.Supplementary_magic ->
-                note "supplementary magic rewriting (default)";
-                span "supp_magic" (fun () -> Supp_magic.rewrite adorned)
-              | Ast.Supplementary_magic_goal_id ->
+                span "magic" (fun () -> Magic.rewrite adorned), false
+              | Some Ast.Supplementary_magic ->
+                note "supplementary magic rewriting (requested)";
+                supp_magic (), false
+              | Some Ast.Supplementary_magic_goal_id ->
                 note "supplementary magic with goal-id indexing";
-                span "supp_magic" (fun () -> Supp_magic.rewrite_goal_id adorned)
-              | Ast.Factoring -> begin
-                match span "factoring" (fun () -> Factoring.rewrite adorned) with
-                | Some r ->
-                  note "context factoring applies";
-                  r
-                | None ->
-                  note "factoring not applicable: falling back to supplementary magic";
-                  span "supp_magic" (fun () -> Supp_magic.rewrite adorned)
+                span "supp_magic" (fun () -> Supp_magic.rewrite_goal_id adorned), false
+              | Some Ast.Factoring -> begin
+                match factored () with
+                | Ok r -> r
+                | Error why ->
+                  note ("factoring not applicable (" ^ why ^ "): falling back to supplementary magic");
+                  supp_magic (), false
               end
-              | Ast.No_rewriting -> assert false
+              | None when counted_query_pred ->
+                note
+                  ("supplementary magic rewriting (default: a @multiset or @aggregate_selection \
+                    annotation names " ^ Symbol.name pred ^ ")");
+                supp_magic (), false
+              | None -> begin
+                match factored () with
+                | Ok r -> r
+                | Error why ->
+                  note ("supplementary magic rewriting (default: " ^ why ^ ")");
+                  supp_magic (), false
+              end
+              | Some Ast.No_rewriting -> assert false
             in
             (* Magic rewriting can destroy stratification; in that case
                fall back to unrewritten evaluation, which is always
@@ -271,7 +319,8 @@ let plan_query ~module_:(m : Ast.module_) ~pred ~adorn:query_adorn =
                 ~seed:
                   { seed_pred = mr.Magic.seed_pred;
                     seed_positions = mr.Magic.seed_positions;
-                    goal_id = mr.Magic.goal_id
+                    goal_id = mr.Magic.goal_id;
+                    single_context
                   }
                 ~prules:mr.Magic.mrules ~answer_pred:mr.Magic.answer_pred
                 ~origin:(origin_assoc adorned.Adorn.origin) ()

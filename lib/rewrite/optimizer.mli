@@ -20,6 +20,9 @@ type seed = {
   seed_pred : Symbol.t;
   seed_positions : int list;  (** query argument positions forming the seed *)
   goal_id : bool;  (** seed is one wrapped [$goal#p(...)] term *)
+  single_context : bool;
+      (** the rewritten program computes context-free answers (right-linear
+          factoring): an instance answers exactly one seed *)
 }
 
 type plan = {

@@ -1,7 +1,7 @@
 open Coral_term
 open Coral_lang
-(** Supplementary Magic Templates — CORAL's default rewriting (paper
-    section 4.1).
+(** Supplementary Magic Templates — CORAL's default rewriting for
+    programs that context factoring does not cover (paper section 4.1).
 
     Like Magic Templates, but the shared join prefixes of a rule are
     materialized in supplementary predicates: for each derived positive

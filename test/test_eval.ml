@@ -323,6 +323,32 @@ end_module.
   (* repeated call hits the saved instance *)
   check_query e "path(2, Y)" expected_from_2
 
+(* A saved instance serves every later call's seed.  Right-linear
+   factoring answers context-free, so under @save_module it would pair
+   the second seed with the first one's answers; the optimizer keeps
+   supplementary magic there, with or without an explicit @factoring. *)
+let test_save_module_right_linear () =
+  List.iter
+    (fun anns ->
+      let e =
+        setup
+          (Printf.sprintf
+             {|
+edge(1, 2). edge(2, 3). edge(5, 6).
+module paths.
+export path(bf).
+%s
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- edge(X, Z), path(Z, Y).
+end_module.
+|}
+             anns)
+      in
+      check_query e "path(1, Y)" [ [ "2" ]; [ "3" ] ];
+      check_query e "path(5, Y)" [ [ "6" ] ];
+      check_query e "path(2, Y)" [ [ "3" ] ])
+    [ "@factoring. @save_module."; "@save_module." ]
+
 let test_multiset () =
   let e =
     setup
@@ -449,6 +475,7 @@ let () =
           Alcotest.test_case "pipelined module" `Quick test_pipelined_module;
           Alcotest.test_case "pipelined order" `Quick test_pipelined_side_effect_order;
           Alcotest.test_case "save module" `Quick test_save_module;
+          Alcotest.test_case "save module, right-linear" `Quick test_save_module_right_linear;
           Alcotest.test_case "multiset" `Quick test_multiset
         ] );
       ( "data",

@@ -8,21 +8,30 @@ open Coral_rel
 open Coral_rewrite
 open Coral_eval
 
-let tc_module =
-  match
-    Parser.program
-      {|
+(* Right-linear TC.  The tests below are about multi-context magic
+   instances (answers of every generated subgoal, seeds added
+   incrementally), so the rewriting is pinned: unannotated, the
+   optimizer would pick single-context factoring for this program. *)
+let tc_text anns =
+  Printf.sprintf
+    {|
 module m.
 export path(bf).
+%s
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 end_module.
 |}
-  with
+    anns
+
+let parse_module src =
+  match Parser.program src with
   | Ok [ Ast.Module_item m ] -> m
   | _ -> assert false
 
-let make_instance ?trace edges =
+let tc_module = parse_module (tc_text "@supplementary_magic.")
+
+let make_instance ?trace ?(module_ = tc_module) edges =
   let edge_rel = Hash_relation.create ~name:"edge" ~arity:2 () in
   List.iter
     (fun (a, b) -> ignore (Relation.insert_terms edge_rel [| Term.int a; Term.int b |]))
@@ -33,7 +42,7 @@ let make_instance ?trace edges =
   in
   let plan =
     match
-      Optimizer.plan_query ~module_:tc_module ~pred:(Symbol.intern "path")
+      Optimizer.plan_query ~module_ ~pred:(Symbol.intern "path")
         ~adorn:(Ast.adornment_of_string "bf")
     with
     | Ok p -> p
@@ -142,6 +151,23 @@ let test_answer_pattern_scan () =
   let hits = Fixpoint.answers inst ~pattern () in
   Alcotest.(check bool) "pattern narrows the scan" true (Seq.length hits >= 2)
 
+(* A right-factored plan derives context-free answers and pairs them
+   with every seed, so its instance must refuse a second context rather
+   than answer it with the first one's reachable set. *)
+let test_single_context_seed () =
+  let inst, _ = make_instance ~module_:(parse_module (tc_text "")) [ 1, 2; 2, 3; 5, 6 ] in
+  (match (Fixpoint.module_structure inst).Module_struct.plan.Optimizer.seed with
+  | Some s -> Alcotest.(check bool) "plan is single-context" true s.Optimizer.single_context
+  | None -> Alcotest.fail "expected a seeded plan");
+  Alcotest.(check bool) "first seed" true (Fixpoint.add_seed inst [| Term.int 1 |]);
+  Alcotest.(check bool) "same seed again" false (Fixpoint.add_seed inst [| Term.int 1 |]);
+  Alcotest.(check (list (list int))) "answers of the one context" [ [ 1; 2 ]; [ 1; 3 ] ]
+    (answers_of inst);
+  Alcotest.check_raises "second context refused"
+    (Invalid_argument "Fixpoint.add_seed: a single-context plan already holds a different seed")
+    (fun () -> ignore (Fixpoint.add_seed inst [| Term.int 5 |]));
+  Alcotest.(check (list (list int))) "answers unchanged" [ [ 1; 2 ]; [ 1; 3 ] ] (answers_of inst)
+
 let () =
   Alcotest.run "coral_fixpoint"
     [ ( "fixpoint",
@@ -149,6 +175,7 @@ let () =
           Alcotest.test_case "incremental seeds" `Quick test_incremental_seeds;
           Alcotest.test_case "lazy batches" `Quick test_lazy_batches;
           Alcotest.test_case "provenance" `Quick test_provenance;
-          Alcotest.test_case "pattern scans" `Quick test_answer_pattern_scan
+          Alcotest.test_case "pattern scans" `Quick test_answer_pattern_scan;
+          Alcotest.test_case "single-context seed" `Quick test_single_context_seed
         ] )
     ]

@@ -58,6 +58,49 @@ let prop_closure_vs_reference =
       let want = List.sort compare (List.map (fun (a, b) -> [ a; b ]) (reference_closure edges)) in
       got = want)
 
+(* Bound queries on linear TC under every rewriting the optimizer can
+   pick for them: the default (context factoring), supplementary magic,
+   a saved module serving several sources from one instance, and no
+   rewriting.  Left- and right-recursive forms, bf and bb query forms. *)
+let prop_linear_bound_vs_reference =
+  QCheck2.Test.make ~name:"bound linear closure = set-algebra closure, every rewriting" ~count:40
+    QCheck2.Gen.(
+      triple gen_edges
+        (list_size (int_range 1 4) (int_range 0 9))
+        (list_size (int_range 1 4) (pair (int_range 0 9) (int_range 0 9))))
+    (fun (edges, sources, pairs) ->
+      let facts =
+        String.concat "" (List.map (fun (a, b) -> Printf.sprintf "edge(%d, %d).\n" a b) edges)
+      in
+      let closure = reference_closure edges in
+      let recursive_rules =
+        [ "path(X, Y) :- path(X, Z), edge(Z, Y)."; "path(X, Y) :- edge(X, Z), path(Z, Y)." ]
+      in
+      let annotations = [ ""; "@supplementary_magic."; "@save_module."; "@no_rewriting." ] in
+      List.for_all
+        (fun recursive ->
+          List.for_all
+            (fun anns ->
+              let e =
+                setup
+                  (Printf.sprintf
+                     "%smodule m.\nexport path(bf).\nexport path(bb).\n%s\n\
+                      path(X, Y) :- edge(X, Y).\n%s\nend_module."
+                     facts anns recursive)
+              in
+              List.for_all
+                (fun src ->
+                  int_rows e (Printf.sprintf "path(%d, Y)" src)
+                  = List.filter_map (fun (a, b) -> if a = src then Some [ b ] else None) closure)
+                sources
+              && List.for_all
+                   (fun (a, b) ->
+                     int_rows e (Printf.sprintf "path(%d, %d)" a b) <> []
+                     = List.mem (a, b) closure)
+                   pairs)
+            annotations)
+        recursive_rules)
+
 (* ------------------------------------------------------------------ *)
 (* Figure 3 vs. Dijkstra                                               *)
 (* ------------------------------------------------------------------ *)
@@ -373,6 +416,7 @@ let () =
     [ ( "references",
         qcheck
           [ prop_closure_vs_reference;
+            prop_linear_bound_vs_reference;
             prop_shortest_path_vs_dijkstra;
             prop_game_vs_reference;
             prop_aggregates_vs_fold;

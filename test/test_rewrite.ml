@@ -176,8 +176,9 @@ let test_factoring_left_linear () =
   in
   let a = Adorn.adorn rules ~query:(Symbol.intern "path") ~adorn:(Ast.adornment_of_string "bf") in
   match Factoring.rewrite a with
-  | None -> Alcotest.fail "factoring should apply to left-linear TC"
-  | Some mr ->
+  | None | Some (Factoring.Right_linear, _) ->
+    Alcotest.fail "factoring should apply to left-linear TC"
+  | Some (Factoring.Left_linear, mr) ->
     Alcotest.(check bool) "no magic predicates" true
       (List.for_all
          (fun (r : Ast.rule) ->
@@ -190,8 +191,9 @@ let test_factoring_right_linear () =
   (* right-recursive TC passes the free argument through: the answers
      are computed context-free and magic rules track the contexts *)
   match Factoring.rewrite (adorned_tc ()) with
-  | None -> Alcotest.fail "factoring should apply to right-linear TC"
-  | Some mr ->
+  | None | Some (Factoring.Left_linear, _) ->
+    Alcotest.fail "factoring should apply to right-linear TC"
+  | Some (Factoring.Right_linear, mr) ->
     Alcotest.(check bool) "context-free answer predicate" true
       (List.exists
          (fun (r : Ast.rule) ->
@@ -303,17 +305,46 @@ let tc_text anns =
     "module m.\nexport path(bf).\n%s\npath(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y).\nend_module."
     anns
 
+let noted prefix (p : Optimizer.plan) =
+  List.exists (fun n -> String.starts_with ~prefix n) p.Optimizer.notes
+
+let single_context (p : Optimizer.plan) =
+  match p.Optimizer.seed with Some s -> s.Optimizer.single_context | None -> false
+
 let test_plan_defaults () =
-  match plan_of (tc_text "") "path" "bf" with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-    Alcotest.(check bool) "materialized" true (p.Optimizer.mode = Optimizer.Materialized);
-    Alcotest.(check bool) "bsn" true (p.Optimizer.fixpoint = Ast.Basic_seminaive);
-    Alcotest.(check bool) "has seed" true (p.Optimizer.seed <> None);
-    Alcotest.(check bool) "supp magic noted" true
-      (List.exists
-         (fun n -> String.length n > 0 && String.sub n 0 13 = "supplementary")
-         p.Optimizer.notes)
+  let plan src pred adorn =
+    match plan_of src pred adorn with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  (* right-linear TC, bf: the optimizer picks context factoring *)
+  let p = plan (tc_text "") "path" "bf" in
+  Alcotest.(check bool) "materialized" true (p.Optimizer.mode = Optimizer.Materialized);
+  Alcotest.(check bool) "bsn" true (p.Optimizer.fixpoint = Ast.Basic_seminaive);
+  Alcotest.(check bool) "has seed" true (p.Optimizer.seed <> None);
+  Alcotest.(check bool) "factoring noted" true
+    (noted "context factoring: path is right-linear for bf" p);
+  Alcotest.(check bool) "factored plan is single-context" true (single_context p);
+  (* same generation is not linear: supplementary magic *)
+  let sg =
+    "module m.
+export sg(bf).
+sg(X, X) :- person(X).
+     sg(X, Y) :- par(X, XP), sg(XP, YP), par(Y, YP).
+end_module."
+  in
+  let p = plan sg "sg" "bf" in
+  Alcotest.(check bool) "sg: supp magic noted" true (noted "supplementary magic" p);
+  Alcotest.(check bool) "sg: multi-context" false (single_context p);
+  (* a saved module's instance serves many seeds, and a multiset counts
+     derivations: both keep supplementary magic on right-linear TC *)
+  List.iter
+    (fun anns ->
+      let p = plan (tc_text anns) "path" "bf" in
+      Alcotest.(check bool) (anns ^ ": supp magic noted") true (noted "supplementary magic" p);
+      Alcotest.(check bool) (anns ^ ": multi-context") false (single_context p))
+    [ "@save_module."; "@multiset path/2." ];
+  (* an explicit annotation still wins *)
+  let p = plan (tc_text "@magic.") "path" "bf" in
+  Alcotest.(check bool) "requested magic" true (noted "magic templates" p)
 
 let test_plan_free_query_skips_rewriting () =
   match plan_of (tc_text "") "path" "ff" with
