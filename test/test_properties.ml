@@ -416,11 +416,11 @@ let () =
     [ ( "references",
         qcheck
           [ prop_closure_vs_reference;
-            prop_linear_bound_vs_reference;
             prop_shortest_path_vs_dijkstra;
             prop_game_vs_reference;
             prop_aggregates_vs_fold;
-            prop_bom_vs_reference
+            prop_bom_vs_reference;
+            prop_linear_bound_vs_reference
           ] );
       ( "strategies",
         qcheck
