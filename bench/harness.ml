@@ -69,6 +69,15 @@ let measure ?(runs = 3) ?label f =
     :: !records;
   median, Option.get !result, (inserts, duplicates, scans)
 
+(* Record a time the experiment measured itself (a mean over a window
+   of interleaved operations) with that window's work counters. *)
+let record ~label ~work:(inserts, duplicates, scans) seconds =
+  incr record_seq;
+  records :=
+    { experiment = !current_experiment; workload = label; median_s = seconds; inserts;
+      duplicates; scans; rewrite_s = 0.0; eval_s = 0.0; emit_s = 0.0 }
+    :: !records
+
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter

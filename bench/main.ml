@@ -773,6 +773,85 @@ let exp_parallel () =
   in
   table [ "workers"; "time"; "speedup"; "answers"; "facts" ] rows
 
+(* ------------------------------------------------------------------ *)
+(* E19: incremental maintenance under flapping updates                 *)
+(* ------------------------------------------------------------------ *)
+
+let exp_maintain () =
+  header "E19 maintain: update cost stays flat as edges flap"
+    "One edge of a forest of 48 chains of 16 nodes is retracted and then\n\
+     inserted back, 400 times; each update commits a snapshot, as the\n\
+     server does, and path(a, Y) is read through it.  DRed joins probe\n\
+     the indexes maintenance selects, and freezing merges sealed\n\
+     subsidiaries, so an update costs in proportion to its delta and the\n\
+     last hundred flaps cost what the first hundred did.";
+  let chains = 48 and len = 16 and flaps = 400 and window = 100 in
+  let db = Workloads.fresh_db () in
+  Workloads.load_pairs db "edge"
+    (List.concat
+       (List.init chains (fun c -> List.init (len - 1) (fun p -> (c * len) + p, (c * len) + p + 1))));
+  Coral.consult_text db
+    "module paths.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
+     path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module.";
+  let e = Coral.engine db in
+  Coral.Engine.set_maintenance e true;
+  let commit () = Option.get (Coral.Engine.snapshot e) in
+  ignore (commit ());
+  let next = Workloads.lcg 19 in
+  let edge = Coral.Symbol.intern "edge" in
+  (* per flap: retract ms, insert ms, derived, deleted, rederived *)
+  let log = Array.make flaps (0.0, 0.0, 0, 0, 0) in
+  let update f =
+    let t0 = now_ns () in
+    let rep = f () in
+    let view = commit () in
+    Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6, rep, view
+  in
+  let read view a =
+    let reader = Coral.of_engine (Coral.Engine.read_view view) in
+    List.length (Coral.query_rows reader (Printf.sprintf "path(%d, Y)" a))
+  in
+  (* relation-layer work counters before each flap, and after the last *)
+  let work = Array.make (flaps + 1) (0, 0, 0) in
+  Coral.Relation.reset_global_stats ();
+  for i = 0 to flaps - 1 do
+    work.(i) <- Coral.Relation.global_stats ();
+    let a = (next chains * len) + ((i + 1) mod (len - 1)) in
+    let fact = [ edge, [| Coral.int a; Coral.int (a + 1) |] ] in
+    let t_r, r, gone = update (fun () -> Coral.Engine.retract_facts e fact) in
+    let t_i, ins, back = update (fun () -> Coral.Engine.insert_facts e fact) in
+    if read gone a <> 0 || read back a <> len - 1 - (a mod len) then
+      failwith "maintain: a read missed its update";
+    let open Coral.Engine in
+    log.(i) <-
+      ( t_r,
+        t_i,
+        r.ur_derived + ins.ur_derived,
+        r.ur_deleted + ins.ur_deleted,
+        r.ur_rederived + ins.ur_rederived )
+  done;
+  work.(flaps) <- Coral.Relation.global_stats ();
+  let rows =
+    List.map
+      (fun first ->
+        let slice = Array.sub log first window in
+        let mean get = Array.fold_left (fun acc x -> acc +. get x) 0.0 slice /. float_of_int window in
+        let sum get = Array.fold_left (fun acc x -> acc + get x) 0 slice in
+        let r_ms = mean (fun (r, _, _, _, _) -> r) and i_ms = mean (fun (_, i, _, _, _) -> i) in
+        let label = Printf.sprintf "flaps %d-%d" (first + 1) (first + window) in
+        let (i1, d1, s1), (i0, d0, s0) = work.(first + window), work.(first) in
+        let work = i1 - i0, d1 - d0, s1 - s0 in
+        record ~label:("retract, " ^ label) ~work (r_ms /. 1e3);
+        record ~label:("insert, " ^ label) ~work (i_ms /. 1e3);
+        [ label; Printf.sprintf "%.3f" r_ms; Printf.sprintf "%.3f" i_ms;
+          string_of_int (sum (fun (_, _, d, _, _) -> d));
+          string_of_int (sum (fun (_, _, _, d, _) -> d));
+          string_of_int (sum (fun (_, _, _, _, r) -> r))
+        ])
+      [ 0; flaps - window ]
+  in
+  table [ "window"; "ms/retract"; "ms/insert"; "derived"; "deleted"; "rederived" ] rows
+
 let experiments =
   [ "agg_selection", exp_agg_selection;
     "magic", exp_magic;
@@ -791,7 +870,8 @@ let experiments =
     "goal_id", exp_goal_id;
     "backtracking", exp_backtracking;
     "sip", exp_sip;
-    "parallel", exp_parallel
+    "parallel", exp_parallel;
+    "maintain", exp_maintain
   ]
 
 let () =

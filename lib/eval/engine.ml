@@ -7,9 +7,11 @@ module Obs = Coral_obs.Obs
 exception Engine_error of string
 
 (* Per-phase latency histograms: planning/rewriting vs. fixpoint
-   evaluation (answer rendering is timed by the emitting layer). *)
+   evaluation vs. incremental maintenance (extent rebuilds and update
+   propagation); answer rendering is timed by the emitting layer. *)
 let h_rewrite = Obs.histogram "phase.rewrite"
 let h_eval = Obs.histogram "phase.eval"
+let h_maintain = Obs.histogram "phase.maintain"
 
 let max_call_depth = 256
 
@@ -95,6 +97,10 @@ let touch_maintenance t =
   | Some m -> Maintain.invalidate m
   | None -> ()
 
+(* Build the extents if stale; only a real rebuild is timed. *)
+let ensure_maintained m =
+  if Maintain.stale m then Obs.Histogram.time h_maintain (fun () -> Maintain.ensure m)
+
 let set_maintenance t flag =
   match t.maint, flag with
   | Some _, true | None, false -> ()
@@ -115,7 +121,7 @@ let maintenance_enabled t = t.maint <> None
 let maintenance_fallbacks t =
   match t.maint with
   | Some m ->
-    Maintain.ensure m;
+    ensure_maintained m;
     Maintain.fallbacks m
   | None -> []
 
@@ -133,7 +139,7 @@ let extent_of t pred arity =
   | None -> begin
     match t.maint with
     | Some m ->
-      Maintain.ensure m;
+      ensure_maintained m;
       Maintain.extent m pred arity
     | None -> None
   end
@@ -212,11 +218,12 @@ let no_stats = { Maintain.u_derived = 0; u_deleted = 0; u_rederived = 0; u_round
 
 let is_ground_fact (_, args) = Array.for_all Term.is_ground args
 
-(* Run a maintenance pass; if it dies mid-flight the extents may be
-   torn, so the instance self-heals by invalidating (the next update
-   rebuilds from scratch) before the error propagates. *)
+(* Run a maintenance pass, timed under phase.maintain; if it dies
+   mid-flight the extents may be torn, so the instance self-heals by
+   invalidating (the next update rebuilds from scratch) before the
+   error propagates. *)
 let guarded m f =
-  try f () with
+  try Obs.Histogram.time h_maintain f with
   | e ->
     Maintain.invalidate m;
     raise e
@@ -1171,7 +1178,7 @@ let snapshot t =
     let exts = Hashtbl.create 16 in
     (match t.maint with
     | Some m ->
-      Maintain.ensure m;
+      ensure_maintained m;
       List.iter
         (fun (k, rel) ->
           match Relation.freeze rel with

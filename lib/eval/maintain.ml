@@ -43,6 +43,8 @@ type t = {
   mutable by_body : (string, (prule * Term.t array * Ast.literal list) list) Hashtbl.t;
       (* body predicate key -> activations mentioning it *)
   mutable bad : (string * string) list;  (* fallback predicates + reason *)
+  mutable wants : (string * Symbol.t * int * Index.spec) list;
+      (* indexes the maintenance joins probe, by predicate key *)
   mutable is_stale : bool;
   mutable refresh_count : int;
 }
@@ -57,6 +59,7 @@ let create src =
     rules = [];
     by_body = Hashtbl.create 16;
     bad = [];
+    wants = [];
     is_stale = true;
     refresh_count = 0
   }
@@ -196,6 +199,56 @@ let renumber_rule (r : Ast.rule) =
     head, body, nvars
   | [] -> assert false
 
+(* Index selection for the maintenance joins, by the fixpoint's rule
+   (Module_struct.sip_indexes): an activation solves the rest of its
+   body with the delta literal's variables bound, and a rederivation
+   check ([has_rule_support]) solves a rule body with the head's
+   variables bound.  The over-deletion, insertion and rederivation
+   joins, the physical deletes and the reads of frozen extents then
+   probe instead of scanning. *)
+let index_wants prules =
+  let wants = ref [] in
+  let index (k, pred, arity) spec =
+    if not (List.exists (fun (k', _, _, s) -> k' = k && Index.spec_equal s spec) !wants) then
+      wants := (k, pred, arity, spec) :: !wants
+  in
+  let probe (a : Ast.atom) =
+    let n = Array.length a.Ast.args in
+    Some ((pred_key a.Ast.pred n, a.Ast.pred, n), a.Ast.args)
+  in
+  let steps body =
+    List.map
+      (fun (lit : Ast.literal) ->
+        match lit with
+        | Ast.Pos a -> probe a, var_ids (Array.to_list a.Ast.args)
+        | Ast.Neg a -> probe a, []
+        | Ast.Cmp _ -> None, []
+        | Ast.Is (t1, t2) -> None, var_ids [ t1; t2 ])
+      body
+  in
+  List.iter
+    (fun pr ->
+      Module_struct.sip_indexes ~bound:(var_ids (Array.to_list pr.pr_hargs)) ~index
+        (steps pr.pr_body);
+      List.iter
+        (fun (_, pargs, rest) ->
+          Module_struct.sip_indexes ~bound:(var_ids (Array.to_list pargs)) ~index (steps rest))
+        pr.pr_pos)
+    prules;
+  List.rev !wants
+
+(* Install the selected indexes on the extents and on the stored base
+   relations that exist.  Adding an index a relation already carries is
+   a no-op, so updates call this to cover base relations created since
+   the last analysis. *)
+let install_indexes t =
+  List.iter
+    (fun (k, pred, arity, spec) ->
+      match Hashtbl.find_opt t.exts k with
+      | Some ext -> Relation.add_index ext spec
+      | None -> Option.iter (fun rel -> Relation.add_index rel spec) (t.src.src_relation pred arity))
+    t.wants
+
 (* Analyse the current program: partition derived predicates into
    maintained and fallback, and compile the maintained rules. *)
 let analyse t =
@@ -320,6 +373,7 @@ let analyse t =
         pr.pr_pos)
     prules;
   t.by_body <- by_body;
+  t.wants <- index_wants prules;
   (* fresh extents for every maintained predicate *)
   Hashtbl.reset t.exts;
   Hashtbl.iter
@@ -398,6 +452,7 @@ let propagate t ~derived ~rounds (delta : (string * Term.t array) list) =
 
 let refresh t =
   analyse t;
+  install_indexes t;
   t.refresh_count <- t.refresh_count + 1;
   (* seed extents with the stored base facts of maintained predicates
      (a predicate can be derived by rules AND hold base facts) *)
@@ -440,8 +495,13 @@ let ensure t = if t.is_stale then refresh t
 (* Insert                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let insert t facts =
+(* The entry state of every update: extents built, indexes in place. *)
+let prepare t =
   ensure t;
+  install_indexes t
+
+let insert t facts =
+  prepare t;
   let derived = ref 0 and rounds = ref 0 in
   let delta =
     List.filter_map
@@ -484,7 +544,7 @@ let has_rule_support t hkey args =
     t.rules
 
 let retract t facts =
-  ensure t;
+  prepare t;
   let removed = ref 0 and missing = ref 0 in
   let derived = ref 0 and deleted = ref 0 and rederived = ref 0 and rounds = ref 0 in
   (* the over-deletion set, per predicate key *)

@@ -113,28 +113,43 @@ let compute_backtrack body =
       find (i - 1))
     body
 
-(* Index selection (paper section 4.2): for each scan, an argument-form
-   index on the positions that arrive bound under left-to-right SIP. *)
-let auto_indexes rels body =
-  let bound : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun op ->
-      (match op with
-      | Scan { slot; args; _ } | Negcheck { slot; args } ->
+(* Index selection (paper section 4.2), the one rule the fixpoint and
+   incremental maintenance share: walking a body left to right under
+   SIP, a literal over a stored relation gets an argument-form index on
+   the positions that arrive bound (ground or bound by an earlier
+   binder), unless it arrives fully bound or fully free.  Each step is
+   the relation a literal probes with its arguments, if any, and the
+   variables it binds; [bound] are the variables bound on entry. *)
+let sip_indexes ~bound ~index steps =
+  let bound_tbl : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.replace bound_tbl v ()) bound;
+  List.iter
+    (fun (probe, binds) ->
+      (match probe with
+      | Some (target, args) ->
         let cols =
           Array.to_list args
           |> List.mapi (fun i arg ->
-                 let ground_or_bound =
-                   List.for_all (fun v -> Hashtbl.mem bound v) (vids_of [ arg ])
-                 in
-                 if ground_or_bound then Some i else None)
+                 if List.for_all (Hashtbl.mem bound_tbl) (vids_of [ arg ]) then Some i
+                 else None)
           |> List.filter_map Fun.id
         in
         if cols <> [] && List.length cols < Array.length args then
-          Relation.add_index rels.(slot) (Index.Args cols)
-      | Foreign _ | Negforeign _ | Compare _ | Assign _ -> ());
-      List.iter (fun v -> Hashtbl.replace bound v ()) (binds_vars op))
-    body
+          index target (Index.Args cols)
+      | None -> ());
+      List.iter (fun v -> Hashtbl.replace bound_tbl v ()) binds)
+    steps
+
+let auto_indexes rels body =
+  Array.to_list body
+  |> List.map (fun op ->
+         let probe =
+           match op with
+           | Scan { slot; args; _ } | Negcheck { slot; args } -> Some (rels.(slot), args)
+           | Foreign _ | Negforeign _ | Compare _ | Assign _ -> None
+         in
+         probe, binds_vars op)
+  |> sip_indexes ~bound:[] ~index:Relation.add_index
 
 let path_of_var pattern (v : Term.var) =
   let rec in_term t path =

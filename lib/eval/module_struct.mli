@@ -90,6 +90,19 @@ type provider =
   | P_rel of Relation.t  (** base relation or another module's export *)
   | P_foreign of Builtin.foreign
 
+val sip_indexes :
+  bound:int list ->
+  index:('a -> Index.spec -> unit) ->
+  (('a * Term.t array) option * int list) list ->
+  unit
+(** Index selection (paper section 4.2), shared by fixpoint compilation
+    and incremental maintenance.  Each step of a body, left to right,
+    is [(probe, binds)]: the relation (any ['a]) a literal probes with
+    its arguments, if any, and the variable ids the step binds.
+    [bound] are the variable ids bound on entry.  A probed literal gets
+    [index target (Args cols)] on the positions whose variables are all
+    bound when it runs, unless that is every position or none. *)
+
 val compile : resolve:(Symbol.t -> int -> provider) -> Optimizer.plan -> t
 (** [resolve pred arity] supplies every predicate that is neither a rule
     head of the plan nor rewrite-generated ([#] in its name). *)

@@ -6,12 +6,28 @@ open Coral_term
    regardless of how many iterations have passed.  Index stores live on
    each subsidiary (the paper: "the indexing mechanisms are used on each
    subsidiary relation"); the duplicate table is relation-global since
-   duplicate checks always span all marks. *)
+   duplicate checks always span all marks.
+
+   Every freeze seals the open subsidiary, so a relation published once
+   per commit would gain a subsidiary per commit.  Freezing therefore
+   also merges sealed subsidiaries, size-tiered (see [merge_sealed]),
+   which renumbers marks.  Marks are held only on fixpoint-local
+   relations (semi-naive deltas, answer cursors), and those are never
+   frozen; base relations and maintained extents are frozen but never
+   marked. *)
 
 type sub = {
   mutable tuples : Tuple.t array;
   mutable n : int;
   mutable stores : Index.t list;  (* one per index spec, same order *)
+  mutable live : int;  (* tuples of this subsidiary not yet killed *)
+}
+
+(* A duplicate-table entry: a live tuple and the subsidiary holding it,
+   so a kill can keep that subsidiary's live count exact. *)
+type entry = {
+  tuple : Tuple.t;
+  mutable home : sub;
 }
 
 type state = {
@@ -19,16 +35,20 @@ type state = {
   mutable nsubs : int;
   mutable specs : Index.spec list;
   mutable live : int;
-  dups : (int, Tuple.t list ref) Hashtbl.t;
+  dups : (int, entry list ref) Hashtbl.t;  (* live tuples by hash *)
   mutable nonground : Tuple.t list;
 }
 
 let dummy_tuple = Tuple.of_terms [||]
 
-let new_sub specs =
-  { tuples = Array.make 8 dummy_tuple; n = 0; stores = List.map Index.create specs }
+let new_sub ?(capacity = 8) specs =
+  { tuples = Array.make (max 8 capacity) dummy_tuple;
+    n = 0;
+    stores = List.map Index.create specs;
+    live = 0
+  }
 
-let dummy_sub = { tuples = [||]; n = 0; stores = [] }
+let dummy_sub = { tuples = [||]; n = 0; stores = []; live = 0 }
 
 let push_sub st =
   if st.nsubs >= Array.length st.subs then begin
@@ -47,11 +67,31 @@ let sub_append sub (tuple : Tuple.t) =
   end;
   sub.tuples.(sub.n) <- tuple;
   sub.n <- sub.n + 1;
+  sub.live <- sub.live + 1;
   List.iter (fun store -> Index.insert store tuple) sub.stores
+
+let find_entry st (tuple : Tuple.t) =
+  match Hashtbl.find_opt st.dups tuple.Tuple.hash with
+  | Some bucket -> List.find_opt (fun e -> e.tuple == tuple) !bucket
+  | None -> None
+
+(* Tombstone a live stored tuple.  Its duplicate entry goes with it, so
+   a fact that flaps leaves nothing behind in its bucket. *)
+let kill st (tuple : Tuple.t) =
+  Tuple.kill tuple;
+  st.live <- st.live - 1;
+  let h = tuple.Tuple.hash in
+  match Hashtbl.find_opt st.dups h with
+  | Some bucket ->
+    let mine, others = List.partition (fun e -> e.tuple == tuple) !bucket in
+    List.iter (fun e -> e.home.live <- e.home.live - 1) mine;
+    if others = [] then Hashtbl.remove st.dups h else bucket := others
+  | None -> ()
 
 let is_duplicate st (tuple : Tuple.t) =
   (match Hashtbl.find_opt st.dups tuple.Tuple.hash with
-  | Some bucket -> List.exists (fun ex -> (not ex.Tuple.dead) && Tuple.equal ex tuple) !bucket
+  | Some bucket ->
+    List.exists (fun e -> (not e.tuple.Tuple.dead) && Tuple.equal e.tuple tuple) !bucket
   | None -> false)
   || List.exists (fun ex -> (not ex.Tuple.dead) && Tuple.subsumes ex tuple) st.nonground
 
@@ -63,12 +103,54 @@ let retire_subsumed st (tuple : Tuple.t) =
     let sub = st.subs.(s) in
     for i = 0 to sub.n - 1 do
       let ex = sub.tuples.(i) in
-      if (not ex.Tuple.dead) && Tuple.subsumes tuple ex then begin
-        Tuple.kill ex;
-        st.live <- st.live - 1
-      end
+      if (not ex.Tuple.dead) && Tuple.subsumes tuple ex then kill st ex
     done
   done
+
+(* The live tuples of two adjacent sealed subsidiaries, oldest first, in
+   a fresh subsidiary with fresh index stores.  The old arrays and
+   stores are left untouched: earlier frozen views still read them. *)
+let merge_two st (older : sub) (newer : sub) =
+  let m = new_sub ~capacity:(older.live + newer.live) st.specs in
+  let take (sub : sub) =
+    for i = 0 to sub.n - 1 do
+      let t = sub.tuples.(i) in
+      if not t.Tuple.dead then begin
+        sub_append m t;
+        Option.iter (fun e -> e.home <- m) (find_entry st t)
+      end
+    done
+  in
+  take older;
+  take newer;
+  m
+
+(* Size-tiered merging, run at freeze: adjacent sealed subsidiaries
+   merge while the older holds at most twice the newer's live tuples.
+   Afterwards each sealed subsidiary holds more than twice the live
+   tuples of the next, so a relation with L live tuples has at most
+   about log2 L + 2 of them, and every tuple is copied O(log L) times
+   over its life.  Merging drops dead tuples. *)
+let merge_sealed st =
+  let nsealed = st.nsubs - 1 in
+  let stack : sub array = Array.make (max 1 nsealed) dummy_sub in
+  let top = ref 0 in
+  for s = 0 to nsealed - 1 do
+    stack.(!top) <- st.subs.(s);
+    incr top;
+    while !top >= 2 && stack.(!top - 2).live <= 2 * stack.(!top - 1).live do
+      stack.(!top - 2) <- merge_two st stack.(!top - 2) stack.(!top - 1);
+      decr top
+    done
+  done;
+  if !top < nsealed then begin
+    let subs = Array.make (max 4 (2 * (!top + 1))) dummy_sub in
+    Array.blit stack 0 subs 0 !top;
+    subs.(!top) <- st.subs.(nsealed);
+    st.subs <- subs;
+    st.nsubs <- !top + 1;
+    st.nonground <- List.filter (fun (t : Tuple.t) -> not t.Tuple.dead) st.nonground
+  end
 
 let create ?(indexes = []) ~name ~arity () =
   let st =
@@ -85,10 +167,12 @@ let create ?(indexes = []) ~name ~arity () =
     if dedup && is_duplicate st tuple then false
     else begin
       if dedup && not (Tuple.is_ground tuple) then retire_subsumed st tuple;
-      sub_append st.subs.(st.nsubs - 1) tuple;
+      let sub = st.subs.(st.nsubs - 1) in
+      sub_append sub tuple;
+      let e = { tuple; home = sub } in
       (match Hashtbl.find_opt st.dups tuple.Tuple.hash with
-      | Some bucket -> bucket := tuple :: !bucket
-      | None -> Hashtbl.add st.dups tuple.Tuple.hash (ref [ tuple ]));
+      | Some bucket -> bucket := e :: !bucket
+      | None -> Hashtbl.add st.dups tuple.Tuple.hash (ref [ e ]));
       if not (Tuple.is_ground tuple) then st.nonground <- tuple :: st.nonground;
       st.live <- st.live + 1;
       true
@@ -133,8 +217,7 @@ let create ?(indexes = []) ~name ~arity () =
     Seq.iter
       (fun t ->
         if pred t then begin
-          Tuple.kill t;
-          st.live <- st.live - 1;
+          kill st t;
           incr count
         end)
       (scan ~from_mark:0 ~to_mark:(-1) ~pattern);
@@ -143,12 +226,7 @@ let create ?(indexes = []) ~name ~arity () =
   let impl =
     { Relation.i_insert = insert;
       i_delete = delete;
-      i_retire =
-        (fun t ->
-          if not t.Tuple.dead then begin
-            Tuple.kill t;
-            st.live <- st.live - 1
-          end);
+      i_retire = (fun t -> if not t.Tuple.dead then kill st t);
       i_mark =
         (fun () ->
           push_sub st;
@@ -175,16 +253,18 @@ let create ?(indexes = []) ~name ~arity () =
       i_freeze =
         (fun () ->
           (* Seal the open subsidiary (unless already empty) so every
-             captured array has reached its final extent; then capture
-             each sealed subsidiary's cells by VALUE — the tuples array,
-             its length, and the store list — because the live relation
-             may later grow new index stores or reallocate the subs
+             captured array has reached its final extent, and merge
+             sealed subsidiaries; then capture each sealed subsidiary's
+             cells by VALUE — the tuples array, its length, and the
+             store list — because the live relation may later grow new
+             index stores, merge subsidiaries or reallocate the subs
              array, and a frozen reader must never chase those.  Sealed
-             tuple arrays are append-only up to the captured length and
-             never reallocated, so the capture is genuinely immutable
-             (tombstone flags excepted; see DESIGN.md on retraction
-             visibility). *)
+             tuple arrays and their stores are never written again (a
+             merge builds fresh ones), so the capture is genuinely
+             immutable (tombstone flags excepted; see DESIGN.md on
+             retraction visibility). *)
           if st.subs.(st.nsubs - 1).n > 0 then push_sub st;
+          merge_sealed st;
           let nsealed = st.nsubs - 1 in
           let snaps =
             Array.init nsealed (fun s ->
@@ -201,8 +281,11 @@ let create ?(indexes = []) ~name ~arity () =
               (fun (t : Tuple.t) -> not t.Tuple.dead)
               (List.fold_right Seq.append !parts Seq.empty)
           in
-          let f_mem tuple =
-            Seq.exists (fun ex -> Tuple.subsumes ex tuple) (f_scan ~pattern:None)
+          let f_mem (tuple : Tuple.t) =
+            let pattern =
+              if Tuple.is_ground tuple then Some (tuple.Tuple.terms, Bindenv.empty) else None
+            in
+            Seq.exists (fun ex -> Tuple.subsumes ex tuple) (f_scan ~pattern)
           in
           Some { Relation.f_scan; f_mem; f_cardinal = st.live });
       i_clear =

@@ -6,6 +6,7 @@
    the middle of an update sequence. *)
 
 open Coral_term
+open Coral_rel
 open Coral_storage
 
 let sym = Symbol.intern
@@ -104,6 +105,16 @@ let differential ?(workers = 1) ~name ~program ~probes ~gen_fact ~steps ~seed ()
         Alcotest.(check (list (list string)))
           (Printf.sprintf "%s step %d: %s" name step q)
           (rows o q) (rows m q))
+      probes;
+    (* the server's read path: one snapshot per commit (which merges
+       sealed subsidiaries), queries against its frozen view *)
+    let view = Option.get (Coral.Engine.snapshot (eng m)) in
+    let r = Coral.of_engine (Coral.Engine.read_view view) in
+    List.iter
+      (fun q ->
+        Alcotest.(check (list (list string)))
+          (Printf.sprintf "%s step %d, read view: %s" name step q)
+          (rows o q) (rows r q))
       probes
   done
 
@@ -277,6 +288,163 @@ let test_maintenance_info () =
     | Some (_, r2) -> Alcotest.(check int) "no extra rebuild" refreshes r2
     | None -> Alcotest.fail "maintenance dropped")
 
+(* Maintenance time lands in the phase.maintain histogram: an extent
+   rebuild, an insert and a retract each record one observation. *)
+let test_maintenance_phase () =
+  let module Obs = Coral_obs.Obs in
+  let h = Obs.histogram "phase.maintain" in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was)
+    (fun () ->
+      let before = Obs.Histogram.count h in
+      let e = chain_engine () in
+      let edge34 = [ sym "edge", [| Term.int 3; Term.int 4 |] ] in
+      ignore (Coral.Engine.insert_facts (eng e) edge34);
+      ignore (Coral.Engine.retract_facts (eng e) edge34);
+      Alcotest.(check int) "rebuild + insert + retract" 3 (Obs.Histogram.count h - before))
+
+(* ------------------------------------------------------------------ *)
+(* Flapping edges, the update_visible shape                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A forest of chains; one edge at a time is retracted and inserted
+   back, each update committed as a snapshot and read through it, as
+   the server does.  Every read must show exactly its update. *)
+let test_chain_forest_flaps () =
+  let chains = 4 and len = 6 and flaps = 60 in
+  let edges =
+    List.concat
+      (List.init chains (fun c -> List.init (len - 1) (fun p -> (c * len) + p, (c * len) + p + 1)))
+  in
+  let e = Coral.create () in
+  List.iter (fun (a, b) -> Coral.fact e "edge" [ Term.int a; Term.int b ]) edges;
+  Coral.consult_text e
+    "module paths.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
+     path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module.";
+  Coral.Engine.set_maintenance (eng e) true;
+  ignore (Coral.Engine.snapshot (eng e));
+  let reach present a =
+    let rec go x acc =
+      match List.assoc_opt x present with
+      | Some y -> go y (string_of_int y :: acc)
+      | None -> acc
+    in
+    List.map (fun y -> [ y ]) (go a []) |> List.sort compare
+  in
+  let read_after update a =
+    ignore (update (eng e));
+    let view = Option.get (Coral.Engine.snapshot (eng e)) in
+    rows (Coral.of_engine (Coral.Engine.read_view view)) (Printf.sprintf "path(%d, Y)" a)
+  in
+  let rng = Random.State.make [| 97 |] in
+  for i = 1 to flaps do
+    let a = (Random.State.int rng chains * len) + (i mod (len - 1)) in
+    let fact = [ sym "edge", [| Term.int a; Term.int (a + 1) |] ] in
+    let gone = read_after (fun e -> Coral.Engine.retract_facts e fact) a in
+    Alcotest.(check (list (list string)))
+      (Printf.sprintf "flap %d: retract edge(%d, %d) visible" i a (a + 1))
+      (reach (List.filter (fun ed -> ed <> (a, a + 1)) edges) a)
+      gone;
+    let back = read_after (fun e -> Coral.Engine.insert_facts e fact) a in
+    Alcotest.(check (list (list string)))
+      (Printf.sprintf "flap %d: insert edge(%d, %d) visible" i a (a + 1))
+      (reach edges a) back
+  done;
+  Alcotest.(check (list (list string))) "live engine agrees after the flaps"
+    (List.concat_map (fun (a, _) -> List.map (fun y -> [ string_of_int a; List.hd y ]) (reach edges a)) edges
+     |> List.sort compare)
+    (rows e "path(X, Y)")
+
+(* ------------------------------------------------------------------ *)
+(* Index selection                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let specs rel =
+  List.map (Format.asprintf "%a" Index.pp_spec) (Relation.indexes rel) |> List.sort compare
+
+let parse_module src =
+  match Coral_lang.Parser.program src with
+  | Ok [ Coral_lang.Ast.Module_item m ] -> m
+  | _ -> Alcotest.fail "expected one module"
+
+(* Maintenance selects indexes by the fixpoint's rule: the activation
+   of the recursive rule on an edge delta probes path on its first
+   argument, the activation on a path delta probes edge on its second,
+   and the rederivation check (head bound) probes edge on its first. *)
+let test_maintenance_indexes () =
+  let edge = Hash_relation.create ~name:"edge" ~arity:2 () in
+  List.iter
+    (fun (a, b) -> ignore (Relation.insert_terms edge [| Term.int a; Term.int b |]))
+    [ 1, 2; 2, 3; 3, 4 ];
+  let m =
+    Coral_eval.Maintain.create
+      { Coral_eval.Maintain.src_modules = (fun () -> [ parse_module tc_program ]);
+        src_user_rules = (fun () -> []);
+        src_relation =
+          (fun pred arity -> if Symbol.name pred = "edge" && arity = 2 then Some edge else None);
+        src_foreign = (fun _ _ -> false);
+        src_tick = ignore
+      }
+  in
+  Coral_eval.Maintain.ensure m;
+  Alcotest.(check (list string)) "edge indexes" [ "args(0)"; "args(1)" ] (specs edge);
+  (match Coral_eval.Maintain.extent m (sym "path") 2 with
+  | Some path -> Alcotest.(check (list string)) "path extent indexes" [ "args(0)" ] (specs path)
+  | None -> Alcotest.fail "path is not maintained");
+  (* the engine installs them on its own stored relation too *)
+  let e = chain_engine () in
+  match Coral.Engine.relation_of (eng e) (sym "edge") 2 with
+  | Some rel -> Alcotest.(check (list string)) "engine edge indexes" [ "args(0)"; "args(1)" ] (specs rel)
+  | None -> Alcotest.fail "edge not stored"
+
+(* The fixpoint's index choice for the same rule bodies, unrewritten:
+   a literal gets an index on the positions bound before it runs. *)
+let test_fixpoint_index_choice () =
+  let choice program pred adorn =
+    let base = Hashtbl.create 4 in
+    let resolve p arity =
+      let rel =
+        match Hashtbl.find_opt base (Symbol.name p) with
+        | Some rel -> rel
+        | None ->
+          let rel = Hash_relation.create ~name:(Symbol.name p) ~arity () in
+          Hashtbl.add base (Symbol.name p) rel;
+          rel
+      in
+      Coral_eval.Module_struct.P_rel rel
+    in
+    match
+      Coral_rewrite.Optimizer.plan_query ~module_:(parse_module program) ~pred:(sym pred)
+        ~adorn:(Coral_lang.Ast.adornment_of_string adorn)
+    with
+    | Error msg -> Alcotest.fail msg
+    | Ok plan ->
+      let ms = Coral_eval.Module_struct.compile ~resolve plan in
+      fun name ->
+        match Coral_eval.Module_struct.relation ms (sym name) with
+        | Some rel -> specs rel
+        | None -> specs (Hashtbl.find base name)
+  in
+  let tc =
+    choice
+      "module paths.\nexport path(ff).\n@no_rewriting.\npath(X, Y) :- edge(X, Y).\n\
+       path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module."
+      "path" "ff"
+  in
+  Alcotest.(check (list string)) "tc: edge" [] (tc "edge");
+  Alcotest.(check (list string)) "tc: path" [ "args(0)" ] (tc "path");
+  let sg =
+    choice
+      "module sg.\nexport sg(ff).\n@no_rewriting.\nsg(X, X) :- person(X).\n\
+       sg(X, Y) :- par(X, XP), sg(XP, YP), par(Y, YP).\nend_module."
+      "sg" "ff"
+  in
+  Alcotest.(check (list string)) "sg: person" [] (sg "person");
+  Alcotest.(check (list string)) "sg: par" [ "args(1)" ] (sg "par");
+  Alcotest.(check (list string)) "sg: sg" [ "args(0)" ] (sg "sg")
+
 let () =
   Alcotest.run "coral_maintain"
     [ ( "differential",
@@ -292,6 +460,12 @@ let () =
           Alcotest.test_case "retract rederives" `Quick test_retract_dred_rederives;
           Alcotest.test_case "missing accounting" `Quick test_retract_missing_accounting;
           Alcotest.test_case "fallback class" `Quick test_fallback_class;
-          Alcotest.test_case "maintenance info" `Quick test_maintenance_info
+          Alcotest.test_case "maintenance info" `Quick test_maintenance_info;
+          Alcotest.test_case "chain forest flaps" `Quick test_chain_forest_flaps;
+          Alcotest.test_case "maintenance phase" `Quick test_maintenance_phase
+        ] );
+      ( "indexes",
+        [ Alcotest.test_case "maintenance joins" `Quick test_maintenance_indexes;
+          Alcotest.test_case "fixpoint choice" `Quick test_fixpoint_index_choice
         ] )
     ]

@@ -316,6 +316,62 @@ let test_freeze_isolation () =
   Alcotest.(check bool) "frozen mem" true (Relation.mem fz (tup [ 2; 3 ]));
   Alcotest.(check bool) "frozen mem excludes later" false (Relation.mem fz (tup [ 3; 4 ]))
 
+(* A relation frozen after every write (one snapshot per commit) keeps
+   few subsidiaries, because freezing merges sealed ones, and each
+   frozen view still reads exactly its own tuples through scan, index
+   probe and mem.  Kills are tombstones shared with earlier views
+   (DESIGN.md section 11), so a view's own tuples are those live at its
+   freeze and not killed since. *)
+let test_freeze_merges_subsidiaries () =
+  let cycles = 1000 and keys = 10 and width = 40 in
+  let r = Hash_relation.create ~indexes:[ Index.Args [ 0 ] ] ~name:"p" ~arity:2 () in
+  let rng = Random.State.make [| cycles |] in
+  let live = Hashtbl.create 64 in  (* (a, b) -> the stored tuple *)
+  let views = ref [] and max_marks = ref 0 in
+  for i = 1 to cycles do
+    let a = Random.State.int rng keys and b = Random.State.int rng width in
+    let t = tup [ a; b ] in
+    if Relation.insert r t then Hashtbl.replace live (a, b) t;
+    if i mod 3 <> 0 && Hashtbl.length live > 0 then begin
+      let present = Hashtbl.fold (fun k _ acc -> k :: acc) live [] |> List.sort compare in
+      let ka, kb = List.nth present (Random.State.int rng (List.length present)) in
+      let target = tup [ ka; kb ] in
+      Alcotest.(check int) "killed one" 1
+        (Relation.delete r ~pattern:(target.Tuple.terms, Bindenv.empty) (Tuple.equal target));
+      Hashtbl.remove live (ka, kb)
+    end;
+    let fz = Option.get (Relation.freeze r) in
+    views := (i, fz, Hashtbl.fold (fun _ t acc -> t :: acc) live []) :: !views;
+    max_marks := max !max_marks (Relation.marks r)
+  done;
+  let bound = int_of_float ((2. *. Float.log2 (float_of_int cycles)) +. 2.) in
+  Alcotest.(check bool)
+    (Printf.sprintf "marks stay logarithmic (max %d, bound %d)" !max_marks bound)
+    true (!max_marks <= bound);
+  Alcotest.(check int) "live cardinal" (Hashtbl.length live) (Relation.cardinal r);
+  let with_key k rows = List.filter (fun row -> List.hd row = k) rows in
+  List.iter
+    (fun (i, fz, own) ->
+      let expected = ints_of (List.filter (fun (t : Tuple.t) -> not t.Tuple.dead) own) in
+      let label what = Printf.sprintf "view %d %s" i what in
+      Alcotest.(check (list (list int))) (label "scan") expected (ints_of (Relation.to_list fz));
+      for k = 0 to keys - 1 do
+        Alcotest.(check (list (list int))) (label "probe")
+          (with_key k expected)
+          (with_key k (probe_rel fz [| t_int k; Term.var 0 |]))
+      done;
+      List.iter
+        (fun row -> Alcotest.(check bool) (label "mem") true (Relation.mem fz (tup row)))
+        expected;
+      if i mod 10 = 0 then
+        for a = 0 to keys - 1 do
+          for b = 0 to width - 1 do
+            if not (List.mem [ a; b ] expected) then
+              Alcotest.(check bool) (label "mem absent") false (Relation.mem fz (tup [ a; b ]))
+          done
+        done)
+    !views
+
 let test_freeze_read_only () =
   let r = Hash_relation.create ~name:"p" ~arity:1 () in
   ignore (Relation.insert r (tup [ 1 ]));
@@ -370,6 +426,7 @@ let () =
       ( "freeze",
         [ Alcotest.test_case "isolation" `Quick test_freeze_isolation;
           Alcotest.test_case "read only" `Quick test_freeze_read_only;
-          Alcotest.test_case "list relation" `Quick test_freeze_list_relation
+          Alcotest.test_case "list relation" `Quick test_freeze_list_relation;
+          Alcotest.test_case "merges subsidiaries" `Quick test_freeze_merges_subsidiaries
         ] )
     ]
