@@ -799,13 +799,19 @@ let exp_maintain () =
   ignore (commit ());
   let next = Workloads.lcg 19 in
   let edge = Coral.Symbol.intern "edge" in
-  (* per flap: retract ms, insert ms, derived, deleted, rederived *)
-  let log = Array.make flaps (0.0, 0.0, 0, 0, 0) in
+  (* per flap: retract ms, insert ms, derived, deleted, rederived, and
+     the scans the retract and the insert opened *)
+  let log = Array.make flaps (0.0, 0.0, 0, 0, 0, 0, 0) in
+  let scans () =
+    let _, _, s = Coral.Relation.global_stats () in
+    s
+  in
   let update f =
+    let s0 = scans () in
     let t0 = now_ns () in
     let rep = f () in
     let view = commit () in
-    Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6, rep, view
+    Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6, rep, view, scans () - s0
   in
   let read view a =
     let reader = Coral.of_engine (Coral.Engine.read_view view) in
@@ -818,8 +824,8 @@ let exp_maintain () =
     work.(i) <- Coral.Relation.global_stats ();
     let a = (next chains * len) + ((i + 1) mod (len - 1)) in
     let fact = [ edge, [| Coral.int a; Coral.int (a + 1) |] ] in
-    let t_r, r, gone = update (fun () -> Coral.Engine.retract_facts e fact) in
-    let t_i, ins, back = update (fun () -> Coral.Engine.insert_facts e fact) in
+    let t_r, r, gone, s_r = update (fun () -> Coral.Engine.retract_facts e fact) in
+    let t_i, ins, back, s_i = update (fun () -> Coral.Engine.insert_facts e fact) in
     if read gone a <> 0 || read back a <> len - 1 - (a mod len) then
       failwith "maintain: a read missed its update";
     let open Coral.Engine in
@@ -828,7 +834,9 @@ let exp_maintain () =
         t_i,
         r.ur_derived + ins.ur_derived,
         r.ur_deleted + ins.ur_deleted,
-        r.ur_rederived + ins.ur_rederived )
+        r.ur_rederived + ins.ur_rederived,
+        s_r,
+        s_i )
   done;
   work.(flaps) <- Coral.Relation.global_stats ();
   let rows =
@@ -837,20 +845,27 @@ let exp_maintain () =
         let slice = Array.sub log first window in
         let mean get = Array.fold_left (fun acc x -> acc +. get x) 0.0 slice /. float_of_int window in
         let sum get = Array.fold_left (fun acc x -> acc + get x) 0 slice in
-        let r_ms = mean (fun (r, _, _, _, _) -> r) and i_ms = mean (fun (_, i, _, _, _) -> i) in
+        let r_ms = mean (fun (r, _, _, _, _, _, _) -> r)
+        and i_ms = mean (fun (_, i, _, _, _, _, _) -> i) in
         let label = Printf.sprintf "flaps %d-%d" (first + 1) (first + window) in
         let (i1, d1, s1), (i0, d0, s0) = work.(first + window), work.(first) in
         let work = i1 - i0, d1 - d0, s1 - s0 in
         record ~label:("retract, " ^ label) ~work (r_ms /. 1e3);
         record ~label:("insert, " ^ label) ~work (i_ms /. 1e3);
         [ label; Printf.sprintf "%.3f" r_ms; Printf.sprintf "%.3f" i_ms;
-          string_of_int (sum (fun (_, _, d, _, _) -> d));
-          string_of_int (sum (fun (_, _, _, d, _) -> d));
-          string_of_int (sum (fun (_, _, _, _, r) -> r))
+          Printf.sprintf "%.1f" (mean (fun (_, _, _, _, _, s, _) -> float_of_int s));
+          Printf.sprintf "%.1f" (mean (fun (_, _, _, _, _, _, s) -> float_of_int s));
+          string_of_int (sum (fun (_, _, d, _, _, _, _) -> d));
+          string_of_int (sum (fun (_, _, _, d, _, _, _) -> d));
+          string_of_int (sum (fun (_, _, _, _, r, _, _) -> r))
         ])
       [ 0; flaps - window ]
   in
-  table [ "window"; "ms/retract"; "ms/insert"; "derived"; "deleted"; "rederived" ] rows
+  table
+    [ "window"; "ms/retract"; "ms/insert"; "scans/retract"; "scans/insert"; "derived";
+      "deleted"; "rederived"
+    ]
+    rows
 
 let experiments =
   [ "agg_selection", exp_agg_selection;

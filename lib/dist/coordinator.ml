@@ -5,7 +5,8 @@
      barrier step <r>     one local semi-naive round; derived tuples
                           for other shards are shipped peer-to-peer
                           and acknowledged before the worker replies
-     barrier promote <r>  absorb buffered deltas into full + @delta
+     barrier promote <r>  absorb buffered deltas into each worker's
+                          relations and its private delta relations
 
    A worker replies to [step] only after its outbound deltas are
    acked, so once every [step] reply is in, no delta is in flight and

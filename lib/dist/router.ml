@@ -88,8 +88,8 @@ let iter_base_relations eng f =
     (Coral.Engine.list_relations eng)
 
 (* Dump the router's base relations (the replicated EDB) as fact
-   lines.  Derived predicates and the @delta siblings are excluded —
-   the workers rebuild those themselves. *)
+   lines.  Derived predicates are excluded — the workers rebuild
+   those themselves. *)
 let edb_text t (a : Plan.analysis) =
   let eng = Coral.engine (Session.db t.sstore) in
   let buf = Buffer.create 4096 in
@@ -109,8 +109,9 @@ let edb_text t (a : Plan.analysis) =
    the router's base relations but are excluded from the replicated
    EDB — each belongs to exactly one owner shard.  Ship them as
    per-owner delta batches: they sit in the owner's exchange buffer,
-   are absorbed into full + @delta at the first promote, and from
-   round 2 on the linear rules derive from them like any other delta.
+   are absorbed into the owner's relation and its private delta at
+   the first promote, and from round 2 on the linear rules derive from
+   them like any other delta.
    Returns the per-shard batches plus the total seeded count. *)
 let seed_batches t (a : Plan.analysis) =
   let eng = Coral.engine (Session.db t.sstore) in

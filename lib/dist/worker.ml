@@ -2,14 +2,15 @@
 
    A worker owns one partition of every derived relation and a full
    replica of the base relations.  It never installs the distributed
-   program into its engine as modules: derived relations are
-   materialized as ordinary base relations ([path], plus a [path@delta]
-   sibling holding the tuples new in the last promote), and each
-   global round evaluates rule bodies directly with [Engine.query] —
-   Init rules against the replicated EDB, Linear rules with their one
-   derived body literal retargeted at the [@delta] relation.  Queries
-   arriving from the router then need nothing special: the answers are
-   sitting in base relations.
+   program into its engine as modules: each derived relation is an
+   ordinary base relation of the engine ([path]), so queries arriving
+   from the router need nothing special — the answers are sitting in
+   base relations.  At [dprog] every rule is compiled once, with the
+   fixpoint's compiler and join kernel (Module_struct, Joiner): Init
+   rules as written, Linear rules as activations whose first scan reads
+   a worker-private delta relation holding the tuples new in the last
+   promote.  Compiling installs the indexes those joins probe on the
+   replicated base relations.
 
    Concurrency contract: [barrier]/[dprog]/[dreset] arrive serialized
    on the coordinator's connection and take the store's write lane
@@ -23,13 +24,38 @@
 open Coral
 open Coral_server
 module Obs = Coral_obs.Obs
+module Module_struct = Coral_eval.Module_struct
+module Joiner = Coral_eval.Joiner
 
-let delta_suffix = "@delta"
+(* Step joins are timed like the engine's fixpoint runs. *)
+let h_eval = Obs.histogram "phase.eval"
 
 type config = {
   part : Partition.t;
   self : int;
   peers : Shard_client.t option array;  (* [None] at our own index *)
+}
+
+(* A derived predicate on this worker: its partition of the relation
+   (an engine base relation), the tuples new in the last promote, and
+   the heads a step derived this round (per-step dedup).  The last two
+   are private to the worker. *)
+type idb = {
+  name : string;
+  arity : int;
+  full : Relation.t;
+  delta : Relation.t;
+  fresh : Relation.t;
+}
+
+(* The installed program: with [n] derived predicates, slot [i < n] of
+   [rels] reads [idbs.(i).full], slot [n + i] reads [idbs.(i).delta],
+   and the base relations the rules read follow. *)
+type prog = {
+  analysis : Plan.analysis;
+  idbs : idb array;
+  rels : Relation.t array;
+  rules : (Plan.rule_class * Module_struct.crule) list;
 }
 
 type t = {
@@ -40,7 +66,7 @@ type t = {
   budget : unit -> int;  (* max promoted tuples per fixpoint; 0 = none *)
   exchange : Exchange.t;
   mutable config : config option;
-  mutable prog : Plan.analysis option;
+  mutable prog : prog option;
   mutable derived_total : int;
   mutable shipped_total : int;
   mutable shipped_bytes : int;
@@ -106,21 +132,76 @@ let do_shard t ~index ~count ~key ~peer_addrs =
 (* Program installation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let full_rel t name arity = Engine.base_relation t.eng (Symbol.intern name) arity
-let delta_rel t name arity = Engine.base_relation t.eng (Symbol.intern (name ^ delta_suffix)) arity
+let idb_slot idbs name arity = Array.find_index (fun d -> d.name = name && d.arity = arity) idbs
+
+let compile eng (a : Plan.analysis) =
+  let scratch (name, arity) = Hash_relation.create ~name ~arity () in
+  let idbs =
+    Array.of_list a.Plan.idb
+    |> Array.map (fun (name, arity) ->
+           { name;
+             arity;
+             full = Engine.base_relation eng (Symbol.intern name) arity;
+             delta = scratch (name, arity);
+             fresh = scratch (name, arity)
+           })
+  in
+  let n = Array.length idbs in
+  (* resolve every body predicate before compiling: compilation
+     installs indexes on [rels] *)
+  let targets = Hashtbl.create 16 and edb = ref [] in
+  let target pred arity =
+    let name = Symbol.name pred in
+    match idb_slot idbs name arity, Hashtbl.find_opt targets (name, arity) with
+    | Some i, _ -> Module_struct.Slot i
+    | None, Some tg -> tg
+    | None, None ->
+      let tg =
+        match Engine.provider eng pred arity with
+        | Module_struct.P_rel rel ->
+          edb := rel :: !edb;
+          Module_struct.Slot ((2 * n) + List.length !edb - 1)
+        | Module_struct.P_foreign f -> Module_struct.Fn f
+      in
+      Hashtbl.add targets (name, arity) tg;
+      tg
+  in
+  List.iter
+    (fun (d : Plan.drule) ->
+      List.iter
+        (fun lit ->
+          Option.iter
+            (fun (x : Ast.atom) -> ignore (target x.Ast.pred (Array.length x.Ast.args)))
+            (Ast.literal_atom lit))
+        d.Plan.rule.Ast.body)
+    a.Plan.drules;
+  let rels =
+    Array.concat
+      [ Array.map (fun d -> d.full) idbs;
+        Array.map (fun d -> d.delta) idbs;
+        Array.of_list (List.rev !edb)
+      ]
+  in
+  let compile (d : Plan.drule) =
+    let delta =
+      match d.Plan.cls with
+      | Plan.Init -> None
+      | Plan.Linear i ->
+        (* the one derived body literal scans its delta relation *)
+        let x = Option.get (Ast.literal_atom (List.nth d.Plan.rule.Ast.body i)) in
+        let s = Option.get (idb_slot idbs (Symbol.name x.Ast.pred) (Array.length x.Ast.args)) in
+        Some (i, n + s)
+    in
+    Module_struct.compile_rule ~rels ~target ?delta d.Plan.rule
+  in
+  { analysis = a; idbs; rels; rules = List.map (fun d -> d.Plan.cls, compile d) a.Plan.drules }
 
 let do_dprog t text =
   match Plan.analyse_text text with
   | Plan.Local reason ->
     Protocol.err Protocol.Cluster ("program is not distributable: " ^ reason)
   | Plan.Distributable a ->
-    t.commit ~invalidate:true (fun () ->
-        List.iter
-          (fun (name, arity) ->
-            ignore (full_rel t name arity);
-            ignore (delta_rel t name arity))
-          a.Plan.idb;
-        t.prog <- Some a);
+    t.commit ~invalidate:true (fun () -> t.prog <- Some (compile t.eng a));
     Protocol.ok
       ~detail:
         (Printf.sprintf "rules=%d idb=%d" (List.length a.Plan.drules)
@@ -142,7 +223,7 @@ let do_delta t text =
       let check_item (a : Ast.atom) =
         let name = Symbol.name a.Ast.pred in
         let arity = Array.length a.Ast.args in
-        if not (List.mem (name, arity) prog.Plan.idb) then
+        if not (List.mem (name, arity) prog.analysis.Plan.idb) then
           Error (Printf.sprintf "delta for non-derived predicate %s/%d" name arity)
         else begin
           let tuple = Tuple.of_terms a.Ast.args in
@@ -169,54 +250,6 @@ let do_delta t text =
 (* Barrier step: one local round + delta shipping                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Retarget the rule's one derived body literal at its @delta sibling,
-   in place, preserving literal order (and with it the planner's
-   binding propagation). *)
-let delta_body (r : Ast.rule) i =
-  List.mapi
-    (fun j lit ->
-      if j <> i then lit
-      else
-        match lit with
-        | Ast.Pos a ->
-          Ast.Pos { a with Ast.pred = Symbol.intern (Symbol.name a.Ast.pred ^ delta_suffix) }
-        | _ -> lit)
-    r.Ast.body
-
-(* Instantiate the rule head under one answer row.  [Engine.query]
-   renumbers variables but preserves their names, so the head's
-   variables are matched to query columns by name. *)
-let head_tuples (r : Ast.rule) (res : Engine.query_result) =
-  let col_of_name = Hashtbl.create 8 in
-  List.iteri
-    (fun i (v : Term.var) -> Hashtbl.replace col_of_name v.Term.vname i)
-    res.Engine.qvars;
-  let head = Ast.atom_of_head r.Ast.head in
-  List.map
-    (fun row ->
-      Array.map
-        (fun arg ->
-          Term.map_vars
-            (fun (v : Term.var) ->
-              match Hashtbl.find_opt col_of_name v.Term.vname with
-              | Some i -> row.(i)
-              | None -> Term.Var v)
-            arg)
-        head.Ast.args
-      |> Tuple.of_terms)
-    res.Engine.rows
-
-(* Per-round duplicate table: (pred, variant-hash) buckets compared
-   with variant equality, same discipline as relation storage. *)
-let seen_add seen pred (tuple : Tuple.t) =
-  let key = pred, tuple.Tuple.hash in
-  let bucket = try Hashtbl.find seen key with Not_found -> [] in
-  if List.exists (Tuple.equal tuple) bucket then false
-  else begin
-    Hashtbl.replace seen key (tuple :: bucket);
-    true
-  end
-
 let do_step t round =
   match t.config, t.prog with
   | None, _ | _, None -> Protocol.err Protocol.Cluster "barrier before shard/dprog"
@@ -239,31 +272,25 @@ let do_step t round =
     t.rounds_total <- t.rounds_total + 1;
     let local = ref [] in
     let outbound = Array.make (Array.length cfg.peers) [] in
-    let seen = Hashtbl.create 64 in
     t.locked (fun () ->
+        Obs.Histogram.time h_eval @@ fun () ->
+        Array.iter (fun d -> Relation.clear d.fresh) prog.idbs;
         List.iter
-          (fun (d : Plan.drule) ->
-            let body =
-              match d.Plan.cls, round with
-              | Plan.Init, 1 -> Some d.Plan.rule.Ast.body
-              | Plan.Init, _ -> None
-              | Plan.Linear _, 1 -> None
-              | Plan.Linear i, _ -> Some (delta_body d.Plan.rule i)
+          (fun (cls, (rule : Module_struct.crule)) ->
+            let active =
+              match cls with
+              | Plan.Init -> round = 1
+              | Plan.Linear _ -> round > 1
             in
-            match body with
-            | None -> ()
-            | Some body ->
-              let head = Ast.atom_of_head d.Plan.rule.Ast.head in
-              let name = Symbol.name head.Ast.pred in
-              let arity = Array.length head.Ast.args in
-              let full = full_rel t name arity in
-              let res = Engine.query t.eng body in
-              List.iter
-                (fun tuple ->
-                  if (not (Relation.mem full tuple)) && seen_add seen name tuple then begin
+            if active then begin
+              let d = prog.idbs.(rule.Module_struct.head_slot) in
+              Joiner.run ~rels:prog.rels ~range:Joiner.full_range rule ~on_match:(fun env ->
+                  let tuple = Joiner.head_tuple rule env in
+                  if (not (Relation.mem d.full tuple)) && Relation.insert_quiet d.fresh tuple
+                  then begin
                     let owner = Partition.owner cfg.part tuple in
-                    let item = { Exchange.pred = name; arity; tuple } in
-                    match d.Plan.cls with
+                    let item = { Exchange.pred = d.name; arity = d.arity; tuple } in
+                    match cls with
                     | Plan.Init ->
                       (* every shard derives the same Init tuples from
                          the replicated EDB: keep ours, ship nothing *)
@@ -276,8 +303,8 @@ let do_step t round =
                       if owner = cfg.self then local := item :: !local
                       else outbound.(owner) <- item :: outbound.(owner)
                   end)
-                (head_tuples d.Plan.rule res))
-          prog.Plan.drules);
+            end)
+          prog.rules);
     Exchange.add_local t.exchange (List.rev !local);
     t.derived_total <- t.derived_total + !derived;
     (* Ship each destination its batch and wait for the ack: when this
@@ -344,14 +371,14 @@ let do_promote t round =
     t.commit ~invalidate:true (fun () ->
         let items, recv = Exchange.drain t.exchange in
         received := recv;
-        List.iter (fun (name, arity) -> Relation.clear (delta_rel t name arity)) prog.Plan.idb;
+        Array.iter (fun d -> Relation.clear d.delta) prog.idbs;
         List.iter
           (fun item ->
-            let full = full_rel t item.Exchange.pred item.Exchange.arity in
-            if Relation.insert full item.Exchange.tuple then begin
+            match idb_slot prog.idbs item.Exchange.pred item.Exchange.arity with
+            | Some i when Relation.insert prog.idbs.(i).full item.Exchange.tuple ->
               incr fresh;
-              ignore (Relation.insert (delta_rel t item.Exchange.pred item.Exchange.arity) item.Exchange.tuple)
-            end)
+              ignore (Relation.insert_quiet prog.idbs.(i).delta item.Exchange.tuple)
+            | _ -> ())
           items);
     t.promoted_total <- t.promoted_total + !fresh;
     let budget = t.budget () in
@@ -390,7 +417,8 @@ let do_dreset t =
               match Engine.relation_of t.eng (Symbol.intern name) arity with
               | Some rel -> Relation.clear rel
               | None -> ())))
-        (Engine.list_relations t.eng));
+        (Engine.list_relations t.eng);
+      Option.iter (fun p -> Array.iter (fun d -> Relation.clear d.delta) p.idbs) t.prog);
   t.derived_total <- 0;
   t.shipped_total <- 0;
   t.shipped_bytes <- 0;

@@ -2,10 +2,11 @@
     cluster control-plane requests ([shard], [dprog#], [delta#],
     [barrier], [dreset]) against one server's engine.
 
-    Derived relations are materialized as ordinary base relations
-    (plus a [pred@delta] sibling per predicate holding the last
-    round's new tuples), so router queries against a worker need
-    nothing special.  Install the result of {!handle} with
+    Derived relations are materialized as ordinary base relations, so
+    router queries against a worker need nothing special.  Each rule
+    is compiled once per [dprog] and every step runs it through the
+    fixpoint's join kernel; the tuples new in the last promote sit in
+    a worker-private delta relation, never in the engine.  Install the result of {!handle} with
     {!Coral_server.Session.set_dist_handler}. *)
 
 type t

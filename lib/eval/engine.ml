@@ -634,14 +634,13 @@ and module_call_relation t (m : Ast.module_) pred arity =
 
 (* Predicate resolution for compiled modules: another module's export
    beats a foreign predicate beats a base relation. *)
-and compile t (plan : Optimizer.plan) =
-  let resolve pred arity =
-    let name = Symbol.name pred in
-    if String.length name > 5 && String.sub name (String.length name - 5) 5 = "@base" then
-      Module_struct.P_rel
-        (base_relation t (Symbol.intern (String.sub name 0 (String.length name - 5))) arity)
-    else begin
-      match module_of_pred t pred arity with
+and provider t pred arity =
+  let name = Symbol.name pred in
+  if String.length name > 5 && String.sub name (String.length name - 5) 5 = "@base" then
+    Module_struct.P_rel
+      (base_relation t (Symbol.intern (String.sub name 0 (String.length name - 5))) arity)
+  else begin
+    match module_of_pred t pred arity with
     | Some m' -> begin
       (* a maintained extent answers a cross-module literal directly,
          without a nested module evaluation *)
@@ -654,9 +653,9 @@ and compile t (plan : Optimizer.plan) =
       | Some f -> Module_struct.P_foreign f
       | None -> Module_struct.P_rel (base_relation t pred arity)
     end
-    end
-  in
-  Module_struct.compile ~resolve plan
+  end
+
+and compile t (plan : Optimizer.plan) = Module_struct.compile ~resolve:(provider t) plan
 
 (* Pipelined modules resolve their body predicates the same way, except
    that predicates defined by the module's own rules resolve to those

@@ -145,6 +145,11 @@ val plan_for :
 (** The plan the optimizer would use for a query form (also fills the
     plan cache); exposes the rewritten program text. *)
 
+val provider : t -> Symbol.t -> int -> Module_struct.provider
+(** How compiled rules on this engine resolve a predicate that no rule
+    of theirs defines: another module's export, else a foreign
+    predicate, else the base relation (created on demand). *)
+
 val relation_of : t -> Symbol.t -> int -> Relation.t option
 (** The stored relation backing a base predicate, if any. *)
 

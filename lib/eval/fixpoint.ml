@@ -355,8 +355,6 @@ let apply_rule t range (rule : crule) =
   if t.profile then
     rule.prof.rp_time_ns <- rule.prof.rp_time_ns + (Coral_obs.Obs.now_ns () - t0)
 
-let full_range ~op_index:_ ~slot:_ ~local:_ = 0, -1
-
 let eval_agg_rule t (rule : crule) =
   let rows = ref [] in
   let key_of row = Array.of_list (List.map (fun i -> row.(i)) rule.plain_positions) in
@@ -368,8 +366,8 @@ let eval_agg_rule t (rule : crule) =
   in
   if t.trace then begin
     let witness = ref [] in
-    Joiner.run ~rels:t.ms.rels ~range:full_range ~backjump:t.backjump ~witness ?prof rule
-      ~on_match:(fun env ->
+    Joiner.run ~rels:t.ms.rels ~range:Joiner.full_range ~backjump:t.backjump ~witness ?prof
+      rule ~on_match:(fun env ->
         let row = Joiner.head_row rule env in
         rows := row :: !rows;
         let key = key_of row in
@@ -379,7 +377,7 @@ let eval_agg_rule t (rule : crule) =
         Term.ArrayTbl.replace group_witnesses key (!witness @ prev))
   end
   else
-    Joiner.run ~rels:t.ms.rels ~range:full_range ~backjump:t.backjump ?prof rule
+    Joiner.run ~rels:t.ms.rels ~range:Joiner.full_range ~backjump:t.backjump ?prof rule
       ~on_match:(fun env ->
         tick t;
         rows := Joiner.head_row rule env :: !rows);
@@ -620,7 +618,7 @@ let round_naive t strata_limit =
     let once (rule : crule) =
       if not (List.memq rule !seen) then begin
         seen := rule :: !seen;
-        apply_rule t full_range rule
+        apply_rule t Joiner.full_range rule
       end
     in
     List.iter once st.srules;
@@ -636,7 +634,7 @@ let active_versions t =
 
 let activate_stratum t i =
   let st = t.ms.strata.(i) in
-  List.iter (fun rule -> apply_rule t full_range rule) st.srules;
+  List.iter (fun rule -> apply_rule t Joiner.full_range rule) st.srules;
   List.iter (fun rule -> eval_agg_rule t rule) st.agg_rules
 
 (* Ordered-Search context actions, taken at quiescence.
@@ -748,7 +746,7 @@ let step_inner t =
     if not t.activated then begin
       t.activated <- true;
       for i = 0 to nstrata t - 1 do
-        List.iter (fun rule -> apply_rule t full_range rule) t.ms.strata.(i).srules
+        List.iter (fun rule -> apply_rule t Joiner.full_range rule) t.ms.strata.(i).srules
       done;
       true
     end

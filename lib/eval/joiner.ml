@@ -164,6 +164,8 @@ let run ~rels ~range ?(backjump = true) ?stripe ?scan_counts ?witness ?prof (rul
   in
   ignore (eval 0)
 
+let full_range ~op_index:_ ~slot:_ ~local:_ = 0, -1
+
 let head_tuple (rule : crule) env = Tuple.make rule.head_args env
 
 let head_row (rule : crule) env =

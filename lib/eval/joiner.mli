@@ -45,6 +45,9 @@ val run :
     relation stats (parallel workers must not touch those).
     @raise Builtin.Eval_error on arithmetic/comparison misuse. *)
 
+val full_range : op_index:int -> slot:int -> local:bool -> int * int
+(** The [range] that gives every scan its whole relation. *)
+
 val head_tuple : Module_struct.crule -> Bindenv.t -> Tuple.t
 (** Build the head tuple from a successful match (plain rules). *)
 

@@ -2,10 +2,13 @@ open Coral_term
 open Coral_lang
 open Coral_rel
 
-(* Incremental view maintenance (see maintain.mli).  The joins reuse
-   Pipeline.solve over a rulebase whose relation lookup prefers the
-   maintained extents, so one join evaluator serves pipelined modules,
-   top-level queries and maintenance alike. *)
+(* Incremental view maintenance (see maintain.mli).  Every join is a
+   compiled rule run through Joiner, the fixpoint's kernel: the
+   maintained rules as written for a full refresh, one activation per
+   positive body literal whose first scan reads that predicate's
+   scratch delta relation, and one support activation per rule whose
+   first scan reads the candidates for rederivation.  A round loads its
+   whole delta batch and runs each activation once. *)
 
 type source = {
   src_modules : unit -> Ast.module_ list;
@@ -22,44 +25,51 @@ type update_stats = {
   u_rounds : int;
 }
 
-(* A maintainable rule, variables renumbered densely (as in
-   Pipeline.prepare_rule) so each activation allocates a right-sized
-   environment.  [pr_pos] pre-computes, for every positive body
-   literal, the activation used by delta propagation: the literal's
-   predicate key, its argument array, and the remaining body literals
-   in original order. *)
-type prule = {
-  pr_hkey : string;
-  pr_hargs : Term.t array;
-  pr_body : Ast.literal list;
-  pr_nvars : int;
-  pr_pos : (string * Term.t array * Ast.literal list) list;
+(* One predicate a maintained rule mentions: its extent (maintained
+   predicates) or stored relation, and two scratch relations — this
+   round's delta, and the over-deleted tuples awaiting rederivation
+   (extents only).  With [n] predicates, kernel slot [s] reads [rel],
+   slot [s + n] reads [delta] and slot [s + 2n] reads [cand]. *)
+type pred = {
+  rel : Relation.t;
+  is_ext : bool;
+  delta : Relation.t;
+  cand : Relation.t;
+  mutable acts : Module_struct.crule list;  (* activations on [delta] *)
+  mutable support : Module_struct.crule list;  (* support activations on [cand] *)
 }
+
+(* The compiled maintenance program. *)
+type kernel = {
+  rels : Relation.t array;
+  preds : pred array;
+  slot_of : (string, int) Hashtbl.t;  (* "name/arity" -> slot *)
+  refresh : Module_struct.crule list;  (* the maintained rules as written *)
+  missing : (Symbol.t * int) list;  (* body predicates with no stored relation yet *)
+}
+
+let no_kernel () =
+  { rels = [||]; preds = [||]; slot_of = Hashtbl.create 1; refresh = []; missing = [] }
 
 type t = {
   src : source;
   exts : (string, Relation.t) Hashtbl.t;  (* "name/arity" -> extent *)
-  mutable rules : prule list;  (* rules of maintained predicates *)
-  mutable by_body : (string, (prule * Term.t array * Ast.literal list) list) Hashtbl.t;
-      (* body predicate key -> activations mentioning it *)
+  mutable rules : Ast.rule list;  (* rules of maintained predicates *)
+  mutable kernel : kernel;
   mutable bad : (string * string) list;  (* fallback predicates + reason *)
-  mutable wants : (string * Symbol.t * int * Index.spec) list;
-      (* indexes the maintenance joins probe, by predicate key *)
   mutable is_stale : bool;
   mutable refresh_count : int;
 }
 
-let key name arity = name ^ "/" ^ string_of_int arity
-let pred_key pred arity = key (Symbol.name pred) arity
+let pred_key pred arity = Symbol.name pred ^ "/" ^ string_of_int arity
 let atom_key (a : Ast.atom) = pred_key a.Ast.pred (Array.length a.Ast.args)
 
 let create src =
   { src;
     exts = Hashtbl.create 16;
     rules = [];
-    by_body = Hashtbl.create 16;
+    kernel = no_kernel ();
     bad = [];
-    wants = [];
     is_stale = true;
     refresh_count = 0
   }
@@ -77,13 +87,6 @@ let extents t = Hashtbl.fold (fun k rel acc -> (k, rel) :: acc) t.exts []
 (* ------------------------------------------------------------------ *)
 (* Program analysis: the maintainable class                            *)
 (* ------------------------------------------------------------------ *)
-
-(* Split the head key out of a key "name/arity". *)
-let split_key k =
-  match String.rindex_opt k '/' with
-  | Some i ->
-    String.sub k 0 i, int_of_string (String.sub k (i + 1) (String.length k - i - 1))
-  | None -> k, 0
 
 let head_key (r : Ast.rule) =
   pred_key r.Ast.head.Ast.hpred (Array.length r.Ast.head.Ast.hargs)
@@ -132,20 +135,16 @@ let check_rule_body ~recursive (r : Ast.rule) =
    module's, tagged with the defining module's name. *)
 let all_rules t =
   List.concat_map
-    (fun (m : Ast.module_) -> List.map (fun r -> m.Ast.mname, m, r) m.Ast.rules)
+    (fun (m : Ast.module_) -> List.map (fun r -> m.Ast.mname, r) m.Ast.rules)
     (t.src.src_modules ())
-  @
-  let user =
-    { Ast.mname = "user"; exports = []; annotations = []; rules = t.src.src_user_rules () }
-  in
-  List.map (fun r -> "user", user, r) user.Ast.rules
+  @ List.map (fun r -> "user", r) (t.src.src_user_rules ())
 
 (* Derived predicates in a recursive cycle: reachability over the
    head -> body-derived-predicate graph. *)
 let recursive_keys rules derived =
   let edges = Hashtbl.create 32 in
   List.iter
-    (fun (_, _, (r : Ast.rule)) ->
+    (fun (_, (r : Ast.rule)) ->
       let h = head_key r in
       List.iter
         (fun lit ->
@@ -170,100 +169,29 @@ let recursive_keys rules derived =
     seen
   in
   Hashtbl.fold
-    (fun k () acc -> if Hashtbl.mem (reachable_from k) k then k :: acc else acc)
+    (fun k _ acc -> if Hashtbl.mem (reachable_from k) k then k :: acc else acc)
     derived []
 
-let renumber_rule (r : Ast.rule) =
-  let head_atom = Ast.atom_of_head r.Ast.head in
-  let body_arrays =
-    List.map
-      (fun lit ->
-        match (lit : Ast.literal) with
-        | Ast.Pos a | Ast.Neg a -> a.Ast.args
-        | Ast.Cmp (_, t1, t2) | Ast.Is (t1, t2) -> [| t1; t2 |])
-      r.Ast.body
-  in
-  let renumbered, nvars = Rename.number_term_lists (head_atom.Ast.args :: body_arrays) in
-  match renumbered with
-  | head :: rest ->
-    let body =
-      List.map2
-        (fun lit args ->
-          match (lit : Ast.literal) with
-          | Ast.Pos a -> Ast.Pos { a with Ast.args }
-          | Ast.Neg a -> Ast.Neg { a with Ast.args }
-          | Ast.Cmp (op, _, _) -> Ast.Cmp (op, args.(0), args.(1))
-          | Ast.Is (_, _) -> Ast.Is (args.(0), args.(1)))
-        r.Ast.body rest
-    in
-    head, body, nvars
-  | [] -> assert false
-
-(* Index selection for the maintenance joins, by the fixpoint's rule
-   (Module_struct.sip_indexes): an activation solves the rest of its
-   body with the delta literal's variables bound, and a rederivation
-   check ([has_rule_support]) solves a rule body with the head's
-   variables bound.  The over-deletion, insertion and rederivation
-   joins, the physical deletes and the reads of frozen extents then
-   probe instead of scanning. *)
-let index_wants prules =
-  let wants = ref [] in
-  let index (k, pred, arity) spec =
-    if not (List.exists (fun (k', _, _, s) -> k' = k && Index.spec_equal s spec) !wants) then
-      wants := (k, pred, arity, spec) :: !wants
-  in
-  let probe (a : Ast.atom) =
-    let n = Array.length a.Ast.args in
-    Some ((pred_key a.Ast.pred n, a.Ast.pred, n), a.Ast.args)
-  in
-  let steps body =
-    List.map
-      (fun (lit : Ast.literal) ->
-        match lit with
-        | Ast.Pos a -> probe a, var_ids (Array.to_list a.Ast.args)
-        | Ast.Neg a -> probe a, []
-        | Ast.Cmp _ -> None, []
-        | Ast.Is (t1, t2) -> None, var_ids [ t1; t2 ])
-      body
-  in
-  List.iter
-    (fun pr ->
-      Module_struct.sip_indexes ~bound:(var_ids (Array.to_list pr.pr_hargs)) ~index
-        (steps pr.pr_body);
-      List.iter
-        (fun (_, pargs, rest) ->
-          Module_struct.sip_indexes ~bound:(var_ids (Array.to_list pargs)) ~index (steps rest))
-        pr.pr_pos)
-    prules;
-  List.rev !wants
-
-(* Install the selected indexes on the extents and on the stored base
-   relations that exist.  Adding an index a relation already carries is
-   a no-op, so updates call this to cover base relations created since
-   the last analysis. *)
-let install_indexes t =
-  List.iter
-    (fun (k, pred, arity, spec) ->
-      match Hashtbl.find_opt t.exts k with
-      | Some ext -> Relation.add_index ext spec
-      | None -> Option.iter (fun rel -> Relation.add_index rel spec) (t.src.src_relation pred arity))
-    t.wants
-
 (* Analyse the current program: partition derived predicates into
-   maintained and fallback, and compile the maintained rules. *)
+   maintained and fallback, and give each maintained one a fresh
+   extent. *)
 let analyse t =
   let rules = all_rules t in
   let derived = Hashtbl.create 32 in
-  List.iter (fun (_, _, r) -> Hashtbl.replace derived (head_key r) ()) rules;
+  List.iter
+    (fun (_, (r : Ast.rule)) ->
+      let h = r.Ast.head in
+      Hashtbl.replace derived (head_key r) (h.Ast.hpred, Array.length h.Ast.hargs))
+    rules;
   let bad = Hashtbl.create 8 in
   let mark k reason = if not (Hashtbl.mem bad k) then Hashtbl.add bad k reason in
   (* a predicate defined in two modules merges two separately scoped
      definitions into one extent — fall back (same rule as the
      distribution planner) *)
   Hashtbl.iter
-    (fun k () ->
+    (fun k _ ->
       let defined_in =
-        List.filter_map (fun (mname, _, r) -> if head_key r = k then Some mname else None) rules
+        List.filter_map (fun (mname, r) -> if head_key r = k then Some mname else None) rules
         |> List.sort_uniq compare
       in
       if List.length defined_in > 1 then
@@ -280,9 +208,9 @@ let analyse t =
       List.iter
         (fun (ann : Ast.annotation) ->
           match ann with
-          | Ast.Ann_multiset (p, n) -> mark (key (Symbol.name p) n) "multiset predicate"
+          | Ast.Ann_multiset (p, n) -> mark (pred_key p n) "multiset predicate"
           | Ast.Ann_aggregate_selection { sel_pred; pattern; _ } ->
-            mark (key (Symbol.name sel_pred) (Array.length pattern)) "aggregate selection"
+            mark (pred_key sel_pred (Array.length pattern)) "aggregate selection"
           | _ -> ())
         m.Ast.annotations)
     (t.src.src_modules ());
@@ -292,7 +220,7 @@ let analyse t =
   in
   (* per-rule membership in the class *)
   List.iter
-    (fun (_, _, (r : Ast.rule)) ->
+    (fun (_, (r : Ast.rule)) ->
       let h = head_key r in
       if not (Hashtbl.mem bad h) then begin
         if not (Ast.head_is_plain r.Ast.head) then mark h "aggregation in the head"
@@ -323,7 +251,7 @@ let analyse t =
   while !changed do
     changed := false;
     List.iter
-      (fun (_, _, (r : Ast.rule)) ->
+      (fun (_, (r : Ast.rule)) ->
         let h = head_key r in
         if not (Hashtbl.mem bad h) then
           List.iter
@@ -341,110 +269,131 @@ let analyse t =
   done;
   t.bad <-
     Hashtbl.fold (fun k reason acc -> (k, reason) :: acc) bad [] |> List.sort compare;
-  let prules =
-    List.filter_map
-      (fun (_, _, (r : Ast.rule)) ->
-        let h = head_key r in
-        if Hashtbl.mem bad h then None
-        else begin
-          let hargs, body, nvars = renumber_rule r in
-          let pos =
-            List.concat_map
-              (fun (i, lit) ->
-                match (lit : Ast.literal) with
-                | Ast.Pos a ->
-                  let rest = List.filteri (fun j _ -> j <> i) body in
-                  [ atom_key a, a.Ast.args, rest ]
-                | _ -> [])
-              (List.mapi (fun i l -> i, l) body)
-          in
-          Some { pr_hkey = h; pr_hargs = hargs; pr_body = body; pr_nvars = nvars; pr_pos = pos }
-        end)
-      rules
-  in
-  t.rules <- prules;
-  let by_body = Hashtbl.create 32 in
-  List.iter
-    (fun pr ->
-      List.iter
-        (fun (pk, pargs, rest) ->
-          let cur = Option.value ~default:[] (Hashtbl.find_opt by_body pk) in
-          Hashtbl.replace by_body pk ((pr, pargs, rest) :: cur))
-        pr.pr_pos)
-    prules;
-  t.by_body <- by_body;
-  t.wants <- index_wants prules;
+  t.rules <-
+    List.filter_map (fun (_, r) -> if Hashtbl.mem bad (head_key r) then None else Some r) rules;
   (* fresh extents for every maintained predicate *)
   Hashtbl.reset t.exts;
   Hashtbl.iter
-    (fun k () ->
-      if not (Hashtbl.mem bad k) then begin
-        let name, arity = split_key k in
-        Hashtbl.add t.exts k (Hash_relation.create ~name ~arity ())
-      end)
+    (fun k (pred, arity) ->
+      if not (Hashtbl.mem bad k) then
+        Hashtbl.add t.exts k (Hash_relation.create ~name:(Symbol.name pred) ~arity ()))
     derived
 
 (* ------------------------------------------------------------------ *)
-(* Joins                                                               *)
+(* The kernel                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The maintenance rulebase: extents first, stored base relations
-   otherwise, no rule expansion and no foreigns (the class excludes
-   them). *)
-let rulebase t =
-  { Pipeline.rules_of = (fun _ _ -> []);
-    relation_of =
-      (fun pred arity ->
-        match Hashtbl.find_opt t.exts (pred_key pred arity) with
-        | Some e -> Some e
-        | None -> t.src.src_relation pred arity);
-    foreign_of = (fun _ _ -> None);
-    tick = t.src.src_tick
-  }
+(* Compile the maintained rules against one slot per predicate they
+   mention: the rules as written, the activations and the support
+   activations.  A body predicate with no stored relation yet reads an
+   empty placeholder, and [prepare] recompiles once it appears. *)
+let compile t =
+  let slot_of = Hashtbl.create 32 and order = ref [] and missing = ref [] in
+  let see pred arity =
+    let k = pred_key pred arity in
+    if not (Hashtbl.mem slot_of k) then begin
+      Hashtbl.add slot_of k (Hashtbl.length slot_of);
+      order := (k, pred, arity) :: !order
+    end
+  in
+  List.iter
+    (fun (r : Ast.rule) ->
+      see r.Ast.head.Ast.hpred (Array.length r.Ast.head.Ast.hargs);
+      List.iter
+        (fun lit ->
+          Option.iter (fun (a : Ast.atom) -> see a.Ast.pred (Array.length a.Ast.args))
+            (Ast.literal_atom lit))
+        r.Ast.body)
+    t.rules;
+  let preds =
+    List.rev_map
+      (fun (k, pred, arity) ->
+        let scratch () = Hash_relation.create ~name:(Symbol.name pred) ~arity () in
+        let rel, is_ext =
+          match Hashtbl.find_opt t.exts k with
+          | Some ext -> ext, true
+          | None -> begin
+            match t.src.src_relation pred arity with
+            | Some rel -> rel, false
+            | None ->
+              missing := (pred, arity) :: !missing;
+              scratch (), false
+          end
+        in
+        { rel; is_ext; delta = scratch (); cand = scratch (); acts = []; support = [] })
+      !order
+    |> Array.of_list
+  in
+  let n = Array.length preds in
+  let rels =
+    Array.concat
+      [ Array.map (fun p -> p.rel) preds;
+        Array.map (fun p -> p.delta) preds;
+        Array.map (fun p -> p.cand) preds
+      ]
+  in
+  let target pred arity = Module_struct.Slot (Hashtbl.find slot_of (pred_key pred arity)) in
+  let compile ?delta r = Module_struct.compile_rule ~rels ~target ?delta r in
+  let refresh =
+    List.map
+      (fun (r : Ast.rule) ->
+        let h = Hashtbl.find slot_of (head_key r) in
+        let support = { r with Ast.body = Ast.Pos (Ast.atom_of_head r.Ast.head) :: r.Ast.body } in
+        preds.(h).support <- preds.(h).support @ [ compile ~delta:(0, h + (2 * n)) support ];
+        List.iteri
+          (fun i lit ->
+            match (lit : Ast.literal) with
+            | Ast.Pos a ->
+              let s = Hashtbl.find slot_of (atom_key a) in
+              preds.(s).acts <- preds.(s).acts @ [ compile ~delta:(i, s + n) r ]
+            | _ -> ())
+          r.Ast.body;
+        compile r)
+      t.rules
+  in
+  { rels; preds; slot_of; refresh; missing = !missing }
 
-let resolve_head pr env = Array.map (fun a -> Unify.resolve a env) pr.pr_hargs
-
-(* Run one activation: bind [dargs] into the delta occurrence, solve
-   the remaining body, and hand each resolved head tuple to [emit]. *)
-let activate t (pr, pargs, rest) dargs emit =
+(* Run one compiled rule, handing each head tuple to [emit] with the
+   slot of its extent. *)
+let run t (rule : Module_struct.crule) emit =
   t.src.src_tick ();
-  let env = Bindenv.create (max pr.pr_nvars 1) in
-  let tr = Trail.create () in
-  if Unify.unify_arrays tr pargs env dargs Bindenv.empty then
-    Pipeline.solve (rulebase t) rest ~nvars:pr.pr_nvars ~env (fun () ->
-        emit pr (resolve_head pr env))
+  Joiner.run ~rels:t.kernel.rels ~range:Joiner.full_range rule ~on_match:(fun env ->
+      t.src.src_tick ();
+      emit rule.Module_struct.head_slot (Joiner.head_tuple rule env))
 
-let activations t dkey = Option.value ~default:[] (Hashtbl.find_opt t.by_body dkey)
+(* One round over a delta batch of (slot, tuple): load it into the
+   scratch delta relations, run every activation of each loaded
+   predicate once over the whole batch, and empty them again. *)
+let round t delta emit =
+  let preds = t.kernel.preds in
+  List.iter (fun (s, tu) -> ignore (Relation.insert_quiet preds.(s).delta tu)) delta;
+  let loaded = List.sort_uniq compare (List.map fst delta) in
+  List.iter (fun s -> List.iter (fun rule -> run t rule emit) preds.(s).acts) loaded;
+  List.iter (fun s -> Relation.clear preds.(s).delta) loaded
 
 (* ------------------------------------------------------------------ *)
 (* Insertion propagation                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Semi-naive insertion rounds: every delta tuple is joined at each of
-   its occurrences against the full current state (which already
-   includes the delta — sound and complete for monotone rules), and
-   tuples that actually grow an extent form the next round's delta. *)
-let propagate t ~derived ~rounds (delta : (string * Term.t array) list) =
+(* Semi-naive insertion rounds: the delta is joined at each of its
+   occurrences against the full current state (which already includes
+   the delta — sound and complete for monotone rules), and tuples that
+   actually grow an extent form the next round's delta. *)
+let propagate t ~derived ~rounds delta =
   let current = ref delta in
   while !current <> [] do
     incr rounds;
     let next = ref [] in
-    List.iter
-      (fun (dkey, dargs) ->
-        List.iter
-          (fun act ->
-            activate t act dargs (fun pr ht ->
-                match Hashtbl.find_opt t.exts pr.pr_hkey with
-                | Some ext ->
-                  if Relation.insert ext (Tuple.of_terms ht) then begin
-                    incr derived;
-                    next := (pr.pr_hkey, ht) :: !next
-                  end
-                | None -> ()))
-          (activations t dkey))
-      !current;
+    round t !current (fun s tu ->
+        if Relation.insert t.kernel.preds.(s).rel tu then begin
+          incr derived;
+          next := (s, tu) :: !next
+        end);
     current := List.rev !next
   done
+
+(* The stored base relation behind a kernel predicate. *)
+let stored t p = t.src.src_relation (Symbol.intern p.rel.Relation.name) p.rel.Relation.arity
 
 (* ------------------------------------------------------------------ *)
 (* Full refresh                                                        *)
@@ -452,53 +401,41 @@ let propagate t ~derived ~rounds (delta : (string * Term.t array) list) =
 
 let refresh t =
   analyse t;
-  install_indexes t;
+  t.kernel <- compile t;
   t.refresh_count <- t.refresh_count + 1;
   (* seed extents with the stored base facts of maintained predicates
      (a predicate can be derived by rules AND hold base facts) *)
-  let seeds = ref [] in
-  Hashtbl.iter
-    (fun k ext ->
-      let name, arity = split_key k in
-      match t.src.src_relation (Symbol.intern name) arity with
-      | Some rel ->
-        Seq.iter
-          (fun (tu : Tuple.t) ->
-            if Relation.insert ext (Tuple.of_terms tu.Tuple.terms) then
-              seeds := (k, tu.Tuple.terms) :: !seeds)
-          (Relation.scan rel ())
-      | None -> ())
-    t.exts;
+  let delta0 = ref [] in
+  let grow s tu = if Relation.insert t.kernel.preds.(s).rel tu then delta0 := (s, tu) :: !delta0 in
+  Array.iteri
+    (fun s p ->
+      if p.is_ext then
+        Option.iter
+          (fun rel ->
+            Seq.iter
+              (fun (tu : Tuple.t) -> grow s (Tuple.of_terms tu.Tuple.terms))
+              (Relation.scan rel ()))
+          (stored t p))
+    t.kernel.preds;
   (* round 0: one naive full pass per rule (covers bodies over pure-EDB
      relations, which never produce deltas of their own) ... *)
-  let derived = ref 0 and rounds = ref 0 in
-  let delta0 = ref !seeds in
-  List.iter
-    (fun pr ->
-      t.src.src_tick ();
-      let env = Bindenv.create (max pr.pr_nvars 1) in
-      Pipeline.solve (rulebase t) pr.pr_body ~nvars:pr.pr_nvars ~env (fun () ->
-          let ht = resolve_head pr env in
-          match Hashtbl.find_opt t.exts pr.pr_hkey with
-          | Some ext ->
-            if Relation.insert ext (Tuple.of_terms ht) then
-              delta0 := (pr.pr_hkey, ht) :: !delta0
-          | None -> ()))
-    t.rules;
+  List.iter (fun rule -> run t rule grow) t.kernel.refresh;
   (* ... then semi-naive rounds on the derived deltas *)
-  propagate t ~derived ~rounds !delta0;
+  propagate t ~derived:(ref 0) ~rounds:(ref 0) !delta0;
   t.is_stale <- false
 
 let ensure t = if t.is_stale then refresh t
 
+(* The entry state of every update: extents built, and the kernel
+   compiled against every stored relation that exists now. *)
+let prepare t =
+  ensure t;
+  if List.exists (fun (pred, arity) -> t.src.src_relation pred arity <> None) t.kernel.missing
+  then t.kernel <- compile t
+
 (* ------------------------------------------------------------------ *)
 (* Insert                                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* The entry state of every update: extents built, indexes in place. *)
-let prepare t =
-  ensure t;
-  install_indexes t
 
 let insert t facts =
   prepare t;
@@ -506,13 +443,13 @@ let insert t facts =
   let delta =
     List.filter_map
       (fun (pred, args) ->
-        let k = pred_key pred (Array.length args) in
-        match Hashtbl.find_opt t.exts k with
-        | Some ext ->
+        match Hashtbl.find_opt t.kernel.slot_of (pred_key pred (Array.length args)) with
+        | None -> None  (* no maintained rule reads it *)
+        | Some s ->
+          let p = t.kernel.preds.(s) and tu = Tuple.of_terms args in
           (* a base fact already derivable by rules grows nothing and
              propagates nothing *)
-          if Relation.insert ext (Tuple.of_terms args) then Some (k, args) else None
-        | None -> Some (k, args))
+          if (not p.is_ext) || Relation.insert p.rel tu then Some (s, tu) else None)
       facts
   in
   propagate t ~derived ~rounds delta;
@@ -522,144 +459,100 @@ let insert t facts =
 (* Retract: delete and rederive                                        *)
 (* ------------------------------------------------------------------ *)
 
-exception Witness
-
-(* Is [args] still derivable for the rules heading [hkey], against the
-   current (post-deletion) state? *)
-let has_rule_support t hkey args =
-  List.exists
-    (fun pr ->
-      pr.pr_hkey = hkey
-      &&
-      let env = Bindenv.create (max pr.pr_nvars 1) in
-      let tr = Trail.create () in
-      Unify.unify_arrays tr pr.pr_hargs env args Bindenv.empty
-      &&
-      match
-        Pipeline.solve (rulebase t) pr.pr_body ~nvars:pr.pr_nvars ~env (fun () ->
-            raise Witness)
-      with
-      | () -> false
-      | exception Witness -> true)
-    t.rules
-
 let retract t facts =
   prepare t;
+  let preds = t.kernel.preds in
   let removed = ref 0 and missing = ref 0 in
   let derived = ref 0 and deleted = ref 0 and rederived = ref 0 and rounds = ref 0 in
-  (* the over-deletion set, per predicate key *)
-  let dacc : (string, unit Term.ArrayTbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let in_dacc k args =
-    match Hashtbl.find_opt dacc k with
-    | Some tbl -> Term.ArrayTbl.mem tbl args
-    | None -> false
-  in
-  let add_dacc k args =
-    let tbl =
-      match Hashtbl.find_opt dacc k with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = Term.ArrayTbl.create 16 in
-        Hashtbl.add dacc k tbl;
-        tbl
-    in
-    Term.ArrayTbl.replace tbl args ()
-  in
-  (* seed with the base facts actually present *)
+  (* seed with the base facts actually present, each once *)
+  let present = Term.ArrayTbl.create 8 in
   let seeds =
-    List.filter_map
+    List.filter
       (fun (pred, args) ->
-        let k = pred_key pred (Array.length args) in
-        if in_dacc k args then None  (* duplicate in the batch *)
-        else begin
-          match t.src.src_relation pred (Array.length args) with
-          | Some rel when Relation.mem rel (Tuple.of_terms args) ->
-            incr removed;
-            add_dacc k args;
-            Some (k, args)
-          | _ ->
-            incr missing;
-            None
-        end)
+        let fact = [| Term.app pred args |] in
+        (not (Term.ArrayTbl.mem present fact))
+        &&
+        match t.src.src_relation pred (Array.length args) with
+        | Some rel when Relation.mem rel (Tuple.of_terms args) ->
+          incr removed;
+          Term.ArrayTbl.add present fact ();
+          true
+        | _ ->
+          incr missing;
+          false)
       facts
   in
   if seeds <> [] then begin
+    (* the over-deletion set of each extent is its candidates relation;
+       a retracted base fact of a maintained predicate starts in it *)
+    let delta =
+      List.filter_map
+        (fun (pred, args) ->
+          match Hashtbl.find_opt t.kernel.slot_of (pred_key pred (Array.length args)) with
+          | None -> None
+          | Some s ->
+            let tu = Tuple.of_terms args in
+            if preds.(s).is_ext then ignore (Relation.insert_quiet preds.(s).cand tu);
+            Some (s, tu))
+        seeds
+    in
     (* over-deletion rounds against the pre-delete state: anything
        derivable through a deleted tuple is provisionally deleted *)
-    let current = ref seeds in
+    let current = ref delta in
     while !current <> [] do
       incr rounds;
       let next = ref [] in
-      List.iter
-        (fun (dkey, dargs) ->
-          List.iter
-            (fun act ->
-              activate t act dargs (fun pr ht ->
-                  if not (in_dacc pr.pr_hkey ht) then begin
-                    match Hashtbl.find_opt t.exts pr.pr_hkey with
-                    | Some ext when Relation.mem ext (Tuple.of_terms ht) ->
-                      add_dacc pr.pr_hkey ht;
-                      next := (pr.pr_hkey, ht) :: !next
-                    | _ -> ()
-                  end))
-            (activations t dkey))
-        !current;
+      round t !current (fun s tu ->
+          let p = preds.(s) in
+          if (not (Relation.mem p.cand tu)) && Relation.mem p.rel tu then begin
+            ignore (Relation.insert_quiet p.cand tu);
+            next := (s, tu) :: !next
+          end);
       current := List.rev !next
     done;
     (* physical deletion: the retracted base facts, and every
        over-deleted extent tuple *)
+    let delete_exact rel (tu : Tuple.t) =
+      Relation.delete rel ~pattern:(tu.Tuple.terms, Bindenv.empty) (Tuple.equal tu)
+    in
     List.iter
-      (fun (k, args) ->
-        let name, arity = split_key k in
-        match t.src.src_relation (Symbol.intern name) arity with
-        | Some rel ->
-          let target = Tuple.of_terms args in
-          ignore
-            (Relation.delete rel ~pattern:(args, Bindenv.empty) (fun tu ->
-                 Tuple.equal tu target))
-        | None -> ())
+      (fun (pred, args) ->
+        Option.iter
+          (fun rel -> ignore (delete_exact rel (Tuple.of_terms args)))
+          (t.src.src_relation pred (Array.length args)))
       seeds;
-    Hashtbl.iter
-      (fun k tbl ->
-        match Hashtbl.find_opt t.exts k with
-        | Some ext ->
-          Term.ArrayTbl.iter
-            (fun args () ->
-              let target = Tuple.of_terms args in
-              deleted :=
-                !deleted
-                + Relation.delete ext ~pattern:(args, Bindenv.empty) (fun tu ->
-                      Tuple.equal tu target))
-            tbl
-        | None -> ())
-      dacc;
+    let over = List.filter (fun p -> Relation.cardinal p.cand > 0) (Array.to_list preds) in
+    List.iter
+      (fun p ->
+        Seq.iter
+          (fun tu -> deleted := !deleted + delete_exact p.rel tu)
+          (Relation.scan_quiet p.cand ()))
+      over;
     (* rederivation: an over-deleted tuple with alternative support — a
-       surviving base fact or a rule derivation from the remaining
-       state — comes back, and reinsertions cascade like inserts *)
+       surviving base fact, or a match of a support activation over the
+       candidates against the remaining state — comes back, and
+       reinsertions cascade like inserts *)
     let reborn = ref [] in
-    Hashtbl.iter
-      (fun k tbl ->
-        match Hashtbl.find_opt t.exts k with
-        | Some ext ->
-          let name, arity = split_key k in
-          let base = t.src.src_relation (Symbol.intern name) arity in
-          Term.ArrayTbl.iter
-            (fun args () ->
-              t.src.src_tick ();
-              let supported =
-                (match base with
-                | Some rel -> Relation.mem rel (Tuple.of_terms args)
-                | None -> false)
-                || has_rule_support t k args
-              in
-              if supported && Relation.insert ext (Tuple.of_terms args) then begin
-                incr rederived;
-                reborn := (k, args) :: !reborn
-              end)
-            tbl
-        | None -> ())
-      dacc;
-    propagate t ~derived ~rounds !reborn
+    let restore s tu =
+      if Relation.insert preds.(s).rel tu then begin
+        incr rederived;
+        reborn := (s, tu) :: !reborn
+      end
+    in
+    Array.iteri
+      (fun s p ->
+        if List.memq p over then begin
+          Option.iter
+            (fun base ->
+              Seq.iter
+                (fun tu -> if Relation.mem base tu then restore s tu)
+                (Relation.scan_quiet p.cand ()))
+            (stored t p);
+          List.iter (fun rule -> run t rule restore) p.support
+        end)
+      preds;
+    List.iter (fun p -> Relation.clear p.cand) over;
+    propagate t ~derived ~rounds (List.rev !reborn)
   end;
   ( !removed,
     !missing,

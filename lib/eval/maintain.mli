@@ -4,18 +4,25 @@
     The engine's normal evaluation recomputes a fixpoint per query
     form; this module instead materializes the full extent of every
     {e maintainable} derived predicate once, then propagates updates
-    through the same delta shape semi-naive evaluation uses:
+    through the same delta shape semi-naive evaluation uses, with the
+    fixpoint's join kernel: rules compiled once by {!Module_struct}
+    and run by {!Joiner}.
 
-    - an insert is a delta batch: each new tuple is joined at every
-      positive occurrence in every rule against the full current state,
-      and newly derived heads become the next round's delta (Brass &
-      Stephan's observation that an update is just another delta);
+    - an insert is a delta batch: the batch is loaded into a scratch
+      delta relation per predicate, each rule's activation on a
+      positive literal (that literal scans the delta first, the rest
+      of the body scans the full current state) runs once over the
+      whole batch, and newly derived heads become the next round's
+      delta (Brass & Stephan's observation that an update is just
+      another delta);
     - a retract runs DRed (delete and rederive): over-deletion
-      propagates the deleted tuples through the rules against the
-      pre-delete state, everything over-deleted is physically removed,
-      and each removed tuple is rederived if an alternative support
-      (a remaining base fact or rule derivation) still exists, with
-      rederived tuples feeding an insertion-propagation cascade.
+      propagates the deleted tuples through the same activations
+      against the pre-delete state, everything over-deleted is
+      physically removed, and the removed tuples of each predicate
+      are rederived in one batch when an alternative support (a
+      remaining base fact, or a match of the rule's support activation
+      over them) still exists, with rederived tuples feeding an
+      insertion-propagation cascade.
 
     {b Supported program class.}  A derived predicate is maintained
     when every rule (transitively) deriving it has a plain head, a

@@ -113,43 +113,110 @@ let compute_backtrack body =
       find (i - 1))
     body
 
-(* Index selection (paper section 4.2), the one rule the fixpoint and
-   incremental maintenance share: walking a body left to right under
-   SIP, a literal over a stored relation gets an argument-form index on
-   the positions that arrive bound (ground or bound by an earlier
-   binder), unless it arrives fully bound or fully free.  Each step is
-   the relation a literal probes with its arguments, if any, and the
-   variables it binds; [bound] are the variables bound on entry. *)
-let sip_indexes ~bound ~index steps =
-  let bound_tbl : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun v -> Hashtbl.replace bound_tbl v ()) bound;
-  List.iter
-    (fun (probe, binds) ->
-      (match probe with
-      | Some (target, args) ->
+(* Index selection (paper section 4.2): walking a body left to right
+   under SIP, a literal over a stored relation gets an argument-form
+   index on the positions that arrive bound (ground or bound by an
+   earlier binder), unless it arrives fully bound or fully free.  Every
+   compiled rule gets its indexes here, whoever compiles it. *)
+let auto_indexes rels body =
+  let bound = Hashtbl.create 16 in
+  Array.iter
+    (fun op ->
+      (match op with
+      | Scan { slot; args; _ } | Negcheck { slot; args } ->
         let cols =
           Array.to_list args
           |> List.mapi (fun i arg ->
-                 if List.for_all (Hashtbl.mem bound_tbl) (vids_of [ arg ]) then Some i
-                 else None)
+                 if List.for_all (Hashtbl.mem bound) (vids_of [ arg ]) then Some i else None)
           |> List.filter_map Fun.id
         in
         if cols <> [] && List.length cols < Array.length args then
-          index target (Index.Args cols)
-      | None -> ());
-      List.iter (fun v -> Hashtbl.replace bound_tbl v ()) binds)
-    steps
+          Relation.add_index rels.(slot) (Index.Args cols)
+      | Foreign _ | Negforeign _ | Compare _ | Assign _ -> ());
+      List.iter (fun v -> Hashtbl.replace bound v ()) (binds_vars op))
+    body
 
-let auto_indexes rels body =
-  Array.to_list body
-  |> List.map (fun op ->
-         let probe =
-           match op with
-           | Scan { slot; args; _ } | Negcheck { slot; args } -> Some (rels.(slot), args)
-           | Foreign _ | Negforeign _ | Compare _ | Assign _ -> None
-         in
-         probe, binds_vars op)
-  |> sip_indexes ~bound:[] ~index:Relation.add_index
+type target =
+  | Slot of int
+  | Fn of Builtin.foreign
+
+(* Compile one rule: renumber its variables densely, resolve each body
+   literal through [target], and install the indexes its joins probe.
+   With [delta = (i, slot)] body literal [i] scans [rels.(slot)] first
+   and the rest of the body follows in source order: the activation of
+   the rule on a delta of that literal.  Moving a positive literal
+   earlier only binds variables sooner, so no later comparison,
+   assignment or negation loses a binding. *)
+let compile_rule_with ~rels ~local ~target ?delta (r : Ast.rule) =
+  let lits =
+    match delta with
+    | None -> r.Ast.body
+    | Some (i, _) -> List.nth r.Ast.body i :: List.filteri (fun j _ -> j <> i) r.Ast.body
+  in
+  let head_atom = Ast.atom_of_head r.Ast.head in
+  let body_arrays =
+    List.map
+      (fun lit ->
+        match (lit : Ast.literal) with
+        | Ast.Pos a | Ast.Neg a -> a.Ast.args
+        | Ast.Cmp (_, t1, t2) | Ast.Is (t1, t2) -> [| t1; t2 |])
+      lits
+  in
+  let renumbered, nvars = Rename.number_term_lists (head_atom.Ast.args :: body_arrays) in
+  let head_args, body_arrays =
+    match renumbered with
+    | h :: rest -> h, rest
+    | [] -> assert false
+  in
+  let body =
+    List.mapi
+      (fun j (lit, args) ->
+        match (lit : Ast.literal), delta with
+        | Ast.Pos _, Some (_, slot) when j = 0 -> Scan { slot; args; local = false }
+        | _, Some _ when j = 0 -> invalid_arg "Module_struct: delta literal is not positive"
+        | Ast.Pos a, _ -> begin
+          match target a.Ast.pred (Array.length args) with
+          | Slot s -> Scan { slot = s; args; local = local s }
+          | Fn f -> Foreign { f; args }
+        end
+        | Ast.Neg a, _ -> begin
+          match target a.Ast.pred (Array.length args) with
+          | Slot s -> Negcheck { slot = s; args }
+          | Fn f -> Negforeign { f; args }
+        end
+        | Ast.Cmp (op, _, _), _ -> Compare (op, args.(0), args.(1))
+        | Ast.Is (_, _), _ -> Assign (args.(0), args.(1)))
+      (List.combine lits body_arrays)
+    |> Array.of_list
+  in
+  let plain_positions, agg_positions =
+    let plains = ref [] and aggs = ref [] in
+    Array.iteri
+      (fun i harg ->
+        match (harg : Ast.head_arg) with
+        | Ast.Plain _ -> plains := i :: !plains
+        | Ast.Agg (op, _) -> aggs := (i, op) :: !aggs)
+      r.Ast.head.Ast.hargs;
+    List.rev !plains, List.rev !aggs
+  in
+  auto_indexes rels body;
+  { head_slot =
+      (match target head_atom.Ast.pred (Array.length head_args) with
+      | Slot s -> s
+      | Fn _ -> invalid_arg "Module_struct: a rule head is a foreign predicate");
+    head_args;
+    plain_positions;
+    agg_positions;
+    body;
+    nvars;
+    backtrack = compute_backtrack body;
+    cursors = Array.map (function Scan { local = true; _ } -> 0 | _ -> -1) body;
+    text = Pretty.rule_to_string r;
+    prof = fresh_prof ()
+  }
+
+let compile_rule ~rels ~target ?delta r =
+  compile_rule_with ~rels ~local:(fun _ -> false) ~target ?delta r
 
 let path_of_var pattern (v : Term.var) =
   let rec in_term t path =
@@ -272,66 +339,12 @@ let compile ~resolve (plan : Optimizer.plan) =
       | Ast.Ann_rewriting _ | Ast.Ann_fixpoint _ | Ast.Ann_no_existential | Ast.Ann_sip _ ->
         ())
     plan.Optimizer.annotations;
-  (* rule compilation *)
-  let compile_rule (r : Ast.rule) =
-    let head_atom = Ast.atom_of_head r.Ast.head in
-    let body_arrays =
-      List.map
-        (fun lit ->
-          match (lit : Ast.literal) with
-          | Ast.Pos a | Ast.Neg a -> a.Ast.args
-          | Ast.Cmp (_, t1, t2) | Ast.Is (t1, t2) -> [| t1; t2 |])
-        r.Ast.body
-    in
-    let renumbered, nvars = Rename.number_term_lists (head_atom.Ast.args :: body_arrays) in
-    let head_args, body_arrays =
-      match renumbered with
-      | h :: rest -> h, rest
-      | [] -> assert false
-    in
-    let body =
-      List.map2
-        (fun lit args ->
-          match (lit : Ast.literal) with
-          | Ast.Pos a -> begin
-            match slot_for a.Ast.pred with
-            | Some s -> Scan { slot = s; args; local = local.(s) }
-            | None -> Foreign { f = Symbol.Tbl.find foreigns a.Ast.pred; args }
-          end
-          | Ast.Neg a -> begin
-            match slot_for a.Ast.pred with
-            | Some s -> Negcheck { slot = s; args }
-            | None -> Negforeign { f = Symbol.Tbl.find foreigns a.Ast.pred; args }
-          end
-          | Ast.Cmp (op, _, _) -> Compare (op, args.(0), args.(1))
-          | Ast.Is (_, _) -> Assign (args.(0), args.(1)))
-        r.Ast.body body_arrays
-      |> Array.of_list
-    in
-    let plain_positions, agg_positions =
-      let plains = ref [] and aggs = ref [] in
-      Array.iteri
-        (fun i harg ->
-          match (harg : Ast.head_arg) with
-          | Ast.Plain _ -> plains := i :: !plains
-          | Ast.Agg (op, _) -> aggs := (i, op) :: !aggs)
-        r.Ast.head.Ast.hargs;
-      List.rev !plains, List.rev !aggs
-    in
-    auto_indexes rels body;
-    { head_slot = Option.get (slot_for head_atom.Ast.pred);
-      head_args;
-      plain_positions;
-      agg_positions;
-      body;
-      nvars;
-      backtrack = compute_backtrack body;
-      cursors =
-        Array.map (function Scan { local = true; _ } -> 0 | _ -> -1) body;
-      text = Pretty.rule_to_string r;
-      prof = fresh_prof ()
-    }
+  let target pred _ =
+    match slot_for pred with
+    | Some s -> Slot s
+    | None -> Fn (Symbol.Tbl.find foreigns pred)
   in
+  let compile_rule = compile_rule_with ~rels ~local:(fun s -> local.(s)) ~target in
   (* strata *)
   let graph = Scc.analyze rules in
   let nscc = Array.length graph.Scc.sccs in

@@ -90,18 +90,28 @@ type provider =
   | P_rel of Relation.t  (** base relation or another module's export *)
   | P_foreign of Builtin.foreign
 
-val sip_indexes :
-  bound:int list ->
-  index:('a -> Index.spec -> unit) ->
-  (('a * Term.t array) option * int list) list ->
-  unit
-(** Index selection (paper section 4.2), shared by fixpoint compilation
-    and incremental maintenance.  Each step of a body, left to right,
-    is [(probe, binds)]: the relation (any ['a]) a literal probes with
-    its arguments, if any, and the variable ids the step binds.
-    [bound] are the variable ids bound on entry.  A probed literal gets
-    [index target (Args cols)] on the positions whose variables are all
-    bound when it runs, unless that is every position or none. *)
+(** What a literal's predicate resolves to in a caller's compilation. *)
+type target =
+  | Slot of int  (** a relation in the caller's [rels] array *)
+  | Fn of Builtin.foreign
+
+val compile_rule :
+  rels:Relation.t array ->
+  target:(Symbol.t -> int -> target) ->
+  ?delta:int * int ->
+  Ast.rule ->
+  crule
+(** Compile one rule against the caller's slot resolution, for
+    {!Joiner.run} over [rels]; no plan is involved.  Every scan reads
+    its whole relation ([range] decides).  With [delta = (i, slot)]
+    the result is an {e activation}: positive body literal [i] scans
+    [rels.(slot)] first, then the rest of the body runs in source
+    order.  Like {!compile}, it installs on [rels] the indexes the
+    joins probe (paper section 4.2): a literal gets an argument-form
+    index on the positions bound before it runs, unless that is every
+    position or none.
+    @raise Invalid_argument if the head resolves to a foreign
+    predicate or the delta literal is not positive. *)
 
 val compile : resolve:(Symbol.t -> int -> provider) -> Optimizer.plan -> t
 (** [resolve pred arity] supplies every predicate that is neither a rule

@@ -79,6 +79,11 @@ let insert r tuple =
     false
   end
 
+(* Uncounted insert for evaluator-private scratch relations (deltas,
+   candidates, round-local dedup): the counters measure work on stored
+   and derived relations only. *)
+let insert_quiet r tuple = r.impl.i_insert ~dedup:(not r.multiset) tuple
+
 let insert_terms r terms = insert r (Tuple.of_terms terms)
 
 let delete r ?pattern pred = r.impl.i_delete ~pattern pred

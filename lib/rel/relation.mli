@@ -89,6 +89,11 @@ val insert : t -> Tuple.t -> bool
 (** Insert with admission hook and (unless [multiset]) duplicate /
     subsumption check; true if the relation grew. *)
 
+val insert_quiet : t -> Tuple.t -> bool
+(** [insert] without the admission hook or the stats counters: for an
+    evaluator's private scratch relations (delta batches, candidates,
+    round-local dedup), which are not part of the measured work. *)
+
 val insert_terms : t -> Term.t array -> bool
 
 val delete : t -> ?pattern:Term.t array * Bindenv.t -> (Tuple.t -> bool) -> int

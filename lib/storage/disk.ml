@@ -6,8 +6,8 @@
                              [crc32 of the image, u32 LE]
                              [page id echo, u32 LE]
    The checksum detects torn writes and bit rot; the id echo detects
-   misdirected writes.  A v0 file (raw page images, no header) is
-   detected by the missing magic and upgraded in place on open.
+   misdirected writes.  A file of at least a header's length without
+   the magic is not a page file and is refused on open.
 
    All I/O goes through {!Io}, which hosts the fault-injection seam:
    an attached {!Faulty} injector can tear writes after a byte budget
@@ -228,46 +228,9 @@ let make_header () =
   set_u32 h 12 Page.page_size;
   h
 
-(* v0 files are raw page images with no header.  Rewrite them to the
-   checksummed format via a temp file + rename, with plain Unix I/O —
-   an upgrade is not a fault-injection target. *)
-let upgrade_v0 ?report path size =
-  let npages = size / Page.page_size in
-  let tmp = path ^ ".upgrade" in
-  let src = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  let dst = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let write_all fd buf =
-    let rec go off len = if len > 0 then (let n = Unix.write fd buf off len in go (off + n) (len - n)) in
-    go 0 (Bytes.length buf)
-  in
-  write_all dst (make_header ());
-  let img = Bytes.create Page.page_size in
-  let tail = Bytes.create tail_size in
-  for pid = 0 to npages - 1 do
-    ignore (Unix.lseek src (pid * Page.page_size) Unix.SEEK_SET);
-    let rec fill off =
-      if off < Page.page_size then begin
-        let n = Unix.read src img off (Page.page_size - off) in
-        if n = 0 then Bytes.fill img off (Page.page_size - off) '\000' else fill (off + n)
-      end
-    in
-    fill 0;
-    write_all dst img;
-    set_u32 tail 0 (Checksum.crc32 img 0 Page.page_size);
-    set_u32 tail 4 pid;
-    write_all dst tail
-  done;
-  Unix.fsync dst;
-  Unix.close dst;
-  Unix.close src;
-  Unix.rename tmp path;
-  match report with
-  | Some (r : Recovery.t) -> r.Recovery.upgraded <- path :: r.Recovery.upgraded
-  | None -> ()
-
-(* Detect the on-disk format, upgrading or initializing as needed,
-   before the injected Io handle is opened. *)
-let prepare ?report path =
+(* Validate the file header, or initialize a new file, before the
+   injected Io handle is opened. *)
+let prepare path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
   let head = Bytes.create 8 in
@@ -296,17 +259,17 @@ let prepare ?report path =
         (Recovery.Fatal_corruption
            (Printf.sprintf "%s: page size %d, expected %d" path psz Page.page_size))
   end
-  else if size >= Page.page_size then begin
+  else if size >= header_size then begin
     Unix.close fd;
-    upgrade_v0 ?report path size
+    raise (Recovery.Fatal_corruption (path ^ ": no " ^ header_magic ^ " page-file header"))
   end
   else
     (* empty, or a torn header from a crash while creating the file:
        nothing durable can live here, start clean *)
     fresh ()
 
-let create ?injector ?report path =
-  prepare ?report path;
+let create ?injector path =
+  prepare path;
   let io = Io.openf ?injector path in
   { io;
     fpath = path;

@@ -7,8 +7,6 @@
     Every page is stored with a CRC-32 of its image and an echo of its
     page id, under a versioned file header; torn writes, bit rot and
     misdirected writes surface as {!Corrupt} instead of being served.
-    Files written by the pre-checksum format (v0) are detected and
-    upgraded in place on open.
 
     A {!Faulty} injector attached at {!create} simulates the failures
     recovery code actually faces: crashes that tear a write at an
@@ -83,11 +81,11 @@ end
 
 type t
 
-val create : ?injector:Faulty.t -> ?report:Recovery.t -> string -> t
-(** Open (creating if absent) the page file at this path.  A v0 file is
-    upgraded to the checksummed format first (recorded in [report]).
-    @raise Recovery.Fatal_corruption on an unreadable or
-    wrong-version file header. *)
+val create : ?injector:Faulty.t -> string -> t
+(** Open (creating if absent) the page file at this path.  A file
+    shorter than its header is a torn create and starts empty.
+    @raise Recovery.Fatal_corruption on a file without the page-file
+    magic, or with an unreadable or wrong-version header. *)
 
 val npages : t -> int
 

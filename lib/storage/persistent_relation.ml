@@ -75,7 +75,7 @@ let open_ ?(pool_frames = 64) ?(indexes = []) ?injector ?(verify = true) ~dir ~n
       :: List.map (fun col -> in_dir (Printf.sprintf "%s.%d.idx" name col)) indexes)
   in
   let report = Recovery.create () in
-  let disks = Array.map (fun p -> Disk.create ?injector ~report p) paths in
+  let disks = Array.map (fun p -> Disk.create ?injector p) paths in
   (* From here on the disks (and soon the log) are open: any failure —
      including an injected crash during recovery — must release the
      descriptors before propagating, or a crash-test loop would leak
@@ -88,24 +88,11 @@ let open_ ?(pool_frames = 64) ?(indexes = []) ?injector ?(verify = true) ~dir ~n
     | None -> ()
   in
   try
-  (* Legacy layout migration: versions before the shared WAL kept one
-     redo log per file.  Replay any such logs into their files, then
-     remove them; durability moves to the shared log below. *)
-  Array.iteri
-    (fun i p ->
-      let legacy = p ^ ".wal" in
-      if Sys.file_exists legacy then begin
-        let w = Wal.create legacy in
-        ignore (Wal.recover w ~disks:[| disks.(i) |] ~report);
-        Wal.close w;
-        try Sys.remove legacy with Sys_error _ -> ()
-      end)
-    paths;
   let wal = Wal.create ?injector (in_dir (name ^ ".wal")) in
   wal_ref := Some wal;
   ignore (Wal.recover wal ~disks ~report);
   (* recovery replays are synced by [Wal.recover]; the log can be
-     truncated (this also rewrites a legacy-format log's header) *)
+     truncated *)
   Wal.checkpoint wal;
   if verify then
     Array.iteri

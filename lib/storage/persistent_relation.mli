@@ -39,8 +39,8 @@ val open_ :
   handle
 (** Open or create the relation stored under [dir]/[name].*; [indexes]
     lists the argument positions to index with B-trees (default none).
-    Recovery runs before the relation is usable: shared-log replay
-    (plus migration of legacy per-file logs), then — unless
+    Recovery runs before the relation is usable: shared-log replay,
+    then — unless
     [verify:false] — a checksum sweep of every page.  Pages failing
     verification are quarantined (reads raise {!Disk.Corrupt}); a bad
     B-tree metadata page raises {!Recovery.Fatal_corruption} because

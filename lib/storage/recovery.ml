@@ -1,8 +1,6 @@
 exception Fatal_corruption of string
 
 type t = {
-  mutable upgraded : string list;
-  mutable legacy_wals : string list;
   mutable replayed_txns : int;
   mutable replayed_pages : int;
   mutable torn_tail_bytes : int;
@@ -11,9 +9,7 @@ type t = {
 }
 
 let create () =
-  { upgraded = [];
-    legacy_wals = [];
-    replayed_txns = 0;
+  { replayed_txns = 0;
     replayed_pages = 0;
     torn_tail_bytes = 0;
     corrupt_wal_records = 0;
@@ -21,8 +17,7 @@ let create () =
   }
 
 let clean t =
-  t.upgraded = [] && t.legacy_wals = [] && t.replayed_txns = 0
-  && t.torn_tail_bytes = 0 && t.corrupt_wal_records = 0 && t.quarantined = []
+  t.replayed_txns = 0 && t.torn_tail_bytes = 0 && t.corrupt_wal_records = 0 && t.quarantined = []
 
 let c_quarantined = Coral_obs.Obs.counter "storage.recovery.quarantined_pages"
 
@@ -30,37 +25,4 @@ let quarantine t path pid =
   if not (List.mem (path, pid) t.quarantined) then begin
     t.quarantined <- (path, pid) :: t.quarantined;
     Coral_obs.Obs.Counter.incr c_quarantined
-  end
-
-let merge into_ from =
-  into_.upgraded <- into_.upgraded @ from.upgraded;
-  into_.legacy_wals <- into_.legacy_wals @ from.legacy_wals;
-  into_.replayed_txns <- into_.replayed_txns + from.replayed_txns;
-  into_.replayed_pages <- into_.replayed_pages + from.replayed_pages;
-  into_.torn_tail_bytes <- into_.torn_tail_bytes + from.torn_tail_bytes;
-  into_.corrupt_wal_records <- into_.corrupt_wal_records + from.corrupt_wal_records;
-  List.iter (fun (p, pid) -> quarantine into_ p pid) from.quarantined
-
-let pp ppf t =
-  if clean t then Format.fprintf ppf "recovery: clean"
-  else begin
-    Format.fprintf ppf "recovery:";
-    if t.replayed_txns > 0 then
-      Format.fprintf ppf " replayed %d txn%s (%d page%s)" t.replayed_txns
-        (if t.replayed_txns = 1 then "" else "s")
-        t.replayed_pages
-        (if t.replayed_pages = 1 then "" else "s");
-    if t.torn_tail_bytes > 0 then
-      Format.fprintf ppf " discarded %dB torn WAL tail" t.torn_tail_bytes;
-    if t.corrupt_wal_records > 0 then
-      Format.fprintf ppf " dropped %d corrupt WAL record%s" t.corrupt_wal_records
-        (if t.corrupt_wal_records = 1 then "" else "s");
-    List.iter (fun f -> Format.fprintf ppf " upgraded %s" (Filename.basename f)) t.upgraded;
-    List.iter
-      (fun f -> Format.fprintf ppf " migrated legacy WAL %s" (Filename.basename f))
-      t.legacy_wals;
-    List.iter
-      (fun (f, pid) ->
-        Format.fprintf ppf " quarantined page %d of %s" pid (Filename.basename f))
-      t.quarantined
   end

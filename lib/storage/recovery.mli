@@ -1,7 +1,7 @@
 (** Typed recovery reports.
 
-    Opening a persistent relation runs recovery — WAL replay, on-disk
-    format upgrades, optional checksum verification — and instead of
+    Opening a persistent relation runs recovery — WAL replay, optional
+    checksum verification — and instead of
     silently proceeding (or dying) records what it found in one of
     these.  A report with {!clean} [= true] means the files were
     exactly as a clean shutdown left them.
@@ -11,14 +11,12 @@
     checksum-failed data page that is quarantined so reads of it raise
     {!Disk.Corrupt} while the rest of the relation keeps serving), and
     {e fatal} damage ({!Fatal_corruption}: a metadata page such as a
-    B-tree root pointer page that cannot be reconstructed, or an
-    unreadable file header). *)
+    B-tree root pointer page that cannot be reconstructed, or a file
+    whose header is missing or unreadable). *)
 
 exception Fatal_corruption of string
 
 type t = {
-  mutable upgraded : string list;  (** files rewritten from the v0 on-disk format *)
-  mutable legacy_wals : string list;  (** pre-shared-WAL per-file logs replayed and removed *)
   mutable replayed_txns : int;
   mutable replayed_pages : int;
   mutable torn_tail_bytes : int;  (** incomplete trailing WAL bytes discarded *)
@@ -29,7 +27,3 @@ type t = {
 val create : unit -> t
 val clean : t -> bool
 val quarantine : t -> string -> int -> unit
-val merge : t -> t -> unit
-(** [merge into_ from] accumulates [from] into [into_]. *)
-
-val pp : Format.formatter -> t -> unit

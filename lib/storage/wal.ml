@@ -9,12 +9,10 @@
    so a relation-level commit is atomic: either every file's pages
    replay or none do.  Anything after the last complete, checksummed
    commit marker is a torn or corrupt tail and is discarded by
-   recovery (and reported, not silently ignored).
-
-   Legacy logs from the pre-checksum format (no magic; single-file
-   records [u32 npages]([u32 pid][image])*[u32 marker]) are still
-   replayed — into file 0 — and the first checkpoint rewrites the file
-   with the new header. *)
+   recovery (and reported, not silently ignored).  A log of at least
+   the magic's length that does not start with it is not a log: it is
+   refused, never replayed or reinitialised.  A shorter one is a torn
+   create. *)
 
 type t = {
   wpath : string;
@@ -155,45 +153,14 @@ let recover t ~disks ~(report : Recovery.t) =
         | _ -> () (* torn: marker never made it *)
       end
   in
-  (* legacy records: single file, no checksum *)
-  let rec legacy_txn () =
-    match read_u32 () with
-    | None -> ()
-    | Some n when n > max_entries -> corrupt ()
-    | Some n ->
-      let entries = ref [] in
-      let ok = ref true in
-      (try
-         for _ = 1 to n do
-           match read_u32 () with
-           | Some pid when read_image () -> entries := (0, pid, Bytes.copy img) :: !entries
-           | _ ->
-             ok := false;
-             raise Exit
-         done
-       with Exit -> ());
-      if !ok then begin
-        match read_u32 () with
-        | Some magic when magic = commit_magic ->
-          replay !entries;
-          legacy_txn ()
-        | Some _ -> corrupt ()
-        | None -> ()
-      end
-  in
-  if size = 0 then ()
-  else begin
+  if size >= 8 then begin
     let head = Bytes.create 8 in
-    let is_v1 = size >= 8 && Disk.Io.pread io ~pos:0 head 0 8 = 8 && Bytes.to_string head = wal_magic in
-    if is_v1 then begin
+    if Disk.Io.pread io ~pos:0 head 0 8 = 8 && Bytes.to_string head = wal_magic then begin
       pos := 8;
       good_end := 8;
       v1_txn ()
     end
-    else begin
-      report.Recovery.legacy_wals <- t.wpath :: report.Recovery.legacy_wals;
-      legacy_txn ()
-    end
+    else raise (Recovery.Fatal_corruption (t.wpath ^ ": no " ^ wal_magic ^ " log header"))
   end;
   if size > !good_end then
     report.Recovery.torn_tail_bytes <- report.Recovery.torn_tail_bytes + (size - !good_end);

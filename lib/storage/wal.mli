@@ -10,11 +10,7 @@
     place.  [recover] replays complete, checksum-valid transactions
     found in the log; a torn or corrupt tail is discarded and recorded
     in the {!Recovery.t} report.  [checkpoint] truncates the log once
-    the data files are known durable.
-
-    Logs written by the pre-checksum format are detected by their
-    missing header, replayed (into file 0), and upgraded by the next
-    checkpoint. *)
+    the data files are known durable. *)
 
 type t
 
@@ -31,7 +27,9 @@ val recover : t -> disks:Disk.t array -> report:Recovery.t -> int
 (** Replay committed transactions into the data files (file id indexes
     [disks]); returns the number of pages replayed and accumulates
     what happened — replays, torn tails, corrupt records — into the
-    report.  Call before using the data files. *)
+    report.  Call before using the data files.
+    @raise Recovery.Fatal_corruption on a log of at least 8 bytes
+    that does not start with the log header. *)
 
 val checkpoint : t -> unit
 val close : t -> unit

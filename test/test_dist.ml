@@ -493,6 +493,67 @@ let test_differential_floats () =
     (fun (shards, key) -> check_differential ~shards ~key texts queries expected)
     [ 2, 0; 4, 1 ]
 
+(* Constants in bodies and heads, and a comparison after the derived
+   literal: the worker compiles each rule once and runs the linear
+   rule with its delta literal moved first, which must not unbind the
+   comparison or lose the constants. *)
+let test_differential_consts () =
+  let program =
+    "module m_reach.\n\
+     export reach(bf).\n\
+     export reach(ff).\n\
+     reach(X, Y) :- edge(X, Y), Y < 11.\n\
+     reach(0, Y) :- edge(1, Y).\n\
+     reach(X, Y) :- reach(X, Z), edge(Z, Y), Y < 11.\n\
+     end_module.\n"
+  in
+  let texts = [ program; tc_edges ~nodes:12 ~extra:6 17 ] in
+  let queries = [ "reach(X, Y)"; "reach(0, Y)"; "reach(3, Y)" ] in
+  let expected = reference texts queries in
+  Alcotest.(check bool) "reference reach is non-trivial" true
+    (List.length (List.assoc "reach(X, Y)" expected) > 20);
+  Alcotest.(check bool) "reference derives from the constant rule" true
+    (List.assoc "reach(0, Y)" expected <> []);
+  List.iter
+    (fun (shards, key) -> check_differential ~shards ~key texts queries expected)
+    [ 1, 0; 2, 1; 4, 1 ]
+
+(* A worker compiles the distributed program with the fixpoint's
+   compiler: the left-linear rule's activation on a path delta probes
+   edge on its first argument, so every worker's replicated edge
+   relation carries that index, and the delta relations are private
+   to the worker rather than registered with its engine. *)
+let test_worker_kernel () =
+  let cl = start_cluster ~shards:2 ~key:1 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  let c = connect_unix cl.router_path in
+  consult_all c [ tc_program; tc_edges ~nodes:8 ~extra:3 5 ];
+  Alcotest.(check bool) "closure answered" true (List.length (answers c "path(X, Y)") > 7);
+  let lines, _ = request c "stats" in
+  Alcotest.(check bool) "fixpoint ran" true
+    (List.exists (String.starts_with ~prefix:"txt router.fixpoint.rounds=") lines);
+  ignore (request c "quit");
+  close_client c;
+  List.iteri
+    (fun i (_, srv) ->
+      let eng = Coral.engine (Session.db (Server.store srv)) in
+      match Coral.Engine.relation_of eng (Coral.Symbol.intern "edge") 2 with
+      | None -> Alcotest.failf "worker %d has no edge relation" i
+      | Some edge ->
+        Alcotest.(check bool)
+          (Printf.sprintf "worker %d: edge carries args(0)" i)
+          true
+          (List.exists
+             (Coral.Index.spec_equal (Coral.Index.Args [ 0 ]))
+             (Coral.Relation.indexes edge));
+        Alcotest.(check (list string))
+          (Printf.sprintf "worker %d: no relation name contains @" i)
+          []
+          (List.filter_map
+             (fun (k, _) -> if String.contains k '@' then Some k else None)
+             (Coral.Engine.list_relations eng)))
+    cl.workers
+
 (* An insert through the router lands on the replica, dirties the
    cluster, and the next distributed query sees it after resync. *)
 let test_insert_resyncs () =
@@ -898,6 +959,7 @@ let test_stitched_trace () =
    coral_shard_*{shard="N"} labels, keeps the exposition well-formed
    (one TYPE header per name), and carries the skew roll-ups. *)
 let test_federated_metrics () =
+  with_obs @@ fun () ->
   List.iter
     (fun shards ->
       let cl = start_cluster ~shards ~key:1 () in
@@ -937,6 +999,18 @@ let test_federated_metrics () =
                  String.length l - j >= String.length lbl
                  && String.sub l j (String.length lbl) = lbl
                | None -> false)
+             txt);
+        (* each shard times its step joins under phase.eval *)
+        let eval_count = Printf.sprintf "coral_shard_phase_eval_count{shard=\"%d\"} " i in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d shard(s): shard %d phase.eval observed" shards i)
+          true
+          (List.exists
+             (fun l ->
+               String.starts_with ~prefix:eval_count l
+               &&
+               let n = String.length eval_count in
+               int_of_string (String.sub l n (String.length l - n)) > 0)
              txt)
       done;
       (* well-formed exposition: no federated TYPE header repeats *)
@@ -1050,7 +1124,11 @@ let () =
           Alcotest.test_case "worker crash: clean err, live router" `Quick
             test_worker_crash_unavail;
           Alcotest.test_case "non-distributable falls back locally" `Quick
-            test_local_fallback
+            test_local_fallback;
+          Alcotest.test_case "differential: constants and comparisons" `Quick
+            test_differential_consts;
+          Alcotest.test_case "workers compile through the join kernel" `Quick
+            test_worker_kernel
         ] );
       ( "observability",
         [ Alcotest.test_case "tid= wire round-trip on a plain server" `Quick

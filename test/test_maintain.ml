@@ -65,6 +65,32 @@ p(X, Y, [edge(X, Y)], C) :- edge(X, Y, C).
 end_module.
 |}
 
+(* Rule shapes beyond TC and SG: comparisons after the delta literal's
+   position, a non-recursive value-generating assignment, a constant
+   and a repeated variable in one body literal, a functor term in a
+   head, and a body predicate ([blue]) with no stored facts until a
+   later insert. *)
+let shapes_program =
+  {|
+module shapes.
+export path(ff).
+export far(ff).
+export near(ff).
+export next1(ff).
+export loop(f).
+export wrap(ff).
+export tinted(ff).
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- edge(X, Z), path(Z, Y).
+far(X, Y) :- path(X, Y), X < Y.
+near(X, Y) :- edge(X, Z), Z < 4, edge(Z, Y).
+next1(X, Z) :- edge(X, Y), Z = Y + 1.
+loop(X) :- tri(X, 1, X).
+wrap(f(X), Y) :- path(X, Y).
+tinted(X, Y) :- path(X, Y), blue(Y).
+end_module.
+|}
+
 (* ------------------------------------------------------------------ *)
 (* The differential harness                                            *)
 (* ------------------------------------------------------------------ *)
@@ -131,6 +157,20 @@ let gen_edge3 dom rng =
        Term.int (1 + Random.State.int rng 9)
     |] )
 
+(* mostly edges; tri/3 facts over a small domain so the constant and
+   the repeated variable both match and miss; blue/1 facts arrive only
+   after several updates *)
+let gen_shape rng =
+  match Random.State.int rng 10 with
+  | 0 | 1 ->
+    ( sym "tri",
+      [| Term.int (Random.State.int rng 3);
+         Term.int (Random.State.int rng 2);
+         Term.int (Random.State.int rng 3)
+      |] )
+  | 2 -> sym "blue", [| Term.int (Random.State.int rng 8) |]
+  | _ -> gen_edge2 8 rng
+
 let test_differential_tc () =
   differential ~name:"tc" ~program:tc_program
     ~probes:[ "path(X, Y)"; "path(0, Y)"; "edge(X, Y)" ]
@@ -145,6 +185,21 @@ let test_differential_fig3 () =
   differential ~name:"fig3" ~program:fig3_program
     ~probes:[ "s_p(0, Y, P, C)"; "s_p(1, Y, P, C)" ]
     ~gen_fact:(gen_edge3 5) ~steps:18 ~seed:37 ()
+
+let test_differential_shapes () =
+  (* every shape is in the maintained class, so the differential below
+     checks maintenance rather than the recompute fallback *)
+  let e = Coral.create () in
+  Coral.consult_text e shapes_program;
+  Coral.Engine.set_maintenance (eng e) true;
+  Alcotest.(check (list (pair string string))) "all shapes maintained" []
+    (Coral.Engine.maintenance_fallbacks (eng e));
+  differential ~name:"shapes" ~program:shapes_program
+    ~probes:
+      [ "path(X, Y)"; "far(X, Y)"; "near(X, Y)"; "next1(X, Y)"; "loop(X)"; "wrap(X, Y)";
+        "tinted(X, Y)"
+      ]
+    ~gen_fact:gen_shape ~steps:60 ~seed:29 ()
 
 let test_differential_tc_workers () =
   differential ~workers:4 ~name:"tc-w4" ~program:tc_program
@@ -452,7 +507,8 @@ let () =
           Alcotest.test_case "same generation" `Quick test_differential_sg;
           Alcotest.test_case "figure 3 (fallback)" `Quick test_differential_fig3;
           Alcotest.test_case "tc, workers 4" `Quick test_differential_tc_workers;
-          Alcotest.test_case "persistent reopen" `Quick test_persistent_reopen
+          Alcotest.test_case "persistent reopen" `Quick test_persistent_reopen;
+          Alcotest.test_case "rule shapes" `Quick test_differential_shapes
         ] );
       ( "driver",
         [ Alcotest.test_case "insert propagates" `Quick test_insert_propagates;

@@ -589,31 +589,46 @@ let test_disk_quarantine_lift () =
   Disk.close disk;
   Sys.remove path
 
-let test_v0_upgrade () =
-  let path = tmpfile "v0" in
-  (* fabricate a pre-checksum (v0) file: raw page images, no header *)
+(* A page file or WAL that does not start with its format's magic is
+   refused, not reinitialised or replayed, and left as it was; a file
+   shorter than its header is a torn create and starts clean. *)
+let test_headerless_refused () =
+  let write_file path b =
+    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+    let rec go off len = if len > 0 then (let n = Unix.write fd b off len in go (off + n) (len - n)) in
+    go 0 (Bytes.length b);
+    Unix.close fd
+  in
+  let size path = (Unix.stat path).Unix.st_size in
+  let refused f = try ignore (f ()); false with Recovery.Fatal_corruption _ -> true in
+  (* a page file of raw page images, no header *)
+  let path = tmpfile "headerless" in
   let img = Bytes.make Page.page_size '\000' in
   Page.init img;
-  ignore (Page.insert img "legacy record");
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-  let zeros = Bytes.make Page.page_size '\000' in
-  let write_all b =
-    let rec go off len = if len > 0 then (let n = Unix.write fd b off len in go (off + n) (len - n)) in
-    go 0 (Bytes.length b)
-  in
-  write_all zeros;
-  write_all img;
-  Unix.close fd;
-  let report = Recovery.create () in
-  let disk = Disk.create ~report path in
-  Alcotest.(check bool) "upgrade recorded" true (report.Recovery.upgraded <> []);
-  Alcotest.(check int) "both pages survive" 2 (Disk.npages disk);
-  let buf = Bytes.create Page.page_size in
-  Disk.read disk 1 buf;
-  Alcotest.(check (option string)) "record preserved" (Some "legacy record") (Page.read buf 0);
-  Alcotest.(check (list (pair int string))) "all checksums valid" [] (Disk.verify disk);
+  ignore (Page.insert img "record");
+  write_file path (Bytes.cat (Bytes.make Page.page_size '\000') img);
+  Alcotest.(check bool) "headerless page file refused" true (refused (fun () -> Disk.create path));
+  Alcotest.(check int) "page file left as it was" (2 * Page.page_size) (size path);
+  (* a log whose first 8 bytes are not the log header *)
+  let data = tmpfile "walrefuse" in
+  let disk = Disk.create data in
+  let log = tmpfile "walrefuse.wal" in
+  let junk = Bytes.make 64 '\000' in
+  Bytes.set junk 0 '\001';
+  write_file log junk;
+  let w = Wal.create log in
+  Alcotest.(check bool) "headerless log refused" true
+    (refused (fun () -> Wal.recover w ~disks:[| disk |] ~report:(Recovery.create ())));
+  Wal.close w;
+  Alcotest.(check int) "log left as it was" 64 (size log);
+  Alcotest.(check int) "nothing replayed" 0 (Disk.npages disk);
   Disk.close disk;
-  Sys.remove path
+  (* a page file shorter than its header: torn create, starts clean *)
+  write_file path (Bytes.of_string "CORAL");
+  let disk = Disk.create path in
+  Alcotest.(check int) "torn create starts clean" 0 (Disk.npages disk);
+  Disk.close disk;
+  List.iter Sys.remove [ path; data; log ]
 
 let test_pool_exhausted () =
   let path = tmpfile "exhaust" in
@@ -840,7 +855,7 @@ let () =
         [ Alcotest.test_case "checksum quarantine" `Quick test_checksum_quarantine;
           Alcotest.test_case "fatal metadata corruption" `Quick test_fatal_metadata_corruption;
           Alcotest.test_case "quarantine lift on rewrite" `Quick test_disk_quarantine_lift;
-          Alcotest.test_case "v0 upgrade" `Quick test_v0_upgrade;
+          Alcotest.test_case "headerless files refused" `Quick test_headerless_refused;
           Alcotest.test_case "pool exhausted" `Quick test_pool_exhausted;
           Alcotest.test_case "transient read retry" `Quick test_transient_read_retry;
           Alcotest.test_case "ENOSPC surfaces" `Quick test_enospc_surfaces;
