@@ -347,57 +347,95 @@ let exp_index () =
      relation gets an automatically selected argument-form index; the\n\
      list relation (one of the stock implementations) has no index\n\
      support, so every probe scans.  The pattern-form index retrieves\n\
-     employees by (name, city) inside a nested address term.";
+     employees by (name, city) inside a nested address term.  The\n\
+     snapshot arms read through Engine.read_view of a snapshot taken\n\
+     before any live query ran: they probe the indexes chosen when the\n\
+     module loaded, and must visit the tuples their live arm visits.";
+  (* One workload's arms, each [(label, load, via_view)]: [load] builds
+     a database, and the arm queries it live or through a snapshot
+     taken before any query ran.  The first arm is the live reference
+     of the snapshot arm. *)
+  let arms workload query arms =
+    let measured =
+      List.map
+        (fun (label, load, via_view) ->
+          let db = load () in
+          let reader =
+            if via_view then
+              Coral.of_engine
+                (Coral.Engine.read_view (Option.get (Coral.Engine.snapshot (Coral.engine db))))
+            else db
+          in
+          let t, answers, _ = measure (fun () -> query_count reader query) in
+          (* [measure] resets the counters per run: this is the last run's *)
+          let visits = Coral.Relation.tuples_visited () in
+          ( via_view,
+            visits,
+            [ workload; label; fmt_time t; string_of_int answers; string_of_int visits ] ))
+        arms
+    in
+    let _, live_visits, _ = List.hd measured in
+    List.iter
+      (fun (via_view, visits, _) ->
+        if via_view && visits <> live_visits then
+          failwith
+            (Printf.sprintf "index: %s: the snapshot arm visits %d tuples, the live arm %d" workload
+               visits live_visits))
+      measured;
+    List.map (fun (_, _, row) -> row) measured
+  in
   let join_rows =
     List.concat_map
       (fun n ->
-        List.map
-          (fun (label, use_list) ->
-            let db = Workloads.fresh_db () in
-            if use_list then
-              Coral.install_relation db "edge"
-                (Coral.List_relation.create ~name:"edge" ~arity:2 ());
-            Workloads.load_pairs db "edge"
-              (Workloads.random_graph ~seed:7 ~nodes:(n / 4) ~edges:n);
-            for i = 0 to 15 do
-              Coral.fact db "r" [ Coral.int i ]
-            done;
-            Coral.consult_text db
-              "module j.\nexport q(ff).\nq(X, Y) :- r(X), edge(X, Y).\nend_module.";
-            let t, answers, _ = measure (fun () -> query_count db "q(X, Y)") in
-            [ Printf.sprintf "join, |edge|=%d" n; label; fmt_time t; string_of_int answers ])
-          [ "hash + auto index", false; "list relation (scan)", true ])
+        let load use_list () =
+          let db = Workloads.fresh_db () in
+          if use_list then
+            Coral.install_relation db "edge" (Coral.List_relation.create ~name:"edge" ~arity:2 ());
+          Workloads.load_pairs db "edge" (Workloads.random_graph ~seed:7 ~nodes:(n / 4) ~edges:n);
+          for i = 0 to 15 do
+            Coral.fact db "r" [ Coral.int i ]
+          done;
+          Coral.consult_text db
+            "module j.\nexport q(ff).\nq(X, Y) :- r(X), edge(X, Y).\nend_module.";
+          db
+        in
+        arms (Printf.sprintf "join, |edge|=%d" n) "q(X, Y)"
+          [ "hash + auto index", load false, false;
+            "hash, snapshot read view", load false, true;
+            "list relation (scan)", load true, false
+          ])
       [ 2000; 10_000; 40_000 ]
   in
   let pattern_rows =
-    List.map
-      (fun (label, ann) ->
-        let db = Workloads.fresh_db () in
-        (* few distinct names (so an argument-form index on the name is
-           unselective) but many (name, city) combinations *)
-        for i = 0 to 20_000 do
-          Coral.fact db "emp"
-            [ Coral.str (Printf.sprintf "name%d" (i mod 5));
-              Coral.app "addr"
-                [ Coral.str (Printf.sprintf "street%d" i);
-                  Coral.str (Printf.sprintf "city%d" (i mod 2001))
-                ]
-            ]
-        done;
-        Coral.consult_text db
-          (Printf.sprintf
-             "module e.\nexport find(bbf).\n%s\nfind(N, C, S) :- emp(N, addr(S, C)).\nend_module."
-             ann);
-        let t, answers, _ =
-          measure (fun () -> query_count db "find(\"name2\", \"city7\", S)")
-        in
-        [ "pattern probe, 20k emps"; label; fmt_time t; string_of_int answers ])
-      [ "@make_index (pattern form)",
-        "@make_index emp(Name, addr(Street, City)) (Name, City).";
-        "no pattern index", ""
+    let load ann () =
+      let db = Workloads.fresh_db () in
+      (* few distinct names (so an argument-form index on the name is
+         unselective) but many (name, city) combinations *)
+      for i = 0 to 20_000 do
+        Coral.fact db "emp"
+          [ Coral.str (Printf.sprintf "name%d" (i mod 5));
+            Coral.app "addr"
+              [ Coral.str (Printf.sprintf "street%d" i);
+                Coral.str (Printf.sprintf "city%d" (i mod 2001))
+              ]
+          ]
+      done;
+      Coral.consult_text db
+        (Printf.sprintf
+           "module e.\nexport find(bbf).\n%s\nfind(N, C, S) :- emp(N, addr(S, C)).\nend_module."
+           ann);
+      db
+    in
+    let make_index = "@make_index emp(Name, addr(Street, City)) (Name, City)." in
+    arms "pattern probe, 20k emps" "find(\"name2\", \"city7\", S)"
+      [ "@make_index (pattern form)", load make_index, false;
+        "@make_index, snapshot read view", load make_index, true;
+        "no pattern index", load "", false
       ]
   in
-  table [ "workload"; "access path"; "time"; "answers" ] (join_rows @ pattern_rows)
+  table
+    [ "workload"; "access path"; "time"; "answers"; "tuples visited" ]
+    (join_rows @ pattern_rows)
 
 (* ------------------------------------------------------------------ *)
 (* E10: the storage manager                                            *)

@@ -47,16 +47,37 @@ type t = {
   exts : (string, Relation.t) Hashtbl.t;
       (* frozen maintained extents; populated only in read views (the
          live engine serves extents through [maint]) *)
+  wants : (string, Index.spec list) Hashtbl.t;
+      (* index choice (paper sections 4.2, 5.5.1), keyed like [base]:
+         the specs module loads chose for stored predicates plus those
+         read views forwarded.  Written on the write lane only; empty in
+         read views *)
+  index_requests : (string * Index.spec) list Atomic.t;
+      (* specs a read view's compile asked of frozen relations that
+         lack them; shared by reference with every read view, drained
+         into [wants] by [snapshot] *)
 }
 
+let wanted t k = Option.value ~default:[] (Hashtbl.find_opt t.wants k)
+
+(* A stored relation is created with the indexes loaded modules chose
+   for it, so consulting a program before its facts still indexes. *)
 let base_relation t pred arity =
   let k = key pred arity in
   match Hashtbl.find_opt t.base k with
   | Some rel -> rel
   | None ->
-    let rel = Hash_relation.create ~name:(Symbol.name pred) ~arity () in
+    let rel = Hash_relation.create ~indexes:(wanted t k) ~name:(Symbol.name pred) ~arity () in
     Hashtbl.add t.base k rel;
     rel
+
+(* Record a wanted index and build it on the stored relation, if one
+   exists (write lane only). *)
+let want t k spec =
+  let have = wanted t k in
+  if not (List.exists (Index.spec_equal spec) have) then
+    Hashtbl.replace t.wants k (have @ [ spec ]);
+  Option.iter (fun rel -> Relation.add_index rel spec) (Hashtbl.find_opt t.base k)
 
 let with_plans t f =
   Mutex.lock t.plans_lock;
@@ -328,7 +349,9 @@ let create ?(builtins = true) ?workers () =
       workers = (match workers with Some w -> max 1 (min 64 w) | None -> default_workers ());
       backjump = true;
       maint = None;
-      exts = Hashtbl.create 1
+      exts = Hashtbl.create 1;
+      wants = Hashtbl.create 16;
+      index_requests = Atomic.make []
     }
   in
   if builtins then
@@ -434,24 +457,7 @@ let exporter t pred arity =
     then Some (user_module t)
     else None
 
-let load_module t (m : Ast.module_) =
-  match Wellformed.errors (Wellformed.check_module m) with
-  | [] ->
-    t.modules <- m :: List.filter (fun (m' : Ast.module_) -> m'.Ast.mname <> m.Ast.mname) t.modules;
-    (* drop stale plans/instances of a reloaded module *)
-    let prefix = m.Ast.mname ^ "::" in
-    let stale tbl =
-      Hashtbl.fold (fun k _ acc -> if String.starts_with ~prefix k then k :: acc else acc) tbl []
-      |> List.iter (Hashtbl.remove tbl)
-    in
-    with_plans t (fun () -> stale t.plans);
-    stale t.saved;
-    touch_maintenance t;
-    Ok ()
-  | errs ->
-    Error (String.concat "\n" (List.map (fun i -> Format.asprintf "%a" Wellformed.pp_issue i) errs))
-
-let add_clause t (r : Ast.rule) =
+let append_clause t (r : Ast.rule) =
   t.user_rules <- t.user_rules @ [ r ];
   let prefix = "user::" in
   let stale tbl =
@@ -463,6 +469,29 @@ let add_clause t (r : Ast.rule) =
   touch_maintenance t
 
 let module_of_pred t pred arity = exporter t pred arity
+
+(* What a body predicate outside a module's own rules resolves to: the
+   stored facts of a predicate ([p@base], the bridge of
+   [bridge_base_facts], names [p]'s), another module's export, or a
+   foreign predicate; unknown predicates are stored. *)
+type source =
+  | Stored of Symbol.t
+  | Exported of Ast.module_
+  | Host of Builtin.foreign
+
+let source_of t pred arity =
+  let name = Symbol.name pred in
+  if String.ends_with ~suffix:"@base" name && String.length name > 5 then
+    Stored (Symbol.intern (String.sub name 0 (String.length name - 5)))
+  else begin
+    match module_of_pred t pred arity with
+    | Some m -> Exported m
+    | None -> begin
+      match foreign_of t pred arity with
+      | Some f -> Host f
+      | None -> Stored pred
+    end
+  end
 
 let plan_key (m : Ast.module_) pred adorn =
   m.Ast.mname ^ "::" ^ Symbol.name pred ^ "::" ^ Ast.adornment_to_string adorn
@@ -516,6 +545,51 @@ let plan_for t ~pred ~arity ~adorn =
   match module_of_pred t pred arity with
   | Some m -> plan_in_module t m pred adorn
   | None -> Error (Printf.sprintf "no module exports %s/%d" (Symbol.name pred) arity)
+
+(* Index choice at module load (paper sections 4.2, 5.5.1): plan every
+   exported form of a materialized module, which also fills the plan
+   table, and keep the indexes its rewritten rules and @make_index
+   annotations choose on stored predicates.  Base relations existing
+   now get them at once; later ones at creation; every later epoch
+   freezes with them.  Nothing is compiled and no relation is created.
+   Forms no export names (a bound query on an interactive rule, a call
+   with a new adornment) reach the write lane through [snapshot]. *)
+let choose_indexes t (m : Ast.module_) =
+  if not (List.mem Ast.Ann_pipelined m.Ast.annotations) then
+    List.iter
+      (fun (e : Ast.export) ->
+        match plan_in_module t m e.Ast.epred e.Ast.adorn with
+        | Error _ -> () (* the query reports it *)
+        | Ok plan ->
+          List.iter
+            (fun (pred, arity, spec) ->
+              match source_of t pred arity with
+              | Stored p -> want t (key p arity) spec
+              | Exported _ | Host _ -> ())
+            (Module_struct.plan_indexes plan))
+      m.Ast.exports
+
+let load_module t (m : Ast.module_) =
+  match Wellformed.errors (Wellformed.check_module m) with
+  | [] ->
+    t.modules <- m :: List.filter (fun (m' : Ast.module_) -> m'.Ast.mname <> m.Ast.mname) t.modules;
+    (* drop stale plans/instances of a reloaded module *)
+    let prefix = m.Ast.mname ^ "::" in
+    let stale tbl =
+      Hashtbl.fold (fun k _ acc -> if String.starts_with ~prefix k then k :: acc else acc) tbl []
+      |> List.iter (Hashtbl.remove tbl)
+    in
+    with_plans t (fun () -> stale t.plans);
+    stale t.saved;
+    touch_maintenance t;
+    choose_indexes t m;
+    Ok ()
+  | errs ->
+    Error (String.concat "\n" (List.map (fun i -> Format.asprintf "%a" Wellformed.pp_issue i) errs))
+
+let add_clause t r =
+  append_clause t r;
+  choose_indexes t (user_module t)
 
 (* ------------------------------------------------------------------ *)
 (* Module calls                                                       *)
@@ -635,25 +709,16 @@ and module_call_relation t (m : Ast.module_) pred arity =
 (* Predicate resolution for compiled modules: another module's export
    beats a foreign predicate beats a base relation. *)
 and provider t pred arity =
-  let name = Symbol.name pred in
-  if String.length name > 5 && String.sub name (String.length name - 5) 5 = "@base" then
-    Module_struct.P_rel
-      (base_relation t (Symbol.intern (String.sub name 0 (String.length name - 5))) arity)
-  else begin
-    match module_of_pred t pred arity with
-    | Some m' -> begin
-      (* a maintained extent answers a cross-module literal directly,
-         without a nested module evaluation *)
-      match extent_of t pred arity with
-      | Some ext -> Module_struct.P_rel ext
-      | None -> Module_struct.P_rel (module_call_relation t m' pred arity)
-    end
-    | None -> begin
-      match foreign_of t pred arity with
-      | Some f -> Module_struct.P_foreign f
-      | None -> Module_struct.P_rel (base_relation t pred arity)
-    end
+  match source_of t pred arity with
+  | Stored p -> Module_struct.P_rel (base_relation t p arity)
+  | Exported m' -> begin
+    (* a maintained extent answers a cross-module literal directly,
+       without a nested module evaluation *)
+    match extent_of t pred arity with
+    | Some ext -> Module_struct.P_rel ext
+    | None -> Module_struct.P_rel (module_call_relation t m' pred arity)
   end
+  | Host f -> Module_struct.P_foreign f
 
 and compile t (plan : Optimizer.plan) = Module_struct.compile ~resolve:(provider t) plan
 
@@ -805,6 +870,8 @@ let consult t src =
   | Error e -> raise (Engine_error (Format.asprintf "%a" Parser.pp_error e))
   | Ok items ->
     let results = ref [] in
+    (* the interactive module's indexes are chosen once, not per clause *)
+    let clauses = ref false in
     List.iter
       (fun item ->
         match (item : Ast.item) with
@@ -818,11 +885,14 @@ let consult t src =
           | Ok () -> ()
           | Error e -> raise (Engine_error e)
         end
-        | Ast.Clause_item r -> add_clause t r
+        | Ast.Clause_item r ->
+          append_clause t r;
+          clauses := true
         | Ast.Query lits -> results := (lits, query t lits) :: !results
         | Ast.Command (name, _) ->
           raise (Engine_error (Printf.sprintf "unknown command @%s (commands are interpreted by the shell)" name)))
       items;
+    if !clauses then choose_indexes t (user_module t);
     List.rev !results
 
 let consult_file t path =
@@ -1055,6 +1125,12 @@ let explain_analyze t src =
           (Printf.sprintf "derivations: rules=%d engine=%d (seeds=%d context=%d done=%d)\n"
              !rules_derived (Fixpoint.rule_derivations inst) (Fixpoint.seed_inserts inst)
              (Fixpoint.context_inserts inst) (Fixpoint.done_inserts inst));
+        Buffer.add_string buf
+          (Printf.sprintf "tuples_visited: %d\n"
+             (List.fold_left
+                (fun n (c : Module_struct.crule) ->
+                  n + c.Module_struct.prof.Module_struct.rp_visited)
+                0 rules));
         (* matching answers vs. everything the answer relation holds *)
         let qenv = Bindenv.create 8 in
         let tr = Trail.create () in
@@ -1135,6 +1211,7 @@ type view = {
   rv_plans_lock : Mutex.t;
   rv_hits : int Atomic.t;  (* the engine's counters, shared *)
   rv_misses : int Atomic.t;
+  rv_requests : (string * Index.spec) list Atomic.t;  (* the engine's, shared *)
   rv_workers : int;
   rv_backjump : bool;
 }
@@ -1151,19 +1228,42 @@ let read_only_foreign name =
                route updates through insert or consult")))
   }
 
+(* A read view's index miss: a frozen relation asked for a spec it does
+   not carry.  Readers only push onto the shared atomic list; a spec
+   already wanted when the view froze is not forwarded again (its
+   relation cannot carry it), and a pending one is not duplicated. *)
+let forward_misses t k =
+  let known = wanted t k in
+  fun spec ->
+    if not (List.exists (Index.spec_equal spec) known) then begin
+      let rec push () =
+        let pending = Atomic.get t.index_requests in
+        if
+          not
+            (List.exists (fun (k', s') -> k' = k && Index.spec_equal s' spec) pending)
+          && not (Atomic.compare_and_set t.index_requests pending ((k, spec) :: pending))
+        then push ()
+      in
+      push ()
+    end
+
+let index_requests_pending t = Atomic.get t.index_requests <> []
+
 (* Freeze every base relation into an immutable wrapper.  Returns None
    when any relation has no lock-free view (persistent relations,
    whose scans do buffer-pool I/O): the serving layer then falls back
    to the locked lane for reads.  Call under the writer lane — the
-   snapshot must not race inserts. *)
+   snapshot must not race inserts.  Index misses forwarded by earlier
+   views become wants first, so this epoch freezes with them. *)
 let snapshot t =
+  List.iter (fun (k, spec) -> want t k spec) (List.rev (Atomic.exchange t.index_requests []));
   let rels = Hashtbl.create (max 16 (Hashtbl.length t.base)) in
   let ok =
     Hashtbl.fold
       (fun k rel ok ->
         ok
         &&
-        match Relation.freeze rel with
+        match Relation.freeze ~on_miss:(forward_misses t k) rel with
         | Some fr ->
           Hashtbl.add rels k fr;
           true
@@ -1180,7 +1280,9 @@ let snapshot t =
       ensure_maintained m;
       List.iter
         (fun (k, rel) ->
-          match Relation.freeze rel with
+          (* extents are rebuilt by maintenance, so wants are reapplied *)
+          List.iter (Relation.add_index rel) (wanted t k);
+          match Relation.freeze ~on_miss:(forward_misses t k) rel with
           | Some fr -> Hashtbl.add exts k fr
           | None -> ())
         (Maintain.extents m)
@@ -1200,6 +1302,7 @@ let snapshot t =
         rv_plans_lock = Mutex.create ();
         rv_hits = t.plan_hits;
         rv_misses = t.plan_misses;
+        rv_requests = t.index_requests;
         rv_workers = t.workers;
         rv_backjump = t.backjump
       }
@@ -1227,7 +1330,9 @@ let read_view v =
     maint = None;
     (* shared by reference: frozen wrappers are immutable and the view
        outlives every reader of its epoch *)
-    exts = v.rv_exts
+    exts = v.rv_exts;
+    wants = Hashtbl.create 1;
+    index_requests = v.rv_requests
   }
 
 let list_relations t =

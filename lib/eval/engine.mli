@@ -104,12 +104,18 @@ val invalidate_dependents : t -> Symbol.t list -> unit
     updates.  Plans of unrelated predicates survive. *)
 
 val load_module : t -> Ast.module_ -> (unit, string) result
-(** Check and register a module; well-formedness errors are reported,
-    planning happens lazily per query form. *)
+(** Check and register a module; well-formedness errors are reported.
+    Unless the module is pipelined, every exported form is planned now
+    and the indexes its rewritten rules (and [@make_index]
+    annotations) choose on stored predicates are recorded: built on
+    the stored relations that exist, and on the others when they are
+    created (paper sections 4.2, 5.5.1).  Other query forms are
+    planned lazily.  No relation is created. *)
 
 val add_clause : t -> Ast.rule -> unit
 (** Add a top-level rule to the implicit interactive module (its
-    predicates are all exported and evaluated materialized). *)
+    predicates are all exported and evaluated materialized) and choose
+    its exported forms' indexes as {!load_module} does. *)
 
 (** {1 Queries} *)
 
@@ -133,7 +139,9 @@ val call : t -> Symbol.t -> Term.t array -> Tuple.t Seq.t
 
 val consult : t -> string -> (Ast.literal list * query_result) list
 (** Load program text: facts, modules, clauses; queries are evaluated
-    and their results returned in order.
+    and their results returned in order.  Each module's indexes are
+    chosen as it loads; the interactive module's once, after the last
+    item.
     @raise Engine_error on parse or load errors. *)
 
 val consult_file : t -> string -> (Ast.literal list * query_result) list
@@ -214,13 +222,23 @@ val snapshot : t -> view option
     the current rule state.  [None] when some relation has no lock-free
     view (persistent relations, module-call relations): reads must then
     fall back to the locked lane.  Call only while holding the writer
-    lane — the freeze must not race inserts. *)
+    lane — the freeze must not race inserts.  Index requests forwarded
+    by earlier views are applied to the live relations first, so the
+    new view carries them. *)
 
 val read_view : view -> t
 (** A per-request engine over the view.  Reads are lock-free against
     the live engine; the update predicates [assert/1] and [retract/1]
     raise {!Engine_error} (mutations go through the write lane), and
-    save-module instances are per-request rather than cached. *)
+    save-module instances are per-request rather than cached.  A
+    compile that asks a frozen relation for an index it lacks builds
+    nothing: the request is queued for the next {!snapshot} (see
+    {!index_requests_pending}). *)
+
+val index_requests_pending : t -> bool
+(** True when read views of this engine queued index requests that no
+    {!snapshot} has applied yet.  The serving layer then commits once
+    with no data change, so the next epoch carries the indexes. *)
 
 val plan_cache_stats : t -> int * int
 (** [(hits, misses)] of the engine's plan cache: how many query-form

@@ -473,6 +473,7 @@ let round_bsn_par t pool versions =
   let ntasks = nver * lanes in
   let buffers = Array.make ntasks [||] in
   let counts = Array.init ntasks (fun _ -> Array.make nslots 0) in
+  let visited = Array.init ntasks (fun _ -> ref 0) in
   let lane_before = Array.init lanes (Par_pool.lane_tasks pool) in
   let apply ~lane:_ ~task =
     let rule, d = varr.(task / lanes) in
@@ -482,7 +483,7 @@ let round_bsn_par t pool versions =
        check without sharing a countdown cell *)
     let budget = ref tick_interval in
     Joiner.run ~rels:t.ms.rels ~range:(bsn_range rule d msnap) ~backjump:t.backjump
-      ~stripe:(d, stripe_lane, lanes) ~scan_counts:counts.(task) rule
+      ~stripe:(d, stripe_lane, lanes) ~scan_counts:counts.(task) ~visited:visited.(task) rule
       ~on_match:(fun env ->
         (match t.cancel with
         | None -> ()
@@ -543,12 +544,14 @@ let round_bsn_par t pool versions =
     done
   done;
   (* flush worker-side stats so counters match a sequential run's
-     accounting discipline (scans opened, duplicates rejected) *)
+     accounting discipline (scans opened, tuples visited, duplicates
+     rejected) *)
   for task = 0 to ntasks - 1 do
     let c = counts.(task) in
     for s = 0 to nslots - 1 do
       if c.(s) > 0 then Relation.note_scans t.ms.rels.(s) c.(s)
-    done
+    done;
+    Relation.note_visited !(visited.(task))
   done;
   let dropped = ref 0 in
   for p = 0 to lanes - 1 do

@@ -10,8 +10,8 @@ open Module_struct
    [i]). *)
 let continue_code = max_int
 
-let run ~rels ~range ?(backjump = true) ?stripe ?scan_counts ?witness ?prof (rule : crule)
-    ~on_match =
+let run ~rels ~range ?(backjump = true) ?stripe ?scan_counts ?visited ?witness ?prof
+    (rule : crule) ~on_match =
   let n = Array.length rule.body in
   let env = Bindenv.create (max rule.nvars 1) in
   let tr = Trail.create () in
@@ -48,6 +48,16 @@ let run ~rels ~range ?(backjump = true) ?stripe ?scan_counts ?witness ?prof (rul
   let note_tuple () =
     match prof with
     | Some (p : rule_prof) -> p.rp_tuples <- p.rp_tuples + 1
+    | None -> ()
+  in
+  (* candidates scans handed this application, credited once at the end *)
+  let seen = ref 0 in
+  let flush () =
+    (match visited with
+    | Some cell -> cell := !cell + !seen
+    | None -> Relation.note_visited !seen);
+    match prof with
+    | Some p -> p.rp_visited <- p.rp_visited + !seen
     | None -> ()
   in
   let rec eval i =
@@ -106,6 +116,7 @@ let run ~rels ~range ?(backjump = true) ?stripe ?scan_counts ?witness ?prof (rul
     | Seq.Nil -> if matched then i - 1 else backtrack i
     | Seq.Cons ((tuple : Tuple.t), rest) ->
       note_tuple ();
+      incr seen;
       let m = Trail.mark tr in
       let tenv =
         if tuple.Tuple.nvars = 0 then Bindenv.empty else Bindenv.create tuple.Tuple.nvars
@@ -143,6 +154,7 @@ let run ~rels ~range ?(backjump = true) ?stripe ?scan_counts ?witness ?prof (rul
     match seq () with
     | Seq.Nil -> false
     | Seq.Cons ((tuple : Tuple.t), rest) ->
+      incr seen;
       let m = Trail.mark tr in
       let tenv =
         if tuple.Tuple.nvars = 0 then Bindenv.empty else Bindenv.create tuple.Tuple.nvars
@@ -162,7 +174,11 @@ let run ~rels ~range ?(backjump = true) ?stripe ?scan_counts ?witness ?prof (rul
       Trail.undo_to tr m;
       hit || matches_any_row args rest
   in
-  ignore (eval 0)
+  match eval 0 with
+  | _ -> flush ()
+  | exception e ->
+    flush ();
+    raise e
 
 let full_range ~op_index:_ ~slot:_ ~local:_ = 0, -1
 

@@ -18,6 +18,7 @@ val run :
   ?backjump:bool ->
   ?stripe:int * int * int ->
   ?scan_counts:int array ->
+  ?visited:int ref ->
   ?witness:(int * Tuple.t) list ref ->
   ?prof:Module_struct.rule_prof ->
   Module_struct.crule ->
@@ -43,6 +44,12 @@ val run :
     lane with disjoint stripes of the delta scan.  [scan_counts], when
     supplied, receives per-slot scan counts instead of the shared
     relation stats (parallel workers must not touch those).
+
+    Every candidate tuple a scan or negation check hands the join is
+    counted in a local and credited once, when the run ends, to
+    [visited] when supplied (a parallel worker's task-local cell) and
+    otherwise to {!Relation.note_visited}; with [prof] also to its
+    [rp_visited].
     @raise Builtin.Eval_error on arithmetic/comparison misuse. *)
 
 val full_range : op_index:int -> slot:int -> local:bool -> int * int

@@ -17,23 +17,27 @@ type op =
    profiling on (explain analyze).  Attempts count successful body
    matches (head derivation attempts); derived/dups split them by
    whether the head insert found a new fact; tuples counts candidate
-   tuples enumerated across the rule's joins. *)
+   tuples enumerated across the rule's joins (foreign answer rows
+   included); visited counts what scans and negation checks handed
+   them, the engine's tuples-visited measure. *)
 type rule_prof = {
   mutable rp_attempts : int;
   mutable rp_derived : int;
   mutable rp_dups : int;
   mutable rp_tuples : int;
+  mutable rp_visited : int;
   mutable rp_time_ns : int;
 }
 
 let fresh_prof () =
-  { rp_attempts = 0; rp_derived = 0; rp_dups = 0; rp_tuples = 0; rp_time_ns = 0 }
+  { rp_attempts = 0; rp_derived = 0; rp_dups = 0; rp_tuples = 0; rp_visited = 0; rp_time_ns = 0 }
 
 let reset_prof p =
   p.rp_attempts <- 0;
   p.rp_derived <- 0;
   p.rp_dups <- 0;
   p.rp_tuples <- 0;
+  p.rp_visited <- 0;
   p.rp_time_ns <- 0
 
 type crule = {
@@ -113,28 +117,32 @@ let compute_backtrack body =
       find (i - 1))
     body
 
-(* Index selection (paper section 4.2): walking a body left to right
-   under SIP, a literal over a stored relation gets an argument-form
-   index on the positions that arrive bound (ground or bound by an
-   earlier binder), unless it arrives fully bound or fully free.  Every
-   compiled rule gets its indexes here, whoever compiles it. *)
-let auto_indexes rels body =
+(* Index selection (paper section 4.2): walking a body in join order
+   under SIP, a literal gets an argument-form index on the positions
+   that arrive bound (ground or bound by an earlier binder), unless it
+   arrives fully bound or fully free.  [choose j atom spec] receives
+   each choice with the literal's join position.  This is the one walk:
+   the compiler installs its choices on the slots it resolved, and the
+   engine records those on stored predicates when it loads a module. *)
+let sip_walk lits choose =
   let bound = Hashtbl.create 16 in
-  Array.iter
-    (fun op ->
-      (match op with
-      | Scan { slot; args; _ } | Negcheck { slot; args } ->
-        let cols =
-          Array.to_list args
-          |> List.mapi (fun i arg ->
-                 if List.for_all (Hashtbl.mem bound) (vids_of [ arg ]) then Some i else None)
-          |> List.filter_map Fun.id
-        in
-        if cols <> [] && List.length cols < Array.length args then
-          Relation.add_index rels.(slot) (Index.Args cols)
-      | Foreign _ | Negforeign _ | Compare _ | Assign _ -> ());
-      List.iter (fun v -> Hashtbl.replace bound v ()) (binds_vars op))
-    body
+  let arrives_bound arg = List.for_all (Hashtbl.mem bound) (vids_of [ arg ]) in
+  List.iteri
+    (fun j lit ->
+      (match (lit : Ast.literal) with
+      | Ast.Pos a | Ast.Neg a ->
+        let n = Array.length a.Ast.args in
+        let cols = List.filter (fun i -> arrives_bound a.Ast.args.(i)) (List.init n Fun.id) in
+        if cols <> [] && List.length cols < n then choose j a (Index.Args cols)
+      | Ast.Cmp _ | Ast.Is _ -> ());
+      let binders =
+        match lit with
+        | Ast.Pos a -> vids_of (Array.to_list a.Ast.args)
+        | Ast.Is (t1, t2) -> vids_of [ t1; t2 ]
+        | Ast.Neg _ | Ast.Cmp _ -> []
+      in
+      List.iter (fun v -> Hashtbl.replace bound v ()) binders)
+    lits
 
 type target =
   | Slot of int
@@ -199,7 +207,10 @@ let compile_rule_with ~rels ~local ~target ?delta (r : Ast.rule) =
       r.Ast.head.Ast.hargs;
     List.rev !plains, List.rev !aggs
   in
-  auto_indexes rels body;
+  sip_walk lits (fun j _ spec ->
+      match body.(j) with
+      | Scan { slot; _ } | Negcheck { slot; _ } -> Relation.add_index rels.(slot) spec
+      | Foreign _ | Negforeign _ | Compare _ | Assign _ -> ());
   { head_slot =
       (match target head_atom.Ast.pred (Array.length head_args) with
       | Slot s -> s
@@ -244,11 +255,31 @@ let path_of_var pattern (v : Term.var) =
   in
   try_positions 0
 
+(* The pattern-form index a [@make_index] annotation asks for, if any
+   of its keys names a position of the pattern. *)
+let make_index_spec pattern keys =
+  let paths =
+    List.filter_map
+      (fun key ->
+        match (key : Term.t) with
+        | Term.Var v -> path_of_var pattern v
+        | _ -> None)
+      keys
+  in
+  if paths = [] then None else Some (Index.Paths paths)
+
+(* A plan's own relations: rule heads and rewrite-generated predicates
+   (the seed included); everything else is resolved by the caller. *)
+let is_local_of (plan : Optimizer.plan) =
+  let heads : unit Symbol.Tbl.t = Symbol.Tbl.create 32 in
+  List.iter
+    (fun (r : Ast.rule) -> Symbol.Tbl.replace heads r.Ast.head.Ast.hpred ())
+    plan.Optimizer.prules;
+  fun pred -> Symbol.Tbl.mem heads pred || is_generated pred
+
 let compile ~resolve (plan : Optimizer.plan) =
   let rules = plan.Optimizer.prules in
   let arities = atom_arities rules in
-  let heads : unit Symbol.Tbl.t = Symbol.Tbl.create 32 in
-  List.iter (fun (r : Ast.rule) -> Symbol.Tbl.replace heads r.Ast.head.Ast.hpred ()) rules;
   (* seed predicate may have no rules but is local state *)
   (match plan.Optimizer.seed with
   | Some s ->
@@ -256,7 +287,7 @@ let compile ~resolve (plan : Optimizer.plan) =
       Symbol.Tbl.add arities s.Optimizer.seed_pred
         (if s.Optimizer.goal_id then 1 else List.length s.Optimizer.seed_positions)
   | None -> ());
-  let is_local pred = Symbol.Tbl.mem heads pred || is_generated pred in
+  let is_local = is_local_of plan in
   (* assign slots *)
   let slot_of : int Symbol.Tbl.t = Symbol.Tbl.create 32 in
   let rels = ref [] and locals = ref [] and nslots = ref 0 in
@@ -320,21 +351,15 @@ let compile ~resolve (plan : Optimizer.plan) =
             end)
           slot_of
       | Ast.Ann_make_index { idx_pred; pattern; keys } ->
-        let paths =
-          List.filter_map
-            (fun key ->
-              match (key : Term.t) with
-              | Term.Var v -> path_of_var pattern v
-              | _ -> None)
-            keys
-        in
-        if paths <> [] then
-          Symbol.Tbl.iter
-            (fun pred s ->
-              if Symbol.equal (source_of pred) idx_pred
-                 && rels.(s).Relation.arity = Array.length pattern
-              then Relation.add_index rels.(s) (Index.Paths paths))
-            slot_of
+        Option.iter
+          (fun spec ->
+            Symbol.Tbl.iter
+              (fun pred s ->
+                if Symbol.equal (source_of pred) idx_pred
+                   && rels.(s).Relation.arity = Array.length pattern
+                then Relation.add_index rels.(s) spec)
+              slot_of)
+          (make_index_spec pattern keys)
       | Ast.Ann_materialized | Ast.Ann_pipelined | Ast.Ann_save_module | Ast.Ann_lazy_eval
       | Ast.Ann_rewriting _ | Ast.Ann_fixpoint _ | Ast.Ann_no_existential | Ast.Ann_sip _ ->
         ())
@@ -378,6 +403,27 @@ let compile ~resolve (plan : Optimizer.plan) =
     | None -> -1
   in
   { rels; slot_of; strata; answer_slot; seed_slot; plan; local }
+
+(* In [compile]'s order, which is the order probes try the stores:
+   declared indexes first, then the SIP choices. *)
+let plan_indexes (plan : Optimizer.plan) =
+  let is_local = is_local_of plan in
+  let chosen = ref [] in
+  List.iter
+    (function
+      | Ast.Ann_make_index { idx_pred; pattern; keys } when not (is_local idx_pred) ->
+        Option.iter
+          (fun spec -> chosen := (idx_pred, Array.length pattern, spec) :: !chosen)
+          (make_index_spec pattern keys)
+      | _ -> ())
+    plan.Optimizer.annotations;
+  List.iter
+    (fun (r : Ast.rule) ->
+      sip_walk r.Ast.body (fun _ (a : Ast.atom) spec ->
+          if not (is_local a.Ast.pred) then
+            chosen := (a.Ast.pred, Array.length a.Ast.args, spec) :: !chosen))
+    plan.Optimizer.prules;
+  List.rev !chosen
 
 let slot t pred = Symbol.Tbl.find_opt t.slot_of pred
 let relation t pred = Option.map (fun s -> t.rels.(s)) (slot t pred)

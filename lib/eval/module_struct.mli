@@ -39,12 +39,16 @@ type op =
 (** Per-rule evaluation profile, filled when a fixpoint runs with
     profiling on (explain analyze): successful body matches, the
     derived/duplicate split of the resulting head inserts, candidate
-    tuples enumerated across the rule's joins, and evaluation time. *)
+    tuples enumerated across the rule's joins (foreign answer rows
+    included), the tuples its scans and negation checks handed the join
+    (the rule's share of {!Coral_rel.Relation.tuples_visited}), and
+    evaluation time. *)
 type rule_prof = {
   mutable rp_attempts : int;
   mutable rp_derived : int;
   mutable rp_dups : int;
   mutable rp_tuples : int;
+  mutable rp_visited : int;
   mutable rp_time_ns : int;
 }
 
@@ -116,6 +120,15 @@ val compile_rule :
 val compile : resolve:(Symbol.t -> int -> provider) -> Optimizer.plan -> t
 (** [resolve pred arity] supplies every predicate that is neither a rule
     head of the plan nor rewrite-generated ([#] in its name). *)
+
+val plan_indexes : Optimizer.plan -> (Symbol.t * int * Index.spec) list
+(** The indexes {!compile} would install on the relations [resolve]
+    supplies, without compiling, in the order it installs them (the
+    order probes try them): the pattern-form index of every
+    [@make_index] naming a predicate the plan does not own, then each
+    rule's SIP choices on such predicates, in join order.  Entries are
+    [(predicate, arity, spec)]; the engine keeps those on stored
+    predicates when it loads a module. *)
 
 val slot : t -> Symbol.t -> int option
 val relation : t -> Symbol.t -> Relation.t option

@@ -287,7 +287,7 @@ let create ?(indexes = []) ~name ~arity () =
             in
             Seq.exists (fun ex -> Tuple.subsumes ex tuple) (f_scan ~pattern)
           in
-          Some { Relation.f_scan; f_mem; f_cardinal = st.live });
+          Some { Relation.f_scan; f_mem; f_cardinal = st.live; f_indexes = st.specs });
       i_clear =
         (fun () ->
           st.subs <- Array.make 4 dummy_sub;

@@ -89,7 +89,7 @@ let create ~name ~arity () =
           let f_mem tuple =
             Seq.exists (fun ex -> Tuple.subsumes ex tuple) (f_scan ~pattern:None)
           in
-          Some { Relation.f_scan; f_mem; f_cardinal = st.live });
+          Some { Relation.f_scan; f_mem; f_cardinal = st.live; f_indexes = [] });
       i_clear =
         (fun () ->
           st.intervals <- [ [] ];

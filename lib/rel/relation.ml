@@ -41,20 +41,26 @@ and frozen = {
   f_scan : pattern:(Term.t array * Bindenv.t) option -> Tuple.t Seq.t;
   f_mem : Tuple.t -> bool;
   f_cardinal : int;
+  f_indexes : Index.spec list;
 }
 
 (* Global work counters across every relation: the benchmark harness
-   reads these as machine-independent measures of evaluation work. *)
+   reads these as machine-independent measures of evaluation work.
+   Tuples visited are the candidates scans hand a join, credited by
+   the join kernel once per rule application. *)
 let g_inserts = ref 0
 let g_duplicates = ref 0
 let g_scans = ref 0
+let g_visited = ref 0
 
 let global_stats () = !g_inserts, !g_duplicates, !g_scans
+let tuples_visited () = !g_visited
 
 let reset_global_stats () =
   g_inserts := 0;
   g_duplicates := 0;
-  g_scans := 0
+  g_scans := 0;
+  g_visited := 0
 
 let v ~name ~arity impl =
   { name;
@@ -111,6 +117,8 @@ let note_duplicates r n =
   r.stats.duplicates <- r.stats.duplicates + n;
   g_duplicates := !g_duplicates + n
 
+let note_visited n = g_visited := !g_visited + n
+
 let mem r tuple = r.impl.i_mem tuple
 
 let to_list r = List.of_seq (scan r ())
@@ -123,8 +131,10 @@ let clear r = r.impl.i_clear ()
    persistent relations (no marks; a delta scan from a positive mark is
    empty), which is the established contract for base relations that
    cannot be incrementally delta-scanned.  Writes raise: the snapshot
-   layer routes every mutation through the live master relation. *)
-let freeze r =
+   layer routes every mutation through the live master relation.  The
+   view reports the index specs its captured stores carry; asking it
+   for one they lack hands the spec to [on_miss] and changes nothing. *)
+let freeze ?on_miss r =
   match r.impl.i_freeze () with
   | None -> None
   | Some fz ->
@@ -138,8 +148,11 @@ let freeze r =
         i_mark = (fun () -> 0);
         i_marks = (fun () -> 0);
         i_cardinal = (fun () -> fz.f_cardinal);
-        i_add_index = (fun _ -> ());
-        i_indexes = (fun () -> []);
+        i_add_index =
+          (fun spec ->
+            if not (List.exists (Index.spec_equal spec) fz.f_indexes) then
+              Option.iter (fun forward -> forward spec) on_miss);
+        i_indexes = (fun () -> fz.f_indexes);
         i_scan =
           (fun ~from_mark ~to_mark:_ ~pattern ->
             if from_mark > 0 then Seq.empty else fz.f_scan ~pattern);

@@ -73,6 +73,7 @@ and frozen = {
   f_scan : pattern:(Term.t array * Bindenv.t) option -> Tuple.t Seq.t;
   f_mem : Tuple.t -> bool;
   f_cardinal : int;
+  f_indexes : Index.spec list;  (** the specs the captured index stores cover *)
 }
 
 and stats = {
@@ -133,7 +134,11 @@ val note_scans : t -> int -> unit
 val note_duplicates : t -> int -> unit
 (** Credit [n] duplicate rejections likewise. *)
 
-val freeze : t -> t option
+val note_visited : int -> unit
+(** Credit [n] tuples visited to the global counter (see
+    {!tuples_visited}). *)
+
+val freeze : ?on_miss:(Index.spec -> unit) -> t -> t option
 (** An immutable, read-only view of this relation's current sealed
     contents, wrapped back into the uniform interface: scans (index
     probes included) see exactly the tuples present at freeze time and
@@ -142,7 +147,13 @@ val freeze : t -> t option
     are empty).  [None] when the implementation cannot snapshot.  The
     caller must hold the write lane: [freeze] seals the open subsidiary
     first, and captured state is safe to publish to other domains only
-    through an atomic (see {!Coral_storage.Snapshot} in lib/storage). *)
+    through an atomic (see {!Coral_storage.Snapshot} in lib/storage).
+
+    The view's {!indexes} are the specs its captured stores carry.
+    {!add_index} never builds an index on a view: a spec the view does
+    not carry is passed to [on_miss] (the engine forwards it to the
+    write lane, so a later freeze carries it), and is otherwise
+    ignored. *)
 
 val to_list : t -> Tuple.t list
 val add_index : t -> Index.spec -> unit
@@ -154,5 +165,11 @@ val global_stats : unit -> int * int * int
 (** Work counters summed over every relation since the last reset:
     (accepted inserts, rejected duplicates, scans opened) — the
     machine-independent work measures reported by the benchmarks. *)
+
+val tuples_visited : unit -> int
+(** Candidate tuples that scans handed a join (index probe results or
+    whole-relation scans), summed over every rule application since the
+    last reset: what [scans], which counts openings, cannot show — an
+    unindexed probe visits the whole relation. *)
 
 val reset_global_stats : unit -> unit

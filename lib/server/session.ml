@@ -115,6 +115,10 @@ let locked store f =
 
 let snapshot_epoch store = Snapshot.epoch store.snap
 
+let published_view store =
+  let version = Snapshot.pin store.snap in
+  Fun.protect ~finally:(fun () -> Snapshot.release version) (fun () -> Snapshot.view version)
+
 (* ------------------------------------------------------------------ *)
 (* Degraded (read-only) mode                                           *)
 (* ------------------------------------------------------------------ *)
@@ -487,6 +491,16 @@ let wrap_write ?(invalidate = false) store g =
     degrade_on_write_fault store e;
     raise e
 
+(* A snapshot-lane read whose compile asked frozen relations for
+   indexes they lack queued those specs on the engine (DESIGN.md §11).
+   One write-lane commit with no data change applies them and
+   publishes an epoch that carries them.  Views do not re-queue what
+   they carry, so a steady workload commits nothing more; a degraded
+   store keeps serving reads without them. *)
+let forward_index_requests store =
+  if Coral.Engine.index_requests_pending (Coral.engine store.sdb) && not (is_degraded store)
+  then try wrap_write store ignore with Degraded _ -> ()
+
 (* The write lane for non-protocol callers (the dist worker mutates
    relations during barrier steps): same commit tail as a consult, so
    MVCC readers observe distributed promotions as ordinary epochs. *)
@@ -534,8 +548,11 @@ let do_query t text =
     | Ok ((lits, _) as prepared) ->
       if mutating_lits lits then run ~dbv:store.sdb ~wrap:(wrap_write store) prepared
       else begin
-        try run ~dbv:rdb ~wrap:Exec_pool.run prepared
-        with e when read_only_violation e ->
+        match run ~dbv:rdb ~wrap:Exec_pool.run prepared with
+        | r ->
+          forward_index_requests store;
+          r
+        | exception e when read_only_violation e ->
           (* an update predicate fired inside a module rule: replay on
              the write lane (the read view mutated nothing) *)
           run ~dbv:store.sdb ~wrap:(wrap_write store) prepared
@@ -708,8 +725,11 @@ let do_report t ~kind run text =
   | None -> eval ~dbv:store.sdb ~wrap:(locked store)
   | Some view -> begin
     let rdb = Coral.of_engine (Coral.Engine.read_view view) in
-    try eval ~dbv:rdb ~wrap:Exec_pool.run
-    with e when read_only_violation e -> eval ~dbv:store.sdb ~wrap:(wrap_write store)
+    match eval ~dbv:rdb ~wrap:Exec_pool.run with
+    | r ->
+      forward_index_requests store;
+      r
+    | exception e when read_only_violation e -> eval ~dbv:store.sdb ~wrap:(wrap_write store)
   end
 
 let do_why t text =
@@ -772,7 +792,8 @@ let do_stats t =
       Printf.sprintf "maintenance.fallback_updates=%d" (Atomic.get store.maint_fallback);
       Printf.sprintf "engine.derivations=%d" derivations;
       Printf.sprintf "engine.duplicates=%d" duplicates;
-      Printf.sprintf "engine.scans=%d" scans
+      Printf.sprintf "engine.scans=%d" scans;
+      Printf.sprintf "engine.tuples_visited=%d" (Coral.Relation.tuples_visited ())
     ]
   in
   (* ... the spaced forms below are legacy aliases, kept one release *)
@@ -952,6 +973,8 @@ let metrics_text store =
   Obs.prometheus_sample buf ~kind:"counter" "engine.derivations" derivations;
   Obs.prometheus_sample buf ~kind:"counter" "engine.duplicates" duplicates;
   Obs.prometheus_sample buf ~kind:"counter" "engine.scans" scans;
+  Obs.prometheus_sample buf ~kind:"counter" "engine.tuples_visited"
+    (Coral.Relation.tuples_visited ());
   (* incremental view maintenance (the coral_maintenance_ family):
      update volume and the delta-propagation work it caused *)
   Obs.prometheus_sample buf ~kind:"gauge" "maintenance.enabled"

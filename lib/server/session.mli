@@ -69,6 +69,11 @@ val snapshot_epoch : store -> int
 (** The currently published snapshot epoch (starts at 1; every
     committed mutation advances it). *)
 
+val published_view : store -> Coral.Engine.view option
+(** The currently published epoch's view ([None] when reads use the
+    locked lane); build a reader over it with
+    {!Coral.Engine.read_view}. *)
+
 val admission : store -> Admission.t
 (** The store's admission gate (the accept loop uses it to enforce the
     connection cap and count sheds). *)

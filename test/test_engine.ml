@@ -297,6 +297,75 @@ let test_user_clauses_and_queries () =
   check e "likes(bob, X)" [ [ "beer" ]; [ "wine" ] ]
 
 (* ------------------------------------------------------------------ *)
+(* Index choice at module load (paper sections 4.2, 5.5.1)            *)
+(* ------------------------------------------------------------------ *)
+
+let right_linear_paths =
+  "module paths.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
+   path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module."
+
+(* A 32-node ring with chords. *)
+let ring_facts =
+  List.init 32 (fun i ->
+      Printf.sprintf "edge(%d, %d). edge(%d, %d)." i ((i + 1) mod 32) i ((i * 7 + 3) mod 32))
+  |> String.concat "\n"
+
+(* Tuples the joins visited while [f] ran, with its result. *)
+let visiting f =
+  let v0 = Coral.Relation.tuples_visited () in
+  let r = f () in
+  r, Coral.Relation.tuples_visited () - v0
+
+let frozen_indexes view name arity =
+  match Coral.Engine.relation_of (Coral.Engine.read_view view) (Symbol.intern name) arity with
+  | Some rel -> Coral.Relation.indexes rel
+  | None -> Alcotest.failf "no frozen %s/%d" name arity
+
+let carries spec specs = List.exists (Coral.Index.spec_equal spec) specs
+
+(* Consulting the program before its facts, then reading through a
+   snapshot the live engine never ran: the view probes the index the
+   module load chose, so it visits exactly what the live engine does. *)
+let test_view_probes_load_time_index () =
+  let e = setup right_linear_paths in
+  Coral.consult_text e ring_facts;
+  let view = Option.get (Coral.Engine.snapshot (Coral.engine e)) in
+  let reader = Coral.of_engine (Coral.Engine.read_view view) in
+  let from_view, view_visits = visiting (fun () -> rows reader "path(5, Y)") in
+  let from_live, live_visits = visiting (fun () -> rows e "path(5, Y)") in
+  Alcotest.(check (list (list string))) "same answers" from_live from_view;
+  Alcotest.(check int) "every node reachable" 32 (List.length from_view);
+  Alcotest.(check int) "view visits what the live engine visits" live_visits view_visits;
+  Alcotest.(check bool) "frozen edge reports args(0)" true
+    (carries (Coral.Index.Args [ 0 ]) (frozen_indexes view "edge" 2))
+
+(* One name, many cities: the name index alone is unselective, so the
+   declared pattern index must be the one probes try first. *)
+let test_view_reports_pattern_index () =
+  let e =
+    setup
+      ("module e.\nexport find(bbf).\n\
+        @make_index emp(Name, addr(Street, City)) (Name, City).\n\
+        find(N, C, S) :- emp(N, addr(S, C)).\nend_module.\n"
+      ^ String.concat " "
+          (List.init 10 (fun i -> Printf.sprintf "emp(ann, addr(s%d, c%d))." i i)))
+  in
+  let view = Option.get (Coral.Engine.snapshot (Coral.engine e)) in
+  Alcotest.(check bool) "frozen emp reports the pattern index" true
+    (carries (Coral.Index.Paths [ [ 0 ]; [ 1; 1 ] ]) (frozen_indexes view "emp" 2));
+  let found, visits =
+    visiting (fun () -> rows (Coral.of_engine (Coral.Engine.read_view view)) "find(ann, c3, S)")
+  in
+  Alcotest.(check (list (list string))) "answer" [ [ "s3" ] ] found;
+  (* the name index alone would hand the join all ten emp tuples *)
+  Alcotest.(check bool) "probed by the pattern index" true (visits < 10)
+
+let test_module_load_creates_no_relation () =
+  let e = setup right_linear_paths in
+  Alcotest.(check (list (pair string int))) "no base relation" []
+    (Coral.Engine.list_relations (Coral.engine e))
+
+(* ------------------------------------------------------------------ *)
 (* Abstract data types through the facade                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -356,5 +425,12 @@ let () =
           Alcotest.test_case "foreign predicates" `Quick test_define_predicate;
           Alcotest.test_case "interactive clauses" `Quick test_user_clauses_and_queries
         ] );
-      ("extensibility", [ Alcotest.test_case "opaque values" `Quick test_opaque_values ])
+      ("extensibility", [ Alcotest.test_case "opaque values" `Quick test_opaque_values ]);
+      ( "index choice",
+        [ Alcotest.test_case "view probes load-time index" `Quick
+            test_view_probes_load_time_index;
+          Alcotest.test_case "view reports pattern index" `Quick test_view_reports_pattern_index;
+          Alcotest.test_case "module load creates no relation" `Quick
+            test_module_load_creates_no_relation
+        ] )
     ]

@@ -271,6 +271,13 @@ let test_explain_analyze_wire () =
   (match List.find_opt (fun l -> String.starts_with ~prefix:"answers:" l) lines with
   | Some l -> check_prefix "answer count" "answers: 6 matching of 6 stored" l
   | None -> Alcotest.fail "no answers line");
+  (* tuples visited, by hand: the exit rule scans the 3 edges; each of
+     the 3 recursive rounds scans them again and probes the tc delta by
+     Z, finding (2,3) and (3,4) in round 1, (2,4) in round 2, nothing in
+     round 3: 3 + 5 + 4 + 3 *)
+  (match List.find_opt (fun l -> String.starts_with ~prefix:"tuples_visited:" l) lines with
+  | Some l -> Alcotest.(check string) "tuples visited" "tuples_visited: 15" l
+  | None -> Alcotest.fail "no tuples_visited line");
   (* running it again must reset the profile, not accumulate: the plan
      (and compiled module) is reused from the cache *)
   let lines2, status = request c "explain analyze tc(X, Y)" in
@@ -310,6 +317,8 @@ let test_metrics_wire () =
     (contains "# TYPE coral_server_query_seconds histogram" text);
   Alcotest.(check bool) "engine counters ride along" true
     (contains "coral_engine_derivations" text);
+  Alcotest.(check bool) "tuples visited rides along" true
+    (contains "coral_engine_tuples_visited" text);
   Alcotest.(check bool) "build info with version and ocaml labels" true
     (contains "coral_build_info{version=" text && contains "ocaml=" text);
   Alcotest.(check bool) "process start time gauge" true
@@ -1336,6 +1345,83 @@ let test_snapshot_epoch () =
     (stats_value s "snapshot.pinned")
 
 (* ps on a running query shows the epoch it pinned (the snapshot lane). *)
+(* A bound query on an interactive-module rule is a form no export
+   names, so no module load chose its index.  The first snapshot read
+   scans, and forwards the index its compile asked for; one commit
+   with no data change publishes an epoch that carries it, and the
+   second read visits what a live engine visits. *)
+let test_read_forwards_index_misses () =
+  let program =
+    "reach(X, Y) :- link(X, Y).\nreach(X, Y) :- link(X, Z), reach(Z, Y).\n"
+    ^ String.concat " "
+        (List.init 24 (fun i ->
+             Printf.sprintf "link(%d, %d). link(%d, %d)." i ((i + 1) mod 24) i ((i * 5 + 2) mod 24)))
+  in
+  let query = "reach(3, Y)" in
+  let visiting f =
+    let v0 = Coral.Relation.tuples_visited () in
+    let r = f () in
+    r, Coral.Relation.tuples_visited () - v0
+  in
+  let live = Coral.create () in
+  Coral.consult_text live program;
+  let live_rows, live_visits = visiting (fun () -> Coral.query_rows live query) in
+  let store = Session.make_store (Coral.create ()) in
+  let s = Session.create store in
+  let answers r =
+    match r.Protocol.status with
+    | Ok _ -> List.length r.Protocol.payload
+    | Error (c, m) -> Alcotest.fail (Protocol.code_string c ^ ": " ^ m)
+  in
+  ignore (answers (Session.handle s (Protocol.Consult program)));
+  let link_indexes () =
+    let view = Option.get (Session.published_view store) in
+    match
+      Coral.Engine.relation_of (Coral.Engine.read_view view) (Coral.Symbol.intern "link") 2
+    with
+    | Some rel -> Coral.Relation.indexes rel
+    | None -> Alcotest.fail "no frozen link/2"
+  in
+  let args0 = List.exists (Coral.Index.spec_equal (Coral.Index.Args [ 0 ])) in
+  Alcotest.(check bool) "not chosen at load" false (args0 (link_indexes ()));
+  let e0 = Session.snapshot_epoch store in
+  let first, _ = visiting (fun () -> answers (Session.handle s (Protocol.Query query))) in
+  Alcotest.(check int) "first read answers" (List.length live_rows) first;
+  Alcotest.(check bool) "an epoch was published" true (Session.snapshot_epoch store > e0);
+  Alcotest.(check bool) "the published link carries args(0)" true (args0 (link_indexes ()));
+  let e1 = Session.snapshot_epoch store in
+  let second, visits = visiting (fun () -> answers (Session.handle s (Protocol.Query query))) in
+  Alcotest.(check int) "second read answers" (List.length live_rows) second;
+  Alcotest.(check int) "second read visits what the live engine visits" live_visits visits;
+  Alcotest.(check bool) "stats reports the counter" true
+    (match stats_value s "engine.tuples_visited" with Some n -> n >= visits | None -> false);
+  Alcotest.(check int) "a steady read commits nothing" e1 (Session.snapshot_epoch store)
+
+(* A stored relation that cannot carry indexes (the list relation) is
+   forwarded once: the forwarded spec is wanted from then on, so later
+   views do not ask again and steady reads commit nothing. *)
+let test_unindexable_forwards_once () =
+  let db = Coral.create () in
+  Coral.install_relation db "link" (Coral.List_relation.create ~name:"link" ~arity:2 ());
+  let store = Session.make_store db in
+  let s = Session.create store in
+  let ok r =
+    match r.Protocol.status with
+    | Ok _ -> ()
+    | Error (c, m) -> Alcotest.fail (Protocol.code_string c ^ ": " ^ m)
+  in
+  ok
+    (Session.handle s
+       (Protocol.Consult
+          "reach(X, Y) :- link(X, Y). reach(X, Y) :- link(X, Z), reach(Z, Y). \
+           link(1, 2). link(2, 3). link(3, 1)."));
+  ok (Session.handle s (Protocol.Query "reach(1, Y)"));
+  let e1 = Session.snapshot_epoch store in
+  for _ = 1 to 3 do
+    ok (Session.handle s (Protocol.Query "reach(1, Y)"))
+  done;
+  Alcotest.(check int) "no commit per read" e1 (Session.snapshot_epoch store)
+
 let test_ps_shows_epoch () =
   let srv = start_server () in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
@@ -1762,6 +1848,9 @@ let () =
           Alcotest.test_case "reader/writer differential" `Quick test_snapshot_differential;
           Alcotest.test_case "concurrent stress" `Quick test_concurrent_stress;
           Alcotest.test_case "assert replays on write lane" `Quick
-            test_assert_replays_on_write_lane
+            test_assert_replays_on_write_lane;
+          Alcotest.test_case "reads forward index misses" `Quick test_read_forwards_index_misses;
+          Alcotest.test_case "unindexable relation forwards once" `Quick
+            test_unindexable_forwards_once
         ] )
     ]
