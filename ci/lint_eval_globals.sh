@@ -31,6 +31,10 @@
 # cluster state are per-instance records (one process may host a
 # whole in-process cluster — the tests and chaostest do), so ANY
 # module-level mutable state there crosses workers by construction.
+#
+# lib/rewrite gets the same no-allowlist policy: its program analyses
+# (Capability in particular) are called by the write lane, the router
+# and in-process workers at the same time.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -88,6 +92,18 @@ if [ -n "$dist_matches" ]; then
   echo "module-level state in lib/dist is shared across shards by" >&2
   echo "construction.  Move it into the Worker/Router/Exchange record" >&2
   echo "created by its constructor." >&2
+  status=1
+fi
+
+rewrite_matches=$(grep -nE '^let [a-zA-Z_0-9]+ *(:[^=]*)?= *(ref\b|Hashtbl\.create|Atomic\.make)' lib/rewrite/*.ml || true)
+
+if [ -n "$rewrite_matches" ]; then
+  echo "lint_eval_globals: new module-level mutable state in lib/rewrite:" >&2
+  echo "$rewrite_matches" >&2
+  echo >&2
+  echo "The rewriter and the program analyses run concurrently on the" >&2
+  echo "write lane, the router and in-process workers.  Allocate the" >&2
+  echo "state per call (or in the caller's record) instead." >&2
   status=1
 fi
 

@@ -1,26 +1,19 @@
-(* Distributability analysis: which programs the sharded fixpoint can
-   evaluate, and how each rule behaves.
+(* Distribution plan: the program as the sharded fixpoint runs it, and
+   how each rule behaves.  Which programs distribute is decided by
+   Capability (see capability.mli); this module only projects its
+   verdict.
 
-   The supported class is "linear" programs over a replicated EDB:
-   every base relation is replicated on all workers (and the router),
-   every derived (IDB) relation is hash-partitioned on a key argument,
-   and every rule has at most one IDB body literal.  Then a rule
-   application joins one partitioned delta tuple against replicated
-   relations, so it can run entirely on the shard owning that delta
-   tuple, and only the derived head tuples need shipping — the shape
-   of the paper's semi-naive rewriting with the delta occurrence
-   pushed across a process boundary.
-
-   Rules with no IDB body literal ([Init]) run on every shard against
-   the replicated EDB; each shard keeps only the head tuples it owns
-   and ships nothing (every peer derives its own partition of the same
-   tuples), which avoids N duplicate derivations crossing the wire.
-
-   Anything outside the class — non-linear recursion, negation or
-   aggregation over derived predicates, module annotations that change
-   evaluation — yields [Local]: the router falls back to single-node
-   evaluation on its own full replica, which is always correct, just
-   not scaled out. *)
+   Base relations are replicated on every worker (and the router) and
+   derived relations are hash-partitioned on a key argument.  A
+   [Linear] rule joins one partitioned delta tuple against replicated
+   relations, so it runs on the shard owning that tuple and only the
+   head tuples need shipping — the paper's semi-naive rewriting with
+   the delta occurrence pushed across a process boundary.  An [Init]
+   rule runs on every shard against the replicated EDB; each shard
+   keeps only the head tuples it owns and ships nothing, which avoids
+   N duplicate derivations crossing the wire.  A [Local] program is
+   evaluated by the router on its own full replica: always correct,
+   just not scaled out. *)
 
 open Coral
 
@@ -40,99 +33,29 @@ type verdict =
   | Distributable of analysis
   | Local of string  (* why the router must evaluate on its own replica *)
 
-let pred_of (a : Ast.atom) = Symbol.name a.Ast.pred, Array.length a.Ast.args
+module Capability = Coral_rewrite.Capability
 
-exception Not_distributable of string
-
-let check_rule idb (r : Ast.rule) =
-  let head_name = Symbol.name r.Ast.head.Ast.hpred in
-  if String.contains head_name '@' then
-    raise (Not_distributable (Printf.sprintf "reserved head predicate %s" head_name));
-  if not (Ast.head_is_plain r.Ast.head) then
-    raise
-      (Not_distributable
-         (Printf.sprintf "aggregation in the head of %s" head_name));
-  (* range restriction: every head variable must be bound by the body,
-     or the worker cannot rebuild head tuples from query rows *)
-  let body_vars =
-    List.concat_map (fun l -> List.concat_map Term.vars (Ast.literal_terms l)) r.Ast.body
-  in
-  List.iter
-    (fun (v : Term.var) ->
-      if not (List.exists (fun (bv : Term.var) -> bv.Term.vid = v.Term.vid) body_vars)
-      then
-        raise
-          (Not_distributable
-             (Printf.sprintf "unbound head variable %s in %s" v.Term.vname head_name)))
-    (List.concat_map Term.vars (Ast.head_terms r.Ast.head));
-  let idb_positions =
-    List.mapi
-      (fun i l ->
-        match l with
-        | Ast.Pos a ->
-          if String.contains (Symbol.name a.Ast.pred) '@' then
-            raise
-              (Not_distributable
-                 (Printf.sprintf "reserved body predicate %s" (Symbol.name a.Ast.pred)));
-          if List.mem (pred_of a) idb then Some i else None
-        | Ast.Neg a ->
-          if List.mem (pred_of a) idb then
-            raise
-              (Not_distributable
-                 (Printf.sprintf "negation over derived predicate %s"
-                    (Symbol.name a.Ast.pred)))
-          else None
-        | Ast.Cmp _ | Ast.Is _ -> None)
-      r.Ast.body
-    |> List.filter_map Fun.id
-  in
-  match idb_positions with
-  | [] -> { rule = r; cls = Init }
-  | [ i ] -> { rule = r; cls = Linear i }
-  | _ ->
-    raise
-      (Not_distributable
-         (Printf.sprintf "non-linear rule for %s (%d derived body literals)" head_name
-            (List.length idb_positions)))
-
-let check_module (m : Ast.module_) =
-  if m.Ast.annotations <> [] then
-    raise
-      (Not_distributable
-         (Printf.sprintf "module %s uses evaluation annotations" m.Ast.mname))
-
+(* The program distributes iff every predicate does; otherwise the
+   first reason in key order says why not. *)
 let analyse (modules : Ast.module_ list) (clauses : Ast.rule list) =
-  try
-    List.iter check_module modules;
-    let rules = List.concat_map (fun (m : Ast.module_) -> m.Ast.rules) modules @ clauses in
+  let a = Capability.analyse ~foreign:(fun _ _ -> false) modules clauses in
+  match List.find_opt (fun (p : Capability.pred) -> Result.is_error p.distributable) a.preds with
+  | Some { Capability.distributable = Error reason; _ } -> Local reason
+  | _ ->
     let idb =
-      List.sort_uniq compare
-        (List.map (fun (r : Ast.rule) -> pred_of (Ast.atom_of_head r.Ast.head)) rules)
+      List.map (fun (p : Capability.pred) -> Symbol.name p.sym, p.arity) a.preds
+      |> List.sort compare
     in
-    (* a predicate defined in two modules would merge two separately
-       scoped definitions into one global fixpoint *)
-    List.iter
-      (fun (name, arity) ->
-        let defined_in =
-          List.filter
-            (fun (m : Ast.module_) ->
-              List.exists
-                (fun (r : Ast.rule) -> pred_of (Ast.atom_of_head r.Ast.head) = (name, arity))
-                m.Ast.rules)
-            modules
-        in
-        if List.length defined_in > 1 then
-          raise
-            (Not_distributable
-               (Printf.sprintf "%s/%d is defined in %d modules" name arity
-                  (List.length defined_in))))
-      idb;
-    let drules = List.map (check_rule idb) rules in
+    let drules =
+      List.map
+        (fun (r : Capability.rule) ->
+          { rule = r.rule; cls = (match r.derived_at with [] -> Init | i :: _ -> Linear i) })
+        a.rules
+    in
     let text =
       String.concat "" (List.map (fun d -> Pretty.rule_to_string d.rule ^ "\n") drules)
     in
     Distributable { idb; drules; text }
-  with Not_distributable reason -> Local reason
 
 let analyse_engine eng =
   analyse (Engine.module_defs eng) (Engine.interactive_rules eng)

@@ -1,9 +1,7 @@
-(** Distributability analysis for the sharded fixpoint.
-
-    The supported class is "linear" programs: replicated base
-    relations, hash-partitioned derived relations, and at most one
-    derived body literal per rule.  Everything else yields [Local] and
-    the router evaluates on its own full replica instead. *)
+(** The distribution plan for the sharded fixpoint: a projection of
+    {!Coral_rewrite.Capability}'s distributable verdicts, which define
+    the supported class.  A program outside it yields [Local] and the
+    router evaluates on its own full replica instead. *)
 
 type rule_class =
   | Init  (** no derived body literal: run everywhere, keep owned heads *)
@@ -22,6 +20,8 @@ type verdict =
   | Local of string  (** why the router must evaluate locally *)
 
 val analyse : Coral.Ast.module_ list -> Coral.Ast.rule list -> verdict
+(** [Distributable] iff every predicate is; otherwise [Local] with the
+    first reason in "name/arity" key order. *)
 
 val analyse_engine : Coral.Engine.t -> verdict
 (** Analyse everything the engine has consulted so far. *)

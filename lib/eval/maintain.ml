@@ -1,6 +1,7 @@
 open Coral_term
 open Coral_lang
 open Coral_rel
+open Coral_rewrite
 
 (* Incremental view maintenance (see maintain.mli).  Every join is a
    compiled rule run through Joiner, the fixpoint's kernel: the
@@ -61,9 +62,6 @@ type t = {
   mutable refresh_count : int;
 }
 
-let pred_key pred arity = Symbol.name pred ^ "/" ^ string_of_int arity
-let atom_key (a : Ast.atom) = pred_key a.Ast.pred (Array.length a.Ast.args)
-
 let create src =
   { src;
     exts = Hashtbl.create 16;
@@ -80,204 +78,31 @@ let fallbacks t = t.bad
 let maintained_count t = Hashtbl.length t.exts
 let refreshes t = t.refresh_count
 
-let extent t pred arity = Hashtbl.find_opt t.exts (pred_key pred arity)
+let extent t pred arity = Hashtbl.find_opt t.exts (Capability.key_of pred arity)
 
 let extents t = Hashtbl.fold (fun k rel acc -> (k, rel) :: acc) t.exts []
 
-(* ------------------------------------------------------------------ *)
-(* Program analysis: the maintainable class                            *)
-(* ------------------------------------------------------------------ *)
-
-let head_key (r : Ast.rule) =
-  pred_key r.Ast.head.Ast.hpred (Array.length r.Ast.head.Ast.hargs)
-
-let var_ids terms = List.concat_map Term.vars terms |> List.map (fun (v : Term.var) -> v.Term.vid)
-
-(* One left-to-right pass over a rule body, tracking which variables
-   positive literals have bound.  Returns [Error reason] when the rule
-   falls outside the maintainable class. *)
-let check_rule_body ~recursive (r : Ast.rule) =
-  let bound = Hashtbl.create 16 in
-  let bind ids = List.iter (fun id -> Hashtbl.replace bound id ()) ids in
-  let all_bound ids = List.for_all (Hashtbl.mem bound) ids in
-  let rec go = function
-    | [] -> Ok ()
-    | Ast.Pos a :: rest ->
-      bind (var_ids (Array.to_list a.Ast.args));
-      go rest
-    | Ast.Neg a :: _ ->
-      Error (Printf.sprintf "negation over %s" (Symbol.name a.Ast.pred))
-    | Ast.Cmp (_, t1, t2) :: rest ->
-      if all_bound (var_ids [ t1; t2 ]) then go rest
-      else Error "comparison over variables not bound by positive literals"
-    | Ast.Is (t1, t2) :: rest ->
-      if not (all_bound (var_ids [ t2 ])) then
-        Error "assignment right-hand side not bound by positive literals"
-      else begin
-        let lhs = var_ids [ t1 ] in
-        let generates = not (all_bound lhs) in
-        if generates && recursive then
-          Error "value-generating assignment in a recursive rule"
-        else begin
-          bind lhs;
-          go rest
-        end
-      end
-  in
-  match go r.Ast.body with
-  | Error _ as e -> e
-  | Ok () ->
-    let head_vars = var_ids (Ast.head_terms r.Ast.head) in
-    if all_bound head_vars then Ok ()
-    else Error "head variable not bound by the body"
-
-(* The global rule soup: every module's rules plus the interactive
-   module's, tagged with the defining module's name. *)
-let all_rules t =
-  List.concat_map
-    (fun (m : Ast.module_) -> List.map (fun r -> m.Ast.mname, r) m.Ast.rules)
-    (t.src.src_modules ())
-  @ List.map (fun r -> "user", r) (t.src.src_user_rules ())
-
-(* Derived predicates in a recursive cycle: reachability over the
-   head -> body-derived-predicate graph. *)
-let recursive_keys rules derived =
-  let edges = Hashtbl.create 32 in
-  List.iter
-    (fun (_, (r : Ast.rule)) ->
-      let h = head_key r in
-      List.iter
-        (fun lit ->
-          match Ast.literal_atom lit with
-          | Some a when Hashtbl.mem derived (atom_key a) ->
-            Hashtbl.add edges h (atom_key a)
-          | _ -> ())
-        r.Ast.body)
-    rules;
-  let reachable_from start =
-    let seen = Hashtbl.create 16 in
-    let rec go k =
-      List.iter
-        (fun k' ->
-          if not (Hashtbl.mem seen k') then begin
-            Hashtbl.replace seen k' ();
-            go k'
-          end)
-        (Hashtbl.find_all edges k)
-    in
-    go start;
-    seen
-  in
-  Hashtbl.fold
-    (fun k _ acc -> if Hashtbl.mem (reachable_from k) k then k :: acc else acc)
-    derived []
-
-(* Analyse the current program: partition derived predicates into
-   maintained and fallback, and give each maintained one a fresh
-   extent. *)
+(* The maintained predicates are Capability's maintainable ones; each
+   gets a fresh extent, and the rest fall back to recompute. *)
 let analyse t =
-  let rules = all_rules t in
-  let derived = Hashtbl.create 32 in
-  List.iter
-    (fun (_, (r : Ast.rule)) ->
-      let h = r.Ast.head in
-      Hashtbl.replace derived (head_key r) (h.Ast.hpred, Array.length h.Ast.hargs))
-    rules;
-  let bad = Hashtbl.create 8 in
-  let mark k reason = if not (Hashtbl.mem bad k) then Hashtbl.add bad k reason in
-  (* a predicate defined in two modules merges two separately scoped
-     definitions into one extent — fall back (same rule as the
-     distribution planner) *)
-  Hashtbl.iter
-    (fun k _ ->
-      let defined_in =
-        List.filter_map (fun (mname, r) -> if head_key r = k then Some mname else None) rules
-        |> List.sort_uniq compare
-      in
-      if List.length defined_in > 1 then
-        mark k (Printf.sprintf "defined in %d modules" (List.length defined_in)))
-    derived;
-  (* module annotations that change evaluation semantics *)
-  List.iter
-    (fun (m : Ast.module_) ->
-      let pipelined = List.mem Ast.Ann_pipelined m.Ast.annotations in
-      if pipelined then
-        List.iter
-          (fun (r : Ast.rule) -> mark (head_key r) "pipelined module")
-          m.Ast.rules;
-      List.iter
-        (fun (ann : Ast.annotation) ->
-          match ann with
-          | Ast.Ann_multiset (p, n) -> mark (pred_key p n) "multiset predicate"
-          | Ast.Ann_aggregate_selection { sel_pred; pattern; _ } ->
-            mark (pred_key sel_pred (Array.length pattern)) "aggregate selection"
-          | _ -> ())
-        m.Ast.annotations)
-    (t.src.src_modules ());
-  let recursive =
-    let l = recursive_keys rules derived in
-    fun k -> List.mem k l
+  let a =
+    Capability.analyse ~foreign:t.src.src_foreign (t.src.src_modules ()) (t.src.src_user_rules ())
   in
-  (* per-rule membership in the class *)
-  List.iter
-    (fun (_, (r : Ast.rule)) ->
-      let h = head_key r in
-      if not (Hashtbl.mem bad h) then begin
-        if not (Ast.head_is_plain r.Ast.head) then mark h "aggregation in the head"
-        else begin
-          match check_rule_body ~recursive:(recursive h) r with
-          | Error reason -> mark h reason
-          | Ok () ->
-            List.iter
-              (fun lit ->
-                match Ast.literal_atom lit with
-                | Some (a : Ast.atom) ->
-                  let name = Symbol.name a.Ast.pred in
-                  let arity = Array.length a.Ast.args in
-                  if String.contains name '@' then
-                    mark h (Printf.sprintf "reserved body predicate %s" name)
-                  else if
-                    (not (Hashtbl.mem derived (atom_key a)))
-                    && t.src.src_foreign a.Ast.pred arity
-                  then mark h (Printf.sprintf "foreign predicate %s/%d in body" name arity)
-                | None -> ())
-              r.Ast.body
-        end
-      end)
-    rules;
-  (* unsupportedness propagates to dependents: a rule body over a
-     fallback derived predicate makes its head fall back too *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (_, (r : Ast.rule)) ->
-        let h = head_key r in
-        if not (Hashtbl.mem bad h) then
-          List.iter
-            (fun lit ->
-              match Ast.literal_atom lit with
-              | Some a ->
-                let bk = atom_key a in
-                if Hashtbl.mem bad bk && not (Hashtbl.mem bad h) then begin
-                  mark h (Printf.sprintf "depends on fallback predicate %s" bk);
-                  changed := true
-                end
-              | None -> ())
-            r.Ast.body)
-      rules
-  done;
-  t.bad <-
-    Hashtbl.fold (fun k reason acc -> (k, reason) :: acc) bad [] |> List.sort compare;
-  t.rules <-
-    List.filter_map (fun (_, r) -> if Hashtbl.mem bad (head_key r) then None else Some r) rules;
-  (* fresh extents for every maintained predicate *)
   Hashtbl.reset t.exts;
-  Hashtbl.iter
-    (fun k (pred, arity) ->
-      if not (Hashtbl.mem bad k) then
-        Hashtbl.add t.exts k (Hash_relation.create ~name:(Symbol.name pred) ~arity ()))
-    derived
+  t.bad <-
+    List.filter_map
+      (fun (p : Capability.pred) ->
+        match p.maintainable with
+        | Error reason -> Some (p.key, reason)
+        | Ok () ->
+          Hashtbl.add t.exts p.key
+            (Hash_relation.create ~name:(Symbol.name p.sym) ~arity:p.arity ());
+          None)
+      a.Capability.preds;
+  t.rules <-
+    List.filter_map
+      (fun (r : Capability.rule) -> if Hashtbl.mem t.exts r.head then Some r.rule else None)
+      a.Capability.rules
 
 (* ------------------------------------------------------------------ *)
 (* The kernel                                                          *)
@@ -290,7 +115,7 @@ let analyse t =
 let compile t =
   let slot_of = Hashtbl.create 32 and order = ref [] and missing = ref [] in
   let see pred arity =
-    let k = pred_key pred arity in
+    let k = Capability.key_of pred arity in
     if not (Hashtbl.mem slot_of k) then begin
       Hashtbl.add slot_of k (Hashtbl.length slot_of);
       order := (k, pred, arity) :: !order
@@ -332,19 +157,21 @@ let compile t =
         Array.map (fun p -> p.cand) preds
       ]
   in
-  let target pred arity = Module_struct.Slot (Hashtbl.find slot_of (pred_key pred arity)) in
+  let target pred arity =
+    Module_struct.Slot (Hashtbl.find slot_of (Capability.key_of pred arity))
+  in
   let compile ?delta r = Module_struct.compile_rule ~rels ~target ?delta r in
   let refresh =
     List.map
       (fun (r : Ast.rule) ->
-        let h = Hashtbl.find slot_of (head_key r) in
+        let h = Hashtbl.find slot_of (Capability.head_key r) in
         let support = { r with Ast.body = Ast.Pos (Ast.atom_of_head r.Ast.head) :: r.Ast.body } in
         preds.(h).support <- preds.(h).support @ [ compile ~delta:(0, h + (2 * n)) support ];
         List.iteri
           (fun i lit ->
             match (lit : Ast.literal) with
             | Ast.Pos a ->
-              let s = Hashtbl.find slot_of (atom_key a) in
+              let s = Hashtbl.find slot_of (Capability.atom_key a) in
               preds.(s).acts <- preds.(s).acts @ [ compile ~delta:(i, s + n) r ]
             | _ -> ())
           r.Ast.body;
@@ -443,7 +270,7 @@ let insert t facts =
   let delta =
     List.filter_map
       (fun (pred, args) ->
-        match Hashtbl.find_opt t.kernel.slot_of (pred_key pred (Array.length args)) with
+        match Hashtbl.find_opt t.kernel.slot_of (Capability.key_of pred (Array.length args)) with
         | None -> None  (* no maintained rule reads it *)
         | Some s ->
           let p = t.kernel.preds.(s) and tu = Tuple.of_terms args in
@@ -488,7 +315,7 @@ let retract t facts =
     let delta =
       List.filter_map
         (fun (pred, args) ->
-          match Hashtbl.find_opt t.kernel.slot_of (pred_key pred (Array.length args)) with
+          match Hashtbl.find_opt t.kernel.slot_of (Capability.key_of pred (Array.length args)) with
           | None -> None
           | Some s ->
             let tu = Tuple.of_terms args in

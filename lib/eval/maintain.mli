@@ -24,17 +24,10 @@
       over them) still exists, with rederived tuples feeding an
       insertion-propagation cascade.
 
-    {b Supported program class.}  A derived predicate is maintained
-    when every rule (transitively) deriving it has a plain head, a
-    negation-free body, no foreign predicates, comparison/assignment
-    literals over variables bound left-to-right by positive literals,
-    and — for predicates in a recursive cycle — no value-generating
-    assignment ([X = Y + 1] style) that could make the full extent
-    infinite.  Everything else (negation, aggregation, multiset and
-    aggregate-selection annotations, pipelined modules, predicates
-    defined in several modules) yields a per-predicate fallback with a
-    reason, mirroring the distribution planner's verdict pattern: the
-    engine keeps recomputing those predicates from scratch.
+    {b Supported program class.}  The maintained predicates are the
+    ones {!Coral_rewrite.Capability} finds maintainable; that module
+    defines the class.  Every other derived predicate is a fallback
+    with a reason, and the engine keeps recomputing it from scratch.
 
     The caller (the engine) owns concurrency: all entry points must run
     on the write lane.  On any exception out of a maintenance call the
@@ -88,9 +81,8 @@ val extents : t -> (string * Relation.t) list
 (** All maintained extents, keyed ["name/arity"] (snapshot freezing). *)
 
 val fallbacks : t -> (string * string) list
-(** Derived predicates that are {e not} maintained, with the reason —
-    the per-predicate analogue of the distribution planner's
-    [Local of string] verdict. *)
+(** Predicates that are {e not} maintained, with the reason: derived
+    ones, and any a [@multiset] or [@aggregate_selection] names. *)
 
 val maintained_count : t -> int
 val refreshes : t -> int

@@ -135,13 +135,8 @@ let check_module (m : Ast.module_) : issue list =
       ]
     else []
   in
-  let neg_in_pipelined =
-    if pipelined then []
-    else []
-  in
   export_issues
   @ strategy_issues
-  @ neg_in_pipelined
   @ List.concat_map (check_annotation m) m.Ast.annotations
   @ List.concat_map check_rule m.Ast.rules
 

@@ -746,7 +746,7 @@ let do_stats t =
   let c = Plan_cache.stats store.cache in
   let plan_hits, plan_misses = Coral.plan_cache_stats store.sdb in
   let derivations, duplicates, scans = Coral.Relation.global_stats () in
-  (* dotted names are the stable interface ... *)
+  (* dotted names are the stable interface *)
   let dotted =
     [ Printf.sprintf "server.requests=%d" (Atomic.get store.requests);
       Printf.sprintf "server.errors=%d" (Atomic.get store.errors);
@@ -796,23 +796,12 @@ let do_stats t =
       Printf.sprintf "engine.tuples_visited=%d" (Coral.Relation.tuples_visited ())
     ]
   in
-  (* ... the spaced forms below are legacy aliases, kept one release *)
-  let legacy_lines =
-    [ Printf.sprintf "server: requests=%d errors=%d timeouts=%d sessions=%d"
-        (Atomic.get store.requests) (Atomic.get store.errors) (Atomic.get store.timeouts)
-        (Atomic.get store.sessions);
-      Printf.sprintf "prepared: entries=%d hits=%d misses=%d invalidations=%d"
-        c.Plan_cache.entries c.Plan_cache.hits c.Plan_cache.misses c.Plan_cache.invalidations;
-      Printf.sprintf "plans: cached=%d hits=%d misses=%d" (Coral.Engine.plan_cache_size eng)
-        plan_hits plan_misses
-    ]
-  in
   let engine_lines =
     Format.asprintf "%a" Coral.Engine.pp_stats eng
     |> String.split_on_char '\n'
     |> List.filter (fun l -> String.trim l <> "")
   in
-  Protocol.ok (List.map (fun l -> Protocol.Txt l) (dotted @ legacy_lines @ engine_lines))
+  Protocol.ok (List.map (fun l -> Protocol.Txt l) (dotted @ engine_lines))
 
 (* ------------------------------------------------------------------ *)
 (* Operational introspection: ps / kill / events                       *)

@@ -217,6 +217,158 @@ let test_plan_unit () =
   | `Dist _ -> Alcotest.fail "annotated module must be Local"
   | `Local _ -> ()
 
+(* The distribution and maintenance verdicts side by side, one row per
+   reason: a program, whether the planner distributes it, and the
+   derived predicates maintenance leaves to recompute.  A row with
+   [at = Some p] renames predicate [p] to [p@r] after parsing (the
+   parser reserves '@'), and is analysed from its AST. *)
+let test_verdict_table () =
+  let rows =
+    [ ( "linear TC",
+        "module m.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
+         path(X, Y) :- path(X, Z), edge(Z, Y).\nend_module.\n",
+        None, true, [] );
+      ( "linear TC as interactive clauses",
+        "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), edge(Z, Y).\n",
+        None, true, [] );
+      ( "non-linear TC",
+        "module m.\nexport path(ff).\npath(X, Y) :- edge(X, Y).\n\
+         path(X, Y) :- path(X, Z), path(Z, Y).\nend_module.\n",
+        None, false, [] );
+      ( "two derived body literals, no recursion",
+        "module m.\nexport p(f).\np(X) :- q(X), r(X).\nq(X) :- e(X).\n\
+         r(X) :- f(X).\nend_module.\n",
+        None, false, [] );
+      ( "negation over a base predicate",
+        "module m.\nexport reach(ff).\nreach(X, Y) :- edge(X, Y), not blocked(Y).\n\
+         reach(X, Y) :- reach(X, Z), edge(Z, Y), not blocked(Y).\nend_module.\n",
+        None, true, [ "reach/2" ] );
+      ( "negation over a derived predicate",
+        "module m.\nexport odd(f).\nodd(X) :- node(X), not even(X).\n\
+         even(X) :- node(X), not odd(X).\nend_module.\n",
+        None, false, [ "even/1"; "odd/1" ] );
+      ( "aggregation in the head",
+        "module m.\nexport cnt(ff).\ncnt(X, count(Y)) :- item(X, Y).\nend_module.\n",
+        None, false, [ "cnt/2" ] );
+      ( "defined in two modules",
+        "module a.\nexport p(f).\np(X) :- e(X).\nend_module.\n\
+         module b.\nexport p(f).\np(X) :- f(X).\nend_module.\n",
+        None, false, [ "p/1" ] );
+      ( "defined by a module and by interactive clauses",
+        "module a.\nexport p(f).\np(X) :- e(X).\nend_module.\np(X) :- f(X).\n",
+        None, true, [ "p/1" ] );
+      ( "reserved head predicate",
+        "module m.\nexport p(f).\np(X) :- e(X).\nend_module.\n",
+        Some "p", false, [] );
+      ( "reserved body predicate",
+        "module m.\nexport p(f).\np(X) :- e(X).\nend_module.\n",
+        Some "e", false, [ "p/1" ] );
+      ( "foreign body predicate",
+        "module m.\nexport p(ff).\np(X, Y) :- q(X), abs(X, Y).\nend_module.\n",
+        None, true, [ "p/2" ] );
+      ( "value-generating = in a recursive rule",
+        "module m.\nexport nat(f).\nnat(0).\nnat(Y) :- nat(X), X < 5, Y = X + 1.\n\
+         end_module.\n",
+        None, true, [ "nat/1" ] );
+      ( "value-generating = in a non-recursive rule",
+        "module m.\nexport succ(ff).\nsucc(X, Y) :- num(X), Y = X + 1.\nend_module.\n",
+        None, true, [] );
+      ( "= over a right-hand side no positive literal bound",
+        "module m.\nexport p(ff).\np(X, Y) :- Y = X + 1, e(X).\nend_module.\n",
+        None, true, [ "p/2" ] );
+      ( "unbound head variable",
+        "module m.\nexport p(ff).\np(X, Y) :- e(X).\nend_module.\n",
+        None, false, [ "p/2" ] );
+      ( "@pipelined",
+        "module m.\nexport p(f).\n@pipelined.\np(X) :- e(X).\nend_module.\n",
+        None, false, [ "p/1" ] );
+      ( "@multiset",
+        "module m.\nexport p(f).\n@multiset p/1.\np(X) :- e(X).\nend_module.\n",
+        None, false, [ "p/1" ] );
+      ( "@multiset on a base predicate",
+        "module m.\nexport p(f).\n@multiset e/1.\np(X) :- e(X).\nend_module.\n",
+        None, false, [ "e/1"; "p/1" ] );
+      ( "@aggregate_selection",
+        "module m.\nexport p(ff).\n@aggregate_selection p(X, C) (X) min(C).\n\
+         p(X, C) :- e(X, C).\nend_module.\n",
+        None, false, [ "p/2" ] );
+      ( "@no_rewriting (planner only)",
+        "module m.\nexport p(f).\n@no_rewriting.\np(X) :- e(X).\nend_module.\n",
+        None, false, [] );
+      ( "insert directive",
+        "insert edge(1, 2).\nmodule m.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
+         path(X, Y) :- path(X, Z), edge(Z, Y).\nend_module.\n",
+        None, false, [] );
+      ( "fallback propagates to a dependent",
+        "module m.\nexport c(f).\na(X) :- e(X), not b(X).\nc(X) :- a(X).\n\
+         d(X) :- e(X).\nend_module.\n",
+        None, true, [ "a/1"; "c/1" ] )
+    ]
+  in
+  let items text =
+    match Coral.Parser.program text with
+    | Ok items -> items
+    | Error e -> Alcotest.failf "parse: %a" Coral.Parser.pp_error e
+  in
+  let rename p items =
+    let sym s = if Coral.Symbol.name s = p then Coral.Symbol.intern (p ^ "@r") else s in
+    let atom (a : Coral.Ast.atom) = { a with Coral.Ast.pred = sym a.Coral.Ast.pred } in
+    let rule (r : Coral.Ast.rule) =
+      { Coral.Ast.head = { r.Coral.Ast.head with Coral.Ast.hpred = sym r.Coral.Ast.head.Coral.Ast.hpred };
+        body =
+          List.map
+            (function
+              | Coral.Ast.Pos a -> Coral.Ast.Pos (atom a)
+              | Coral.Ast.Neg a -> Coral.Ast.Neg (atom a)
+              | lit -> lit)
+            r.Coral.Ast.body
+      }
+    in
+    List.map
+      (function
+        | Coral.Ast.Module_item m ->
+          Coral.Ast.Module_item { m with Coral.Ast.rules = List.map rule m.Coral.Ast.rules }
+        | Coral.Ast.Clause_item r -> Coral.Ast.Clause_item (rule r)
+        | item -> item)
+      items
+  in
+  List.iter
+    (fun (name, text, at, dist, fallbacks) ->
+      let db = Coral.create () in
+      let eng = Coral.engine db in
+      let verdict =
+        match at with
+        | None ->
+          Coral.consult_text db text;
+          Plan.analyse_text text
+        | Some p ->
+          let items = rename p (items text) in
+          let modules =
+            List.filter_map (function Coral.Ast.Module_item m -> Some m | _ -> None) items
+          in
+          let clauses =
+            List.filter_map (function Coral.Ast.Clause_item r -> Some r | _ -> None) items
+          in
+          List.iter
+            (fun m ->
+              match Coral.Engine.load_module eng m with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "%s: load: %s" name e)
+            modules;
+          List.iter (Coral.Engine.add_clause eng) clauses;
+          Plan.analyse modules clauses
+      in
+      Coral.Engine.set_maintenance eng true;
+      Alcotest.(check bool)
+        (name ^ ": distributable")
+        dist
+        (match verdict with Plan.Distributable _ -> true | Plan.Local _ -> false);
+      Alcotest.(check (list string))
+        (name ^ ": maintenance fallbacks")
+        fallbacks
+        (List.map fst (Coral.Engine.maintenance_fallbacks eng)))
+    rows
+
 (* ------------------------------------------------------------------ *)
 (* Cluster harness: in-process workers + router over Unix sockets      *)
 (* ------------------------------------------------------------------ *)
@@ -1105,7 +1257,8 @@ let () =
           Alcotest.test_case "delta codec" `Quick test_delta_codec_unit;
           Alcotest.test_case "delta codec: lossless doubles" `Quick test_delta_codec_doubles;
           Alcotest.test_case "exchange buffer" `Quick test_exchange_unit;
-          Alcotest.test_case "plan analysis" `Quick test_plan_unit
+          Alcotest.test_case "plan analysis" `Quick test_plan_unit;
+          Alcotest.test_case "distribution and maintenance verdicts" `Quick test_verdict_table
         ] );
       ( "cluster",
         [ Alcotest.test_case "differential TC (1/2/4 shards)" `Quick test_differential_tc;

@@ -420,6 +420,51 @@ let prop_rewrite_preserves_base_predicates =
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ------------------------------------------------------------------ *)
+(* Capability analysis                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let capability src =
+  let m = parse_module src in
+  Capability.analyse ~foreign:(fun _ _ -> false) [ m ] []
+
+let find_pred (a : Capability.t) key =
+  match
+    List.find_opt (fun (p : Capability.pred) -> p.Capability.key = key) a.Capability.preds
+  with
+  | Some p -> p
+  | None -> Alcotest.failf "no predicate %s" key
+
+let test_capability_shape () =
+  let a =
+    capability
+      "module m.\npath(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y).\nend_module."
+  in
+  let path = find_pred a "path/2" in
+  Alcotest.(check (list string)) "only derived predicates" [ "path/2" ]
+    (List.map (fun (p : Capability.pred) -> p.Capability.key) a.Capability.preds);
+  Alcotest.(check bool) "recursive" true path.Capability.recursive;
+  Alcotest.(check (list (list int))) "derived body positions, in program order" [ []; [ 1 ] ]
+    (List.map (fun (r : Capability.rule) -> r.Capability.derived_at) a.Capability.rules);
+  Alcotest.(check int) "rules grouped by head" 2 (List.length path.Capability.rules);
+  Alcotest.(check bool) "maintainable" true (path.Capability.maintainable = Ok ());
+  Alcotest.(check bool) "distributable" true (path.Capability.distributable = Ok ())
+
+(* Recursion is per symbol: q/1 is recursive, so q/2 counts as
+   recursive too and its value-generating [=] falls back to recompute
+   (conservative; the distributable verdict does not read recursion). *)
+let test_capability_arity_conflation () =
+  let a =
+    capability
+      "module m.\nq(X) :- e(X).\nq(X) :- q(X), f(X).\nq(X, Y) :- e(X), Y = X + 1.\nend_module."
+  in
+  let q2 = find_pred a "q/2" in
+  Alcotest.(check bool) "q/2 counts as recursive" true q2.Capability.recursive;
+  Alcotest.(check bool) "q/2 falls back" true (Result.is_error q2.Capability.maintainable);
+  Alcotest.(check bool) "q/1 still maintainable" true
+    ((find_pred a "q/1").Capability.maintainable = Ok ());
+  Alcotest.(check bool) "q/2 still distributable" true (q2.Capability.distributable = Ok ())
+
 let () =
   Alcotest.run "coral_rewrite"
     [ ( "scc",
@@ -448,5 +493,9 @@ let () =
           Alcotest.test_case "free query" `Quick test_plan_free_query_skips_rewriting;
           Alcotest.test_case "ordered search guards" `Quick test_plan_ordered_search_guards;
           Alcotest.test_case "errors" `Quick test_plan_errors
+        ] );
+      ( "capability",
+        [ Alcotest.test_case "shape of the result" `Quick test_capability_shape;
+          Alcotest.test_case "recursion is per symbol" `Quick test_capability_arity_conflation
         ] )
     ]
