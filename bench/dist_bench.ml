@@ -217,10 +217,10 @@ let run_scenario ~shards ~key ~budget ~nodes =
         shipped_bytes =
           Option.value (stat_int slines "router.fixpoint.shipped_bytes") ~default:0;
         fixpoint_wall_ms =
-          Option.value (stat_float slines "router.fixpoint.wall_ms") ~default:0.;
-        skew_max = Option.value (stat_float slines "router.fixpoint.skew") ~default:0.;
+          1000. *. Option.value (stat_float slines "router.fixpoint.wall_seconds") ~default:0.;
+        skew_max = Option.value (stat_float slines "dist.skew_ratio") ~default:0.;
         straggler_rounds =
-          Option.value (stat_int slines "router.fixpoint.straggler_rounds") ~default:0;
+          Option.value (stat_int slines "dist.straggler_rounds") ~default:0;
         round_series;
         query_wall_s
       }

@@ -13,7 +13,8 @@
 #
 # Observability assertions ride along: the router's federated
 # /metrics endpoint must expose coral_shard_* series for every
-# worker plus the skew roll-ups, /healthz must answer 200 ok, and a
+# worker plus the skew roll-ups and a sample for every numeric line of
+# the router's `stats`, /healthz must answer 200 ok, and a
 # distributed query must yield a stitched Chrome trace with one lane
 # per process (saved as an artifact).
 #
@@ -126,8 +127,8 @@ if [ "$n" -lt 100 ]; then
   exit 1
 fi
 
-dist=$(printf 'stats\nquit\n' | "$BIN/coral_repl.exe" --connect "$DIR/router.sock" \
-  | sed -n 's/^router\.queries\.dist=//p')
+printf 'stats\nquit\n' | "$BIN/coral_repl.exe" --connect "$DIR/router.sock" > "$DIR/stats.txt"
+dist=$(sed -n 's/^router\.queries\.dist=//p' "$DIR/stats.txt")
 if [ -z "$dist" ] || [ "$dist" -eq 0 ]; then
   echo "cluster_smoke: FAIL — no query took the distributed path (router.queries.dist=${dist:-missing})" >&2
   exit 1
@@ -156,6 +157,20 @@ for g in coral_dist_skew_ratio coral_dist_straggler_rounds; do
     exit 1
   fi
 done
+
+# One sample table, two views: every numeric line of the router's
+# `stats` must have a coral_ sample of the derived name in the scrape.
+nstat=0
+missing=""
+for name in $(awk -F= 'NF == 2 && $2 ~ /^-?[0-9][0-9.eE+-]*$/ { print $1 }' "$DIR/stats.txt"); do
+  nstat=$((nstat + 1))
+  prom="coral_$(printf '%s' "$name" | tr -c 'A-Za-z0-9_' '_')"
+  grep -q "^$prom " "$DIR/metrics.prom" || missing="$missing $prom"
+done
+if [ "$nstat" -eq 0 ] || [ -n "$missing" ]; then
+  echo "cluster_smoke: FAIL — $nstat numeric stats lines; without a federated sample:${missing:- (none)}" >&2
+  exit 1
+fi
 
 hcode=$(curl -s -o "$DIR/healthz.body" -w '%{http_code}' "http://127.0.0.1:$MPORT/healthz")
 if [ "$hcode" != "200" ] || ! grep -q '^ok$' "$DIR/healthz.body"; then

@@ -41,29 +41,24 @@ type fanout = {
   threads : Thread.t list;
 }
 
-type t = {
-  fd : Unix.file_descr;
-  bound_port : int;
-  sock_path : string option;
+(* The router's state; [t] pairs it with the connection layer serving
+   it. *)
+type state = {
   sstore : Session.store;
   coord : Coordinator.t;
-  cl_lock : Mutex.t;  (* guards dirty / verdict / last_run / last_tid *)
+  cl_lock : Mutex.t;
+      (* guards dirty / verdict / last_run / last_tid; [samples] reads
+         them unlocked *)
   mutable dirty : bool;
   mutable verdict : Plan.verdict;
   mutable last_run : Coordinator.run_stats option;
   mutable last_tid : string option;  (* trace id of the newest distributed query *)
-  mutable closed : bool;
-  mutable accept_thread : Thread.t option;
   (* registry-backed, created at start (no module-level state) *)
   c_dist : Coral_obs.Obs.Counter.t;
   c_local : Coral_obs.Obs.Counter.t;
   c_fixpoints : Coral_obs.Obs.Counter.t;
   c_resyncs : Coral_obs.Obs.Counter.t;
 }
-
-let ignore_sigpipe () =
-  try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-  with Invalid_argument _ | Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Cluster provisioning                                                *)
@@ -418,35 +413,36 @@ let handle_query t session text =
 (* Request dispatch                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let router_stats t =
-  Mutex.lock t.cl_lock;
-  let dirty = t.dirty and verdict = t.verdict and last = t.last_run in
-  Mutex.unlock t.cl_lock;
-  let lines =
-    [ Printf.sprintf "router.shards=%d" (Coordinator.shards t.coord);
-      Printf.sprintf "router.state=%s" (if dirty then "dirty" else "clean");
-      Printf.sprintf "router.distributable=%s"
-        (match verdict with
-        | Plan.Distributable a -> Printf.sprintf "yes (%d idb)" (List.length a.Plan.idb)
-        | Plan.Local reason -> "no: " ^ reason);
-      Printf.sprintf "router.queries.dist=%d" (Coral_obs.Obs.Counter.value t.c_dist);
-      Printf.sprintf "router.queries.local=%d" (Coral_obs.Obs.Counter.value t.c_local);
-      Printf.sprintf "router.fixpoint.runs=%d" (Coral_obs.Obs.Counter.value t.c_fixpoints)
-    ]
-    @
-    match last with
+(* The router's sample table: its store's rows, then its own.  The
+   cluster fields are read without [cl_lock] (each read is one value):
+   a resync holds the lock for a whole fixpoint, and [stats] and a
+   scrape must not wait on one. *)
+let samples t =
+  let gauge name v = name, `Gauge, v in
+  Session.samples t.sstore
+  @ gauge "router.shards" (float_of_int (Coordinator.shards t.coord))
+    :: gauge "router.dirty" (if t.dirty then 1. else 0.)
+    ::
+    (match t.last_run with
     | None -> []
     | Some s ->
-      [ Printf.sprintf "router.fixpoint.rounds=%d" s.Coordinator.rounds;
-        Printf.sprintf "router.fixpoint.new_tuples=%d" s.Coordinator.new_tuples;
-        Printf.sprintf "router.fixpoint.shipped_tuples=%d" s.Coordinator.shipped_tuples;
-        Printf.sprintf "router.fixpoint.shipped_bytes=%d" s.Coordinator.shipped_bytes;
-        Printf.sprintf "router.fixpoint.wall_ms=%.1f" (s.Coordinator.wall_s *. 1000.);
-        Printf.sprintf "router.fixpoint.skew=%.2f" s.Coordinator.skew_max;
-        Printf.sprintf "router.fixpoint.straggler_rounds=%d" s.Coordinator.stragglers
-      ]
-  in
-  List.map (fun l -> Protocol.Txt l) lines
+      [ gauge "router.fixpoint.rounds" (float_of_int s.Coordinator.rounds);
+        gauge "router.fixpoint.new_tuples" (float_of_int s.Coordinator.new_tuples);
+        gauge "router.fixpoint.shipped_tuples" (float_of_int s.Coordinator.shipped_tuples);
+        gauge "router.fixpoint.shipped_bytes" (float_of_int s.Coordinator.shipped_bytes);
+        gauge "router.fixpoint.wall_seconds" s.Coordinator.wall_s;
+        gauge "dist.skew_ratio" s.Coordinator.skew_max;
+        gauge "dist.straggler_rounds" (float_of_int s.Coordinator.stragglers)
+      ])
+
+let do_stats t =
+  Session.stats_reply t.sstore (samples t)
+    [ "router.distributable="
+      ^
+      match t.verdict with
+      | Plan.Distributable a -> Printf.sprintf "yes (%d idb)" (List.length a.Plan.idb)
+      | Plan.Local reason -> "no: " ^ reason
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Cluster observability: federation, dstat, trace stitching           *)
@@ -487,32 +483,14 @@ let relabel_metric_line ~typed ~shard line =
   end
   else None  (* # HELP, blanks, non-coral series *)
 
-(* The router's federated scrape body: its own replica's metrics, the
-   cluster roll-ups, then every worker's metrics relabeled under
-   [coral_shard_*{shard="N"}] plus a per-shard [coral_shard_up] gauge.
-   Scrapes ride one-shot connections (Shard_client.fetch), never the
-   coordinator's pooled control clients. *)
-let metrics_text t =
+(* The router's federated scrape body: its own sample table, then
+   every worker's metrics relabeled under [coral_shard_*{shard="N"}]
+   plus a per-shard [coral_shard_up] gauge.  Scrapes ride one-shot
+   connections (Shard_client.fetch), never the coordinator's pooled
+   control clients. *)
+let federated_metrics t =
   let buf = Buffer.create 8192 in
-  Buffer.add_string buf (Session.metrics_text t.sstore);
-  Mutex.lock t.cl_lock;
-  let dirty = t.dirty and last = t.last_run in
-  Mutex.unlock t.cl_lock;
-  Obs.prometheus_sample buf ~kind:"gauge" "router.shards" (Coordinator.shards t.coord);
-  Obs.prometheus_sample buf ~kind:"gauge" "router.dirty" (if dirty then 1 else 0);
-  (match last with
-  | None -> ()
-  | Some s ->
-    Obs.prometheus_sample buf ~kind:"gauge" "router.fixpoint.rounds" s.Coordinator.rounds;
-    Obs.prometheus_sample buf ~kind:"gauge" "router.fixpoint.new_tuples"
-      s.Coordinator.new_tuples;
-    Obs.prometheus_sample buf ~kind:"gauge" "router.fixpoint.shipped_tuples"
-      s.Coordinator.shipped_tuples;
-    Obs.prometheus_sample_f buf ~kind:"gauge" "router.fixpoint.wall_seconds"
-      s.Coordinator.wall_s;
-    Obs.prometheus_sample_f buf ~kind:"gauge" "dist.skew_ratio" s.Coordinator.skew_max;
-    Obs.prometheus_sample buf ~kind:"gauge" "dist.straggler_rounds"
-      s.Coordinator.stragglers);
+  Buffer.add_string buf (Obs.render_prometheus (samples t));
   let typed = Hashtbl.create 64 in
   List.iteri
     (fun i addr ->
@@ -547,7 +525,7 @@ let metrics_text t =
 
 let do_metrics t =
   let lines =
-    metrics_text t |> String.split_on_char '\n' |> List.filter (fun l -> l <> "")
+    federated_metrics t |> String.split_on_char '\n' |> List.filter (fun l -> l <> "")
   in
   Protocol.ok (List.map (fun l -> Protocol.Txt l) lines)
 
@@ -652,208 +630,61 @@ let do_trace t tid_arg =
              tid (List.length lanes))
         payload
 
-let handle t session (req : Protocol.request) =
+let route t session (req : Protocol.request) =
   match req with
   | Protocol.Query text -> handle_query t session text
   | Protocol.Consult _ | Protocol.Insert _ | Protocol.Retract _ ->
     let r = Session.handle session req in
     (match r.Protocol.status with Ok _ -> mark_dirty t | Error _ -> ());
     r
-  | Protocol.Stats ->
-    let r = Session.handle session req in
-    (match r.Protocol.status with
-    | Ok _ -> { r with Protocol.payload = r.Protocol.payload @ router_stats t }
-    | Error _ -> r)
+  | Protocol.Stats -> do_stats t
   | Protocol.Metrics -> do_metrics t
   | Protocol.Dstat -> do_dstat t
   | Protocol.Trace tid -> do_trace t tid
   | _ -> Session.handle session req
 
-(* ------------------------------------------------------------------ *)
-(* Accept loop (mirrors Server's; same framing, same byte accounting)  *)
-(* ------------------------------------------------------------------ *)
-
-let serve_connection ?reserved t client =
-  let store = t.sstore in
-  let ic = Unix.in_channel_of_descr client in
-  let oc = Unix.out_channel_of_descr client in
-  let session = Session.create ?reserved store in
-  let write r = Session.note_bytes_written store (Protocol.write_response oc r) in
-  let rec loop () =
-    match Protocol.read_line_capped ic with
-    | None -> ()
-    | Some line when String.trim line = "" ->
-      Session.note_bytes_read store (String.length line + 1);
-      loop ()
-    | Some line -> begin
-      Session.note_bytes_read store (String.length line + 1);
-      (* The router is the trace origin: adopt a client-supplied
-         [tid=], otherwise mint a fresh id (when tracing is on) so the
-         whole fan-out — local spans, worker commands, events — shares
-         one trace id. *)
-      let tid =
-        match snd (Protocol.split_tid line) with
-        | Some _ as it -> it
-        | None -> if Obs.enabled () then Some (Obs.Trace.fresh ()) else None
-      in
-      let handle_req req = Obs.Trace.with_id tid (fun () -> handle t session req) in
-      let with_payload kind n build =
-        if n > Protocol.max_payload_bytes then
-          write
-            (Protocol.err Protocol.Too_big
-               (Printf.sprintf "%s payload of %d bytes exceeds the %d byte limit" kind n
-                  Protocol.max_payload_bytes))
-        else begin
-          match really_input_string ic n with
-          | text ->
-            Session.note_bytes_read store n;
-            write (handle_req (build text));
-            loop ()
-          | exception End_of_file -> ()
-        end
-      in
-      match Protocol.parse_request line with
-      | `Bad msg ->
-        write (Protocol.err Protocol.Proto msg);
-        loop ()
-      | `Consult_payload n -> with_payload "consult#" n (fun txt -> Protocol.Consult txt)
-      | `Dprog_payload n -> with_payload "dprog#" n (fun txt -> Protocol.Dprog txt)
-      | `Delta_payload n -> with_payload "delta#" n (fun txt -> Protocol.Delta txt)
-      | `Req Protocol.Quit -> write (handle_req Protocol.Quit)
-      | `Req req ->
-        write (handle_req req);
-        loop ()
-    end
-  in
-  (try loop () with
-  | Protocol.Line_too_long ->
-    (try
-       write
-         (Protocol.err Protocol.Too_big
-            (Printf.sprintf "request line exceeds %d bytes" Protocol.max_line_bytes))
-     with Sys_error _ | Unix.Unix_error _ -> ())
-  | Sys_error _ | End_of_file -> ()
-  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
-  | Unix.Unix_error _ -> ());
-  Session.close session;
-  try Unix.close client with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  while not t.closed do
-    match Unix.accept t.fd with
-    | client, _addr -> begin
-      let adm = Session.admission t.sstore in
-      let cap = (Admission.config adm).Admission.max_sessions in
-      if not (Session.try_reserve t.sstore ~cap) then begin
-        Admission.note_shed adm;
-        let retry = (Admission.config adm).Admission.retry_after_ms in
-        (try
-           let oc = Unix.out_channel_of_descr client in
-           ignore
-             (Protocol.write_response oc
-                (Protocol.busy ~retry_after_ms:retry
-                   (Printf.sprintf "router at capacity (%d connections)" cap)))
-         with Sys_error _ | Unix.Unix_error _ | Out_of_memory -> ());
-        try Unix.close client with Unix.Unix_error _ -> ()
-      end
-      else begin
-        match
-          Thread.create
-            (fun () ->
-              try serve_connection ~reserved:true t client
-              with _ -> ( try Unix.close client with Unix.Unix_error _ -> ()))
-            ()
-        with
-        | (_ : Thread.t) -> ()
-        | exception _ ->
-          Session.unreserve t.sstore;
-          (try Unix.close client with Unix.Unix_error _ -> ())
-      end
-    end
-    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> t.closed <- true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-      if not t.closed then Thread.delay 0.05
-    | exception Unix.Unix_error (_, _, _) | exception Sys_error _ ->
-      if not t.closed then Thread.delay 0.01
-  done
+(* The router is the trace origin: a request that brought no [tid=]
+   gets a fresh id (when tracing is on), so the whole fan-out — local
+   spans, worker commands, events — shares one trace id. *)
+let handle t session req =
+  match Obs.Trace.current () with
+  | None when Obs.enabled () ->
+    Obs.Trace.with_id (Some (Obs.Trace.fresh ())) (fun () -> route t session req)
+  | _ -> route t session req
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type listen =
-  [ `Tcp of string * int
-  | `Unix of string ]
+type t = {
+  st : state;
+  srv : Server.t;
+}
 
 let start ?(consult = []) ?limits ?straggler_factor ~listen ~shard_addrs ~key db =
-  ignore_sigpipe ();
   List.iter (fun file -> Coral.consult_file db file) consult;
-  let fd, bound_port =
-    match listen with
-    | `Tcp (host, port) ->
-      let addr =
-        match Unix.getaddrinfo host (string_of_int port) [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ] with
-        | { Unix.ai_addr; _ } :: _ -> ai_addr
-        | [] -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
-      in
-      let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd addr;
-      Unix.listen fd 64;
-      let bound =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      fd, bound
-    | `Unix path ->
-      if Sys.file_exists path then Sys.remove path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd, 0
-  in
-  let t =
-    { fd;
-      bound_port;
-      sock_path = (match listen with `Unix path -> Some path | `Tcp _ -> None);
-      sstore = Session.make_store ?limits db;
+  let st =
+    { sstore = Session.make_store ?limits db;
       coord = Coordinator.create ?straggler_factor ~addrs:shard_addrs ~key ();
       cl_lock = Mutex.create ();
       dirty = true;
       verdict = Plan.analyse_engine (Coral.engine db);
       last_run = None;
       last_tid = None;
-      closed = false;
-      accept_thread = None;
-      c_dist = Coral_obs.Obs.counter "router.queries.dist_total";
-      c_local = Coral_obs.Obs.counter "router.queries.local_total";
-      c_fixpoints = Coral_obs.Obs.counter "router.fixpoint.runs_total";
-      c_resyncs = Coral_obs.Obs.counter "router.resyncs_total"
+      c_dist = Coral_obs.Obs.counter "router.queries.dist";
+      c_local = Coral_obs.Obs.counter "router.queries.local";
+      c_fixpoints = Coral_obs.Obs.counter "router.fixpoint.runs";
+      c_resyncs = Coral_obs.Obs.counter "router.resyncs"
     }
   in
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
-  t
+  { st; srv = Server.serve ~handle:(handle st) ~listen st.sstore }
 
-let port t = t.bound_port
-let store t = t.sstore
-let shards t = Coordinator.shards t.coord
-
-let wait t =
-  match t.accept_thread with
-  | Some th -> Thread.join th
-  | None -> ()
+let port t = Server.port t.srv
+let store t = t.st.sstore
+let shards t = Coordinator.shards t.st.coord
+let metrics_text t = federated_metrics t.st
+let wait t = Server.wait t.srv
 
 let shutdown t =
-  if not t.closed then begin
-    t.closed <- true;
-    (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close t.fd with Unix.Unix_error _ -> ());
-    wait t;
-    Coordinator.disconnect t.coord;
-    match t.sock_path with
-    | Some path -> ( try Sys.remove path with Sys_error _ -> ())
-    | None -> ()
-  end
+  Server.shutdown t.srv;
+  Coordinator.disconnect t.st.coord

@@ -25,23 +25,20 @@
     and [dstat] prints the last fixpoint's per-round, per-shard
     table. *)
 
-type listen =
-  [ `Tcp of string * int
-  | `Unix of string ]
-
 type t
 
 val start :
   ?consult:string list ->
   ?limits:Coral_server.Admission.config ->
   ?straggler_factor:float ->
-  listen:listen ->
+  listen:Coral_server.Server.listen ->
   shard_addrs:string list ->
   key:int ->
   Coral.t ->
   t
-(** Bind, consult the given files into the router's replica, and begin
-    accepting.  [shard_addrs] are the workers' [host:port] / socket
+(** Consult the given files into the router's replica, then serve it
+    on {!Coral_server.Server}'s connection layer with the router's
+    request handler.  [shard_addrs] are the workers' [host:port] / socket
     addresses; [key] is the partition-key argument position.
     [straggler_factor] tunes skew detection (a round's slowest shard
     is flagged when it exceeds the median step time by this multiple;
@@ -54,12 +51,14 @@ val store : t -> Coral_server.Session.store
 val shards : t -> int
 
 val metrics_text : t -> string
-(** The federated Prometheus scrape body: the router replica's own
-    metrics, cluster roll-ups ([coral_dist_skew_ratio],
-    [coral_dist_straggler_rounds], [coral_router_*]), then every
-    worker's metrics relabeled as [coral_shard_*{shard="N"}] plus a
-    [coral_shard_up] gauge per shard.  Wire this as the
-    [--metrics-port] body. *)
+(** The federated Prometheus scrape body.  It starts with the router's
+    sample table, which [stats] renders too: the replica store's rows,
+    then [coral_router_shards], [coral_router_dirty] and, once a
+    fixpoint has run, its [coral_router_fixpoint_*] stats and the
+    [coral_dist_skew_ratio] / [coral_dist_straggler_rounds]
+    roll-ups.  Every worker's metrics follow, relabeled as
+    [coral_shard_*{shard="N"}], plus a [coral_shard_up] gauge per
+    shard.  Wire this as the [--metrics-port] body. *)
 
 val wait : t -> unit
 val shutdown : t -> unit

@@ -67,11 +67,7 @@ type t = {
   exchange : Exchange.t;
   mutable config : config option;
   mutable prog : prog option;
-  mutable derived_total : int;
-  mutable shipped_total : int;
-  mutable shipped_bytes : int;
-  mutable promoted_total : int;
-  mutable rounds_total : int;
+  mutable promoted_total : int;  (* since the last reset; the budget's input *)
   mutable fault_step_delay_s : float;
       (* test seam: sleep this long inside every barrier step, turning
          this worker into a deterministic straggler *)
@@ -85,28 +81,13 @@ let create ~eng ~commit ~locked ~budget =
     exchange = Exchange.create ();
     config = None;
     prog = None;
-    derived_total = 0;
-    shipped_total = 0;
-    shipped_bytes = 0;
     promoted_total = 0;
-    rounds_total = 0;
     fault_step_delay_s = 0.
   }
 
 (* Fault seam for tests and drills: make every step this much slower,
    so straggler detection can be exercised deterministically. *)
 let set_fault_step_delay t seconds = t.fault_step_delay_s <- Float.max 0. seconds
-
-let stats t =
-  let received, batches = Exchange.totals t.exchange in
-  [ "dist.derived_total", t.derived_total;
-    "dist.shipped_total", t.shipped_total;
-    "dist.shipped_bytes", t.shipped_bytes;
-    "dist.received_total", received;
-    "dist.received_batches", batches;
-    "dist.promoted_total", t.promoted_total;
-    "dist.rounds_total", t.rounds_total
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
@@ -269,7 +250,6 @@ let do_step t round =
       "dist.step"
     @@ fun () ->
     if t.fault_step_delay_s > 0. then Thread.delay t.fault_step_delay_s;
-    t.rounds_total <- t.rounds_total + 1;
     let local = ref [] in
     let outbound = Array.make (Array.length cfg.peers) [] in
     t.locked (fun () ->
@@ -306,7 +286,6 @@ let do_step t round =
             end)
           prog.rules);
     Exchange.add_local t.exchange (List.rev !local);
-    t.derived_total <- t.derived_total + !derived;
     (* Ship each destination its batch and wait for the ack: when this
        reply goes out, no delta of ours is still in flight. *)
     let ship dest items =
@@ -322,8 +301,6 @@ let do_step t round =
              (Printf.sprintf "delta# %d" (String.length payload))
          with
         | _, status when Shard_client.status_ok status <> None ->
-          t.shipped_total <- t.shipped_total + n;
-          t.shipped_bytes <- t.shipped_bytes + String.length payload;
           Ok (n, String.length payload)
         | _, status -> Error (Printf.sprintf "%s rejected delta: %s" (Shard_client.addr peer) status)
         | exception Shard_client.Down m -> Error m)
@@ -419,11 +396,7 @@ let do_dreset t =
               | None -> ())))
         (Engine.list_relations t.eng);
       Option.iter (fun p -> Array.iter (fun d -> Relation.clear d.delta) p.idbs) t.prog);
-  t.derived_total <- 0;
-  t.shipped_total <- 0;
-  t.shipped_bytes <- 0;
   t.promoted_total <- 0;
-  t.rounds_total <- 0;
   Protocol.ok ~detail:"reset" []
 
 (* ------------------------------------------------------------------ *)

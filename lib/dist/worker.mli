@@ -34,12 +34,6 @@ val disconnect : t -> unit
     reconnects lazily — but required for a clean teardown when the
     worker is embedded in a process that audits its descriptors. *)
 
-val stats : t -> (string * int) list
-(** Monotonic counters (dist.derived_total, dist.shipped_total,
-    dist.shipped_bytes, dist.received_total, dist.received_batches,
-    dist.promoted_total, dist.rounds_total) for the server's stats
-    report. *)
-
 val set_fault_step_delay : t -> float -> unit
 (** Fault seam: make every [barrier step] sleep this many seconds
     first, turning the worker into a deterministic straggler for

@@ -148,7 +148,8 @@ let maintenance_fallbacks t =
 
 let maintenance_info t =
   match t.maint with
-  | Some m -> Some (Maintain.maintained_count m, Maintain.refreshes m)
+  | Some m ->
+    Some (Maintain.maintained_count m, Maintain.refreshes m, List.length (Maintain.fallbacks m))
   | None -> None
 
 (* The maintained extent serving a derived predicate, if any: the

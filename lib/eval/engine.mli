@@ -81,9 +81,11 @@ val maintenance_fallbacks : t -> (string * string) list
     (re)build of the maintained extents when stale; [[]] when
     maintenance is off. *)
 
-val maintenance_info : t -> (int * int) option
-(** [(maintained predicate count, full rebuilds so far)], [None] when
-    maintenance is off. *)
+val maintenance_info : t -> (int * int * int) option
+(** [(maintained predicate count, full rebuilds so far, fallback
+    predicate count)] as of the last build, [None] when maintenance is
+    off.  Unlike {!maintenance_fallbacks} it never rebuilds, so
+    [stats] and [metrics] can read it. *)
 
 val insert_facts : t -> (Symbol.t * Term.t array) list -> update_report
 (** Store ground facts and propagate them incrementally through the

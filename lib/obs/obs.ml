@@ -232,31 +232,6 @@ let render_histogram buf name (h : Histogram.t) =
     (Printf.sprintf "%s_sum %s\n" n (prom_float (float_of_int (Histogram.sum_ns h) /. 1e9)));
   Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n (Histogram.count h))
 
-let prometheus () =
-  let buf = Buffer.create 2048 in
-  List.iter
-    (fun (name, m) ->
-      match m with
-      | M_counter c ->
-        let n = prom_name name in
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" n);
-        Buffer.add_string buf (Printf.sprintf "%s %d\n" n (Counter.value c))
-      | M_gauge g ->
-        let n = prom_name name in
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
-        Buffer.add_string buf (Printf.sprintf "%s %d\n" n (Gauge.value g))
-      | M_histogram h -> render_histogram buf name h)
-    (metrics ());
-  Buffer.contents buf
-
-(* One ad-hoc sample rendered without registration — for values owned
-   by some other component (a server's session table, the relation
-   layer's global counters) that are cheap to read at scrape time. *)
-let prometheus_sample buf ~kind name value =
-  let n = prom_name name in
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" n kind);
-  Buffer.add_string buf (Printf.sprintf "%s %d\n" n value)
-
 let prometheus_sample_f buf ~kind name value =
   let n = prom_name name in
   Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" n kind);
@@ -288,6 +263,51 @@ let prometheus_sample_labeled buf ?(typ = true) ~kind ~labels name value =
   let n = prom_name name in
   if typ then Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" n kind);
   Buffer.add_string buf (Printf.sprintf "%s%s %s\n" n (render_labels labels) (prom_float value))
+
+(* ------------------------------------------------------------------ *)
+(* Sample tables: one row per value, rendered by every view            *)
+(* ------------------------------------------------------------------ *)
+
+type sample = string * [ `Counter | `Gauge ] * float
+
+(* The process's own rows, which every table ends with: the start-time
+   and uptime gauges, then the registry's counters and gauges. *)
+let samples () =
+  ( "process.start_time_seconds", `Gauge,
+    float_of_int (process_start_ns / 1_000_000_000) )
+  :: ( "process.uptime_seconds", `Gauge,
+       float_of_int ((now_ns () - process_start_ns) / 1_000_000_000) )
+  :: List.filter_map
+       (fun (name, m) ->
+         match m with
+         | M_counter c -> Some (name, `Counter, float_of_int (Counter.value c))
+         | M_gauge g -> Some (name, `Gauge, float_of_int (Gauge.value g))
+         | M_histogram _ -> None)
+       (metrics ())
+
+(* The two views of a table, side by side so the number format lives
+   in one place.  [stats] prints [name=value]; the exposition derives
+   the [coral_] name and adds only the build identity (labels, no
+   value of its own) and the registry's histograms. *)
+let render_stats rows =
+  List.map (fun (name, _, v) -> name ^ "=" ^ prom_float v) (rows @ samples ())
+
+let render_prometheus rows =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, kind, v) ->
+      prometheus_sample_f buf ~kind:(match kind with `Counter -> "counter" | `Gauge -> "gauge")
+        name v)
+    (rows @ samples ());
+  prometheus_sample_labeled buf ~kind:"gauge"
+    ~labels:[ "version", version; "ocaml", Sys.ocaml_version ]
+    "build_info" 1.;
+  List.iter
+    (function name, M_histogram h -> render_histogram buf name h | _ -> ())
+    (metrics ());
+  Buffer.contents buf
+
+let prometheus () = render_prometheus []
 
 (* ------------------------------------------------------------------ *)
 (* Trace context                                                      *)

@@ -94,17 +94,11 @@ val reset_all : unit -> unit
 
 (** {1 Prometheus text exposition} *)
 
-val prometheus : unit -> string
-(** Render every registered metric.  Names are prefixed with [coral_]
-    and dots become underscores; histogram buckets are cumulative with
-    [le] bounds in seconds. *)
-
-val prometheus_sample : Buffer.t -> kind:string -> string -> int -> unit
-(** Append one unregistered sample (kind is ["counter"] or ["gauge"])
-    — for values owned by another component and read at scrape time. *)
-
 val prometheus_sample_f : Buffer.t -> kind:string -> string -> float -> unit
-(** [prometheus_sample] for float-valued gauges (ratios, seconds). *)
+(** Append one unregistered sample (kind is ["counter"] or ["gauge"])
+    — for values owned by another component and read at scrape time.
+    Names are prefixed with [coral_] and dots become underscores;
+    integral values print without a fraction. *)
 
 val prometheus_sample_labeled :
   Buffer.t ->
@@ -117,6 +111,30 @@ val prometheus_sample_labeled :
 (** One sample with {k="v",...} labels.  [typ:false] suppresses the
     [# TYPE] header so repeated series of one metric (per-shard lines)
     emit it only once. *)
+
+(** {1 Sample tables}
+
+    A component that owns values (a server's store, a router) lists
+    each one once, as a row of a table; every view renders that same
+    table.  Both renderers append the process's rows: the
+    [process.start_time_seconds] and [process.uptime_seconds] gauges,
+    then every registered counter and gauge. *)
+
+type sample = string * [ `Counter | `Gauge ] * float
+(** [(name, kind, value)]; the dotted name is the one name of the
+    value. *)
+
+val render_stats : sample list -> string list
+(** One [name=value] line per row (the [stats] reply). *)
+
+val render_prometheus : sample list -> string
+(** The Prometheus body: every row as {!prometheus_sample_f} (so
+    [a.b_c] is [coral_a_b_c]), the label-only [coral_build_info]
+    line, then the registry's histograms (cumulative buckets with
+    [le] bounds in seconds). *)
+
+val prometheus : unit -> string
+(** [render_prometheus []]: every registered metric. *)
 
 (** {1 Trace context}
 

@@ -7,7 +7,7 @@ type t = {
   bound_port : int;
   sock_path : string option;  (* Unix-domain socket file to unlink on shutdown *)
   sstore : Session.store;
-  databases : Coral.Database.t list;
+  handle : Session.t -> Protocol.request -> Protocol.response;
   mutable closed : bool;
   mutable accept_thread : Thread.t option;
 }
@@ -23,10 +23,11 @@ let write_response oc response = ignore (Protocol.write_response oc response)
 (* One connection: read a request, execute it through the session,
    reply; leave on quit, EOF, oversized input or a socket error.
    Every byte in and out is credited to the store's wire counters. *)
-let serve_connection ?reserved store client =
+let serve_connection t client =
+  let store = t.sstore in
   let ic = Unix.in_channel_of_descr client in
   let oc = Unix.out_channel_of_descr client in
-  let session = Session.create ?reserved store in
+  let session = Session.create ~reserved:true store in
   let write r = Session.note_bytes_written store (Protocol.write_response oc r) in
   let rec loop () =
     match Protocol.read_line_capped ic with
@@ -42,7 +43,7 @@ let serve_connection ?reserved store client =
          with no context (exactly the pre-trace behavior). *)
       let _, wire_tid = Protocol.split_tid line in
       let handle req =
-        Coral_obs.Obs.Trace.with_id wire_tid (fun () -> Session.handle session req)
+        Coral_obs.Obs.Trace.with_id wire_tid (fun () -> t.handle session req)
       in
       (* byte-counted payload bodies: consult#, and the cluster's
          shipped program / delta batches *)
@@ -130,7 +131,7 @@ let accept_loop t =
               (* last-resort catch: no exception may kill a connection
                  thread in a way that leaks the descriptor or poisons
                  the process *)
-              try serve_connection ~reserved:true t.sstore client
+              try serve_connection t client
               with _ -> ( try Unix.close client with Unix.Unix_error _ -> ()))
             ()
         with
@@ -163,9 +164,8 @@ let accept_loop t =
       if not t.closed then Thread.delay 0.01
   done
 
-let start ?(consult = []) ?(databases = []) ?limits ~listen db =
+let serve ~handle ~listen store =
   ignore_sigpipe ();
-  List.iter (fun file -> Coral.consult_file db file) consult;
   let fd, bound_port =
     match listen with
     | `Tcp (host, port) ->
@@ -195,14 +195,18 @@ let start ?(consult = []) ?(databases = []) ?limits ~listen db =
     { fd;
       bound_port;
       sock_path = (match listen with `Unix path -> Some path | `Tcp _ -> None);
-      sstore = Session.make_store ~databases ?limits db;
-      databases;
+      sstore = store;
+      handle;
       closed = false;
       accept_thread = None
     }
   in
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   t
+
+let start ?(consult = []) ?(databases = []) ?limits ~listen db =
+  List.iter (fun file -> Coral.consult_file db file) consult;
+  serve ~handle:Session.handle ~listen (Session.make_store ~databases ?limits db)
 
 let port t = t.bound_port
 let store t = t.sstore
@@ -223,10 +227,5 @@ let shutdown t =
     (match t.sock_path with
     | Some path -> ( try Sys.remove path with Sys_error _ -> ())
     | None -> ());
-    (* graceful: commit and release any attached persistent databases
-       under the store lock so no request is mid-flight *)
-    Session.locked t.sstore (fun () ->
-        List.iter
-          (fun db -> try Coral.Database.close db with _ -> ())
-          t.databases)
+    Session.close_databases t.sstore
   end

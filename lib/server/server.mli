@@ -2,7 +2,9 @@
 
     {!start} binds a TCP or Unix-domain socket, spawns an accept
     thread, and hands each accepted connection to its own thread
-    running the read-request / {!Session.handle} / write-reply loop.
+    running the read-request / {!Session.handle} / write-reply loop;
+    {!serve} runs the same layer with another request handler (the
+    cluster router's).
     Engine work is serialized by the store lock inside
     {!Session.handle}; a request that exceeds its session deadline is
     cancelled cooperatively, so one runaway query cannot wedge the
@@ -32,14 +34,28 @@ val start :
   listen:listen ->
   Coral.t ->
   t
-(** Bind, consult the given program files into the shared engine, and
-    begin accepting.  Returns once the socket is listening.  SIGPIPE is
-    ignored process-wide so a client vanishing mid-reply raises
-    [EPIPE] in its connection thread instead of killing the server.
+(** Consult the given program files into the shared engine, then
+    {!serve} a fresh store over it with {!Session.handle}.  Returns
+    once the socket is listening.  SIGPIPE is ignored process-wide so
+    a client vanishing mid-reply raises [EPIPE] in its connection
+    thread instead of killing the server.
     [databases] lists persistent databases backing the engine's
     relations; {!shutdown} commits and closes them (under the store
     lock) so an orderly stop loses no durable data.  [limits] is the
     admission-control and budget policy (default: unlimited).
+    @raise Unix.Unix_error when binding fails. *)
+
+val serve :
+  handle:(Session.t -> Protocol.request -> Protocol.response) ->
+  listen:listen ->
+  Session.store ->
+  t
+(** The connection layer alone: bind, then answer every request of
+    every connection with [handle] ({!Session.handle} for a server, a
+    router's own handler for a router).  A trailing [tid=] token on a
+    request line is installed as the trace context around [handle].
+    The framing guards, the session cap and the shedding above apply
+    whatever the handler.
     @raise Unix.Unix_error when binding fails. *)
 
 val port : t -> int

@@ -113,6 +113,12 @@ let locked store f =
   Mutex.lock store.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock store.lock) f
 
+(* Graceful shutdown: commit and release the attached persistent
+   databases under the store lock, so no request is mid-flight. *)
+let close_databases store =
+  locked store (fun () ->
+      List.iter (fun db -> try Coral.Database.close db with _ -> ()) store.databases)
+
 let snapshot_epoch store = Snapshot.epoch store.snap
 
 let published_view store =
@@ -740,68 +746,79 @@ let do_explain_analyze t text =
     (fun dbv -> Coral.Engine.explain_analyze (Coral.engine dbv) text)
     text
 
-let do_stats t =
-  let store = t.store in
+(* The store's sample table: every store-owned value, once.  [stats]
+   and [metrics] both render it, so a value has one name everywhere.
+   Several stores can live in one process (under test), so these stay
+   out of the global registry.  Reading the table takes no lock and
+   changes nothing: atomics, internally-mutexed cache counters, and
+   what the last maintenance build left behind. *)
+let samples store =
   let eng = Coral.engine store.sdb in
   let c = Plan_cache.stats store.cache in
   let plan_hits, plan_misses = Coral.plan_cache_stats store.sdb in
   let derivations, duplicates, scans = Coral.Relation.global_stats () in
-  (* dotted names are the stable interface *)
-  let dotted =
-    [ Printf.sprintf "server.requests=%d" (Atomic.get store.requests);
-      Printf.sprintf "server.errors=%d" (Atomic.get store.errors);
-      Printf.sprintf "server.timeouts=%d" (Atomic.get store.timeouts);
-      Printf.sprintf "server.sessions=%d" (Atomic.get store.sessions);
-      Printf.sprintf "server.active_queries=%d" (Query_log.active_count ());
-      Printf.sprintf "server.events=%d" (Query_log.Events.total ());
-      Printf.sprintf "server.degraded=%d" (if is_degraded store then 1 else 0);
-      Printf.sprintf "server.budget_kills=%d" (Atomic.get store.budget_kills);
-      Printf.sprintf "server.bytes.read=%d" (Atomic.get store.bytes_read);
-      Printf.sprintf "server.bytes.written=%d" (Atomic.get store.bytes_written);
-      Printf.sprintf "admission.inflight=%d" (Admission.inflight store.admission);
-      Printf.sprintf "admission.admitted=%d" (Admission.admitted store.admission);
-      Printf.sprintf "admission.waited=%d" (Admission.waited store.admission);
-      Printf.sprintf "admission.busy_rejects=%d" (Admission.busy_rejects store.admission);
-      Printf.sprintf "admission.shed=%d" (Admission.shed store.admission);
-      Printf.sprintf "snapshot.epoch=%d" (Snapshot.epoch store.snap);
-      Printf.sprintf "snapshot.pinned=%d" (Snapshot.pinned_count ());
-      Printf.sprintf "snapshot.read_domains=%d" (Exec_pool.width ());
-      Printf.sprintf "prepared.entries=%d" c.Plan_cache.entries;
-      Printf.sprintf "prepared.parsed_entries=%d" c.Plan_cache.parsed_entries;
-      Printf.sprintf "prepared.hits=%d" c.Plan_cache.hits;
-      Printf.sprintf "prepared.misses=%d" c.Plan_cache.misses;
-      Printf.sprintf "prepared.unplanned=%d" c.Plan_cache.unplanned;
-      Printf.sprintf "prepared.invalidations=%d" c.Plan_cache.invalidations;
-      Printf.sprintf "prepared.evictions=%d" c.Plan_cache.evictions;
-      Printf.sprintf "plans.cached=%d" (Coral.Engine.plan_cache_size eng);
-      Printf.sprintf "plans.hits=%d" plan_hits;
-      Printf.sprintf "plans.misses=%d" plan_misses;
-      Printf.sprintf "maintenance.enabled=%d"
-        (if Coral.Engine.maintenance_enabled eng then 1 else 0);
-      Printf.sprintf "maintenance.predicates=%d"
-        (match Coral.Engine.maintenance_info eng with Some (n, _) -> n | None -> 0);
-      Printf.sprintf "maintenance.refreshes=%d"
-        (match Coral.Engine.maintenance_info eng with Some (_, r) -> r | None -> 0);
-      Printf.sprintf "maintenance.fallback_preds=%d"
-        (List.length (Coral.Engine.maintenance_fallbacks eng));
-      Printf.sprintf "maintenance.inserts=%d" (Atomic.get store.maint_inserts);
-      Printf.sprintf "maintenance.retracts=%d" (Atomic.get store.maint_retracts);
-      Printf.sprintf "maintenance.derived=%d" (Atomic.get store.maint_derived);
-      Printf.sprintf "maintenance.deleted=%d" (Atomic.get store.maint_deleted);
-      Printf.sprintf "maintenance.rederived=%d" (Atomic.get store.maint_rederived);
-      Printf.sprintf "maintenance.fallback_updates=%d" (Atomic.get store.maint_fallback);
-      Printf.sprintf "engine.derivations=%d" derivations;
-      Printf.sprintf "engine.duplicates=%d" duplicates;
-      Printf.sprintf "engine.scans=%d" scans;
-      Printf.sprintf "engine.tuples_visited=%d" (Coral.Relation.tuples_visited ())
-    ]
+  let maint_preds, maint_refreshes, maint_fallbacks =
+    Option.value (Coral.Engine.maintenance_info eng) ~default:(0, 0, 0)
   in
+  let counter name v = name, `Counter, float_of_int v in
+  let gauge name v = name, `Gauge, float_of_int v in
+  let flag name b = gauge name (if b then 1 else 0) in
+  [ counter "server.requests" (Atomic.get store.requests);
+    counter "server.errors" (Atomic.get store.errors);
+    counter "server.timeouts" (Atomic.get store.timeouts);
+    gauge "server.sessions" (Atomic.get store.sessions);
+    gauge "server.active_queries" (Query_log.active_count ());
+    counter "server.events" (Query_log.Events.total ());
+    flag "server.degraded" (is_degraded store);
+    counter "server.budget_kills" (Atomic.get store.budget_kills);
+    (* wire volume: client traffic plus, on a cluster worker, the
+       delta exchange *)
+    counter "server.bytes.read" (Atomic.get store.bytes_read);
+    counter "server.bytes.written" (Atomic.get store.bytes_written);
+    gauge "admission.inflight" (Admission.inflight store.admission);
+    counter "admission.admitted" (Admission.admitted store.admission);
+    counter "admission.waited" (Admission.waited store.admission);
+    counter "admission.busy_rejects" (Admission.busy_rejects store.admission);
+    counter "admission.shed" (Admission.shed store.admission);
+    gauge "snapshot.epoch" (Snapshot.epoch store.snap);
+    gauge "snapshot.pinned" (Snapshot.pinned_count ());
+    gauge "snapshot.read_domains" (Exec_pool.width ());
+    gauge "prepared.entries" c.Plan_cache.entries;
+    gauge "prepared.parsed_entries" c.Plan_cache.parsed_entries;
+    counter "prepared.hits" c.Plan_cache.hits;
+    counter "prepared.misses" c.Plan_cache.misses;
+    counter "prepared.unplanned" c.Plan_cache.unplanned;
+    counter "prepared.invalidations" c.Plan_cache.invalidations;
+    counter "prepared.evictions" c.Plan_cache.evictions;
+    gauge "plans.cached" (Coral.Engine.plan_cache_size eng);
+    counter "plans.hits" plan_hits;
+    counter "plans.misses" plan_misses;
+    flag "maintenance.enabled" (Coral.Engine.maintenance_enabled eng);
+    gauge "maintenance.predicates" maint_preds;
+    counter "maintenance.refreshes" maint_refreshes;
+    gauge "maintenance.fallback_preds" maint_fallbacks;
+    counter "maintenance.inserts" (Atomic.get store.maint_inserts);
+    counter "maintenance.retracts" (Atomic.get store.maint_retracts);
+    counter "maintenance.derived" (Atomic.get store.maint_derived);
+    counter "maintenance.deleted" (Atomic.get store.maint_deleted);
+    counter "maintenance.rederived" (Atomic.get store.maint_rederived);
+    counter "maintenance.fallback_updates" (Atomic.get store.maint_fallback);
+    counter "engine.derivations" derivations;
+    counter "engine.duplicates" duplicates;
+    counter "engine.scans" scans;
+    counter "engine.tuples_visited" (Coral.Relation.tuples_visited ())
+  ]
+
+(* [stats]: the table as [name=value] lines, then [text] lines and the
+   engine's relation summary, which walks the engine's tables and so
+   is read under the store lock. *)
+let stats_reply store rows text =
   let engine_lines =
-    Format.asprintf "%a" Coral.Engine.pp_stats eng
+    locked store (fun () -> Format.asprintf "%a" Coral.Engine.pp_stats (Coral.engine store.sdb))
     |> String.split_on_char '\n'
     |> List.filter (fun l -> String.trim l <> "")
   in
-  Protocol.ok (List.map (fun l -> Protocol.Txt l) (dotted @ engine_lines))
+  Protocol.ok (List.map (fun l -> Protocol.Txt l) (Obs.render_stats rows @ text @ engine_lines))
 
 (* ------------------------------------------------------------------ *)
 (* Operational introspection: ps / kill / events                       *)
@@ -900,92 +917,7 @@ let do_trace _t tid =
     end
   end
 
-(* ------------------------------------------------------------------ *)
-(* Prometheus text exposition                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Store-owned values are rendered at scrape time (several stores can
-   live in one process, e.g. under test, so they are not registered in
-   the global metric registry); everything registered — phase/latency
-   histograms, storage counters — is appended after.  Reads are atomic
-   or internally-mutexed loads, safe without the store lock. *)
-let metrics_text store =
-  let buf = Buffer.create 4096 in
-  Obs.prometheus_sample buf ~kind:"counter" "server.requests" (Atomic.get store.requests);
-  Obs.prometheus_sample buf ~kind:"counter" "server.errors" (Atomic.get store.errors);
-  Obs.prometheus_sample buf ~kind:"counter" "server.timeouts" (Atomic.get store.timeouts);
-  Obs.prometheus_sample buf ~kind:"gauge" "server.sessions" (Atomic.get store.sessions);
-  (* overload protection: the degraded flag, shed/reject counters and
-     the budget-kill count (coral_degraded, coral_shed_total, ...) *)
-  Obs.prometheus_sample buf ~kind:"gauge" "degraded" (if is_degraded store then 1 else 0);
-  Obs.prometheus_sample buf ~kind:"counter" "shed.total"
-    (Admission.shed store.admission + Admission.busy_rejects store.admission);
-  Obs.prometheus_sample buf ~kind:"counter" "busy.rejects"
-    (Admission.busy_rejects store.admission);
-  Obs.prometheus_sample buf ~kind:"gauge" "inflight.requests"
-    (Admission.inflight store.admission);
-  Obs.prometheus_sample buf ~kind:"counter" "budget.kills" (Atomic.get store.budget_kills);
-  (* wire volume (coral_bytes_read_total / coral_bytes_written_total):
-     client traffic plus, on a cluster worker, the delta exchange *)
-  Obs.prometheus_sample buf ~kind:"counter" "bytes.read_total" (Atomic.get store.bytes_read);
-  Obs.prometheus_sample buf ~kind:"counter" "bytes.written_total"
-    (Atomic.get store.bytes_written);
-  (* operational gauges + build/process identity *)
-  Obs.prometheus_sample buf ~kind:"gauge" "active_queries" (Query_log.active_count ());
-  Obs.prometheus_sample buf ~kind:"gauge" "sessions" (Atomic.get store.sessions);
-  Obs.prometheus_sample buf ~kind:"counter" "events.logged" (Query_log.Events.total ());
-  (* the snapshot subsystem: the published epoch and how many readers
-     hold a pinned version right now *)
-  Obs.prometheus_sample buf ~kind:"gauge" "snapshot.epoch" (Snapshot.epoch store.snap);
-  Obs.prometheus_sample buf ~kind:"gauge" "pinned.snapshots" (Snapshot.pinned_count ());
-  Buffer.add_string buf "# TYPE coral_build_info gauge\n";
-  Buffer.add_string buf
-    (Printf.sprintf "coral_build_info{version=%S,ocaml=%S} 1\n" Obs.version Sys.ocaml_version);
-  Obs.prometheus_sample buf ~kind:"gauge" "process_start_time_seconds"
-    (Obs.process_start_ns / 1_000_000_000);
-  Obs.prometheus_sample buf ~kind:"gauge" "process_uptime_seconds"
-    ((Obs.now_ns () - Obs.process_start_ns) / 1_000_000_000);
-  let c = Plan_cache.stats store.cache in
-  Obs.prometheus_sample buf ~kind:"gauge" "prepared.entries" c.Plan_cache.entries;
-  Obs.prometheus_sample buf ~kind:"gauge" "prepared.parsed_entries" c.Plan_cache.parsed_entries;
-  Obs.prometheus_sample buf ~kind:"counter" "prepared.hits" c.Plan_cache.hits;
-  Obs.prometheus_sample buf ~kind:"counter" "prepared.misses" c.Plan_cache.misses;
-  Obs.prometheus_sample buf ~kind:"counter" "prepared.unplanned" c.Plan_cache.unplanned;
-  Obs.prometheus_sample buf ~kind:"counter" "prepared.invalidations" c.Plan_cache.invalidations;
-  Obs.prometheus_sample buf ~kind:"counter" "prepared.evictions" c.Plan_cache.evictions;
-  let eng = Coral.engine store.sdb in
-  let plan_hits, plan_misses = Coral.plan_cache_stats store.sdb in
-  Obs.prometheus_sample buf ~kind:"gauge" "plans.cached" (Coral.Engine.plan_cache_size eng);
-  Obs.prometheus_sample buf ~kind:"counter" "plans.hits" plan_hits;
-  Obs.prometheus_sample buf ~kind:"counter" "plans.misses" plan_misses;
-  let derivations, duplicates, scans = Coral.Relation.global_stats () in
-  Obs.prometheus_sample buf ~kind:"counter" "engine.derivations" derivations;
-  Obs.prometheus_sample buf ~kind:"counter" "engine.duplicates" duplicates;
-  Obs.prometheus_sample buf ~kind:"counter" "engine.scans" scans;
-  Obs.prometheus_sample buf ~kind:"counter" "engine.tuples_visited"
-    (Coral.Relation.tuples_visited ());
-  (* incremental view maintenance (the coral_maintenance_ family):
-     update volume and the delta-propagation work it caused *)
-  Obs.prometheus_sample buf ~kind:"gauge" "maintenance.enabled"
-    (if Coral.Engine.maintenance_enabled eng then 1 else 0);
-  Obs.prometheus_sample buf ~kind:"gauge" "maintenance.predicates"
-    (match Coral.Engine.maintenance_info eng with Some (n, _) -> n | None -> 0);
-  Obs.prometheus_sample buf ~kind:"counter" "maintenance.refreshes"
-    (match Coral.Engine.maintenance_info eng with Some (_, r) -> r | None -> 0);
-  Obs.prometheus_sample buf ~kind:"counter" "maintenance.inserts"
-    (Atomic.get store.maint_inserts);
-  Obs.prometheus_sample buf ~kind:"counter" "maintenance.retracts"
-    (Atomic.get store.maint_retracts);
-  Obs.prometheus_sample buf ~kind:"counter" "maintenance.derived"
-    (Atomic.get store.maint_derived);
-  Obs.prometheus_sample buf ~kind:"counter" "maintenance.deleted"
-    (Atomic.get store.maint_deleted);
-  Obs.prometheus_sample buf ~kind:"counter" "maintenance.rederived"
-    (Atomic.get store.maint_rederived);
-  Obs.prometheus_sample buf ~kind:"counter" "maintenance.fallback_updates"
-    (Atomic.get store.maint_fallback);
-  Buffer.add_string buf (Obs.prometheus ());
-  Buffer.contents buf
+let metrics_text store = Obs.render_prometheus (samples store)
 
 let do_metrics t =
   let lines =
@@ -1035,7 +967,7 @@ let dispatch t (req : Protocol.request) =
   | Protocol.Why text -> do_why t text
   (* introspection over the master engine's tables: cheap, serialized
      against writers so iteration never races a mutation *)
-  | Protocol.Stats -> locked t.store (fun () -> do_stats t)
+  | Protocol.Stats -> stats_reply t.store (samples t.store) []
   | Protocol.Metrics -> do_metrics t
   | Protocol.Relations -> locked t.store (fun () -> do_relations t)
   | Protocol.Modules -> locked t.store (fun () -> do_modules t)

@@ -60,10 +60,14 @@ val set_dist_handler : store -> (Protocol.request -> Protocol.response) -> unit
 
 val note_bytes_read : store -> int -> unit
 (** Credit [n] wire bytes read from a client (or peer) connection to
-    the store's [server.bytes.read] / [coral_bytes_read_total]
-    counters; the connection loop calls this per line and payload. *)
+    the store's [server.bytes.read] counter; the connection loop
+    calls this per line and payload. *)
 
 val note_bytes_written : store -> int -> unit
+
+val close_databases : store -> unit
+(** Commit and close the attached persistent databases under the store
+    lock (graceful shutdown). *)
 
 val snapshot_epoch : store -> int
 (** The currently published snapshot epoch (starts at 1; every
@@ -130,9 +134,18 @@ val handle : t -> Protocol.request -> Protocol.response
     log on completion; [Ps]/[Kill]/[Events] are answered without any
     lock. *)
 
+val samples : store -> Coral_obs.Obs.sample list
+(** The store's sample table: each store-owned value once (requests,
+    sessions, admission, snapshot, caches, maintenance, engine work).
+    [stats] and {!metrics_text} both render it.  Reading it takes no
+    lock and never rebuilds maintained extents. *)
+
+val stats_reply : store -> Coral_obs.Obs.sample list -> string list -> Protocol.response
+(** [stats_reply store rows text]: the [stats] reply — [rows] (and the
+    process's rows) as [name=value] lines, then the [text] lines, then
+    the engine's relation summary (read under the store lock). *)
+
 val metrics_text : store -> string
-(** Prometheus text exposition: the store's own counters (requests,
-    errors, sessions, caches, snapshot epoch and pinned-reader gauges)
-    followed by every metric in the global {!Coral_obs.Obs} registry.
-    Reads are atomic or internally-mutexed loads — safe to call from
-    the metrics listener thread without the store lock. *)
+(** Prometheus text exposition of {!samples} (see
+    {!Coral_obs.Obs.render_prometheus}).  Safe to call from the
+    metrics listener thread without the store lock. *)

@@ -48,4 +48,4 @@ val publish : 'a t -> 'a version -> unit
 
 val pinned_count : unit -> int
 (** Process-wide count of currently pinned snapshots (the
-    [coral_pinned_snapshots] gauge). *)
+    [snapshot.pinned] sample, [coral_snapshot_pinned]). *)

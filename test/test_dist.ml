@@ -936,7 +936,7 @@ let test_worker_crash_unavail () =
   check_prefix "router alive after shard loss" "ok pong" status;
   let lines, _ = request c "stats" in
   Alcotest.(check bool) "cluster marked dirty" true
-    (List.mem "txt router.state=dirty" lines);
+    (List.mem "txt router.dirty=1" lines);
   (* a replacement worker on the same address heals the cluster *)
   let db = Coral.create () in
   let srv2 = Server.start ~listen:(`Unix victim_path) db in
@@ -1250,6 +1250,66 @@ let test_forced_straggler () =
   ignore (request c "quit");
   close_client c
 
+(* The router's [stats] and its scrape render one sample table (the
+   store's rows plus the router's own): the same names, with the
+   federated [coral_shard_*] section set aside. *)
+let test_router_stats_metrics_parity () =
+  with_obs @@ fun () ->
+  let cl = start_cluster ~shards:2 ~key:1 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  let c = connect_unix cl.router_path in
+  consult_all c [ tc_program; "edge(1, 2).\nedge(2, 3).\nedge(3, 4).\n" ];
+  ignore (answers c "path(X, Y)");
+  let stats, status = request c "stats" in
+  check_prefix "stats" "ok" status;
+  Alcotest.(check bool) "fixpoint rows present" true
+    (List.mem "txt router.dirty=0" stats
+    && List.exists (String.starts_with ~prefix:"txt router.fixpoint.wall_seconds=") stats);
+  let strip l = if String.starts_with ~prefix:"txt " l then String.sub l 4 (String.length l - 4) else l in
+  Parity.check ~what:"router"
+    ~drop:(String.starts_with ~prefix:"coral_shard_")
+    ~stats:(List.map strip stats)
+    ~metrics:(String.split_on_char '\n' (Router.metrics_text cl.router))
+    ();
+  ignore (request c "quit");
+  close_client c
+
+(* The router runs on the server's connection layer, so its session cap
+   sheds like a server's: one BUSY line, counted, logged. *)
+let test_router_connection_cap () =
+  let rpath = sock_path () in
+  let limits = { Admission.default with Admission.max_sessions = 1 } in
+  let router =
+    Router.start ~limits ~listen:(`Unix rpath) ~shard_addrs:[] ~key:0 (Coral.create ())
+  in
+  Fun.protect ~finally:(fun () -> Router.shutdown router) @@ fun () ->
+  let c1 = connect_unix rpath in
+  let _, status = request c1 "ping" in
+  check_prefix "first connection" "ok pong" status;
+  let events_before = Coral_obs.Query_log.Events.total () in
+  let c2 = connect_unix rpath in
+  (match In_channel.input_line c2.ic with
+  | Some line -> check_prefix "second connection shed" "err BUSY" line
+  | None -> Alcotest.fail "shed connection got no BUSY line");
+  close_client c2;
+  let stats, _ = request c1 "stats" in
+  Alcotest.(check bool) "admission.shed counted" true (List.mem "txt admission.shed=1" stats);
+  let fresh =
+    Coral_obs.Query_log.Events.recent (Coral_obs.Query_log.Events.total () - events_before)
+  in
+  let field name j =
+    match Coral_obs.Json.member name j with Some (Coral_obs.Json.Str v) -> v | _ -> ""
+  in
+  Alcotest.(check bool) "shed event with scope=connection" true
+    (List.exists
+       (fun l ->
+         match Coral_obs.Json.parse l with
+         | Ok j -> field "kind" j = "shed" && field "scope" j = "connection"
+         | Error _ -> false)
+       fresh);
+  ignore (request c1 "quit");
+  close_client c1
+
 let () =
   Alcotest.run "coral_dist"
     [ ( "units",
@@ -1289,6 +1349,10 @@ let () =
           Alcotest.test_case "stitched cross-process trace" `Quick test_stitched_trace;
           Alcotest.test_case "federated metrics labels (1/2/4 shards)" `Quick
             test_federated_metrics;
-          Alcotest.test_case "forced straggler is flagged" `Quick test_forced_straggler
+          Alcotest.test_case "forced straggler is flagged" `Quick test_forced_straggler;
+          Alcotest.test_case "router stats and metrics name parity" `Quick
+            test_router_stats_metrics_parity;
+          Alcotest.test_case "router connection cap sheds like a server" `Quick
+            test_router_connection_cap
         ] )
     ]

@@ -333,14 +333,14 @@ let test_maintenance_info () =
   let e = chain_engine () in
   match Coral.Engine.maintenance_info (eng e) with
   | None -> Alcotest.fail "maintenance should be on"
-  | Some (preds, refreshes) ->
+  | Some (preds, refreshes, _) ->
     Alcotest.(check bool) "path is maintained" true (preds >= 1);
     Alcotest.(check bool) "one refresh so far" true (refreshes >= 1);
     (* incremental updates must not trigger full rebuilds *)
     ignore (Coral.Engine.insert_facts (eng e) [ sym "edge", [| Term.int 3; Term.int 4 |] ]);
     ignore (rows e "path(X, Y)");
     (match Coral.Engine.maintenance_info (eng e) with
-    | Some (_, r2) -> Alcotest.(check int) "no extra rebuild" refreshes r2
+    | Some (_, r2, _) -> Alcotest.(check int) "no extra rebuild" refreshes r2
     | None -> Alcotest.fail "maintenance dropped")
 
 (* Maintenance time lands in the phase.maintain histogram: an extent

@@ -393,7 +393,7 @@ let test_prometheus_exposition () =
   Alcotest.(check bool) "inf bucket" true (has "coral_test_prom_lat_bucket{le=\"+Inf\"} 1");
   Alcotest.(check bool) "count line" true (has "coral_test_prom_lat_count 1");
   let buf = Buffer.create 64 in
-  Obs.prometheus_sample buf ~kind:"gauge" "test.prom.unregistered" 42;
+  Obs.prometheus_sample_f buf ~kind:"gauge" "test.prom.unregistered" 42.;
   let sample = Buffer.contents buf in
   Alcotest.(check bool) "sample TYPE" true
     (String.starts_with ~prefix:"# TYPE coral_test_prom_unregistered gauge" sample)

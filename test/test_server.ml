@@ -337,9 +337,9 @@ let test_metrics_wire () =
     (contains "coral_process_start_time_seconds" text);
   Alcotest.(check bool) "uptime gauge" true (contains "coral_process_uptime_seconds" text);
   Alcotest.(check bool) "active query gauge" true
-    (contains "# TYPE coral_active_queries gauge" text);
+    (contains "# TYPE coral_server_active_queries gauge" text);
   Alcotest.(check bool) "session gauge" true
-    (contains "# TYPE coral_sessions gauge" text);
+    (contains "# TYPE coral_server_sessions gauge" text);
   (* this connection is open, so the session gauge reads at least 1 *)
   Alcotest.(check bool) "session gauge counts this connection" true
     (List.exists
@@ -1221,11 +1221,11 @@ let test_overload_observability () =
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "metrics expose %s" needle) true
         (contains needle text))
-    [ "# TYPE coral_degraded gauge";
-      "# TYPE coral_shed_total counter";
-      "# TYPE coral_busy_rejects counter";
-      "# TYPE coral_inflight_requests gauge";
-      "coral_budget_kills 1"
+    [ "# TYPE coral_server_degraded gauge";
+      "# TYPE coral_admission_shed counter";
+      "# TYPE coral_admission_busy_rejects counter";
+      "# TYPE coral_admission_inflight gauge";
+      "coral_server_budget_kills 1"
     ];
   Session.close s
 
@@ -1648,7 +1648,7 @@ let test_assert_replays_on_write_lane () =
 (* Wire-volume accounting: request lines and payloads add to
    server.bytes.read, reply lines to server.bytes.written, and the
    same totals ride the Prometheus exposition as
-   coral_bytes_read_total / coral_bytes_written_total. *)
+   coral_server_bytes_read / coral_server_bytes_written. *)
 let test_byte_counters_wire () =
   let srv = start_server () in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
@@ -1679,9 +1679,9 @@ let test_byte_counters_wire () =
   check_prefix "metrics status" "ok" status;
   let text = String.concat "\n" (List.map strip_txt lines) in
   Alcotest.(check bool) "read counter exposed" true
-    (contains "# TYPE coral_bytes_read_total counter" text);
+    (contains "# TYPE coral_server_bytes_read counter" text);
   Alcotest.(check bool) "write counter exposed" true
-    (contains "# TYPE coral_bytes_written_total counter" text);
+    (contains "# TYPE coral_server_bytes_written counter" text);
   let sample name =
     List.find_map
       (fun l ->
@@ -1691,16 +1691,65 @@ let test_byte_counters_wire () =
         else None)
       (String.split_on_char '\n' text)
   in
-  (match sample "coral_bytes_read_total" with
+  (match sample "coral_server_bytes_read" with
   | Some v ->
     Alcotest.(check bool) "prometheus read sample tracks the stats total" true (v >= r1)
-  | None -> Alcotest.fail "no coral_bytes_read_total sample");
-  (match sample "coral_bytes_written_total" with
+  | None -> Alcotest.fail "no coral_server_bytes_read sample");
+  (match sample "coral_server_bytes_written" with
   | Some v ->
     Alcotest.(check bool) "prometheus write sample tracks the stats total" true (v >= w1)
-  | None -> Alcotest.fail "no coral_bytes_written_total sample");
+  | None -> Alcotest.fail "no coral_server_bytes_written sample");
   ignore (request c "quit");
   close c
+
+(* One sample table, two views: every [stats] line with a numeric value
+   has a Prometheus sample of the derived name, and the scrape has no
+   sample (histograms and the build identity aside) that [stats]
+   lacks. *)
+let test_stats_metrics_parity () =
+  let srv = start_server () in
+  Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
+  let c = connect srv in
+  let _, status = request c ("consult " ^ flat paths_program) in
+  check_prefix "consult" "ok" status;
+  let _, status = request c "query path(1, Y)" in
+  check_prefix "query" "ok" status;
+  let stats, status = request c "stats" in
+  check_prefix "stats" "ok" status;
+  let metrics = String.split_on_char '\n' (Session.metrics_text (Server.store srv)) in
+  Parity.check ~what:"server" ~stats:(List.map strip_txt stats) ~metrics ();
+  ignore (request c "quit");
+  close c
+
+(* [stats] reads the maintenance counts the last build left behind; it
+   must not rebuild stale extents itself.  A persistent relation keeps
+   the consult's commit from building them (its epoch publishes no
+   lock-free view), so they are stale when [stats] arrives. *)
+let test_stats_does_not_rebuild () =
+  let dir = tmpdir "srvstats" in
+  let db = Coral.create () in
+  let pdb = Coral.Database.open_ dir in
+  Coral.install_relation db "edge" (Coral.Database.relation pdb ~name:"edge" ~arity:2 ());
+  Coral.Engine.set_maintenance (Coral.engine db) true;
+  let store = Session.make_store ~databases:[ pdb ] db in
+  let s = Session.create store in
+  Fun.protect ~finally:(fun () ->
+      Session.close s;
+      Session.close_databases store)
+  @@ fun () ->
+  (match (Session.handle s (Protocol.Consult paths_program)).Protocol.status with
+  | Ok _ -> ()
+  | Error (c, m) -> Alcotest.fail (Protocol.code_string c ^ ": " ^ m));
+  let refreshes () =
+    match Coral.Engine.maintenance_info (Coral.engine db) with
+    | Some (_, r, _) -> r
+    | None -> Alcotest.fail "maintenance should be on"
+  in
+  let before = refreshes () in
+  (match (Session.handle s Protocol.Stats).Protocol.status with
+  | Ok _ -> ()
+  | Error (c, m) -> Alcotest.fail (Protocol.code_string c ^ ": " ^ m));
+  Alcotest.(check int) "stats leaves the maintained extents alone" before (refreshes ())
 
 (* The real REPL client against a saturated server: its shed request
    comes back [err BUSY <retry-after-ms>], it sleeps on the advice and
@@ -1838,7 +1887,9 @@ let () =
           Alcotest.test_case "shutdown commits databases" `Quick
             test_shutdown_commits_databases;
           Alcotest.test_case "session semantics" `Quick test_session_direct;
-          Alcotest.test_case "wire updates" `Quick test_session_updates
+          Alcotest.test_case "wire updates" `Quick test_session_updates;
+          Alcotest.test_case "stats and metrics name parity" `Quick test_stats_metrics_parity;
+          Alcotest.test_case "stats does not rebuild extents" `Quick test_stats_does_not_rebuild
         ] );
       ( "robustness",
         [ Alcotest.test_case "accept loop survives EMFILE" `Quick
