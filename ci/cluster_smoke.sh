@@ -95,6 +95,18 @@ tc_facts() {
   printf 'edge(5, 17). edge(22, 3). edge(11, 29). edge(28, 2).'
 }
 
+# Every value kind on the binary delta wire: strings with spaces,
+# quotes, a backslash and non-ASCII bytes, bignums past 63 bits,
+# functor terms, and lists with and without a tail, as the nodes of a
+# cycle so each one is shipped between shards.
+value_kinds_facts() {
+  printf '%s' 'vedge("a b", "say \"hi\""). vedge("say \"hi\"", 123456789012345678901234567890). '
+  printf '%s' 'vedge(123456789012345678901234567890, f(1, "x y")). vedge(f(1, "x y"), [1, 2, 3]). '
+  printf '%s' 'vedge([1, 2, 3], [a | b]). vedge([a | b], g([h(1)], -98765432109876543210)). '
+  printf '%s' 'vedge(g([h(1)], -98765432109876543210), "back \\ slash"). '
+  printf '%s' 'vedge("back \\ slash", "café"). vedge("café", "a b").'
+}
+
 cat > "$DIR/workload.txt" <<EOF
 consult module m_path. export path(bf). export path(ff). path(X, Y) :- edge(X, Y). path(X, Y) :- path(X, Z), edge(Z, Y). end_module.
 consult $(tc_facts)
@@ -103,6 +115,10 @@ query path(1, Y)
 consult module m_sg. export sg(ff). sg(X, Y) :- flat(X, Y). sg(X, Y) :- up(X, U), sg(U, V), down(V, Y). end_module.
 consult flat(100, 101). flat(101, 102). up(1, 100). up(2, 100). up(3, 101). down(101, 11). down(102, 12). down(100, 10).
 query sg(X, Y)
+consult module m_vpath. export vpath(bf). export vpath(ff). vpath(X, Y) :- vedge(X, Y). vpath(X, Y) :- vpath(X, Z), vedge(Z, Y). end_module.
+consult $(value_kinds_facts)
+query vpath(X, Y)
+query vpath("a b", Y)
 quit
 EOF
 
@@ -148,6 +164,13 @@ for s in 0 1 2; do
   if ! grep -v '^coral_shard_up' "$DIR/metrics.prom" \
       | grep -q "^coral_shard_.*{shard=\"$s\""; then
     echo "cluster_smoke: FAIL — no relabeled coral_shard_* series for shard $s" >&2
+    exit 1
+  fi
+done
+# Each worker process times its own batch encode/decode.
+for s in 0 1 2; do
+  if ! grep -q "^coral_shard_phase_codec_count{shard=\"$s\"[,}].* [1-9][0-9]*\$" "$DIR/metrics.prom"; then
+    echo "cluster_smoke: FAIL — shard $s recorded no phase.codec time" >&2
     exit 1
   fi
 done

@@ -188,20 +188,17 @@ let send_payload t cmd text =
 let send_edb t text = send_payload t "consult#" text
 let send_program t text = send_payload t "dprog#" text
 
-(* Ship one shard a delta batch outside the barrier loop.  Used to
-   seed partitioned predicates that also have consulted base facts:
-   the batch sits in the worker's exchange buffer and is absorbed at
-   the first promote, exactly like a peer delta.  The caller passes
-   the total seeded count to [run_fixpoint] so round 1's
-   shipped-equals-received tripwire can account for it. *)
-let send_delta t ~shard text =
+(* Ship one shard a binary delta payload (Delta_codec) outside the
+   barrier loop.  Used to seed partitioned predicates that also have
+   consulted base facts: the batch sits in the worker's exchange
+   buffer and is absorbed at the first promote, exactly like a peer
+   delta.  The caller passes the total seeded count to [run_fixpoint]
+   so round 1's shipped-equals-received tripwire can account for it. *)
+let send_delta t ~shard payload =
   if shard < 0 || shard >= Array.length t.clients then
     Error (Protocol.Cluster, Printf.sprintf "seed delta for nonexistent shard %d" shard)
   else begin
     let tid = Obs.Trace.current () in
-    let payload =
-      if text = "" || text.[String.length text - 1] = '\n' then text else text ^ "\n"
-    in
     match
       expect_ok t.clients.(shard)
         ~payload

@@ -70,8 +70,8 @@ val send_program : t -> string -> (unit, Coral_server.Protocol.error_code * stri
 
 val send_delta :
   t -> shard:int -> string -> (unit, Coral_server.Protocol.error_code * string) result
-(** Ship one shard a fact batch into its exchange buffer, absorbed at
-    its next promote.  Used before [run_fixpoint] to seed partitioned
+(** Ship one shard a binary delta payload ({!Delta_codec.contents})
+    into its exchange buffer, absorbed at its next promote.  Used before [run_fixpoint] to seed partitioned
     predicates that also have consulted base facts; pass the total
     count as [run_fixpoint]'s [seeded]. *)
 

@@ -28,17 +28,39 @@
    instantiated tuple has exactly one owner shard, so two shards can
    never produce the same row.
 
-   Every query — local or distributed — registers in the process-wide
-   Query_log, so [ps] sees it and [kill] aborts it; a killed or
-   timed-out fan-out abandons its worker threads (each closes its own
-   connection when it notices). *)
+   A fan-out runs one thread per shard; the waiter sleeps on a
+   per-fan-out pipe that each thread writes a byte to as it answers,
+   so the merge starts when the last shard answers, not at a polling
+   tick.  Every query — local or distributed — registers in the
+   process-wide Query_log, so [ps] sees it and [kill] aborts it: the
+   waiter still wakes at least every 20 ms tick to notice a kill or
+   the deadline, and an abandoned fan-out leaves its threads to close
+   their own connections, and the last of them the pipe.
+
+   Peer deltas and the seed batches below travel as binary
+   [Delta_codec] batches; only the replicated EDB ships as fact
+   text. *)
 
 open Coral_server
 module Obs = Coral_obs.Obs
 
+(* Seed batches are encoded under the workers' codec histogram. *)
+let h_codec = Obs.histogram "phase.codec"
+
+(* One fanned-out query: a slot per shard, filled by that shard's
+   thread, which then writes one byte to [wake_w] so the waiter, asleep
+   in [select] on [wake_r], returns when the last shard answers rather
+   than at its next tick.  The pipe is closed by whichever side is done
+   with it last — the waiter once every thread has finished, or, when
+   kill or the deadline abandons the fan-out, the last thread to
+   finish — so no thread ever writes to a closed (or reused) fd. *)
 type fanout = {
   slots : (Protocol.response, Protocol.error_code * string) result option array;
-  threads : Thread.t list;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  fo_lock : Mutex.t;  (* guards [slots], [pending], [abandoned] *)
+  mutable pending : int;  (* shard threads still running *)
+  mutable abandoned : bool;  (* the waiter has left *)
 }
 
 (* The router's state; [t] pairs it with the connection layer serving
@@ -111,16 +133,15 @@ let edb_text t (a : Plan.analysis) =
 let seed_batches t (a : Plan.analysis) =
   let eng = Coral.engine (Session.db t.sstore) in
   let part = Coordinator.partition t.coord in
-  let batches = Array.init (Coordinator.shards t.coord) (fun _ -> Buffer.create 256) in
+  let batches = Array.init (Coordinator.shards t.coord) (fun _ -> Delta_codec.batch ()) in
   let count = ref 0 in
   Session.locked t.sstore (fun () ->
+      Obs.Histogram.time h_codec @@ fun () ->
       iter_base_relations eng (fun name arity rel ->
           if List.mem (name, arity) a.Plan.idb then
             Seq.iter
               (fun tuple ->
-                let buf = batches.(Partition.owner part tuple) in
-                Buffer.add_string buf (Delta_codec.fact_line name tuple);
-                Buffer.add_char buf '\n';
+                Delta_codec.add_tuple batches.(Partition.owner part tuple) name tuple;
                 incr count)
               (Coral.Relation.scan rel ())));
   batches, !count
@@ -146,14 +167,19 @@ let resync t (a : Plan.analysis) =
     Coordinator.send_program t.coord a.Plan.text
     >>= fun () ->
     let batches, seeded = seed_batches t a in
-    let rec ship shard =
-      if shard >= Array.length batches then Ok ()
-      else if Buffer.length batches.(shard) = 0 then ship (shard + 1)
-      else
-        Coordinator.send_delta t.coord ~shard (Buffer.contents batches.(shard))
-        >>= fun () -> ship (shard + 1)
+    let payloads =
+      Array.to_list batches
+      |> List.mapi (fun shard b ->
+             if Delta_codec.count b = 0 then []
+             else List.map (fun p -> shard, p) (Delta_codec.contents b))
+      |> List.concat
     in
-    ship 0
+    let rec ship = function
+      | [] -> Ok ()
+      | (shard, payload) :: rest ->
+        Coordinator.send_delta t.coord ~shard payload >>= fun () -> ship rest
+    in
+    ship payloads
     >>= fun () ->
     Coordinator.run_fixpoint ~seeded t.coord
     >>= fun stats -> Ok (stats, seeded)
@@ -272,23 +298,74 @@ let shard_query addr ~timeout_ms text =
           Error (code, Printf.sprintf "%s: %s" addr msg)
         | None -> Error (Protocol.Proto, "unparseable reply from " ^ addr)))
 
+let close_wake fo =
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ fo.wake_r; fo.wake_w ]
+
 let launch_fanout ~timeout_ms addrs text =
   let n = List.length addrs in
-  let slots = Array.make n None in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let fo =
+    { slots = Array.make n None;
+      wake_r;
+      wake_w;
+      fo_lock = Mutex.create ();
+      pending = n;
+      abandoned = false
+    }
+  in
+  let finish i r =
+    Mutex.lock fo.fo_lock;
+    fo.slots.(i) <- Some r;
+    fo.pending <- fo.pending - 1;
+    if not fo.abandoned then (
+      try ignore (Unix.write_substring fo.wake_w "." 0 1) with Unix.Unix_error _ -> ())
+    else if fo.pending = 0 then close_wake fo;
+    Mutex.unlock fo.fo_lock
+  in
   let threads =
     List.mapi
       (fun i addr ->
         Thread.create
           (fun () ->
-            let r =
-              try shard_query addr ~timeout_ms text
-              with Shard_client.Down m -> Error (Protocol.Unavail, m)
-            in
-            slots.(i) <- Some r)
+            finish i
+              (try shard_query addr ~timeout_ms text with
+              | Shard_client.Down m -> Error (Protocol.Unavail, m)
+              | e -> Error (Protocol.Cluster, Printexc.to_string e)))
           ())
       addrs
   in
-  { slots; threads }
+  fo, threads
+
+(* Block until every shard has answered ([`Done]), the query is
+   killed, or its deadline passes — the last two noticed within one
+   [tick] — then give up the waiter's share of the pipe. *)
+let await_fanout fo ~killed ~expired =
+  let tick = 0.02 in
+  let drain = Bytes.create 64 in
+  let rec wait () =
+    Mutex.lock fo.fo_lock;
+    let pending = fo.pending in
+    Mutex.unlock fo.fo_lock;
+    if pending = 0 then `Done
+    else if killed () then `Killed
+    else if expired () then `Timeout
+    else begin
+      (match Unix.select [ fo.wake_r ] [] [] tick with
+      | [], _, _ -> ()
+      | _ -> ignore (Unix.read fo.wake_r drain 0 (Bytes.length drain))
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error _ ->
+        (* no select for this fd (past FD_SETSIZE): poll by the tick *)
+        Thread.delay tick);
+      wait ()
+    end
+  in
+  Fun.protect wait ~finally:(fun () ->
+      Mutex.lock fo.fo_lock;
+      if fo.pending = 0 then close_wake fo else fo.abandoned <- true;
+      Mutex.unlock fo.fo_lock)
 
 (* Evaluate on the router's own replica — and notice when the query
    mutated it.  The assert/retract builtins ride ordinary queries (the
@@ -329,28 +406,26 @@ let fan_out t session text =
       @@ fun () ->
       let t0 = Unix.gettimeofday () in
       let t0_ns = Obs.now_ns () in
-      let fo = launch_fanout ~timeout_ms (Coordinator.addrs t.coord) wire_text in
-      (* Poll rather than join: kill (and the local deadline) must be
+      match launch_fanout ~timeout_ms (Coordinator.addrs t.coord) wire_text with
+      | exception Unix.Unix_error (e, _, _) ->
+        (* no fd left for the wake pipe *)
+        Protocol.err Protocol.Resource ("cannot start the fan-out: " ^ Unix.error_message e)
+      | fo, threads ->
+      (* Wait rather than join: kill (and the local deadline) must be
          able to abandon threads stuck on a wedged worker.  Abandoned
          threads own their connections and close them on exit. *)
-      let rec wait () =
-        if Array.for_all Option.is_some fo.slots then `Done
-        else if Coral_obs.Query_log.killed entry then `Killed
-        else if
-          timeout_ms > 0 && (Unix.gettimeofday () -. t0) *. 1000. > float_of_int (timeout_ms + 200)
-        then `Timeout
-        else begin
-          Thread.delay 0.02;
-          wait ()
-        end
+      let expired () =
+        timeout_ms > 0 && (Unix.gettimeofday () -. t0) *. 1000. > float_of_int (timeout_ms + 200)
       in
-      (match wait () with
+      (match
+         await_fanout fo ~killed:(fun () -> Coral_obs.Query_log.killed entry) ~expired
+       with
       | `Killed -> Protocol.err Protocol.Killed "query killed by operator request"
       | `Timeout ->
         Protocol.err Protocol.Timeout
           (Printf.sprintf "deadline of %dms exceeded; fan-out abandoned" timeout_ms)
       | `Done ->
-        List.iter Thread.join fo.threads;
+        List.iter Thread.join threads;
         let results = Array.map Option.get fo.slots in
         (match
            Array.fold_left

@@ -27,8 +27,10 @@ module Obs = Coral_obs.Obs
 module Module_struct = Coral_eval.Module_struct
 module Joiner = Coral_eval.Joiner
 
-(* Step joins are timed like the engine's fixpoint runs. *)
+(* Step joins are timed like the engine's fixpoint runs; encoding the
+   outbound batches and decoding inbound ones, apart from them. *)
 let h_eval = Obs.histogram "phase.eval"
+let h_codec = Obs.histogram "phase.codec"
 
 type config = {
   part : Partition.t;
@@ -193,34 +195,30 @@ let do_dprog t text =
 (* Delta intake (peer connection threads)                              *)
 (* ------------------------------------------------------------------ *)
 
-let do_delta t text =
+let do_delta t payload =
   match t.config, t.prog with
   | None, _ | _, None ->
     Protocol.err Protocol.Cluster "delta before shard/dprog configuration"
   | Some cfg, Some prog -> begin
-    match Delta_codec.decode text with
+    match Obs.Histogram.time h_codec (fun () -> Delta_codec.decode payload) with
     | Error m -> Protocol.err Protocol.Proto ("bad delta batch: " ^ m)
-    | Ok atoms ->
-      let check_item (a : Ast.atom) =
-        let name = Symbol.name a.Ast.pred in
-        let arity = Array.length a.Ast.args in
+    | Ok tuples ->
+      let check_item (name, tuple) =
+        let arity = Tuple.arity tuple in
         if not (List.mem (name, arity) prog.analysis.Plan.idb) then
           Error (Printf.sprintf "delta for non-derived predicate %s/%d" name arity)
-        else begin
-          let tuple = Tuple.of_terms a.Ast.args in
-          if Partition.owner cfg.part tuple <> cfg.self then
-            Error (Printf.sprintf "misrouted delta tuple %s" (Tuple.to_string tuple))
-          else Ok { Exchange.pred = name; arity; tuple }
-        end
+        else if Partition.owner cfg.part tuple <> cfg.self then
+          Error (Printf.sprintf "misrouted delta tuple %s" (Tuple.to_string tuple))
+        else Ok { Exchange.pred = name; arity; tuple }
       in
       let rec convert acc = function
         | [] -> Ok (List.rev acc)
-        | a :: rest -> (
-          match check_item a with
+        | x :: rest -> (
+          match check_item x with
           | Ok item -> convert (item :: acc) rest
           | Error m -> Error m)
       in
-      (match convert [] atoms with
+      (match convert [] tuples with
       | Error m -> Protocol.err Protocol.Cluster m
       | Ok items ->
         let n = Exchange.add_remote t.exchange items in
@@ -286,39 +284,53 @@ let do_step t round =
             end)
           prog.rules);
     Exchange.add_local t.exchange (List.rev !local);
-    (* Ship each destination its batch and wait for the ack: when this
+    (* Encode every destination's batch before shipping any, so a
+       value with no wire form fails the round before a peer has
+       buffered part of it. *)
+    let encode items =
+      let b = Delta_codec.batch () in
+      List.iter (fun i -> Delta_codec.add_tuple b i.Exchange.pred i.Exchange.tuple) (List.rev items);
+      Delta_codec.contents b
+    in
+    (* Ship each destination its batch and wait for the acks: when this
        reply goes out, no delta of ours is still in flight. *)
-    let ship dest items =
+    let ship dest items payloads =
       match cfg.peers.(dest) with
       | None -> Ok (0, 0)  (* own bucket is always empty; defensive *)
       | Some peer ->
-        let lines = List.rev_map (fun i -> Delta_codec.fact_line i.Exchange.pred i.Exchange.tuple) items in
-        let payload = String.concat "\n" (List.rev lines) ^ "\n" in
-        let n = List.length items in
-        (match
-           Shard_client.request peer
-             ~payload
-             (Printf.sprintf "delta# %d" (String.length payload))
-         with
-        | _, status when Shard_client.status_ok status <> None ->
-          Ok (n, String.length payload)
-        | _, status -> Error (Printf.sprintf "%s rejected delta: %s" (Shard_client.addr peer) status)
-        | exception Shard_client.Down m -> Error m)
+        let rec go bytes = function
+          | [] -> Ok (List.length items, bytes)
+          | payload :: rest -> (
+            match
+              Shard_client.request peer ~payload
+                (Printf.sprintf "delta# %d" (String.length payload))
+            with
+            | _, status when Shard_client.status_ok status <> None ->
+              go (bytes + String.length payload) rest
+            | _, status ->
+              Error (Printf.sprintf "%s rejected delta: %s" (Shard_client.addr peer) status)
+            | exception Shard_client.Down m -> Error m)
+        in
+        go 0 payloads
     in
-    let rec ship_all dest shipped bytes =
+    let rec ship_all payloads dest shipped bytes =
       if dest >= Array.length outbound then Ok (shipped, bytes)
-      else if outbound.(dest) = [] then ship_all (dest + 1) shipped bytes
+      else if outbound.(dest) = [] then ship_all payloads (dest + 1) shipped bytes
       else
-        match ship dest outbound.(dest) with
-        | Ok (n, b) -> ship_all (dest + 1) (shipped + n) (bytes + b)
+        match ship dest outbound.(dest) payloads.(dest) with
+        | Ok (n, b) -> ship_all payloads (dest + 1) (shipped + n) (bytes + b)
         | Error m -> Error m
     in
-    (match ship_all 0 0 0 with
+    (match
+       ship_all
+         (Obs.Histogram.time h_codec (fun () -> Array.map encode outbound))
+         0 0 0
+     with
     | Error m -> Protocol.err Protocol.Unavail ("peer unreachable mid-round: " ^ m)
     | exception Delta_codec.Unencodable m ->
-      (* a derived value the codec cannot round-trip (a rule computed
-         a non-finite double, say) must fail the round loudly, not
-         ship a lie to its owner *)
+      (* a derived value with no wire form (a rule computed a
+         non-finite double, say) must fail the round loudly, not ship
+         a lie to its owner *)
       Protocol.err Protocol.Cluster ("derived tuple cannot be shipped: " ^ m)
     | Ok (shipped, bytes) ->
       shipped_count := shipped;
@@ -406,7 +418,7 @@ let handle t (req : Protocol.request) =
   | Protocol.Shard { index; count; key; peers } ->
     do_shard t ~index ~count ~key ~peer_addrs:peers
   | Protocol.Dprog text -> do_dprog t text
-  | Protocol.Delta text -> do_delta t text
+  | Protocol.Delta payload -> do_delta t payload
   | Protocol.Barrier (Protocol.Step, r) -> do_step t r
   | Protocol.Barrier (Protocol.Promote, r) -> do_promote t r
   | Protocol.Dreset -> do_dreset t

@@ -46,13 +46,15 @@ let subsumes general specific =
   if general.nvars = 0 then equal general specific
   else Unify.subsumes (general.terms, general.nvars) (specific.terms, specific.nvars)
 
-let pp ppf t =
-  Format.fprintf ppf "(";
+let to_string t =
+  let buf = Buffer.create 32 in
+  Buffer.add_char buf '(';
   Array.iteri
     (fun i term ->
-      if i > 0 then Format.fprintf ppf ", ";
-      Term.pp ppf term)
+      if i > 0 then Buffer.add_string buf ", ";
+      Term.to_buffer buf term)
     t.terms;
-  Format.fprintf ppf ")"
+  Buffer.add_char buf ')';
+  Buffer.contents buf
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)

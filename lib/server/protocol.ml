@@ -29,7 +29,7 @@ type request =
   (* cluster control plane (a worker under a coral_router front end) *)
   | Shard of { index : int; count : int; key : int; peers : string list }
   | Dprog of string  (** distributed program text (rules to evaluate locally) *)
-  | Delta of string  (** a batch of fact lines shipped from a peer shard *)
+  | Delta of string  (** a binary delta batch shipped from a peer shard (Delta_codec) *)
   | Barrier of barrier_phase * int  (** barrier step|promote <round> *)
   | Dreset
   (* observability plane *)

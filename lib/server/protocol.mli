@@ -44,7 +44,7 @@
                                    partitioned on argument <key>, with one
                                    peer address per shard
     dprog# <nbytes>                the distributed program (rules) follows
-    delta# <nbytes>                a batch of fact lines from a peer shard
+    delta# <nbytes>                a binary delta batch from a peer shard
     barrier step <round>           run one local evaluation round and ship
                                    non-local deltas to their owners
     barrier promote <round>        promote buffered deltas into the stored
@@ -138,7 +138,7 @@ type request =
           partitioned on argument [key]; [peers] has one address per
           shard (entry [index] is this worker itself) *)
   | Dprog of string  (** the distributed program: rule text to run locally *)
-  | Delta of string  (** a batch of fact lines shipped from a peer shard *)
+  | Delta of string  (** a binary delta batch shipped from a peer shard (Delta_codec) *)
   | Barrier of barrier_phase * int
   | Dreset  (** drop distributed derived state (before a fixpoint rerun) *)
   | Spans of string

@@ -436,16 +436,21 @@ let evaluated t ~dbv ?(epoch = 0) ~wrap ~kind ?(adorned = "") ?(plan_cache = "")
     raise e
 
 let render_rows (r : Coral.Engine.query_result) =
+  let buf = Buffer.create 64 in
   List.map
     (fun row ->
       if r.Coral.Engine.qvars = [] then Protocol.Ans "true"
-      else
-        Protocol.Ans
-          (String.concat ", "
-             (List.map2
-                (fun (v : Coral.Term.var) value ->
-                  Printf.sprintf "%s = %s" v.Coral.Term.vname (Coral.Term.to_string value))
-                r.Coral.Engine.qvars (Array.to_list row))))
+      else begin
+        Buffer.clear buf;
+        List.iteri
+          (fun i (v : Coral.Term.var) ->
+            if i > 0 then Buffer.add_string buf ", ";
+            Buffer.add_string buf v.Coral.Term.vname;
+            Buffer.add_string buf " = ";
+            Coral.Term.to_buffer buf row.(i))
+          r.Coral.Engine.qvars;
+        Protocol.Ans (Buffer.contents buf)
+      end)
     r.Coral.Engine.rows
 
 (* ------------------------------------------------------------------ *)

@@ -301,38 +301,43 @@ let rec map_vars f t =
       if !changed then App { sym = a.sym; args; hid = 0; gkey = 0 } else t
     end
 
-let rec pp ppf t =
+(* The one term printer, appending to a Buffer: Format only enters
+   for an opaque value's own [o_print] (see [Value.to_buffer]). *)
+let rec to_buffer buf t =
   match t with
-  | Const v -> Value.pp ppf v
-  | Var v -> Format.pp_print_string ppf v.vname
-  | App { sym; args = [||]; _ } -> Format.pp_print_string ppf (Symbol.name sym)
+  | Const v -> Value.to_buffer buf v
+  | Var v -> Buffer.add_string buf v.vname
+  | App { sym; args = [||]; _ } -> Buffer.add_string buf (Symbol.name sym)
   | App { sym; args; _ } when Symbol.equal sym Symbol.cons && Array.length args = 2 ->
-    pp_list ppf t
+    Buffer.add_char buf '[';
+    let rec go first = function
+      | App { sym; args = [||]; _ } when Symbol.equal sym Symbol.nil -> ()
+      | App { sym; args = [| h; tl |]; _ } when Symbol.equal sym Symbol.cons ->
+        if not first then Buffer.add_string buf ", ";
+        to_buffer buf h;
+        go false tl
+      | tail ->
+        Buffer.add_string buf " | ";
+        to_buffer buf tail
+    in
+    go true t;
+    Buffer.add_char buf ']'
   | App { sym; args; _ } ->
-    Format.fprintf ppf "%s(" (Symbol.name sym);
+    Buffer.add_string buf (Symbol.name sym);
+    Buffer.add_char buf '(';
     Array.iteri
       (fun i a ->
-        if i > 0 then Format.fprintf ppf ", ";
-        pp ppf a)
+        if i > 0 then Buffer.add_string buf ", ";
+        to_buffer buf a)
       args;
-    Format.fprintf ppf ")"
+    Buffer.add_char buf ')'
 
-and pp_list ppf t =
-  Format.fprintf ppf "[";
-  let rec go first = function
-    | App { sym; args = [||]; _ } when Symbol.equal sym Symbol.nil -> ()
-    | App { sym; args = [| h; tl |]; _ } when Symbol.equal sym Symbol.cons ->
-      if not first then Format.fprintf ppf ", ";
-      pp ppf h;
-      go false tl
-    | tail ->
-      Format.fprintf ppf " | ";
-      pp ppf tail
-  in
-  go true t;
-  Format.fprintf ppf "]"
+let to_string t =
+  let buf = Buffer.create 16 in
+  to_buffer buf t;
+  Buffer.contents buf
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let hash_array arr =
   let h = ref 0x811c9dc5 in

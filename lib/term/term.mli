@@ -102,11 +102,14 @@ val vars : t -> var list
 val map_vars : (var -> t) -> t -> t
 (** [map_vars f t] replaces every variable [v] by [f v]. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints with CORAL surface syntax: atoms unquoted, lists in
-    [\[a, b | T\]] notation. *)
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the term in CORAL surface syntax: atoms unquoted, lists in
+    [\[a, b | T\]] notation, values as {!Value.to_buffer}.  This is
+    the one term printer; [to_string] and [pp] wrap it. *)
 
 val to_string : t -> string
+
+val pp : Format.formatter -> t -> unit
 
 val hash_array : t array -> int
 val equal_array : t array -> t array -> bool

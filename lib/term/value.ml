@@ -87,12 +87,22 @@ let repr_double f =
       | None -> s ^ ".0"
   end
 
-let pp ppf = function
-  | Int i -> Format.pp_print_int ppf i
-  | Double f -> Format.fprintf ppf "%g" f
-  | Str s -> Format.fprintf ppf "%S" s
-  | Big b -> Bignum.pp ppf b
-  | Opaque (ops, v) -> ops.o_print ppf v
+(* The one value printer: doubles print with %g, strings with OCaml
+   %S quoting; only an opaque value's own [o_print] needs Format. *)
+let to_buffer buf = function
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Double f -> Buffer.add_string buf (Printf.sprintf "%g" f)
+  | Str s ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (String.escaped s);
+    Buffer.add_char buf '"'
+  | Big b -> Buffer.add_string buf (Bignum.to_string b)
+  | Opaque (ops, v) -> Buffer.add_string buf (Format.asprintf "%a" ops.o_print v)
+
+let pp ppf v =
+  let buf = Buffer.create 16 in
+  to_buffer buf v;
+  Format.pp_print_string ppf (Buffer.contents buf)
 
 let is_numeric = function
   | Int _ | Double _ | Big _ -> true

@@ -57,7 +57,13 @@ val compare : t -> t -> int
     types, strings compare after numbers. *)
 
 val hash : t -> int
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append the surface text of a value: doubles with %g, strings in
+    OCaml %S quoting, an opaque value through its [o_print]. *)
+
 val pp : Format.formatter -> t -> unit
+(** [to_buffer] onto a formatter. *)
 
 val repr_double : float -> string
 (** Lossless source representation of a finite double: the shortest

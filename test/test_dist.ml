@@ -41,49 +41,130 @@ let test_partition_unit () =
   let obig = Partition.owner pbig t in
   Alcotest.(check bool) "out-of-arity key in range" true (obig >= 0 && obig < 3)
 
-let test_delta_codec_unit () =
-  let lines =
-    [ Delta_codec.fact_line "path" (tuple_of [ 1; 2 ]);
-      Delta_codec.fact_line "path" (tuple_of [ 2; 3 ])
-    ]
-  in
-  Alcotest.(check string) "rendered as stock fact text" "path(1, 2)." (List.hd lines);
-  (match Delta_codec.decode (String.concat "\n" lines) with
-  | Ok atoms -> Alcotest.(check int) "round-trips" 2 (List.length atoms)
-  | Error e -> Alcotest.fail ("decode failed: " ^ e));
-  (match Delta_codec.decode "path(X, 2)." with
-  | Ok _ -> Alcotest.fail "a non-ground fact must not decode"
-  | Error _ -> ());
-  match Delta_codec.decode "p(1) :- q(1)." with
-  | Ok _ -> Alcotest.fail "a rule must not decode as a delta"
-  | Error _ -> ()
+let encode_payloads pairs =
+  let b = Delta_codec.batch () in
+  List.iter (fun (name, tuple) -> Delta_codec.add_tuple b name tuple) pairs;
+  Delta_codec.contents b
 
-(* Doubles must survive print -> parse with value AND type intact:
+let encode pairs =
+  match encode_payloads pairs with
+  | [ payload ] -> payload
+  | ps -> Alcotest.failf "a small batch took %d payloads" (List.length ps)
+
+(* Strict term identity: the same value constructor, doubles with the
+   same bits (Term.equal has -0.0 = 0.0), functors with the same name. *)
+let rec same_term (a : Coral.Term.t) (b : Coral.Term.t) =
+  match a, b with
+  | Coral.Term.Const (Coral.Value.Double x), Coral.Term.Const (Coral.Value.Double y) ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Coral.Term.Const x, Coral.Term.Const y -> Coral.Value.equal x y
+  | Coral.Term.App x, Coral.Term.App y ->
+    Coral.Symbol.name x.Coral.Term.sym = Coral.Symbol.name y.Coral.Term.sym
+    && Array.length x.Coral.Term.args = Array.length y.Coral.Term.args
+    && Array.for_all2 same_term x.Coral.Term.args y.Coral.Term.args
+  | _ -> false
+
+let same_tuple (a : Coral.Tuple.t) (b : Coral.Tuple.t) =
+  Array.length a.Coral.Tuple.terms = Array.length b.Coral.Tuple.terms
+  && Array.for_all2 same_term a.Coral.Tuple.terms b.Coral.Tuple.terms
+
+let test_delta_codec_unit () =
+  (* the replicated EDB still ships as fact text *)
+  Alcotest.(check string) "EDB rendered as stock fact text" "path(1, 2)."
+    (Delta_codec.fact_line "path" (tuple_of [ 1; 2 ]));
+  (* EDB strings re-parse byte for byte, whatever they hold *)
+  List.iter
+    (fun str ->
+      let term = Coral.Term.str str in
+      let line = Delta_codec.fact_line "s" (Coral.Tuple.of_terms [| term |]) in
+      match Coral.Parser.program line with
+      | Ok [ Coral.Ast.Fact a ] ->
+        Alcotest.(check bool) (Printf.sprintf "%S re-parses" str) true
+          (same_term term a.Coral.Ast.args.(0))
+      | _ -> Alcotest.failf "%S does not re-parse as one fact" line)
+    [ "a b"; "q\"uote"; "back\\slash"; "new\nline"; "tab\t"; "caf\xc3\xa9"; "cr\rnul\000" ];
+  let batch = encode [ "path", tuple_of [ 1; 2 ]; "path", tuple_of [ 2; 3 ] ] in
+  (match Delta_codec.decode batch with
+  | Ok [ ("path", a); ("path", b) ] ->
+    Alcotest.(check bool) "round-trips in order" true
+      (same_tuple a (tuple_of [ 1; 2 ]) && same_tuple b (tuple_of [ 2; 3 ]))
+  | Ok l -> Alcotest.failf "decoded %d tuples, expected 2" (List.length l)
+  | Error e -> Alcotest.fail ("decode failed: " ^ e));
+  (match Delta_codec.decode (encode []) with
+  | Ok [] -> ()
+  | _ -> Alcotest.fail "an empty batch decodes to no tuples");
+  (* a batch past the receiver's size limit splits into payloads that
+     each fit, and decode back to the batch in order; a tuple larger
+     than the limit on its own still travels, alone *)
+  let limit = Protocol.max_payload_bytes in
+  let big n = "path", Coral.Tuple.of_terms [| Coral.Term.str (String.make n 'x') |] in
+  let pairs =
+    [ "path", tuple_of [ 1; 2 ]; big (limit / 3); big (limit / 3); big (limit / 3);
+      big (limit + 10); "path", tuple_of [ 3; 4 ] ]
+  in
+  let payloads = encode_payloads pairs in
+  Alcotest.(check (list int)) "tuples per payload" [ 3; 1; 1; 1 ]
+    (List.map
+       (fun p -> match Delta_codec.decode p with Ok l -> List.length l | Error _ -> -1)
+       payloads);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) "payload within the limit or one tuple" true
+        (String.length p <= limit
+        || match Delta_codec.decode p with Ok [ _ ] -> true | _ -> false))
+    payloads;
+  (match
+     List.fold_left
+       (fun acc p ->
+         match acc, Delta_codec.decode p with
+         | Ok acc, Ok l -> Ok (acc @ l)
+         | (Error _ as e), _ | _, (Error _ as e) -> e)
+       (Ok []) payloads
+   with
+  | Ok got ->
+    Alcotest.(check bool) "split batch round-trips in order" true
+      (List.length got = List.length pairs
+      && List.for_all2 (fun (n, t) (n', t') -> n = n' && same_tuple t t') pairs got)
+  | Error e -> Alcotest.fail ("split payload did not decode: " ^ e));
+  (* a variable has no wire form: only ground tuples ship *)
+  (match
+     encode [ "path", Coral.Tuple.of_terms [| Coral.Term.var ~name:"X" 0; Coral.Term.int 2 |] ]
+   with
+  | _ -> Alcotest.fail "a non-ground tuple must not encode"
+  | exception Delta_codec.Unencodable _ -> ());
+  (* fact text, a rule, is not a batch *)
+  List.iter
+    (fun text ->
+      match Delta_codec.decode text with
+      | Ok _ -> Alcotest.failf "%S must not decode as a delta batch" text
+      | Error _ -> ())
+    [ "path(1, 2)."; "p(1) :- q(1)." ]
+
+(* Doubles must reach the owner with value AND type intact: as text,
    %g's 6 significant digits would ship 2.0 as "2" (an Int on the
-   receiving worker) and 1.0000001 as "1". *)
+   receiving worker) and 1.0000001 as "1"; in binary, routing the bits
+   through a 63-bit int would drop one. *)
 let test_delta_codec_doubles () =
   let roundtrip f =
     let tuple = Coral.Tuple.of_terms [| Coral.Term.double f |] in
-    let line = Delta_codec.fact_line "m" tuple in
-    match Delta_codec.decode line with
-    | Error e -> Alcotest.fail (Printf.sprintf "%s did not decode: %s" line e)
-    | Ok [ atom ] -> (
-      match atom.Coral.Ast.args.(0) with
+    match Delta_codec.decode (encode [ "m", tuple ]) with
+    | Error e -> Alcotest.fail (Printf.sprintf "%h did not decode: %s" f e)
+    | Ok [ (_, got) ] -> (
+      match got.Coral.Tuple.terms.(0) with
       | Coral.Term.Const (Coral.Value.Double g) ->
         Alcotest.(check bool)
-          (Printf.sprintf "%h survives as %s" f line)
+          (Printf.sprintf "%h survives bit-exact" f)
           true
           (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g))
       | t ->
         Alcotest.fail
-          (Printf.sprintf "%h shipped as %s, re-parsed as non-double %s" f line
-             (Coral.Term.to_string t)))
-    | Ok _ -> Alcotest.fail "one fact expected"
+          (Printf.sprintf "%h decoded as non-double %s" f (Coral.Term.to_string t)))
+    | Ok _ -> Alcotest.fail "one tuple expected"
   in
   List.iter roundtrip
     [ 2.0; -2.0; 1.0000001; 0.1; -0.5; 1e300; 4.9e-324; 1.7976931348623157e308;
-      3.141592653589793; 1000000.0 ];
-  (* a double and the equal-printing int stay distinct on the wire *)
+      3.141592653589793; 1000000.0; -0.0; 2.2250738585072009e-308 ];
+  (* the EDB's fact text keeps a double and the equal-printing int apart *)
   Alcotest.(check string) "2.0 is not 2" "m(2.0)."
     (Delta_codec.fact_line "m" (Coral.Tuple.of_terms [| Coral.Term.double 2.0 |]));
   (* nested under a functor and in lists too *)
@@ -95,10 +176,175 @@ let test_delta_codec_doubles () =
   in
   Alcotest.(check string) "nested doubles" "m(f(3.0), [0.5])."
     (Delta_codec.fact_line "m" nested);
-  (* values with no fact syntax refuse to ship rather than lie *)
-  match Delta_codec.fact_line "m" (Coral.Tuple.of_terms [| Coral.Term.double Float.nan |]) with
-  | _ -> Alcotest.fail "nan must not serialize"
-  | exception Delta_codec.Unencodable _ -> ()
+  (match Delta_codec.decode (encode [ "m", nested ]) with
+  | Ok [ (_, got) ] -> Alcotest.(check bool) "nested doubles in binary" true (same_tuple nested got)
+  | _ -> Alcotest.fail "nested doubles did not round-trip");
+  (* values with no wire form refuse to ship rather than lie, in
+     either format *)
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s must not serialize" what
+    | exception Delta_codec.Unencodable _ -> ()
+  in
+  let point_ops =
+    Coral.Value.make_ops ~name:"point" ~print:(fun ppf _ -> Format.pp_print_string ppf "pt") ()
+  in
+  List.iter
+    (fun (what, term) ->
+      let tuple = Coral.Tuple.of_terms [| term |] in
+      refused (what ^ " as fact text") (fun () -> Delta_codec.fact_line "m" tuple);
+      refused (what ^ " in a batch") (fun () -> encode [ "m", tuple ]))
+    [ "nan", Coral.Term.double Float.nan;
+      "inf", Coral.Term.double Float.infinity;
+      "opaque", Coral.Term.const (Coral.Value.opaque point_ops Not_found);
+      "nested nan", Coral.Term.list_of [ Coral.Term.double Float.nan ]
+    ]
+
+(* Generated ground tuples: every value kind, with the edges of each
+   representation. *)
+let gen_term =
+  let open QCheck2.Gen in
+  let int_v =
+    oneof [ pure min_int; pure max_int; pure 0; pure (-1); int; int_range (-1000) 1000 ]
+  in
+  let big_v =
+    oneof
+      [ map
+          (fun (neg, digits) -> (if neg then "-" else "") ^ "1" ^ digits)
+          (pair bool (string_size ~gen:numeral (int_range 19 40)));
+        map string_of_int int
+      ]
+    |> map Coral.Bignum.of_string
+  in
+  let double_v =
+    oneof
+      [ oneofl
+          [ -0.0; 0.0; 4.9e-324; 2.2250738585072009e-308; 1.7976931348623157e308; 2.0;
+            -2.0; 0.1; 1e300 ];
+        map Int64.float_of_bits int64 |> map (fun f -> if Float.is_finite f then f else 1.5)
+      ]
+  in
+  let str_v =
+    oneof
+      [ oneofl [ ""; "nul\000byte"; "new\nline"; "q\"uo'te"; "caf\xc3\xa9"; "\xff\xfe"; "a b" ];
+        string_size (int_range 0 12)
+      ]
+  in
+  let name = oneofl [ "a"; "f"; "g"; "edge"; "[]"; "."; "with space"; "caf\xc3\xa9" ] in
+  let leaf =
+    oneof
+      [ map Coral.Term.int int_v;
+        map Coral.Term.big big_v;
+        map Coral.Term.double double_v;
+        map Coral.Term.str str_v;
+        map Coral.Term.atom name
+      ]
+  in
+  sized_size (int_range 0 3)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           oneof
+             [ leaf;
+               map2
+                 (fun f args -> Coral.Term.app (Coral.Symbol.intern f) (Array.of_list args))
+                 name
+                 (list_size (int_range 1 3) (self (n - 1)));
+               map Coral.Term.list_of (list_size (int_range 0 3) (self (n - 1)));
+               map2
+                 (fun items tail -> List.fold_right Coral.Term.cons items tail)
+                 (list_size (int_range 1 3) (self (n - 1)))
+                 leaf
+             ])
+
+let gen_batch_of n =
+  QCheck2.Gen.(
+    list_size (int_range 0 n)
+      (pair (oneofl [ "path"; "p"; "r" ])
+         (map (fun ts -> Coral.Tuple.of_terms (Array.of_list ts)) (list_size (int_range 0 4) gen_term))))
+
+let gen_batch = gen_batch_of 6
+
+let print_batch pairs =
+  String.concat " "
+    (List.map (fun (n, t) -> n ^ Coral.Tuple.to_string t) pairs)
+
+let prop_codec_roundtrip =
+  QCheck2.Test.make ~name:"delta codec: decode (encode t) = t, owner included" ~count:300
+    ~print:print_batch gen_batch (fun pairs ->
+      match Delta_codec.decode (encode pairs) with
+      | Error e -> QCheck2.Test.fail_reportf "decode failed: %s" e
+      | Ok got ->
+        List.length got = List.length pairs
+        && List.for_all2
+             (fun (n, t) (n', t') ->
+               n = n' && same_tuple t t'
+               && List.for_all
+                    (fun (shards, key) ->
+                      let p = Partition.create ~shards ~key in
+                      Partition.owner p t = Partition.owner p t')
+                    [ 2, 0; 2, 1; 4, 0; 4, 1; 3, 2 ])
+             pairs got)
+
+(* Malformed input is an Error, never an exception: every strict
+   prefix of a batch (the count up front makes a cut batch detectable
+   at every byte), and every single-byte corruption. *)
+let prop_codec_malformed =
+  QCheck2.Test.make ~name:"delta codec: truncated or corrupt batches are errors" ~count:60
+    ~print:print_batch (gen_batch_of 2) (fun pairs ->
+      let batch = encode pairs in
+      let n = String.length batch in
+      let total s = match Delta_codec.decode s with Ok _ | Error _ -> true in
+      List.for_all
+        (fun k ->
+          (match Delta_codec.decode (String.sub batch 0 k) with
+          | Error _ -> true
+          | Ok _ -> QCheck2.Test.fail_reportf "prefix of %d/%d bytes decoded" k n)
+          && List.for_all
+               (fun c ->
+                 let b = Bytes.of_string batch in
+                 Bytes.set b k c;
+                 total (Bytes.to_string b))
+               [ '\xff'; 'f'; Char.chr ((Char.code batch.[k] + 1) land 255) ])
+        (List.init n Fun.id))
+
+let test_codec_malformed_cases () =
+  let int64 i =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int i);
+    Bytes.to_string b
+  in
+  let str s = int64 (String.length s) ^ s in
+  let one_tuple body = int64 1 ^ str "p" ^ body in
+  List.iter
+    (fun (what, text) ->
+      match Delta_codec.decode text with
+      | Ok _ -> Alcotest.failf "%s decoded" what
+      | Error _ -> ()
+      | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e))
+    [ "short count", "\001\000";
+      "negative count", int64 (-1);
+      "count beyond the tuples", int64 2 ^ str "p" ^ int64 0;
+      "trailing bytes", int64 0 ^ "x";
+      "negative name length", int64 1 ^ int64 (-5);
+      "oversized name length", int64 1 ^ int64 max_int ^ "p";
+      "negative arity", one_tuple (int64 (-1));
+      "oversized arity", one_tuple (int64 1_000_000 ^ "i");
+      "bad tag", one_tuple (int64 1 ^ "z" ^ int64 0);
+      "int past 63 bits", one_tuple (int64 1 ^ "i" ^ "\255\255\255\255\255\255\255\127");
+      "truncated double", one_tuple (int64 1 ^ "d\000\000");
+      "nan double", one_tuple (int64 1 ^ "d" ^ "\000\000\000\000\000\000\248\127");
+      "bad bignum digits", one_tuple (int64 1 ^ "b" ^ str "12x4");
+      "empty bignum", one_tuple (int64 1 ^ "b" ^ str "");
+      "negative functor arity", one_tuple (int64 1 ^ "f" ^ str "g" ^ int64 (-2));
+      "negative string length", one_tuple (int64 1 ^ "s" ^ int64 (-3))
+    ];
+  (* and the well-formed neighbour of those cases does decode *)
+  match Delta_codec.decode (one_tuple (int64 2 ^ "i" ^ int64 7 ^ "s" ^ str "x y")) with
+  | Ok [ ("p", t) ] ->
+    Alcotest.(check bool) "hand-built batch" true
+      (same_tuple t (Coral.Tuple.of_terms [| Coral.Term.int 7; Coral.Term.str "x y" |]))
+  | _ -> Alcotest.fail "hand-built batch did not decode"
 
 let test_exchange_unit () =
   let x = Exchange.create () in
@@ -645,6 +891,45 @@ let test_differential_floats () =
     (fun (shards, key) -> check_differential ~shards ~key texts queries expected)
     [ 2, 0; 4, 1 ]
 
+(* Every other kind of value on the binary wire: strings with spaces,
+   quotes, a backslash, a tab and non-ASCII bytes; bignums past 63
+   bits of either sign; functor terms; and lists with and without a
+   tail — as node names of a cyclic closure, so each value is shipped
+   between shards and must still join, and own the same shard, on
+   arrival. *)
+let vpath_program =
+  "module m_vpath.\n\
+   export vpath(bf).\n\
+   export vpath(ff).\n\
+   vpath(X, Y) :- vedge(X, Y).\n\
+   vpath(X, Y) :- vpath(X, Z), vedge(Z, Y).\n\
+   end_module.\n"
+
+let value_kinds_edges =
+  {|vedge("a b", "say \"hi\"").
+vedge("say \"hi\"", 123456789012345678901234567890).
+vedge(123456789012345678901234567890, f(1, "x y")).
+vedge(f(1, "x y"), [1, 2, 3]).
+vedge([1, 2, 3], [a | b]).
+vedge([a | b], g([h(1)], -98765432109876543210)).
+vedge(g([h(1)], -98765432109876543210), "a b").
+vedge(f(1, "x y"), "tab\there").
+vedge("tab\there", [f([]), "back \\ slash" | tl]).
+vedge([f([]), "back \\ slash" | tl], "caf|} ^ "\xc3\xa9" ^ {|").
+vedge("caf|} ^ "\xc3\xa9" ^ {|", 7).
+vedge(7, "a b").
+|}
+
+let test_differential_value_kinds () =
+  let texts = [ vpath_program; value_kinds_edges ] in
+  let queries = [ "vpath(X, Y)"; {|vpath("a b", Y)|}; {|vpath(f(1, "x y"), Y)|} ] in
+  let expected = reference texts queries in
+  Alcotest.(check bool) "value-kinds closure is non-trivial" true
+    (List.length (List.assoc "vpath(X, Y)" expected) > 100);
+  List.iter
+    (fun (shards, key) -> check_differential ~shards ~key texts queries expected)
+    [ 1, 0; 2, 1; 4, 1; 4, 0 ]
+
 (* Constants in bodies and heads, and a comparison after the derived
    literal: the worker compiles each rule once and runs the linear
    rule with its delta literal moved first, which must not unbind the
@@ -956,6 +1241,132 @@ let test_worker_crash_unavail () =
   ignore (request c "quit");
   close_client c
 
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Wait (up to 5 s) for the fd count to come back under [limit]: the
+   workers close their ends of a finished fan-out's connections on
+   their own connection threads, a moment after the reply. *)
+let fds_settle limit =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec go () =
+    let n = open_fds () in
+    if n <= limit || Unix.gettimeofday () > deadline then n
+    else begin
+      Thread.delay 0.02;
+      go ()
+    end
+  in
+  go ()
+
+(* Every fan-out opens a connection per shard and a wake pipe; all of
+   them must be closed again, query after query. *)
+let test_fanout_fds_flat () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let cl = start_cluster ~shards:2 ~key:1 () in
+    Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+    let c = connect_unix cl.router_path in
+    consult_all c [ tc_program; tc_edges ~nodes:8 ~extra:3 5 ];
+    let want = answers c "path(1, Y)" in
+    Thread.delay 0.05;
+    let before = open_fds () in
+    for i = 1 to 200 do
+      let lines, status = request c "query path(1, Y)" in
+      (* the ok detail names the shard count only on a fan-out *)
+      if not (String.ends_with ~suffix:"shards=2" status) then
+        Alcotest.failf "query %d did not fan out: %s" i status;
+      let got = List.sort compare (List.filter (String.starts_with ~prefix:"ans ") lines) in
+      if got <> want then Alcotest.failf "query %d answered differently" i
+    done;
+    let after = fds_settle (before + 4) in
+    Alcotest.(check bool)
+      (Printf.sprintf "open fds flat over 200 fan-outs (%d before, %d after)" before after)
+      true
+      (after <= before + 4);
+    ignore (request c "quit");
+    close_client c
+  end
+
+(* A fan-out stuck on a worker that accepts but never answers is
+   killed within about one wake tick, and its abandoned shard thread
+   closes the wake pipe once the worker finally lets go. *)
+let test_fanout_kill_wedged () =
+  let cl = start_cluster ~shards:2 ~key:1 () in
+  let wedged_path, wedged_srv = List.nth cl.workers 1 in
+  let wedge = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let wedge_open = ref true in
+  let close_wedge () =
+    if !wedge_open then begin
+      wedge_open := false;
+      Unix.close wedge
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      close_wedge ();
+      stop_cluster cl)
+  @@ fun () ->
+  let c = connect_unix cl.router_path in
+  consult_all c [ tc_program; tc_edges ~nodes:8 ~extra:3 5 ];
+  ignore (answers c "path(X, Y)");
+  (* the cluster is clean: replace worker 1 by a listener that never
+     accepts, so the next fan-out's connection to it hangs *)
+  Server.shutdown wedged_srv;
+  Unix.bind wedge (Unix.ADDR_UNIX wedged_path);
+  Unix.listen wedge 8;
+  let op = connect_unix cl.router_path in
+  let fds0 = open_fds () in
+  output_string c.oc "query path(X, Y)\n";
+  flush c.oc;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec find_id () =
+    if Unix.gettimeofday () > deadline then Alcotest.fail "fan-out never showed in ps";
+    let lines, _ = request op "ps" in
+    let id =
+      List.find_map
+        (fun l ->
+          if String.starts_with ~prefix:"txt id=" l
+             && List.mem "kind=dist" (String.split_on_char ' ' l)
+          then
+            Scanf.sscanf_opt l "txt id=%d " Fun.id
+          else None)
+        lines
+    in
+    match id with
+    | Some id -> id
+    | None ->
+      Thread.delay 0.01;
+      find_id ()
+  in
+  let id = find_id () in
+  let t0 = Unix.gettimeofday () in
+  let _, status = request op (Printf.sprintf "kill %d" id) in
+  check_prefix "kill acknowledged" "ok" status;
+  let rec read_status () =
+    match In_channel.input_line c.ic with
+    | None -> Alcotest.fail "router closed the connection instead of replying"
+    | Some l when Protocol.is_status l -> l
+    | Some _ -> read_status ()
+  in
+  let status = read_status () in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_prefix "killed fan-out" "err KILLED" status;
+  Alcotest.(check bool) (Printf.sprintf "answered within about one tick (%.3fs)" dt) true
+    (dt < 0.5);
+  let _, status = request c "ping" in
+  check_prefix "session survives" "ok pong" status;
+  (* unwedge: the abandoned thread's connection is reset, it finishes,
+     and as the last one out it closes the wake pipe *)
+  close_wedge ();
+  let after = fds_settle fds0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "abandoned fan-out released its fds (%d before, %d after)" fds0 after)
+    true (after <= fds0);
+  List.iter
+    (fun cl ->
+      ignore (request cl "quit");
+      close_client cl)
+    [ c; op ]
+
 (* Programs outside the linear class still answer — on the router's
    local replica, with single-node semantics. *)
 let test_local_fallback () =
@@ -1186,6 +1597,60 @@ let test_federated_metrics () =
       close_client c)
     [ 1; 2; 4 ]
 
+(* Each worker times its own batch encode and decode under
+   phase.codec, apart from its step joins.  The workers here are real
+   coral_server processes, so each shard's federated count is that
+   worker's alone (in-process workers would share one registry). *)
+let test_codec_timed_per_worker () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/coral_server.exe" in
+  let socks = [ sock_path (); sock_path () ] in
+  let pids =
+    List.map
+      (fun s ->
+        Unix.create_process exe [| exe; "--worker"; "--socket"; s; "--quiet" |] Unix.stdin
+          Unix.stdout Unix.stderr)
+      socks
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        pids)
+  @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  List.iter
+    (fun s ->
+      while not (Sys.file_exists s) do
+        if Unix.gettimeofday () > deadline then Alcotest.failf "worker %s never listened" s;
+        Thread.delay 0.02
+      done)
+    socks;
+  let rpath = sock_path () in
+  let router = Router.start ~listen:(`Unix rpath) ~shard_addrs:socks ~key:1 (Coral.create ()) in
+  Fun.protect ~finally:(fun () -> Router.shutdown router) @@ fun () ->
+  let c = connect_unix rpath in
+  consult_all c [ tc_program; tc_edges ~nodes:12 ~extra:6 7 ];
+  Alcotest.(check bool) "closure answered" true (List.length (answers c "path(X, Y)") > 20);
+  let lines, status = request c "metrics" in
+  check_prefix "metrics" "ok" status;
+  List.iteri
+    (fun i _ ->
+      let prefix = Printf.sprintf "txt coral_shard_phase_codec_count{shard=\"%d\"} " i in
+      Alcotest.(check bool)
+        (Printf.sprintf "worker %d recorded phase.codec" i)
+        true
+        (List.exists
+           (fun l ->
+             String.starts_with ~prefix l
+             && int_of_string (String.sub l (String.length prefix) (String.length l - String.length prefix))
+                > 0)
+           lines))
+    socks;
+  ignore (request c "quit");
+  close_client c
+
 (* Fault seam: one worker sleeping through every barrier step must
    show up as the straggler — in dstat's per-round table, in the
    run's skew roll-up, and as a dist.round event with the flag. *)
@@ -1318,8 +1783,10 @@ let () =
           Alcotest.test_case "delta codec: lossless doubles" `Quick test_delta_codec_doubles;
           Alcotest.test_case "exchange buffer" `Quick test_exchange_unit;
           Alcotest.test_case "plan analysis" `Quick test_plan_unit;
-          Alcotest.test_case "distribution and maintenance verdicts" `Quick test_verdict_table
-        ] );
+          Alcotest.test_case "distribution and maintenance verdicts" `Quick test_verdict_table;
+          Alcotest.test_case "delta codec: malformed batches" `Quick test_codec_malformed_cases
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_codec_roundtrip; prop_codec_malformed ] );
       ( "cluster",
         [ Alcotest.test_case "differential TC (1/2/4 shards)" `Quick test_differential_tc;
           Alcotest.test_case "differential SG" `Quick test_differential_sg;
@@ -1341,7 +1808,11 @@ let () =
           Alcotest.test_case "differential: constants and comparisons" `Quick
             test_differential_consts;
           Alcotest.test_case "workers compile through the join kernel" `Quick
-            test_worker_kernel
+            test_worker_kernel;
+          Alcotest.test_case "differential: every value kind" `Quick
+            test_differential_value_kinds;
+          Alcotest.test_case "fan-out: open fds stay flat" `Quick test_fanout_fds_flat;
+          Alcotest.test_case "fan-out: kill a wedged fan-out" `Quick test_fanout_kill_wedged
         ] );
       ( "observability",
         [ Alcotest.test_case "tid= wire round-trip on a plain server" `Quick
@@ -1353,6 +1824,8 @@ let () =
           Alcotest.test_case "router stats and metrics name parity" `Quick
             test_router_stats_metrics_parity;
           Alcotest.test_case "router connection cap sheds like a server" `Quick
-            test_router_connection_cap
+            test_router_connection_cap;
+          Alcotest.test_case "every worker process times its codec" `Quick
+            test_codec_timed_per_worker
         ] )
     ]

@@ -149,6 +149,85 @@ let test_lists () =
   Alcotest.(check string) "improper printing" "[1 | T]" (Term.to_string improper)
 
 (* ------------------------------------------------------------------ *)
+(* Printing: a golden table                                           *)
+(* ------------------------------------------------------------------ *)
+
+exception Point of int * int
+
+let point_ops =
+  Value.make_ops ~name:"point"
+    ~print:(fun ppf v ->
+      match v with
+      | Point (x, y) -> Format.fprintf ppf "pt<%d,%d>" x y
+      | _ -> Format.pp_print_string ppf "?")
+    ()
+
+(* The surface text of every kind of term, captured from the
+   Format-based printer this table was written against: answers,
+   [stats], [explain] and [why] all print through [Term.to_string], so
+   any printer must reproduce these bytes exactly. *)
+let printer_golden =
+  let a = Term.atom and i = Term.int and app s args = Term.app (Symbol.intern s) args in
+  [ i 0, "0";
+    i 42, "42";
+    i (-7), "-7";
+    i max_int, string_of_int max_int;
+    i min_int, string_of_int min_int;
+    Term.double 2.0, "2";
+    Term.double (-0.0), "-0";
+    Term.double 0.1, "0.1";
+    Term.double 1.0000001, "1";
+    Term.double 3.14159265358979, "3.14159";
+    Term.double 1e300, "1e+300";
+    Term.double 1e-5, "1e-05";
+    Term.double 123456789.0, "1.23457e+08";
+    Term.double 4.9e-324, "4.94066e-324";
+    Term.double Float.nan, "nan";
+    Term.double Float.infinity, "inf";
+    Term.double Float.neg_infinity, "-inf";
+    Term.str "", {|""|};
+    Term.str "with space", {|"with space"|};
+    Term.str {|quo"te|}, {|"quo\"te"|};
+    Term.str {|back\slash|}, {|"back\\slash"|};
+    Term.str "new\nline\ttab\rcr", {|"new\nline\ttab\rcr"|};
+    Term.str "nul\000byte", {|"nul\000byte"|};
+    Term.str "caf\xc3\xa9", {|"caf\195\169"|};
+    Term.big (Bignum.of_string "123456789012345678901234567890"),
+    "123456789012345678901234567890";
+    Term.big (Bignum.of_string "-98765432109876543210"), "-98765432109876543210";
+    Term.const (Value.opaque point_ops (Point (3, -4))), "pt<3,-4>";
+    a "foo", "foo";
+    a "[]", "[]";
+    Term.nil, "[]";
+    Term.var ~name:"X" 0, "X";
+    Term.var 17, "_17";
+    app "f" [| i 1; app "g" [| a "a"; Term.str "s" |]; Term.double 2.5 |], {|f(1, g(a, "s"), 2.5)|};
+    app "h" [| app "h" [| app "h" [| a "z" |] |] |], "h(h(h(z)))";
+    Term.list_of [ i 1; i 2; i 3 ], "[1, 2, 3]";
+    Term.list_of [ a "x" ], "[x]";
+    Term.cons (i 1) (i 2), "[1 | 2]";
+    Term.cons (a "a") (Term.cons (Term.list_of [ a "b"; a "c" ]) (a "t")), "[a, [b, c] | t]";
+    Term.cons (i 1) (Term.cons (i 2) (Term.var ~name:"T" 3)), "[1, 2 | T]";
+    app "." [| i 1 |], ".(1)";
+    app "p" [| Term.list_of []; Term.list_of [ Term.str "q r" ] |], {|p([], ["q r"])|};
+    (* longer than Format's margin: still one line *)
+    Term.list_of (List.init 40 i),
+    "[" ^ String.concat ", " (List.init 40 string_of_int) ^ "]"
+  ]
+
+let test_printer_golden () =
+  List.iter
+    (fun (t, want) ->
+      Alcotest.(check string) ("to_string " ^ want) want (Term.to_string t);
+      Alcotest.(check string) ("pp in a box " ^ want) ("{" ^ want ^ "}")
+        (Format.asprintf "@[<hov 2>{%a}@]" Term.pp t);
+      let buf = Buffer.create 8 in
+      Buffer.add_string buf "=";
+      Term.to_buffer buf t;
+      Alcotest.(check string) ("to_buffer appends " ^ want) ("=" ^ want) (Buffer.contents buf))
+    printer_golden
+
+(* ------------------------------------------------------------------ *)
 (* Bindenv & unification: the Figure 2 example                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -323,6 +402,7 @@ let () =
         ]
         @ qcheck [ prop_hashcons_id_iff_equal ] );
       ("lists", [ Alcotest.test_case "round trips" `Quick test_lists ]);
+      ("printing", [ Alcotest.test_case "golden table" `Quick test_printer_golden ]);
       ( "unify",
         [ Alcotest.test_case "figure 2" `Quick test_figure2;
           Alcotest.test_case "basic" `Quick test_unify_basic;
