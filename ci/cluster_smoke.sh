@@ -125,12 +125,12 @@ EOF
 # Answers print as "X = 1, Y = 2" / "true"; everything else (ok
 # details with timings, banners) is filtered out before the diff.
 answers() {
-  "$BIN/coral_repl.exe" --connect "$1" < "$DIR/workload.txt" \
+  "$BIN/coral_repl.exe" --connect "$1" < "$2" \
     | grep -E '^([A-Z][A-Za-z0-9_]* = |true$)' | sort
 }
 
-answers "$DIR/single.sock" > "$DIR/single.answers"
-answers "$DIR/router.sock" > "$DIR/cluster.answers"
+answers "$DIR/single.sock" "$DIR/workload.txt" > "$DIR/single.answers"
+answers "$DIR/router.sock" "$DIR/workload.txt" > "$DIR/cluster.answers"
 
 if ! diff -u "$DIR/single.answers" "$DIR/cluster.answers"; then
   echo "cluster_smoke: FAIL — cluster answers differ from single-node" >&2
@@ -147,6 +147,56 @@ printf 'stats\nquit\n' | "$BIN/coral_repl.exe" --connect "$DIR/router.sock" > "$
 dist=$(sed -n 's/^router\.queries\.dist=//p' "$DIR/stats.txt")
 if [ -z "$dist" ] || [ "$dist" -eq 0 ]; then
   echo "cluster_smoke: FAIL — no query took the distributed path (router.queries.dist=${dist:-missing})" >&2
+  exit 1
+fi
+
+# ---------------------------------------------------------------- #
+# Insert-heavy sequence: base-fact inserts into the materialized    #
+# cluster must be absorbed as semi-naive deltas (edb#), answering   #
+# byte-identical to single-node with the router's federated resync  #
+# counter unchanged.                                                #
+# ---------------------------------------------------------------- #
+
+cat > "$DIR/inserts.txt" <<EOF
+insert edge(30, 31). edge(31, 32).
+query path(X, Y)
+insert edge(32, 1).
+insert edge(40, 41). edge(41, 40). edge(30, 31).
+query path(1, Y)
+query path(X, Y)
+insert edge(29, 40).
+insert vedge("x y", "a b"). vedge(7, "x y").
+query vpath(X, Y)
+query path(40, Y)
+quit
+EOF
+
+federated() {
+  curl -sf "http://127.0.0.1:$MPORT/metrics" | sed -n "s/^$1 //p"
+}
+
+printf 'query path(X, Y)\nquit\n' | "$BIN/coral_repl.exe" --connect "$DIR/router.sock" > /dev/null
+resyncs0=$(federated coral_router_resyncs)
+deltas0=$(federated coral_router_delta_syncs)
+answers "$DIR/single.sock" "$DIR/inserts.txt" > "$DIR/single.inserts"
+answers "$DIR/router.sock" "$DIR/inserts.txt" > "$DIR/cluster.inserts"
+resyncs1=$(federated coral_router_resyncs)
+deltas1=$(federated coral_router_delta_syncs)
+
+if ! diff -u "$DIR/single.inserts" "$DIR/cluster.inserts"; then
+  echo "cluster_smoke: FAIL — cluster answers differ from single-node after inserts" >&2
+  exit 1
+fi
+if [ "$(wc -l < "$DIR/single.inserts")" -lt 100 ]; then
+  echo "cluster_smoke: FAIL — the insert sequence answered too little" >&2
+  exit 1
+fi
+if [ -z "$resyncs0" ] || [ "$resyncs0" != "$resyncs1" ]; then
+  echo "cluster_smoke: FAIL — EDB inserts moved coral_router_resyncs (${resyncs0:-missing} -> ${resyncs1:-missing})" >&2
+  exit 1
+fi
+if [ -z "$deltas0" ] || [ "$deltas1" -le "$deltas0" ]; then
+  echo "cluster_smoke: FAIL — no delta sync ran (coral_router_delta_syncs ${deltas0:-missing} -> ${deltas1:-missing})" >&2
   exit 1
 fi
 
@@ -232,4 +282,4 @@ if command -v python3 >/dev/null 2>&1; then
   fi
 fi
 
-echo "cluster_smoke: OK — $n answers byte-identical across 3 shards, $dist distributed queries, federated metrics for 3 shards, stitched trace with $lanes lanes"
+echo "cluster_smoke: OK — $n answers byte-identical across 3 shards, $dist distributed queries, $((deltas1 - deltas0)) delta syncs without a resync, federated metrics for 3 shards, stitched trace with $lanes lanes"

@@ -209,6 +209,16 @@ let send_delta t ~shard payload =
     | exception Shard_client.Down m -> Error (Protocol.Unavail, m)
   end
 
+(* Ship every worker the same binary batch of new base facts ([edb#]):
+   each stores them in its replica and runs the next fixpoint's round 1
+   from them alone. *)
+let send_edb_delta t payload =
+  let tid = Obs.Trace.current () in
+  broadcast t (fun _ c ->
+      expect_ok c ~payload (tag tid (Printf.sprintf "edb# %d" (String.length payload))))
+  |> all_ok
+  |> Result.map ignore
+
 (* ------------------------------------------------------------------ *)
 (* The fixpoint loop                                                   *)
 (* ------------------------------------------------------------------ *)

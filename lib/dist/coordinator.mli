@@ -75,6 +75,13 @@ val send_delta :
     predicates that also have consulted base facts; pass the total
     count as [run_fixpoint]'s [seeded]. *)
 
+val send_edb_delta :
+  t -> string -> (unit, Coral_server.Protocol.error_code * string) result
+(** Ship every worker one binary batch of new base facts ([edb#],
+    a {!Delta_codec.contents} payload).  Each stores them in its
+    replicated base relations, and the next [run_fixpoint]'s round 1
+    runs only the rule activations they feed. *)
+
 val run_fixpoint :
   ?progress:(round:int -> new_tuples:int -> shipped:int -> unit) ->
   ?seeded:int ->

@@ -26,6 +26,7 @@ type drule = { rule : Ast.rule; cls : rule_class }
 type analysis = {
   idb : (string * int) list;  (* partitioned derived predicates *)
   drules : drule list;
+  negated : (string * int) list;  (* base predicates some rule negates *)
   text : string;  (* the program as shipped to workers: one rule per line *)
 }
 
@@ -55,7 +56,17 @@ let analyse (modules : Ast.module_ list) (clauses : Ast.rule list) =
     let text =
       String.concat "" (List.map (fun d -> Pretty.rule_to_string d.rule ^ "\n") drules)
     in
-    Distributable { idb; drules; text }
+    let negated = List.map (fun (sym, arity) -> Symbol.name sym, arity) a.negated in
+    Distributable { idb; drules; negated; text }
+
+(* An insert into a base predicate is one more semi-naive delta when
+   the predicate is not derived and no rule reads it under negation
+   (distributable programs negate base predicates only): then the new
+   facts can only add derived tuples. *)
+let insert_is_delta a name arity =
+  (not (List.mem (name, arity) a.idb))
+  && (not (String.contains name '@'))
+  && not (List.mem (name, arity) a.negated)
 
 let analyse_engine eng =
   analyse (Engine.module_defs eng) (Engine.interactive_rules eng)

@@ -9,19 +9,35 @@
    materializes the derived relations across its workers and fans
    queries out to them.
 
-   Cluster lifecycle is a two-state machine guarded by one mutex:
+   Cluster lifecycle is a three-state machine guarded by one mutex:
 
-     Dirty  the workers' materialized state does not reflect the
-            router's database (fresh start, a consult/insert landed, a
-            query mutated the replica through assert/retract, a worker
-            went unreachable).  The first distributed query
-            reprovisions from scratch — configure, dreset, re-ship the
-            EDB, ship the program, seed the partitioned predicates'
-            consulted facts to their owner shards, run the fixpoint to
-            quiescence — and moves to Clean.  Reprovisioning wholesale
-            instead of incrementally keeps exactly one code path whose
-            postcondition is "worker state equals router state".
-     Clean  distributed queries fan out and merge.
+     Dirty    the workers' materialized state does not reflect the
+              router's database (fresh start, a consult or retract
+              landed, an insert that is not one more delta, a query
+              mutated the replica through assert/retract, a worker went
+              unreachable).  The first distributed query reprovisions
+              from scratch — configure, dreset, re-ship the EDB, ship
+              the program, seed the partitioned predicates' consulted
+              facts to their owner shards, run the fixpoint to
+              quiescence — and moves to Clean.
+     Clean    distributed queries fan out and merge.
+     Pending  Clean, plus base facts inserted since the last fixpoint.
+              Distributable programs are monotone in every base
+              predicate no rule negates, so an insert of such facts
+              only adds derived tuples: it is queued instead of
+              dirtying the cluster.  The next distributed query ships
+              the queue to every worker ([edb#]) and runs one more
+              fixpoint whose round 1 joins only the new facts
+              (semi-naive evaluation, paper section 4); a failure on
+              the way falls back to a wholesale reprovision.  Any dirty
+              mark drops the queue, since reprovisioning ships the
+              whole EDB anyway.
+
+   The incremental path is held to the wholesale one by the seeded
+   insert/retract differential in test_dist: after every step of mixed
+   sequences on 2- and 4-shard routers the answers are byte-identical
+   to a single node, and [router.resyncs] moves only on the fallback
+   cases.
 
    Fan-out merge needs no deduplication: the one distributed literal
    in a fanned-out query is instantiated by each answer row, the
@@ -44,7 +60,8 @@
 open Coral_server
 module Obs = Coral_obs.Obs
 
-(* Seed batches are encoded under the workers' codec histogram. *)
+(* Seed and EDB-delta batches are encoded under the workers' codec
+   histogram. *)
 let h_codec = Obs.histogram "phase.codec"
 
 (* One fanned-out query: a slot per shard, filled by that shard's
@@ -72,6 +89,13 @@ type state = {
       (* guards dirty / verdict / last_run / last_tid; [samples] reads
          them unlocked *)
   mutable dirty : bool;
+  mutable pending : (string * Coral.Tuple.t) list;
+      (* base facts inserted while Clean, newest first *)
+  gen : int Atomic.t;
+      (* bumped under [cl_lock] by every dirty mark and resync: an
+         insert that sees it move between its commit and [note_insert]
+         may not queue *)
+  insert_committed : unit -> unit;  (* runs between those two points *)
   mutable verdict : Plan.verdict;
   mutable last_run : Coordinator.run_stats option;
   mutable last_tid : string option;  (* trace id of the newest distributed query *)
@@ -80,6 +104,11 @@ type state = {
   c_local : Coral_obs.Obs.Counter.t;
   c_fixpoints : Coral_obs.Obs.Counter.t;
   c_resyncs : Coral_obs.Obs.Counter.t;
+  c_delta_syncs : Coral_obs.Obs.Counter.t;
+  (* where a distributed query's time goes besides the fixpoint rounds *)
+  h_provision : Obs.Histogram.t;
+  h_delta_sync : Obs.Histogram.t;
+  h_relay : Obs.Histogram.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -146,10 +175,30 @@ let seed_batches t (a : Plan.analysis) =
               (Coral.Relation.scan rel ())));
   batches, !count
 
+let log_fixpoint t ~mode ~seeded (stats : Coordinator.run_stats) =
+  Coral_obs.Obs.Counter.incr t.c_fixpoints;
+  Coral_obs.Query_log.Events.log ~kind:"dist_fixpoint"
+    [ "mode", Coral_obs.Json.Str mode;
+      "shards", Coral_obs.Json.Int (Coordinator.shards t.coord);
+      "rounds", Coral_obs.Json.Int stats.Coordinator.rounds;
+      "seeded_tuples", Coral_obs.Json.Int seeded;
+      "new_tuples", Coral_obs.Json.Int stats.Coordinator.new_tuples;
+      "shipped_tuples", Coral_obs.Json.Int stats.Coordinator.shipped_tuples;
+      "shipped_bytes", Coral_obs.Json.Int stats.Coordinator.shipped_bytes;
+      "wall_ms", Coral_obs.Json.Int (int_of_float (stats.Coordinator.wall_s *. 1000.));
+      "skew", Coral_obs.Json.Float stats.Coordinator.skew_max;
+      "straggler_rounds", Coral_obs.Json.Int stats.Coordinator.stragglers
+    ];
+  t.last_run <- Some stats
+
 (* Reprovision the cluster from the router's database.  Caller holds
    [cl_lock]. *)
 let resync t (a : Plan.analysis) =
   Coral_obs.Obs.Counter.incr t.c_resyncs;
+  Atomic.incr t.gen;
+  Obs.Histogram.time t.h_provision @@ fun () ->
+  (* the EDB shipped below holds every queued insert *)
+  t.pending <- [];
   (* Reprovisioning must talk to whatever listens at each address NOW,
      not to a control connection established before the cluster went
      dirty: a worker restarted on the same address would otherwise get
@@ -191,20 +240,33 @@ let resync t (a : Plan.analysis) =
     Error (Protocol.Cluster, m)
   | Error e -> Error e
   | Ok (stats, seeded) ->
-    Coral_obs.Obs.Counter.incr t.c_fixpoints;
-    Coral_obs.Query_log.Events.log ~kind:"dist_fixpoint"
-      [ "shards", Coral_obs.Json.Int (Coordinator.shards t.coord);
-        "rounds", Coral_obs.Json.Int stats.Coordinator.rounds;
-        "seeded_tuples", Coral_obs.Json.Int seeded;
-        "new_tuples", Coral_obs.Json.Int stats.Coordinator.new_tuples;
-        "shipped_tuples", Coral_obs.Json.Int stats.Coordinator.shipped_tuples;
-        "shipped_bytes", Coral_obs.Json.Int stats.Coordinator.shipped_bytes;
-        "wall_ms", Coral_obs.Json.Int (int_of_float (stats.Coordinator.wall_s *. 1000.));
-        "skew", Coral_obs.Json.Float stats.Coordinator.skew_max;
-        "straggler_rounds", Coral_obs.Json.Int stats.Coordinator.stragglers
-      ];
-    t.last_run <- Some stats;
+    log_fixpoint t ~mode:"resync" ~seeded stats;
     t.dirty <- false;
+    Ok ()
+
+(* Bring a Clean cluster up to date with the queued inserts: ship them
+   to every worker and run the fixpoint from them.  Caller holds
+   [cl_lock]. *)
+let delta_sync t =
+  Coral_obs.Obs.Counter.incr t.c_delta_syncs;
+  Obs.Histogram.time t.h_delta_sync @@ fun () ->
+  let facts = List.rev t.pending in
+  t.pending <- [];
+  match
+    let b = Delta_codec.batch () in
+    Obs.Histogram.time h_codec (fun () ->
+        List.iter (fun (name, tuple) -> Delta_codec.add_tuple b name tuple) facts);
+    let rec ship = function
+      | [] -> Ok ()
+      | payload :: rest ->
+        Result.bind (Coordinator.send_edb_delta t.coord payload) (fun () -> ship rest)
+    in
+    Result.bind (ship (Delta_codec.contents b)) (fun () -> Coordinator.run_fixpoint t.coord)
+  with
+  | exception Delta_codec.Unencodable m -> Error (Protocol.Cluster, m)
+  | Error e -> Error e
+  | Ok stats ->
+    log_fixpoint t ~mode:"delta" ~seeded:0 stats;
     Ok ()
 
 (* Re-read the verdict under [cl_lock] and, if the cluster is dirty,
@@ -221,16 +283,62 @@ let ensure_synced t =
       match t.verdict with
       | Plan.Local _ -> `Local
       | Plan.Distributable a -> (
+        (* a delta sync that fails leaves the workers in no known
+           state: reprovision them *)
+        if (not t.dirty) && t.pending <> [] && Result.is_error (delta_sync t) then
+          t.dirty <- true;
         if not t.dirty then `Synced a
         else
           match resync t a with
           | Ok () -> `Synced a
           | Error e -> `Error e))
 
+let mark_dirty_locked t =
+  Atomic.incr t.gen;
+  t.dirty <- true;
+  t.pending <- [];
+  t.verdict <- Plan.analyse_engine (Coral.engine (Session.db t.sstore))
+
 let mark_dirty t =
   Mutex.lock t.cl_lock;
-  t.dirty <- true;
-  t.verdict <- Plan.analyse_engine (Coral.engine (Session.db t.sstore));
+  mark_dirty_locked t;
+  Mutex.unlock t.cl_lock
+
+(* Past this many queued facts an insert dirties the cluster instead: a
+   stream of inserts with no distributed query in between must not
+   grow the queue without bound. *)
+let max_pending = 65_536
+
+(* A committed insert: queue its facts when they are one more delta
+   for a Clean cluster (ground facts of base predicates no rule
+   negates), else dirty the cluster.  A Dirty cluster stays dirty; its
+   reprovision ships the whole EDB.  [gen] was read before the commit:
+   if a dirty mark or a resync came in between, the workers may already
+   hold a state newer than this insert (a retract of the same fact,
+   then a resync that shipped the EDB without it), and queuing the fact
+   would bring it back there, so the insert dirties the cluster
+   instead. *)
+let note_insert t ~gen (atoms : Coral.Ast.atom list) =
+  let facts =
+    if List.for_all (fun (x : Coral.Ast.atom) -> Array.for_all Coral.Term.is_ground x.args) atoms
+    then
+      Some
+        (List.map
+           (fun (x : Coral.Ast.atom) -> Coral.Symbol.name x.pred, Coral.Tuple.of_terms x.args)
+           atoms)
+    else None
+  in
+  Mutex.lock t.cl_lock;
+  (match t.verdict, facts with
+  | _ when t.dirty -> ()
+  | Plan.Distributable a, Some facts
+    when Atomic.get t.gen = gen
+         && List.compare_length_with t.pending max_pending < 0
+         && List.for_all
+              (fun (name, tuple) -> Plan.insert_is_delta a name (Coral.Tuple.arity tuple))
+              facts ->
+    t.pending <- List.rev_append facts t.pending
+  | _ -> mark_dirty_locked t);
   Mutex.unlock t.cl_lock
 
 (* ------------------------------------------------------------------ *)
@@ -406,6 +514,7 @@ let fan_out t session text =
       @@ fun () ->
       let t0 = Unix.gettimeofday () in
       let t0_ns = Obs.now_ns () in
+      Obs.Histogram.time t.h_relay @@ fun () ->
       match launch_fanout ~timeout_ms (Coordinator.addrs t.coord) wire_text with
       | exception Unix.Unix_error (e, _, _) ->
         (* no fd left for the wake pipe *)
@@ -494,9 +603,14 @@ let handle_query t session text =
    scrape must not wait on one. *)
 let samples t =
   let gauge name v = name, `Gauge, v in
+  let seconds name h = name, `Counter, float_of_int (Obs.Histogram.sum_ns h) /. 1e9 in
   Session.samples t.sstore
   @ gauge "router.shards" (float_of_int (Coordinator.shards t.coord))
     :: gauge "router.dirty" (if t.dirty then 1. else 0.)
+    :: gauge "router.pending_facts" (float_of_int (List.length t.pending))
+    :: seconds "router.provision_seconds_total" t.h_provision
+    :: seconds "router.delta_sync_seconds_total" t.h_delta_sync
+    :: seconds "router.relay_seconds_total" t.h_relay
     ::
     (match t.last_run with
     | None -> []
@@ -708,7 +822,8 @@ let do_trace t tid_arg =
 let route t session (req : Protocol.request) =
   match req with
   | Protocol.Query text -> handle_query t session text
-  | Protocol.Consult _ | Protocol.Insert _ | Protocol.Retract _ ->
+  (* an insert reaches [note_insert] through the store's insert hook *)
+  | Protocol.Consult _ | Protocol.Retract _ ->
     let r = Session.handle session req in
     (match r.Protocol.status with Ok _ -> mark_dirty t | Error _ -> ());
     r
@@ -736,22 +851,35 @@ type t = {
   srv : Server.t;
 }
 
-let start ?(consult = []) ?limits ?straggler_factor ~listen ~shard_addrs ~key db =
+let start ?(consult = []) ?limits ?straggler_factor ?(insert_committed = ignore) ~listen
+    ~shard_addrs ~key db =
   List.iter (fun file -> Coral.consult_file db file) consult;
   let st =
     { sstore = Session.make_store ?limits db;
       coord = Coordinator.create ?straggler_factor ~addrs:shard_addrs ~key ();
       cl_lock = Mutex.create ();
       dirty = true;
+      pending = [];
+      gen = Atomic.make 0;
+      insert_committed;
       verdict = Plan.analyse_engine (Coral.engine db);
       last_run = None;
       last_tid = None;
       c_dist = Coral_obs.Obs.counter "router.queries.dist";
       c_local = Coral_obs.Obs.counter "router.queries.local";
       c_fixpoints = Coral_obs.Obs.counter "router.fixpoint.runs";
-      c_resyncs = Coral_obs.Obs.counter "router.resyncs"
+      c_resyncs = Coral_obs.Obs.counter "router.resyncs";
+      c_delta_syncs = Coral_obs.Obs.counter "router.delta_syncs";
+      h_provision = Obs.histogram "router.provision";
+      h_delta_sync = Obs.histogram "router.delta_sync";
+      h_relay = Obs.histogram "router.relay"
     }
   in
+  Session.set_insert_hook st.sstore (fun atoms ->
+      let gen = Atomic.get st.gen in
+      fun () ->
+        st.insert_committed ();
+        note_insert st ~gen atoms);
   { st; srv = Server.serve ~handle:(handle st) ~listen st.sstore }
 
 let port t = Server.port t.srv

@@ -7,12 +7,15 @@
     distributable (the program is in the linear class, the query has
     exactly one positive literal over a partitioned predicate) are
     fanned out to the workers and merged, everything else evaluates
-    locally.  A consult/insert — or a query that mutates the replica
-    through the assert/retract builtins — marks the cluster dirty; the
-    next distributed query reprovisions it from scratch (configure,
-    dreset, re-ship the EDB, ship the program, seed partitioned
-    predicates' consulted facts to their owner shards, run the
-    fixpoint) before fanning out.
+    locally.  A consult or retract, an insert that is not one more
+    delta, or a query that mutates the replica through the
+    assert/retract builtins marks the cluster dirty; the next
+    distributed query reprovisions it from scratch (configure, dreset,
+    re-ship the EDB, ship the program, seed partitioned predicates'
+    consulted facts to their owner shards, run the fixpoint) before
+    fanning out.  An insert of base facts no rule negates, into a
+    clean cluster, is queued instead: the next distributed query ships
+    it to every worker and runs one more fixpoint from it alone.
 
     The router is also the cluster's observability front end
     (DESIGN.md §15).  Every request gets a trace id (client-supplied
@@ -31,6 +34,7 @@ val start :
   ?consult:string list ->
   ?limits:Coral_server.Admission.config ->
   ?straggler_factor:float ->
+  ?insert_committed:(unit -> unit) ->
   listen:Coral_server.Server.listen ->
   shard_addrs:string list ->
   key:int ->
@@ -42,7 +46,10 @@ val start :
     addresses; [key] is the partition-key argument position.
     [straggler_factor] tunes skew detection (a round's slowest shard
     is flagged when it exceeds the median step time by this multiple;
-    default {!Coordinator.default_straggler_factor}).  No worker is
+    default {!Coordinator.default_straggler_factor}).
+    [insert_committed] runs after each insert committed to the replica
+    and before the router decides whether it dirties the cluster;
+    tests use it to force interleavings (default: nothing).  No worker is
     contacted until the first distributed query.
     @raise Unix.Unix_error when binding fails. *)
 

@@ -17,7 +17,7 @@ open Coral_server
 
 exception Down of string
 
-type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+type conn = { fd : Unix.file_descr; rd : Protocol.reader; oc : out_channel }
 
 type t = {
   addr : string;
@@ -61,7 +61,7 @@ let connect_once addr =
   let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
   try
     Unix.connect fd sa;
-    { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+    { fd; rd = Protocol.reader fd; oc = Unix.out_channel_of_descr fd }
   with e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
@@ -93,7 +93,7 @@ let ensure_conn t =
 (* Read reply lines until the ok/err status line. *)
 let read_reply t c =
   let rec go acc =
-    match Protocol.read_line_capped c.ic with
+    match Protocol.read_line c.rd with
     | None -> raise (Down (Printf.sprintf "%s closed the connection mid-reply" t.addr))
     | Some line ->
       if Protocol.is_status line then List.rev acc, line else go (line :: acc)
@@ -157,7 +157,7 @@ let fetch ?payload addr cmd =
           | None -> ());
           Out_channel.flush c.oc;
           let rec go acc =
-            match Protocol.read_line_capped c.ic with
+            match Protocol.read_line c.rd with
             | None -> Error (Printf.sprintf "%s closed the connection mid-reply" addr)
             | Some line ->
               if Protocol.is_status line then Ok (List.rev acc, line) else go (line :: acc)

@@ -9,15 +9,21 @@
    fixpoint's compiler and join kernel (Module_struct, Joiner): Init
    rules as written, Linear rules as activations whose first scan reads
    a worker-private delta relation holding the tuples new in the last
-   promote.  Compiling installs the indexes those joins probe on the
-   replicated base relations.
+   promote.  Every rule also gets one activation per positive literal
+   over a base predicate, whose first scan reads a private relation of
+   the base facts the last [edb#] added: when the router inserts base
+   facts into a materialized cluster, the next fixpoint's round 1 runs
+   those activations instead of the Init rules (semi-naive evaluation
+   with the new facts as the delta), and later rounds run as usual.
+   Compiling installs the indexes those joins probe on the replicated
+   base relations.
 
-   Concurrency contract: [barrier]/[dprog]/[dreset] arrive serialized
-   on the coordinator's connection and take the store's write lane
-   ([commit]) or read lane ([locked]); [delta] batches arrive on peer
-   connection threads and touch only the exchange buffer's private
-   mutex, so a step that is blocked sending its own deltas can always
-   absorb incoming ones.  [step] replies only after every shipped
+   Concurrency contract: [barrier]/[dprog]/[edb]/[dreset] arrive
+   serialized on the coordinator's connection and take the store's
+   write lane ([commit]) or read lane ([locked]); [delta] batches
+   arrive on peer connection threads and touch only the exchange
+   buffer's private mutex, so a step that is blocked sending its own
+   deltas can always absorb incoming ones.  [step] replies only after every shipped
    batch is acknowledged, which is what lets the coordinator treat
    "all steps replied" as "no delta in flight". *)
 
@@ -50,14 +56,27 @@ type idb = {
   fresh : Relation.t;
 }
 
-(* The installed program: with [n] derived predicates, slot [i < n] of
-   [rels] reads [idbs.(i).full], slot [n + i] reads [idbs.(i).delta],
-   and the base relations the rules read follow. *)
+(* A base predicate some rule reads: its replicated relation, and the
+   facts the last [edb#] added to it (private to the worker). *)
+type edb = {
+  e_name : string;
+  e_arity : int;
+  e_full : Relation.t;
+  e_delta : Relation.t;
+}
+
+(* The installed program: with [n] derived and [m] base predicates,
+   slot [i < n] of [rels] reads [idbs.(i).full], slot [n + i] reads
+   [idbs.(i).delta], slot [2n + j] reads [edbs.(j).e_full] and slot
+   [2n + m + j] reads [edbs.(j).e_delta]. *)
 type prog = {
   analysis : Plan.analysis;
   idbs : idb array;
+  edbs : edb array;
   rels : Relation.t array;
   rules : (Plan.rule_class * Module_struct.crule) list;
+  edb_rules : (Plan.rule_class * Module_struct.crule) list;
+      (* one activation per (rule, positive base literal) *)
 }
 
 type t = {
@@ -69,6 +88,9 @@ type t = {
   exchange : Exchange.t;
   mutable config : config option;
   mutable prog : prog option;
+  mutable edb_pending : bool;
+      (* an [edb#] batch arrived since the last fixpoint: round 1 runs
+         [edb_rules] *)
   mutable promoted_total : int;  (* since the last reset; the budget's input *)
   mutable fault_step_delay_s : float;
       (* test seam: sleep this long inside every barrier step, turning
@@ -83,6 +105,7 @@ let create ~eng ~commit ~locked ~budget =
     exchange = Exchange.create ();
     config = None;
     prog = None;
+    edb_pending = false;
     promoted_total = 0;
     fault_step_delay_s = 0.
   }
@@ -117,6 +140,9 @@ let do_shard t ~index ~count ~key ~peer_addrs =
 
 let idb_slot idbs name arity = Array.find_index (fun d -> d.name = name && d.arity = arity) idbs
 
+let edb_slot edbs name arity =
+  Array.find_index (fun e -> e.e_name = name && e.e_arity = arity) edbs
+
 let compile eng (a : Plan.analysis) =
   let scratch (name, arity) = Hash_relation.create ~name ~arity () in
   let idbs =
@@ -142,7 +168,8 @@ let compile eng (a : Plan.analysis) =
       let tg =
         match Engine.provider eng pred arity with
         | Module_struct.P_rel rel ->
-          edb := rel :: !edb;
+          let e = { e_name = name; e_arity = arity; e_full = rel; e_delta = scratch (name, arity) } in
+          edb := e :: !edb;
           Module_struct.Slot ((2 * n) + List.length !edb - 1)
         | Module_struct.P_foreign f -> Module_struct.Fn f
       in
@@ -158,11 +185,14 @@ let compile eng (a : Plan.analysis) =
             (Ast.literal_atom lit))
         d.Plan.rule.Ast.body)
     a.Plan.drules;
+  let edbs = Array.of_list (List.rev !edb) in
+  let m = Array.length edbs in
   let rels =
     Array.concat
       [ Array.map (fun d -> d.full) idbs;
         Array.map (fun d -> d.delta) idbs;
-        Array.of_list (List.rev !edb)
+        Array.map (fun e -> e.e_full) edbs;
+        Array.map (fun e -> e.e_delta) edbs
       ]
   in
   let compile (d : Plan.drule) =
@@ -177,7 +207,32 @@ let compile eng (a : Plan.analysis) =
     in
     Module_struct.compile_rule ~rels ~target ?delta d.Plan.rule
   in
-  { analysis = a; idbs; rels; rules = List.map (fun d -> d.Plan.cls, compile d) a.Plan.drules }
+  (* literal [i] over the base predicate in slot [s] scans its edb
+     delta, slot [s + m] *)
+  let activations (d : Plan.drule) =
+    List.concat
+      (List.mapi
+         (fun i lit ->
+           match lit with
+           | Ast.Pos x -> (
+             match target x.Ast.pred (Array.length x.Ast.args) with
+             | Module_struct.Slot s when s >= 2 * n ->
+               [ d.Plan.cls, Module_struct.compile_rule ~rels ~target ~delta:(i, s + m) d.Plan.rule ]
+             | _ -> [])
+           | _ -> [])
+         d.Plan.rule.Ast.body)
+  in
+  { analysis = a;
+    idbs;
+    edbs;
+    rels;
+    rules = List.map (fun d -> d.Plan.cls, compile d) a.Plan.drules;
+    edb_rules = List.concat_map activations a.Plan.drules
+  }
+
+let clear_edb_deltas t =
+  Option.iter (fun p -> Array.iter (fun e -> Relation.clear e.e_delta) p.edbs) t.prog;
+  t.edb_pending <- false
 
 let do_dprog t text =
   match Plan.analyse_text text with
@@ -185,6 +240,7 @@ let do_dprog t text =
     Protocol.err Protocol.Cluster ("program is not distributable: " ^ reason)
   | Plan.Distributable a ->
     t.commit ~invalidate:true (fun () -> t.prog <- Some (compile t.eng a));
+    t.edb_pending <- false;
     Protocol.ok
       ~detail:
         (Printf.sprintf "rules=%d idb=%d" (List.length a.Plan.drules)
@@ -226,6 +282,55 @@ let do_delta t payload =
   end
 
 (* ------------------------------------------------------------------ *)
+(* EDB delta intake (the coordinator's connection)                     *)
+(* ------------------------------------------------------------------ *)
+
+(* New base facts for a materialized cluster: every worker stores them
+   in its replica and in the edb deltas, and the next fixpoint starts
+   from them.  The whole batch is checked before any of it is stored,
+   so a refused batch leaves the replica as it was. *)
+let do_edb t payload =
+  match t.config, t.prog with
+  | None, _ | _, None -> Protocol.err Protocol.Cluster "edb delta before shard/dprog configuration"
+  | Some _, Some prog -> begin
+    match Obs.Histogram.time h_codec (fun () -> Delta_codec.decode payload) with
+    | Error m -> Protocol.err Protocol.Proto ("bad edb batch: " ^ m)
+    | Ok facts -> (
+      match
+        List.find_opt
+          (fun (name, tuple) ->
+            not (Plan.insert_is_delta prog.analysis name (Tuple.arity tuple)))
+          facts
+      with
+      | Some (name, tuple) ->
+        Protocol.err Protocol.Cluster
+          (Printf.sprintf "edb delta for %s/%d, which is derived or read under negation" name
+             (Tuple.arity tuple))
+      | None ->
+        let fresh = ref 0 in
+        t.commit ~invalidate:true (fun () ->
+            List.iter
+              (fun (name, tuple) ->
+                let arity = Tuple.arity tuple in
+                match edb_slot prog.edbs name arity with
+                | Some j ->
+                  let e = prog.edbs.(j) in
+                  if Relation.insert e.e_full tuple then begin
+                    incr fresh;
+                    ignore (Relation.insert_quiet e.e_delta tuple)
+                  end
+                | None ->
+                  (* no rule reads it: store it, activate nothing *)
+                  if Relation.insert (Engine.base_relation t.eng (Symbol.intern name) arity) tuple
+                  then incr fresh)
+              facts);
+        t.edb_pending <- true;
+        Protocol.ok
+          ~detail:(Printf.sprintf "received=%d new=%d" (List.length facts) !fresh)
+          [])
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Barrier step: one local round + delta shipping                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -250,12 +355,17 @@ let do_step t round =
     if t.fault_step_delay_s > 0. then Thread.delay t.fault_step_delay_s;
     let local = ref [] in
     let outbound = Array.make (Array.length cfg.peers) [] in
+    (* after an [edb#], round 1 derives from the new base facts alone:
+       the derived relations already hold everything else *)
+    let from_edb = round = 1 && t.edb_pending in
     t.locked (fun () ->
         Obs.Histogram.time h_eval @@ fun () ->
         Array.iter (fun d -> Relation.clear d.fresh) prog.idbs;
         List.iter
           (fun (cls, (rule : Module_struct.crule)) ->
             let active =
+              from_edb
+              ||
               match cls with
               | Plan.Init -> round = 1
               | Plan.Linear _ -> round > 1
@@ -282,7 +392,8 @@ let do_step t round =
                       else outbound.(owner) <- item :: outbound.(owner)
                   end)
             end)
-          prog.rules);
+          (if from_edb then prog.edb_rules else prog.rules);
+        if from_edb then clear_edb_deltas t);
     Exchange.add_local t.exchange (List.rev !local);
     (* Encode every destination's batch before shipping any, so a
        value with no wire form fails the round before a peer has
@@ -407,7 +518,8 @@ let do_dreset t =
               | Some rel -> Relation.clear rel
               | None -> ())))
         (Engine.list_relations t.eng);
-      Option.iter (fun p -> Array.iter (fun d -> Relation.clear d.delta) p.idbs) t.prog);
+      Option.iter (fun p -> Array.iter (fun d -> Relation.clear d.delta) p.idbs) t.prog;
+      clear_edb_deltas t);
   t.promoted_total <- 0;
   Protocol.ok ~detail:"reset" []
 
@@ -419,6 +531,7 @@ let handle t (req : Protocol.request) =
     do_shard t ~index ~count ~key ~peer_addrs:peers
   | Protocol.Dprog text -> do_dprog t text
   | Protocol.Delta payload -> do_delta t payload
+  | Protocol.Edb payload -> do_edb t payload
   | Protocol.Barrier (Protocol.Step, r) -> do_step t r
   | Protocol.Barrier (Protocol.Promote, r) -> do_promote t r
   | Protocol.Dreset -> do_dreset t

@@ -15,7 +15,7 @@ type pred = {
   distributable : verdict;
 }
 
-type t = { preds : pred list; rules : rule list }
+type t = { preds : pred list; rules : rule list; negated : (Symbol.t * int) list }
 
 let key_of sym arity = Symbol.name sym ^ "/" ^ string_of_int arity
 let head_key (r : Ast.rule) = key_of r.Ast.head.Ast.hpred (Array.length r.Ast.head.Ast.hargs)
@@ -164,10 +164,16 @@ let analyse ~foreign (modules : Ast.module_ list) clauses =
     let i = Scc.scc_of scc sym in
     i >= 0 && scc.Scc.recursive.(i)
   in
+  let negated = Hashtbl.create 8 in
   let rules =
     List.map
       (fun (r : Ast.rule) ->
         let head = head_key r in
+        List.iter
+          (function
+            | Ast.Neg a -> Hashtbl.replace negated (atom_key a) (a.Ast.pred, Array.length a.Ast.args)
+            | _ -> ())
+          r.Ast.body;
         let w = walk ~recursive:(recursive r.Ast.head.Ast.hpred) r.Ast.body in
         let derived_at =
           List.mapi (fun i lit -> i, lit) r.Ast.body
@@ -213,4 +219,9 @@ let analyse ~foreign (modules : Ast.module_ list) clauses =
       preds []
     |> List.sort (fun a b -> compare a.key b.key)
   in
-  { preds; rules }
+  let negated =
+    Hashtbl.fold (fun k p acc -> (k, p) :: acc) negated []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  { preds; rules; negated }

@@ -72,6 +72,9 @@ type pred = {
 type t = {
   preds : pred list;  (** sorted by key *)
   rules : rule list;  (** every rule, modules first, in program order *)
+  negated : (Symbol.t * int) list;
+      (** every predicate some rule reads under negation, sorted by
+          key: an insert into one of these can remove derived tuples *)
 }
 
 val key_of : Symbol.t -> int -> string

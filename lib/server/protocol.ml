@@ -30,6 +30,7 @@ type request =
   | Shard of { index : int; count : int; key : int; peers : string list }
   | Dprog of string  (** distributed program text (rules to evaluate locally) *)
   | Delta of string  (** a binary delta batch shipped from a peer shard (Delta_codec) *)
+  | Edb of string  (** a binary batch of new base facts from the router (Delta_codec) *)
   | Barrier of barrier_phase * int  (** barrier step|promote <round> *)
   | Dreset
   (* observability plane *)
@@ -96,23 +97,28 @@ let code_of_string = function
   | "CLUSTER" -> Some Cluster
   | _ -> None
 
+(* Most rows and details hold no control character: hand those back
+   as they are, and copy only the rest. *)
 let one_line s =
-  let b = Buffer.create (String.length s) in
-  let pending_sep = ref false in
-  String.iter
-    (fun c ->
-      match c with
-      | '\n' -> if Buffer.length b > 0 then pending_sep := true
-      | '\r' -> ()
-      | c ->
-        let c = if Char.code c < 32 then ' ' else c in
-        if !pending_sep then begin
-          pending_sep := false;
-          Buffer.add_string b "; "
-        end;
-        Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  if String.for_all (fun c -> Char.code c >= 32) s then s
+  else begin
+    let b = Buffer.create (String.length s) in
+    let pending_sep = ref false in
+    String.iter
+      (fun c ->
+        match c with
+        | '\n' -> if Buffer.length b > 0 then pending_sep := true
+        | '\r' -> ()
+        | c ->
+          let c = if Char.code c < 32 then ' ' else c in
+          if !pending_sep then begin
+            pending_sep := false;
+            Buffer.add_string b "; "
+          end;
+          Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
 
 (* Split a request line into command and argument at the first run of
    spaces; the argument keeps its internal spacing. *)
@@ -129,7 +135,7 @@ let split_cmd line =
    stripper; [consult#] is safe — its free text travels in the framed
    payload, never on the command line. *)
 let tid_commands =
-  [ "query"; "shard"; "consult#"; "dprog#"; "delta#"; "barrier"; "dreset" ]
+  [ "query"; "shard"; "consult#"; "dprog#"; "delta#"; "edb#"; "barrier"; "dreset" ]
 
 let valid_tid s =
   let n = String.length s in
@@ -261,6 +267,11 @@ let parse_request line =
         match int_of_string_opt arg with
         | Some n when n >= 0 -> `Delta_payload n
         | _ -> `Bad "delta# expects a byte count")
+  | "edb#" ->
+    need_arg (fun () ->
+        match int_of_string_opt arg with
+        | Some n when n >= 0 -> `Edb_payload n
+        | _ -> `Bad "edb# expects a byte count")
   | "barrier" ->
     need_arg (fun () ->
         match String.split_on_char ' ' arg |> List.filter (fun s -> s <> "") with
@@ -300,8 +311,12 @@ let render buf r =
   List.iter
     (fun p ->
       (match p with
-      | Ans s -> Buffer.add_string buf ("ans " ^ one_line s)
-      | Txt s -> Buffer.add_string buf ("txt " ^ one_line s));
+      | Ans s ->
+        Buffer.add_string buf "ans ";
+        Buffer.add_string buf (one_line s)
+      | Txt s ->
+        Buffer.add_string buf "txt ";
+        Buffer.add_string buf (one_line s));
       Buffer.add_char buf '\n')
     r.payload;
   (match r.status with
@@ -317,34 +332,87 @@ let is_status line =
   || String.starts_with ~prefix:"err " line
 
 (* ------------------------------------------------------------------ *)
-(* Channel framing helpers                                            *)
+(* Socket framing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared by the server's connection loop, the router's and the shard
-   client's — one definition of "a protocol line" on both sides of
-   every socket. *)
+(* Shared by the server's connection loop and the shard client — one
+   definition of "a protocol line" on both sides of every socket. *)
 
 exception Line_too_long
 
-(* Read one LF-terminated line, refusing lines over the protocol limit
-   (a peer streaming an unframed megabyte must not buffer-bloat the
-   reader).  CR before LF is stripped; None on EOF with nothing read. *)
-let read_line_capped ic =
-  let buf = Buffer.create 128 in
-  let rec go () =
-    match In_channel.input_char ic with
-    | None -> if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
-    | Some '\n' -> Some (Buffer.contents buf)
-    | Some c ->
-      if Buffer.length buf >= max_line_bytes then raise Line_too_long;
-      Buffer.add_char buf c;
-      go ()
+(* A buffered reader over a socket.  It reads the descriptor directly,
+   in blocks, and cuts lines out of its buffer: a channel would take
+   its lock once per byte read.  The buffer starts small and doubles
+   while a line outgrows it, up to twice the cap: a refused line is
+   then read as far as a channel's 64 KiB blocks would have read it,
+   so closing after [err TOOBIG] does not leave the peer's trailing
+   bytes unread (which would reset the connection under the reply). *)
+type reader = {
+  rfd : Unix.file_descr;
+  mutable rbuf : Bytes.t;
+  mutable rpos : int;  (* first unread byte *)
+  mutable rlen : int;  (* end of the buffered bytes *)
+}
+
+let reader fd = { rfd = fd; rbuf = Bytes.create 4096; rpos = 0; rlen = 0 }
+
+let rec read_fd fd buf off len =
+  try Unix.read fd buf off len with Unix.Unix_error (Unix.EINTR, _, _) -> read_fd fd buf off len
+
+(* Move the unread bytes to the front, grow a full buffer, then read
+   more after them; the count read, 0 at EOF. *)
+let refill r =
+  if r.rpos > 0 then begin
+    Bytes.blit r.rbuf r.rpos r.rbuf 0 (r.rlen - r.rpos);
+    r.rlen <- r.rlen - r.rpos;
+    r.rpos <- 0
+  end;
+  if r.rlen = Bytes.length r.rbuf then begin
+    let grown = Bytes.create (min (2 * (max_line_bytes + 1)) (2 * r.rlen)) in
+    Bytes.blit r.rbuf 0 grown 0 r.rlen;
+    r.rbuf <- grown
+  end;
+  let n = read_fd r.rfd r.rbuf r.rlen (Bytes.length r.rbuf - r.rlen) in
+  r.rlen <- r.rlen + n;
+  n
+
+(* The line in [rbuf] from [rpos] up to [stop] (exclusive), without a
+   trailing CR; consumes through [next]. *)
+let cut r stop next =
+  let stop = if stop > r.rpos && Bytes.get r.rbuf (stop - 1) = '\r' then stop - 1 else stop in
+  let line = Bytes.sub_string r.rbuf r.rpos (stop - r.rpos) in
+  r.rpos <- next;
+  line
+
+let read_line r =
+  let rec find i = if i >= r.rlen || Bytes.unsafe_get r.rbuf i = '\n' then i else find (i + 1) in
+  let rec go from =
+    let i = find from in
+    if i < r.rlen then
+      if i - r.rpos > max_line_bytes then raise Line_too_long else Some (cut r i (i + 1))
+    else if r.rlen - r.rpos > max_line_bytes then raise Line_too_long
+    else begin
+      let scanned = r.rlen - r.rpos in
+      if refill r > 0 then go scanned
+      else if r.rlen = 0 then None
+      else Some (cut r r.rlen r.rlen)  (* EOF mid-line *)
+    end
   in
-  match go () with
-  | None -> None
-  | Some line ->
-    let n = String.length line in
-    if n > 0 && line.[n - 1] = '\r' then Some (String.sub line 0 (n - 1)) else Some line
+  go r.rpos
+
+let read_exact r n =
+  let out = Bytes.create n in
+  let have = min n (r.rlen - r.rpos) in
+  Bytes.blit r.rbuf r.rpos out 0 have;
+  r.rpos <- r.rpos + have;
+  let rec fill off =
+    if off < n then
+      match read_fd r.rfd out off (n - off) with
+      | 0 -> raise End_of_file
+      | k -> fill (off + k)
+  in
+  fill have;
+  Bytes.unsafe_to_string out
 
 let write_response oc response =
   let buf = Buffer.create 256 in

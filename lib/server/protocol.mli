@@ -45,6 +45,9 @@
                                    peer address per shard
     dprog# <nbytes>                the distributed program (rules) follows
     delta# <nbytes>                a binary delta batch from a peer shard
+    edb# <nbytes>                  a binary batch of new base facts; the
+                                   next fixpoint's round 1 runs only the
+                                   rules they activate
     barrier step <round>           run one local evaluation round and ship
                                    non-local deltas to their owners
     barrier promote <round>        promote buffered deltas into the stored
@@ -139,6 +142,10 @@ type request =
           shard (entry [index] is this worker itself) *)
   | Dprog of string  (** the distributed program: rule text to run locally *)
   | Delta of string  (** a binary delta batch shipped from a peer shard (Delta_codec) *)
+  | Edb of string
+      (** a binary batch of base facts the router inserted (Delta_codec):
+          added to the replicated base relations, and the seed of the
+          next fixpoint's first round *)
   | Barrier of barrier_phase * int
   | Dreset  (** drop distributed derived state (before a fixpoint rerun) *)
   | Spans of string
@@ -185,15 +192,16 @@ val parse_request :
   | `Consult_payload of int
   | `Dprog_payload of int
   | `Delta_payload of int
+  | `Edb_payload of int
   | `Bad of string ]
 (** Parse one request line (the [`..._payload n] cases: the caller
-    must read [n] more bytes and build [Consult]/[Dprog]/[Delta]
+    must read [n] more bytes and build [Consult]/[Dprog]/[Delta]/[Edb]
     itself).  A trailing [tid=<id>] trace token on a {!split_tid}
     command is stripped and ignored. *)
 
 val split_tid : string -> string * string option
 (** Strip a trailing [" tid=<id>"] trace-context token from a request
-    line ([query], [shard], [dprog#], [delta#], [barrier], [dreset]
+    line ([query], [shard], [dprog#], [delta#], [edb#], [barrier], [dreset]
     only — free-text commands are never touched).  Returns the
     stripped line and the id; lines without a well-formed token come
     back unchanged, so pre-trace clients interoperate as-is. *)
@@ -223,10 +231,24 @@ val is_status : string -> bool
 
 exception Line_too_long
 
-val read_line_capped : in_channel -> string option
-(** Read one LF-terminated line (CR stripped); [None] at EOF with
-    nothing read.
+type reader
+(** A buffered reader over one socket, for both sides of the wire:
+    request lines and byte-counted payloads on a server, reply lines
+    on a client.  It reads the descriptor in blocks, not byte by byte
+    through a channel. *)
+
+val reader : Unix.file_descr -> reader
+
+val read_line : reader -> string option
+(** Read one LF-terminated line (a CR before the LF is stripped);
+    [None] at EOF with nothing read, the partial line at EOF
+    mid-line.
     @raise Line_too_long past {!max_line_bytes}. *)
+
+val read_exact : reader -> int -> string
+(** The next [n] bytes, taking what follows a line in the same read
+    first (a [consult#]/[dprog#]/[delta#]/[edb#] payload).
+    @raise End_of_file if the peer closes first. *)
 
 val write_response : out_channel -> response -> int
 (** Serialize, write and flush a response; returns the bytes written

@@ -25,12 +25,12 @@ let write_response oc response = ignore (Protocol.write_response oc response)
    Every byte in and out is credited to the store's wire counters. *)
 let serve_connection t client =
   let store = t.sstore in
-  let ic = Unix.in_channel_of_descr client in
+  let rd = Protocol.reader client in
   let oc = Unix.out_channel_of_descr client in
   let session = Session.create ~reserved:true store in
   let write r = Session.note_bytes_written store (Protocol.write_response oc r) in
   let rec loop () =
-    match Protocol.read_line_capped ic with
+    match Protocol.read_line rd with
     | None -> ()
     | Some line when String.trim line = "" ->
       Session.note_bytes_read store (String.length line + 1);
@@ -46,7 +46,7 @@ let serve_connection t client =
         Coral_obs.Obs.Trace.with_id wire_tid (fun () -> t.handle session req)
       in
       (* byte-counted payload bodies: consult#, and the cluster's
-         shipped program / delta batches *)
+         shipped program, peer delta batches and EDB deltas *)
       let with_payload kind n build =
         if n > Protocol.max_payload_bytes then
           (* refuse without reading: the connection is closed rather
@@ -56,7 +56,7 @@ let serve_connection t client =
                (Printf.sprintf "%s payload of %d bytes exceeds the %d byte limit" kind n
                   Protocol.max_payload_bytes))
         else begin
-          match really_input_string ic n with
+          match Protocol.read_exact rd n with
           | text ->
             Session.note_bytes_read store n;
             write (handle (build text));
@@ -71,6 +71,7 @@ let serve_connection t client =
       | `Consult_payload n -> with_payload "consult#" n (fun t -> Protocol.Consult t)
       | `Dprog_payload n -> with_payload "dprog#" n (fun t -> Protocol.Dprog t)
       | `Delta_payload n -> with_payload "delta#" n (fun t -> Protocol.Delta t)
+      | `Edb_payload n -> with_payload "edb#" n (fun t -> Protocol.Edb t)
       | `Req Protocol.Quit -> write (handle Protocol.Quit)
       | `Req req ->
         write (handle req);

@@ -65,6 +65,9 @@ type store = {
      handler here rather than being called directly.  [None] answers
      dist requests with [err CLUSTER]. *)
   mutable dist_handler : (Protocol.request -> Protocol.response) option;
+  (* Called with an insert's facts just before they commit; what it
+     returns runs once the commit succeeded (see set_insert_hook). *)
+  mutable insert_hook : (Coral.Ast.atom list -> unit -> unit) option;
 }
 
 let make_store ?(databases = []) ?(limits = Admission.default) db =
@@ -93,13 +96,15 @@ let make_store ?(databases = []) ?(limits = Admission.default) db =
     maint_deleted = Atomic.make 0;
     maint_rederived = Atomic.make 0;
     maint_fallback = Atomic.make 0;
-    dist_handler = None
+    dist_handler = None;
+    insert_hook = None
   }
 
 let db store = store.sdb
 let admission store = store.admission
 let session_count store = Atomic.get store.sessions
 let set_dist_handler store h = store.dist_handler <- Some h
+let set_insert_hook store h = store.insert_hook <- Some h
 
 (* Wire accounting: the connection loop credits what it reads and
    writes; delta exchange between workers runs over the same sockets,
@@ -635,7 +640,9 @@ let do_insert t text =
     let facts =
       List.map (fun (a : Coral.Ast.atom) -> a.Coral.Ast.pred, a.Coral.Ast.args) atoms
     in
+    let committed = match store.insert_hook with Some h -> h atoms | None -> ignore in
     let rep = wrap_write store (fun () -> Coral.Engine.insert_facts eng facts) in
+    committed ();
     note_update store ~op:"insert" rep;
     Query_log.Events.log ~kind:"insert"
       [ "session", Json.Int t.sid;
@@ -990,8 +997,8 @@ let dispatch t (req : Protocol.request) =
      or delta blocked behind the in-flight cap would deadlock the
      coordinator's round — and do their own locking (the write lane
      for barrier steps, a private buffer mutex for deltas). *)
-  | Protocol.Shard _ | Protocol.Dprog _ | Protocol.Delta _ | Protocol.Barrier _
-  | Protocol.Dreset -> begin
+  | Protocol.Shard _ | Protocol.Dprog _ | Protocol.Delta _ | Protocol.Edb _
+  | Protocol.Barrier _ | Protocol.Dreset -> begin
     match t.store.dist_handler with
     | Some h -> h req
     | None ->

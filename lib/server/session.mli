@@ -51,12 +51,19 @@ val commit : store -> invalidate:bool -> (unit -> 'a) -> 'a
 
 val set_dist_handler : store -> (Protocol.request -> Protocol.response) -> unit
 (** Install the cluster-worker handler for [shard]/[dprog]/[delta]/
-    [barrier]/[dreset] requests.  The dist subsystem sits above this
+    [edb]/[barrier]/[dreset] requests.  The dist subsystem sits above this
     library (it needs both the protocol and the engine), so the server
     binary installs the hook at startup; without it dist requests
     answer [err CLUSTER].  Dist requests bypass the admission gate:
     they are the coordinator's control plane, and a delta blocked
     behind the in-flight cap would deadlock the round barrier. *)
+
+val set_insert_hook : store -> (Coral.Ast.atom list -> unit -> unit) -> unit
+(** [set_insert_hook store h]: every [insert] request calls [h facts]
+    with its parsed facts just before committing them, and runs the
+    function [h] returned once the commit succeeded, outside the store
+    lock.  The router learns from it which facts an insert committed,
+    and what happened to the cluster in between. *)
 
 val note_bytes_read : store -> int -> unit
 (** Credit [n] wire bytes read from a client (or peer) connection to

@@ -628,9 +628,10 @@ let connect_unix path =
 
 let close_client c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-let request c line =
+let request ?payload c line =
   output_string c.oc line;
   output_char c.oc '\n';
+  Option.iter (output_string c.oc) payload;
   flush c.oc;
   let rec go acc =
     match In_channel.input_line c.ic with
@@ -678,12 +679,12 @@ type cluster = {
   workers : (string * Server.t) list;
 }
 
-let start_cluster ~shards ~key () =
+let start_cluster ?insert_committed ~shards ~key () =
   let workers = List.init shards (fun _ -> start_worker ()) in
   let rpath = sock_path () in
   let router =
-    Router.start ~listen:(`Unix rpath) ~shard_addrs:(List.map fst workers) ~key
-      (Coral.create ())
+    Router.start ?insert_committed ~listen:(`Unix rpath) ~shard_addrs:(List.map fst workers)
+      ~key (Coral.create ())
   in
   { router_path = rpath; router; workers }
 
@@ -991,9 +992,25 @@ let test_worker_kernel () =
              (Coral.Engine.list_relations eng)))
     cl.workers
 
-(* An insert through the router lands on the replica, dirties the
-   cluster, and the next distributed query sees it after resync. *)
-let test_insert_resyncs () =
+(* One numeric row of a [stats] reply. *)
+let stat_int c name =
+  let lines, _ = request c "stats" in
+  let prefix = "txt " ^ name ^ "=" in
+  match
+    List.find_map
+      (fun l ->
+        if String.starts_with ~prefix l then
+          int_of_string_opt (String.sub l (String.length prefix) (String.length l - String.length prefix))
+        else None)
+      lines
+  with
+  | Some n -> n
+  | None -> Alcotest.failf "no %s stat" name
+
+(* An insert of base facts into a materialized cluster is one more
+   delta: the next distributed query ships it to the workers and runs
+   a short fixpoint from it, without reprovisioning. *)
+let test_insert_ships_delta () =
   let texts = [ tc_program; "edge(1, 2).\nedge(2, 3).\n" ] in
   Coral_obs.Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Coral_obs.Obs.set_enabled false) @@ fun () ->
@@ -1001,25 +1018,241 @@ let test_insert_resyncs () =
   Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
   let c = connect_unix cl.router_path in
   consult_all c texts;
-  let fixpoint_runs () =
-    let lines, _ = request c "stats" in
-    match
-      List.find_map
-        (fun l ->
-          if String.starts_with ~prefix:"txt router.fixpoint.runs=" l then
-            int_of_string_opt (String.sub l 25 (String.length l - 25))
-          else None)
-        lines
-    with
-    | Some n -> n
-    | None -> Alcotest.fail "no router.fixpoint.runs stat"
-  in
   Alcotest.(check int) "closure of the chain" 3 (List.length (answers c "path(X, Y)"));
-  let r1 = fixpoint_runs () in
+  let runs = stat_int c "router.fixpoint.runs"
+  and resyncs = stat_int c "router.resyncs"
+  and deltas = stat_int c "router.delta_syncs" in
   let _, status = request c "insert edge(3, 4)." in
-  check_prefix "insert" "ok" status;
+  check_prefix "insert" "ok inserted 1" status;
+  Alcotest.(check int) "the insert is queued" 1 (stat_int c "router.pending_facts");
+  Alcotest.(check int) "and leaves the cluster clean" 0 (stat_int c "router.dirty");
   Alcotest.(check int) "closure after insert" 6 (List.length (answers c "path(X, Y)"));
-  Alcotest.(check int) "the insert forced a second fixpoint" (r1 + 1) (fixpoint_runs ());
+  Alcotest.(check int) "the insert ran one more fixpoint" (runs + 1)
+    (stat_int c "router.fixpoint.runs");
+  Alcotest.(check int) "as a delta sync" (deltas + 1) (stat_int c "router.delta_syncs");
+  Alcotest.(check int) "without reprovisioning" resyncs (stat_int c "router.resyncs");
+  Alcotest.(check bool) "in at most two rounds" true (stat_int c "router.fixpoint.rounds" <= 2);
+  Alcotest.(check int) "the queue is drained" 0 (stat_int c "router.pending_facts");
+  (* a fact no batch can carry (an infinite double) fails the sync
+     loudly rather than reach a worker changed; retracting it heals *)
+  check_prefix "insert inf" "ok inserted 1" (snd (request c "insert edge(4, 1.0e999)."));
+  check_prefix "unencodable delta" "err CLUSTER" (snd (request c "query path(X, Y)"));
+  Alcotest.(check int) "the cluster is left dirty" 1 (stat_int c "router.dirty");
+  check_prefix "retract inf" "ok retracted 1" (snd (request c "retract edge(4, 1.0e999)."));
+  Alcotest.(check int) "healed by the next resync" 6 (List.length (answers c "path(X, Y)"));
+  ignore (request c "quit");
+  close_client c
+
+(* Mixed update sequences through 2- and 4-shard routers, checked
+   against a single node after every step.  A step is some updates and
+   then reads; [`Delta] says its inserts must reach the workers as one
+   delta sync with no reprovision, [`Resync] that the step dirtied the
+   cluster and the read reprovisioned it.  The program negates a base
+   predicate, so an insert into it must take the fallback. *)
+let neg_tc_program =
+  "module m_path.\n\
+   export path(bf).\n\
+   export path(ff).\n\
+   path(X, Y) :- edge(X, Y), not blocked(X).\n\
+   path(X, Y) :- path(X, Z), edge(Z, Y).\n\
+   end_module.\n"
+
+let update_steps seed =
+  let rand = lcg seed in
+  let node () = 1 + rand 14 in
+  let edge () = Printf.sprintf "edge(%d, %d)." (node ()) (node ()) in
+  let e1 = edge () and e2 = edge () and e3 = edge () and e4 = edge () in
+  [ (* several inserts, then one read *)
+    [ "insert " ^ e1; "insert " ^ e2 ^ " " ^ e3; "insert " ^ edge () ], `Delta;
+    (* insert then retract *)
+    [ "insert " ^ e4; "retract " ^ e4 ], `Resync;
+    (* duplicates, within one insert and of stored facts *)
+    [ "insert " ^ e1 ^ " " ^ e1; "insert " ^ e2 ], `Delta;
+    (* a predicate no rule reads *)
+    [ Printf.sprintf "insert note(%d, \"n\")." (node ()) ], `Delta;
+    (* a derived predicate seeded with a fact *)
+    [ Printf.sprintf "insert path(%d, %d)." (node ()) (20 + rand 5) ], `Resync;
+    (* a base predicate read under negation *)
+    [ Printf.sprintf "insert blocked(%d)." (node ()) ], `Resync;
+    [ "insert " ^ edge (); "retract " ^ e1 ], `Resync;
+    [ "insert " ^ edge () ^ " " ^ edge () ], `Delta
+  ]
+
+let step_reads = [ "path(X, Y)"; "path(1, Y)"; "note(X, Y)" ]
+
+(* Consult, read once, then run the steps; each step's update replies
+   and read answers, plus the [check] made after its updates and after
+   its reads. *)
+let run_update_steps c texts steps ~check =
+  consult_all c texts;
+  ignore (answers c "path(X, Y)");
+  List.map
+    (fun (updates, expect) ->
+      let statuses = List.map (fun u -> snd (request c u)) updates in
+      let after_updates = check `Updates expect in
+      let rows = List.concat_map (answers c) step_reads in
+      after_updates ();
+      statuses @ rows)
+    steps
+
+let test_update_differential () =
+  Coral_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Coral_obs.Obs.set_enabled false) @@ fun () ->
+  List.iter
+    (fun seed ->
+      let texts = [ neg_tc_program; tc_edges ~nodes:12 ~extra:5 seed ^ "blocked(3).\n" ] in
+      let steps = update_steps seed in
+      let path = sock_path () in
+      let srv = Server.start ~listen:(`Unix path) (Coral.create ()) in
+      let want =
+        Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
+        let c = connect_unix path in
+        let out = run_update_steps c texts steps ~check:(fun _ _ () -> ()) in
+        ignore (request c "quit");
+        close_client c;
+        out
+      in
+      List.iter
+        (fun (shards, key) ->
+          let cl = start_cluster ~shards ~key () in
+          Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+          let c = connect_unix cl.router_path in
+          let what i = Printf.sprintf "seed %d, %d shards, key %d, step %d" seed shards key i in
+          let step = ref 0 in
+          let check `Updates expect =
+            incr step;
+            let i = !step in
+            let resyncs = stat_int c "router.resyncs"
+            and deltas = stat_int c "router.delta_syncs" in
+            Alcotest.(check int) (what i ^ ": dirty after the updates")
+              (if expect = `Delta then 0 else 1)
+              (stat_int c "router.dirty");
+            fun () ->
+              let moved name before = stat_int c name - before in
+              Alcotest.(check (pair int int))
+                (what i ^ ": (resyncs, delta syncs) on the reads")
+                (if expect = `Delta then 0, 1 else 1, 0)
+                (moved "router.resyncs" resyncs, moved "router.delta_syncs" deltas)
+          in
+          let got = run_update_steps c texts steps ~check in
+          List.iteri
+            (fun i (w, g) ->
+              Alcotest.(check (list string)) (what (i + 1) ^ ": same as a single node") w g)
+            (List.combine want got);
+          ignore (request c "quit");
+          close_client c)
+        [ 2, 1; 4, 1; 4, 0 ])
+    [ 3; 8; 21 ]
+
+(* An insert that has committed but not yet told the router about it,
+   while a retract of the same fact commits and a read reprovisions the
+   cluster without it: when the insert finally reports, queuing its
+   fact would bring it back to the workers.  The router sees the
+   cluster moved on since the commit and dirties it instead, so the
+   next read matches a single node. *)
+let test_insert_races_retract () =
+  let texts = [ tc_program; "edge(1, 2).\nedge(2, 3).\n" ] in
+  let queries = [ "path(X, Y)"; "path(1, Y)" ] in
+  let expected = reference texts queries in
+  let m = Mutex.create () and cv = Condition.create () in
+  let armed = ref false and committed = ref false and released = ref false in
+  let set flag =
+    Mutex.lock m;
+    flag := true;
+    Condition.broadcast cv;
+    Mutex.unlock m
+  in
+  let wait_for flag =
+    Mutex.lock m;
+    while not !flag do Condition.wait cv m done;
+    Mutex.unlock m
+  in
+  (* the first insert after arming parks between its commit and the
+     router's decision until released *)
+  let insert_committed () =
+    Mutex.lock m;
+    let park = !armed in
+    armed := false;
+    Mutex.unlock m;
+    if park then begin
+      set committed;
+      wait_for released
+    end
+  in
+  Coral_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Coral_obs.Obs.set_enabled false) @@ fun () ->
+  let cl = start_cluster ~insert_committed ~shards:2 ~key:1 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  let c = connect_unix cl.router_path in
+  consult_all c texts;
+  Alcotest.(check int) "closure of the chain" 3 (List.length (answers c "path(X, Y)"));
+  set armed;
+  let c1 = connect_unix cl.router_path in
+  let status = ref "" in
+  let inserter = Thread.create (fun () -> status := snd (request c1 "insert edge(3, 4).")) () in
+  wait_for committed;
+  check_prefix "retract" "ok retracted 1" (snd (request c "retract edge(3, 4)."));
+  Alcotest.(check int) "the read in between reprovisions without the fact" 3
+    (List.length (answers c "path(X, Y)"));
+  let resyncs = stat_int c "router.resyncs" in
+  set released;
+  Thread.join inserter;
+  check_prefix "insert" "ok inserted 1" !status;
+  let dirty = stat_int c "router.dirty" and queued = stat_int c "router.pending_facts" in
+  List.iter
+    (fun (q, want) -> Alcotest.(check (list string)) (q ^ ": same as a single node") want (answers c q))
+    expected;
+  Alcotest.(check int) "the late insert dirtied the cluster" 1 dirty;
+  Alcotest.(check int) "and queued nothing" 0 queued;
+  Alcotest.(check int) "the read resynced" (resyncs + 1) (stat_int c "router.resyncs");
+  List.iter
+    (fun c ->
+      ignore (request c "quit");
+      close_client c)
+    [ c; c1 ]
+
+(* A worker refuses an [edb#] batch it cannot take — before it has a
+   program, truncated, or holding a fact of a derived predicate — and
+   stores none of it; a good batch seeds the next fixpoint's round 1. *)
+let test_edb_refused () =
+  let path, srv = start_worker () in
+  Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
+  let c = connect_unix path in
+  let edb pairs =
+    let payload = encode pairs in
+    snd (request ~payload c (Printf.sprintf "edb# %d" (String.length payload)))
+  in
+  let edges () = answers c "edge(X, Y)" in
+  let _, status = request c "consult edge(1, 2)." in
+  check_prefix "consult" "ok" status;
+  let stored = edges () in
+  check_prefix "edb# before dprog#" "err CLUSTER" (edb [ "edge", tuple_of [ 5; 6 ] ]);
+  Alcotest.(check (list string)) "nothing stored before dprog#" stored (edges ());
+  check_prefix "shard" "ok" (snd (request c (Printf.sprintf "shard 0 1 0 %s" path)));
+  let prog = "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), edge(Z, Y).\n" in
+  check_prefix "dprog#" "ok"
+    (snd (request ~payload:prog c (Printf.sprintf "dprog# %d" (String.length prog))));
+  let good = encode [ "edge", tuple_of [ 7; 8 ] ] in
+  let cut = String.sub good 0 (String.length good - 1) in
+  check_prefix "truncated edb#" "err PROTO"
+    (snd (request ~payload:cut c (Printf.sprintf "edb# %d" (String.length cut))));
+  check_prefix "edb# with a derived fact" "err CLUSTER"
+    (edb [ "edge", tuple_of [ 7; 8 ]; "path", tuple_of [ 1; 9 ] ]);
+  Alcotest.(check (list string)) "refused batches store nothing" stored (edges ());
+  check_prefix "edb#" "ok received=2 new=1" (edb [ "edge", tuple_of [ 2; 3 ]; "edge", tuple_of [ 1; 2 ] ]);
+  Alcotest.(check int) "the good batch is stored" 2 (List.length (edges ()));
+  List.iter
+    (fun r ->
+      List.iter
+        (fun phase ->
+          check_prefix (Printf.sprintf "barrier %s %d" phase r) "ok"
+            (snd (request c (Printf.sprintf "barrier %s %d" phase r)))
+        )
+        [ "step"; "promote" ])
+    [ 1; 2 ];
+  (* round 1 joined only the new edge: path(1, 2) was never derived *)
+  Alcotest.(check (list string)) "round 1 ran from the batch alone" [ "ans X = 2, Y = 3" ]
+    (answers c "path(X, Y)");
   ignore (request c "quit");
   close_client c
 
@@ -1730,6 +1963,16 @@ let test_router_stats_metrics_parity () =
   Alcotest.(check bool) "fixpoint rows present" true
     (List.mem "txt router.dirty=0" stats
     && List.exists (String.starts_with ~prefix:"txt router.fixpoint.wall_seconds=") stats);
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) (row ^ " row present") true
+        (List.exists (String.starts_with ~prefix:("txt " ^ row ^ "=")) stats))
+    [ "router.delta_syncs";
+      "router.pending_facts";
+      "router.provision_seconds_total";
+      "router.delta_sync_seconds_total";
+      "router.relay_seconds_total"
+    ];
   let strip l = if String.starts_with ~prefix:"txt " l then String.sub l 4 (String.length l - 4) else l in
   Parity.check ~what:"router"
     ~drop:(String.starts_with ~prefix:"coral_shard_")
@@ -1793,7 +2036,7 @@ let () =
           Alcotest.test_case "differential: seeded IDB facts" `Quick
             test_differential_seeded_idb;
           Alcotest.test_case "differential: float values" `Quick test_differential_floats;
-          Alcotest.test_case "insert dirties and resyncs" `Quick test_insert_resyncs;
+          Alcotest.test_case "insert ships a delta, no resync" `Quick test_insert_ships_delta;
           Alcotest.test_case "retract dirties and resyncs" `Quick test_retract_resyncs;
           Alcotest.test_case "mutating query dirties and resyncs" `Quick
             test_mutating_query_resyncs;
@@ -1812,7 +2055,12 @@ let () =
           Alcotest.test_case "differential: every value kind" `Quick
             test_differential_value_kinds;
           Alcotest.test_case "fan-out: open fds stay flat" `Quick test_fanout_fds_flat;
-          Alcotest.test_case "fan-out: kill a wedged fan-out" `Quick test_fanout_kill_wedged
+          Alcotest.test_case "fan-out: kill a wedged fan-out" `Quick test_fanout_kill_wedged;
+          Alcotest.test_case "differential: insert/retract sequences" `Quick
+            test_update_differential;
+          Alcotest.test_case "worker refuses malformed edb#" `Quick test_edb_refused;
+          Alcotest.test_case "insert racing a retract and a resync" `Quick
+            test_insert_races_retract
         ] );
       ( "observability",
         [ Alcotest.test_case "tid= wire round-trip on a plain server" `Quick

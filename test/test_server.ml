@@ -108,6 +108,98 @@ let test_protocol_parse () =
   Protocol.render buf (Protocol.err Protocol.Parse "bad\nthing");
   Alcotest.check Alcotest.string "render err" "err PARSE bad; thing\n" (Buffer.contents buf)
 
+(* The buffered line reader, over a socketpair: [feed] writes its
+   chunks (each one write) and closes the writing end, unless [keep]. *)
+let with_reader ?(keep = false) chunks f =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ r; w ])
+    (fun () ->
+      let writer =
+        Thread.create
+          (fun () ->
+            List.iter
+              (fun c -> ignore (Unix.write_substring w c 0 (String.length c)))
+              chunks;
+            if not keep then Unix.shutdown w Unix.SHUTDOWN_SEND)
+          ()
+      in
+      let out = f (Protocol.reader r) in
+      Thread.join writer;
+      out)
+
+let test_line_reader () =
+  let lines rd =
+    let rec go acc =
+      match Protocol.read_line rd with None -> List.rev acc | Some l -> go (l :: acc)
+    in
+    go []
+  in
+  let cap = Protocol.max_line_bytes in
+  let at_cap = String.make cap 'a' in
+  Alcotest.(check (list int)) "a line of exactly the cap, then the next" [ cap; 4 ]
+    (with_reader [ at_cap ^ "\nping\n" ] (fun rd -> List.map String.length (lines rd)));
+  Alcotest.(check bool) "one byte past the cap" true
+    (with_reader [ at_cap ^ "b\n" ] (fun rd ->
+         match Protocol.read_line rd with
+         | _ -> false
+         | exception Protocol.Line_too_long -> true));
+  Alcotest.(check bool) "past the cap with no LF yet" true
+    (with_reader ~keep:true [ at_cap; "bb" ] (fun rd ->
+         match Protocol.read_line rd with
+         | _ -> false
+         | exception Protocol.Line_too_long -> true));
+  (* a refused line is read through its LF, as a channel's 64 KiB
+     blocks would have read it: the server then closes after err TOOBIG
+     with nothing unread, which would reset the connection under the
+     reply *)
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) (fun () ->
+      let line = at_cap ^ "b\n" in
+      Alcotest.(check int) "the whole line is queued" (String.length line)
+        (Unix.write_substring w line 0 (String.length line));
+      Alcotest.(check bool) "refused" true
+        (match Protocol.read_line (Protocol.reader r) with
+        | _ -> false
+        | exception Protocol.Line_too_long -> true);
+      let readable, _, _ = Unix.select [ r ] [] [] 0. in
+      Alcotest.(check int) "nothing left unread" 0 (List.length readable));
+  Alcotest.(check (list string)) "a CR before LF is stripped, no other"
+    [ "ok done"; "a\rb"; ""; "last" ]
+    (with_reader [ "ok done\r\na\rb\n\r\nlast\r" ] lines);
+  Alcotest.(check (list string)) "EOF mid-line yields the partial line" [ "one"; "partial" ]
+    (with_reader [ "one\npartial" ] lines);
+  Alcotest.(check (list string)) "a payload in the same read as its line"
+    [ "consult# 12"; "edge(1, 2).\n"; "ping" ]
+    (with_reader [ "consult# 12\nedge(1, 2).\nping\n" ] (fun rd ->
+         let l = Option.get (Protocol.read_line rd) in
+         let payload = Protocol.read_exact rd 12 in
+         l :: payload :: lines rd));
+  Alcotest.(check (list string)) "a binary payload spanning reads"
+    [ "delta# 5"; "\000\n\r\255x"; "ok" ]
+    (with_reader [ "delta# 5\n\000\n"; "\r\255"; "xok\n" ] (fun rd ->
+         let l = Option.get (Protocol.read_line rd) in
+         let payload = Protocol.read_exact rd 5 in
+         l :: payload :: lines rd));
+  Alcotest.(check bool) "a payload cut short is End_of_file" true
+    (with_reader [ "abc" ] (fun rd ->
+         match Protocol.read_exact rd 4 with _ -> false | exception End_of_file -> true));
+  let reply = "ans X = 1\ntxt note\nok 2 answers\n" in
+  Alcotest.(check (list string)) "a reply in 1-byte writes"
+    [ "ans X = 1"; "txt note"; "ok 2 answers" ]
+    (with_reader (List.init (String.length reply) (fun i -> String.make 1 reply.[i])) lines);
+  (* rows with embedded CR/LF render on one line, byte for byte as
+     before; rows without come back as they are *)
+  let buf = Buffer.create 64 in
+  Protocol.render buf
+    (Protocol.ok ~detail:"2 answers\r\nmore"
+       [ Protocol.Ans "X = \"a\r\nb\"\r\n"; Protocol.Ans "Y = 1"; Protocol.Txt "\nx\ty\r" ]);
+  Alcotest.check Alcotest.string "render golden"
+    "ans X = \"a; b\"\nans Y = 1\ntxt x y\nok 2 answers; more\n" (Buffer.contents buf);
+  let row = "X = 1, Y = 2" in
+  Alcotest.(check bool) "one_line returns a clean row itself" true (Protocol.one_line row == row)
+
 (* ------------------------------------------------------------------ *)
 (* Concurrent clients over TCP                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1867,7 +1959,9 @@ let test_repl_busy_retry () =
 let () =
   Alcotest.run "coral_server"
     [ ( "protocol",
-        [ Alcotest.test_case "request parsing and rendering" `Quick test_protocol_parse ] );
+        [ Alcotest.test_case "request parsing and rendering" `Quick test_protocol_parse;
+          Alcotest.test_case "buffered line reader" `Quick test_line_reader
+        ] );
       ( "server",
         [ Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
           Alcotest.test_case "plan cache (unit)" `Quick test_plan_cache_unit;
