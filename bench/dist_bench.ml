@@ -59,7 +59,7 @@ let start_worker ~budget () =
   let store = Server.store srv in
   let worker =
     Worker.create ~eng:(Coral.engine db)
-      ~commit:(fun ~invalidate f -> Session.commit store ~invalidate f)
+      ~commit:(Session.commit store)
       ~locked:(fun f -> Session.locked store f)
       ~budget:(fun () ->
         (Admission.config (Session.admission store)).Admission.max_query_tuples)

@@ -507,7 +507,7 @@ let start_shard_server () =
   let store = Server.store srv in
   let worker =
     Coral_dist.Worker.create ~eng:(Coral.engine db)
-      ~commit:(fun ~invalidate f -> Coral_server.Session.commit store ~invalidate f)
+      ~commit:(Coral_server.Session.commit store)
       ~locked:(fun f -> Coral_server.Session.locked store f)
       ~budget:(fun () ->
         (Admission.config (Coral_server.Session.admission store)).Admission.max_query_tuples)

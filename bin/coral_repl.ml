@@ -189,10 +189,7 @@ let process_items db items =
         match (item : Coral.Ast.item) with
         | Coral.Ast.Fact a when handle_command db a -> ()
         | Coral.Ast.Fact a ->
-          ignore
-            (Coral.Relation.insert_terms
-               (Coral.relation db (Coral.Symbol.name a.Coral.Ast.pred) (Array.length a.Coral.Ast.args))
-               a.Coral.Ast.args)
+          Coral.fact db (Coral.Symbol.name a.Coral.Ast.pred) (Array.to_list a.Coral.Ast.args)
         | Coral.Ast.Clause_item r -> Coral.Engine.add_clause (Coral.engine db) r
         | Coral.Ast.Module_item m -> begin
           match Coral.Engine.load_module (Coral.engine db) m with

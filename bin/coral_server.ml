@@ -272,7 +272,7 @@ let () =
       let worker =
         Coral_dist.Worker.create
           ~eng:(Coral.engine db)
-          ~commit:(fun ~invalidate f -> Coral_server.Session.commit store ~invalidate f)
+          ~commit:(Coral_server.Session.commit store)
           ~locked:(fun f -> Coral_server.Session.locked store f)
           ~budget:(fun () ->
             (Coral_server.Admission.config (Coral_server.Session.admission store))

@@ -29,7 +29,7 @@ B=$!
 wait $A $B
 
 echo
-echo "== the second identical query hit the prepared-plan cache =="
+echo "== every query hit the plan its module load prepared =="
 printf 'stats\nquit\n' | client | grep -E 'prepared|plans'
 
 echo

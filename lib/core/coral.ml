@@ -69,7 +69,7 @@ exception Cancelled = Engine.Cancelled
 let with_cancel = Engine.with_cancel_check
 let with_progress = Engine.with_progress
 let plan_cache_stats = Engine.plan_cache_stats
-let invalidate_plans = Engine.invalidate_plans
+let drop_saved = Engine.drop_saved
 
 let why t src =
   match Engine.why t src with
@@ -92,7 +92,7 @@ let explain t src =
         a.Ast.args
     in
     match Engine.plan_for t ~pred:a.Ast.pred ~arity ~adorn with
-    | Ok plan -> Format.asprintf "%a" Optimizer.pp_plan plan
+    | Ok (plan, _) -> Format.asprintf "%a" Optimizer.pp_plan plan
     | Error e -> "planning error: " ^ e
   end
   | Ok _ -> "explain expects a single positive literal"

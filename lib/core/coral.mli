@@ -152,7 +152,8 @@ val define_type :
 (** {1 Serving hooks}
 
     Used by the serving layer ([lib/server]) and available to any
-    embedding host: per-request deadlines and prepared-plan control. *)
+    embedding host: per-request deadlines, plan accounting and the
+    save-instance drop. *)
 
 exception Cancelled
 (** Raised out of {!query}/{!call} when the check installed by
@@ -176,11 +177,15 @@ val with_progress : t -> (rounds:int -> delta:int -> lanes:int array -> unit) ->
     same way as {!with_cancel}. *)
 
 val plan_cache_stats : t -> int * int
-(** [(hits, misses)] of the session's query-form plan cache. *)
+(** [(hits, misses)] of the database's query-form plan table.  Plans
+    depend only on the rules: loading a module replans only that
+    module's forms, and no data change replans anything. *)
 
-val invalidate_plans : t -> unit
-(** Drop cached plans and save-module instances, e.g. after a bulk
-    base-relation update that must be visible to prepared queries. *)
+val drop_saved : t -> unit
+(** Drop the [@save_module] instances, the only derived state a base
+    change outdates.  {!fact}, {!consult_text} and the engine's update
+    entry points do it themselves; call it after mutating a
+    {!relation} directly. *)
 
 (** {1 Inspection} *)
 

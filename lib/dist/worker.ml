@@ -81,7 +81,7 @@ type prog = {
 
 type t = {
   eng : Engine.t;
-  commit : invalidate:bool -> (unit -> unit) -> unit;
+  commit : (unit -> unit) -> unit;
       (* the store's write lane: promotes are ordinary MVCC commits *)
   locked : (unit -> unit) -> unit;  (* the read lane, for step evaluation *)
   budget : unit -> int;  (* max promoted tuples per fixpoint; 0 = none *)
@@ -239,7 +239,7 @@ let do_dprog t text =
   | Plan.Local reason ->
     Protocol.err Protocol.Cluster ("program is not distributable: " ^ reason)
   | Plan.Distributable a ->
-    t.commit ~invalidate:true (fun () -> t.prog <- Some (compile t.eng a));
+    t.commit (fun () -> t.prog <- Some (compile t.eng a));
     t.edb_pending <- false;
     Protocol.ok
       ~detail:
@@ -308,7 +308,7 @@ let do_edb t payload =
              (Tuple.arity tuple))
       | None ->
         let fresh = ref 0 in
-        t.commit ~invalidate:true (fun () ->
+        t.commit (fun () ->
             List.iter
               (fun (name, tuple) ->
                 let arity = Tuple.arity tuple in
@@ -468,7 +468,7 @@ let do_promote t round =
         ])
       "dist.promote"
     @@ fun () ->
-    t.commit ~invalidate:true (fun () ->
+    t.commit (fun () ->
         let items, recv = Exchange.drain t.exchange in
         received := recv;
         Array.iter (fun d -> Relation.clear d.delta) prog.idbs;
@@ -501,7 +501,7 @@ let do_dreset t =
      EDB, dprog, rerun the fixpoint), and the invariant that makes
      that simple is that a reset worker holds exactly what the router
      ships next — including after a retract upstream. *)
-  t.commit ~invalidate:true (fun () ->
+  t.commit (fun () ->
       List.iter
         (fun (key, _card) ->
           match String.rindex_opt key '/' with

@@ -13,7 +13,7 @@ type t
 
 val create :
   eng:Coral.Engine.t ->
-  commit:(invalidate:bool -> (unit -> unit) -> unit) ->
+  commit:((unit -> unit) -> unit) ->
   locked:((unit -> unit) -> unit) ->
   budget:(unit -> int) ->
   t

@@ -61,6 +61,8 @@ let arith_op sym (a : Value.t) (b : Value.t) : Value.t =
     Value.Double (float_op x (float_of_string (Bignum.to_string y)))
   | (Value.Str _, _ | _, Value.Str _) ->
     raise (Eval_error "arithmetic on a string value")
+  | (Value.Opaque _, _ | _, Value.Opaque _) ->
+    raise (Eval_error "arithmetic on an opaque value")
 
 (* Arithmetic is reduced on the spine of arithmetic operators only:
    [1 + 2 * X] reduces as far as groundness allows, but arithmetic

@@ -18,20 +18,27 @@ let max_call_depth = 256
 (* Predicates are keyed by name/arity. *)
 let key pred arity = Symbol.name pred ^ "/" ^ string_of_int arity
 
+(* The plan table of one rule generation, keyed module::pred::adorn.
+   A plan depends only on its module's rules, so a table lives as long
+   as the rules it was planned from: [load_module] and [append_clause]
+   install a copy without the replaced module's plans, and every read
+   view shares the table of its own rules by reference.  Readers plan
+   concurrently, so access is mutexed. *)
+type plans = {
+  table : (string, Optimizer.plan) Hashtbl.t;
+  lock : Mutex.t;
+}
+
 type t = {
   base : (string, Relation.t) Hashtbl.t;
   foreigns : (string, Builtin.foreign) Hashtbl.t;
   mutable modules : Ast.module_ list;
-  plans : (string, Optimizer.plan) Hashtbl.t;  (* module^pred^adorn *)
-  plans_lock : Mutex.t;
-      (* snapshot read views share one plan table per published version
-         (concurrent readers of the same epoch reuse each other's
-         plans), so plan-table access is mutexed everywhere *)
+  mutable plans : plans;
   saved : (string, Fixpoint.t) Hashtbl.t;  (* save-module instances *)
   mutable user_rules : Ast.rule list;  (* the implicit interactive module *)
   mutable call_depth : int;
-  plan_hits : int Atomic.t;  (* plan-cache requests answered from t.plans *)
-  plan_misses : int Atomic.t;  (* plan-cache requests that ran the optimizer *)
+  plan_hits : int Atomic.t;  (* plan lookups answered from the table *)
+  plan_misses : int Atomic.t;  (* plan lookups that ran the optimizer *)
   mutable cancel : (unit -> bool) option;
       (* ambient cancellation check, installed into every fixpoint
          instance this engine runs (including cached saved instances) *)
@@ -79,9 +86,13 @@ let want t k spec =
     Hashtbl.replace t.wants k (have @ [ spec ]);
   Option.iter (fun rel -> Relation.add_index rel spec) (Hashtbl.find_opt t.base k)
 
-let with_plans t f =
-  Mutex.lock t.plans_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.plans_lock) f
+let with_plans p f =
+  Mutex.lock p.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock p.lock) (fun () -> f p.table)
+
+(* Save-module instances are the only derived state a base change
+   outdates; every base change drops them all. *)
+let drop_saved t = Hashtbl.reset t.saved
 
 (* CORAL_WORKERS sets the default parallel width for every engine in
    the process (the --workers server flag overrides per database). *)
@@ -107,7 +118,7 @@ let engine_tick t =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Incremental view maintenance and scoped invalidation               *)
+(* Incremental view maintenance                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* A program change (consult, load_module, add_clause, a replaced
@@ -166,61 +177,6 @@ let extent_of t pred arity =
     | None -> None
   end
 
-(* Scoped plan invalidation: a base-fact update of predicate p only
-   outdates derived state that (transitively) reads p, so only the
-   cached plans and save-module instances of p's dependents are
-   dropped.  Dependency tracking is by predicate name over the global
-   rule soup — conservative (arity-blind) and cheap. *)
-let dependent_names t names =
-  let rules = List.concat_map (fun (m : Ast.module_) -> m.Ast.rules) t.modules @ t.user_rules in
-  let rev = Hashtbl.create 64 in
-  (* body predicate name -> head predicate name *)
-  List.iter
-    (fun (r : Ast.rule) ->
-      let h = Symbol.name r.Ast.head.Ast.hpred in
-      List.iter
-        (fun lit ->
-          match Ast.literal_atom lit with
-          | Some (a : Ast.atom) -> Hashtbl.add rev (Symbol.name a.Ast.pred) h
-          | None -> ())
-        r.Ast.body)
-    rules;
-  let seen = Hashtbl.create 16 in
-  let rec go n =
-    if not (Hashtbl.mem seen n) then begin
-      Hashtbl.replace seen n ();
-      List.iter go (Hashtbl.find_all rev n)
-    end
-  in
-  List.iter go names;
-  seen
-
-(* The predicate segment of a plan/saved key "mname::pred::adorn". *)
-let plan_key_pred k =
-  let len = String.length k in
-  let rec sep i = if i + 1 >= len then None else if k.[i] = ':' && k.[i + 1] = ':' then Some i else sep (i + 1) in
-  match sep 0 with
-  | None -> None
-  | Some i -> begin
-    match sep (i + 2) with
-    | None -> None
-    | Some j -> Some (String.sub k (i + 2) (j - i - 2))
-  end
-
-let invalidate_dependents t preds =
-  let affected = dependent_names t (List.sort_uniq compare (List.map Symbol.name preds)) in
-  let sweep tbl =
-    Hashtbl.fold
-      (fun k _ acc ->
-        match plan_key_pred k with
-        | Some p when Hashtbl.mem affected p -> k :: acc
-        | _ -> acc)
-      tbl []
-    |> List.iter (Hashtbl.remove tbl)
-  in
-  with_plans t (fun () -> sweep t.plans);
-  sweep t.saved
-
 (* ------------------------------------------------------------------ *)
 (* Updates                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -276,7 +232,7 @@ let insert_facts t facts =
       else no_stats
     | _ -> no_stats
   in
-  if stored <> [] then invalidate_dependents t (List.map fst stored);
+  if stored <> [] then drop_saved t;
   { ur_applied = !applied;
     ur_noop = !noop;
     ur_derived = stats.Maintain.u_derived;
@@ -323,7 +279,7 @@ let retract_facts t facts =
         facts;
       !removed, !missing, no_stats
   in
-  if removed > 0 then invalidate_dependents t (List.map fst facts);
+  if removed > 0 then drop_saved t;
   { ur_applied = removed;
     ur_noop = missing;
     ur_derived = stats.Maintain.u_derived;
@@ -338,8 +294,7 @@ let create ?(builtins = true) ?workers () =
     { base = Hashtbl.create 64;
       foreigns = Hashtbl.create 16;
       modules = [];
-      plans = Hashtbl.create 32;
-      plans_lock = Mutex.create ();
+      plans = { table = Hashtbl.create 32; lock = Mutex.create () };
       saved = Hashtbl.create 16;
       user_rules = [];
       call_depth = 0;
@@ -397,17 +352,19 @@ let create ?(builtins = true) ?workers () =
 
 let set_relation t pred rel =
   Hashtbl.replace t.base (key pred rel.Relation.arity) rel;
-  touch_maintenance t
+  touch_maintenance t;
+  drop_saved t
 
 let relation_of t pred arity = Hashtbl.find_opt t.base (key pred arity)
 
 (* Bulk-load seam: marks the extents stale (rebuilt lazily) rather than
    propagating per fact. *)
-let add_fact t name terms =
-  let pred = Symbol.intern name in
-  let rel = base_relation t pred (List.length terms) in
+let store_fact t pred args =
   touch_maintenance t;
-  Relation.insert_terms rel (Array.of_list terms)
+  drop_saved t;
+  Relation.insert_terms (base_relation t pred (Array.length args)) args
+
+let add_fact t name terms = store_fact t (Symbol.intern name) (Array.of_list terms)
 
 let register_foreign t f =
   Hashtbl.replace t.foreigns (f.Builtin.fname ^ "/" ^ string_of_int f.Builtin.farity) f;
@@ -458,16 +415,23 @@ let exporter t pred arity =
     then Some (user_module t)
     else None
 
+(* A new rule generation: replacing module [mname] installs a copy of
+   the plan table without its plans ("mname::" keys, the "::why" ones
+   included).  Views pinned to the old rules keep the old table, so a
+   plan is never shared across rule sets. *)
+let replace_rules t mname =
+  let prefix = mname ^ "::" in
+  let table = with_plans t.plans Hashtbl.copy in
+  Hashtbl.filter_map_inplace
+    (fun k p -> if String.starts_with ~prefix k then None else Some p)
+    table;
+  t.plans <- { table; lock = Mutex.create () };
+  drop_saved t;
+  touch_maintenance t
+
 let append_clause t (r : Ast.rule) =
   t.user_rules <- t.user_rules @ [ r ];
-  let prefix = "user::" in
-  let stale tbl =
-    Hashtbl.fold (fun k _ acc -> if String.starts_with ~prefix k then k :: acc else acc) tbl []
-    |> List.iter (Hashtbl.remove tbl)
-  in
-  with_plans t (fun () -> stale t.plans);
-  stale t.saved;
-  touch_maintenance t
+  replace_rules t "user"
 
 let module_of_pred t pred arity = exporter t pred arity
 
@@ -521,10 +485,11 @@ let bridge_base_facts (m : Ast.module_) =
 
 let plan_in_module ?(key_suffix = "") t (m : Ast.module_) pred adorn =
   let k = plan_key m pred adorn ^ key_suffix in
-  match with_plans t (fun () -> Hashtbl.find_opt t.plans k) with
+  let plans = t.plans in
+  match with_plans plans (fun tbl -> Hashtbl.find_opt tbl k) with
   | Some p ->
     Atomic.incr t.plan_hits;
-    Ok p
+    Ok (p, `Hit)
   | None -> begin
     Atomic.incr t.plan_misses;
     match
@@ -534,11 +499,10 @@ let plan_in_module ?(key_suffix = "") t (m : Ast.module_) pred adorn =
             (fun () -> Optimizer.plan_query ~module_:(bridge_base_facts m) ~pred ~adorn))
     with
     | Ok p ->
-      (* two snapshot readers may race to plan the same form: last
-         write wins, and both computed the same plan from the same
-         immutable module list *)
-      with_plans t (fun () -> Hashtbl.replace t.plans k p);
-      Ok p
+      (* two readers may race to plan the same form: last write wins,
+         and both computed the same plan from the same rules *)
+      with_plans plans (fun tbl -> Hashtbl.replace tbl k p);
+      Ok (p, `Miss)
     | Error e -> Error e
   end
 
@@ -561,7 +525,7 @@ let choose_indexes t (m : Ast.module_) =
       (fun (e : Ast.export) ->
         match plan_in_module t m e.Ast.epred e.Ast.adorn with
         | Error _ -> () (* the query reports it *)
-        | Ok plan ->
+        | Ok (plan, _) ->
           List.iter
             (fun (pred, arity, spec) ->
               match source_of t pred arity with
@@ -574,15 +538,7 @@ let load_module t (m : Ast.module_) =
   match Wellformed.errors (Wellformed.check_module m) with
   | [] ->
     t.modules <- m :: List.filter (fun (m' : Ast.module_) -> m'.Ast.mname <> m.Ast.mname) t.modules;
-    (* drop stale plans/instances of a reloaded module *)
-    let prefix = m.Ast.mname ^ "::" in
-    let stale tbl =
-      Hashtbl.fold (fun k _ acc -> if String.starts_with ~prefix k then k :: acc else acc) tbl []
-      |> List.iter (Hashtbl.remove tbl)
-    in
-    with_plans t (fun () -> stale t.plans);
-    stale t.saved;
-    touch_maintenance t;
+    replace_rules t m.Ast.mname;
     choose_indexes t m;
     Ok ()
   | errs ->
@@ -622,7 +578,7 @@ let rec call_module t (m : Ast.module_) pred args env : Tuple.t Seq.t =
     in
     match plan_in_module t m pred adorn with
     | Error e -> raise (Engine_error e)
-    | Ok plan ->
+    | Ok (plan, _) ->
       let inst =
         if plan.Optimizer.save_module then begin
           let k = plan_key m pred adorn in
@@ -876,9 +832,7 @@ let consult t src =
     List.iter
       (fun item ->
         match (item : Ast.item) with
-        | Ast.Fact a ->
-          touch_maintenance t;
-          ignore (Relation.insert_terms (base_relation t a.Ast.pred (Array.length a.Ast.args)) a.Ast.args)
+        | Ast.Fact a -> ignore (store_fact t a.Ast.pred a.Ast.args)
         | Ast.Update (Ast.Upd_insert, a) -> ignore (insert_facts t [ a.Ast.pred, a.Ast.args ])
         | Ast.Update (Ast.Upd_retract, a) -> ignore (retract_facts t [ a.Ast.pred, a.Ast.args ])
         | Ast.Module_item m -> begin
@@ -958,7 +912,7 @@ let why t src =
       in
       match plan_in_module ~key_suffix t m a.Ast.pred adorn with
       | Error e -> Error e
-      | Ok plan ->
+      | Ok (plan, _) ->
         let inst = Fixpoint.create ~trace:true (compile t plan) in
         add_query_seed inst plan a.Ast.args;
         protected_run t inst;
@@ -1079,7 +1033,7 @@ let explain_analyze t src =
       in
       match plan_in_module t m a.Ast.pred adorn with
       | Error e -> Error e
-      | Ok plan ->
+      | Ok (plan, _) ->
         let t0 = Obs.now_ns () in
         let inst = Fixpoint.create ~profile:true (compile t plan) in
         add_query_seed inst plan a.Ast.args;
@@ -1179,15 +1133,7 @@ let with_progress t hook f =
 
 let plan_cache_stats t = Atomic.get t.plan_hits, Atomic.get t.plan_misses
 
-let plan_cache_size t = with_plans t (fun () -> Hashtbl.length t.plans)
-
-(* Drop every cached plan and save-module instance.  Plans themselves
-   depend only on rules, but saved instances hold derived state that a
-   base-fact update invalidates; the serving layer calls this on every
-   mutation so prepared queries never observe stale derivations. *)
-let invalidate_plans t =
-  with_plans t (fun () -> Hashtbl.reset t.plans);
-  Hashtbl.reset t.saved
+let plan_cache_size t = with_plans t.plans Hashtbl.length
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot read views (MVCC)                                          *)
@@ -1196,9 +1142,9 @@ let invalidate_plans t =
 (* A [view] is everything a reader needs to evaluate queries against a
    committed version of the database without touching the live engine:
    frozen base relations, the module/rule lists as of the snapshot
-   (immutable values, shared by reference), and a per-version plan
-   table so concurrent readers of the same epoch reuse each other's
-   plans.  Build one with [snapshot] under the writer lane; spin up a
+   (immutable values, shared by reference), and the plan table of those
+   rules, shared by reference with the live engine and every other view
+   of the same rules.  Build one with [snapshot] under the writer lane; spin up a
    per-request engine from it with [read_view] — that clone is private
    mutable state (call depth, cancellation, save-module instances), so
    any number of requests can evaluate the same view concurrently. *)
@@ -1208,8 +1154,7 @@ type view = {
   rv_foreigns : (string, Builtin.foreign) Hashtbl.t;
   rv_modules : Ast.module_ list;
   rv_user_rules : Ast.rule list;
-  rv_plans : (string, Optimizer.plan) Hashtbl.t;
-  rv_plans_lock : Mutex.t;
+  rv_plans : plans;
   rv_hits : int Atomic.t;  (* the engine's counters, shared *)
   rv_misses : int Atomic.t;
   rv_requests : (string * Index.spec) list Atomic.t;  (* the engine's, shared *)
@@ -1299,8 +1244,7 @@ let snapshot t =
         rv_foreigns = foreigns;
         rv_modules = t.modules;
         rv_user_rules = t.user_rules;
-        rv_plans = Hashtbl.create 32;
-        rv_plans_lock = Mutex.create ();
+        rv_plans = t.plans;
         rv_hits = t.plan_hits;
         rv_misses = t.plan_misses;
         rv_requests = t.index_requests;
@@ -1316,7 +1260,6 @@ let read_view v =
     foreigns = v.rv_foreigns;
     modules = v.rv_modules;
     plans = v.rv_plans;
-    plans_lock = v.rv_plans_lock;
     (* save-module instances are per-request in snapshot mode: caching
        them across requests would share mutable fixpoint state *)
     saved = Hashtbl.create 4;
@@ -1352,18 +1295,18 @@ let interactive_rules t = t.user_rules
 (* Per-engine evaluation knobs.  Both are baked into fixpoint instances
    at creation, so cached save-module instances are dropped: they would
    otherwise keep the old setting (their derived state is recomputed on
-   demand, exactly as after [invalidate_plans]). *)
+   demand, exactly as after a base change). *)
 let set_intelligent_backtracking t flag =
   if t.backjump <> flag then begin
     t.backjump <- flag;
-    Hashtbl.reset t.saved
+    drop_saved t
   end
 
 let set_workers t n =
   let n = max 1 (min 64 n) in
   if t.workers <> n then begin
     t.workers <- n;
-    Hashtbl.reset t.saved
+    drop_saved t
   end
 
 let workers t = t.workers
@@ -1377,5 +1320,5 @@ let pp_stats ppf t =
     t.base;
   Format.fprintf ppf "modules loaded: %d, plans cached: %d, saved instances: %d@]"
     (List.length t.modules)
-    (with_plans t (fun () -> Hashtbl.length t.plans))
+    (plan_cache_size t)
     (Hashtbl.length t.saved)

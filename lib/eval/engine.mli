@@ -90,20 +90,13 @@ val maintenance_info : t -> (int * int * int) option
 val insert_facts : t -> (Symbol.t * Term.t array) list -> update_report
 (** Store ground facts and propagate them incrementally through the
     maintained extents (when maintenance is enabled).  Duplicates are
-    counted in [ur_noop] and propagate nothing.  Also scopes plan
-    invalidation to the updated predicates' dependents (see
-    {!invalidate_dependents}). *)
+    counted in [ur_noop] and propagate nothing.  Like every base change,
+    a stored fact drops the save-module instances ({!drop_saved}). *)
 
 val retract_facts : t -> (Symbol.t * Term.t array) list -> update_report
 (** Remove stored facts (exact-tuple match) and run DRed maintenance:
     over-deletion, physical deletion, rederivation.  Facts with no
     matching stored tuple are counted in [ur_noop]. *)
-
-val invalidate_dependents : t -> Symbol.t list -> unit
-(** Drop cached plans and save-module instances of the predicates that
-    (transitively, by name) depend on any of the given predicates —
-    the scoped alternative to {!invalidate_plans} for base-fact
-    updates.  Plans of unrelated predicates survive. *)
 
 val load_module : t -> Ast.module_ -> (unit, string) result
 (** Check and register a module; well-formedness errors are reported.
@@ -112,7 +105,9 @@ val load_module : t -> Ast.module_ -> (unit, string) result
     annotations) choose on stored predicates are recorded: built on
     the stored relations that exist, and on the others when they are
     created (paper sections 4.2, 5.5.1).  Other query forms are
-    planned lazily.  No relation is created. *)
+    planned lazily.  No relation is created.  Loading starts a new
+    plan table holding every other module's plans; views taken before
+    keep the old one. *)
 
 val add_clause : t -> Ast.rule -> unit
 (** Add a top-level rule to the implicit interactive module (its
@@ -151,9 +146,14 @@ val consult_file : t -> string -> (Ast.literal list * query_result) list
 (** {1 Introspection} *)
 
 val plan_for :
-  t -> pred:Symbol.t -> arity:int -> adorn:Ast.adornment -> (Optimizer.plan, string) result
-(** The plan the optimizer would use for a query form (also fills the
-    plan cache); exposes the rewritten program text. *)
+  t ->
+  pred:Symbol.t ->
+  arity:int ->
+  adorn:Ast.adornment ->
+  (Optimizer.plan * [ `Hit | `Miss ], string) result
+(** The plan the optimizer uses for a query form, from the plan table
+    of this engine's rules ([`Hit]) or planned now and added to it
+    ([`Miss]); exposes the rewritten program text. *)
 
 val provider : t -> Symbol.t -> int -> Module_struct.provider
 (** How compiled rules on this engine resolve a predicate that no rule
@@ -184,8 +184,9 @@ val explain_analyze : t -> string -> (string, string) result
 (** {1 Serving hooks}
 
     What a query-serving layer needs from the engine: observable
-    prepared-plan accounting, explicit invalidation on mutation, and
-    cooperative cancellation for per-request deadlines. *)
+    plan-table accounting, the save-instance drop for callers that
+    mutate relations directly, and cooperative cancellation for
+    per-request deadlines. *)
 
 exception Cancelled
 (** Re-export of {!Fixpoint.Cancelled}: raised out of evaluation when
@@ -212,10 +213,11 @@ val with_progress : t -> (rounds:int -> delta:int -> lanes:int array -> unit) ->
     A [view] captures everything needed to evaluate queries against one
     committed version of the database without touching the live engine:
     frozen base relations, the module and interactive-rule lists as of
-    the snapshot, and a per-version plan table (concurrent readers of
-    the same epoch reuse each other's plans).  The serving layer builds
-    one view per committed epoch and spins up a cheap per-request
-    engine from it. *)
+    the snapshot, and the plan table of those rules, shared by
+    reference with the live engine and every view of the same rules
+    (a view pinned across a module load keeps planning against its own
+    rules).  The serving layer builds one view per committed epoch and
+    spins up a cheap per-request engine from it. *)
 
 type view
 
@@ -243,16 +245,18 @@ val index_requests_pending : t -> bool
     with no data change, so the next epoch carries the indexes. *)
 
 val plan_cache_stats : t -> int * int
-(** [(hits, misses)] of the engine's plan cache: how many query-form
-    plan requests were answered from cache vs. ran the optimizer. *)
+(** [(hits, misses)] of the engine's plan table: how many query-form
+    plan requests were answered from it vs. ran the optimizer.  Read
+    views count into their engine's counters. *)
 
 val plan_cache_size : t -> int
-(** Number of cached plans. *)
+(** Number of plans in the current rule generation's table. *)
 
-val invalidate_plans : t -> unit
-(** Drop all cached plans and save-module instances.  Call after
-    consulting new program text or mutating base relations when stale
-    derived state must not be observed by later queries. *)
+val drop_saved : t -> unit
+(** Drop every save-module instance, the only derived state a base
+    change outdates (plans depend only on the rules).  Every update
+    entry point above calls it; a caller that mutates a relation
+    directly must call it too. *)
 
 val list_relations : t -> (string * int) list
 (** (name/arity, cardinality) of every base relation. *)

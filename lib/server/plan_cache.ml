@@ -12,27 +12,22 @@ type node = {
 type t = {
   lock : Mutex.t;
       (* snapshot readers prepare without the store lock, so the cache
-         guards itself; planning itself runs outside the mutex *)
+         guards itself; planning runs outside the mutex *)
   parsed : (string, node) Hashtbl.t;  (* query text -> parse, LRU-bounded *)
   parsed_capacity : int;
   mutable lru_head : node option;  (* most recently used *)
   mutable lru_tail : node option;  (* least recently used; next eviction *)
-  forms : (string * int, Coral.Optimizer.plan) Hashtbl.t;  (* (adorned form, epoch) -> plan *)
-  mutable forms_epoch : int;  (* newest epoch seen; older entries are swept *)
   mutable hits : int;
   mutable misses : int;
   mutable unplanned : int;
-  mutable invalidations : int;
   mutable evictions : int;
 }
 
 type stats = {
-  entries : int;
   parsed_entries : int;
   hits : int;
   misses : int;
   unplanned : int;
-  invalidations : int;
   evictions : int;
 }
 
@@ -42,12 +37,9 @@ let create ?(parsed_capacity = 1024) () =
     parsed_capacity = max 1 parsed_capacity;
     lru_head = None;
     lru_tail = None;
-    forms = Hashtbl.create 32;
-    forms_epoch = 0;
     hits = 0;
     misses = 0;
     unplanned = 0;
-    invalidations = 0;
     evictions = 0
   }
 
@@ -79,16 +71,6 @@ let evict_excess t =
       t.evictions <- t.evictions + 1
   done
 
-(* The adorned query form of a literal: predicate/arity plus which
-   argument positions arrive bound, e.g. "path/2:bf". *)
-let form_key (a : Coral.Ast.atom) =
-  let adorn =
-    String.init (Array.length a.Coral.Ast.args) (fun i ->
-        if Coral.Term.is_ground a.Coral.Ast.args.(i) then 'b' else 'f')
-  in
-  Printf.sprintf "%s/%d:%s" (Coral.Symbol.name a.Coral.Ast.pred) (Array.length a.Coral.Ast.args)
-    adorn
-
 let adornment_of (a : Coral.Ast.atom) =
   Array.map
     (fun arg -> if Coral.Term.is_ground arg then Coral.Ast.Bound else Coral.Ast.Free)
@@ -98,31 +80,9 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Form entries are keyed on (adorned form, epoch).  A prepare that is
-   in flight against an old snapshot when a mutation invalidates the
-   cache inserts under the OLD epoch's key, so readers of the new
-   epoch can never be served the stale plan — the invalidation race
-   closes structurally rather than by timing.
-
-   Assert/retract-routed commits bump the epoch WITHOUT a full
-   invalidate, so superseded epochs' entries — which can never again
-   be hits for a new reader — are swept the first time a newer epoch
-   shows up; without the sweep a write-heavy workload would orphan
-   every commit's entries and grow the table without bound.  The
-   immediately preceding epoch is kept: readers pinned just before
-   the bump are still preparing against it. *)
-let note_epoch t epoch =
-  if epoch > t.forms_epoch then begin
-    t.forms_epoch <- epoch;
-    Hashtbl.filter_map_inplace
-      (fun (_, e) plan -> if e >= epoch - 1 then Some plan else None)
-      t.forms
-  end
-
-let prepare t ?(epoch = 0) db text =
+let prepare t db text =
   let parse () =
     with_lock t (fun () ->
-        note_epoch t epoch;
         match Hashtbl.find_opt t.parsed text with
         | Some n ->
           touch t n;
@@ -146,22 +106,15 @@ let prepare t ?(epoch = 0) db text =
       (fun lit ->
         match (lit : Coral.Ast.literal) with
         | Coral.Ast.Pos a -> begin
-          let key = form_key a, epoch in
-          if with_lock t (fun () -> Hashtbl.mem t.forms key) then incr planned
-          else begin
-            match
-              (* planning runs unlocked: it walks the engine's module
-                 list and can be slow, and two racing readers computing
-                 the same form produce the same plan *)
-              Coral.Engine.plan_for (Coral.engine db) ~pred:a.Coral.Ast.pred
-                ~arity:(Array.length a.Coral.Ast.args) ~adorn:(adornment_of a)
-            with
-            | Ok plan ->
-              with_lock t (fun () -> Hashtbl.replace t.forms key plan);
-              incr planned;
-              incr fresh
-            | Error _ -> ()  (* base/foreign literal: nothing to prepare *)
-          end
+          match
+            Coral.Engine.plan_for (Coral.engine db) ~pred:a.Coral.Ast.pred
+              ~arity:(Array.length a.Coral.Ast.args) ~adorn:(adornment_of a)
+          with
+          | Ok (_, `Hit) -> incr planned
+          | Ok (_, `Miss) ->
+            incr planned;
+            incr fresh
+          | Error _ -> ()  (* base/foreign literal: nothing to prepare *)
         end
         | Coral.Ast.Neg _ | Coral.Ast.Cmp _ | Coral.Ast.Is _ -> ())
       lits;
@@ -182,22 +135,11 @@ let prepare t ?(epoch = 0) db text =
     in
     Ok (lits, tag)
 
-let invalidate t db =
-  with_lock t (fun () ->
-      Hashtbl.reset t.parsed;
-      t.lru_head <- None;
-      t.lru_tail <- None;
-      Hashtbl.reset t.forms;
-      t.invalidations <- t.invalidations + 1);
-  Coral.invalidate_plans db
-
 let stats t =
   with_lock t (fun () ->
-      { entries = Hashtbl.length t.forms;
-        parsed_entries = Hashtbl.length t.parsed;
+      { parsed_entries = Hashtbl.length t.parsed;
         hits = t.hits;
         misses = t.misses;
         unplanned = t.unplanned;
-        invalidations = t.invalidations;
         evictions = t.evictions
       })

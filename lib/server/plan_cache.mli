@@ -1,30 +1,24 @@
-(** The prepared-query plan cache.
+(** The prepared-query cache: a parsed-text memo and its counters.
 
     A served workload repeats a small set of query {e forms} with
     varying constants: [path(1, Y)], [path(7, Y)], ... all share the
-    adorned form [path/2:bf].  Preparing a form means parsing the text
-    and running the optimizer's rewriting once ({!Coral.Optimizer} via
-    [Engine.plan_for]); this cache keys that work on the adorned form
-    so every later request with the same form reuses the rewritten
-    program.
-
-    Mutations (consult, fact insertion) call {!invalidate}, which
-    drops both this cache and the engine's plans {e and} save-module
-    instances — a prepared query must never observe derived state that
-    predates a base-fact update. *)
+    adorned form [path/2:bf].  Preparing a request parses its text
+    once (memoized on the text) and looks each form up in the engine's
+    plan table ([Engine.plan_for]), which plans a form once per rule
+    generation and shares the plan with every snapshot view of the
+    same rules.  Data changes never replan; loading a module replans
+    only that module's forms. *)
 
 type t
 
 type stats = {
-  entries : int;  (** prepared forms currently cached *)
   parsed_entries : int;  (** parsed query texts currently memoized *)
-  hits : int;  (** requests whose every form was already prepared *)
-  misses : int;  (** requests that prepared at least one new form *)
+  hits : int;  (** requests whose every form was already planned *)
+  misses : int;  (** requests that planned at least one new form *)
   unplanned : int;
       (** requests with no plannable literal (pure base/builtin
           queries); counted separately so hits + misses accounts for
           exactly the plannable requests *)
-  invalidations : int;
   evictions : int;  (** parsed texts dropped by the LRU bound *)
 }
 
@@ -32,30 +26,21 @@ val create : ?parsed_capacity:int -> unit -> t
 (** [parsed_capacity] (default 1024, min 1) bounds the parsed-text
     memo: served workloads repeat a few query {e forms} but present
     unboundedly many distinct texts (varying constants), so the text
-    memo is an LRU while the form cache stays unbounded (form count is
-    bounded by the program's predicates × adornments). *)
+    memo is an LRU.  Plans are bounded by the program's predicates ×
+    adornments and live in the engine. *)
 
 val prepare :
   t ->
-  ?epoch:int ->
   Coral.t ->
   string ->
   (Coral.Ast.literal list * [ `Hit | `Miss | `Unplanned ], Coral.Parser.error) result
 (** Parse a query (memoized on the text) and ensure every positive
-    literal over a module export has a cached plan.  [`Hit]: all forms
-    were already prepared; [`Miss]: at least one form was planned now;
-    [`Unplanned]: no literal needed a plan (pure base/builtin query).
-    Planning failures are not errors here — the literal is left for
-    the evaluator to report.
-
-    Form entries are keyed on (adorned form, [epoch]) (default 0): a
-    prepare racing an {!invalidate} inserts under the epoch it was
-    given — its stale snapshot's — so readers pinned to a newer epoch
-    can never be served the stale plan.  The cache is internally
-    mutexed (readers prepare without the store lock); planning itself
-    runs outside the mutex. *)
-
-val invalidate : t -> Coral.t -> unit
-(** Empty the cache and the engine's plan/save-module caches. *)
+    literal over a module export has a plan in [db]'s plan table.
+    [`Hit]: every form was already planned; [`Miss]: at least one
+    form was planned now; [`Unplanned]: no literal needed a plan (pure
+    base/builtin query).  Planning failures are not errors here — the
+    literal is left for the evaluator to report.  The memo is
+    internally mutexed (readers prepare without the store lock);
+    planning runs outside the mutex. *)
 
 val stats : t -> stats

@@ -490,7 +490,7 @@ let mutating_lits lits =
    releasing it.  Used by consult and by queries routed off the
    snapshot lane; plain fallback reads (persistent databases) use
    [locked] alone — they publish nothing. *)
-let wrap_write ?(invalidate = false) store g =
+let wrap_write store g =
   (* a degraded store refuses mutations up front (attempting a
      rate-limited recovery probe first if the degrade was automatic) *)
   check_writable store;
@@ -498,7 +498,6 @@ let wrap_write ?(invalidate = false) store g =
     let r, staged =
       locked store (fun () ->
           let r = g () in
-          if invalidate then Plan_cache.invalidate store.cache store.sdb;
           r, stage_commit store)
     in
     publish_commit store staged;
@@ -519,8 +518,14 @@ let forward_index_requests store =
 
 (* The write lane for non-protocol callers (the dist worker mutates
    relations during barrier steps): same commit tail as a consult, so
-   MVCC readers observe distributed promotions as ordinary epochs. *)
-let commit store ~invalidate f = wrap_write ~invalidate store f
+   MVCC readers observe distributed promotions as ordinary epochs.
+   The mutation bypasses the engine's update entry points, so it drops
+   the save-module instances itself. *)
+let commit store f =
+  wrap_write store (fun () ->
+      let r = f () in
+      Coral.drop_saved store.sdb;
+      r)
 
 let do_query t text =
   let store = t.store in
@@ -553,13 +558,13 @@ let do_query t text =
   match Snapshot.view version with
   | None -> begin
     (* no lock-free view (persistent relations): the locked lane *)
-    match Plan_cache.prepare store.cache ~epoch store.sdb text with
+    match Plan_cache.prepare store.cache store.sdb text with
     | Error e -> Protocol.err Protocol.Parse (Format.asprintf "%a" Coral.Parser.pp_error e)
     | Ok prepared -> run ~dbv:store.sdb ~wrap:(locked store) prepared
   end
   | Some view -> begin
     let rdb = Coral.of_engine (Coral.Engine.read_view view) in
-    match Plan_cache.prepare store.cache ~epoch rdb text with
+    match Plan_cache.prepare store.cache rdb text with
     | Error e -> Protocol.err Protocol.Parse (Format.asprintf "%a" Coral.Parser.pp_error e)
     | Ok ((lits, _) as prepared) ->
       if mutating_lits lits then run ~dbv:store.sdb ~wrap:(wrap_write store) prepared
@@ -577,7 +582,7 @@ let do_query t text =
 
 let do_consult t text =
   let store = t.store in
-  evaluated t ~dbv:store.sdb ~wrap:(wrap_write ~invalidate:true store) ~kind:"consult" text
+  evaluated t ~dbv:store.sdb ~wrap:(wrap_write store) ~kind:"consult" text
     ~rows_of:(fun _ -> 0)
     (fun () -> Coral.Engine.consult (Coral.engine store.sdb) text)
     (fun results ->
@@ -624,10 +629,9 @@ let note_update store ~op (rep : Coral.Engine.update_report) =
       "mode", Json.Str (if rep.Coral.Engine.ur_maintained then "incremental" else "recompute")
     ]
 
-(* Inserts/retracts commit through the write lane but do NOT blow the
-   whole plan cache: the engine scopes invalidation to the updated
-   predicates' dependents, and the prepared-forms cache is epoch-keyed
-   (the publish below outdates its entries naturally). *)
+(* Inserts/retracts commit through the write lane.  Plans depend only
+   on the rules, so they survive; the engine drops the save-module
+   instances, the only derived state the update outdates. *)
 let do_insert t text =
   let store = t.store in
   match
@@ -704,6 +708,7 @@ let do_explain t text =
     let plan_for dbv =
       Coral.Engine.plan_for (Coral.engine dbv) ~pred:a.Coral.Ast.pred
         ~arity:(Array.length a.Coral.Ast.args) ~adorn
+      |> Result.map fst
     in
     let planned =
       match Snapshot.view version with
@@ -795,12 +800,10 @@ let samples store =
     gauge "snapshot.epoch" (Snapshot.epoch store.snap);
     gauge "snapshot.pinned" (Snapshot.pinned_count ());
     gauge "snapshot.read_domains" (Exec_pool.width ());
-    gauge "prepared.entries" c.Plan_cache.entries;
     gauge "prepared.parsed_entries" c.Plan_cache.parsed_entries;
     counter "prepared.hits" c.Plan_cache.hits;
     counter "prepared.misses" c.Plan_cache.misses;
     counter "prepared.unplanned" c.Plan_cache.unplanned;
-    counter "prepared.invalidations" c.Plan_cache.invalidations;
     counter "prepared.evictions" c.Plan_cache.evictions;
     gauge "plans.cached" (Coral.Engine.plan_cache_size eng);
     counter "plans.hits" plan_hits;

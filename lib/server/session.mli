@@ -39,11 +39,12 @@ val locked : store -> (unit -> 'a) -> 'a
 (** Run a computation holding the store's writer-lane lock (used by
     non-protocol callers, e.g. benchmarks preparing data). *)
 
-val commit : store -> invalidate:bool -> (unit -> 'a) -> 'a
+val commit : store -> (unit -> 'a) -> 'a
 (** Run a mutation on the write lane with the full commit tail: refuse
-    if degraded, run [f] under the lock, stage the next snapshot
-    version (invalidating prepared plans when [invalidate]),
-    group-commit persistent relations, publish the new epoch.  The
+    if degraded, run [f] under the lock, drop the engine's save-module
+    instances ([f] mutates relations directly), stage the next
+    snapshot version, group-commit persistent relations, publish the
+    new epoch.  Plans survive: they depend only on the rules.  The
     dist worker promotes delta batches through this, so distributed
     rounds are ordinary MVCC commits to concurrent readers.
     @raise Degraded (mapped to [err READONLY] by {!handle}) when the

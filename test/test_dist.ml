@@ -661,7 +661,7 @@ let start_worker_h () =
   let store = Server.store srv in
   let worker =
     Worker.create ~eng:(Coral.engine db)
-      ~commit:(fun ~invalidate f -> Session.commit store ~invalidate f)
+      ~commit:(Session.commit store)
       ~locked:(fun f -> Session.locked store f)
       ~budget:(fun () ->
         (Admission.config (Session.admission store)).Admission.max_query_tuples)
@@ -1462,7 +1462,7 @@ let test_worker_crash_unavail () =
   let store = Server.store srv2 in
   let worker =
     Worker.create ~eng:(Coral.engine db)
-      ~commit:(fun ~invalidate f -> Session.commit store ~invalidate f)
+      ~commit:(Session.commit store)
       ~locked:(fun f -> Session.locked store f)
       ~budget:(fun () ->
         (Admission.config (Session.admission store)).Admission.max_query_tuples)

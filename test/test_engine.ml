@@ -191,6 +191,25 @@ end_module.
 |};
   check e "path(3, Y)" [ [ "2" ] ]
 
+(* A view pinned before a module reload keeps the plan table of its own
+   rules: a form it plans after the reload lands in that table, not in
+   the live engine's, and a fresh view plans against the new rules. *)
+let test_view_pinned_across_reload () =
+  let e = setup tc_program in
+  let old_view = Option.get (Coral.Engine.snapshot (Coral.engine e)) in
+  Coral.consult_text e
+    "module paths.\nexport path(bf).\npath(X, Y) :- edge(Y, X).\nend_module.";
+  let reader view = Coral.of_engine (Coral.Engine.read_view view) in
+  (* the old view plans path/2:fb against the old rules ... *)
+  check (reader old_view) "path(X, 4)" [ [ "1" ]; [ "2" ]; [ "3" ] ];
+  check (reader old_view) "path(3, Y)" [ [ "4" ] ];
+  (* ... while the live engine and a fresh view plan it against the new *)
+  check e "path(X, 4)" [];
+  let new_view = Option.get (Coral.Engine.snapshot (Coral.engine e)) in
+  check (reader new_view) "path(X, 3)" [ [ "4" ] ];
+  check (reader new_view) "path(3, Y)" [ [ "2" ] ];
+  check (reader old_view) "path(X, 3)" [ [ "1" ]; [ "2" ] ]
+
 let test_call_depth_guard () =
   (* two modules calling each other recursively: the engine must fail
      cleanly instead of looping *)
@@ -248,10 +267,10 @@ let test_define_predicate () =
     "module m.\nexport squares(ff).\nsquares(X, Y) :- num(X), square(X, Y).\nend_module.";
   check e "squares(X, Y)" [ [ "3"; "9" ]; [ "5"; "25" ] ]
 
-(* Scoped plan invalidation: an insert drops only the cached plans of
-   predicates that depend on the updated relation; an unrelated plan
-   must survive and keep answering from the cache. *)
-let test_scoped_plan_invalidation () =
+(* Plans depend only on the rules: inserting into and retracting from
+   a plan's own base predicate replans nothing, and the cached plans
+   answer from the new facts. *)
+let test_plans_survive_base_updates () =
   let e =
     setup
       {|
@@ -262,7 +281,7 @@ path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 end_module.
 module m2.
-export q(ff).
+export q(f).
 q(X) :- other(X).
 end_module.
 |}
@@ -270,23 +289,16 @@ end_module.
   ignore (rows e "q(X)");
   ignore (rows e "path(X, Y)");
   let _, m0 = Coral.plan_cache_stats e in
-  ignore (rows e "q(X)");
-  let _, m1 = Coral.plan_cache_stats e in
-  Alcotest.(check int) "repeat query does not replan" m0 m1;
-  (* insert into edge: path depends on it, q does not *)
-  ignore
-    (Coral.Engine.insert_facts (Coral.engine e)
-       [ Coral_term.Symbol.intern "edge", [| Term.int 3; Term.int 4 |] ]);
-  let _, m2 = Coral.plan_cache_stats e in
-  ignore (rows e "q(X)");
-  let _, m3 = Coral.plan_cache_stats e in
-  Alcotest.(check int) "unrelated plan survives the insert" m2 m3;
-  (* the dependent predicate was invalidated: its previously cached
-     form replans, and the new fact is visible *)
+  let update f pred args = ignore (f (Coral.engine e) [ Coral_term.Symbol.intern pred, args ]) in
+  update Coral.Engine.insert_facts "edge" [| Term.int 3; Term.int 4 |];
   check e "path(X, Y)"
     [ [ "1"; "2" ]; [ "1"; "3" ]; [ "1"; "4" ]; [ "2"; "3" ]; [ "2"; "4" ]; [ "3"; "4" ] ];
-  let _, m4 = Coral.plan_cache_stats e in
-  Alcotest.(check bool) "dependent plan was dropped" true (m4 > m3)
+  update Coral.Engine.retract_facts "edge" [| Term.int 1; Term.int 2 |];
+  check e "path(X, Y)" [ [ "2"; "3" ]; [ "2"; "4" ]; [ "3"; "4" ] ];
+  Coral.fact e "other" [ Term.int 7 ];
+  check e "q(X)" [ [ "7" ]; [ "9" ] ];
+  let _, m1 = Coral.plan_cache_stats e in
+  Alcotest.(check int) "no form replanned" m0 m1
 
 let test_user_clauses_and_queries () =
   let e = Coral.create () in
@@ -397,7 +409,15 @@ let test_opaque_values () =
     "module m.\nexport cheapest(f).\ncheapest(min(P)) :- price(I, P).\nend_module.";
   check e "cheapest(P)" [ [ "$2.50" ] ];
   (* printing via user ops *)
-  check e "price(tea, P)" [ [ "$2.50" ] ]
+  check e "price(tea, P)" [ [ "$2.50" ] ];
+  (* arithmetic has no meaning on an opaque value: an evaluation error,
+     as for a string operand *)
+  Coral.consult_text e
+    "module up.\nexport up(f).\nup(Q) :- price(I, P), Q = P + 1.\nend_module.";
+  match Coral.query_rows e "up(Q)" with
+  | _ -> Alcotest.fail "arithmetic on an opaque value answered"
+  | exception Coral.Builtin.Eval_error m ->
+    Alcotest.(check string) "error" "arithmetic on an opaque value" m
 
 let () =
   Alcotest.run "coral_engine"
@@ -408,7 +428,7 @@ let () =
         ] );
       ( "updates",
         [ Alcotest.test_case "assert/retract" `Quick test_assert_retract;
-          Alcotest.test_case "scoped plan invalidation" `Quick test_scoped_plan_invalidation
+          Alcotest.test_case "plans survive base updates" `Quick test_plans_survive_base_updates
         ] );
       ( "explanation",
         [ Alcotest.test_case "derivation tree" `Quick test_why_tree;
@@ -423,7 +443,8 @@ let () =
           Alcotest.test_case "direct calls" `Quick test_direct_call;
           Alcotest.test_case "consult file" `Quick test_consult_file;
           Alcotest.test_case "foreign predicates" `Quick test_define_predicate;
-          Alcotest.test_case "interactive clauses" `Quick test_user_clauses_and_queries
+          Alcotest.test_case "interactive clauses" `Quick test_user_clauses_and_queries;
+          Alcotest.test_case "view pinned across reload" `Quick test_view_pinned_across_reload
         ] );
       ("extensibility", [ Alcotest.test_case "opaque values" `Quick test_opaque_values ]);
       ( "index choice",

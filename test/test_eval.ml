@@ -323,6 +323,28 @@ end_module.
   (* repeated call hits the saved instance *)
   check_query e "path(2, Y)" expected_from_2
 
+(* A saved instance holds derived state, so a base change through any
+   entry point — consulted fact text or the bulk-load seam — drops it,
+   and the next call answers from the new facts. *)
+let test_save_module_sees_new_facts () =
+  let e =
+    setup
+      {|
+edge(1, 2). edge(2, 3).
+module paths.
+export path(bf).
+@save_module.
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- edge(X, Z), path(Z, Y).
+end_module.
+|}
+  in
+  check_query e "path(1, Y)" [ [ "2" ]; [ "3" ] ];
+  ignore (Engine.consult e "edge(3, 4).");
+  check_query e "path(1, Y)" [ [ "2" ]; [ "3" ]; [ "4" ] ];
+  ignore (Engine.add_fact e "edge" [ Term.int 4; Term.int 5 ]);
+  check_query e "path(1, Y)" [ [ "2" ]; [ "3" ]; [ "4" ]; [ "5" ] ]
+
 (* A saved instance serves every later call's seed.  Right-linear
    factoring answers context-free, so under @save_module it would pair
    the second seed with the first one's answers; the optimizer keeps
@@ -476,7 +498,8 @@ let () =
           Alcotest.test_case "pipelined order" `Quick test_pipelined_side_effect_order;
           Alcotest.test_case "save module" `Quick test_save_module;
           Alcotest.test_case "save module, right-linear" `Quick test_save_module_right_linear;
-          Alcotest.test_case "multiset" `Quick test_multiset
+          Alcotest.test_case "multiset" `Quick test_multiset;
+          Alcotest.test_case "save module sees new facts" `Quick test_save_module_sees_new_facts
         ] );
       ( "data",
         [ Alcotest.test_case "non-ground facts" `Quick test_nonground_facts;

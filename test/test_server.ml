@@ -238,6 +238,13 @@ let test_concurrent_clients () =
 (* The prepared-query plan cache                                       *)
 (* ------------------------------------------------------------------ *)
 
+let paths_module =
+  "module paths.\n\
+   export path(bf).\n\
+   path(X, Y) :- edge(X, Y).\n\
+   path(X, Y) :- edge(X, Z), path(Z, Y).\n\
+   end_module.\n"
+
 let test_plan_cache_unit () =
   let db = Coral.create () in
   Coral.consult_text db paths_program;
@@ -247,22 +254,26 @@ let test_plan_cache_unit () =
     | Ok (_, tag) -> tag
     | Error _ -> Alcotest.fail "unexpected parse error"
   in
-  Alcotest.(check bool) "first prepare misses" true (tag_of "path(1, Y)" = `Miss);
-  Alcotest.(check bool) "same form hits" true (tag_of "path(1, Y)" = `Hit);
+  (* the exported form was planned when the module loaded *)
+  Alcotest.(check bool) "exported form hits" true (tag_of "path(1, Y)" = `Hit);
   (* different constants, same adorned form *)
   Alcotest.(check bool) "same adornment hits" true (tag_of "path(2, Y)" = `Hit);
   (* different adornment is a new form *)
   Alcotest.(check bool) "new adornment misses" true (tag_of "path(X, Y)" = `Miss);
+  Alcotest.(check bool) "then hits" true (tag_of "path(Z, W)" = `Hit);
   (* base-relation queries have nothing to prepare *)
   Alcotest.(check bool) "base query unplanned" true (tag_of "edge(1, Y)" = `Unplanned);
   let s = Plan_cache.stats cache in
-  Alcotest.(check int) "entries" 2 s.Plan_cache.entries;
-  Alcotest.(check int) "hits" 2 s.Plan_cache.hits;
-  Alcotest.(check int) "misses" 2 s.Plan_cache.misses;
-  Plan_cache.invalidate cache db;
-  Alcotest.(check bool) "invalidation re-misses" true (tag_of "path(1, Y)" = `Miss);
-  let s = Plan_cache.stats cache in
-  Alcotest.(check int) "invalidations" 1 s.Plan_cache.invalidations
+  Alcotest.(check int) "parsed entries" 5 s.Plan_cache.parsed_entries;
+  Alcotest.(check int) "hits" 3 s.Plan_cache.hits;
+  Alcotest.(check int) "misses" 1 s.Plan_cache.misses;
+  Alcotest.(check int) "unplanned" 1 s.Plan_cache.unplanned;
+  (* a fact replans nothing; reloading the module replans its forms *)
+  Coral.consult_text db "edge(4, 5).";
+  Alcotest.(check bool) "fact keeps the plan" true (tag_of "path(X, Y)" = `Hit);
+  Coral.consult_text db paths_module;
+  Alcotest.(check bool) "reload re-misses" true (tag_of "path(X, Y)" = `Miss);
+  Alcotest.(check bool) "reload planned the export" true (tag_of "path(1, Y)" = `Hit)
 
 let stats_line c prefix =
   let lines, _ = request c "stats" in
@@ -272,17 +283,19 @@ let stats_line c prefix =
   | Some l -> l
   | None -> Alcotest.fail ("no stats line with prefix " ^ prefix)
 
-(* The four prepared-plan counters of one [stats] reply, space-joined. *)
-let prepared_stats c =
+(* Named counters of one [stats] reply, as "name=value" space-joined. *)
+let stats_of c names =
   let lines, _ = request c "stats" in
   List.map
     (fun name ->
-      let prefix = "txt prepared." ^ name ^ "=" in
+      let prefix = "txt " ^ name ^ "=" in
       match List.find_opt (fun l -> String.starts_with ~prefix l) lines with
-      | Some l -> String.sub l 13 (String.length l - 13)
+      | Some l -> String.sub l 4 (String.length l - 4)
       | None -> Alcotest.fail ("no stats line " ^ prefix))
-    [ "entries"; "hits"; "misses"; "invalidations" ]
+    names
   |> String.concat " "
+
+let prepared_stats c = stats_of c [ "prepared.hits"; "prepared.misses" ]
 
 let test_plan_cache_over_wire () =
   let srv = start_server () in
@@ -290,19 +303,59 @@ let test_plan_cache_over_wire () =
   let c = connect srv in
   let _, status = request c ("consult " ^ flat paths_program) in
   check_prefix "consult" "ok" status;
+  (* the module load planned its export *)
   let _, status = request c "query path(1, Y)" in
-  check_prefix "first query" "ok 3 answers (plan cache: miss)" status;
-  let _, status = request c "query path(1, Y)" in
-  check_prefix "second query" "ok 3 answers (plan cache: hit)" status;
+  check_prefix "exported form" "ok 3 answers (plan cache: hit)" status;
+  let _, status = request c "query path(X, Y)" in
+  check_prefix "new form" "ok 6 answers (plan cache: miss)" status;
+  let _, status = request c "query path(X, Y)" in
+  check_prefix "repeated form" "ok 6 answers (plan cache: hit)" status;
   Alcotest.check Alcotest.string "prepared stats after hit"
-    "entries=1 hits=1 misses=1 invalidations=1" (prepared_stats c);
-  (* consulting again invalidates the prepared plans *)
+    "prepared.hits=2 prepared.misses=1" (prepared_stats c);
+  (* a consulted fact replans nothing *)
   let _, status = request c "consult edge(4, 5)." in
-  check_prefix "consult invalidates" "ok" status;
+  check_prefix "consult a fact" "ok" status;
+  let _, status = request c "query path(X, Y)" in
+  check_prefix "after the fact" "ok 10 answers (plan cache: hit)" status;
+  (* reloading the module replans only its forms *)
+  let _, status = request c ("consult " ^ flat paths_module) in
+  check_prefix "consult the module" "ok" status;
+  let _, status = request c "query path(X, Y)" in
+  check_prefix "replanned form" "ok 10 answers (plan cache: miss)" status;
   let _, status = request c "query path(1, Y)" in
-  check_prefix "re-prepared query" "ok 4 answers (plan cache: miss)" status;
-  Alcotest.check Alcotest.string "prepared stats after invalidation"
-    "entries=1 hits=1 misses=2 invalidations=2" (prepared_stats c);
+  check_prefix "export planned at load" "ok 4 answers (plan cache: hit)" status;
+  Alcotest.check Alcotest.string "prepared stats after the reload"
+    "prepared.hits=4 prepared.misses=2" (prepared_stats c);
+  ignore (request c "quit");
+  close c
+
+(* Plans belong to the rules: 50 maintained insert/retract commits, each
+   followed by the read that must show it, plan nothing. *)
+let test_plans_survive_commits () =
+  let db = Coral.create () in
+  Coral.Engine.set_maintenance (Coral.engine db) true;
+  let srv = Server.start ~listen:(`Tcp ("127.0.0.1", 0)) db in
+  Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
+  let c = connect srv in
+  let _, status = request c ("consult " ^ flat paths_program) in
+  check_prefix "consult" "ok" status;
+  let _, status = request c "query path(1, Y)" in
+  check_prefix "warm read" "ok 3 answers" status;
+  let counters = [ "plans.misses"; "prepared.misses" ] in
+  let before = stats_of c counters in
+  for i = 1 to 25 do
+    let _, status = request c "insert edge(4, 5)." in
+    check_prefix (Printf.sprintf "insert %d" i) "ok inserted 1" status;
+    let _, status = request c "query path(1, Y)" in
+    check_prefix (Printf.sprintf "read after insert %d" i) "ok 4 answers (plan cache: hit)"
+      status;
+    let _, status = request c "retract edge(4, 5)." in
+    check_prefix (Printf.sprintf "retract %d" i) "ok retracted 1" status;
+    let _, status = request c "query path(1, Y)" in
+    check_prefix (Printf.sprintf "read after retract %d" i) "ok 3 answers (plan cache: hit)"
+      status
+  done;
+  Alcotest.check Alcotest.string "no form planned across 50 commits" before (stats_of c counters);
   ignore (request c "quit");
   close c
 
@@ -1847,6 +1900,39 @@ let test_stats_does_not_rebuild () =
    comes back [err BUSY <retry-after-ms>], it sleeps on the advice and
    resends once — so when the slot frees up during the backoff, the
    user sees the answer and never the BUSY. *)
+(* A fact typed at the REPL prompt is a base change like any other: the
+   REPL's maintained extents must show it on the next read. *)
+let test_repl_fact_items () =
+  let repl =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/coral_repl.exe"
+  in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let pid = Unix.create_process repl [| repl |] in_r out_w Unix.stderr in
+  Unix.close in_r;
+  Unix.close out_w;
+  let toc = Unix.out_channel_of_descr in_w in
+  output_string toc
+    ("edge(1, 2). edge(2, 3).\n" ^ paths_module
+   ^ "?- path(1, Y).\nedge(3, 4).\n?- path(3, Y).\ninsert edge(4, 5).\n?- path(1, Y).\n");
+  close_out toc;
+  let ric = Unix.in_channel_of_descr out_r in
+  let out = In_channel.input_all ric in
+  close_in ric;
+  let _, st = Unix.waitpid [] pid in
+  Alcotest.(check bool) "repl exited cleanly" true (st = Unix.WEXITED 0);
+  let answers =
+    String.split_on_char '\n' out
+    |> List.filter_map (fun l ->
+           match String.index_opt l '(' with
+           | Some i when String.ends_with ~suffix:")" l && contains "answer" l ->
+             Some (String.sub l i (String.length l - i))
+           | _ -> None)
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "answer counts (output %S)" out)
+    [ "(2 answers)"; "(1 answer)"; "(4 answers)" ] answers
+
 let test_repl_busy_retry () =
   let repl =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/coral_repl.exe"
@@ -1966,6 +2052,7 @@ let () =
         [ Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
           Alcotest.test_case "plan cache (unit)" `Quick test_plan_cache_unit;
           Alcotest.test_case "plan cache (wire)" `Quick test_plan_cache_over_wire;
+          Alcotest.test_case "plans survive commits" `Quick test_plans_survive_commits;
           Alcotest.test_case "explain analyze (wire)" `Quick test_explain_analyze_wire;
           Alcotest.test_case "metrics (wire)" `Quick test_metrics_wire;
           Alcotest.test_case "byte counters (wire)" `Quick test_byte_counters_wire;
@@ -1997,7 +2084,8 @@ let () =
           Alcotest.test_case "resource budget (session)" `Quick test_resource_budget;
           Alcotest.test_case "resource budget (global)" `Quick test_resource_budget_global;
           Alcotest.test_case "degraded mode over the wire" `Quick test_degraded_mode;
-          Alcotest.test_case "overload observability" `Quick test_overload_observability
+          Alcotest.test_case "overload observability" `Quick test_overload_observability;
+          Alcotest.test_case "repl fact items reach maintenance" `Quick test_repl_fact_items
         ] );
       ( "snapshot",
         [ Alcotest.test_case "epoch publication" `Quick test_snapshot_epoch;
