@@ -7,9 +7,9 @@
    Each worker is an ordinary coral_server with the dist handler
    installed and an admission budget (the same config the server's
    --max-query-tuples flag sets); the router reprovisions the cluster
-   and drives the two-phase barrier fixpoint.  The point of the shape:
+   and drives the round-synchronous fixpoint.  The point of the shape:
    the 1-shard cluster must hold the whole closure on one worker and
-   dies with err RESOURCE at the promote that crosses its budget,
+   dies with err RESOURCE at the step whose absorb crosses its budget,
    while 4 shards each hold ~1/4 of the partitioned closure and
    complete — distribution buys headroom no single node has. *)
 

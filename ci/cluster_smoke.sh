@@ -38,7 +38,8 @@ trap cleanup EXIT INT TERM
 "$BIN/coral_server.exe" --worker --socket "$DIR/w0.sock" --event-log "$DIR/worker0.jsonl" --quiet &
 PIDS="$PIDS $!"
 "$BIN/coral_server.exe" --worker --socket "$DIR/w1.sock" --event-log "$DIR/worker1.jsonl" --quiet &
-PIDS="$PIDS $!"
+W1=$!
+PIDS="$PIDS $W1"
 "$BIN/coral_server.exe" --worker --socket "$DIR/w2.sock" --event-log "$DIR/worker2.jsonl" --quiet &
 PIDS="$PIDS $!"
 "$BIN/coral_server.exe" --socket "$DIR/single.sock" --quiet &
@@ -282,4 +283,37 @@ if command -v python3 >/dev/null 2>&1; then
   fi
 fi
 
-echo "cluster_smoke: OK — $n answers byte-identical across 3 shards, $dist distributed queries, $((deltas1 - deltas0)) delta syncs without a resync, federated metrics for 3 shards, stitched trace with $lanes lanes"
+# ---------------------------------------------------------------- #
+# A worker restarted between two distributed queries: the router's  #
+# kept connection to the old process fails, so the router resyncs   #
+# once and the second query answers byte-identically.               #
+# ---------------------------------------------------------------- #
+
+printf 'query path(X, Y)\nquery vpath(X, Y)\nquit\n' > "$DIR/reread.txt"
+answers "$DIR/single.sock" "$DIR/reread.txt" > "$DIR/single.reread"
+answers "$DIR/router.sock" "$DIR/reread.txt" > "$DIR/before.restart"
+resyncs0=$(federated coral_router_resyncs)
+kill "$W1"
+wait "$W1" 2>/dev/null || true
+rm -f "$DIR/w1.sock"
+"$BIN/coral_server.exe" --worker --socket "$DIR/w1.sock" --event-log "$DIR/worker1.jsonl" --quiet &
+PIDS="$PIDS $!"
+wait_sock "$DIR/w1.sock"
+answers "$DIR/router.sock" "$DIR/reread.txt" > "$DIR/after.restart"
+resyncs1=$(federated coral_router_resyncs)
+for f in before.restart after.restart; do
+  if ! diff -u "$DIR/single.reread" "$DIR/$f"; then
+    echo "cluster_smoke: FAIL — answers differ from single-node ($f a worker restart)" >&2
+    exit 1
+  fi
+done
+if [ "$(wc -l < "$DIR/single.reread")" -lt 100 ]; then
+  echo "cluster_smoke: FAIL — the restart check answered too little" >&2
+  exit 1
+fi
+if [ -z "$resyncs0" ] || [ "$((resyncs1 - resyncs0))" -ne 1 ]; then
+  echo "cluster_smoke: FAIL — a worker restart took ${resyncs0:-?} -> ${resyncs1:-?} resyncs, expected exactly one" >&2
+  exit 1
+fi
+
+echo "cluster_smoke: OK — $n answers byte-identical across 3 shards, $dist distributed queries, $((deltas1 - deltas0)) delta syncs without a resync, federated metrics for 3 shards, stitched trace with $lanes lanes, one resync after a worker restart"

@@ -1,9 +1,10 @@
-(** The round-synchronous fixpoint coordinator: drives the two-phase
-    quiescence barrier ([barrier step] / [barrier promote]) over every
-    worker and detects the global fixpoint from the replies alone —
-    a round that promotes no new tuple anywhere and shipped nothing is
-    the last one.  A per-round shipped-equals-received balance check
-    aborts the run on any lost or duplicated delta batch. *)
+(** The round-synchronous fixpoint coordinator: one [barrier step]
+    message per worker per round.  A step absorbs what peers shipped in
+    earlier rounds, derives to a local fixpoint and ships the rest; the
+    round after one that shipped nothing anywhere is sent [final] and
+    publishes every worker's closure.  The tuples received at each step
+    must equal those shipped at the step before: any imbalance (a lost
+    or duplicated batch) aborts the run. *)
 
 type t
 
@@ -20,7 +21,7 @@ type shard_round = {
 
 type round_stat = {
   r_round : int;
-  r_wall_s : float;  (** the whole round (slowest step + slowest promote) *)
+  r_wall_s : float;  (** the whole round, as the coordinator saw it *)
   r_step_max_s : float;
   r_skew : float;  (** max/mean of per-shard step times; 1.0 = balanced *)
   r_straggler : int option;
@@ -34,7 +35,7 @@ type run_stats = {
   derived : int;  (** candidate-new tuples derived across all shards *)
   shipped_tuples : int;
   shipped_bytes : int;
-  new_tuples : int;  (** tuples that survived promotion (post-dedup) *)
+  new_tuples : int;  (** tuples absorbed into the partitions (post-dedup) *)
   wall_s : float;
   skew_max : float;  (** worst per-round skew ratio of the run *)
   stragglers : int;  (** rounds that flagged a straggler *)
@@ -61,6 +62,12 @@ val partition : t -> Partition.t
 
 val disconnect : t -> unit
 
+val abandon_when : t -> (unit -> bool) -> (unit -> 'a) -> 'a
+(** [abandon_when t abandon f] runs [f] with every worker exchange
+    polling [abandon] while it waits for replies: once it answers
+    [true], the exchange closes the connections still owed a reply and
+    fails with [KILLED] (the caller names the real cause). *)
+
 val configure : t -> (unit, Coral_server.Protocol.error_code * string) result
 (** Send every worker its [shard <i> <n> <key> <addrs>] identity. *)
 
@@ -71,9 +78,10 @@ val send_program : t -> string -> (unit, Coral_server.Protocol.error_code * stri
 val send_delta :
   t -> shard:int -> string -> (unit, Coral_server.Protocol.error_code * string) result
 (** Ship one shard a binary delta payload ({!Delta_codec.contents})
-    into its exchange buffer, absorbed at its next promote.  Used before [run_fixpoint] to seed partitioned
-    predicates that also have consulted base facts; pass the total
-    count as [run_fixpoint]'s [seeded]. *)
+    into its exchange buffer, tagged round 1, so the next fixpoint
+    absorbs it at step 2.  Used before [run_fixpoint] to seed
+    partitioned predicates that also have consulted base facts; pass
+    the total count as [run_fixpoint]'s [seeded]. *)
 
 val send_edb_delta :
   t -> string -> (unit, Coral_server.Protocol.error_code * string) result
@@ -88,10 +96,10 @@ val run_fixpoint :
   t ->
   (run_stats, Coral_server.Protocol.error_code * string) result
 (** Run rounds until global quiescence.  [seeded] (default 0) is the
-    tuple count pre-shipped with [send_delta]: round 1's
-    shipped-equals-received balance check subtracts it.  Worker errors
-    propagate under their original codes; an unreachable worker yields
-    [UNAVAIL].
+    tuple count pre-shipped with [send_delta]: round 2's
+    shipped-equals-received balance check adds it to round 1's
+    shipments.  Worker errors propagate under their original codes; an
+    unreachable worker yields [UNAVAIL].
 
     With observability enabled, every round records a [dist.round]
     span and JSONL event (wall/step-max times, skew ratio, and a

@@ -1,71 +1,52 @@
-(* The per-worker exchange buffer: tuples waiting for the next promote
-   barrier.
+(* The per-worker exchange buffer: delta batches from peer shards,
+   waiting for the step that absorbs them.
 
-   Two sources feed it during a [barrier step]: delta batches arriving
-   from peer shards (their connection threads call [add_remote] with
-   no engine lock — this mutex is the only synchronization, so a step
-   holding the store's write lane can never deadlock against an
-   incoming delta), and the worker's own locally-derived owned tuples
-   ([add_local]).  [drain] empties both at the promote barrier.
+   Peer connection threads call [add_remote] with no engine lock —
+   this mutex is the only synchronization, so a step holding the
+   store's lock can never deadlock against an incoming delta.  Each
+   batch carries the round its sender derived it in.  A fast peer's
+   round r batch can land before this worker has started its own step
+   r, so the step takes only the batches of earlier rounds ([take])
+   and leaves the rest for the next one.
 
-   The remote counter counts every tuple decoded from a delta batch,
-   before any deduplication, so that the coordinator's quiescence
-   check (sum of shipped = sum of received, per round) balances
+   The count [take] returns covers every tuple decoded, before any
+   deduplication, so that the coordinator's conservation check
+   (tuples shipped in round r-1 = tuples received in round r) balances
    exactly. *)
 
 type item = { pred : string; arity : int; tuple : Coral.Tuple.t }
 
 type t = {
   lock : Mutex.t;
-  mutable remote : item list;  (* newest first *)
-  mutable local : item list;
-  mutable remote_round : int;  (* tuples received since the last drain *)
+  mutable batches : (int * item list) list;  (* (sender's round, items), newest first *)
   mutable remote_total : int;  (* since the last reset *)
   mutable batches_total : int;
 }
 
-let create () =
-  { lock = Mutex.create ();
-    remote = [];
-    local = [];
-    remote_round = 0;
-    remote_total = 0;
-    batches_total = 0
-  }
+let create () = { lock = Mutex.create (); batches = []; remote_total = 0; batches_total = 0 }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let add_remote t items =
+let add_remote t ~round items =
   with_lock t (fun () ->
       let n = List.length items in
-      t.remote <- List.rev_append items t.remote;
-      t.remote_round <- t.remote_round + n;
+      t.batches <- (round, items) :: t.batches;
       t.remote_total <- t.remote_total + n;
       t.batches_total <- t.batches_total + 1;
       n)
 
-let add_local t items =
-  with_lock t (fun () -> t.local <- List.rev_append items t.local)
-
-(* Arrival order within each source, remote before local; the counter
-   returned is the round's pre-dedup received count for the promote
-   reply. *)
-let drain t =
+let take t ~before =
   with_lock t (fun () ->
-      let remote = List.rev t.remote and local = List.rev t.local in
-      let received = t.remote_round in
-      t.remote <- [];
-      t.local <- [];
-      t.remote_round <- 0;
-      remote @ local, received)
+      let early, later = List.partition (fun (round, _) -> round < before) t.batches in
+      t.batches <- later;
+      let items = List.concat_map snd (List.rev early) in
+      items, List.length items)
 
 let reset t =
   with_lock t (fun () ->
-      t.remote <- [];
-      t.local <- [];
-      t.remote_round <- 0;
+      t.batches <- [];
       t.remote_total <- 0;
       t.batches_total <- 0)
 

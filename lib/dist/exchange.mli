@@ -1,7 +1,8 @@
-(** The per-worker exchange buffer: tuples waiting for the next
-    promote barrier.  Internally mutexed — delta batches arrive on
+(** The per-worker exchange buffer: delta batches from peer shards,
+    each tagged with the round its sender derived it in, waiting for
+    the step that absorbs them.  Internally mutexed — batches arrive on
     peer connection threads while the worker's own step holds the
-    store's write lane, and this buffer is the only state they share. *)
+    store's lock, and this buffer is the only state they share. *)
 
 type item = { pred : string; arity : int; tuple : Coral.Tuple.t }
 
@@ -9,16 +10,14 @@ type t
 
 val create : unit -> t
 
-val add_remote : t -> item list -> int
-(** Buffer a decoded delta batch from a peer; returns the batch size.
-    Counted pre-dedup so shipped/received sums balance exactly. *)
+val add_remote : t -> round:int -> item list -> int
+(** Buffer a decoded delta batch a peer derived in [round]; returns the
+    batch size.  Counted pre-dedup so shipped/received sums balance
+    exactly. *)
 
-val add_local : t -> item list -> unit
-(** Buffer the worker's own locally-derived owned tuples. *)
-
-val drain : t -> item list * int
-(** All buffered items (arrival order, remote before local) and the
-    round's pre-dedup received count; empties the buffer. *)
+val take : t -> before:int -> item list * int
+(** The buffered items of rounds before [before] (arrival order) and
+    their pre-dedup count; later rounds' batches stay buffered. *)
 
 val reset : t -> unit
 

@@ -42,16 +42,23 @@
    Fan-out merge needs no deduplication: the one distributed literal
    in a fanned-out query is instantiated by each answer row, the
    instantiated tuple has exactly one owner shard, so two shards can
-   never produce the same row.
+   never produce the same row.  The reply is therefore each shard's
+   payload lines, as the shard sent them, shard 0 first.
 
-   A fan-out runs one thread per shard; the waiter sleeps on a
-   per-fan-out pipe that each thread writes a byte to as it answers,
-   so the merge starts when the last shard answers, not at a polling
-   tick.  Every query — local or distributed — registers in the
-   process-wide Query_log, so [ps] sees it and [kill] aborts it: the
-   waiter still wakes at least every 20 ms tick to notice a kill or
-   the deadline, and an abandoned fan-out leaves its threads to close
-   their own connections, and the last of them the pipe.
+   A fan-out sends its query on one kept connection per shard
+   (borrowed from a small per-shard pool) and waits for the replies in
+   [select] on its own connection thread.  Every query — local or
+   distributed — registers in the process-wide Query_log, so [ps] sees
+   it and [kill] aborts it: the wait wakes at least every 20 ms to
+   notice a kill or the deadline, and an abandoned fan-out closes the
+   connections still owed a reply instead of returning them.  A kept
+   connection that fails may have outlived its worker (restarted on
+   the same address since), so the router resyncs and asks once more.
+
+   Fan-outs and syncs are kept apart by a readers-writer gate: a
+   resync or delta sync rewrites the workers' partitions and commits
+   each worker at its own moment, and a fan-out reading in between
+   could merge a closure that no state ever had.
 
    Peer deltas and the seed batches below travel as binary
    [Delta_codec] batches; only the replicated EDB ships as fact
@@ -64,21 +71,37 @@ module Obs = Coral_obs.Obs
    histogram. *)
 let h_codec = Obs.histogram "phase.codec"
 
-(* One fanned-out query: a slot per shard, filled by that shard's
-   thread, which then writes one byte to [wake_w] so the waiter, asleep
-   in [select] on [wake_r], returns when the last shard answers rather
-   than at its next tick.  The pipe is closed by whichever side is done
-   with it last — the waiter once every thread has finished, or, when
-   kill or the deadline abandons the fan-out, the last thread to
-   finish — so no thread ever writes to a closed (or reused) fd. *)
-type fanout = {
-  slots : (Protocol.response, Protocol.error_code * string) result option array;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  fo_lock : Mutex.t;  (* guards [slots], [pending], [abandoned] *)
-  mutable pending : int;  (* shard threads still running *)
-  mutable abandoned : bool;  (* the waiter has left *)
+(* Many fan-outs read at once; a sync writes alone.  Syncs are already
+   serialized by [cl_lock], so one flag suffices: once a sync is
+   waiting, new fan-outs wait behind it. *)
+type gate = {
+  g_lock : Mutex.t;
+  g_cond : Condition.t;
+  mutable readers : int;
+  mutable syncing : bool;
 }
+
+let with_read g f =
+  Mutex.lock g.g_lock;
+  while g.syncing do Condition.wait g.g_cond g.g_lock done;
+  g.readers <- g.readers + 1;
+  Mutex.unlock g.g_lock;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.lock g.g_lock;
+      g.readers <- g.readers - 1;
+      Condition.broadcast g.g_cond;
+      Mutex.unlock g.g_lock)
+
+let with_write g f =
+  Mutex.lock g.g_lock;
+  g.syncing <- true;
+  while g.readers > 0 do Condition.wait g.g_cond g.g_lock done;
+  Mutex.unlock g.g_lock;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.lock g.g_lock;
+      g.syncing <- false;
+      Condition.broadcast g.g_cond;
+      Mutex.unlock g.g_lock)
 
 (* The router's state; [t] pairs it with the connection layer serving
    it. *)
@@ -99,6 +122,9 @@ type state = {
   mutable verdict : Plan.verdict;
   mutable last_run : Coordinator.run_stats option;
   mutable last_tid : string option;  (* trace id of the newest distributed query *)
+  gate : gate;  (* fan-outs read, syncs write *)
+  pool_lock : Mutex.t;
+  idle : Shard_client.t list array;  (* kept fan-out connections, per shard *)
   (* registry-backed, created at start (no module-level state) *)
   c_dist : Coral_obs.Obs.Counter.t;
   c_local : Coral_obs.Obs.Counter.t;
@@ -154,10 +180,10 @@ let edb_text t (a : Plan.analysis) =
    facts (path(a, b). plus recursive path rules).  Those facts live in
    the router's base relations but are excluded from the replicated
    EDB — each belongs to exactly one owner shard.  Ship them as
-   per-owner delta batches: they sit in the owner's exchange buffer,
-   are absorbed into the owner's relation and its private delta at
-   the first promote, and from round 2 on the linear rules derive from
-   them like any other delta.
+   per-owner delta batches tagged round 1: they sit in the owner's
+   exchange buffer, are absorbed into the owner's relation and its
+   private delta at step 2, and the linear rules derive from them like
+   any other delta.
    Returns the per-shard batches plus the total seeded count. *)
 let seed_batches t (a : Plan.analysis) =
   let eng = Coral.engine (Session.db t.sstore) in
@@ -191,6 +217,16 @@ let log_fixpoint t ~mode ~seeded (stats : Coordinator.run_stats) =
     ];
   t.last_run <- Some stats
 
+(* Close every kept fan-out connection. *)
+let drop_idle t =
+  Mutex.lock t.pool_lock;
+  Array.iteri
+    (fun i clients ->
+      List.iter Shard_client.disconnect clients;
+      t.idle.(i) <- [])
+    t.idle;
+  Mutex.unlock t.pool_lock
+
 (* Reprovision the cluster from the router's database.  Caller holds
    [cl_lock]. *)
 let resync t (a : Plan.analysis) =
@@ -199,12 +235,15 @@ let resync t (a : Plan.analysis) =
   Obs.Histogram.time t.h_provision @@ fun () ->
   (* the EDB shipped below holds every queued insert *)
   t.pending <- [];
+  with_write t.gate @@ fun () ->
   (* Reprovisioning must talk to whatever listens at each address NOW,
-     not to a control connection established before the cluster went
-     dirty: a worker restarted on the same address would otherwise get
-     the deltas (its peers reconnect) but never the shard/dprog
-     configuration (still riding the stale control session). *)
+     not over a connection established before the cluster went dirty: a
+     worker restarted on the same address would otherwise get the
+     deltas (its peers reconnect) but never the shard/dprog
+     configuration (still riding the stale control session), and the
+     fan-outs would keep asking the old one. *)
   Coordinator.disconnect t.coord;
+  drop_idle t;
   let ( >>= ) r f = Result.bind r f in
   match
     Coordinator.configure t.coord
@@ -250,6 +289,7 @@ let resync t (a : Plan.analysis) =
 let delta_sync t =
   Coral_obs.Obs.Counter.incr t.c_delta_syncs;
   Obs.Histogram.time t.h_delta_sync @@ fun () ->
+  with_write t.gate @@ fun () ->
   let facts = List.rev t.pending in
   t.pending <- [];
   match
@@ -275,11 +315,13 @@ let delta_sync t =
    between a caller's unlocked routing check and this point; returning
    the locked-in analysis (or [`Local]) makes that race harmless
    instead of an [assert false]. *)
-let ensure_synced t =
+let ensure_synced ?abandon t =
   Mutex.lock t.cl_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.cl_lock)
     (fun () ->
+      (match abandon with Some f -> Coordinator.abandon_when t.coord f | None -> fun g -> g ())
+      @@ fun () ->
       match t.verdict with
       | Plan.Local _ -> `Local
       | Plan.Distributable a -> (
@@ -377,103 +419,33 @@ let distributable_query (a : Plan.analysis) text =
     | [ _ ], false, false -> Some ()
     | _ -> None)
 
-(* Strip a worker reply line back into payload form. *)
-let payload_of_line line =
-  if String.starts_with ~prefix:"ans " line then
-    Some (Protocol.Ans (String.sub line 4 (String.length line - 4)))
-  else if String.starts_with ~prefix:"txt " line then
-    Some (Protocol.Txt (String.sub line 4 (String.length line - 4)))
-  else None
+(* Kept connections per shard beyond which a returned one is closed:
+   enough for a few concurrent fan-outs. *)
+let max_idle = 4
 
-(* One worker's share of a fanned-out query, on its own connection
-   (the coordinator's control connections stay untouched, so an
-   abandoned query thread can never poison a barrier). *)
-let shard_query addr ~timeout_ms text =
-  let client = Shard_client.create ~attempts:2 ~backoff_ms:20 addr in
-  Fun.protect
-    ~finally:(fun () -> Shard_client.disconnect client)
-    (fun () ->
-      if timeout_ms > 0 then
-        ignore (Shard_client.request client (Printf.sprintf "timeout %d" timeout_ms));
-      let lines, status = Shard_client.request client ("query " ^ text) in
-      match Shard_client.status_ok status with
-      | Some detail ->
-        Ok (Protocol.ok ~detail (List.filter_map payload_of_line lines))
-      | None -> (
-        match Shard_client.status_err status with
-        | Some (code, msg) ->
-          let code = Option.value (Protocol.code_of_string code) ~default:Protocol.Cluster in
-          Error (code, Printf.sprintf "%s: %s" addr msg)
-        | None -> Error (Protocol.Proto, "unparseable reply from " ^ addr)))
+let borrow t i =
+  Mutex.lock t.pool_lock;
+  let client =
+    match t.idle.(i) with
+    | c :: rest ->
+      t.idle.(i) <- rest;
+      c
+    | [] -> Shard_client.create ~attempts:2 ~backoff_ms:20 (List.nth (Coordinator.addrs t.coord) i)
+  in
+  Mutex.unlock t.pool_lock;
+  client
 
-let close_wake fo =
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    [ fo.wake_r; fo.wake_w ]
+(* A client whose exchange failed or was abandoned has closed its
+   connection already; it is not kept. *)
+let give_back t i client =
+  Mutex.lock t.pool_lock;
+  if Shard_client.connected client && List.compare_length_with t.idle.(i) max_idle < 0 then
+    t.idle.(i) <- client :: t.idle.(i)
+  else Shard_client.disconnect client;
+  Mutex.unlock t.pool_lock
 
-let launch_fanout ~timeout_ms addrs text =
-  let n = List.length addrs in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  let fo =
-    { slots = Array.make n None;
-      wake_r;
-      wake_w;
-      fo_lock = Mutex.create ();
-      pending = n;
-      abandoned = false
-    }
-  in
-  let finish i r =
-    Mutex.lock fo.fo_lock;
-    fo.slots.(i) <- Some r;
-    fo.pending <- fo.pending - 1;
-    if not fo.abandoned then (
-      try ignore (Unix.write_substring fo.wake_w "." 0 1) with Unix.Unix_error _ -> ())
-    else if fo.pending = 0 then close_wake fo;
-    Mutex.unlock fo.fo_lock
-  in
-  let threads =
-    List.mapi
-      (fun i addr ->
-        Thread.create
-          (fun () ->
-            finish i
-              (try shard_query addr ~timeout_ms text with
-              | Shard_client.Down m -> Error (Protocol.Unavail, m)
-              | e -> Error (Protocol.Cluster, Printexc.to_string e)))
-          ())
-      addrs
-  in
-  fo, threads
-
-(* Block until every shard has answered ([`Done]), the query is
-   killed, or its deadline passes — the last two noticed within one
-   [tick] — then give up the waiter's share of the pipe. *)
-let await_fanout fo ~killed ~expired =
-  let tick = 0.02 in
-  let drain = Bytes.create 64 in
-  let rec wait () =
-    Mutex.lock fo.fo_lock;
-    let pending = fo.pending in
-    Mutex.unlock fo.fo_lock;
-    if pending = 0 then `Done
-    else if killed () then `Killed
-    else if expired () then `Timeout
-    else begin
-      (match Unix.select [ fo.wake_r ] [] [] tick with
-      | [], _, _ -> ()
-      | _ -> ignore (Unix.read fo.wake_r drain 0 (Bytes.length drain))
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ ->
-        (* no select for this fd (past FD_SETSIZE): poll by the tick *)
-        Thread.delay tick);
-      wait ()
-    end
-  in
-  Fun.protect wait ~finally:(fun () ->
-      Mutex.lock fo.fo_lock;
-      if fo.pending = 0 then close_wake fo else fo.abandoned <- true;
-      Mutex.unlock fo.fo_lock)
+(* The answer count a worker's query reply states: [ok N answers ...]. *)
+let rows_of detail = Option.value (Scanf.sscanf_opt detail "%d" Fun.id) ~default:0
 
 (* Evaluate on the router's own replica — and notice when the query
    mutated it.  The assert/retract builtins ride ordinary queries (the
@@ -491,97 +463,138 @@ let local_query t session text =
   if Session.snapshot_epoch t.sstore <> before then mark_dirty t;
   r
 
-let fan_out t session text =
-      Coral_obs.Obs.Counter.incr t.c_dist;
-      (* The connection thread's trace context, captured HERE: the
-         fan-out threads below have none, so the id travels to each
-         worker inside the command line instead (a trailing [tid=]
-         token the worker's serving layer re-installs). *)
-      let tid = Obs.Trace.current () in
-      (match tid with
-      | Some id ->
-        Mutex.lock t.cl_lock;
-        t.last_tid <- Some id;
-        Mutex.unlock t.cl_lock
-      | None -> ());
-      let wire_text = match tid with Some id -> text ^ " tid=" ^ id | None -> text in
-      let timeout_ms = Session.deadline_ms session in
-      let entry =
-        Coral_obs.Query_log.register ~session:(Session.sid session)
-          ~deadline_ms:timeout_ms ~kind:"dist" text
-      in
-      Fun.protect ~finally:(fun () -> Coral_obs.Query_log.unregister entry)
-      @@ fun () ->
-      let t0 = Unix.gettimeofday () in
-      let t0_ns = Obs.now_ns () in
-      Obs.Histogram.time t.h_relay @@ fun () ->
-      match launch_fanout ~timeout_ms (Coordinator.addrs t.coord) wire_text with
-      | exception Unix.Unix_error (e, _, _) ->
-        (* no fd left for the wake pipe *)
-        Protocol.err Protocol.Resource ("cannot start the fan-out: " ^ Unix.error_message e)
-      | fo, threads ->
-      (* Wait rather than join: kill (and the local deadline) must be
-         able to abandon threads stuck on a wedged worker.  Abandoned
-         threads own their connections and close them on exit. *)
-      let expired () =
-        timeout_ms > 0 && (Unix.gettimeofday () -. t0) *. 1000. > float_of_int (timeout_ms + 200)
-      in
-      (match
-         await_fanout fo ~killed:(fun () -> Coral_obs.Query_log.killed entry) ~expired
-       with
-      | `Killed -> Protocol.err Protocol.Killed "query killed by operator request"
-      | `Timeout ->
-        Protocol.err Protocol.Timeout
-          (Printf.sprintf "deadline of %dms exceeded; fan-out abandoned" timeout_ms)
-      | `Done ->
-        List.iter Thread.join threads;
-        let results = Array.map Option.get fo.slots in
-        (match
-           Array.fold_left
-             (fun acc r -> match acc, r with None, Error e -> Some e | _ -> acc)
-             None results
-         with
-        | Some (code, msg) ->
-          (* a vanished worker leaves the cluster suspect: resync
-             before the next distributed query *)
-          if code = Protocol.Unavail then mark_dirty t;
-          Protocol.err code msg
-        | None ->
-          let payload =
-            Array.to_list results
-            |> List.concat_map (function
-                 | Ok (r : Protocol.response) -> r.Protocol.payload
-                 | Error _ -> [])
-          in
-          let rows =
-            List.length (List.filter (function Protocol.Ans _ -> true | _ -> false) payload)
-          in
-          if Obs.enabled () then
-            Obs.Span.record "router.fanout" t0_ns
-              (Obs.now_ns () - t0_ns)
-              [ "shards", string_of_int (Coordinator.shards t.coord);
-                "rows", string_of_int rows ];
-          Protocol.ok
-            ~detail:
-              (Printf.sprintf "%d answer%s shards=%d%s" rows
-                 (if rows = 1 then "" else "s")
-                 (Coordinator.shards t.coord)
-                 (match tid with Some id -> " tid=" ^ id | None -> ""))
-            payload))
+(* Ask every shard on kept connections.  [`Lost] when a kept
+   connection failed: its worker may have been replaced since. *)
+let fan_out t ~abandon ~timeout_ms ~tid text =
+  Coral_obs.Obs.Counter.incr t.c_dist;
+  (* the trace context travels to each worker inside the command line
+     (a trailing [tid=] token the worker's serving layer re-installs) *)
+  let wire_text = match tid with Some id -> text ^ " tid=" ^ id | None -> text in
+  let t0_ns = Obs.now_ns () in
+  Obs.Histogram.time t.h_relay @@ fun () ->
+  let shards = Coordinator.shards t.coord in
+  (* the gate covers the exchange only: a sync waiting on it holds
+     [cl_lock], which [mark_dirty] below takes *)
+  let clients, kept, outcomes =
+    with_read t.gate @@ fun () ->
+    let clients = Array.init shards (borrow t) in
+    let kept = Array.map Shard_client.connected clients in
+    let timeout = Printf.sprintf "timeout %d" timeout_ms in
+    let outcomes =
+      Shard_client.request_all ~abandon
+        (Array.map (fun c -> c, [ timeout, None; "query " ^ wire_text, None ]) clients)
+    in
+    Array.iteri (give_back t) clients;
+    clients, kept, outcomes
+  in
+  let failure i = function
+    | Shard_client.Replies ([ _; (_, status) ], _) -> (
+      match Shard_client.status_err status with
+      | Some (code, msg) ->
+        let code = Option.value (Protocol.code_of_string code) ~default:Protocol.Cluster in
+        Some (`Err (code, Printf.sprintf "%s: %s" (Shard_client.addr clients.(i)) msg))
+      | None -> None)
+    | Shard_client.Replies _ ->
+      Some (`Err (Protocol.Proto, "unparseable reply from " ^ Shard_client.addr clients.(i)))
+    | Shard_client.Failed m -> Some (if kept.(i) then `Lost m else `Err (Protocol.Unavail, m))
+    | Shard_client.Abandoned -> Some `Abandoned
+  in
+  match List.find_map Fun.id (List.mapi failure (Array.to_list outcomes)) with
+  | Some (`Err (code, msg)) ->
+    (* a vanished worker leaves the cluster suspect: resync before the
+       next distributed query *)
+    if code = Protocol.Unavail then mark_dirty t;
+    `Reply (Protocol.err code msg)
+  | Some ((`Lost _ | `Abandoned) as e) -> e
+  | None ->
+    let blocks, rows =
+      Array.fold_right
+        (fun o (blocks, rows) ->
+          match o with
+          | Shard_client.Replies ([ _; (block, status) ], _) ->
+            ( Protocol.Raw block :: blocks,
+              rows + rows_of (Option.value (Shard_client.status_ok status) ~default:"") )
+          | _ -> blocks, rows)
+        outcomes ([], 0)
+    in
+    if Obs.enabled () then
+      Obs.Span.record "router.fanout" t0_ns
+        (Obs.now_ns () - t0_ns)
+        [ "shards", string_of_int shards; "rows", string_of_int rows ];
+    `Reply
+      (Protocol.ok
+         ~detail:
+           (Printf.sprintf "%d answer%s shards=%d%s" rows
+              (if rows = 1 then "" else "s")
+              shards
+              (match tid with Some id -> " tid=" ^ id | None -> ""))
+         blocks)
 
+(* A distributed query: sync the cluster if it needs it, then fan out.
+   It is registered in the Query_log throughout, so [ps] sees it and
+   [kill] (or the session's deadline) abandons a fan-out stuck on a
+   wedged worker, noticed within one 20 ms wait.  A query answered here
+   is timed here, as [Session.handle] times the queries it serves; one
+   that lands on the replica is timed there. *)
 let do_dist_query t session text =
-  match ensure_synced t with
-  | `Error (code, msg) -> Protocol.err code ("cluster sync failed: " ^ msg)
-  | `Local ->
-    (* the verdict flipped under a concurrent consult; the replica is
-       the correct target now *)
-    local_query t session text
-  | `Synced a -> (
-    (* re-check the query against the analysis the workers actually
-       hold, not the one the unlocked routing peek saw *)
-    match distributable_query a text with
-    | Some () -> fan_out t session text
-    | None -> local_query t session text)
+  let t0 = Obs.now_ns () in
+  let started = Unix.gettimeofday () in
+  let timeout_ms = Session.deadline_ms session in
+  (* captured here: the id also names this query for [trace last] *)
+  let tid = Obs.Trace.current () in
+  let entry =
+    Coral_obs.Query_log.register ~session:(Session.sid session) ~deadline_ms:timeout_ms
+      ~kind:"dist" text
+  in
+  Fun.protect ~finally:(fun () -> Coral_obs.Query_log.unregister entry) @@ fun () ->
+  let killed () = Coral_obs.Query_log.killed entry in
+  let expired () =
+    timeout_ms > 0 && (Unix.gettimeofday () -. started) *. 1000. > float_of_int (timeout_ms + 200)
+  in
+  let abandon () = killed () || expired () in
+  let timed r =
+    Session.observe_query (Obs.now_ns () - t0);
+    r
+  in
+  let abandoned () =
+    timed
+      (if killed () then Protocol.err Protocol.Killed "query killed by operator request"
+       else
+         Protocol.err Protocol.Timeout
+           (Printf.sprintf "deadline of %dms exceeded; fan-out abandoned" timeout_ms))
+  in
+  let rec go ~retry =
+    (* A routine sync runs to its end: abandoning it would leave the
+       cluster dirty for the next query, and a stream of kills could
+       starve it.  The resync after a lost connection may be abandoned,
+       since the worker that dropped it may now be wedged. *)
+    match ensure_synced ?abandon:(if retry then None else Some abandon) t with
+    | `Error _ when abandon () -> abandoned ()
+    | `Error (code, msg) -> timed (Protocol.err code ("cluster sync failed: " ^ msg))
+    | `Local ->
+      (* the verdict flipped under a concurrent consult; the replica is
+         the correct target now *)
+      local_query t session text
+    | `Synced a -> (
+      (* re-check the query against the analysis the workers actually
+         hold, not the one the unlocked routing peek saw *)
+      match distributable_query a text with
+      | None -> local_query t session text
+      | Some () -> (
+        (match tid with
+        | Some id ->
+          Mutex.lock t.cl_lock;
+          t.last_tid <- Some id;
+          Mutex.unlock t.cl_lock
+        | None -> ());
+        match fan_out t ~abandon ~timeout_ms ~tid text with
+        | `Reply r -> timed r
+        | `Abandoned -> abandoned ()
+        | `Lost m ->
+          mark_dirty t;
+          if retry then go ~retry:false else timed (Protocol.err Protocol.Unavail m)))
+  in
+  go ~retry:true
 
 let handle_query t session text =
   (* an unlocked peek, only to route: do_dist_query re-reads the
@@ -865,6 +878,10 @@ let start ?(consult = []) ?limits ?straggler_factor ?(insert_committed = ignore)
       verdict = Plan.analyse_engine (Coral.engine db);
       last_run = None;
       last_tid = None;
+      gate =
+        { g_lock = Mutex.create (); g_cond = Condition.create (); readers = 0; syncing = false };
+      pool_lock = Mutex.create ();
+      idle = Array.make (List.length shard_addrs) [];
       c_dist = Coral_obs.Obs.counter "router.queries.dist";
       c_local = Coral_obs.Obs.counter "router.queries.local";
       c_fixpoints = Coral_obs.Obs.counter "router.fixpoint.runs";
@@ -890,4 +907,5 @@ let wait t = Server.wait t.srv
 
 let shutdown t =
   Server.shutdown t.srv;
-  Coordinator.disconnect t.st.coord
+  Coordinator.disconnect t.st.coord;
+  drop_idle t.st

@@ -1,17 +1,18 @@
 (* A connection to one worker shard, speaking the ordinary line
-   protocol.
+   protocol, and the one exchange primitive every cluster caller uses:
+   [request_all] writes each client its commands, then reads the
+   replies as they arrive.
 
    Reconnection policy: retry with linear backoff at CONNECT time
-   only.  A request that fails mid-flight raises [Down] without any
+   only.  A request that fails mid-flight fails ([Failed]) without any
    resend — the worker may have applied the request before the link
    died (a resent delta batch would then be received twice, breaking
    the coordinator's shipped-equals-received balance check), so the
    only safe recovery is at a higher level: the router marks the
    cluster state dirty and reruns the fixpoint from [dreset].
 
-   Each client is mutexed: the coordinator's barrier threads and a
-   query fan-out thread must not interleave request/reply pairs on one
-   socket. *)
+   Each client is mutexed for the whole exchange, so two callers can
+   never interleave request/reply pairs on one socket. *)
 
 open Coral_server
 
@@ -90,85 +91,142 @@ let ensure_conn t =
     in
     go 1
 
-(* Read reply lines until the ok/err status line. *)
-let read_reply t c =
-  let rec go acc =
-    match Protocol.read_line c.rd with
-    | None -> raise (Down (Printf.sprintf "%s closed the connection mid-reply" t.addr))
-    | Some line ->
-      if Protocol.is_status line then List.rev acc, line else go (line :: acc)
-  in
-  go []
+type outcome =
+  | Replies of (string * string) list * float
+  | Failed of string
+  | Abandoned
 
-(* One request/reply exchange.  [payload] is sent verbatim after the
-   command line (for dprog#/delta#/consult# framing).  Any IO failure
-   poisons the connection: close it, raise [Down], never resend. *)
-let request t ?payload cmd =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      let c = ensure_conn t in
-      try
-        Out_channel.output_string c.oc cmd;
-        Out_channel.output_char c.oc '\n';
-        (match payload with
-        | Some p -> Out_channel.output_string c.oc p
-        | None -> ());
-        Out_channel.flush c.oc;
-        read_reply t c
-      with
-      | Down _ as e ->
-        close_conn c;
-        t.conn <- None;
-        raise e
-      | Sys_error m | Failure m ->
-        close_conn c;
-        t.conn <- None;
-        raise (Down (Printf.sprintf "%s: %s" t.addr m))
-      | Unix.Unix_error (e, _, _) ->
-        close_conn c;
-        t.conn <- None;
-        raise (Down (Printf.sprintf "%s: %s" t.addr (Unix.error_message e)))
-      | End_of_file | Protocol.Line_too_long ->
-        close_conn c;
-        t.conn <- None;
-        raise (Down (Printf.sprintf "%s: connection lost" t.addr)))
+let connected t = t.conn <> None
+
+let poison t c =
+  close_conn c;
+  t.conn <- None
+
+let io_error t = function
+  | Down m -> m
+  | Sys_error m | Failure m -> Printf.sprintf "%s: %s" t.addr m
+  | Unix.Unix_error (e, _, _) -> Printf.sprintf "%s: %s" t.addr (Unix.error_message e)
+  | End_of_file | Protocol.Line_too_long -> Printf.sprintf "%s: connection lost" t.addr
+  | e -> raise e
+
+(* One client's share of [request_all]: its connection and the replies
+   still to read.  [payload] collects the payload lines of the reply
+   being read. *)
+type wait = {
+  slot : int;
+  client : t;
+  c : conn;
+  mutable left : int;
+  mutable got : (string * string) list;  (* newest first *)
+  payload : Buffer.t;
+}
+
+(* Take every reply already buffered; [true] once the last is in. *)
+let rec advance w =
+  w.left = 0
+  ||
+  match Protocol.take_reply w.c.rd w.payload with
+  | None -> false
+  | Some status ->
+    w.got <- (Buffer.contents w.payload, status) :: w.got;
+    Buffer.clear w.payload;
+    w.left <- w.left - 1;
+    advance w
+
+(* Write every client its commands first, then read the replies in the
+   order they arrive, sleeping in [select] over all the connections: no
+   thread per client, and a slow client delays no other's timing.  Any
+   IO failure poisons that client's connection and never resends. *)
+let request_all ?abandon reqs =
+  let t0 = Unix.gettimeofday () in
+  let out = Array.make (Array.length reqs) Abandoned in
+  let locked = ref [] in
+  Fun.protect ~finally:(fun () -> List.iter (fun t -> Mutex.unlock t.lock) !locked)
+  @@ fun () ->
+  let waits =
+    List.concat
+      (List.mapi
+         (fun slot (client, cmds) ->
+           Mutex.lock client.lock;
+           locked := client :: !locked;
+           match
+             let c = ensure_conn client in
+             List.iter
+               (fun (cmd, payload) ->
+                 Out_channel.output_string c.oc cmd;
+                 Out_channel.output_char c.oc '\n';
+                 Option.iter (Out_channel.output_string c.oc) payload)
+               cmds;
+             Out_channel.flush c.oc;
+             c
+           with
+           | c ->
+             [ { slot; client; c; left = List.length cmds; got = []; payload = Buffer.create 256 } ]
+           | exception e ->
+             Option.iter (poison client) client.conn;
+             out.(slot) <- Failed (io_error client e);
+             [])
+         (Array.to_list reqs))
+  in
+  let fail w e =
+    poison w.client w.c;
+    out.(w.slot) <- Failed (io_error w.client e)
+  in
+  let tick = if abandon = None then -1. else 0.02 in
+  let rec loop waits =
+    let waits =
+      List.filter
+        (fun w ->
+          match advance w with
+          | true ->
+            out.(w.slot) <- Replies (List.rev w.got, Unix.gettimeofday () -. t0);
+            false
+          | false -> true
+          | exception e ->
+            fail w e;
+            false)
+        waits
+    in
+    match waits with
+    | [] -> ()
+    | _ when Option.fold ~none:false ~some:(fun f -> f ()) abandon ->
+      (* the replies still owed would desynchronize the connections *)
+      List.iter (fun w -> poison w.client w.c) waits
+    | _ ->
+      let ready =
+        match Unix.select (List.map (fun w -> w.c.fd) waits) [] [] tick with
+        | r, _, _ -> List.filter (fun w -> List.mem w.c.fd r) waits
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+        | exception Unix.Unix_error _ ->
+          (* no select for this fd (past FD_SETSIZE): block on the first *)
+          [ List.hd waits ]
+      in
+      List.iter
+        (fun w ->
+          match Protocol.fill w.c.rd with
+          | true -> ()
+          | false ->
+            fail w (Down (Printf.sprintf "%s closed the connection mid-reply" w.client.addr))
+          | exception e -> fail w e)
+        ready;
+      loop (List.filter (fun w -> connected w.client) waits)
+  in
+  loop waits;
+  out
 
 (* One-shot exchange on a fresh connection: connect (single attempt),
    request, read the reply, close.  The observability scrapes (metrics
-   federation, trace pulls) use this instead of the cluster's pooled
-   clients so a slow scrape can never hold the fixpoint's connection
-   mutex — and a down worker answers [Error] immediately rather than
-   sitting through the pooled client's reconnect backoff. *)
+   federation, trace pulls) use this instead of the cluster's kept
+   connections, and a down worker answers [Error] immediately rather
+   than sitting through a reconnect backoff. *)
 let fetch ?payload addr cmd =
-  match connect_once addr with
-  | exception Unix.Unix_error (e, _, _) ->
-    Error (Printf.sprintf "%s: %s" addr (Unix.error_message e))
-  | c ->
-    Fun.protect
-      ~finally:(fun () -> close_conn c)
-      (fun () ->
-        try
-          Out_channel.output_string c.oc cmd;
-          Out_channel.output_char c.oc '\n';
-          (match payload with
-          | Some p -> Out_channel.output_string c.oc p
-          | None -> ());
-          Out_channel.flush c.oc;
-          let rec go acc =
-            match Protocol.read_line c.rd with
-            | None -> Error (Printf.sprintf "%s closed the connection mid-reply" addr)
-            | Some line ->
-              if Protocol.is_status line then Ok (List.rev acc, line) else go (line :: acc)
-          in
-          go []
-        with
-        | Sys_error m | Failure m -> Error (Printf.sprintf "%s: %s" addr m)
-        | Unix.Unix_error (e, _, _) ->
-          Error (Printf.sprintf "%s: %s" addr (Unix.error_message e))
-        | End_of_file | Protocol.Line_too_long ->
-          Error (Printf.sprintf "%s: connection lost" addr))
+  let t = create ~attempts:1 addr in
+  Fun.protect ~finally:(fun () -> disconnect t) @@ fun () ->
+  match request_all [| t, [ cmd, payload ] |] with
+  | [| Replies ([ (block, status) ], _) |] ->
+    Ok (List.filter (fun l -> l <> "") (String.split_on_char '\n' block), status)
+  | [| Failed m |] -> Error m
+  | _ -> Error (addr ^ ": no reply")
 
 (* ------------------------------------------------------------------ *)
 (* Status-line helpers                                                 *)

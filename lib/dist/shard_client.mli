@@ -1,29 +1,43 @@
 (** A mutexed line-protocol connection to one worker shard.
 
     Retry with backoff happens at connect time only.  A request that
-    fails mid-flight raises {!Down} and poisons the connection — no
-    resend, because the worker may already have applied it (a resent
+    fails mid-flight fails ({!Failed}) and poisons the connection — no resend, because the worker may already have applied it (a resent
     delta batch would be counted twice and break the coordinator's
     shipped-equals-received balance).  Recovery is the router's job:
     mark the cluster dirty, rerun the fixpoint from [dreset]. *)
-
-exception Down of string
 
 type t
 
 val create : ?attempts:int -> ?backoff_ms:int -> string -> t
 (** [create addr] — [addr] is [host:port] or a Unix socket path.  No
-    connection is made until the first {!request}. *)
+    connection is made until the first {!request_all}. *)
 
 val addr : t -> string
 
 val disconnect : t -> unit
 
-val request : t -> ?payload:string -> string -> string list * string
-(** Send one command line (plus optional raw payload bytes for
-    [dprog#]/[delta#]/[consult#]) and read the reply: payload lines
-    and the final [ok]/[err] status line.
-    @raise Down on any IO failure. *)
+val connected : t -> bool
+(** Whether the client holds an open connection (made by an earlier
+    request and not since lost or closed). *)
+
+type outcome =
+  | Replies of (string * string) list * float
+      (** one [(payload, status)] per command, in order — [payload] is
+          the reply's payload lines as received, each LF-terminated —
+          and the seconds from sending to the last reply *)
+  | Failed of string  (** an IO failure; the connection is closed *)
+  | Abandoned  (** [abandon] fired first; the connection is closed *)
+
+val request_all :
+  ?abandon:(unit -> bool) -> (t * (string * string option) list) array -> outcome array
+(** Send every client its commands (each a command line plus optional
+    raw payload bytes), pipelined, then read all the replies in the
+    order they arrive, waiting in [select] over the connections: one
+    thread serves any number of clients.  [abandon] is polled about
+    every 20 ms while replies are owed; once it answers [true], the
+    clients still owed a reply are closed rather than left holding it.
+    Without [abandon] the wait has no bound. *)
+
 
 val fetch :
   ?payload:string -> string -> string -> (string list * string, string) result

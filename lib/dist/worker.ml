@@ -8,24 +8,36 @@
    base relations.  At [dprog] every rule is compiled once, with the
    fixpoint's compiler and join kernel (Module_struct, Joiner): Init
    rules as written, Linear rules as activations whose first scan reads
-   a worker-private delta relation holding the tuples new in the last
-   promote.  Every rule also gets one activation per positive literal
-   over a base predicate, whose first scan reads a private relation of
-   the base facts the last [edb#] added: when the router inserts base
-   facts into a materialized cluster, the next fixpoint's round 1 runs
-   those activations instead of the Init rules (semi-naive evaluation
-   with the new facts as the delta), and later rounds run as usual.
-   Compiling installs the indexes those joins probe on the replicated
-   base relations.
+   a worker-private delta relation holding the tuples new since the
+   last derivation.  Every rule also gets one activation per positive
+   literal over a base predicate, whose first scan reads a private
+   relation of the base facts the last [edb#] added: when the router
+   inserts base facts into a materialized cluster, the next fixpoint's
+   round 1 runs those activations instead of the Init rules (semi-naive
+   evaluation with the new facts as the delta), and later rounds run as
+   usual.  Compiling installs the indexes those joins probe on the
+   replicated base relations.
+
+   One [barrier step r] is a whole round: absorb the peer batches of
+   rounds before r (the new tuples are the delta), derive, and keep
+   deriving from the tuples this shard owns until a pass adds none of
+   them (local passes: the paper's predicate semi-naive evaluation,
+   which uses a fact in the round that derived it), then ship the rest
+   to their owners.  Distributable programs are monotone, so the order
+   of derivation does not change the fixpoint.  Steps change the store
+   under its lock without publishing; the [final] step, which the
+   coordinator sends once a round shipped nothing anywhere, publishes
+   the closure as one MVCC commit, so readers of the worker's snapshots
+   never see half a fixpoint.
 
    Concurrency contract: [barrier]/[dprog]/[edb]/[dreset] arrive
    serialized on the coordinator's connection and take the store's
-   write lane ([commit]) or read lane ([locked]); [delta] batches
+   lock ([locked]) or commit through it ([commit]); [delta] batches
    arrive on peer connection threads and touch only the exchange
    buffer's private mutex, so a step that is blocked sending its own
-   deltas can always absorb incoming ones.  [step] replies only after every shipped
-   batch is acknowledged, which is what lets the coordinator treat
-   "all steps replied" as "no delta in flight". *)
+   deltas can always absorb incoming ones.  [step] replies only after
+   every shipped batch is acknowledged, which is what lets the
+   coordinator treat "all steps replied" as "no delta in flight". *)
 
 open Coral
 open Coral_server
@@ -45,8 +57,8 @@ type config = {
 }
 
 (* A derived predicate on this worker: its partition of the relation
-   (an engine base relation), the tuples new in the last promote, and
-   the heads a step derived this round (per-step dedup).  The last two
+   (an engine base relation), the tuples new since the last derivation
+   pass, and the heads a step derived (per-step dedup).  The last two
    are private to the worker. *)
 type idb = {
   name : string;
@@ -74,24 +86,26 @@ type prog = {
   idbs : idb array;
   edbs : edb array;
   rels : Relation.t array;
-  rules : (Plan.rule_class * Module_struct.crule) list;
+  init : (Plan.rule_class * Module_struct.crule) list;  (* round 1 *)
+  linear : (Plan.rule_class * Module_struct.crule) list;  (* over the delta *)
   edb_rules : (Plan.rule_class * Module_struct.crule) list;
-      (* one activation per (rule, positive base literal) *)
+      (* round 1 after an [edb#]: one activation per (rule, positive
+         base literal) *)
 }
 
 type t = {
   eng : Engine.t;
   commit : (unit -> unit) -> unit;
-      (* the store's write lane: promotes are ordinary MVCC commits *)
-  locked : (unit -> unit) -> unit;  (* the read lane, for step evaluation *)
-  budget : unit -> int;  (* max promoted tuples per fixpoint; 0 = none *)
+      (* the store's write lane: the final step is an ordinary MVCC commit *)
+  locked : (unit -> unit) -> unit;  (* the store lock, without publishing *)
+  budget : unit -> int;  (* max absorbed tuples per fixpoint; 0 = none *)
   exchange : Exchange.t;
   mutable config : config option;
   mutable prog : prog option;
   mutable edb_pending : bool;
       (* an [edb#] batch arrived since the last fixpoint: round 1 runs
          [edb_rules] *)
-  mutable promoted_total : int;  (* since the last reset; the budget's input *)
+  mutable promoted_total : int;  (* absorbed since the last reset; the budget's input *)
   mutable fault_step_delay_s : float;
       (* test seam: sleep this long inside every barrier step, turning
          this worker into a deterministic straggler *)
@@ -222,13 +236,12 @@ let compile eng (a : Plan.analysis) =
            | _ -> [])
          d.Plan.rule.Ast.body)
   in
-  { analysis = a;
-    idbs;
-    edbs;
-    rels;
-    rules = List.map (fun d -> d.Plan.cls, compile d) a.Plan.drules;
-    edb_rules = List.concat_map activations a.Plan.drules
-  }
+  let init, linear =
+    List.partition (fun (cls, _) -> cls = Plan.Init)
+      (List.map (fun d -> d.Plan.cls, compile d) a.Plan.drules)
+  in
+  let edb_rules = List.concat_map activations a.Plan.drules in
+  { analysis = a; idbs; edbs; rels; init; linear; edb_rules }
 
 let clear_edb_deltas t =
   Option.iter (fun p -> Array.iter (fun e -> Relation.clear e.e_delta) p.edbs) t.prog;
@@ -251,7 +264,7 @@ let do_dprog t text =
 (* Delta intake (peer connection threads)                              *)
 (* ------------------------------------------------------------------ *)
 
-let do_delta t payload =
+let do_delta t round payload =
   match t.config, t.prog with
   | None, _ | _, None ->
     Protocol.err Protocol.Cluster "delta before shard/dprog configuration"
@@ -277,7 +290,7 @@ let do_delta t payload =
       (match convert [] tuples with
       | Error m -> Protocol.err Protocol.Cluster m
       | Ok items ->
-        let n = Exchange.add_remote t.exchange items in
+        let n = Exchange.add_remote t.exchange ~round items in
         Protocol.ok ~detail:(Printf.sprintf "received=%d" n) [])
   end
 
@@ -287,8 +300,9 @@ let do_delta t payload =
 
 (* New base facts for a materialized cluster: every worker stores them
    in its replica and in the edb deltas, and the next fixpoint starts
-   from them.  The whole batch is checked before any of it is stored,
-   so a refused batch leaves the replica as it was. *)
+   from them; its final step publishes them with the closure they
+   grow.  The whole batch is checked before any of it is stored, so a
+   refused batch leaves the replica as it was. *)
 let do_edb t payload =
   match t.config, t.prog with
   | None, _ | _, None -> Protocol.err Protocol.Cluster "edb delta before shard/dprog configuration"
@@ -308,7 +322,7 @@ let do_edb t payload =
              (Tuple.arity tuple))
       | None ->
         let fresh = ref 0 in
-        t.commit (fun () ->
+        t.locked (fun () ->
             List.iter
               (fun (name, tuple) ->
                 let arity = Tuple.arity tuple in
@@ -331,15 +345,19 @@ let do_edb t payload =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Barrier step: one local round + delta shipping                      *)
+(* Barrier step: absorb, derive to a local fixpoint, ship              *)
 (* ------------------------------------------------------------------ *)
 
-let do_step t round =
+(* A step's local passes are bounded like the coordinator's rounds: a
+   program whose closure never ends on one shard fails instead of
+   holding the store lock forever. *)
+let max_passes = 100_000
+
+let do_step t ~round ~final =
   match t.config, t.prog with
   | None, _ | _, None -> Protocol.err Protocol.Cluster "barrier before shard/dprog"
   | Some cfg, Some prog ->
-    let derived = ref 0 in
-    let shipped_count = ref 0 in
+    let derived = ref 0 and shipped_count = ref 0 and fresh = ref 0 and received = ref 0 in
     (* Runs on the coordinator's connection thread, where the wire
        trace id is installed — so this span lands in the distributed
        trace with the right tid. *)
@@ -347,148 +365,142 @@ let do_step t round =
       ~attrs:(fun () ->
         [ "round", string_of_int round;
           "shard", string_of_int cfg.self;
+          "received", string_of_int !received;
+          "new", string_of_int !fresh;
           "derived", string_of_int !derived;
           "shipped", string_of_int !shipped_count
         ])
       "dist.step"
     @@ fun () ->
     if t.fault_step_delay_s > 0. then Thread.delay t.fault_step_delay_s;
-    let local = ref [] in
     let outbound = Array.make (Array.length cfg.peers) [] in
+    let budget = t.budget () in
+    let over_budget () = budget > 0 && t.promoted_total + !fresh > budget in
+    (* a tuple new to the partition is also new in the delta, the next
+       pass's input *)
+    let admit d tuple =
+      if Relation.insert d.full tuple then begin
+        incr fresh;
+        ignore (Relation.insert_quiet d.delta tuple)
+      end
+    in
+    (* One pass: run [rules], keep the heads this shard owns for the
+       next pass and queue the others for their owners. *)
+    let pass rules =
+      let mine = ref [] in
+      List.iter
+        (fun (cls, (rule : Module_struct.crule)) ->
+          let d = prog.idbs.(rule.Module_struct.head_slot) in
+          Joiner.run ~rels:prog.rels ~range:Joiner.full_range rule ~on_match:(fun env ->
+              let tuple = Joiner.head_tuple rule env in
+              if (not (Relation.mem d.full tuple)) && Relation.insert_quiet d.fresh tuple then begin
+                let owner = Partition.owner cfg.part tuple in
+                if owner = cfg.self then begin
+                  incr derived;
+                  mine := (d, tuple) :: !mine
+                end
+                else if cls <> Plan.Init then begin
+                  (* every shard derives the same Init tuples from the
+                     replicated EDB: only the owner keeps them *)
+                  incr derived;
+                  let item = { Exchange.pred = d.name; arity = d.arity; tuple } in
+                  outbound.(owner) <- item :: outbound.(owner)
+                end
+              end))
+        rules;
+      Array.iter (fun d -> Relation.clear d.delta) prog.idbs;
+      List.iter (fun (d, tuple) -> admit d tuple) (List.rev !mine);
+      !mine <> []
+    in
     (* after an [edb#], round 1 derives from the new base facts alone:
        the derived relations already hold everything else *)
     let from_edb = round = 1 && t.edb_pending in
-    t.locked (fun () ->
+    let outcome = ref `Derived in
+    (if final then t.commit else t.locked) (fun () ->
         Obs.Histogram.time h_eval @@ fun () ->
-        Array.iter (fun d -> Relation.clear d.fresh) prog.idbs;
-        List.iter
-          (fun (cls, (rule : Module_struct.crule)) ->
-            let active =
-              from_edb
-              ||
-              match cls with
-              | Plan.Init -> round = 1
-              | Plan.Linear _ -> round > 1
-            in
-            if active then begin
-              let d = prog.idbs.(rule.Module_struct.head_slot) in
-              Joiner.run ~rels:prog.rels ~range:Joiner.full_range rule ~on_match:(fun env ->
-                  let tuple = Joiner.head_tuple rule env in
-                  if (not (Relation.mem d.full tuple)) && Relation.insert_quiet d.fresh tuple
-                  then begin
-                    let owner = Partition.owner cfg.part tuple in
-                    let item = { Exchange.pred = d.name; arity = d.arity; tuple } in
-                    match cls with
-                    | Plan.Init ->
-                      (* every shard derives the same Init tuples from
-                         the replicated EDB: keep ours, ship nothing *)
-                      if owner = cfg.self then begin
-                        incr derived;
-                        local := item :: !local
-                      end
-                    | Plan.Linear _ ->
-                      incr derived;
-                      if owner = cfg.self then local := item :: !local
-                      else outbound.(owner) <- item :: outbound.(owner)
-                  end)
-            end)
-          (if from_edb then prog.edb_rules else prog.rules);
-        if from_edb then clear_edb_deltas t);
-    Exchange.add_local t.exchange (List.rev !local);
-    (* Encode every destination's batch before shipping any, so a
-       value with no wire form fails the round before a peer has
-       buffered part of it. *)
-    let encode items =
-      let b = Delta_codec.batch () in
-      List.iter (fun i -> Delta_codec.add_tuple b i.Exchange.pred i.Exchange.tuple) (List.rev items);
-      Delta_codec.contents b
-    in
-    (* Ship each destination its batch and wait for the acks: when this
-       reply goes out, no delta of ours is still in flight. *)
-    let ship dest items payloads =
-      match cfg.peers.(dest) with
-      | None -> Ok (0, 0)  (* own bucket is always empty; defensive *)
-      | Some peer ->
-        let rec go bytes = function
-          | [] -> Ok (List.length items, bytes)
-          | payload :: rest -> (
-            match
-              Shard_client.request peer ~payload
-                (Printf.sprintf "delta# %d" (String.length payload))
-            with
-            | _, status when Shard_client.status_ok status <> None ->
-              go (bytes + String.length payload) rest
-            | _, status ->
-              Error (Printf.sprintf "%s rejected delta: %s" (Shard_client.addr peer) status)
-            | exception Shard_client.Down m -> Error m)
-        in
-        go 0 payloads
-    in
-    let rec ship_all payloads dest shipped bytes =
-      if dest >= Array.length outbound then Ok (shipped, bytes)
-      else if outbound.(dest) = [] then ship_all payloads (dest + 1) shipped bytes
-      else
-        match ship dest outbound.(dest) payloads.(dest) with
-        | Ok (n, b) -> ship_all payloads (dest + 1) (shipped + n) (bytes + b)
-        | Error m -> Error m
-    in
-    (match
-       ship_all
-         (Obs.Histogram.time h_codec (fun () -> Array.map encode outbound))
-         0 0 0
-     with
-    | Error m -> Protocol.err Protocol.Unavail ("peer unreachable mid-round: " ^ m)
-    | exception Delta_codec.Unencodable m ->
-      (* a derived value with no wire form (a rule computed a
-         non-finite double, say) must fail the round loudly, not ship
-         a lie to its owner *)
-      Protocol.err Protocol.Cluster ("derived tuple cannot be shipped: " ^ m)
-    | Ok (shipped, bytes) ->
-      shipped_count := shipped;
-      Protocol.ok
-        ~detail:(Printf.sprintf "derived=%d shipped=%d bytes=%d" !derived shipped bytes)
-        [])
-
-(* ------------------------------------------------------------------ *)
-(* Barrier promote: absorb the exchange into full + delta relations    *)
-(* ------------------------------------------------------------------ *)
-
-let do_promote t round =
-  match t.config, t.prog with
-  | None, _ | _, None -> Protocol.err Protocol.Cluster "barrier before shard/dprog"
-  | Some cfg, Some prog ->
-    let fresh = ref 0 in
-    let received = ref 0 in
-    Obs.Span.with_
-      ~attrs:(fun () ->
-        [ "round", string_of_int round;
-          "shard", string_of_int cfg.self;
-          "new", string_of_int !fresh;
-          "received", string_of_int !received
-        ])
-      "dist.promote"
-    @@ fun () ->
-    t.commit (fun () ->
-        let items, recv = Exchange.drain t.exchange in
-        received := recv;
-        Array.iter (fun d -> Relation.clear d.delta) prog.idbs;
+        let items, n = Exchange.take t.exchange ~before:round in
+        received := n;
+        Array.iter (fun d -> Relation.clear d.delta; Relation.clear d.fresh) prog.idbs;
         List.iter
           (fun item ->
-            match idb_slot prog.idbs item.Exchange.pred item.Exchange.arity with
-            | Some i when Relation.insert prog.idbs.(i).full item.Exchange.tuple ->
-              incr fresh;
-              ignore (Relation.insert_quiet prog.idbs.(i).delta item.Exchange.tuple)
-            | _ -> ())
-          items);
+            Option.iter
+              (fun i -> admit prog.idbs.(i) item.Exchange.tuple)
+              (idb_slot prog.idbs item.Exchange.pred item.Exchange.arity))
+          items;
+        let rec local k rules =
+          if over_budget () then outcome := `Over_budget
+          else if k > max_passes then outcome := `Unbounded
+          else if pass rules then local (k + 1) prog.linear
+        in
+        local 1
+          (if round > 1 then prog.linear else if from_edb then prog.edb_rules else prog.init);
+        if from_edb then clear_edb_deltas t);
     t.promoted_total <- t.promoted_total + !fresh;
-    let budget = t.budget () in
-    if budget > 0 && t.promoted_total > budget then
+    match !outcome with
+    | `Over_budget ->
       Protocol.err Protocol.Resource
         (Printf.sprintf
-           "distributed fixpoint exceeded this worker's tuple budget (%d promoted > %d)"
+           "distributed fixpoint exceeded this worker's tuple budget (%d absorbed > %d)"
            t.promoted_total budget)
-    else
-      Protocol.ok ~detail:(Printf.sprintf "new=%d received=%d" !fresh !received) []
+    | `Unbounded ->
+      Protocol.err Protocol.Cluster
+        (Printf.sprintf "no local fixpoint after %d passes in round %d" max_passes round)
+    | `Derived -> (
+      (* Encode every destination's batch before shipping any, so a
+         value with no wire form fails the round before a peer has
+         buffered part of it. *)
+      let encode items =
+        let b = Delta_codec.batch () in
+        List.iter
+          (fun i -> Delta_codec.add_tuple b i.Exchange.pred i.Exchange.tuple)
+          (List.rev items);
+        Delta_codec.contents b
+      in
+      (* Ship every destination its batches, tagged with this round, all
+         at once, and wait for the acks: when this reply goes out, no
+         delta of ours is still in flight. *)
+      let ship payloads =
+        let sends =
+          List.concat
+            (Array.to_list
+               (Array.mapi
+                  (fun dest ps ->
+                    match ps, cfg.peers.(dest) with
+                    | [], _ | _, None -> []
+                    | ps, Some peer ->
+                      let cmd p = Printf.sprintf "delta# %d %d" (String.length p) round, Some p in
+                      [ peer, List.map cmd ps ])
+                  payloads))
+        in
+        let failure (peer, _) = function
+          | Shard_client.Replies (replies, _) ->
+            List.find_map
+              (fun (_, status) ->
+                if Shard_client.status_ok status <> None then None
+                else Some (Printf.sprintf "%s rejected delta: %s" (Shard_client.addr peer) status))
+              replies
+          | Shard_client.Failed m -> Some m
+          | Shard_client.Abandoned -> Some (Shard_client.addr peer ^ ": no reply")
+        in
+        let outcomes = Shard_client.request_all (Array.of_list sends) in
+        match List.find_map Fun.id (List.map2 failure sends (Array.to_list outcomes)) with
+        | Some m -> Error m
+        | None -> Ok (Array.fold_left (List.fold_left (fun n p -> n + String.length p)) 0 payloads)
+      in
+      match ship (Obs.Histogram.time h_codec (fun () -> Array.map encode outbound)) with
+      | Error m -> Protocol.err Protocol.Unavail ("peer unreachable mid-round: " ^ m)
+      | exception Delta_codec.Unencodable m ->
+        (* a derived value with no wire form (a rule computed a
+           non-finite double, say) must fail the round loudly, not ship
+           a lie to its owner *)
+        Protocol.err Protocol.Cluster ("derived tuple cannot be shipped: " ^ m)
+      | Ok bytes ->
+        shipped_count := Array.fold_left (fun n items -> n + List.length items) 0 outbound;
+        Protocol.ok
+          ~detail:
+            (Printf.sprintf "received=%d new=%d derived=%d shipped=%d bytes=%d" !received !fresh
+               !derived !shipped_count bytes)
+          [])
 
 (* ------------------------------------------------------------------ *)
 (* Reset                                                               *)
@@ -518,7 +530,6 @@ let do_dreset t =
               | Some rel -> Relation.clear rel
               | None -> ())))
         (Engine.list_relations t.eng);
-      Option.iter (fun p -> Array.iter (fun d -> Relation.clear d.delta) p.idbs) t.prog;
       clear_edb_deltas t);
   t.promoted_total <- 0;
   Protocol.ok ~detail:"reset" []
@@ -530,9 +541,8 @@ let handle t (req : Protocol.request) =
   | Protocol.Shard { index; count; key; peers } ->
     do_shard t ~index ~count ~key ~peer_addrs:peers
   | Protocol.Dprog text -> do_dprog t text
-  | Protocol.Delta payload -> do_delta t payload
+  | Protocol.Delta (round, payload) -> do_delta t round payload
   | Protocol.Edb payload -> do_edb t payload
-  | Protocol.Barrier (Protocol.Step, r) -> do_step t r
-  | Protocol.Barrier (Protocol.Promote, r) -> do_promote t r
+  | Protocol.Barrier { round; final } -> do_step t ~round ~final
   | Protocol.Dreset -> do_dreset t
   | _ -> Protocol.err Protocol.Proto "not a cluster request"

@@ -5,8 +5,12 @@
     Derived relations are materialized as ordinary base relations, so
     router queries against a worker need nothing special.  Each rule
     is compiled once per [dprog] and every step runs it through the
-    fixpoint's join kernel; the tuples new in the last promote sit in
-    a worker-private delta relation, never in the engine.  Install the result of {!handle} with
+    fixpoint's join kernel; the tuples new since the last derivation
+    pass sit in a worker-private delta relation, never in the engine.
+    A [barrier step] absorbs the peer batches of earlier rounds,
+    derives until a pass adds no tuple this shard owns, and ships the
+    rest; the [final] step publishes the closure as one commit.
+    Install the result of {!handle} with
     {!Coral_server.Session.set_dist_handler}. *)
 
 type t
@@ -17,10 +21,11 @@ val create :
   locked:((unit -> unit) -> unit) ->
   budget:(unit -> int) ->
   t
-(** [commit] is the store's write lane (promotes become ordinary MVCC
-    epochs), [locked] its read lane (step evaluation), [budget] the
-    per-fixpoint promoted-tuple cap (0 = unlimited), read at each
-    promote so an operator's [limit] change takes effect live. *)
+(** [commit] is the store's write lane (the final step of a fixpoint
+    publishes its closure as one MVCC epoch), [locked] the store lock
+    without publishing (every other step, and [edb#]), [budget] the
+    per-fixpoint cap on absorbed tuples (0 = unlimited), read at each
+    step so an operator's [limit] change takes effect live. *)
 
 val handle : t -> Coral_server.Protocol.request -> Coral_server.Protocol.response
 (** Serve one cluster request.  [barrier step] replies only after

@@ -170,14 +170,28 @@ let tokenize src =
           closed := true;
           incr i
         | '\\' ->
-          (match peek 1 with
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some 't' -> Buffer.add_char buf '\t'
-          | Some '\\' -> Buffer.add_char buf '\\'
-          | Some '"' -> Buffer.add_char buf '"'
-          | Some other -> Buffer.add_char buf other
-          | None -> raise (Error ("unterminated string", pos_at start)));
-          i := !i + 2
+          (* every escape String.escaped (the term printer's quoting)
+             emits, so printed strings read back byte for byte *)
+          let digit k =
+            match peek k with Some d when is_digit d -> Some (Char.code d - 48) | _ -> None
+          in
+          let consumed =
+            match peek 1, digit 1, digit 2, digit 3 with
+            | _, Some a, Some b, Some c when (100 * a) + (10 * b) + c < 256 ->
+              Buffer.add_char buf (Char.chr ((100 * a) + (10 * b) + c));
+              4
+            | Some e, _, _, _ ->
+              Buffer.add_char buf
+                (match e with
+                | 'n' -> '\n'
+                | 't' -> '\t'
+                | 'r' -> '\r'
+                | 'b' -> '\b'
+                | other -> other);
+              2
+            | None, _, _, _ -> raise (Error ("unterminated string", pos_at start))
+          in
+          i := !i + consumed
         | '\n' -> raise (Error ("newline in string literal", pos_at start))
         | other ->
           Buffer.add_char buf other;

@@ -114,14 +114,31 @@ let check_module (m : Ast.module_) : issue list =
   let export_issues =
     List.filter_map
       (fun (e : Ast.export) ->
-        if List.mem (e.Ast.epred, e.Ast.arity) defined then None
-        else
+        let name = Symbol.name e.Ast.epred in
+        let where = "module " ^ m.Ast.mname in
+        (* the arities the module does define the name at *)
+        let others =
+          List.sort_uniq compare
+            (List.filter_map
+               (fun (p, a) -> if Symbol.equal p e.Ast.epred then Some a else None)
+               defined)
+        in
+        if List.mem e.Ast.arity others then None
+        else if others = [] then
           Some
             { severity = `Warning;
-              where = "module " ^ m.Ast.mname;
+              where;
+              what = Printf.sprintf "exported predicate %s/%d has no defining rule" name e.Ast.arity
+            }
+        else
+          (* the export would name an empty base relation and answer
+             nothing: almost surely a miscounted adornment *)
+          Some
+            { severity = `Error;
+              where;
               what =
-                Printf.sprintf "exported predicate %s/%d has no defining rule"
-                  (Symbol.name e.Ast.epred) e.Ast.arity
+                Printf.sprintf "exported predicate %s/%d is defined only as %s" name e.Ast.arity
+                  (String.concat ", " (List.map (fun a -> Printf.sprintf "%s/%d" name a) others))
             })
       m.Ast.exports
   in

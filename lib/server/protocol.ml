@@ -1,10 +1,5 @@
 type limit_kind = Tuples | Bytes
 
-(* Two-phase quiescence barrier (distributed fixpoint): [step] runs one
-   global round of local evaluation + delta shipping, [promote] moves
-   the received/buffered deltas into the stored relations. *)
-type barrier_phase = Step | Promote
-
 type request =
   | Hello
   | Ping
@@ -29,9 +24,10 @@ type request =
   (* cluster control plane (a worker under a coral_router front end) *)
   | Shard of { index : int; count : int; key : int; peers : string list }
   | Dprog of string  (** distributed program text (rules to evaluate locally) *)
-  | Delta of string  (** a binary delta batch shipped from a peer shard (Delta_codec) *)
+  | Delta of int * string
+      (** the sender's round and a binary delta batch shipped from a peer shard (Delta_codec) *)
   | Edb of string  (** a binary batch of new base facts from the router (Delta_codec) *)
-  | Barrier of barrier_phase * int  (** barrier step|promote <round> *)
+  | Barrier of { round : int; final : bool }  (** barrier step <round> [final] *)
   | Dreset
   (* observability plane *)
   | Spans of string  (** span slice for one trace id, as JSON lines *)
@@ -56,6 +52,7 @@ type error_code =
 type payload =
   | Ans of string
   | Txt of string
+  | Raw of string
 
 type response = {
   payload : payload list;
@@ -242,7 +239,7 @@ let parse_request line =
     end
   | "quit" -> no_arg Quit
   (* cluster control plane: shard configuration, the shipped program,
-     delta batches and the two-phase fixpoint barrier *)
+     delta batches and the fixpoint's round barrier *)
   | "shard" ->
     need_arg (fun () ->
         match String.split_on_char ' ' arg |> List.filter (fun s -> s <> "") with
@@ -264,9 +261,13 @@ let parse_request line =
         | _ -> `Bad "dprog# expects a byte count")
   | "delta#" ->
     need_arg (fun () ->
-        match int_of_string_opt arg with
-        | Some n when n >= 0 -> `Delta_payload n
-        | _ -> `Bad "delta# expects a byte count")
+        match String.split_on_char ' ' arg |> List.filter (fun s -> s <> "") with
+        | [ n; round ] -> begin
+          match int_of_string_opt n, int_of_string_opt round with
+          | Some n, Some r when n >= 0 && r >= 1 -> `Delta_payload (n, r)
+          | _ -> `Bad "delta# expects a byte count and a round"
+        end
+        | _ -> `Bad "delta# expects a byte count and a round")
   | "edb#" ->
     need_arg (fun () ->
         match int_of_string_opt arg with
@@ -274,19 +275,15 @@ let parse_request line =
         | _ -> `Bad "edb# expects a byte count")
   | "barrier" ->
     need_arg (fun () ->
+        let usage = "barrier expects: barrier step <round> [final]" in
         match String.split_on_char ' ' arg |> List.filter (fun s -> s <> "") with
-        | [ phase; round ] -> begin
-          match
-            ( (match phase with
-              | "step" -> Some Step
-              | "promote" -> Some Promote
-              | _ -> None),
-              int_of_string_opt round )
-          with
-          | Some p, Some r when r >= 1 -> `Req (Barrier (p, r))
-          | _ -> `Bad "barrier expects: barrier step|promote <round>"
+        | "step" :: round :: rest -> begin
+          match int_of_string_opt round, rest with
+          | Some r, ([] | [ "final" ]) when r >= 1 ->
+            `Req (Barrier { round = r; final = rest <> [] })
+          | _ -> `Bad usage
         end
-        | _ -> `Bad "barrier expects: barrier step|promote <round>")
+        | _ -> `Bad usage)
   | "dreset" -> no_arg Dreset
   (* observability plane *)
   | "spans" ->
@@ -309,15 +306,16 @@ let busy ~retry_after_ms msg =
 
 let render buf r =
   List.iter
-    (fun p ->
-      (match p with
+    (function
       | Ans s ->
         Buffer.add_string buf "ans ";
-        Buffer.add_string buf (one_line s)
+        Buffer.add_string buf (one_line s);
+        Buffer.add_char buf '\n'
       | Txt s ->
         Buffer.add_string buf "txt ";
-        Buffer.add_string buf (one_line s));
-      Buffer.add_char buf '\n')
+        Buffer.add_string buf (one_line s);
+        Buffer.add_char buf '\n'
+      | Raw block -> Buffer.add_string buf block)
     r.payload;
   (match r.status with
   | Ok "" -> Buffer.add_string buf "ok"
@@ -384,10 +382,12 @@ let cut r stop next =
   r.rpos <- next;
   line
 
+let rec find_lf r i =
+  if i >= r.rlen || Bytes.unsafe_get r.rbuf i = '\n' then i else find_lf r (i + 1)
+
 let read_line r =
-  let rec find i = if i >= r.rlen || Bytes.unsafe_get r.rbuf i = '\n' then i else find (i + 1) in
   let rec go from =
-    let i = find from in
+    let i = find_lf r from in
     if i < r.rlen then
       if i - r.rpos > max_line_bytes then raise Line_too_long else Some (cut r i (i + 1))
     else if r.rlen - r.rpos > max_line_bytes then raise Line_too_long
@@ -399,6 +399,34 @@ let read_line r =
     end
   in
   go r.rpos
+
+(* Does the buffered line from [rpos] to [stop] start with [p]? *)
+let line_has_prefix r stop p =
+  let n = String.length p in
+  let rec eq k = k = n || (Bytes.unsafe_get r.rbuf (r.rpos + k) = p.[k] && eq (k + 1)) in
+  stop - r.rpos >= n && eq 0
+
+let take_reply r block =
+  let rec go () =
+    let i = find_lf r r.rpos in
+    if i - r.rpos > max_line_bytes then raise Line_too_long
+    else if i >= r.rlen then None
+    else begin
+      let stop = if i > r.rpos && Bytes.get r.rbuf (i - 1) = '\r' then i - 1 else i in
+      if (line_has_prefix r stop "ok" && (stop - r.rpos = 2 || Bytes.get r.rbuf (r.rpos + 2) = ' '))
+         || line_has_prefix r stop "err "
+      then Some (cut r i (i + 1))
+      else begin
+        Buffer.add_subbytes block r.rbuf r.rpos (stop - r.rpos);
+        Buffer.add_char block '\n';
+        r.rpos <- i + 1;
+        go ()
+      end
+    end
+  in
+  go ()
+
+let fill r = refill r > 0
 
 let read_exact r n =
   let out = Bytes.create n in

@@ -44,14 +44,16 @@
                                    partitioned on argument <key>, with one
                                    peer address per shard
     dprog# <nbytes>                the distributed program (rules) follows
-    delta# <nbytes>                a binary delta batch from a peer shard
+    delta# <nbytes> <round>        a binary delta batch a peer shard
+                                   derived in <round>
     edb# <nbytes>                  a binary batch of new base facts; the
                                    next fixpoint's round 1 runs only the
                                    rules they activate
-    barrier step <round>           run one local evaluation round and ship
-                                   non-local deltas to their owners
-    barrier promote <round>        promote buffered deltas into the stored
-                                   relations
+    barrier step <round> [final]   absorb the delta batches of earlier
+                                   rounds, derive to a local fixpoint and
+                                   ship non-local tuples to their owners;
+                                   [final] marks the quiescent round, which
+                                   publishes the closure
     dreset                         drop distributed derived state
     v}
 
@@ -107,14 +109,6 @@
 
 type limit_kind = Tuples | Bytes
 
-type barrier_phase = Step | Promote
-(** The two phases of the distributed fixpoint's quiescence barrier:
-    [Step] evaluates one local round and ships non-local deltas;
-    [Promote] moves the buffered deltas into the stored relations and
-    reports how many were new.  Global fixpoint is reached when every
-    worker promotes zero new tuples and shipped/received counts
-    balance. *)
-
 type request =
   | Hello
   | Ping
@@ -141,12 +135,17 @@ type request =
           partitioned on argument [key]; [peers] has one address per
           shard (entry [index] is this worker itself) *)
   | Dprog of string  (** the distributed program: rule text to run locally *)
-  | Delta of string  (** a binary delta batch shipped from a peer shard (Delta_codec) *)
+  | Delta of int * string
+      (** a binary delta batch (Delta_codec) a peer shard derived in the
+          given round; the receiver absorbs it at its next round's step *)
   | Edb of string
       (** a binary batch of base facts the router inserted (Delta_codec):
           added to the replicated base relations, and the seed of the
           next fixpoint's first round *)
-  | Barrier of barrier_phase * int
+  | Barrier of { round : int; final : bool }
+      (** one round of the distributed fixpoint: absorb the batches of
+          earlier rounds, derive, ship; [final] is the quiescent round,
+          which also publishes the worker's closure *)
   | Dreset  (** drop distributed derived state (before a fixpoint rerun) *)
   | Spans of string
       (** ship the span-ring slice stamped with this trace id, one
@@ -174,6 +173,9 @@ type error_code =
 type payload =
   | Ans of string  (** a query answer row *)
   | Txt of string  (** a report line *)
+  | Raw of string
+      (** complete, LF-terminated reply lines relayed as another
+          server sent them (a router's fan-out) *)
 
 type response = {
   payload : payload list;
@@ -191,7 +193,7 @@ val parse_request :
   [ `Req of request
   | `Consult_payload of int
   | `Dprog_payload of int
-  | `Delta_payload of int
+  | `Delta_payload of int * int
   | `Edb_payload of int
   | `Bad of string ]
 (** Parse one request line (the [`..._payload n] cases: the caller
@@ -244,6 +246,19 @@ val read_line : reader -> string option
     [None] at EOF with nothing read, the partial line at EOF
     mid-line.
     @raise Line_too_long past {!max_line_bytes}. *)
+
+val take_reply : reader -> Buffer.t -> string option
+(** Take a reply out of what is already buffered, without reading: the
+    complete payload lines move to the block as they arrive (each with
+    its LF, a CR before the LF dropped), and [Some status] comes back
+    once the status line is in; [None] while more bytes are needed.
+    Lets one thread wait on several sockets and relay the payload as
+    bytes.
+    @raise Line_too_long past {!max_line_bytes}. *)
+
+val fill : reader -> bool
+(** One read of whatever the socket holds into the buffer; [false] at
+    EOF.  Blocks when nothing is readable. *)
 
 val read_exact : reader -> int -> string
 (** The next [n] bytes, taking what follows a line in the same read

@@ -10,7 +10,20 @@ type t = {
   handle : Session.t -> Protocol.request -> Protocol.response;
   mutable closed : bool;
   mutable accept_thread : Thread.t option;
+  conns_lock : Mutex.t;
+  conns : (Unix.file_descr, unit) Hashtbl.t;  (* open client connections *)
 }
+
+let with_conns t f =
+  Mutex.lock t.conns_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.conns_lock) f
+
+(* Forget and close a client connection, under the registry lock, so
+   [shutdown] never touches a descriptor number already reused. *)
+let release t client =
+  with_conns t (fun () ->
+      Hashtbl.remove t.conns client;
+      try Unix.close client with Unix.Unix_error _ -> ())
 
 (* A peer that disappears mid-reply must raise EPIPE/ECONNRESET in the
    writing thread, not deliver a process-killing SIGPIPE. *)
@@ -70,7 +83,7 @@ let serve_connection t client =
         loop ()
       | `Consult_payload n -> with_payload "consult#" n (fun t -> Protocol.Consult t)
       | `Dprog_payload n -> with_payload "dprog#" n (fun t -> Protocol.Dprog t)
-      | `Delta_payload n -> with_payload "delta#" n (fun t -> Protocol.Delta t)
+      | `Delta_payload (n, round) -> with_payload "delta#" n (fun t -> Protocol.Delta (round, t))
       | `Edb_payload n -> with_payload "edb#" n (fun t -> Protocol.Edb t)
       | `Req Protocol.Quit -> write (handle Protocol.Quit)
       | `Req req ->
@@ -91,7 +104,7 @@ let serve_connection t client =
     ()
   | Unix.Unix_error _ -> ());
   Session.close session;
-  try Unix.close client with Unix.Unix_error _ -> ()
+  release t client
 
 (* Shed one accepted connection: a single best-effort BUSY line, then
    close.  Runs inline on the accept thread — the reply is one short
@@ -126,20 +139,21 @@ let accept_loop t =
       if not (Session.try_reserve t.sstore ~cap) then
         shed_client t client (Printf.sprintf "server at capacity (%d connections)" cap)
       else begin
+        with_conns t (fun () -> Hashtbl.replace t.conns client ());
         match
           Thread.create
             (fun () ->
               (* last-resort catch: no exception may kill a connection
                  thread in a way that leaks the descriptor or poisons
                  the process *)
-              try serve_connection t client
-              with _ -> ( try Unix.close client with Unix.Unix_error _ -> ()))
+              try serve_connection t client with _ -> release t client)
             ()
         with
         | (_ : Thread.t) -> ()
         | exception _ ->
           (* thread spawn failed (resource exhaustion): shed this one
              client, keep accepting *)
+          with_conns t (fun () -> Hashtbl.remove t.conns client);
           Session.unreserve t.sstore;
           shed_client t client "cannot start a connection thread"
       end
@@ -199,7 +213,9 @@ let serve ~handle ~listen store =
       sstore = store;
       handle;
       closed = false;
-      accept_thread = None
+      accept_thread = None;
+      conns_lock = Mutex.create ();
+      conns = Hashtbl.create 16
     }
   in
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
@@ -223,6 +239,13 @@ let shutdown t =
     (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     (try Unix.close t.fd with Unix.Unix_error _ -> ());
     wait t;
+    (* each established connection reads EOF once its current request
+       is answered, leaves, and closes its descriptor *)
+    with_conns t (fun () ->
+        Hashtbl.iter
+          (fun client () ->
+            try Unix.shutdown client Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+          t.conns);
     (* a Unix-domain socket leaves its file behind; remove it so a
        restart does not depend on the pre-bind cleanup *)
     (match t.sock_path with

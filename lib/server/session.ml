@@ -8,6 +8,10 @@ module Snapshot = Coral_storage.Snapshot
    exported with second-valued bounds. *)
 let h_request = Obs.histogram "server.request_seconds"
 let h_query = Obs.histogram "server.query_seconds"
+
+let observe_query ns =
+  Obs.Histogram.observe_ns h_request ns;
+  Obs.Histogram.observe_ns h_query ns
 let h_emit = Obs.histogram "phase.emit"
 
 (* Concurrency model (DESIGN.md §11).  Reads are MVCC: every committed
@@ -1037,10 +1041,9 @@ let handle t req =
   Fun.protect
     ~finally:(fun () ->
       let dt = Obs.now_ns () - t0 in
-      Obs.Histogram.observe_ns h_request dt;
       match req with
-      | Protocol.Query _ -> Obs.Histogram.observe_ns h_query dt
-      | _ -> ())
+      | Protocol.Query _ -> observe_query dt
+      | _ -> Obs.Histogram.observe_ns h_request dt)
   @@ fun () ->
   Atomic.incr store.requests;
   let response =

@@ -45,8 +45,8 @@ val commit : store -> (unit -> 'a) -> 'a
     instances ([f] mutates relations directly), stage the next
     snapshot version, group-commit persistent relations, publish the
     new epoch.  Plans survive: they depend only on the rules.  The
-    dist worker promotes delta batches through this, so distributed
-    rounds are ordinary MVCC commits to concurrent readers.
+    dist worker publishes each distributed fixpoint through this, as
+    one ordinary MVCC commit to concurrent readers.
     @raise Degraded (mapped to [err READONLY] by {!handle}) when the
     store is read-only. *)
 
@@ -141,6 +141,12 @@ val handle : t -> Protocol.request -> Protocol.response
     {!Coral_obs.Query_log} for the duration and logged to the event
     log on completion; [Ps]/[Kill]/[Events] are answered without any
     lock. *)
+
+val observe_query : int -> unit
+(** Record one query's nanoseconds in the [server.request_seconds] and
+    [server.query_seconds] histograms, as {!handle} does for the
+    queries it serves: for a front end that answers a query without
+    it (a router's fan-out). *)
 
 val samples : store -> Coral_obs.Obs.sample list
 (** The store's sample table: each store-owned value once (requests,

@@ -349,19 +349,22 @@ let test_codec_malformed_cases () =
 let test_exchange_unit () =
   let x = Exchange.create () in
   let item i = { Exchange.pred = "path"; arity = 2; tuple = tuple_of [ i; i + 1 ] } in
-  Alcotest.(check int) "remote batch size" 2 (Exchange.add_remote x [ item 1; item 2 ]);
+  Alcotest.(check int) "remote batch size" 2 (Exchange.add_remote x ~round:1 [ item 1; item 2 ]);
   (* received is counted pre-dedup: the duplicate still counts *)
-  Alcotest.(check int) "duplicate still counted" 1 (Exchange.add_remote x [ item 1 ]);
-  Exchange.add_local x [ item 9 ];
-  let items, received = Exchange.drain x in
+  Alcotest.(check int) "duplicate still counted" 1 (Exchange.add_remote x ~round:1 [ item 1 ]);
+  (* a fast peer's next-round batch, landed before this step began *)
+  ignore (Exchange.add_remote x ~round:2 [ item 9 ]);
+  let items, received = Exchange.take x ~before:2 in
   Alcotest.(check int) "pre-dedup received" 3 received;
-  Alcotest.(check int) "all buffered items drain" 4 (List.length items);
-  let items, received = Exchange.drain x in
-  Alcotest.(check int) "drain empties" 0 (List.length items);
-  Alcotest.(check int) "counters are per-round" 0 received;
-  ignore (Exchange.add_remote x [ item 5 ]);
+  Alcotest.(check int) "earlier rounds' batches, in arrival order" 3 (List.length items);
+  let items, received = Exchange.take x ~before:2 in
+  Alcotest.(check (pair int int)) "take empties what it took" (0, 0) (List.length items, received);
+  let items, received = Exchange.take x ~before:3 in
+  Alcotest.(check (pair int int)) "the later batch waits for its own step" (1, 1)
+    (List.length items, received);
+  ignore (Exchange.add_remote x ~round:3 [ item 5 ]);
   let tuples, batches = Exchange.totals x in
-  Alcotest.(check (pair int int)) "running totals" (4, 3) (tuples, batches);
+  Alcotest.(check (pair int int)) "running totals" (5, 4) (tuples, batches);
   Exchange.reset x;
   Alcotest.(check (pair int int)) "reset zeroes totals" (0, 0) (Exchange.totals x)
 
@@ -1031,7 +1034,9 @@ let test_insert_ships_delta () =
     (stat_int c "router.fixpoint.runs");
   Alcotest.(check int) "as a delta sync" (deltas + 1) (stat_int c "router.delta_syncs");
   Alcotest.(check int) "without reprovisioning" resyncs (stat_int c "router.resyncs");
-  Alcotest.(check bool) "in at most two rounds" true (stat_int c "router.fixpoint.rounds" <= 2);
+  (* round 1 joins the new edge, round 2 absorbs what it shipped, and
+     the quiescent round 3 only publishes *)
+  Alcotest.(check bool) "in at most three rounds" true (stat_int c "router.fixpoint.rounds" <= 3);
   Alcotest.(check int) "the queue is drained" 0 (stat_int c "router.pending_facts");
   (* a fact no batch can carry (an infinite double) fails the sync
      loudly rather than reach a worker changed; retracting it heals *)
@@ -1211,6 +1216,158 @@ let test_insert_races_retract () =
       close_client c)
     [ c; c1 ]
 
+(* The conservation check: the tuples absorbed at step r must equal
+   the tuples shipped into round r.  A seed batch the count does not
+   name (one extra) or a count with no batch behind it (one missing)
+   fails the run with the imbalance error rather than a silently wrong
+   closure. *)
+let test_conservation_tripwire () =
+  let workers = List.init 2 (fun _ -> start_worker ()) in
+  Fun.protect ~finally:(fun () -> List.iter (fun (_, srv) -> Server.shutdown srv) workers)
+  @@ fun () ->
+  let run ~batches ~seeded =
+    let coord = Coordinator.create ~addrs:(List.map fst workers) ~key:1 () in
+    Fun.protect ~finally:(fun () -> Coordinator.disconnect coord) @@ fun () ->
+    let ( >>= ) = Result.bind in
+    let seed = tuple_of [ 1; 9 ] in
+    let shard = Partition.owner (Coordinator.partition coord) seed in
+    Coordinator.configure coord >>= fun () ->
+    Coordinator.reset coord >>= fun () ->
+    Coordinator.send_edb coord (tc_edges ~nodes:8 ~extra:3 5) >>= fun () ->
+    Coordinator.send_program coord
+      "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), edge(Z, Y).\n"
+    >>= fun () ->
+    List.fold_left
+      (fun r () -> r >>= fun () -> Coordinator.send_delta coord ~shard (encode [ "path", seed ]))
+      (Ok ()) (List.init batches ignore)
+    >>= fun () -> Coordinator.run_fixpoint ~seeded coord
+  in
+  (match run ~batches:1 ~seeded:1 with
+  | Ok stats -> Alcotest.(check bool) "a balanced run completes" true (stats.Coordinator.rounds >= 2)
+  | Error (_, m) -> Alcotest.fail m);
+  List.iter
+    (fun (what, batches, seeded) ->
+      match run ~batches ~seeded with
+      | Ok _ -> Alcotest.failf "%s: the fixpoint ran to the end" what
+      | Error (code, msg) ->
+        Alcotest.(check string) (what ^ ": code") "CLUSTER" (Protocol.code_string code);
+        check_prefix what "delta accounting imbalance in round 2" msg)
+    [ "an extra batch", 2, 1; "a missing batch", 1, 2 ]
+
+(* A worker slowed by the fault seam starts every step late, so its
+   faster peer's batch for round r+1 lands before it has absorbed the
+   batches of round r.  Batches carry their round, so each is absorbed
+   at its own step: the conservation check holds every round and the
+   answers match a single node. *)
+let test_slow_worker_early_batches () =
+  let texts = [ tc_program; tc_edges ~nodes:14 ~extra:8 11 ] in
+  let expected = reference texts [ "path(X, Y)"; "path(2, Y)" ] in
+  let p0, s0, _ = start_worker_h () in
+  let p1, s1, slow = start_worker_h () in
+  Worker.set_fault_step_delay slow 0.02;
+  let rpath = sock_path () in
+  let router =
+    Router.start ~listen:(`Unix rpath) ~shard_addrs:[ p0; p1 ] ~key:1 (Coral.create ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.shutdown router;
+      Server.shutdown s0;
+      Server.shutdown s1)
+  @@ fun () ->
+  let c = connect_unix rpath in
+  consult_all c texts;
+  List.iter
+    (fun (q, want) ->
+      Alcotest.(check (list string)) (q ^ ": same as a single node") want (answers c q))
+    expected;
+  Alcotest.(check bool) "the fixpoint took several rounds" true
+    (stat_int c "router.fixpoint.rounds" >= 3);
+  ignore (request c "quit");
+  close_client c
+
+(* One session flaps a chord, reading after each update, while a second
+   reads in a loop.  The flapper's reads sync the cluster while the
+   other session's fan-outs run: every answer must be the closure
+   before or after a flap, never a mix of a half-synced cluster. *)
+let test_reads_never_mix_states () =
+  let edges = tc_edges ~nodes:10 ~extra:4 17 in
+  let chord = "edge(10, 1)." in
+  let closure texts = List.assoc "path(X, Y)" (reference texts [ "path(X, Y)" ]) in
+  let without = closure [ tc_program; edges ] in
+  let with_chord = closure [ tc_program; edges ^ chord ^ "\n" ] in
+  Alcotest.(check bool) "the chord changes the closure" false (without = with_chord);
+  let cl = start_cluster ~shards:2 ~key:1 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  let c = connect_unix cl.router_path in
+  consult_all c [ tc_program; edges ];
+  let read c =
+    let lines, status = request c "query path(X, Y)" in
+    status, List.sort compare (List.filter (String.starts_with ~prefix:"ans ") lines)
+  in
+  let stop = Atomic.make false and mixed = Atomic.make 0 and reads = Atomic.make 0 in
+  let reader =
+    Thread.create
+      (fun () ->
+        let r = connect_unix cl.router_path in
+        while not (Atomic.get stop) do
+          let status, got = read r in
+          Atomic.incr reads;
+          if (not (String.starts_with ~prefix:"ok" status)) || (got <> without && got <> with_chord)
+          then Atomic.incr mixed
+        done;
+        ignore (request r "quit");
+        close_client r)
+      ()
+  in
+  for i = 1 to 15 do
+    check_prefix "insert" "ok inserted 1" (snd (request c ("insert " ^ chord)));
+    Alcotest.(check (list string)) (Printf.sprintf "flap %d: after the insert" i) with_chord
+      (snd (read c));
+    check_prefix "retract" "ok retracted 1" (snd (request c ("retract " ^ chord)));
+    Alcotest.(check (list string)) (Printf.sprintf "flap %d: after the retract" i) without
+      (snd (read c))
+  done;
+  Atomic.set stop true;
+  Thread.join reader;
+  Alcotest.(check bool) "the second session read" true (Atomic.get reads > 0);
+  Alcotest.(check int) "reads of a closure no state had" 0 (Atomic.get mixed);
+  ignore (request c "quit");
+  close_client c
+
+(* A rule constant holding CR, NUL and non-ASCII bytes reaches the
+   workers inside the shipped program text ([dprog#]) and comes back in
+   every answer byte for byte as a single node gives it. *)
+let test_string_constants_in_transit () =
+  let program =
+    "module m_tag.\nexport tagged(ff).\n\
+     tagged(X, \"k\r\000\xc3\xa9\") :- edge(X, Y).\n\
+     tagged(Y, S) :- tagged(X, S), edge(X, Y).\nend_module.\n"
+  in
+  let run path =
+    let c = connect_unix path in
+    List.iter
+      (fun text ->
+        check_prefix "consult#" "ok"
+          (snd (request ~payload:text c (Printf.sprintf "consult# %d" (String.length text)))))
+      [ program; tc_edges ~nodes:6 ~extra:2 3 ];
+    let lines, status = request c "query tagged(X, Y)" in
+    ignore (request c "quit");
+    close_client c;
+    status, List.sort compare lines
+  in
+  let spath = sock_path () in
+  let srv = Server.start ~listen:(`Unix spath) (Coral.create ()) in
+  let _, want = Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> run spath) in
+  Alcotest.(check bool) "the single node holds the bytes" true
+    (List.mem "ans X = 2, Y = \"k\\r\\000\\195\\169\"" want);
+  let cl = start_cluster ~shards:2 ~key:0 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  let status, got = run cl.router_path in
+  check_prefix "fanned out" "ok" status;
+  Alcotest.(check bool) "the query fanned out" true (String.ends_with ~suffix:"shards=2" status);
+  Alcotest.(check (list string)) "same answers as a single node" want got
+
 (* A worker refuses an [edb#] batch it cannot take — before it has a
    program, truncated, or holding a fact of a derived predicate — and
    stores none of it; a good batch seeds the next fixpoint's round 1. *)
@@ -1240,16 +1397,11 @@ let test_edb_refused () =
     (edb [ "edge", tuple_of [ 7; 8 ]; "path", tuple_of [ 1; 9 ] ]);
   Alcotest.(check (list string)) "refused batches store nothing" stored (edges ());
   check_prefix "edb#" "ok received=2 new=1" (edb [ "edge", tuple_of [ 2; 3 ]; "edge", tuple_of [ 1; 2 ] ]);
-  Alcotest.(check int) "the good batch is stored" 2 (List.length (edges ()));
   List.iter
-    (fun r ->
-      List.iter
-        (fun phase ->
-          check_prefix (Printf.sprintf "barrier %s %d" phase r) "ok"
-            (snd (request c (Printf.sprintf "barrier %s %d" phase r)))
-        )
-        [ "step"; "promote" ])
-    [ 1; 2 ];
+    (fun step -> check_prefix step "ok" (snd (request c step)))
+    [ "barrier step 1"; "barrier step 2 final" ];
+  (* the final step publishes the batch with the closure it grew *)
+  Alcotest.(check int) "the good batch is stored" 2 (List.length (edges ()));
   (* round 1 joined only the new edge: path(1, 2) was never derived *)
   Alcotest.(check (list string)) "round 1 ran from the batch alone" [ "ans X = 2, Y = 3" ]
     (answers c "path(X, Y)");
@@ -1347,7 +1499,7 @@ let test_non_worker_refuses_cluster () =
     (fun cmd ->
       let _, status = request c cmd in
       check_prefix (cmd ^ " refused") "err CLUSTER" status)
-    [ "dreset"; "shard 0 2 0 a.sock b.sock"; "barrier step 1"; "barrier promote 1" ];
+    [ "dreset"; "shard 0 2 0 a.sock b.sock"; "barrier step 1"; "barrier step 2 final" ];
   (* and nothing was wiped by the refused dreset *)
   Alcotest.(check int) "database intact" 1 (List.length (answers c "edge(X, Y)"));
   ignore (request c "quit");
@@ -1948,6 +2100,28 @@ let test_forced_straggler () =
   ignore (request c "quit");
   close_client c
 
+(* The router times each query it fans out in the histograms
+   [Session.handle] fills for the queries it serves, and a query it
+   answers from its replica only once.  In-process the workers share
+   the histograms: a fan-out over two shards counts three queries, each
+   worker's and the router's. *)
+let test_router_times_fanouts () =
+  with_obs @@ fun () ->
+  let cl = start_cluster ~shards:2 ~key:1 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  let c = connect_unix cl.router_path in
+  consult_all c [ tc_program; "edge(1, 2).\nedge(2, 3).\n" ];
+  ignore (answers c "path(X, Y)");
+  let count () = Coral_obs.Obs.Histogram.count (Coral_obs.Obs.histogram "server.query_seconds") in
+  let n0 = count () in
+  ignore (answers c "path(X, Y)");
+  Alcotest.(check int) "a fan-out: two workers and the router" (n0 + 3) (count ());
+  let n1 = count () in
+  ignore (answers c "edge(X, Y)");
+  Alcotest.(check int) "a replica query: once" (n1 + 1) (count ());
+  ignore (request c "quit");
+  close_client c
+
 (* The router's [stats] and its scrape render one sample table (the
    store's rows plus the router's own): the same names, with the
    federated [coral_shard_*] section set aside. *)
@@ -2060,7 +2234,14 @@ let () =
             test_update_differential;
           Alcotest.test_case "worker refuses malformed edb#" `Quick test_edb_refused;
           Alcotest.test_case "insert racing a retract and a resync" `Quick
-            test_insert_races_retract
+            test_insert_races_retract;
+          Alcotest.test_case "conservation check trips on a lost or extra batch" `Quick
+            test_conservation_tripwire;
+          Alcotest.test_case "a slow worker absorbs early batches in their round" `Quick
+            test_slow_worker_early_batches;
+          Alcotest.test_case "reads never mix cluster states" `Quick test_reads_never_mix_states;
+          Alcotest.test_case "string constants survive program transit" `Quick
+            test_string_constants_in_transit
         ] );
       ( "observability",
         [ Alcotest.test_case "tid= wire round-trip on a plain server" `Quick
@@ -2074,6 +2255,7 @@ let () =
           Alcotest.test_case "router connection cap sheds like a server" `Quick
             test_router_connection_cap;
           Alcotest.test_case "every worker process times its codec" `Quick
-            test_codec_timed_per_worker
+            test_codec_timed_per_worker;
+          Alcotest.test_case "router times fanned-out queries" `Quick test_router_times_fanouts
         ] )
     ]

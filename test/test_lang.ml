@@ -296,6 +296,12 @@ let test_wellformed () =
     (List.exists
        (fun i -> i.Wellformed.severity = `Warning)
        (Wellformed.check_module m));
+  (* an export at an arity the module does not define its name at
+     would answer nothing: an error that names the defined arities *)
+  let m = get_module "module m2.\nexport q(ff).\nq(X) :- other(X).\nend_module." in
+  Alcotest.(check (list string)) "export at the wrong arity"
+    [ "exported predicate q/2 is defined only as q/1" ]
+    (List.map (fun i -> i.Wellformed.what) (Wellformed.errors (Wellformed.check_module m)));
   (* bad aggregate selection annotation *)
   let m =
     get_module

@@ -409,6 +409,33 @@ let prop_printed_modules_reparse =
         | Error _ -> false)
       | Error _ -> false)
 
+(* Any byte string survives printing and re-parsing, as a fact's
+   argument and as a rule constant: the term printer's quoting and the
+   lexer's escapes agree byte for byte, so program text shipped between
+   processes keeps its strings. *)
+let prop_strings_reparse =
+  QCheck.Test.make ~name:"strings round-trip through the printer and parser" ~count:500
+    (QCheck.make ~print:String.escaped QCheck.Gen.(string_size ~gen:char (int_range 0 24)))
+    (fun s ->
+      let quoted = Term.to_string (Term.str s) in
+      let fact =
+        match Coral.Parser.program ("p(" ^ quoted ^ ").") with
+        | Ok [ Coral.Ast.Fact a ] -> Term.equal_array a.Coral.Ast.args [| Term.str s |]
+        | _ -> false
+      in
+      let rule =
+        match Coral.Parser.program ("q(X) :- p(X, " ^ quoted ^ ").") with
+        | Ok [ Coral.Ast.Clause_item r ] -> (
+          let printed = Coral.Pretty.rule_to_string r in
+          match r.Coral.Ast.body, Coral.Parser.program printed with
+          | [ Coral.Ast.Pos a ], Ok [ Coral.Ast.Clause_item r2 ] ->
+            Term.equal a.Coral.Ast.args.(1) (Term.str s)
+            && Coral.Pretty.rule_to_string r2 = printed
+          | _ -> false)
+        | _ -> false
+      in
+      fact && rule)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -428,5 +455,6 @@ let () =
             prop_os_equals_stratified;
             prop_lazy_equals_eager
           ] );
-      ("robustness", qcheck [ prop_parser_never_crashes; prop_printed_modules_reparse ])
+      ( "robustness",
+        qcheck [ prop_parser_never_crashes; prop_printed_modules_reparse; prop_strings_reparse ] )
     ]

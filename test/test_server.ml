@@ -1689,7 +1689,7 @@ let test_snapshot_differential () =
       | Ok _ ->
         let got =
           List.filter_map
-            (function Protocol.Ans a -> Some a | Protocol.Txt _ -> None)
+            (function Protocol.Ans a -> Some a | Protocol.Txt _ | Protocol.Raw _ -> None)
             r.Protocol.payload
           |> List.sort compare
         in
