@@ -96,16 +96,18 @@ tc_facts() {
   printf 'edge(5, 17). edge(22, 3). edge(11, 29). edge(28, 2).'
 }
 
-# Every value kind on the binary delta wire: strings with spaces,
-# quotes, a backslash and non-ASCII bytes, bignums past 63 bits,
+# Every value kind on the binary wire: strings with spaces, quotes, a
+# backslash and non-ASCII bytes, bignums past 63 bits, doubles,
 # functor terms, and lists with and without a tail, as the nodes of a
-# cycle so each one is shipped between shards.
+# cycle so each one is shipped between shards (and, as EDB facts, to
+# every worker).
 value_kinds_facts() {
   printf '%s' 'vedge("a b", "say \"hi\""). vedge("say \"hi\"", 123456789012345678901234567890). '
   printf '%s' 'vedge(123456789012345678901234567890, f(1, "x y")). vedge(f(1, "x y"), [1, 2, 3]). '
   printf '%s' 'vedge([1, 2, 3], [a | b]). vedge([a | b], g([h(1)], -98765432109876543210)). '
   printf '%s' 'vedge(g([h(1)], -98765432109876543210), "back \\ slash"). '
-  printf '%s' 'vedge("back \\ slash", "café"). vedge("café", "a b").'
+  printf '%s' 'vedge("back \\ slash", "café"). vedge("café", "a b"). '
+  printf '%s' 'vedge("back \\ slash", 2.0). vedge(2.0, 0.5). vedge(0.5, "café").'
 }
 
 cat > "$DIR/workload.txt" <<EOF
@@ -141,6 +143,25 @@ fi
 n=$(wc -l < "$DIR/single.answers")
 if [ "$n" -lt 100 ]; then
   echo "cluster_smoke: FAIL — only $n answers; the workload did not run" >&2
+  exit 1
+fi
+
+# A retract dirties the cluster: the next read reprovisions it, the
+# replicated EDB shipped to every worker as binary edb# batches.
+cat > "$DIR/retract.txt" <<EOF
+retract vedge(2.0, 0.5).
+query vpath(X, Y)
+query path(X, Y)
+quit
+EOF
+answers "$DIR/single.sock" "$DIR/retract.txt" > "$DIR/single.retract"
+answers "$DIR/router.sock" "$DIR/retract.txt" > "$DIR/cluster.retract"
+if ! diff -u "$DIR/single.retract" "$DIR/cluster.retract"; then
+  echo "cluster_smoke: FAIL — cluster answers differ from single-node after a retract's resync" >&2
+  exit 1
+fi
+if [ "$(wc -l < "$DIR/single.retract")" -lt 100 ]; then
+  echo "cluster_smoke: FAIL — the retract check answered too little" >&2
   exit 1
 fi
 

@@ -171,12 +171,9 @@ let send_payload t cmd payload =
   |> all_ok
   |> Result.map ignore
 
-let send_text t cmd text =
-  send_payload t cmd
+let send_program t text =
+  send_payload t "dprog#"
     (if text = "" || text.[String.length text - 1] = '\n' then text else text ^ "\n")
-
-let send_edb t text = send_text t "consult#" text
-let send_program t text = send_text t "dprog#" text
 
 (* Ship one shard a binary delta payload (Delta_codec) outside the
    barrier loop.  Used to seed partitioned predicates that also have
@@ -195,10 +192,11 @@ let send_delta t ~shard payload =
     |> Result.map ignore
   end
 
-(* Ship every worker the same binary batch of new base facts ([edb#]):
-   each stores them in its replica and runs the next fixpoint's round 1
-   from them alone. *)
-let send_edb_delta t payload = send_payload t "edb#" payload
+(* Ship every worker the same binary batch of base facts ([edb#]):
+   before the closure is built each loads it into its replica; after a
+   fixpoint each stores the new facts and runs the next fixpoint's
+   round 1 from them alone. *)
+let send_edb_batch t payload = send_payload t "edb#" payload
 
 (* ------------------------------------------------------------------ *)
 (* The fixpoint loop                                                   *)

@@ -72,7 +72,6 @@ val configure : t -> (unit, Coral_server.Protocol.error_code * string) result
 (** Send every worker its [shard <i> <n> <key> <addrs>] identity. *)
 
 val reset : t -> (unit, Coral_server.Protocol.error_code * string) result
-val send_edb : t -> string -> (unit, Coral_server.Protocol.error_code * string) result
 val send_program : t -> string -> (unit, Coral_server.Protocol.error_code * string) result
 
 val send_delta :
@@ -83,12 +82,14 @@ val send_delta :
     partitioned predicates that also have consulted base facts; pass
     the total count as [run_fixpoint]'s [seeded]. *)
 
-val send_edb_delta :
+val send_edb_batch :
   t -> string -> (unit, Coral_server.Protocol.error_code * string) result
-(** Ship every worker one binary batch of new base facts ([edb#],
-    a {!Delta_codec.contents} payload).  Each stores them in its
-    replicated base relations, and the next [run_fixpoint]'s round 1
-    runs only the rule activations they feed. *)
+(** Ship every worker one binary batch of base facts ([edb#], a
+    {!Delta_codec.contents} payload), after [send_program].  Until a
+    fixpoint has run each worker loads it into its replicated base
+    relations; after one, each stores the new facts and the next
+    [run_fixpoint]'s round 1 runs only the rule activations they
+    feed. *)
 
 val run_fixpoint :
   ?progress:(round:int -> new_tuples:int -> shipped:int -> unit) ->

@@ -1,9 +1,10 @@
-(* Two encodings of ground tuples for the cluster wire.
-
-   Delta batches ([delta#]) travel in machine representation, as the
-   paper keeps shipped data (section 3.2): one length-prefixed binary
-   record per tuple, appended to one Buffer per destination, and read
-   back without the parser.  A payload is
+(* The cluster's one encoding of tuples: every fact the router
+   or a worker ships — peer deltas ([delta#]), the router's seeds, and
+   the replicated EDB and its insert deltas ([edb#]) — travels in
+   machine representation, as the paper keeps shipped data (section
+   3.2): one length-prefixed binary record per tuple, appended to one
+   Buffer per destination, and read back without the parser.  A
+   payload is
 
      count:int  record * count
 
@@ -20,6 +21,8 @@
                  63-bit int silently drops one of them)
      's' str     length-prefixed bytes
      'b' big     length-prefixed decimal digits
+     'v' int     a variable of a stored non-ground fact of the
+                 replicated EDB, by its number in the tuple
      'f' functor name:str  arity:int  term * arity, rebuilt with
                  [Term.app] as the parser does (lists are ['.']/['[]']
                  functors like any other)
@@ -27,95 +30,17 @@
    where int and every length or arity is 8 little-endian bytes.  A
    tuple that changes value or type in transit would silently diverge
    the cluster from single-node semantics (and could hash to another
-   owner shard), so values the text format could never carry either
-   — non-finite doubles, opaque builtin values, variables — still
-   raise [Unencodable] rather than ship.  Decoding is total: any
-   malformed batch is an [Error], never an exception.
-
-   The replicated EDB ([consult#]) stays CORAL fact text, printed
-   losslessly by [fact_line] and loaded by the worker's ordinary
-   consult path. *)
+   owner shard), so values with no faithful form — non-finite doubles
+   and opaque builtin values — raise [Unencodable] rather than ship.
+   So does a variable in a partitioned tuple (a delta, a seed, an
+   insert): every variable hashes to one bucket, away from the ground
+   instances the tuple would subsume on a single node.
+   Decoding is total: any malformed batch is an [Error], never an
+   exception. *)
 
 open Coral
 
 exception Unencodable of string
-
-(* ------------------------------------------------------------------ *)
-(* Fact text, for the replicated EDB                                   *)
-(* ------------------------------------------------------------------ *)
-
-let check_finite f =
-  if not (Float.is_finite f) then
-    raise (Unencodable (Printf.sprintf "non-finite double %h has no wire form" f))
-
-(* Term.to_buffer except for doubles and strings.  Value.repr_double
-   is the shortest decimal that round-trips through [float_of_string],
-   with a '.' forced in so the lexer reads it back as a FLOAT (%g
-   prints 2.0 as 2, which re-parses as an Int).  Strings escape only
-   what the lexer's string literals unescape (quote, backslash,
-   newline, tab) and keep every other byte verbatim: %S's decimal and
-   carriage-return escapes would re-read as plain digits and letters. *)
-let rec term_repr buf (t : Term.t) =
-  match t with
-  | Term.Const (Value.Double f) ->
-    check_finite f;
-    Buffer.add_string buf (Value.repr_double f)
-  | Term.Const (Value.Str s) ->
-    Buffer.add_char buf '"';
-    String.iter
-      (function
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-  | Term.Const (Value.Opaque _) ->
-    raise (Unencodable (Term.to_string t ^ " (opaque value) has no wire form"))
-  | Term.Const _ | Term.Var _ | Term.App { args = [||]; _ } -> Term.to_buffer buf t
-  | Term.App { sym; args; _ } when Symbol.equal sym Symbol.cons && Array.length args = 2 ->
-    Buffer.add_char buf '[';
-    let rec go first = function
-      | Term.App { sym; args = [||]; _ } when Symbol.equal sym Symbol.nil -> ()
-      | Term.App { sym; args = [| h; tl |]; _ } when Symbol.equal sym Symbol.cons ->
-        if not first then Buffer.add_string buf ", ";
-        term_repr buf h;
-        go false tl
-      | tail ->
-        Buffer.add_string buf " | ";
-        term_repr buf tail
-    in
-    go true t;
-    Buffer.add_char buf ']'
-  | Term.App { sym; args; _ } ->
-    Buffer.add_string buf (Symbol.name sym);
-    Buffer.add_char buf '(';
-    Array.iteri
-      (fun i a ->
-        if i > 0 then Buffer.add_string buf ", ";
-        term_repr buf a)
-      args;
-    Buffer.add_char buf ')'
-
-let fact_line name (tuple : Tuple.t) =
-  let buf = Buffer.create 48 in
-  Buffer.add_string buf name;
-  if Array.length tuple.Tuple.terms > 0 then begin
-    Buffer.add_char buf '(';
-    Array.iteri
-      (fun i t ->
-        if i > 0 then Buffer.add_string buf ", ";
-        term_repr buf t)
-      tuple.Tuple.terms;
-    Buffer.add_char buf ')'
-  end;
-  Buffer.add_char buf '.';
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Binary delta batches                                                *)
-(* ------------------------------------------------------------------ *)
 
 let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
 
@@ -129,7 +54,8 @@ let rec add_term buf (t : Term.t) =
     Buffer.add_char buf 'i';
     add_int buf i
   | Term.Const (Value.Double f) ->
-    check_finite f;
+    if not (Float.is_finite f) then
+      raise (Unencodable (Printf.sprintf "non-finite double %h has no wire form" f));
     Buffer.add_char buf 'd';
     Buffer.add_int64_le buf (Int64.bits_of_float f)
   | Term.Const (Value.Str s) ->
@@ -140,7 +66,9 @@ let rec add_term buf (t : Term.t) =
     add_str buf (Bignum.to_string b)
   | Term.Const (Value.Opaque _) ->
     raise (Unencodable (Term.to_string t ^ " (opaque value) has no wire form"))
-  | Term.Var _ -> raise (Unencodable ("variable " ^ Term.to_string t ^ " in a shipped tuple"))
+  | Term.Var v ->
+    Buffer.add_char buf 'v';
+    add_int buf v.Term.vid
   | Term.App { sym; args; _ } ->
     Buffer.add_char buf 'f';
     add_str buf (Symbol.name sym);
@@ -175,7 +103,9 @@ let seal b =
 (* A record that would take its payload past the size a receiver
    accepts starts the next payload instead, so no batch is refused for
    its size unless one tuple alone exceeds the limit. *)
-let add_tuple b name (tuple : Tuple.t) =
+let add_tuple ?(vars = false) b name (tuple : Tuple.t) =
+  if tuple.Tuple.nvars > 0 && not vars then
+    raise (Unencodable (Tuple.to_string tuple ^ " (non-ground) has no owner shard"));
   let start = Buffer.length b.buf in
   add_str b.buf name;
   add_int b.buf (Array.length tuple.Tuple.terms);
@@ -243,6 +173,9 @@ let decode s =
       pos := !pos + 8;
       Term.double f
     | 's' -> Term.str (str "a string")
+    | 'v' ->
+      let n = size "a variable" in
+      Term.var ~name:("_V" ^ string_of_int n) n
     | 'b' -> (
       let digits = str "a bignum" in
       match Bignum.of_string digits with

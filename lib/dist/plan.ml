@@ -19,7 +19,7 @@ open Coral
 
 type rule_class =
   | Init  (* no IDB body literal: evaluate everywhere, keep owned heads *)
-  | Linear of int  (* index of the one IDB body literal *)
+  | Linear  (* one IDB body literal *)
 
 type drule = { rule : Ast.rule; cls : rule_class }
 
@@ -50,7 +50,7 @@ let analyse (modules : Ast.module_ list) (clauses : Ast.rule list) =
     let drules =
       List.map
         (fun (r : Capability.rule) ->
-          { rule = r.rule; cls = (match r.derived_at with [] -> Init | i :: _ -> Linear i) })
+          { rule = r.rule; cls = (if r.derived_at = [] then Init else Linear) })
         a.rules
     in
     let text =

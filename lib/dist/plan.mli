@@ -5,7 +5,7 @@
 
 type rule_class =
   | Init  (** no derived body literal: run everywhere, keep owned heads *)
-  | Linear of int  (** index of the one derived body literal *)
+  | Linear  (** one derived body literal: run where its delta lives, ship heads *)
 
 type drule = { rule : Coral.Ast.rule; cls : rule_class }
 

@@ -16,10 +16,10 @@
               landed, an insert that is not one more delta, a query
               mutated the replica through assert/retract, a worker went
               unreachable).  The first distributed query reprovisions
-              from scratch — configure, dreset, re-ship the EDB, ship
-              the program, seed the partitioned predicates' consulted
-              facts to their owner shards, run the fixpoint to
-              quiescence — and moves to Clean.
+              from scratch — configure, dreset, ship the program,
+              re-ship the EDB, seed the partitioned predicates'
+              consulted facts to their owner shards, run the fixpoint
+              to quiescence — and moves to Clean.
      Clean    distributed queries fan out and merge.
      Pending  Clean, plus base facts inserted since the last fixpoint.
               Distributable programs are monotone in every base
@@ -60,14 +60,14 @@
    each worker at its own moment, and a fan-out reading in between
    could merge a closure that no state ever had.
 
-   Peer deltas and the seed batches below travel as binary
-   [Delta_codec] batches; only the replicated EDB ships as fact
-   text. *)
+   Every fact the router ships — the replicated EDB, its insert deltas
+   and the seed batches below — travels as a binary [Delta_codec]
+   batch, like the workers' peer deltas. *)
 
 open Coral_server
 module Obs = Coral_obs.Obs
 
-(* Seed and EDB-delta batches are encoded under the workers' codec
+(* EDB and seed batches are encoded under the workers' codec
    histogram. *)
 let h_codec = Obs.histogram "phase.codec"
 
@@ -141,65 +141,47 @@ type state = {
 (* Cluster provisioning                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Iterate the router's base relations, skipping reserved @ names. *)
-let iter_base_relations eng f =
-  List.iter
-    (fun (key, _card) ->
-      match String.rindex_opt key '/' with
-      | None -> ()
-      | Some i -> (
-        let name = String.sub key 0 i in
-        match int_of_string_opt (String.sub key (i + 1) (String.length key - i - 1)) with
-        | None -> ()
-        | Some arity ->
-          if not (String.contains name '@') then begin
-            match Coral.Engine.relation_of eng (Coral.Symbol.intern name) arity with
-            | None -> ()
-            | Some rel -> f name arity rel
-          end))
-    (Coral.Engine.list_relations eng)
-
-(* Dump the router's base relations (the replicated EDB) as fact
-   lines.  Derived predicates are excluded — the workers rebuild
-   those themselves. *)
-let edb_text t (a : Plan.analysis) =
-  let eng = Coral.engine (Session.db t.sstore) in
-  let buf = Buffer.create 4096 in
-  Session.locked t.sstore (fun () ->
-      iter_base_relations eng (fun name arity rel ->
-          if not (List.mem (name, arity) a.Plan.idb) then
-            Seq.iter
-              (fun tuple ->
-                Buffer.add_string buf (Delta_codec.fact_line name tuple);
-                Buffer.add_char buf '\n')
-              (Coral.Relation.scan rel ())))
-  ;
-  Buffer.contents buf
-
-(* A predicate defined by rules can ALSO be seeded with consulted
-   facts (path(a, b). plus recursive path rules).  Those facts live in
-   the router's base relations but are excluded from the replicated
-   EDB — each belongs to exactly one owner shard.  Ship them as
-   per-owner delta batches tagged round 1: they sit in the owner's
-   exchange buffer, are absorbed into the owner's relation and its
-   private delta at step 2, and the linear rules derive from them like
-   any other delta.
-   Returns the per-shard batches plus the total seeded count. *)
-let seed_batches t (a : Plan.analysis) =
+(* Encode the router's base relations for a resync, in one pass under
+   the store lock: the replicated EDB — every relation but the derived
+   ones and reserved @ names — as one batch for every worker, and the
+   consulted facts of derived predicates as per-owner seed batches.  A
+   predicate defined by rules can ALSO carry consulted facts (path(a,
+   b). plus recursive path rules); each belongs to exactly one owner
+   shard, so they are not replicated (a non-ground one has none, and
+   fails the resync with [Unencodable]).  The seeds ship as delta batches
+   tagged round 1: they sit in the owner's exchange buffer, are
+   absorbed into its partition at step 2, and the linear rules derive
+   from them like any other delta.  Returns the EDB batch, the
+   per-shard seed batches and the seeded count. *)
+let replica_batches t (a : Plan.analysis) =
   let eng = Coral.engine (Session.db t.sstore) in
   let part = Coordinator.partition t.coord in
-  let batches = Array.init (Coordinator.shards t.coord) (fun _ -> Delta_codec.batch ()) in
-  let count = ref 0 in
+  let edb = Delta_codec.batch () in
+  let seeds = Array.init (Coordinator.shards t.coord) (fun _ -> Delta_codec.batch ()) in
+  let seeded = ref 0 in
   Session.locked t.sstore (fun () ->
       Obs.Histogram.time h_codec @@ fun () ->
-      iter_base_relations eng (fun name arity rel ->
+      List.iter
+        (fun (sym, arity, rel) ->
+          let name = Coral.Symbol.name sym in
           if List.mem (name, arity) a.Plan.idb then
             Seq.iter
               (fun tuple ->
-                Delta_codec.add_tuple batches.(Partition.owner part tuple) name tuple;
-                incr count)
-              (Coral.Relation.scan rel ())));
-  batches, !count
+                Delta_codec.add_tuple seeds.(Partition.owner part tuple) name tuple;
+                incr seeded)
+              (Coral.Relation.scan rel ())
+          else if not (String.contains name '@') then
+            Seq.iter (Delta_codec.add_tuple ~vars:true edb name) (Coral.Relation.scan rel ()))
+        (Coral.Engine.base_relations eng));
+  edb, seeds, !seeded
+
+(* A batch's payloads; none for an empty batch. *)
+let payloads b = if Delta_codec.count b = 0 then [] else Delta_codec.contents b
+
+(* Send each item in turn, stopping at the first failure. *)
+let rec ship send = function
+  | [] -> Ok ()
+  | item :: rest -> Result.bind (send item) (fun () -> ship send rest)
 
 let log_fixpoint t ~mode ~seeded (stats : Coordinator.run_stats) =
   Coral_obs.Obs.Counter.incr t.c_fixpoints;
@@ -250,24 +232,15 @@ let resync t (a : Plan.analysis) =
     >>= fun () ->
     Coordinator.reset t.coord
     >>= fun () ->
-    Coordinator.send_edb t.coord (edb_text t a)
-    >>= fun () ->
     Coordinator.send_program t.coord a.Plan.text
     >>= fun () ->
-    let batches, seeded = seed_batches t a in
-    let payloads =
-      Array.to_list batches
-      |> List.mapi (fun shard b ->
-             if Delta_codec.count b = 0 then []
-             else List.map (fun p -> shard, p) (Delta_codec.contents b))
-      |> List.concat
-    in
-    let rec ship = function
-      | [] -> Ok ()
-      | (shard, payload) :: rest ->
-        Coordinator.send_delta t.coord ~shard payload >>= fun () -> ship rest
-    in
-    ship payloads
+    let edb, seeds, seeded = replica_batches t a in
+    ship (Coordinator.send_edb_batch t.coord) (payloads edb)
+    >>= fun () ->
+    Array.to_list seeds
+    |> List.mapi (fun shard b -> List.map (fun p -> shard, p) (payloads b))
+    |> List.concat
+    |> ship (fun (shard, payload) -> Coordinator.send_delta t.coord ~shard payload)
     >>= fun () ->
     Coordinator.run_fixpoint ~seeded t.coord
     >>= fun stats -> Ok (stats, seeded)
@@ -296,12 +269,9 @@ let delta_sync t =
     let b = Delta_codec.batch () in
     Obs.Histogram.time h_codec (fun () ->
         List.iter (fun (name, tuple) -> Delta_codec.add_tuple b name tuple) facts);
-    let rec ship = function
-      | [] -> Ok ()
-      | payload :: rest ->
-        Result.bind (Coordinator.send_edb_delta t.coord payload) (fun () -> ship rest)
-    in
-    Result.bind (ship (Delta_codec.contents b)) (fun () -> Coordinator.run_fixpoint t.coord)
+    Result.bind
+      (ship (Coordinator.send_edb_batch t.coord) (Delta_codec.contents b))
+      (fun () -> Coordinator.run_fixpoint t.coord)
   with
   | exception Delta_codec.Unencodable m -> Error (Protocol.Cluster, m)
   | Error e -> Error e

@@ -5,18 +5,19 @@
    program into its engine as modules: each derived relation is an
    ordinary base relation of the engine ([path]), so queries arriving
    from the router need nothing special — the answers are sitting in
-   base relations.  At [dprog] every rule is compiled once, with the
-   fixpoint's compiler and join kernel (Module_struct, Joiner): Init
-   rules as written, Linear rules as activations whose first scan reads
-   a worker-private delta relation holding the tuples new since the
-   last derivation.  Every rule also gets one activation per positive
-   literal over a base predicate, whose first scan reads a private
-   relation of the base facts the last [edb#] added: when the router
-   inserts base facts into a materialized cluster, the next fixpoint's
-   round 1 runs those activations instead of the Init rules (semi-naive
-   evaluation with the new facts as the delta), and later rounds run as
-   usual.  Compiling installs the indexes those joins probe on the
-   replicated base relations.
+   base relations.  At [dprog] the rules are compiled once into the
+   delta kernel incremental maintenance runs (Delta_kernel, over the
+   fixpoint's compiler and join kernel): Init rules as written, and
+   every rule as one activation per positive literal, whose first scan
+   reads a worker-private delta relation of that predicate.  The
+   activations over a derived predicate run on the tuples new to its
+   partition; those over a base predicate run on the facts an [edb#]
+   added to a materialized cluster, so the next fixpoint's round 1
+   runs them instead of the Init rules (semi-naive evaluation with the
+   new facts as the delta), and later rounds run as usual.  An [edb#]
+   that arrives before the closure is built loads the replica instead.
+   Compiling installs the indexes those joins probe on the replicated
+   base relations and the partitions.
 
    One [barrier step r] is a whole round: absorb the peer batches of
    rounds before r (the new tuples are the delta), derive, and keep
@@ -43,7 +44,7 @@ open Coral
 open Coral_server
 module Obs = Coral_obs.Obs
 module Module_struct = Coral_eval.Module_struct
-module Joiner = Coral_eval.Joiner
+module Delta_kernel = Coral_eval.Delta_kernel
 
 (* Step joins are timed like the engine's fixpoint runs; encoding the
    outbound batches and decoding inbound ones, apart from them. *)
@@ -56,42 +57,26 @@ type config = {
   peers : Shard_client.t option array;  (* [None] at our own index *)
 }
 
-(* A derived predicate on this worker: its partition of the relation
-   (an engine base relation), the tuples new since the last derivation
-   pass, and the heads a step derived (per-step dedup).  The last two
-   are private to the worker. *)
-type idb = {
-  name : string;
-  arity : int;
-  full : Relation.t;
-  delta : Relation.t;
-  fresh : Relation.t;
-}
-
-(* A base predicate some rule reads: its replicated relation, and the
-   facts the last [edb#] added to it (private to the worker). *)
-type edb = {
-  e_name : string;
-  e_arity : int;
-  e_full : Relation.t;
-  e_delta : Relation.t;
-}
-
-(* The installed program: with [n] derived and [m] base predicates,
-   slot [i < n] of [rels] reads [idbs.(i).full], slot [n + i] reads
-   [idbs.(i).delta], slot [2n + j] reads [edbs.(j).e_full] and slot
-   [2n + m + j] reads [edbs.(j).e_delta]. *)
+(* The installed program: the rules in the delta kernel, tagged with
+   their class, over the partitions and the replicated base relations;
+   the slot of each derived predicate; and per slot the heads a step
+   derived (per-step dedup, used at derived slots).  The delta
+   relations and [fresh] are private to the worker. *)
 type prog = {
   analysis : Plan.analysis;
-  idbs : idb array;
-  edbs : edb array;
-  rels : Relation.t array;
-  init : (Plan.rule_class * Module_struct.crule) list;  (* round 1 *)
-  linear : (Plan.rule_class * Module_struct.crule) list;  (* over the delta *)
-  edb_rules : (Plan.rule_class * Module_struct.crule) list;
-      (* round 1 after an [edb#]: one activation per (rule, positive
-         base literal) *)
+  kernel : Plan.rule_class Delta_kernel.t;
+  idb_slots : ((string * int) * int) list;
+  fresh : Relation.t array;
 }
+
+(* What an [edb#] does, and what round 1 runs. *)
+type closure =
+  | Open  (* no fixpoint since [dprog#]/[dreset]: [edb#] loads the
+             replica, and round 1 runs the Init rules *)
+  | Built  (* a fixpoint was published: [edb#] is a delta *)
+  | Grown of (int * Tuple.t) list
+      (* the base facts [edb#] added since, newest first, by slot:
+         round 1 runs their activations *)
 
 type t = {
   eng : Engine.t;
@@ -102,9 +87,7 @@ type t = {
   exchange : Exchange.t;
   mutable config : config option;
   mutable prog : prog option;
-  mutable edb_pending : bool;
-      (* an [edb#] batch arrived since the last fixpoint: round 1 runs
-         [edb_rules] *)
+  mutable closure : closure;
   mutable promoted_total : int;  (* absorbed since the last reset; the budget's input *)
   mutable fault_step_delay_s : float;
       (* test seam: sleep this long inside every barrier step, turning
@@ -119,7 +102,7 @@ let create ~eng ~commit ~locked ~budget =
     exchange = Exchange.create ();
     config = None;
     prog = None;
-    edb_pending = false;
+    closure = Open;
     promoted_total = 0;
     fault_step_delay_s = 0.
   }
@@ -152,100 +135,31 @@ let do_shard t ~index ~count ~key ~peer_addrs =
 (* Program installation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let idb_slot idbs name arity = Array.find_index (fun d -> d.name = name && d.arity = arity) idbs
-
-let edb_slot edbs name arity =
-  Array.find_index (fun e -> e.e_name = name && e.e_arity = arity) edbs
-
+(* A derived predicate resolves to its partition, an engine base
+   relation; every other one as the engine resolves it. *)
 let compile eng (a : Plan.analysis) =
-  let scratch (name, arity) = Hash_relation.create ~name ~arity () in
-  let idbs =
-    Array.of_list a.Plan.idb
-    |> Array.map (fun (name, arity) ->
-           { name;
-             arity;
-             full = Engine.base_relation eng (Symbol.intern name) arity;
-             delta = scratch (name, arity);
-             fresh = scratch (name, arity)
-           })
+  let resolve pred arity =
+    if List.mem (Symbol.name pred, arity) a.Plan.idb then
+      Module_struct.P_rel (Engine.base_relation eng pred arity)
+    else Engine.provider eng pred arity
   in
-  let n = Array.length idbs in
-  (* resolve every body predicate before compiling: compilation
-     installs indexes on [rels] *)
-  let targets = Hashtbl.create 16 and edb = ref [] in
-  let target pred arity =
-    let name = Symbol.name pred in
-    match idb_slot idbs name arity, Hashtbl.find_opt targets (name, arity) with
-    | Some i, _ -> Module_struct.Slot i
-    | None, Some tg -> tg
-    | None, None ->
-      let tg =
-        match Engine.provider eng pred arity with
-        | Module_struct.P_rel rel ->
-          let e = { e_name = name; e_arity = arity; e_full = rel; e_delta = scratch (name, arity) } in
-          edb := e :: !edb;
-          Module_struct.Slot ((2 * n) + List.length !edb - 1)
-        | Module_struct.P_foreign f -> Module_struct.Fn f
-      in
-      Hashtbl.add targets (name, arity) tg;
-      tg
+  let kernel =
+    Delta_kernel.compile ~resolve
+      ~written:(fun cls -> cls = Plan.Init)
+      (List.map (fun (d : Plan.drule) -> d.Plan.cls, d.Plan.rule) a.Plan.drules)
   in
-  List.iter
-    (fun (d : Plan.drule) ->
-      List.iter
-        (fun lit ->
-          Option.iter
-            (fun (x : Ast.atom) -> ignore (target x.Ast.pred (Array.length x.Ast.args)))
-            (Ast.literal_atom lit))
-        d.Plan.rule.Ast.body)
-    a.Plan.drules;
-  let edbs = Array.of_list (List.rev !edb) in
-  let m = Array.length edbs in
-  let rels =
-    Array.concat
-      [ Array.map (fun d -> d.full) idbs;
-        Array.map (fun d -> d.delta) idbs;
-        Array.map (fun e -> e.e_full) edbs;
-        Array.map (fun e -> e.e_delta) edbs
-      ]
+  let fresh =
+    Array.init (Delta_kernel.size kernel) (fun s ->
+        let rel = Delta_kernel.full kernel s in
+        Hash_relation.create ~name:rel.Relation.name ~arity:rel.Relation.arity ())
   in
-  let compile (d : Plan.drule) =
-    let delta =
-      match d.Plan.cls with
-      | Plan.Init -> None
-      | Plan.Linear i ->
-        (* the one derived body literal scans its delta relation *)
-        let x = Option.get (Ast.literal_atom (List.nth d.Plan.rule.Ast.body i)) in
-        let s = Option.get (idb_slot idbs (Symbol.name x.Ast.pred) (Array.length x.Ast.args)) in
-        Some (i, n + s)
-    in
-    Module_struct.compile_rule ~rels ~target ?delta d.Plan.rule
+  let idb_slots =
+    List.map
+      (fun (name, arity) ->
+        (name, arity), Option.get (Delta_kernel.slot kernel (Symbol.intern name) arity))
+      a.Plan.idb
   in
-  (* literal [i] over the base predicate in slot [s] scans its edb
-     delta, slot [s + m] *)
-  let activations (d : Plan.drule) =
-    List.concat
-      (List.mapi
-         (fun i lit ->
-           match lit with
-           | Ast.Pos x -> (
-             match target x.Ast.pred (Array.length x.Ast.args) with
-             | Module_struct.Slot s when s >= 2 * n ->
-               [ d.Plan.cls, Module_struct.compile_rule ~rels ~target ~delta:(i, s + m) d.Plan.rule ]
-             | _ -> [])
-           | _ -> [])
-         d.Plan.rule.Ast.body)
-  in
-  let init, linear =
-    List.partition (fun (cls, _) -> cls = Plan.Init)
-      (List.map (fun d -> d.Plan.cls, compile d) a.Plan.drules)
-  in
-  let edb_rules = List.concat_map activations a.Plan.drules in
-  { analysis = a; idbs; edbs; rels; init; linear; edb_rules }
-
-let clear_edb_deltas t =
-  Option.iter (fun p -> Array.iter (fun e -> Relation.clear e.e_delta) p.edbs) t.prog;
-  t.edb_pending <- false
+  { analysis = a; kernel; idb_slots; fresh }
 
 let do_dprog t text =
   match Plan.analyse_text text with
@@ -253,7 +167,7 @@ let do_dprog t text =
     Protocol.err Protocol.Cluster ("program is not distributable: " ^ reason)
   | Plan.Distributable a ->
     t.commit (fun () -> t.prog <- Some (compile t.eng a));
-    t.edb_pending <- false;
+    t.closure <- Open;
     Protocol.ok
       ~detail:
         (Printf.sprintf "rules=%d idb=%d" (List.length a.Plan.drules)
@@ -295,50 +209,57 @@ let do_delta t round payload =
   end
 
 (* ------------------------------------------------------------------ *)
-(* EDB delta intake (the coordinator's connection)                     *)
+(* EDB intake (the coordinator's connection)                          *)
 (* ------------------------------------------------------------------ *)
 
-(* New base facts for a materialized cluster: every worker stores them
-   in its replica and in the edb deltas, and the next fixpoint starts
-   from them; its final step publishes them with the closure they
-   grow.  The whole batch is checked before any of it is stored, so a
-   refused batch leaves the replica as it was. *)
+(* Base facts for the replica.  Before the closure is built they load
+   it: any base predicate, negated ones included, and no delta.  After
+   a fixpoint they are new facts for a materialized cluster: only those
+   that can just add derived tuples ([Plan.insert_is_delta]), stored in
+   the replica and kept as the next fixpoint's round-1 delta.  Either
+   way the final step publishes them with the closure; the whole batch
+   is checked before any of it is stored, so a refused batch leaves the
+   replica as it was. *)
 let do_edb t payload =
   match t.config, t.prog with
-  | None, _ | _, None -> Protocol.err Protocol.Cluster "edb delta before shard/dprog configuration"
+  | None, _ | _, None -> Protocol.err Protocol.Cluster "edb batch before shard/dprog configuration"
   | Some _, Some prog -> begin
     match Obs.Histogram.time h_codec (fun () -> Delta_codec.decode payload) with
     | Error m -> Protocol.err Protocol.Proto ("bad edb batch: " ^ m)
     | Ok facts -> (
-      match
-        List.find_opt
-          (fun (name, tuple) ->
-            not (Plan.insert_is_delta prog.analysis name (Tuple.arity tuple)))
-          facts
-      with
+      let a = prog.analysis in
+      let refused (name, tuple) =
+        let arity = Tuple.arity tuple in
+        match t.closure with
+        | Open -> List.mem (name, arity) a.Plan.idb || String.contains name '@'
+        | Built | Grown _ -> not (Plan.insert_is_delta a name arity)
+      in
+      match List.find_opt refused facts with
       | Some (name, tuple) ->
         Protocol.err Protocol.Cluster
-          (Printf.sprintf "edb delta for %s/%d, which is derived or read under negation" name
-             (Tuple.arity tuple))
+          (Printf.sprintf "edb batch for %s/%d, which is %s" name (Tuple.arity tuple)
+             (if t.closure = Open then "derived" else "derived or read under negation"))
       | None ->
-        let fresh = ref 0 in
+        let fresh = ref 0 and added = ref [] in
         t.locked (fun () ->
             List.iter
               (fun (name, tuple) ->
-                let arity = Tuple.arity tuple in
-                match edb_slot prog.edbs name arity with
-                | Some j ->
-                  let e = prog.edbs.(j) in
-                  if Relation.insert e.e_full tuple then begin
-                    incr fresh;
-                    ignore (Relation.insert_quiet e.e_delta tuple)
-                  end
-                | None ->
-                  (* no rule reads it: store it, activate nothing *)
-                  if Relation.insert (Engine.base_relation t.eng (Symbol.intern name) arity) tuple
-                  then incr fresh)
+                let sym = Symbol.intern name and arity = Tuple.arity tuple in
+                let slot = Delta_kernel.slot prog.kernel sym arity in
+                let rel =
+                  match slot with
+                  | Some s -> Delta_kernel.full prog.kernel s
+                  | None -> Engine.base_relation t.eng sym arity  (* no rule reads it *)
+                in
+                if Relation.insert rel tuple then begin
+                  incr fresh;
+                  Option.iter (fun s -> added := (s, tuple) :: !added) slot
+                end)
               facts);
-        t.edb_pending <- true;
+        (match t.closure with
+        | Open -> ()
+        | Built -> t.closure <- Grown !added
+        | Grown older -> t.closure <- Grown (!added @ older));
         Protocol.ok
           ~detail:(Printf.sprintf "received=%d new=%d" (List.length facts) !fresh)
           [])
@@ -376,65 +297,78 @@ let do_step t ~round ~final =
     let outbound = Array.make (Array.length cfg.peers) [] in
     let budget = t.budget () in
     let over_budget () = budget > 0 && t.promoted_total + !fresh > budget in
-    (* a tuple new to the partition is also new in the delta, the next
-       pass's input *)
-    let admit d tuple =
-      if Relation.insert d.full tuple then begin
+    let k = prog.kernel in
+    (* a tuple new to the partition is also in the next pass's delta *)
+    let admit (s, tuple) =
+      Relation.insert (Delta_kernel.full k s) tuple
+      && begin
         incr fresh;
-        ignore (Relation.insert_quiet d.delta tuple)
+        true
       end
     in
-    (* One pass: run [rules], keep the heads this shard owns for the
-       next pass and queue the others for their owners. *)
-    let pass rules =
-      let mine = ref [] in
-      List.iter
-        (fun (cls, (rule : Module_struct.crule)) ->
-          let d = prog.idbs.(rule.Module_struct.head_slot) in
-          Joiner.run ~rels:prog.rels ~range:Joiner.full_range rule ~on_match:(fun env ->
-              let tuple = Joiner.head_tuple rule env in
-              if (not (Relation.mem d.full tuple)) && Relation.insert_quiet d.fresh tuple then begin
-                let owner = Partition.owner cfg.part tuple in
-                if owner = cfg.self then begin
-                  incr derived;
-                  mine := (d, tuple) :: !mine
-                end
-                else if cls <> Plan.Init then begin
-                  (* every shard derives the same Init tuples from the
-                     replicated EDB: only the owner keeps them *)
-                  incr derived;
-                  let item = { Exchange.pred = d.name; arity = d.arity; tuple } in
-                  outbound.(owner) <- item :: outbound.(owner)
-                end
-              end))
-        rules;
-      Array.iter (fun d -> Relation.clear d.delta) prog.idbs;
-      List.iter (fun (d, tuple) -> admit d tuple) (List.rev !mine);
-      !mine <> []
-    in
-    (* after an [edb#], round 1 derives from the new base facts alone:
-       the derived relations already hold everything else *)
-    let from_edb = round = 1 && t.edb_pending in
     let outcome = ref `Derived in
+    (* One pass: [run] the rules, queue the heads other shards own for
+       their owners, and admit the ones this shard owns; those new to
+       the partition are the next pass's delta.  A head with a variable
+       has no owner: every variable hashes to one bucket, away from the
+       ground instances the head subsumes on a single node, so it fails
+       the step wherever it is derived. *)
+    let pass run =
+      let mine = ref [] in
+      run (fun cls s tuple ->
+          let full = Delta_kernel.full k s in
+          if not (Tuple.is_ground tuple) then begin
+            if !outcome = `Derived then outcome := `Nonground tuple
+          end
+          else if (not (Relation.mem full tuple)) && Relation.insert_quiet prog.fresh.(s) tuple
+          then begin
+            let owner = Partition.owner cfg.part tuple in
+            if owner = cfg.self then begin
+              incr derived;
+              mine := (s, tuple) :: !mine
+            end
+            else if cls <> Plan.Init then begin
+              (* every shard derives the same heads from an Init rule,
+                 which reads only the replicated EDB: only the owner
+                 keeps them *)
+              incr derived;
+              let item =
+                { Exchange.pred = full.Relation.name; arity = full.Relation.arity; tuple }
+              in
+              outbound.(owner) <- item :: outbound.(owner)
+            end
+          end);
+      List.filter admit (List.rev !mine)
+    in
     (if final then t.commit else t.locked) (fun () ->
         Obs.Histogram.time h_eval @@ fun () ->
         let items, n = Exchange.take t.exchange ~before:round in
         received := n;
-        Array.iter (fun d -> Relation.clear d.delta; Relation.clear d.fresh) prog.idbs;
-        List.iter
-          (fun item ->
-            Option.iter
-              (fun i -> admit prog.idbs.(i) item.Exchange.tuple)
-              (idb_slot prog.idbs item.Exchange.pred item.Exchange.arity))
-          items;
-        let rec local k rules =
+        Array.iter Relation.clear prog.fresh;
+        let absorbed =
+          List.filter_map
+            (fun { Exchange.pred; arity; tuple } ->
+              let s = List.assoc (pred, arity) prog.idb_slots in
+              if admit (s, tuple) then Some (s, tuple) else None)
+            items
+        in
+        let rec local n run =
           if over_budget () then outcome := `Over_budget
-          else if k > max_passes then outcome := `Unbounded
-          else if pass rules then local (k + 1) prog.linear
+          else if n > max_passes then outcome := `Unbounded
+          else
+            match pass run with
+            | [] -> ()
+            | delta -> if !outcome = `Derived then local (n + 1) (Delta_kernel.round k delta)
         in
         local 1
-          (if round > 1 then prog.linear else if from_edb then prog.edb_rules else prog.init);
-        if from_edb then clear_edb_deltas t);
+          (match round, t.closure with
+          | 1, Grown facts ->
+            (* after an [edb#], round 1 derives from the new base facts
+               alone: the partitions already hold everything else *)
+            Delta_kernel.round k (List.rev facts)
+          | 1, _ -> Delta_kernel.run_written k
+          | _ -> Delta_kernel.round k absorbed));
+    if final && !outcome = `Derived then t.closure <- Built;
     t.promoted_total <- t.promoted_total + !fresh;
     match !outcome with
     | `Over_budget ->
@@ -445,6 +379,9 @@ let do_step t ~round ~final =
     | `Unbounded ->
       Protocol.err Protocol.Cluster
         (Printf.sprintf "no local fixpoint after %d passes in round %d" max_passes round)
+    | `Nonground tuple ->
+      Protocol.err Protocol.Cluster
+        ("derived tuple " ^ Tuple.to_string tuple ^ " (non-ground) has no owner shard")
     | `Derived -> (
       (* Encode every destination's batch before shipping any, so a
          value with no wire form fails the round before a peer has
@@ -509,28 +446,13 @@ let do_step t ~round ~final =
 let do_dreset t =
   Exchange.reset t.exchange;
   (* Clear every base relation, not just the derived ones: the router
-     reprovisions a dirty cluster from scratch (dreset, re-ship the
-     EDB, dprog, rerun the fixpoint), and the invariant that makes
-     that simple is that a reset worker holds exactly what the router
-     ships next — including after a retract upstream. *)
+     reprovisions a dirty cluster from scratch (dreset, dprog, re-ship
+     the EDB, rerun the fixpoint), and the invariant that makes that
+     simple is that a reset worker holds exactly what the router ships
+     next — including after a retract upstream. *)
   t.commit (fun () ->
-      List.iter
-        (fun (key, _card) ->
-          match String.rindex_opt key '/' with
-          | None -> ()
-          | Some i -> (
-            let name = String.sub key 0 i in
-            let arity =
-              int_of_string_opt (String.sub key (i + 1) (String.length key - i - 1))
-            in
-            match arity with
-            | None -> ()
-            | Some arity -> (
-              match Engine.relation_of t.eng (Symbol.intern name) arity with
-              | Some rel -> Relation.clear rel
-              | None -> ())))
-        (Engine.list_relations t.eng);
-      clear_edb_deltas t);
+      List.iter (fun (_, _, rel) -> Relation.clear rel) (Engine.base_relations t.eng);
+      t.closure <- Open);
   t.promoted_total <- 0;
   Protocol.ok ~detail:"reset" []
 

@@ -1283,6 +1283,12 @@ let list_relations t =
   Hashtbl.fold (fun k rel acc -> (k, Relation.cardinal rel) :: acc) t.base []
   |> List.sort compare
 
+let base_relations t =
+  Hashtbl.fold (fun k rel acc -> (k, rel) :: acc) t.base []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (k, (rel : Relation.t)) ->
+         Symbol.intern (String.sub k 0 (String.rindex k '/')), rel.Relation.arity, rel)
+
 let list_modules t = List.map (fun (m : Ast.module_) -> m.Ast.mname) t.modules
 
 (* The full definitions (newest-first, matching [load_module]'s

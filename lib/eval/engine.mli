@@ -261,6 +261,10 @@ val drop_saved : t -> unit
 val list_relations : t -> (string * int) list
 (** (name/arity, cardinality) of every base relation. *)
 
+val base_relations : t -> (Symbol.t * int * Relation.t) list
+(** Every base relation with its predicate and arity, in
+    ["name/arity"] order. *)
+
 val list_modules : t -> string list
 
 val module_defs : t -> Ast.module_ list

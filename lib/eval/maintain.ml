@@ -3,13 +3,14 @@ open Coral_lang
 open Coral_rel
 open Coral_rewrite
 
-(* Incremental view maintenance (see maintain.mli).  Every join is a
-   compiled rule run through Joiner, the fixpoint's kernel: the
-   maintained rules as written for a full refresh, one activation per
-   positive body literal whose first scan reads that predicate's
-   scratch delta relation, and one support activation per rule whose
-   first scan reads the candidates for rederivation.  A round loads its
-   whole delta batch and runs each activation once. *)
+(* Incremental view maintenance (see maintain.mli).  Every join runs in
+   the delta kernel (Delta_kernel), the rules compiled once and run
+   through Joiner like the fixpoint's: the maintained rules as written
+   for a full refresh, one activation per positive body literal whose
+   first scan reads that predicate's scratch delta relation, and one
+   support activation per rule whose first scan reads the candidates
+   for rederivation in place.  A round loads its whole delta batch and
+   runs each activation once. *)
 
 type source = {
   src_modules : unit -> Ast.module_ list;
@@ -26,31 +27,26 @@ type update_stats = {
   u_rounds : int;
 }
 
-(* One predicate a maintained rule mentions: its extent (maintained
-   predicates) or stored relation, and two scratch relations — this
-   round's delta, and the over-deleted tuples awaiting rederivation
-   (extents only).  With [n] predicates, kernel slot [s] reads [rel],
-   slot [s + n] reads [delta] and slot [s + 2n] reads [cand]. *)
-type pred = {
-  rel : Relation.t;
-  is_ext : bool;
-  delta : Relation.t;
-  cand : Relation.t;
-  mutable acts : Module_struct.crule list;  (* activations on [delta] *)
-  mutable support : Module_struct.crule list;  (* support activations on [cand] *)
-}
-
-(* The compiled maintenance program. *)
+(* The compiled maintenance program: the maintained rules in the delta
+   kernel, and per kernel slot whether it reads an extent (maintained
+   predicate) or a stored relation, the over-deleted tuples awaiting
+   rederivation (extents only), and the support activations, scanning
+   the slot's candidates, that rederive them. *)
 type kernel = {
-  rels : Relation.t array;
-  preds : pred array;
-  slot_of : (string, int) Hashtbl.t;  (* "name/arity" -> slot *)
-  refresh : Module_struct.crule list;  (* the maintained rules as written *)
+  k : unit Delta_kernel.t;
+  is_ext : bool array;
+  cand : Relation.t array;
+  support : Module_struct.crule list array;
   missing : (Symbol.t * int) list;  (* body predicates with no stored relation yet *)
 }
 
 let no_kernel () =
-  { rels = [||]; preds = [||]; slot_of = Hashtbl.create 1; refresh = []; missing = [] }
+  { k = Delta_kernel.compile ~resolve:(fun _ _ -> assert false) ~written:(fun () -> true) [];
+    is_ext = [||];
+    cand = [||];
+    support = [||];
+    missing = []
+  }
 
 type t = {
   src : source;
@@ -108,95 +104,46 @@ let analyse t =
 (* The kernel                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile the maintained rules against one slot per predicate they
-   mention: the rules as written, the activations and the support
-   activations.  A body predicate with no stored relation yet reads an
-   empty placeholder, and [prepare] recompiles once it appears. *)
+(* Compile the maintained rules into the kernel, all of them also as
+   written (the full refresh runs them), and one support activation
+   per rule: its head, scanning the head's candidates, then its body.  A body predicate with no
+   stored relation yet reads an empty placeholder, and [prepare]
+   recompiles once it appears. *)
 let compile t =
-  let slot_of = Hashtbl.create 32 and order = ref [] and missing = ref [] in
-  let see pred arity =
-    let k = Capability.key_of pred arity in
-    if not (Hashtbl.mem slot_of k) then begin
-      Hashtbl.add slot_of k (Hashtbl.length slot_of);
-      order := (k, pred, arity) :: !order
-    end
+  let missing = ref [] and exts = ref [] in
+  let resolve pred arity =
+    Module_struct.P_rel
+      (match extent t pred arity with
+      | Some ext ->
+        exts := ext :: !exts;
+        ext
+      | None -> (
+        match t.src.src_relation pred arity with
+        | Some rel -> rel
+        | None ->
+          missing := (pred, arity) :: !missing;
+          Hash_relation.create ~name:(Symbol.name pred) ~arity ()))
   in
+  let k =
+    Delta_kernel.compile ~tick:t.src.src_tick ~resolve ~written:(fun () -> true)
+      (List.map (fun r -> (), r) t.rules)
+  in
+  let n = Delta_kernel.size k in
+  let rel s = Delta_kernel.full k s in
+  let cand =
+    Array.init n (fun s ->
+        Hash_relation.create ~name:(rel s).Relation.name ~arity:(rel s).Relation.arity ())
+  in
+  let support = Array.make n [] in
   List.iter
     (fun (r : Ast.rule) ->
-      see r.Ast.head.Ast.hpred (Array.length r.Ast.head.Ast.hargs);
-      List.iter
-        (fun lit ->
-          Option.iter (fun (a : Ast.atom) -> see a.Ast.pred (Array.length a.Ast.args))
-            (Ast.literal_atom lit))
-        r.Ast.body)
+      let h =
+        Option.get (Delta_kernel.slot k r.Ast.head.Ast.hpred (Array.length r.Ast.head.Ast.hargs))
+      in
+      let rule = { r with Ast.body = Ast.Pos (Ast.atom_of_head r.Ast.head) :: r.Ast.body } in
+      support.(h) <- support.(h) @ [ Delta_kernel.compile_scan k ~scan:(0, cand.(h)) rule ])
     t.rules;
-  let preds =
-    List.rev_map
-      (fun (k, pred, arity) ->
-        let scratch () = Hash_relation.create ~name:(Symbol.name pred) ~arity () in
-        let rel, is_ext =
-          match Hashtbl.find_opt t.exts k with
-          | Some ext -> ext, true
-          | None -> begin
-            match t.src.src_relation pred arity with
-            | Some rel -> rel, false
-            | None ->
-              missing := (pred, arity) :: !missing;
-              scratch (), false
-          end
-        in
-        { rel; is_ext; delta = scratch (); cand = scratch (); acts = []; support = [] })
-      !order
-    |> Array.of_list
-  in
-  let n = Array.length preds in
-  let rels =
-    Array.concat
-      [ Array.map (fun p -> p.rel) preds;
-        Array.map (fun p -> p.delta) preds;
-        Array.map (fun p -> p.cand) preds
-      ]
-  in
-  let target pred arity =
-    Module_struct.Slot (Hashtbl.find slot_of (Capability.key_of pred arity))
-  in
-  let compile ?delta r = Module_struct.compile_rule ~rels ~target ?delta r in
-  let refresh =
-    List.map
-      (fun (r : Ast.rule) ->
-        let h = Hashtbl.find slot_of (Capability.head_key r) in
-        let support = { r with Ast.body = Ast.Pos (Ast.atom_of_head r.Ast.head) :: r.Ast.body } in
-        preds.(h).support <- preds.(h).support @ [ compile ~delta:(0, h + (2 * n)) support ];
-        List.iteri
-          (fun i lit ->
-            match (lit : Ast.literal) with
-            | Ast.Pos a ->
-              let s = Hashtbl.find slot_of (Capability.atom_key a) in
-              preds.(s).acts <- preds.(s).acts @ [ compile ~delta:(i, s + n) r ]
-            | _ -> ())
-          r.Ast.body;
-        compile r)
-      t.rules
-  in
-  { rels; preds; slot_of; refresh; missing = !missing }
-
-(* Run one compiled rule, handing each head tuple to [emit] with the
-   slot of its extent. *)
-let run t (rule : Module_struct.crule) emit =
-  t.src.src_tick ();
-  Joiner.run ~rels:t.kernel.rels ~range:Joiner.full_range rule ~on_match:(fun env ->
-      t.src.src_tick ();
-      emit rule.Module_struct.head_slot (Joiner.head_tuple rule env))
-
-(* One round over a delta batch of (slot, tuple): load it into the
-   scratch delta relations, run every activation of each loaded
-   predicate once over the whole batch, and empty them again. *)
-let round t delta emit =
-  let preds = t.kernel.preds in
-  List.iter (fun (s, tu) -> ignore (Relation.insert_quiet preds.(s).delta tu)) delta;
-  let loaded = List.sort_uniq compare (List.map fst delta) in
-  List.iter (fun s -> List.iter (fun rule -> run t rule emit) preds.(s).acts) loaded;
-  List.iter (fun s -> Relation.clear preds.(s).delta) loaded
+  { k; is_ext = Array.init n (fun s -> List.memq (rel s) !exts); cand; support; missing = !missing }
 
 (* ------------------------------------------------------------------ *)
 (* Insertion propagation                                               *)
@@ -207,20 +154,23 @@ let round t delta emit =
    the delta — sound and complete for monotone rules), and tuples that
    actually grow an extent form the next round's delta. *)
 let propagate t ~derived ~rounds delta =
+  let k = t.kernel.k in
   let current = ref delta in
   while !current <> [] do
     incr rounds;
     let next = ref [] in
-    round t !current (fun s tu ->
-        if Relation.insert t.kernel.preds.(s).rel tu then begin
+    Delta_kernel.round k !current (fun () s tu ->
+        if Relation.insert (Delta_kernel.full k s) tu then begin
           incr derived;
           next := (s, tu) :: !next
         end);
     current := List.rev !next
   done
 
-(* The stored base relation behind a kernel predicate. *)
-let stored t p = t.src.src_relation (Symbol.intern p.rel.Relation.name) p.rel.Relation.arity
+(* The stored base relation behind a kernel slot. *)
+let stored t s =
+  let rel = Delta_kernel.full t.kernel.k s in
+  t.src.src_relation (Symbol.intern rel.Relation.name) rel.Relation.arity
 
 (* ------------------------------------------------------------------ *)
 (* Full refresh                                                        *)
@@ -230,23 +180,24 @@ let refresh t =
   analyse t;
   t.kernel <- compile t;
   t.refresh_count <- t.refresh_count + 1;
+  let k = t.kernel.k in
   (* seed extents with the stored base facts of maintained predicates
      (a predicate can be derived by rules AND hold base facts) *)
   let delta0 = ref [] in
-  let grow s tu = if Relation.insert t.kernel.preds.(s).rel tu then delta0 := (s, tu) :: !delta0 in
+  let grow s tu = if Relation.insert (Delta_kernel.full k s) tu then delta0 := (s, tu) :: !delta0 in
   Array.iteri
-    (fun s p ->
-      if p.is_ext then
+    (fun s is_ext ->
+      if is_ext then
         Option.iter
           (fun rel ->
             Seq.iter
               (fun (tu : Tuple.t) -> grow s (Tuple.of_terms tu.Tuple.terms))
               (Relation.scan rel ()))
-          (stored t p))
-    t.kernel.preds;
+          (stored t s))
+    t.kernel.is_ext;
   (* round 0: one naive full pass per rule (covers bodies over pure-EDB
      relations, which never produce deltas of their own) ... *)
-  List.iter (fun rule -> run t rule grow) t.kernel.refresh;
+  Delta_kernel.run_written k (fun () -> grow);
   (* ... then semi-naive rounds on the derived deltas *)
   propagate t ~derived:(ref 0) ~rounds:(ref 0) !delta0;
   t.is_stale <- false
@@ -266,17 +217,20 @@ let prepare t =
 
 let insert t facts =
   prepare t;
+  let k = t.kernel.k in
   let derived = ref 0 and rounds = ref 0 in
   let delta =
     List.filter_map
       (fun (pred, args) ->
-        match Hashtbl.find_opt t.kernel.slot_of (Capability.key_of pred (Array.length args)) with
+        match Delta_kernel.slot k pred (Array.length args) with
         | None -> None  (* no maintained rule reads it *)
         | Some s ->
-          let p = t.kernel.preds.(s) and tu = Tuple.of_terms args in
+          let tu = Tuple.of_terms args in
           (* a base fact already derivable by rules grows nothing and
              propagates nothing *)
-          if (not p.is_ext) || Relation.insert p.rel tu then Some (s, tu) else None)
+          if (not t.kernel.is_ext.(s)) || Relation.insert (Delta_kernel.full k s) tu then
+            Some (s, tu)
+          else None)
       facts
   in
   propagate t ~derived ~rounds delta;
@@ -288,7 +242,8 @@ let insert t facts =
 
 let retract t facts =
   prepare t;
-  let preds = t.kernel.preds in
+  let { k; is_ext; cand; support; _ } = t.kernel in
+  let full = Delta_kernel.full k in
   let removed = ref 0 and missing = ref 0 in
   let derived = ref 0 and deleted = ref 0 and rederived = ref 0 and rounds = ref 0 in
   (* seed with the base facts actually present, each once *)
@@ -315,11 +270,11 @@ let retract t facts =
     let delta =
       List.filter_map
         (fun (pred, args) ->
-          match Hashtbl.find_opt t.kernel.slot_of (Capability.key_of pred (Array.length args)) with
+          match Delta_kernel.slot k pred (Array.length args) with
           | None -> None
           | Some s ->
             let tu = Tuple.of_terms args in
-            if preds.(s).is_ext then ignore (Relation.insert_quiet preds.(s).cand tu);
+            if is_ext.(s) then ignore (Relation.insert_quiet cand.(s) tu);
             Some (s, tu))
         seeds
     in
@@ -329,10 +284,9 @@ let retract t facts =
     while !current <> [] do
       incr rounds;
       let next = ref [] in
-      round t !current (fun s tu ->
-          let p = preds.(s) in
-          if (not (Relation.mem p.cand tu)) && Relation.mem p.rel tu then begin
-            ignore (Relation.insert_quiet p.cand tu);
+      Delta_kernel.round k !current (fun () s tu ->
+          if (not (Relation.mem cand.(s) tu)) && Relation.mem (full s) tu then begin
+            ignore (Relation.insert_quiet cand.(s) tu);
             next := (s, tu) :: !next
           end);
       current := List.rev !next
@@ -348,12 +302,13 @@ let retract t facts =
           (fun rel -> ignore (delete_exact rel (Tuple.of_terms args)))
           (t.src.src_relation pred (Array.length args)))
       seeds;
-    let over = List.filter (fun p -> Relation.cardinal p.cand > 0) (Array.to_list preds) in
-    List.iter
-      (fun p ->
-        Seq.iter
-          (fun tu -> deleted := !deleted + delete_exact p.rel tu)
-          (Relation.scan_quiet p.cand ()))
+    let over = Array.map (fun c -> Relation.cardinal c > 0) cand in
+    Array.iteri
+      (fun s o ->
+        if o then
+          Seq.iter
+            (fun tu -> deleted := !deleted + delete_exact (full s) tu)
+            (Relation.scan_quiet cand.(s) ()))
       over;
     (* rederivation: an over-deleted tuple with alternative support — a
        surviving base fact, or a match of a support activation over the
@@ -361,24 +316,24 @@ let retract t facts =
        reinsertions cascade like inserts *)
     let reborn = ref [] in
     let restore s tu =
-      if Relation.insert preds.(s).rel tu then begin
+      if Relation.insert (full s) tu then begin
         incr rederived;
         reborn := (s, tu) :: !reborn
       end
     in
     Array.iteri
-      (fun s p ->
-        if List.memq p over then begin
+      (fun s o ->
+        if o then begin
           Option.iter
             (fun base ->
               Seq.iter
                 (fun tu -> if Relation.mem base tu then restore s tu)
-                (Relation.scan_quiet p.cand ()))
-            (stored t p);
-          List.iter (fun rule -> run t rule restore) p.support
+                (Relation.scan_quiet cand.(s) ()))
+            (stored t s);
+          List.iter (fun rule -> Delta_kernel.run k rule restore) support.(s)
         end)
-      preds;
-    List.iter (fun p -> Relation.clear p.cand) over;
+      over;
+    Array.iteri (fun s o -> if o then Relation.clear cand.(s)) over;
     propagate t ~derived ~rounds (List.rev !reborn)
   end;
   ( !removed,

@@ -4,9 +4,9 @@
     The engine's normal evaluation recomputes a fixpoint per query
     form; this module instead materializes the full extent of every
     {e maintainable} derived predicate once, then propagates updates
-    through the same delta shape semi-naive evaluation uses, with the
-    fixpoint's join kernel: rules compiled once by {!Module_struct}
-    and run by {!Joiner}.
+    through the same delta shape semi-naive evaluation uses, in the
+    delta kernel the shard workers share ({!Delta_kernel}: rules
+    compiled once by {!Module_struct} and run by {!Joiner}).
 
     - an insert is a delta batch: the batch is loaded into a scratch
       delta relation per predicate, each rule's activation on a
@@ -20,9 +20,9 @@
       against the pre-delete state, everything over-deleted is
       physically removed, and the removed tuples of each predicate
       are rederived in one batch when an alternative support (a
-      remaining base fact, or a match of the rule's support activation
-      over them) still exists, with rederived tuples feeding an
-      insertion-propagation cascade.
+      remaining base fact, or a match of the rule's support activation,
+      which scans them in place) still exists, with
+      rederived tuples feeding an insertion-propagation cascade.
 
     {b Supported program class.}  The maintained predicates are the
     ones {!Coral_rewrite.Capability} finds maintainable; that module

@@ -46,8 +46,10 @@
     dprog# <nbytes>                the distributed program (rules) follows
     delta# <nbytes> <round>        a binary delta batch a peer shard
                                    derived in <round>
-    edb# <nbytes>                  a binary batch of new base facts; the
-                                   next fixpoint's round 1 runs only the
+    edb# <nbytes>                  a binary batch of base facts: before
+                                   the closure is built they load the
+                                   replica; after a fixpoint the next
+                                   fixpoint's round 1 runs only the
                                    rules they activate
     barrier step <round> [final]   absorb the delta batches of earlier
                                    rounds, derive to a local fixpoint and

@@ -51,6 +51,18 @@ let encode pairs =
   | [ payload ] -> payload
   | ps -> Alcotest.failf "a small batch took %d payloads" (List.length ps)
 
+(* The facts of a program text, as (predicate, tuple) pairs. *)
+let facts_of text =
+  match Coral.Parser.program text with
+  | Ok items ->
+    List.filter_map
+      (function
+        | Coral.Ast.Fact a ->
+          Some (Coral.Symbol.name a.Coral.Ast.pred, Coral.Tuple.of_terms a.Coral.Ast.args)
+        | _ -> None)
+      items
+  | Error _ -> Alcotest.failf "unparseable facts: %S" text
+
 (* Strict term identity: the same value constructor, doubles with the
    same bits (Term.equal has -0.0 = 0.0), functors with the same name. *)
 let rec same_term (a : Coral.Term.t) (b : Coral.Term.t) =
@@ -69,19 +81,14 @@ let same_tuple (a : Coral.Tuple.t) (b : Coral.Tuple.t) =
   && Array.for_all2 same_term a.Coral.Tuple.terms b.Coral.Tuple.terms
 
 let test_delta_codec_unit () =
-  (* the replicated EDB still ships as fact text *)
-  Alcotest.(check string) "EDB rendered as stock fact text" "path(1, 2)."
-    (Delta_codec.fact_line "path" (tuple_of [ 1; 2 ]));
-  (* EDB strings re-parse byte for byte, whatever they hold *)
+  (* strings come back byte for byte, whatever they hold *)
   List.iter
     (fun str ->
-      let term = Coral.Term.str str in
-      let line = Delta_codec.fact_line "s" (Coral.Tuple.of_terms [| term |]) in
-      match Coral.Parser.program line with
-      | Ok [ Coral.Ast.Fact a ] ->
-        Alcotest.(check bool) (Printf.sprintf "%S re-parses" str) true
-          (same_term term a.Coral.Ast.args.(0))
-      | _ -> Alcotest.failf "%S does not re-parse as one fact" line)
+      let tuple = Coral.Tuple.of_terms [| Coral.Term.str str |] in
+      match Delta_codec.decode (encode [ "s", tuple ]) with
+      | Ok [ ("s", got) ] ->
+        Alcotest.(check bool) (Printf.sprintf "%S round-trips" str) true (same_tuple tuple got)
+      | _ -> Alcotest.failf "%S did not round-trip as one tuple" str)
     [ "a b"; "q\"uote"; "back\\slash"; "new\nline"; "tab\t"; "caf\xc3\xa9"; "cr\rnul\000" ];
   let batch = encode [ "path", tuple_of [ 1; 2 ]; "path", tuple_of [ 2; 3 ] ] in
   (match Delta_codec.decode batch with
@@ -126,12 +133,23 @@ let test_delta_codec_unit () =
       (List.length got = List.length pairs
       && List.for_all2 (fun (n, t) (n', t') -> n = n' && same_tuple t t') pairs got)
   | Error e -> Alcotest.fail ("split payload did not decode: " ^ e));
-  (* a variable has no wire form: only ground tuples ship *)
-  (match
-     encode [ "path", Coral.Tuple.of_terms [| Coral.Term.var ~name:"X" 0; Coral.Term.int 2 |] ]
-   with
+  (* a variable has no owner shard: a partitioned tuple ships only
+     ground; a stored non-ground fact of the replicated EDB keeps its
+     variables, shared ones shared *)
+  let x = Coral.Term.var ~name:"X" 0 and y = Coral.Term.var ~name:"Y" 1 in
+  let open_tuple =
+    Coral.Tuple.of_terms [| x; Coral.Term.app (Coral.Symbol.intern "f") [| y; x |] |]
+  in
+  (match encode [ "path", open_tuple ] with
   | _ -> Alcotest.fail "a non-ground tuple must not encode"
   | exception Delta_codec.Unencodable _ -> ());
+  let b = Delta_codec.batch () in
+  Delta_codec.add_tuple ~vars:true b "path" open_tuple;
+  (match Delta_codec.decode (String.concat "" (Delta_codec.contents b)) with
+  | Ok [ ("path", got) ] ->
+    Alcotest.(check bool) "a non-ground EDB fact round-trips" true
+      (Coral.Tuple.equal open_tuple got && got.Coral.Tuple.nvars = 2)
+  | _ -> Alcotest.fail "a non-ground EDB fact did not round-trip");
   (* fact text, a rule, is not a batch *)
   List.iter
     (fun text ->
@@ -164,9 +182,6 @@ let test_delta_codec_doubles () =
   List.iter roundtrip
     [ 2.0; -2.0; 1.0000001; 0.1; -0.5; 1e300; 4.9e-324; 1.7976931348623157e308;
       3.141592653589793; 1000000.0; -0.0; 2.2250738585072009e-308 ];
-  (* the EDB's fact text keeps a double and the equal-printing int apart *)
-  Alcotest.(check string) "2.0 is not 2" "m(2.0)."
-    (Delta_codec.fact_line "m" (Coral.Tuple.of_terms [| Coral.Term.double 2.0 |]));
   (* nested under a functor and in lists too *)
   let nested =
     Coral.Tuple.of_terms
@@ -174,13 +189,10 @@ let test_delta_codec_doubles () =
          Coral.Term.list_of [ Coral.Term.double 0.5 ]
       |]
   in
-  Alcotest.(check string) "nested doubles" "m(f(3.0), [0.5])."
-    (Delta_codec.fact_line "m" nested);
   (match Delta_codec.decode (encode [ "m", nested ]) with
   | Ok [ (_, got) ] -> Alcotest.(check bool) "nested doubles in binary" true (same_tuple nested got)
   | _ -> Alcotest.fail "nested doubles did not round-trip");
-  (* values with no wire form refuse to ship rather than lie, in
-     either format *)
+  (* values with no wire form refuse to ship rather than lie *)
   let refused what f =
     match f () with
     | _ -> Alcotest.failf "%s must not serialize" what
@@ -192,7 +204,6 @@ let test_delta_codec_doubles () =
   List.iter
     (fun (what, term) ->
       let tuple = Coral.Tuple.of_terms [| term |] in
-      refused (what ^ " as fact text") (fun () -> Delta_codec.fact_line "m" tuple);
       refused (what ^ " in a batch") (fun () -> encode [ "m", tuple ]))
     [ "nan", Coral.Term.double Float.nan;
       "inf", Coral.Term.double Float.infinity;
@@ -391,7 +402,7 @@ let test_plan_unit () =
     Alcotest.(check (list (pair string int))) "one partitioned idb" [ "path", 2 ] a.Plan.idb;
     let classes = List.map (fun d -> d.Plan.cls) a.Plan.drules in
     Alcotest.(check bool) "exit rule is Init" true (List.mem Plan.Init classes);
-    Alcotest.(check bool) "recursive rule is Linear 0" true (List.mem (Plan.Linear 0) classes)
+    Alcotest.(check bool) "recursive rule is Linear" true (List.mem Plan.Linear classes)
   | `Local why -> Alcotest.fail ("linear TC rejected: " ^ why));
   (* non-linear: two derived body literals *)
   (match
@@ -1233,9 +1244,10 @@ let test_conservation_tripwire () =
     let shard = Partition.owner (Coordinator.partition coord) seed in
     Coordinator.configure coord >>= fun () ->
     Coordinator.reset coord >>= fun () ->
-    Coordinator.send_edb coord (tc_edges ~nodes:8 ~extra:3 5) >>= fun () ->
     Coordinator.send_program coord
       "path(X, Y) :- edge(X, Y).\npath(X, Y) :- path(X, Z), edge(Z, Y).\n"
+    >>= fun () ->
+    Coordinator.send_edb_batch coord (encode (facts_of (tc_edges ~nodes:8 ~extra:3 5)))
     >>= fun () ->
     List.fold_left
       (fun r () -> r >>= fun () -> Coordinator.send_delta coord ~shard (encode [ "path", seed ]))
@@ -1370,7 +1382,9 @@ let test_string_constants_in_transit () =
 
 (* A worker refuses an [edb#] batch it cannot take — before it has a
    program, truncated, or holding a fact of a derived predicate — and
-   stores none of it; a good batch seeds the next fixpoint's round 1. *)
+   stores none of it.  Before the closure is built a good batch loads
+   the replica; after a fixpoint it seeds the next fixpoint's round 1,
+   which joins it alone. *)
 let test_edb_refused () =
   let path, srv = start_worker () in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
@@ -1380,6 +1394,11 @@ let test_edb_refused () =
     snd (request ~payload c (Printf.sprintf "edb# %d" (String.length payload)))
   in
   let edges () = answers c "edge(X, Y)" in
+  let fixpoint () =
+    List.iter
+      (fun step -> check_prefix step "ok" (snd (request c step)))
+      [ "barrier step 1"; "barrier step 2 final" ]
+  in
   let _, status = request c "consult edge(1, 2)." in
   check_prefix "consult" "ok" status;
   let stored = edges () in
@@ -1396,14 +1415,18 @@ let test_edb_refused () =
   check_prefix "edb# with a derived fact" "err CLUSTER"
     (edb [ "edge", tuple_of [ 7; 8 ]; "path", tuple_of [ 1; 9 ] ]);
   Alcotest.(check (list string)) "refused batches store nothing" stored (edges ());
+  fixpoint ();
+  check_prefix "edb# with a derived fact after the fixpoint" "err CLUSTER"
+    (edb [ "edge", tuple_of [ 7; 8 ]; "path", tuple_of [ 1; 9 ] ]);
+  (* stored behind the kernel's back: no delta joins it *)
+  check_prefix "consult" "ok" (snd (request c "consult edge(5, 6)."));
   check_prefix "edb#" "ok received=2 new=1" (edb [ "edge", tuple_of [ 2; 3 ]; "edge", tuple_of [ 1; 2 ] ]);
-  List.iter
-    (fun step -> check_prefix step "ok" (snd (request c step)))
-    [ "barrier step 1"; "barrier step 2 final" ];
+  fixpoint ();
   (* the final step publishes the batch with the closure it grew *)
-  Alcotest.(check int) "the good batch is stored" 2 (List.length (edges ()));
-  (* round 1 joined only the new edge: path(1, 2) was never derived *)
-  Alcotest.(check (list string)) "round 1 ran from the batch alone" [ "ans X = 2, Y = 3" ]
+  Alcotest.(check int) "the good batch is stored" 3 (List.length (edges ()));
+  (* round 1 joined only the new edge: path(5, 6) was never derived *)
+  Alcotest.(check (list string)) "round 1 ran from the batch alone"
+    [ "ans X = 1, Y = 2"; "ans X = 1, Y = 3"; "ans X = 2, Y = 3" ]
     (answers c "path(X, Y)");
   ignore (request c "quit");
   close_client c
@@ -2192,6 +2215,340 @@ let test_router_connection_cap () =
   ignore (request c1 "quit");
   close_client c1
 
+(* The replicated EDB ships as binary [edb#] batches: doubles that
+   print like ints or not at all exactly (2.0, 0.1, -0.0), a string
+   holding CR and NUL, and a non-ground fact (read by a rule whose
+   heads are ground) reach every worker with value, type and bits
+   intact, so the cluster answers byte-identically
+   to a single node — after the first resync, and after a retract
+   forces another. *)
+let test_resync_edb_values () =
+  let program =
+    "module m_w.\nexport wpath(ff).\nexport wpath(bf).\n\
+     wpath(X, Y) :- wedge(X, Y).\nwpath(X, Y) :- wlabel(X, Y, Z).\n\
+     wpath(X, Y) :- wpath(X, Z), wedge(Z, Y).\nend_module.\n"
+  in
+  let edges =
+    "wedge(1, 2.0). wedge(2.0, 0.1). wedge(0.1, -0.0). wedge(-0.0, \"cr\\rnul\\000\").\n\
+     wedge(\"cr\\rnul\\000\", 2). wedge(2, 2.0). wedge(0.1, 3). wlabel(3, -0.0, f(X)).\n"
+  in
+  let queries = [ "wpath(X, Y)"; "wpath(2.0, Y)"; "wpath(-0.0, Y)" ] in
+  (* [count] reads the router's resync and fan-out counters *)
+  let run ?(count = fun _ -> 0, 0) path =
+    let c = connect_unix path in
+    consult_all c [ program; edges ];
+    let r0, d0 = count c in
+    let before = List.map (answers c) queries in
+    check_prefix "retract" "ok retracted 1" (snd (request c "retract wedge(2, 2.0)."));
+    let after = List.map (answers c) queries in
+    let r1, d1 = count c in
+    ignore (request c "quit");
+    close_client c;
+    before, after, (r1 - r0, d1 - d0)
+  in
+  let spath = sock_path () in
+  let srv = Server.start ~listen:(`Unix spath) (Coral.create ()) in
+  let w_before, w_after, _ =
+    Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> run spath)
+  in
+  Alcotest.(check bool) "the single node holds the bytes" true
+    (List.mem "ans X = -0, Y = \"cr\\rnul\\000\"" (List.hd w_before));
+  Coral_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Coral_obs.Obs.set_enabled false) @@ fun () ->
+  let cl = start_cluster ~shards:2 ~key:0 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  let count c = stat_int c "router.resyncs", stat_int c "router.queries.dist" in
+  let before, after, moved = run ~count cl.router_path in
+  Alcotest.(check (list (list string))) "same answers as a single node" w_before before;
+  Alcotest.(check (list (list string))) "and after the retract's resync" w_after after;
+  Alcotest.(check (pair int int)) "two resyncs, every read fanned out" (2, 6) moved
+
+(* A non-ground derived tuple or seed has no owner shard: its
+   variables all hash to one bucket, while its ground instances live
+   with their owners, and the router would relay both where a single
+   node keeps the general tuple alone.  Partitioned on key 1, [p(1, W)]
+   is derived from [p(1, v)] by the shard that owns it, and either
+   kept there (v's owner is the variable bucket) or shipped; both
+   fail the fixpoint with [err CLUSTER] instead of answering
+   differently from a single node.  A non-ground consulted fact of [p]
+   (a seed) is refused by the resync the same way. *)
+let test_nonground_not_partitioned () =
+  let program =
+    "module m_p.\nexport p(ff).\n\
+     p(X, Y) :- a(X, Y).\np(X, Y) :- p(X, Z), b(Z, Y).\nend_module.\n"
+  in
+  let part = Partition.create ~shards:2 ~key:1 in
+  let owner v = Partition.owner part (tuple_of [ 1; v ]) in
+  let bucket =
+    Partition.owner part (Coral.Tuple.of_terms [| Coral.Term.int 1; Coral.Term.var ~name:"W" 0 |])
+  in
+  let values = List.init 50 (( + ) 2) in
+  let mine = List.find (fun v -> owner v = bucket) values in
+  let other = List.find (fun v -> owner v <> bucket) values in
+  let derived v = Printf.sprintf "a(1, %d). a(1, %d). b(%d, W).\n" mine other v in
+  List.iter
+    (fun (what, facts) ->
+      Alcotest.(check int) (what ^ ": a single node keeps the general tuple alone") 1
+        (List.length (List.assoc "p(X, Y)" (reference [ program; facts ] [ "p(X, Y)" ])));
+      let cl = start_cluster ~shards:2 ~key:1 () in
+      Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+      let c = connect_unix cl.router_path in
+      consult_all c [ program; facts ];
+      check_prefix what "err CLUSTER" (snd (request c "query p(X, Y)"));
+      ignore (request c "quit");
+      close_client c)
+    [ "a non-ground tuple its deriver owns", derived mine;
+      "a non-ground tuple shipped to its owner", derived other;
+      "a non-ground seed", Printf.sprintf "a(1, %d). p(1, W).\n" other ]
+
+(* An [edb#] before the closure is built loads the replica, negated
+   base predicates included, and the final step publishes it: a resync
+   costs a worker three commits.  After a fixpoint the same batch would
+   be a delta, and a delta of a negated predicate is refused and stores
+   nothing. *)
+let test_edb_load_then_delta () =
+  let texts = [ neg_tc_program; "edge(1, 2). edge(2, 3). edge(3, 4). blocked(2).\n" ] in
+  let expected = reference texts [ "path(X, Y)" ] in
+  let cl = start_cluster ~shards:2 ~key:1 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  let c = connect_unix cl.router_path in
+  consult_all c texts;
+  Alcotest.(check (list string)) "blocked loaded through edb#: same as a single node"
+    (List.assoc "path(X, Y)" expected) (answers c "path(X, Y)");
+  (* a retract's resync commits each worker three times: dreset,
+     dprog#, and the final step, which publishes the loaded EDB with
+     its closure *)
+  let epochs () =
+    List.map (fun (_, srv) -> Session.snapshot_epoch (Server.store srv)) cl.workers
+  in
+  let before = epochs () in
+  check_prefix "retract" "ok retracted 1" (snd (request c "retract edge(3, 4)."));
+  Alcotest.(check (list string)) "after the retract's resync: same as a single node"
+    (List.assoc "path(X, Y)"
+       (reference [ neg_tc_program; "edge(1, 2). edge(2, 3). blocked(2).\n" ] [ "path(X, Y)" ]))
+    (answers c "path(X, Y)");
+  Alcotest.(check (list int)) "three commits per worker per resync"
+    (List.map (( + ) 3) before) (epochs ());
+  ignore (request c "quit");
+  close_client c;
+  List.iteri
+    (fun i (wpath, _) ->
+      let w = connect_unix wpath in
+      let what = Printf.sprintf "worker %d: %s" i in
+      Alcotest.(check (list string)) (what "the negated facts loaded") [ "ans X = 2" ]
+        (answers w "blocked(X)");
+      let payload = encode [ "blocked", tuple_of [ 3 ] ] in
+      check_prefix (what "edb# of a negated predicate after the fixpoint") "err CLUSTER"
+        (snd (request ~payload w (Printf.sprintf "edb# %d" (String.length payload))));
+      Alcotest.(check (list string)) (what "stored nothing") [ "ans X = 2" ]
+        (answers w "blocked(X)");
+      ignore (request w "quit");
+      close_client w)
+    cl.workers
+
+let two_program =
+  "module m_two.\n\
+   export two(ff).\n\
+   two(X, Y) :- hop(X, Z), link(Z, Y).\n\
+   two(X, Y) :- two(X, Z), hop(Z, Y).\n\
+   end_module.\n"
+
+let right_program =
+  "module m_right.\n\
+   export rpath(bf).\n\
+   rpath(X, Y) :- redge(X, Y).\n\
+   rpath(X, Y) :- redge(X, Z), rpath(Z, Y).\n\
+   end_module.\n"
+
+let sg_program =
+  "module m_sg.\n\
+   export sg(ff).\n\
+   sg(X, Y) :- flat(X, Y).\n\
+   sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\n\
+   end_module.\n"
+
+let parity_facts =
+  "hop(1, 2). hop(2, 3). hop(3, 4). hop(4, 1). hop(2, 5). link(2, 6). link(3, 7). link(5, 8).\n\
+   redge(1, 2). redge(2, 3). redge(3, 1). redge(3, 4).\n\
+   flat(100, 101). flat(101, 102). up(1, 100). up(2, 100). up(3, 101). down(101, 11). \
+   down(102, 12). down(100, 10).\n\
+   edge(1, 2). edge(2, 3). edge(3, 4). edge(4, 2).\n"
+
+let expected_parity =
+  [ "two(X, Y): 3 answers";
+    "round=1";
+    "shard=0 derived=12 shipped=1 received=0 new=11";
+    "shard=1 derived=17 shipped=3 received=0 new=14";
+    "round=2";
+    "shard=0 derived=3 shipped=3 received=3 new=3";
+    "shard=1 derived=2 shipped=1 received=1 new=2";
+    "round=3";
+    "shard=0 derived=0 shipped=0 received=1 new=0";
+    "shard=1 derived=0 shipped=0 received=3 new=2";
+    "round=4";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=0 shipped=0 received=0 new=0";
+    "two(X, Y): 5 answers";
+    "round=1";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=2 shipped=1 received=0 new=1";
+    "round=2";
+    "shard=0 derived=0 shipped=0 received=1 new=1";
+    "shard=1 derived=0 shipped=0 received=0 new=0";
+    "round=3";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=0 shipped=0 received=0 new=0";
+    "two(X, Y): 12 answers";
+    "round=1";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=5 shipped=3 received=0 new=2";
+    "round=2";
+    "shard=0 derived=1 shipped=1 received=3 new=3";
+    "shard=1 derived=0 shipped=0 received=0 new=0";
+    "round=3";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=1 shipped=1 received=1 new=1";
+    "round=4";
+    "shard=0 derived=1 shipped=1 received=1 new=1";
+    "shard=1 derived=0 shipped=0 received=0 new=0";
+    "round=5";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=0 shipped=0 received=1 new=0";
+    "round=6";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=0 shipped=0 received=0 new=0";
+    "two(X, Y): 6 answers";
+    "round=1";
+    "shard=0 derived=12 shipped=1 received=0 new=11";
+    "shard=1 derived=20 shipped=5 received=0 new=15";
+    "round=2";
+    "shard=0 derived=3 shipped=3 received=5 new=5";
+    "shard=1 derived=2 shipped=1 received=1 new=2";
+    "round=3";
+    "shard=0 derived=0 shipped=0 received=1 new=0";
+    "shard=1 derived=0 shipped=0 received=3 new=2";
+    "round=4";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=0 shipped=0 received=0 new=0";
+    "path(X, Y): 12 answers";
+    "round=1";
+    "shard=0 derived=12 shipped=1 received=0 new=11";
+    "shard=1 derived=20 shipped=5 received=0 new=15";
+    "round=2";
+    "shard=0 derived=3 shipped=3 received=5 new=5";
+    "shard=1 derived=2 shipped=1 received=1 new=2";
+    "round=3";
+    "shard=0 derived=0 shipped=0 received=1 new=0";
+    "shard=1 derived=0 shipped=0 received=3 new=2";
+    "round=4";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=0 shipped=0 received=0 new=0";
+    "rpath(1, Y): 4 answers";
+    "round=1";
+    "shard=0 derived=12 shipped=1 received=0 new=11";
+    "shard=1 derived=20 shipped=5 received=0 new=15";
+    "round=2";
+    "shard=0 derived=3 shipped=3 received=5 new=5";
+    "shard=1 derived=2 shipped=1 received=1 new=2";
+    "round=3";
+    "shard=0 derived=0 shipped=0 received=1 new=0";
+    "shard=1 derived=0 shipped=0 received=3 new=2";
+    "round=4";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=0 shipped=0 received=0 new=0";
+    "sg(X, Y): 5 answers";
+    "round=1";
+    "shard=0 derived=12 shipped=1 received=0 new=11";
+    "shard=1 derived=20 shipped=5 received=0 new=15";
+    "round=2";
+    "shard=0 derived=3 shipped=3 received=5 new=5";
+    "shard=1 derived=2 shipped=1 received=1 new=2";
+    "round=3";
+    "shard=0 derived=0 shipped=0 received=1 new=0";
+    "shard=1 derived=0 shipped=0 received=3 new=2";
+    "round=4";
+    "shard=0 derived=0 shipped=0 received=0 new=0";
+    "shard=1 derived=0 shipped=0 received=0 new=0";
+    "worker 0 down/2: args(0)";
+    "worker 0 edge/2: args(0)";
+    "worker 0 flat/2: ";
+    "worker 0 hop/2: args(0); args(1)";
+    "worker 0 link/2: args(0)";
+    "worker 0 path/2: args(1)";
+    "worker 0 redge/2: args(1)";
+    "worker 0 rpath/2: args(0)";
+    "worker 0 sg/2: args(0)";
+    "worker 0 two/2: args(1)";
+    "worker 0 up/2: args(1)";
+    "worker 1 down/2: args(0)";
+    "worker 1 edge/2: args(0)";
+    "worker 1 flat/2: ";
+    "worker 1 hop/2: args(0); args(1)";
+    "worker 1 link/2: args(0)";
+    "worker 1 path/2: args(1)";
+    "worker 1 redge/2: args(1)";
+    "worker 1 rpath/2: args(0)";
+    "worker 1 sg/2: args(0)";
+    "worker 1 two/2: args(1)";
+    "worker 1 up/2: args(1)"
+  ]
+
+(* One dstat row per round and shard, without its timing. *)
+let dstat_rows c =
+  let lines, status = request c "dstat" in
+  check_prefix "dstat" "ok" status;
+  List.filter_map
+    (fun l ->
+      let words = String.split_on_char ' ' l in
+      if String.starts_with ~prefix:"txt round=" l then Some (List.nth words 1)
+      else if String.starts_with ~prefix:"txt   shard=" l then
+        Some
+          (String.concat " "
+             (List.filter
+                (fun w -> w <> "" && w <> "txt" && not (String.starts_with ~prefix:"step_ms=" w))
+                words))
+      else None)
+    lines
+
+(* The work and the indexes of the shards' delta kernel, pinned: every
+   fixpoint's per-round, per-shard derived/shipped/received/new rows —
+   a resync, two delta syncs through an Init rule with two base
+   literals, and a retract's resync — and the index specs on every
+   worker's base relations and partitions, in installation order. *)
+let test_kernel_parity () =
+  let cl = start_cluster ~shards:2 ~key:1 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  let c = connect_unix cl.router_path in
+  consult_all c [ tc_program; two_program; right_program; sg_program; parity_facts ];
+  let out = ref [] in
+  let read q =
+    let n = List.length (answers c q) in
+    out := !out @ (Printf.sprintf "%s: %d answers" q n :: dstat_rows c)
+  in
+  read "two(X, Y)";
+  check_prefix "insert" "ok" (snd (request c "insert hop(6, 9). link(9, 10)."));
+  read "two(X, Y)";
+  check_prefix "insert" "ok" (snd (request c "insert hop(8, 2)."));
+  read "two(X, Y)";
+  check_prefix "retract" "ok" (snd (request c "retract hop(2, 5)."));
+  List.iter read [ "two(X, Y)"; "path(X, Y)"; "rpath(1, Y)"; "sg(X, Y)" ];
+  ignore (request c "quit");
+  close_client c;
+  let indexes =
+    List.concat
+      (List.mapi
+         (fun i (_, srv) ->
+           List.map
+             (fun (sym, arity, rel) ->
+               Printf.sprintf "worker %d %s/%d: %s" i (Coral.Symbol.name sym) arity
+                 (String.concat "; "
+                    (List.map (Format.asprintf "%a" Coral.Index.pp_spec)
+                       (Coral.Relation.indexes rel))))
+             (Coral.Engine.base_relations (Coral.engine (Session.db (Server.store srv)))))
+         cl.workers)
+  in
+  Alcotest.(check (list string)) "dstat rows and indexes" expected_parity (!out @ indexes)
+
 let () =
   Alcotest.run "coral_dist"
     [ ( "units",
@@ -2241,7 +2598,15 @@ let () =
             test_slow_worker_early_batches;
           Alcotest.test_case "reads never mix cluster states" `Quick test_reads_never_mix_states;
           Alcotest.test_case "string constants survive program transit" `Quick
-            test_string_constants_in_transit
+            test_string_constants_in_transit;
+          Alcotest.test_case "shard kernel: dstat work and indexes pinned" `Quick
+            test_kernel_parity;
+          Alcotest.test_case "differential: EDB values through a resync" `Quick
+            test_resync_edb_values;
+          Alcotest.test_case "edb# loads before the closure, is a delta after" `Quick
+            test_edb_load_then_delta;
+          Alcotest.test_case "non-ground tuples are not partitioned" `Quick
+            test_nonground_not_partitioned
         ] );
       ( "observability",
         [ Alcotest.test_case "tid= wire round-trip on a plain server" `Quick
