@@ -905,6 +905,97 @@ let exp_maintain () =
     ]
     rows
 
+(* ------------------------------------------------------------------ *)
+(* E20: the bound serve path                                           *)
+(* ------------------------------------------------------------------ *)
+
+let exp_serve_path () =
+  header "E20 serve_path: a bound call instantiates a module compiled once"
+    "Engine.call path(s, Y) on perfbench's bound_query graph (a 64-node ring\n\
+     with one chord per node, right-linear closure, no maintenance).  A call\n\
+     instantiates the module compiled when its plan was first evaluated\n\
+     (fresh local relations, the stored relations bound, their indexes\n\
+     applied) and runs the seeded semi-naive fixpoint.  Per call: time and\n\
+     minor-heap words, whole and split into instantiate and run, and the\n\
+     compiles a call triggers (none after the first).  The compile row is\n\
+     what a call would pay if the module were compiled per request.";
+  let n = 64 in
+  let next = Workloads.lcg 7 in
+  let name = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = next (i + 1) in
+    let t = name.(i) in
+    name.(i) <- name.(j);
+    name.(j) <- t
+  done;
+  let db = Workloads.fresh_db () in
+  Workloads.load_pairs db "edge"
+    (List.sort_uniq compare
+       (List.concat (List.init n (fun i -> [ name.(i), name.((i + 1) mod n); name.(i), name.(next n) ]))));
+  Coral.consult_text db
+    "module paths.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
+     path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module.";
+  let e = Coral.engine db in
+  let path = Coral.Symbol.intern "path" in
+  let call s = Seq.length (Coral.Engine.call e path [| Coral.int s; Coral.var 0 |]) in
+  for s = 0 to n - 1 do
+    ignore (call s)
+  done;
+  let reps = 2000 in
+  let per x = x /. float_of_int reps in
+  (* [f i] returns its split points as (ns, minor words) pairs *)
+  let span f =
+    Gc.full_major ();
+    let w0 = Gc.minor_words () and t0 = now_ns () in
+    for i = 1 to reps do
+      f (i mod n)
+    done;
+    Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e3, Gc.minor_words () -. w0
+  in
+  let compiles0 = Coral.Engine.compile_count e in
+  let i0, d0, s0 = Coral.Relation.global_stats () and v0 = Coral.Relation.tuples_visited () in
+  let call_us, call_words = span (fun s -> ignore (call s)) in
+  let i1, d1, s1 = Coral.Relation.global_stats () and v1 = Coral.Relation.tuples_visited () in
+  let compiles = Coral.Engine.compile_count e - compiles0 in
+  let plan =
+    match
+      Coral.Engine.plan_for e ~pred:path ~arity:2 ~adorn:[| Coral.Ast.Bound; Coral.Ast.Free |]
+    with
+    | Ok (p, _) -> p
+    | Error msg -> failwith msg
+  in
+  let resolve = Coral.Engine.provider e in
+  let compile_us, compile_words =
+    span (fun _ -> ignore (Coral_eval.Module_struct.compile ~resolve plan))
+  in
+  let code = Coral_eval.Module_struct.compile ~resolve plan in
+  let instance () = Option.get (Coral_eval.Module_struct.instantiate ~resolve code) in
+  let inst_us, inst_words = span (fun _ -> ignore (instance ())) in
+  let both_us, both_words =
+    span (fun s ->
+        let fp = Coral_eval.Fixpoint.create (instance ()) in
+        ignore (Coral_eval.Fixpoint.add_seed fp [| Coral.int s |]);
+        Coral_eval.Fixpoint.run fp)
+  in
+  let row label us words =
+    [ label; Printf.sprintf "%.1f" (per us); Printf.sprintf "%.0f" (per words) ]
+  in
+  table [ "per call"; "us"; "minor words" ]
+    [ row "Engine.call path(s, Y)" call_us call_words;
+      row "  instantiate" inst_us inst_words;
+      row "  run (seed + fixpoint)" (both_us -. inst_us) (both_words -. inst_words);
+      row "compile (once per plan)" compile_us compile_words
+    ];
+  let work a b = Printf.sprintf "%.1f" (per (float_of_int (b - a))) in
+  Printf.printf
+    "\ncompiles per call: %s; per call: derivations %s, duplicates %s, scans %s, tuples \
+     visited %s\n"
+    (work 0 compiles) (work i0 i1) (work d0 d1) (work s0 s1) (work v0 v1);
+  record ~label:"Engine.call path(s, Y)"
+    ~work:((i1 - i0) / reps, (d1 - d0) / reps, (s1 - s0) / reps)
+    (per call_us /. 1e6);
+  if compiles <> 0 then failwith "serve_path: a call compiled its module again"
+
 let experiments =
   [ "agg_selection", exp_agg_selection;
     "magic", exp_magic;
@@ -924,7 +1015,8 @@ let experiments =
     "backtracking", exp_backtracking;
     "sip", exp_sip;
     "parallel", exp_parallel;
-    "maintain", exp_maintain
+    "maintain", exp_maintain;
+    "serve_path", exp_serve_path
   ]
 
 let () =

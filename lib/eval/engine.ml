@@ -18,6 +18,18 @@ let max_call_depth = 256
 (* Predicates are keyed by name/arity. *)
 let key pred arity = Symbol.name pred ^ "/" ^ string_of_int arity
 
+(* A plan-table entry: a query form's plan and, from the first
+   evaluation that needs it, its compiled module structure (paper
+   section 5.1: a module is compiled once; each call only instantiates
+   it).  The compiled module is immutable, so every engine and read
+   view sharing the entry shares it, on any domain.  Readers may race
+   to compile a new entry: either result serves. *)
+type entry = {
+  key : string;
+  plan : Optimizer.plan;
+  compiled : Module_struct.t option Atomic.t;
+}
+
 (* The plan table of one rule generation, keyed module::pred::adorn.
    A plan depends only on its module's rules, so a table lives as long
    as the rules it was planned from: [load_module] and [append_clause]
@@ -25,8 +37,16 @@ let key pred arity = Symbol.name pred ^ "/" ^ string_of_int arity
    view shares the table of its own rules by reference.  Readers plan
    concurrently, so access is mutexed. *)
 type plans = {
-  table : (string, Optimizer.plan) Hashtbl.t;
+  table : (string, entry) Hashtbl.t;
   lock : Mutex.t;
+}
+
+(* The entries of one query's forms, looked up once by the serving
+   layer, with the table they came from: evaluation on an engine of the
+   same rule generation uses them instead of looking again. *)
+type prepared = {
+  p_plans : plans;
+  p_entries : entry list;
 }
 
 type t = {
@@ -39,6 +59,8 @@ type t = {
   mutable call_depth : int;
   plan_hits : int Atomic.t;  (* plan lookups answered from the table *)
   plan_misses : int Atomic.t;  (* plan lookups that ran the optimizer *)
+  compiles : int Atomic.t;  (* module structures compiled *)
+  mutable prepared : entry list;  (* the current query's prepared forms *)
   mutable cancel : (unit -> bool) option;
       (* ambient cancellation check, installed into every fixpoint
          instance this engine runs (including cached saved instances) *)
@@ -300,6 +322,8 @@ let create ?(builtins = true) ?workers () =
       call_depth = 0;
       plan_hits = Atomic.make 0;
       plan_misses = Atomic.make 0;
+      compiles = Atomic.make 0;
+      prepared = [];
       cancel = None;
       progress = None;
       workers = (match workers with Some w -> max 1 (min 64 w) | None -> default_workers ());
@@ -485,31 +509,69 @@ let bridge_base_facts (m : Ast.module_) =
 
 let plan_in_module ?(key_suffix = "") t (m : Ast.module_) pred adorn =
   let k = plan_key m pred adorn ^ key_suffix in
-  let plans = t.plans in
-  match with_plans plans (fun tbl -> Hashtbl.find_opt tbl k) with
-  | Some p ->
-    Atomic.incr t.plan_hits;
-    Ok (p, `Hit)
+  match List.find_opt (fun e -> String.equal e.key k) t.prepared with
+  | Some e -> Ok (e, `Hit)
   | None -> begin
-    Atomic.incr t.plan_misses;
-    match
-      Obs.Histogram.time h_rewrite (fun () ->
-          Obs.Span.with_ "rewrite.plan"
-            ~attrs:(fun () -> [ "pred", Symbol.name pred ])
-            (fun () -> Optimizer.plan_query ~module_:(bridge_base_facts m) ~pred ~adorn))
-    with
-    | Ok p ->
-      (* two readers may race to plan the same form: last write wins,
-         and both computed the same plan from the same rules *)
-      with_plans plans (fun tbl -> Hashtbl.replace tbl k p);
-      Ok (p, `Miss)
-    | Error e -> Error e
+    let plans = t.plans in
+    match with_plans plans (fun tbl -> Hashtbl.find_opt tbl k) with
+    | Some e ->
+      Atomic.incr t.plan_hits;
+      Ok (e, `Hit)
+    | None -> begin
+      Atomic.incr t.plan_misses;
+      match
+        Obs.Histogram.time h_rewrite (fun () ->
+            Obs.Span.with_ "rewrite.plan"
+              ~attrs:(fun () -> [ "pred", Symbol.name pred ])
+              (fun () -> Optimizer.plan_query ~module_:(bridge_base_facts m) ~pred ~adorn))
+      with
+      | Ok plan ->
+        (* two readers may race to plan the same form: last write wins,
+           and both computed the same plan from the same rules *)
+        let e = { key = k; plan; compiled = Atomic.make None } in
+        with_plans plans (fun tbl -> Hashtbl.replace tbl k e);
+        Ok (e, `Miss)
+      | Error e -> Error e
+    end
   end
 
-let plan_for t ~pred ~arity ~adorn =
+let entry_for t ~pred ~arity ~adorn =
   match module_of_pred t pred arity with
   | Some m -> plan_in_module t m pred adorn
   | None -> Error (Printf.sprintf "no module exports %s/%d" (Symbol.name pred) arity)
+
+let plan_for t ~pred ~arity ~adorn =
+  Result.map (fun (e, tag) -> e.plan, tag) (entry_for t ~pred ~arity ~adorn)
+
+let adornment_of (args : Term.t array) =
+  Array.map (fun a -> if Term.is_ground a then Ast.Bound else Ast.Free) args
+
+(* Look each positive literal's form up once, as a call of it will:
+   [`Hit] when every form was planned already, [`Miss] when one was
+   planned now, [`Unplanned] when no literal names a module export. *)
+let prepare t lits =
+  let plans = t.plans in
+  let entries =
+    List.filter_map
+      (fun lit ->
+        match (lit : Ast.literal) with
+        | Ast.Pos a -> begin
+          match
+            entry_for t ~pred:a.Ast.pred ~arity:(Array.length a.Ast.args)
+              ~adorn:(adornment_of a.Ast.args)
+          with
+          | Ok found -> Some found
+          | Error _ -> None (* base/foreign literal: nothing to prepare *)
+        end
+        | Ast.Neg _ | Ast.Cmp _ | Ast.Is _ -> None)
+      lits
+  in
+  let tag =
+    if entries = [] then `Unplanned
+    else if List.for_all (fun (_, tag) -> tag = `Hit) entries then `Hit
+    else `Miss
+  in
+  { p_plans = plans; p_entries = List.map fst entries }, tag
 
 (* Index choice at module load (paper sections 4.2, 5.5.1): plan every
    exported form of a materialized module, which also fills the plan
@@ -525,13 +587,13 @@ let choose_indexes t (m : Ast.module_) =
       (fun (e : Ast.export) ->
         match plan_in_module t m e.Ast.epred e.Ast.adorn with
         | Error _ -> () (* the query reports it *)
-        | Ok (plan, _) ->
+        | Ok (e, _) ->
           List.iter
             (fun (pred, arity, spec) ->
               match source_of t pred arity with
               | Stored p -> want t (key p arity) spec
               | Exported _ | Host _ -> ())
-            (Module_struct.plan_indexes plan))
+            (Module_struct.plan_indexes e.plan))
       m.Ast.exports
 
 let load_module t (m : Ast.module_) =
@@ -573,12 +635,11 @@ let rec call_module t (m : Ast.module_) pred args env : Tuple.t Seq.t =
   if pipelined then Pipeline.answers (rulebase_of t m) pred args env
   else begin
     let resolved = Array.map (fun a -> Unify.resolve a env) args in
-    let adorn =
-      Array.map (fun ra -> if Term.is_ground ra then Ast.Bound else Ast.Free) resolved
-    in
+    let adorn = adornment_of resolved in
     match plan_in_module t m pred adorn with
     | Error e -> raise (Engine_error e)
-    | Ok (plan, _) ->
+    | Ok (entry, _) ->
+      let plan = entry.plan in
       let inst =
         if plan.Optimizer.save_module then begin
           let k = plan_key m pred adorn in
@@ -586,12 +647,12 @@ let rec call_module t (m : Ast.module_) pred args env : Tuple.t Seq.t =
           | Some inst -> inst
           | None ->
             let inst =
-              Fixpoint.create ~workers:t.workers ~backjump:t.backjump (compile t plan)
+              Fixpoint.create ~workers:t.workers ~backjump:t.backjump (instance t entry)
             in
             Hashtbl.add t.saved k inst;
             inst
         end
-        else Fixpoint.create ~workers:t.workers ~backjump:t.backjump (compile t plan)
+        else Fixpoint.create ~workers:t.workers ~backjump:t.backjump (instance t entry)
       in
       add_query_seed inst plan resolved;
       let pattern = resolved, Bindenv.empty in
@@ -656,6 +717,7 @@ and module_call_relation t (m : Ast.module_) pred arity =
       i_add_index = (fun _ -> ());
       i_indexes = (fun () -> []);
       i_scan = scan;
+      i_iter = Relation.iter_of_scan scan;
       i_mem = (fun _ -> false);
       i_clear = (fun () -> ());
       (* a scan runs a whole module evaluation against live engine
@@ -677,7 +739,22 @@ and provider t pred arity =
   end
   | Host f -> Module_struct.P_foreign f
 
-and compile t (plan : Optimizer.plan) = Module_struct.compile ~resolve:(provider t) plan
+(* An evaluation of a plan-table entry: its compiled module, compiled
+   now if no evaluation has needed it yet (or if a predicate no longer
+   resolves as it did then), instantiated over this engine's
+   relations. *)
+and instance t (e : entry) =
+  let resolve = provider t in
+  let compile () =
+    Atomic.incr t.compiles;
+    let code = Module_struct.compile ~resolve e.plan in
+    Atomic.set e.compiled (Some code);
+    code
+  in
+  let code = match Atomic.get e.compiled with Some code -> code | None -> compile () in
+  match Module_struct.instantiate ~resolve code with
+  | Some inst -> inst
+  | None -> Option.get (Module_struct.instantiate ~resolve (compile ()))
 
 (* Pipelined modules resolve their body predicates the same way, except
    that predicates defined by the module's own rules resolve to those
@@ -742,7 +819,7 @@ let top_rulebase t =
     tick = engine_tick t
   }
 
-let query t (lits : Ast.literal list) =
+let query ?prepared t (lits : Ast.literal list) =
   (* renumber variables densely across the query *)
   let arrays =
     List.map
@@ -776,12 +853,19 @@ let query t (lits : Ast.literal list) =
   let env = Bindenv.create (max nvars 1) in
   let rows = ref [] in
   let seen_rows = Term.ArrayTbl.create 64 in
-  Pipeline.solve (top_rulebase t) lits ~nvars ~env (fun () ->
-      let row = Array.of_list (List.map (fun v -> Unify.resolve (Term.Var v) env) qvars) in
-      if not (Term.ArrayTbl.mem seen_rows row) then begin
-        Term.ArrayTbl.add seen_rows row ();
-        rows := row :: !rows
-      end);
+  let outer = t.prepared in
+  (match prepared with
+  | Some p when p.p_plans == t.plans -> t.prepared <- p.p_entries
+  | Some _ | None -> ());
+  Fun.protect
+    ~finally:(fun () -> t.prepared <- outer)
+    (fun () ->
+      Pipeline.solve (top_rulebase t) lits ~nvars ~env (fun () ->
+          let row = Array.of_list (List.map (fun v -> Unify.resolve (Term.Var v) env) qvars) in
+          if not (Term.ArrayTbl.mem seen_rows row) then begin
+            Term.ArrayTbl.add seen_rows row ();
+            rows := row :: !rows
+          end));
   { qvars; rows = List.rev !rows }
 
 let query_string t src =
@@ -891,9 +975,7 @@ let why t src =
     | Some m when List.mem Ast.Ann_pipelined m.Ast.annotations ->
       Error "explanations require a materialized module"
     | Some m -> begin
-      let adorn =
-        Array.map (fun arg -> if Term.is_ground arg then Ast.Bound else Ast.Free) a.Ast.args
-      in
+      let adorn = adornment_of a.Ast.args in
       (* Trees are drawn from the facts a plan materializes.  Context
          factoring derives no intermediate source-level facts (no
          path(2, 4) under path(1, 4)), so unless the module names its
@@ -912,8 +994,9 @@ let why t src =
       in
       match plan_in_module ~key_suffix t m a.Ast.pred adorn with
       | Error e -> Error e
-      | Ok (plan, _) ->
-        let inst = Fixpoint.create ~trace:true (compile t plan) in
+      | Ok (entry, _) ->
+        let plan = entry.plan in
+        let inst = Fixpoint.create ~trace:true (instance t entry) in
         add_query_seed inst plan a.Ast.args;
         protected_run t inst;
         let ms = Fixpoint.module_structure inst in
@@ -989,7 +1072,7 @@ let why t src =
             Trail.undo_to tr mk;
             if matches && !count < 5 then begin
               incr count;
-              render "" ms.Module_struct.answer_slot tuple []
+              render "" ms.Module_struct.code.Module_struct.answer_slot tuple []
             end)
           (Relation.scan (Fixpoint.answer_relation inst) ~pattern:(a.Ast.args, qenv) ());
         if !count = 0 then
@@ -1028,14 +1111,13 @@ let explain_analyze t src =
     | Some m when List.mem Ast.Ann_pipelined m.Ast.annotations ->
       Error "explain analyze requires a materialized module"
     | Some m -> begin
-      let adorn =
-        Array.map (fun arg -> if Term.is_ground arg then Ast.Bound else Ast.Free) a.Ast.args
-      in
+      let adorn = adornment_of a.Ast.args in
       match plan_in_module t m a.Ast.pred adorn with
       | Error e -> Error e
-      | Ok (plan, _) ->
+      | Ok (entry, _) ->
+        let plan = entry.plan in
         let t0 = Obs.now_ns () in
-        let inst = Fixpoint.create ~profile:true (compile t plan) in
+        let inst = Fixpoint.create ~profile:true (instance t entry) in
         add_query_seed inst plan a.Ast.args;
         protected_run t inst;
         let elapsed = Obs.now_ns () - t0 in
@@ -1061,8 +1143,7 @@ let explain_analyze t src =
         let rules = Fixpoint.profiled_rules inst in
         let rules_derived = ref 0 in
         List.iteri
-          (fun i (c : Module_struct.crule) ->
-            let p = c.Module_struct.prof in
+          (fun i ((c : Module_struct.crule), (p : Module_struct.rule_prof)) ->
             rules_derived := !rules_derived + p.Module_struct.rp_derived;
             Buffer.add_string buf
               (Printf.sprintf "  [%2d] attempts=%d derived=%d dup=%d tuples=%d time=%s\n"
@@ -1083,8 +1164,7 @@ let explain_analyze t src =
         Buffer.add_string buf
           (Printf.sprintf "tuples_visited: %d\n"
              (List.fold_left
-                (fun n (c : Module_struct.crule) ->
-                  n + c.Module_struct.prof.Module_struct.rp_visited)
+                (fun n (_, (p : Module_struct.rule_prof)) -> n + p.Module_struct.rp_visited)
                 0 rules));
         (* matching answers vs. everything the answer relation holds *)
         let qenv = Bindenv.create 8 in
@@ -1132,6 +1212,7 @@ let with_progress t hook f =
   Fun.protect ~finally:(fun () -> t.progress <- prev) f
 
 let plan_cache_stats t = Atomic.get t.plan_hits, Atomic.get t.plan_misses
+let compile_count t = Atomic.get t.compiles
 
 let plan_cache_size t = with_plans t.plans Hashtbl.length
 
@@ -1157,6 +1238,7 @@ type view = {
   rv_plans : plans;
   rv_hits : int Atomic.t;  (* the engine's counters, shared *)
   rv_misses : int Atomic.t;
+  rv_compiles : int Atomic.t;
   rv_requests : (string * Index.spec) list Atomic.t;  (* the engine's, shared *)
   rv_workers : int;
   rv_backjump : bool;
@@ -1247,6 +1329,7 @@ let snapshot t =
         rv_plans = t.plans;
         rv_hits = t.plan_hits;
         rv_misses = t.plan_misses;
+        rv_compiles = t.compiles;
         rv_requests = t.index_requests;
         rv_workers = t.workers;
         rv_backjump = t.backjump
@@ -1267,6 +1350,8 @@ let read_view v =
     call_depth = 0;
     plan_hits = v.rv_hits;
     plan_misses = v.rv_misses;
+    compiles = v.rv_compiles;
+    prepared = [];
     cancel = None;
     progress = None;
     workers = v.rv_workers;

@@ -121,10 +121,22 @@ type query_result = {
   rows : Term.t array list;  (** one value row per answer, aligned with [qvars] *)
 }
 
-val query : t -> Ast.literal list -> query_result
+type prepared
+(** The plan-table entries of one query's forms (see {!prepare}). *)
+
+val prepare : t -> Ast.literal list -> prepared * [ `Hit | `Miss | `Unplanned ]
+(** Look up (planning if needed) the form of every positive literal
+    over a module export, once: [`Hit] when every form was planned
+    already, [`Miss] when one was planned now, [`Unplanned] when no
+    literal names an export.  Forms that fail to plan are left for the
+    evaluation to report. *)
+
+val query : ?prepared:prepared -> t -> Ast.literal list -> query_result
 (** Evaluate a conjunctive query.  Literals over module exports call
     the modules (with binding propagation, left to right); base,
-    foreign and comparison literals evaluate directly. *)
+    foreign and comparison literals evaluate directly.  A call of a
+    [prepared] form takes its entry without looking in the plan table
+    again, when [prepared] came from this engine's rule generation. *)
 
 val query_string : t -> string -> query_result
 (** Parse and evaluate ([Engine_error] on parse errors). *)
@@ -154,6 +166,11 @@ val plan_for :
 (** The plan the optimizer uses for a query form, from the plan table
     of this engine's rules ([`Hit]) or planned now and added to it
     ([`Miss]); exposes the rewritten program text. *)
+
+val compile_count : t -> int
+(** Module structures compiled by this engine and its read views: one
+    per plan-table entry that an evaluation needed, plus recompiles
+    when a predicate's resolution changed since. *)
 
 val provider : t -> Symbol.t -> int -> Module_struct.provider
 (** How compiled rules on this engine resolve a predicate that no rule

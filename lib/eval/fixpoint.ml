@@ -33,7 +33,7 @@ type goal = {
 }
 
 type t = {
-  ms : Module_struct.t;
+  ms : Module_struct.instance;
   mode : Ast.fixpoint;
   os : bool;
   monotonic : bool;  (* no negation, no aggregation: incremental re-open is sound *)
@@ -83,7 +83,7 @@ let set_progress t hook = t.progress <- hook
 let total_inserts t =
   let sum = ref t.extra_inserts in
   Array.iteri
-    (fun s r -> if t.ms.local.(s) then sum := !sum + r.Relation.stats.Relation.inserts)
+    (fun s r -> if t.ms.code.local.(s) then sum := !sum + r.Relation.stats.Relation.inserts)
     t.ms.rels;
   !sum
 
@@ -131,8 +131,8 @@ let tick t =
       if check () then raise Cancelled
     end
 
-let is_magic_slot ms s =
-  ms.local.(s) && String.length ms.rels.(s).Relation.name > 2
+let is_magic_slot (ms : instance) s =
+  ms.code.local.(s) && String.length ms.rels.(s).Relation.name > 2
   && String.sub ms.rels.(s).Relation.name 0 2 = "m#"
 
 let find_goal tbl (tuple : Tuple.t) =
@@ -196,9 +196,9 @@ let par_safe_version ms ((rule : crule), _) =
        rule.body
 
 let create ?(trace = false) ?(profile = false) ?(workers = 1) ?(backjump = true)
-    (ms : Module_struct.t) =
+    (ms : Module_struct.instance) =
   let nslots = Array.length ms.rels in
-  let os = ms.plan.Coral_rewrite.Optimizer.ordered_search in
+  let os = ms.code.plan.Coral_rewrite.Optimizer.ordered_search in
   let monotonic =
     Array.for_all
       (fun stratum ->
@@ -209,31 +209,28 @@ let create ?(trace = false) ?(profile = false) ?(workers = 1) ?(backjump = true)
                  (function Negcheck _ | Negforeign _ -> false | _ -> true)
                  c.body)
              (stratum.srules @ List.map fst stratum.versions))
-      ms.strata
+      ms.code.strata
   in
   let done_slot =
     Array.init nslots (fun s ->
         if is_magic_slot ms s then begin
           let name = ms.rels.(s).Relation.name in
           let done_pred = Symbol.intern ("done#" ^ String.sub name 2 (String.length name - 2)) in
-          Option.value ~default:(-1) (Module_struct.slot ms done_pred)
+          Option.value ~default:(-1) (Module_struct.slot ms.code done_pred)
         end
         else -1)
   in
-  (* compiled modules are cached and reused across queries, so a
-     profiled run starts from clean per-rule counters *)
-  if profile then List.iter (fun (c : crule) -> reset_prof c.prof) (Module_struct.all_rules ms);
   let pool = if workers > 1 then Par_pool.shared ~workers else None in
   let par =
     Option.is_some pool && (not os) && (not trace) && (not profile)
-    && ms.plan.Coral_rewrite.Optimizer.fixpoint = Ast.Basic_seminaive
+    && ms.code.plan.Coral_rewrite.Optimizer.fixpoint = Ast.Basic_seminaive
     && Array.for_all
          (fun stratum -> List.for_all (par_safe_version ms) stratum.versions)
-         ms.strata
+         ms.code.strata
   in
   let t =
     { ms;
-      mode = ms.plan.Coral_rewrite.Optimizer.fixpoint;
+      mode = ms.code.plan.Coral_rewrite.Optimizer.fixpoint;
       os;
       monotonic;
       profile;
@@ -308,19 +305,21 @@ let provenance t (tuple : Tuple.t) ~slot =
     |> Option.map (fun (_, _, text, ws) -> text, ws)
   | None -> None
 
+let prof_of t (rule : crule) = t.ms.profs.(rule.rid)
+
 (* one rule application, inserting plain head tuples; under Ordered
    Search, rules deriving magic facts run with witness tracking so the
    generating subgoal (the magic literal's tuple) is known when the
    admission hook routes the new subgoal through the context *)
 let note_insert t (rule : crule) inserted =
   if t.profile then begin
-    let p = rule.prof in
+    let p = prof_of t rule in
     if inserted then p.rp_derived <- p.rp_derived + 1 else p.rp_dups <- p.rp_dups + 1
   end
 
 let apply_rule t range (rule : crule) =
   let os_magic_head = t.os && is_magic_slot t.ms rule.head_slot in
-  let prof = if t.profile then Some rule.prof else None in
+  let prof = if t.profile then Some (prof_of t rule) else None in
   let t0 = if t.profile then Coral_obs.Obs.now_ns () else 0 in
   Coral_obs.Obs.Span.with_ "fixpoint.join"
     ~attrs:(fun () -> [ "head", t.ms.rels.(rule.head_slot).Relation.name ])
@@ -346,19 +345,22 @@ let apply_rule t range (rule : crule) =
             note_insert t rule inserted;
             if inserted && t.trace then record_prov t rule tuple !witness)
       end
-      else
+      else begin
+        let head = t.ms.rels.(rule.head_slot) in
+        let scratch = ref (Array.make (Array.length rule.head_args) Term.nil) in
         Joiner.run ~rels:t.ms.rels ~range ~backjump:t.backjump ?prof rule
           ~on_match:(fun env ->
             tick t;
-            note_insert t rule
-              (Relation.insert t.ms.rels.(rule.head_slot) (Joiner.head_tuple rule env))));
-  if t.profile then
-    rule.prof.rp_time_ns <- rule.prof.rp_time_ns + (Coral_obs.Obs.now_ns () - t0)
+            note_insert t rule (Joiner.insert_head head rule env scratch))
+      end);
+  Option.iter
+    (fun (p : rule_prof) -> p.rp_time_ns <- p.rp_time_ns + (Coral_obs.Obs.now_ns () - t0))
+    prof
 
 let eval_agg_rule t (rule : crule) =
   let rows = ref [] in
   let key_of row = Array.of_list (List.map (fun i -> row.(i)) rule.plain_positions) in
-  let prof = if t.profile then Some rule.prof else None in
+  let prof = if t.profile then Some (prof_of t rule) else None in
   let t0 = if t.profile then Coral_obs.Obs.now_ns () else 0 in
   (* under tracing, remember the contributing body facts per group *)
   let group_witnesses : (int * Tuple.t) list Term.ArrayTbl.t =
@@ -398,8 +400,9 @@ let eval_agg_rule t (rule : crule) =
         record_prov t rule tuple witnesses
       end)
     grouped;
-  if t.profile then
-    rule.prof.rp_time_ns <- rule.prof.rp_time_ns + (Coral_obs.Obs.now_ns () - t0)
+  Option.iter
+    (fun (p : rule_prof) -> p.rp_time_ns <- p.rp_time_ns + (Coral_obs.Obs.now_ns () - t0))
+    prof
 
 let slot_of_op (rule : crule) i =
   match rule.body.(i) with
@@ -410,14 +413,16 @@ let slot_of_op (rule : crule) i =
    snapshot: the delta op reads [cursor, snapshot), earlier ops read
    everything up to the snapshot, later ops everything up to their own
    cursor — the standard triangular decomposition. *)
-let bsn_range (rule : crule) d msnap ~op_index ~slot ~local =
+let bsn_range cursors d msnap ~op_index ~slot ~local =
   if not local then 0, -1
-  else if op_index = d then rule.cursors.(d), msnap.(slot)
+  else if op_index = d then cursors.(d), msnap.(slot)
   else if op_index < d then 0, msnap.(slot)
-  else 0, rule.cursors.(op_index)
+  else 0, cursors.(op_index)
+
+let cursors_of t (rule : crule) = t.ms.cursors.(rule.rid)
 
 let mark_snapshot t =
-  Array.mapi (fun s rel -> if t.ms.local.(s) then Relation.mark rel else -1) t.ms.rels
+  Array.mapi (fun s rel -> if t.ms.code.local.(s) then Relation.mark rel else -1) t.ms.rels
 
 (* One BSN round over the given semi-naive versions: seal all local
    relations, run every version against the common mark snapshot, then
@@ -425,10 +430,10 @@ let mark_snapshot t =
 let round_bsn_seq t versions =
   let msnap = mark_snapshot t in
   List.iter
-    (fun ((rule : crule), d) -> apply_rule t (bsn_range rule d msnap) rule)
+    (fun ((rule : crule), d) -> apply_rule t (bsn_range (cursors_of t rule) d msnap) rule)
     versions;
   List.iter
-    (fun ((rule : crule), d) -> rule.cursors.(d) <- msnap.(slot_of_op rule d))
+    (fun ((rule : crule), d) -> (cursors_of t rule).(d) <- msnap.(slot_of_op rule d))
     versions
 
 (* ------------------------------------------------------------------ *)
@@ -482,7 +487,7 @@ let round_bsn_par t pool versions =
     (* task-local cancellation budget: workers poll the instance's
        check without sharing a countdown cell *)
     let budget = ref tick_interval in
-    Joiner.run ~rels:t.ms.rels ~range:(bsn_range rule d msnap) ~backjump:t.backjump
+    Joiner.run ~rels:t.ms.rels ~range:(bsn_range (cursors_of t rule) d msnap) ~backjump:t.backjump
       ~stripe:(d, stripe_lane, lanes) ~scan_counts:counts.(task) ~visited:visited.(task) rule
       ~on_match:(fun env ->
         (match t.cancel with
@@ -563,7 +568,7 @@ let round_bsn_par t pool versions =
     done
   done;
   List.iter
-    (fun ((rule : crule), d) -> rule.cursors.(d) <- msnap.(slot_of_op rule d))
+    (fun ((rule : crule), d) -> (cursors_of t rule).(d) <- msnap.(slot_of_op rule d))
     versions;
   let open Coral_obs in
   Obs.Counter.incr m_par_rounds;
@@ -602,21 +607,22 @@ let round_psn t versions =
     (fun ((rule : crule), d) ->
       let dslot = slot_of_op rule d in
       let m = Relation.mark t.ms.rels.(dslot) in
+      let cursors = cursors_of t rule in
       let range ~op_index ~slot ~local =
         ignore slot;
         if not local then 0, -1
-        else if op_index = d then rule.cursors.(d), m
+        else if op_index = d then cursors.(d), m
         else if op_index < d then 0, -1
-        else 0, rule.cursors.(op_index)
+        else 0, cursors.(op_index)
       in
       apply_rule t range rule;
-      rule.cursors.(d) <- m)
+      cursors.(d) <- m)
     versions
 
 let round_naive t strata_limit =
   t.nrounds <- t.nrounds + 1;
   for i = 0 to strata_limit do
-    let st = t.ms.strata.(i) in
+    let st = t.ms.code.strata.(i) in
     let seen = ref [] in
     let once (rule : crule) =
       if not (List.memq rule !seen) then begin
@@ -630,13 +636,13 @@ let round_naive t strata_limit =
 
 let active_versions t =
   let acc = ref [] in
-  for i = min t.phase (Array.length t.ms.strata - 1) downto 0 do
-    acc := t.ms.strata.(i).versions @ !acc
+  for i = min t.phase (Array.length t.ms.code.strata - 1) downto 0 do
+    acc := t.ms.code.strata.(i).versions @ !acc
   done;
   !acc
 
 let activate_stratum t i =
-  let st = t.ms.strata.(i) in
+  let st = t.ms.code.strata.(i) in
   List.iter (fun rule -> apply_rule t Joiner.full_range rule) st.srules;
   List.iter (fun rule -> eval_agg_rule t rule) st.agg_rules
 
@@ -739,7 +745,7 @@ let context_action t =
     true
   | None -> pop_sink_sccs t
 
-let nstrata t = Array.length t.ms.strata
+let nstrata t = Array.length t.ms.code.strata
 
 let step_inner t =
   poll t;
@@ -749,19 +755,19 @@ let step_inner t =
     if not t.activated then begin
       t.activated <- true;
       for i = 0 to nstrata t - 1 do
-        List.iter (fun rule -> apply_rule t Joiner.full_range rule) t.ms.strata.(i).srules
+        List.iter (fun rule -> apply_rule t Joiner.full_range rule) t.ms.code.strata.(i).srules
       done;
       true
     end
     else begin
       let before = total_inserts t in
       let versions =
-        Array.to_list t.ms.strata |> List.concat_map (fun st -> st.versions)
+        Array.to_list t.ms.code.strata |> List.concat_map (fun st -> st.versions)
       in
       (* aggregate rules run before the plain round so that consumers
          (possibly negated, guarded by done facts popped just before
          this step) never observe an unfilled aggregate relation *)
-      Array.iter (fun st -> List.iter (eval_agg_rule t) st.agg_rules) t.ms.strata;
+      Array.iter (fun st -> List.iter (eval_agg_rule t) st.agg_rules) t.ms.code.strata;
       (match t.mode with
       | Ast.Predicate_seminaive -> round_psn t versions
       | Ast.Naive | Ast.Basic_seminaive | Ast.Ordered_search -> round_bsn t versions);
@@ -825,7 +831,7 @@ let reset_for_reopen t =
      guarantee applies to monotonic modules). *)
   Array.iteri
     (fun s rel ->
-      if t.ms.local.(s) then begin
+      if t.ms.code.local.(s) then begin
         Relation.clear rel;
         rel.Relation.stats.Relation.inserts <- 0;
         rel.Relation.stats.Relation.duplicates <- 0
@@ -834,9 +840,9 @@ let reset_for_reopen t =
   Array.iter
     (fun st ->
       List.iter
-        (fun ((rule : crule), d) -> rule.cursors.(d) <- 0)
+        (fun ((rule : crule), d) -> (cursors_of t rule).(d) <- 0)
         st.versions)
-    t.ms.strata;
+    t.ms.code.strata;
   Array.iter Hashtbl.reset t.goal_tables;
   t.pending <- [];
   t.live_goals <- [];
@@ -848,17 +854,16 @@ let reset_for_reopen t =
   (* insert stats were just zeroed; re-derived tuples are new work *)
   t.reported_inserts <- 0;
   t.answer_cursor <- 0;
-  if t.profile then
-    List.iter (fun (c : crule) -> reset_prof c.prof) (Module_struct.all_rules t.ms)
+  if t.profile then Array.iteri (fun i _ -> t.ms.profs.(i) <- fresh_prof ()) t.ms.profs
 
 let single_context t =
-  match t.ms.plan.Coral_rewrite.Optimizer.seed with
+  match t.ms.code.plan.Coral_rewrite.Optimizer.seed with
   | Some s -> s.Coral_rewrite.Optimizer.single_context
   | None -> false
 
 let add_seed t terms =
   let tuple = Tuple.of_terms terms in
-  if t.ms.seed_slot < 0 then false
+  if t.ms.code.seed_slot < 0 then false
   else begin
     (* a context-free plan pairs every seed with every answer: a second
        context would silently receive the first one's answers *)
@@ -866,12 +871,12 @@ let add_seed t terms =
     | first :: _ when single_context t && not (Tuple.equal first tuple) ->
       invalid_arg "Fixpoint.add_seed: a single-context plan already holds a different seed"
     | _ -> ());
-    let rel = t.ms.rels.(t.ms.seed_slot) in
+    let rel = t.ms.rels.(t.ms.code.seed_slot) in
     if t.os then begin
-      let fresh = find_goal t.goal_tables.(t.ms.seed_slot) tuple = None in
+      let fresh = find_goal t.goal_tables.(t.ms.code.seed_slot) tuple = None in
       if fresh then begin
         t.cur_generator <- None;
-        offer_goal t t.ms.seed_slot tuple;
+        offer_goal t t.ms.code.seed_slot tuple;
         if t.complete then t.complete <- false
       end;
       fresh
@@ -903,7 +908,7 @@ let add_seed t terms =
     end
   end
 
-let answer_relation t = t.ms.rels.(t.ms.answer_slot)
+let answer_relation t = t.ms.rels.(t.ms.code.answer_slot)
 
 let answers t ?pattern () =
   run t;
@@ -940,4 +945,5 @@ let context_inserts t = t.extra_inserts
 let rule_derivations t =
   total_inserts t - t.extra_inserts - t.seed_inserts - t.done_inserts
 
-let profiled_rules t = Module_struct.all_rules t.ms
+let profiled_rules t =
+  List.map (fun (c : crule) -> c, prof_of t c) (Module_struct.all_rules t.ms.code)

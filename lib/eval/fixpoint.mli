@@ -78,11 +78,11 @@ val set_progress : t -> (rounds:int -> delta:int -> lanes:int array -> unit) opt
     [None] hook costs nothing on the hot path. *)
 
 val create :
-  ?trace:bool -> ?profile:bool -> ?workers:int -> ?backjump:bool -> Module_struct.t -> t
+  ?trace:bool -> ?profile:bool -> ?workers:int -> ?backjump:bool -> Module_struct.instance -> t
 (** [trace] (default false) records, for the first derivation of every
     fact, the rule applied and the body tuples it joined — the raw
     material of the explanation tool (see {!provenance}).  [profile]
-    (default false) resets and then fills the per-rule {!
+    (default false) fills the instance's per-rule {!
     Module_struct.rule_prof} counters and per-step deltas — the raw
     material of explain analyze.
 
@@ -137,7 +137,7 @@ val provenance : t -> Tuple.t -> slot:int -> (string * (int * Tuple.t) list) opt
     [slot]; witness slot -1 marks builtin-produced rows; [None] for
     base facts and untraced evaluations. *)
 
-val module_structure : t -> Module_struct.t
+val module_structure : t -> Module_struct.instance
 
 (** {1 Profiling accessors} (populated when created with [~profile:true]) *)
 
@@ -161,7 +161,8 @@ val rule_derivations : t -> int
     profiling this equals the sum of per-rule [rp_derived], computed
     along an independent path — explain analyze asserts the match. *)
 
-val profiled_rules : t -> Module_struct.crule list
-(** Every distinct compiled rule, in stratum order. *)
+val profiled_rules : t -> (Module_struct.crule * Module_struct.rule_prof) list
+(** Every distinct compiled rule, in stratum order, with its profile in
+    this instance. *)
 
 exception Not_modularly_stratified of string

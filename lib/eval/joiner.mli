@@ -3,11 +3,16 @@
 
     One call evaluates one (semi-naive version of a) rule: body
     literals left to right, each positive literal a scan (an index probe
-    when the optimizer installed a usable index), bindings recorded on a
-    trail and undone when the join considers the next tuple.  When a
-    literal produces no matching tuple at all, evaluation backjumps to
-    the rule's precomputed backtrack point for that literal instead of
-    to the previous literal. *)
+    when the optimizer installed a usable index).  Candidates come from
+    the relation's iterator ({!Coral_rel.Relation.iter}).  A ground
+    candidate meets the scan's compiled match
+    ({!Module_struct.arg_match}): constants and bound variables are
+    compared in place and new variables bound directly, then unbound
+    after; a non-ground candidate, or a literal with a compound
+    argument holding variables, is unified, with bindings recorded on a
+    trail and undone.  When a literal produces no matching tuple at
+    all, evaluation backjumps to the rule's precomputed backtrack point
+    for that literal instead of to the previous literal. *)
 
 open Coral_term
 open Coral_rel
@@ -61,3 +66,11 @@ val head_tuple : Module_struct.crule -> Bindenv.t -> Tuple.t
 val head_row : Module_struct.crule -> Bindenv.t -> Term.t array
 (** Resolve the head argument row (aggregate rules: grouping happens on
     these rows afterwards). *)
+
+val insert_head : Relation.t -> Module_struct.crule -> Bindenv.t -> Term.t array ref -> bool
+(** [insert_head rel rule env scratch] inserts the head of a successful
+    match into [rel], as [Relation.insert rel (head_tuple rule env)]
+    would, with the same counters.  A ground head is resolved into
+    [!scratch] (the caller's, of the head's arity) and inserted from
+    there, so a duplicate builds no tuple terms; an insert keeps the
+    array and puts a fresh one in [scratch]. *)

@@ -5,9 +5,17 @@ open Coral_rewrite
 
 type role = Full | All | Delta | Old
 
+(* How one argument of a scanned literal meets the term at the same
+   position of a ground stored tuple (see [matcher_of]). *)
+type arg_match =
+  | Bind of int
+  | Equal of Term.t
+  | Same of int
+  | Bound of int
+
 type op =
-  | Scan of { slot : int; args : Term.t array; local : bool }
-  | Negcheck of { slot : int; args : Term.t array }
+  | Scan of { slot : int; args : Term.t array; local : bool; matcher : arg_match array option }
+  | Negcheck of { slot : int; args : Term.t array; matcher : arg_match array option }
   | Foreign of { f : Builtin.foreign; args : Term.t array }
   | Negforeign of { f : Builtin.foreign; args : Term.t array }
   | Compare of Ast.cmp_op * Term.t * Term.t
@@ -32,15 +40,8 @@ type rule_prof = {
 let fresh_prof () =
   { rp_attempts = 0; rp_derived = 0; rp_dups = 0; rp_tuples = 0; rp_visited = 0; rp_time_ns = 0 }
 
-let reset_prof p =
-  p.rp_attempts <- 0;
-  p.rp_derived <- 0;
-  p.rp_dups <- 0;
-  p.rp_tuples <- 0;
-  p.rp_visited <- 0;
-  p.rp_time_ns <- 0
-
 type crule = {
+  rid : int;
   head_slot : int;
   head_args : Term.t array;
   plain_positions : int list;
@@ -48,9 +49,7 @@ type crule = {
   body : op array;
   nvars : int;
   backtrack : int array;
-  cursors : int array;
   text : string;
-  prof : rule_prof;
 }
 
 type stratum = {
@@ -60,14 +59,33 @@ type stratum = {
   recursive : bool;
 }
 
+(* How compilation resolved a predicate outside the plan, in the order
+   it asked: an instance asks again in the same order. *)
+type resolved =
+  | R_rel of Symbol.t * int * int  (* predicate, arity, slot *)
+  | R_fn of Symbol.t * int * Builtin.foreign
+
+(* The compiled module: immutable once built, so one value serves every
+   instance on every domain. *)
 type t = {
-  rels : Relation.t array;
   slot_of : int Symbol.Tbl.t;
+  names : string array;  (* per slot *)
+  arities : int array;
+  local : bool array;
+  resolved : resolved list;
+  indexes : (int * Index.spec) list;  (* the joins' index choices, in install order *)
   strata : stratum array;
+  rules : crule array;  (* by [rid] *)
   answer_slot : int;
   seed_slot : int;
   plan : Optimizer.plan;
-  local : bool array;
+}
+
+type instance = {
+  code : t;
+  rels : Relation.t array;
+  cursors : int array array;
+  profs : rule_prof array;
 }
 
 type provider =
@@ -104,6 +122,32 @@ let uses_vars = function
   | Scan { args; _ } | Negcheck { args; _ } | Foreign { args; _ } | Negforeign { args; _ } ->
     vids_of (Array.to_list args)
   | Compare (_, a, b) | Assign (a, b) -> vids_of [ a; b ]
+
+(* The compiled match of a scanned literal against ground stored
+   tuples, position by position: a variable no earlier literal
+   mentions ([earlier]: their variable ids) is bound at its first
+   occurrence ([Bind]) and compared at later ones ([Same]); a ground
+   argument is compared ([Equal]); a variable an earlier literal
+   mentions is looked up and compared ([Bound]).  [None] when an
+   argument is a compound with variables: such literals always
+   unify. *)
+let matcher_of ~earlier args =
+  let first = Hashtbl.create 4 in
+  let arg k (t : Term.t) =
+    match t with
+    | Term.Var v when List.mem v.Term.vid earlier -> Some (Bound v.Term.vid)
+    | Term.Var v -> begin
+      match Hashtbl.find_opt first v.Term.vid with
+      | Some j -> Some (Same j)
+      | None ->
+        Hashtbl.add first v.Term.vid k;
+        Some (Bind v.Term.vid)
+    end
+    | Term.Const _ -> Some (Equal t)
+    | Term.App _ -> if Term.is_ground t then Some (Equal t) else None
+  in
+  let ms = Array.mapi arg args in
+  if Array.for_all Option.is_some ms then Some (Array.map Option.get ms) else None
 
 let compute_backtrack body =
   Array.mapi
@@ -155,7 +199,7 @@ type target =
    the rule on a delta of that literal.  Moving a positive literal
    earlier only binds variables sooner, so no later comparison,
    assignment or negation loses a binding. *)
-let compile_rule_with ~rels ~local ~target ?delta (r : Ast.rule) =
+let compile_rule_with ~rid ~index ~local ~target ?delta (r : Ast.rule) =
   let lits =
     match delta with
     | None -> r.Ast.body
@@ -179,17 +223,22 @@ let compile_rule_with ~rels ~local ~target ?delta (r : Ast.rule) =
   let body =
     List.mapi
       (fun j (lit, args) ->
+        let matcher () =
+          let before = List.filteri (fun k _ -> k < j) body_arrays in
+          matcher_of ~earlier:(vids_of (List.concat_map Array.to_list before)) args
+        in
         match (lit : Ast.literal), delta with
-        | Ast.Pos _, Some (_, slot) when j = 0 -> Scan { slot; args; local = false }
+        | Ast.Pos _, Some (_, slot) when j = 0 ->
+          Scan { slot; args; local = false; matcher = matcher () }
         | _, Some _ when j = 0 -> invalid_arg "Module_struct: delta literal is not positive"
         | Ast.Pos a, _ -> begin
           match target a.Ast.pred (Array.length args) with
-          | Slot s -> Scan { slot = s; args; local = local s }
+          | Slot s -> Scan { slot = s; args; local = local s; matcher = matcher () }
           | Fn f -> Foreign { f; args }
         end
         | Ast.Neg a, _ -> begin
           match target a.Ast.pred (Array.length args) with
-          | Slot s -> Negcheck { slot = s; args }
+          | Slot s -> Negcheck { slot = s; args; matcher = matcher () }
           | Fn f -> Negforeign { f; args }
         end
         | Ast.Cmp (op, _, _), _ -> Compare (op, args.(0), args.(1))
@@ -209,9 +258,10 @@ let compile_rule_with ~rels ~local ~target ?delta (r : Ast.rule) =
   in
   sip_walk lits (fun j _ spec ->
       match body.(j) with
-      | Scan { slot; _ } | Negcheck { slot; _ } -> Relation.add_index rels.(slot) spec
+      | Scan { slot; _ } | Negcheck { slot; _ } -> index slot spec
       | Foreign _ | Negforeign _ | Compare _ | Assign _ -> ());
-  { head_slot =
+  { rid;
+    head_slot =
       (match target head_atom.Ast.pred (Array.length head_args) with
       | Slot s -> s
       | Fn _ -> invalid_arg "Module_struct: a rule head is a foreign predicate");
@@ -221,13 +271,18 @@ let compile_rule_with ~rels ~local ~target ?delta (r : Ast.rule) =
     body;
     nvars;
     backtrack = compute_backtrack body;
-    cursors = Array.map (function Scan { local = true; _ } -> 0 | _ -> -1) body;
-    text = Pretty.rule_to_string r;
-    prof = fresh_prof ()
+    text = Pretty.rule_to_string r
   }
 
 let compile_rule ~rels ~target ?delta r =
-  compile_rule_with ~rels ~local:(fun _ -> false) ~target ?delta r
+  compile_rule_with ~rid:0
+    ~index:(fun slot spec -> Relation.add_index rels.(slot) spec)
+    ~local:(fun _ -> false) ~target ?delta r
+
+(* Semi-naive positions of a rule: its scans of the module's own
+   relations. *)
+let versionable (c : crule) =
+  Array.map (function Scan { local = true; _ } -> true | _ -> false) c.body
 
 let path_of_var pattern (v : Term.var) =
   let rec in_term t path =
@@ -277,6 +332,10 @@ let is_local_of (plan : Optimizer.plan) =
     plan.Optimizer.prules;
   fun pred -> Symbol.Tbl.mem heads pred || is_generated pred
 
+(* Compilation (paper section 5.1): slots for the plan's own relations
+   and for what [resolve] says the rest are, the rules of each SCC with
+   their semi-naive versions, and the index choices of their joins.  No
+   relation is created or touched: [instantiate] does that per call. *)
 let compile ~resolve (plan : Optimizer.plan) =
   let rules = plan.Optimizer.prules in
   let arities = atom_arities rules in
@@ -290,14 +349,13 @@ let compile ~resolve (plan : Optimizer.plan) =
   let is_local = is_local_of plan in
   (* assign slots *)
   let slot_of : int Symbol.Tbl.t = Symbol.Tbl.create 32 in
-  let rels = ref [] and locals = ref [] and nslots = ref 0 in
+  let slots = ref [] and resolved = ref [] and nslots = ref 0 in
   let foreigns : Builtin.foreign Symbol.Tbl.t = Symbol.Tbl.create 8 in
-  let alloc pred rel local =
+  let alloc pred arity local =
     let s = !nslots in
     incr nslots;
     Symbol.Tbl.add slot_of pred s;
-    rels := rel :: !rels;
-    locals := local :: !locals;
+    slots := (Symbol.name pred, arity, local) :: !slots;
     s
   in
   let rec slot_for pred =
@@ -305,71 +363,39 @@ let compile ~resolve (plan : Optimizer.plan) =
     | Some s -> Some s
     | None ->
       let arity = Option.value ~default:0 (Symbol.Tbl.find_opt arities pred) in
-      if is_local pred then
-        Some (alloc pred (Hash_relation.create ~name:(Symbol.name pred) ~arity ()) true)
+      if is_local pred then Some (alloc pred arity true)
       else begin
         match resolve pred arity with
-        | P_rel rel -> Some (alloc pred rel false)
+        | P_rel _ ->
+          let s = alloc pred arity false in
+          resolved := R_rel (pred, arity, s) :: !resolved;
+          Some s
         | P_foreign f ->
           Symbol.Tbl.replace foreigns pred f;
+          resolved := R_fn (pred, arity, f) :: !resolved;
           None
       end
   in
   (* force slots for every predicate in the rules (and the seed) *)
   Symbol.Tbl.iter (fun pred _ -> ignore (slot_for pred)) arities;
-  let rels = Array.of_list (List.rev !rels) in
-  let local = Array.of_list (List.rev !locals) in
-  (* annotations: multiset, aggregate selections, user indexes, applied
-     through the origin mapping so they follow predicates through
-     rewriting *)
-  let origin_of pred = List.assoc_opt pred plan.Optimizer.origin in
-  let source_of pred =
-    match origin_of pred with Some (orig, _) -> orig | None -> pred
-  in
-  List.iter
-    (fun ann ->
-      match (ann : Ast.annotation) with
-      | Ast.Ann_multiset (p, arity) ->
-        Symbol.Tbl.iter
-          (fun pred s ->
-            if Symbol.equal (source_of pred) p && rels.(s).Relation.arity = arity then
-              rels.(s).Relation.multiset <- true)
-          slot_of
-      | Ast.Ann_aggregate_selection { sel_pred; pattern; group_by; op; target } ->
-        Symbol.Tbl.iter
-          (fun pred s ->
-            if Symbol.equal (source_of pred) sel_pred
-               && rels.(s).Relation.arity = Array.length pattern
-            then begin
-              let hook = Aggregates.selection_hook ~pattern ~group_by ~op ~target in
-              let prev = rels.(s).Relation.admit in
-              rels.(s).Relation.admit <-
-                Some
-                  (match prev with
-                  | None -> hook
-                  | Some earlier -> fun rel t -> earlier rel t && hook rel t)
-            end)
-          slot_of
-      | Ast.Ann_make_index { idx_pred; pattern; keys } ->
-        Option.iter
-          (fun spec ->
-            Symbol.Tbl.iter
-              (fun pred s ->
-                if Symbol.equal (source_of pred) idx_pred
-                   && rels.(s).Relation.arity = Array.length pattern
-                then Relation.add_index rels.(s) spec)
-              slot_of)
-          (make_index_spec pattern keys)
-      | Ast.Ann_materialized | Ast.Ann_pipelined | Ast.Ann_save_module | Ast.Ann_lazy_eval
-      | Ast.Ann_rewriting _ | Ast.Ann_fixpoint _ | Ast.Ann_no_existential | Ast.Ann_sip _ ->
-        ())
-    plan.Optimizer.annotations;
+  let slots = Array.of_list (List.rev !slots) in
+  let local = Array.map (fun (_, _, l) -> l) slots in
   let target pred _ =
     match slot_for pred with
     | Some s -> Slot s
     | None -> Fn (Symbol.Tbl.find foreigns pred)
   in
-  let compile_rule = compile_rule_with ~rels ~local:(fun s -> local.(s)) ~target in
+  let indexes = ref [] and nrules = ref 0 and compiled = ref [] in
+  let compile_rule r =
+    let c =
+      compile_rule_with ~rid:!nrules
+        ~index:(fun slot spec -> indexes := (slot, spec) :: !indexes)
+        ~local:(fun s -> local.(s)) ~target r
+    in
+    incr nrules;
+    compiled := c :: !compiled;
+    c
+  in
   (* strata *)
   let graph = Scc.analyze rules in
   let nscc = Array.length graph.Scc.sccs in
@@ -388,12 +414,14 @@ let compile ~resolve (plan : Optimizer.plan) =
         let versions =
           List.concat_map
             (fun c ->
-              Array.to_list c.cursors
-              |> List.mapi (fun pos cur -> if cur >= 0 then Some (c, pos) else None)
+              Array.to_list (versionable c)
+              |> List.mapi (fun pos v -> if v then Some (c, pos) else None)
               |> List.filter_map Fun.id)
             plain_rules
         in
-        let srules = List.filter (fun c -> Array.for_all (fun x -> x < 0) c.cursors) plain_rules in
+        let srules =
+          List.filter (fun c -> not (Array.exists Fun.id (versionable c))) plain_rules
+        in
         { srules; agg_rules; versions; recursive = graph.Scc.recursive.(i) })
   in
   let answer_slot = Option.get (slot_for plan.Optimizer.answer_pred) in
@@ -402,10 +430,110 @@ let compile ~resolve (plan : Optimizer.plan) =
     | Some s -> Option.get (slot_for s.Optimizer.seed_pred)
     | None -> -1
   in
-  { rels; slot_of; strata; answer_slot; seed_slot; plan; local }
+  { slot_of;
+    names = Array.map (fun (n, _, _) -> n) slots;
+    arities = Array.map (fun (_, a, _) -> a) slots;
+    local;
+    resolved = List.rev !resolved;
+    indexes = List.rev !indexes;
+    strata;
+    rules = Array.of_list (List.rev !compiled);
+    answer_slot;
+    seed_slot;
+    plan
+  }
 
-(* In [compile]'s order, which is the order probes try the stores:
-   declared indexes first, then the SIP choices. *)
+(* Annotations: multiset, aggregate selections and user indexes, applied
+   to an instance's relations through the origin mapping so they follow
+   predicates through rewriting.  Selection hooks keep per-instance
+   state, so every instance gets its own. *)
+let annotate code (rels : Relation.t array) =
+  let plan = code.plan in
+  let source_of pred =
+    match List.assoc_opt pred plan.Optimizer.origin with Some (orig, _) -> orig | None -> pred
+  in
+  List.iter
+    (fun ann ->
+      match (ann : Ast.annotation) with
+      | Ast.Ann_multiset (p, arity) ->
+        Symbol.Tbl.iter
+          (fun pred s ->
+            if Symbol.equal (source_of pred) p && rels.(s).Relation.arity = arity then
+              rels.(s).Relation.multiset <- true)
+          code.slot_of
+      | Ast.Ann_aggregate_selection { sel_pred; pattern; group_by; op; target } ->
+        Symbol.Tbl.iter
+          (fun pred s ->
+            if Symbol.equal (source_of pred) sel_pred
+               && rels.(s).Relation.arity = Array.length pattern
+            then begin
+              let hook = Aggregates.selection_hook ~pattern ~group_by ~op ~target in
+              let prev = rels.(s).Relation.admit in
+              rels.(s).Relation.admit <-
+                Some
+                  (match prev with
+                  | None -> hook
+                  | Some earlier -> fun rel t -> earlier rel t && hook rel t)
+            end)
+          code.slot_of
+      | Ast.Ann_make_index { idx_pred; pattern; keys } ->
+        Option.iter
+          (fun spec ->
+            Symbol.Tbl.iter
+              (fun pred s ->
+                if Symbol.equal (source_of pred) idx_pred
+                   && rels.(s).Relation.arity = Array.length pattern
+                then Relation.add_index rels.(s) spec)
+              code.slot_of)
+          (make_index_spec pattern keys)
+      | Ast.Ann_materialized | Ast.Ann_pipelined | Ast.Ann_save_module | Ast.Ann_lazy_eval
+      | Ast.Ann_rewriting _ | Ast.Ann_fixpoint _ | Ast.Ann_no_existential | Ast.Ann_sip _ ->
+        ())
+    plan.Optimizer.annotations
+
+(* One evaluation's state: fresh relations for the module's own
+   predicates, [resolve]'s relations in the other slots (asked in
+   compile's order), then the annotations and the joins' indexes, in
+   the order compile chose them, which is the order probes try them.
+   [None] when a predicate no longer resolves as it did at compile (a
+   foreign predicate registered or replaced since): recompile. *)
+let instantiate ~resolve code =
+  let bound = Array.make (Array.length code.names) None in
+  let same = function
+    | R_rel (pred, arity, s) -> begin
+      match resolve pred arity with
+      | P_rel rel ->
+        bound.(s) <- Some rel;
+        true
+      | P_foreign _ -> false
+    end
+    | R_fn (pred, arity, f) -> begin
+      match resolve pred arity with
+      | P_foreign f' -> f' == f
+      | P_rel _ -> false
+    end
+  in
+  if not (List.for_all same code.resolved) then None
+  else begin
+    let rels =
+      Array.mapi
+        (fun s rel ->
+          match rel with
+          | Some rel -> rel
+          | None -> Hash_relation.create ~name:code.names.(s) ~arity:code.arities.(s) ())
+        bound
+    in
+    annotate code rels;
+    List.iter (fun (s, spec) -> Relation.add_index rels.(s) spec) code.indexes;
+    Some
+      { code;
+        rels;
+        cursors =
+          Array.map (fun c -> Array.map (fun v -> if v then 0 else -1) (versionable c)) code.rules;
+        profs = Array.map (fun _ -> fresh_prof ()) code.rules
+      }
+  end
+
 let plan_indexes (plan : Optimizer.plan) =
   let is_local = is_local_of plan in
   let chosen = ref [] in
@@ -426,7 +554,7 @@ let plan_indexes (plan : Optimizer.plan) =
   List.rev !chosen
 
 let slot t pred = Symbol.Tbl.find_opt t.slot_of pred
-let relation t pred = Option.map (fun s -> t.rels.(s)) (slot t pred)
+let relation i pred = Option.map (fun s -> i.rels.(s)) (slot i.code pred)
 
 (* Every distinct compiled rule, in stratum order (a rule with several
    semi-naive versions appears once). *)

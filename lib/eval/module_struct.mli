@@ -28,9 +28,22 @@ type role =
   | Delta  (** the delta literal: [\[cursor, M)] *)
   | Old  (** local relation, after the delta literal: [\[0, cursor)] *)
 
+(** How one argument of a scanned literal meets the term at the same
+    position of a ground stored tuple: the join kernel's compiled
+    match, which needs no trail and binds in place. *)
+type arg_match =
+  | Bind of int  (** first occurrence of this variable: bind it to the term *)
+  | Equal of Term.t  (** a ground argument: the term must equal it *)
+  | Same of int  (** repeats the variable bound at this earlier position *)
+  | Bound of int
+      (** a variable an earlier literal mentions: compare with its
+          value (a value that is not ground takes the unifying path) *)
+
 type op =
-  | Scan of { slot : int; args : Term.t array; local : bool }
-  | Negcheck of { slot : int; args : Term.t array }
+  | Scan of { slot : int; args : Term.t array; local : bool; matcher : arg_match array option }
+      (** [matcher] is [None] when an argument is a compound with
+          variables: then every candidate is unified *)
+  | Negcheck of { slot : int; args : Term.t array; matcher : arg_match array option }
   | Foreign of { f : Builtin.foreign; args : Term.t array }
   | Negforeign of { f : Builtin.foreign; args : Term.t array }
   | Compare of Ast.cmp_op * Term.t * Term.t
@@ -53,9 +66,11 @@ type rule_prof = {
 }
 
 val fresh_prof : unit -> rule_prof
-val reset_prof : rule_prof -> unit
 
+(** A compiled rule.  It holds no evaluation state: semi-naive cursors
+    and profiles live in the {!instance}, at the rule's [rid]. *)
 type crule = {
+  rid : int;  (** index of the rule's state in an {!instance} *)
   head_slot : int;
   head_args : Term.t array;
   plain_positions : int list;  (** head columns that are not aggregated *)
@@ -65,11 +80,7 @@ type crule = {
   backtrack : int array;
       (** intelligent-backtracking target per body position: the latest
           earlier position sharing a variable, or -1 *)
-  cursors : int array;
-      (** per-local-positive-literal consumed marks (semi-naive state);
-          -1 at non-versionable positions *)
   text : string;
-  prof : rule_prof;
 }
 
 type stratum = {
@@ -80,14 +91,39 @@ type stratum = {
   recursive : bool;
 }
 
+(** How compilation resolved a predicate the plan does not own. *)
+type resolved =
+  | R_rel of Symbol.t * int * int  (** predicate, arity, its slot *)
+  | R_fn of Symbol.t * int * Builtin.foreign
+
+(** A compiled module structure.  It is immutable, so one value serves
+    every evaluation of its plan, on any domain; {!instantiate} makes
+    the per-evaluation state. *)
 type t = {
-  rels : Relation.t array;
   slot_of : int Symbol.Tbl.t;
+  names : string array;  (** per slot: the relation's name *)
+  arities : int array;
+  local : bool array;  (** per slot: owned by the module (a fresh relation per instance) *)
+  resolved : resolved list;  (** the other predicates, in the order compile resolved them *)
+  indexes : (int * Index.spec) list;
+      (** the index choices of the joins (paper section 4.2), in install
+          order *)
   strata : stratum array;
+  rules : crule array;  (** by [rid] *)
   answer_slot : int;
   seed_slot : int;  (** -1 when the plan has no seed *)
   plan : Optimizer.plan;
-  local : bool array;  (** per slot: owned by this module structure *)
+}
+
+(** One evaluation of a compiled module: its relations and its rules'
+    semi-naive cursors and profiles (both by [rid]). *)
+type instance = {
+  code : t;
+  rels : Relation.t array;
+  cursors : int array array;
+      (** per rule, per body position: the consumed mark of a
+          versionable scan, -1 elsewhere *)
+  profs : rule_prof array;
 }
 
 type provider =
@@ -118,8 +154,21 @@ val compile_rule :
     predicate or the delta literal is not positive. *)
 
 val compile : resolve:(Symbol.t -> int -> provider) -> Optimizer.plan -> t
-(** [resolve pred arity] supplies every predicate that is neither a rule
-    head of the plan nor rewrite-generated ([#] in its name). *)
+(** [resolve pred arity] classifies every predicate that is neither a
+    rule head of the plan nor rewrite-generated ([#] in its name) as a
+    relation or a foreign predicate.  No relation is created, bound or
+    indexed. *)
+
+val instantiate : resolve:(Symbol.t -> int -> provider) -> t -> instance option
+(** Fresh relations for the module's own predicates, [resolve]'s
+    relations for the others (asked in compile's order), and then, on
+    those relations, the plan's annotations (multiset, aggregate
+    selections, [@make_index]) and the joins' index choices, in
+    compile's order, which is the order probes try them.  A relation
+    that cannot build an index (a snapshot view) forwards the spec as
+    usual.  [None] when a predicate no longer resolves as it did at
+    compile (a foreign predicate registered, replaced or gone since):
+    the caller recompiles. *)
 
 val plan_indexes : Optimizer.plan -> (Symbol.t * int * Index.spec) list
 (** The indexes {!compile} would install on the relations [resolve]
@@ -131,7 +180,7 @@ val plan_indexes : Optimizer.plan -> (Symbol.t * int * Index.spec) list
     predicates when it loads a module. *)
 
 val slot : t -> Symbol.t -> int option
-val relation : t -> Symbol.t -> Relation.t option
+val relation : instance -> Symbol.t -> Relation.t option
 
 val all_rules : t -> crule list
 (** Every distinct compiled rule, in stratum order (a rule with several

@@ -35,11 +35,6 @@ let rec pp_term ppf (t : Term.t) =
     in
     go true (Term.cons h tl);
     Format.fprintf ppf "]"
-  | Term.Const (Value.Double f) when Float.is_finite f ->
-    (* Term.pp's %g keeps 6 significant digits: 2.0 prints as "2"
-       (re-parses as an Int), 99.0000001 as "99".  Re-parseable text
-       needs the lossless form. *)
-    Format.pp_print_string ppf (Value.repr_double f)
   | _ -> Term.pp ppf t
 
 let pp_atom ppf (a : Ast.atom) =

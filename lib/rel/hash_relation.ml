@@ -35,7 +35,7 @@ type state = {
   mutable nsubs : int;
   mutable specs : Index.spec list;
   mutable live : int;
-  dups : (int, entry list ref) Hashtbl.t;  (* live tuples by hash *)
+  dups : entry list ref Tuple.Tbl.t;  (* live tuples by hash *)
   mutable nonground : Tuple.t list;
 }
 
@@ -59,6 +59,13 @@ let push_sub st =
   st.subs.(st.nsubs) <- new_sub st.specs;
   st.nsubs <- st.nsubs + 1
 
+let rec index_into stores tuple =
+  match stores with
+  | [] -> ()
+  | store :: rest ->
+    Index.insert store tuple;
+    index_into rest tuple
+
 let sub_append sub (tuple : Tuple.t) =
   if sub.n >= Array.length sub.tuples then begin
     let bigger = Array.make (2 * Array.length sub.tuples) tuple in
@@ -68,10 +75,10 @@ let sub_append sub (tuple : Tuple.t) =
   sub.tuples.(sub.n) <- tuple;
   sub.n <- sub.n + 1;
   sub.live <- sub.live + 1;
-  List.iter (fun store -> Index.insert store tuple) sub.stores
+  index_into sub.stores tuple
 
 let find_entry st (tuple : Tuple.t) =
-  match Hashtbl.find_opt st.dups tuple.Tuple.hash with
+  match Tuple.Tbl.find_opt st.dups tuple.Tuple.hash with
   | Some bucket -> List.find_opt (fun e -> e.tuple == tuple) !bucket
   | None -> None
 
@@ -81,19 +88,25 @@ let kill st (tuple : Tuple.t) =
   Tuple.kill tuple;
   st.live <- st.live - 1;
   let h = tuple.Tuple.hash in
-  match Hashtbl.find_opt st.dups h with
+  match Tuple.Tbl.find_opt st.dups h with
   | Some bucket ->
     let mine, others = List.partition (fun e -> e.tuple == tuple) !bucket in
     List.iter (fun e -> e.home.live <- e.home.live - 1) mine;
-    if others = [] then Hashtbl.remove st.dups h else bucket := others
+    if others = [] then Tuple.Tbl.remove st.dups h else bucket := others
   | None -> ()
 
+let rec in_bucket (tuple : Tuple.t) = function
+  | [] -> false
+  | e :: rest -> (Tuple.live e.tuple && Tuple.equal e.tuple tuple) || in_bucket tuple rest
+
 let is_duplicate st (tuple : Tuple.t) =
-  (match Hashtbl.find_opt st.dups tuple.Tuple.hash with
-  | Some bucket ->
-    List.exists (fun e -> (not e.tuple.Tuple.dead) && Tuple.equal e.tuple tuple) !bucket
-  | None -> false)
-  || List.exists (fun ex -> (not ex.Tuple.dead) && Tuple.subsumes ex tuple) st.nonground
+  (match Tuple.Tbl.find st.dups tuple.Tuple.hash with
+  | bucket -> in_bucket tuple !bucket
+  | exception Not_found -> false)
+  ||
+  match st.nonground with
+  | [] -> false
+  | nonground -> List.exists (fun ex -> Tuple.live ex && Tuple.subsumes ex tuple) nonground
 
 (* Inserting a more general non-ground tuple retires the tuples it
    strictly subsumes: answers are preserved (every instance of a
@@ -103,7 +116,7 @@ let retire_subsumed st (tuple : Tuple.t) =
     let sub = st.subs.(s) in
     for i = 0 to sub.n - 1 do
       let ex = sub.tuples.(i) in
-      if (not ex.Tuple.dead) && Tuple.subsumes tuple ex then kill st ex
+      if Tuple.live ex && Tuple.subsumes tuple ex then kill st ex
     done
   done
 
@@ -115,7 +128,7 @@ let merge_two st (older : sub) (newer : sub) =
   let take (sub : sub) =
     for i = 0 to sub.n - 1 do
       let t = sub.tuples.(i) in
-      if not t.Tuple.dead then begin
+      if Tuple.live t then begin
         sub_append m t;
         Option.iter (fun e -> e.home <- m) (find_entry st t)
       end
@@ -149,7 +162,56 @@ let merge_sealed st =
     subs.(!top) <- st.subs.(nsealed);
     st.subs <- subs;
     st.nsubs <- !top + 1;
-    st.nonground <- List.filter (fun (t : Tuple.t) -> not t.Tuple.dead) st.nonground
+    st.nonground <- List.filter Tuple.live st.nonground
+  end
+
+let rec iter_array gen tuples n i f =
+  i >= n
+  || (let t = tuples.(i) in
+      (not (Tuple.visible t gen)) || f t)
+     && iter_array gen tuples n (i + 1) f
+
+let iter_bucket gen (sub : sub) pos key f =
+  let store = List.nth sub.stores pos in
+  Index.iter_candidates ~gen ~var:(Index.var_bucket store) ~keyed:(Index.keyed store key) f
+
+(* Subsidiaries [s, last) with the chosen probe ([pos] < 0: none), the
+   last one read up to its extent at opening ([top_n], or the buckets
+   [top_var] and [top_keyed]). *)
+let rec iter_from subs s last gen pos key top_n top_var top_keyed f =
+  if s = last - 1 then begin
+    if pos < 0 then ignore (iter_array gen subs.(s).tuples top_n 0 f)
+    else ignore (Index.iter_candidates ~gen ~var:top_var ~keyed:top_keyed f)
+  end
+  else begin
+    let sub = subs.(s) in
+    let more = if pos < 0 then iter_array gen sub.tuples sub.n 0 f else iter_bucket gen sub pos key f in
+    if more then iter_from subs (s + 1) last gen pos key top_n top_var top_keyed f
+  end
+
+(* The join kernel's read path: hand [f] the candidates of subsidiaries
+   [first, last) visible at [gen], oldest subsidiary first, until [f]
+   returns false.  A pattern probes, in every subsidiary, the first
+   index whose positions it binds (each subsidiary carries one store
+   per spec, in spec order); without one, subsidiaries hand out their
+   arrays.  [f] may insert into this relation, which extends only the
+   open subsidiary, so the extent of the last one is read before the
+   first candidate, as a [scan] snapshots it when opened. *)
+let rec probe_from subs first last gen top args env pos stores f =
+  match stores with
+  | [] -> iter_from subs first last gen (-1) 0 top.n [] [] f
+  | store :: rest ->
+    let key = Index.key store args env in
+    if key < 0 then probe_from subs first last gen top args env (pos + 1) rest f
+    else
+      iter_from subs first last gen pos key 0 (Index.var_bucket store) (Index.keyed store key) f
+
+let iter_subs (subs : sub array) first last ~gen ~pattern f =
+  if first < last then begin
+    let top = subs.(last - 1) in
+    match pattern with
+    | None -> iter_from subs first last gen (-1) 0 top.n [] [] f
+    | Some (args, env) -> probe_from subs first last gen top args env 0 top.stores f
   end
 
 let create ?(indexes = []) ~name ~arity () =
@@ -158,7 +220,7 @@ let create ?(indexes = []) ~name ~arity () =
       nsubs = 0;
       specs = indexes;
       live = 0;
-      dups = Hashtbl.create 256;
+      dups = Tuple.Tbl.create 256;
       nonground = []
     }
   in
@@ -170,9 +232,9 @@ let create ?(indexes = []) ~name ~arity () =
       let sub = st.subs.(st.nsubs - 1) in
       sub_append sub tuple;
       let e = { tuple; home = sub } in
-      (match Hashtbl.find_opt st.dups tuple.Tuple.hash with
+      (match Tuple.Tbl.find_opt st.dups tuple.Tuple.hash with
       | Some bucket -> bucket := e :: !bucket
-      | None -> Hashtbl.add st.dups tuple.Tuple.hash (ref [ e ]));
+      | None -> Tuple.Tbl.add st.dups tuple.Tuple.hash (ref [ e ]));
       if not (Tuple.is_ground tuple) then st.nonground <- tuple :: st.nonground;
       st.live <- st.live + 1;
       true
@@ -210,7 +272,11 @@ let create ?(indexes = []) ~name ~arity () =
       let sub = st.subs.(s) in
       if sub.n > 0 then parts := candidates_of_sub sub ~pattern ~snapshot:sub.n :: !parts
     done;
-    Seq.filter (fun t -> not t.Tuple.dead) (List.fold_right Seq.append !parts Seq.empty)
+    Seq.filter Tuple.live (List.fold_right Seq.append !parts Seq.empty)
+  in
+  let iter ~from_mark ~to_mark ~pattern f =
+    let last = if to_mark < 0 then st.nsubs else min to_mark st.nsubs in
+    iter_subs st.subs (max 0 from_mark) last ~gen:Tuple.live_gen ~pattern f
   in
   let delete ~pattern pred =
     let count = ref 0 in
@@ -226,7 +292,7 @@ let create ?(indexes = []) ~name ~arity () =
   let impl =
     { Relation.i_insert = insert;
       i_delete = delete;
-      i_retire = (fun t -> if not t.Tuple.dead then kill st t);
+      i_retire = (fun t -> if Tuple.live t then kill st t);
       i_mark =
         (fun () ->
           push_sub st;
@@ -242,59 +308,65 @@ let create ?(indexes = []) ~name ~arity () =
               let store = Index.create spec in
               for i = 0 to sub.n - 1 do
                 let t = sub.tuples.(i) in
-                if not t.Tuple.dead then Index.insert store t
+                if Tuple.live t then Index.insert store t
               done;
               sub.stores <- sub.stores @ [ store ]
             done
           end);
       i_indexes = (fun () -> st.specs);
       i_scan = scan;
+      i_iter = iter;
       i_mem = (fun tuple -> is_duplicate st tuple);
       i_freeze =
         (fun () ->
           (* Seal the open subsidiary (unless already empty) so every
              captured array has reached its final extent, and merge
              sealed subsidiaries; then capture each sealed subsidiary's
-             cells by VALUE — the tuples array, its length, and the
-             store list — because the live relation may later grow new
-             index stores, merge subsidiaries or reallocate the subs
-             array, and a frozen reader must never chase those.  Sealed
-             tuple arrays and their stores are never written again (a
-             merge builds fresh ones), so the capture is genuinely
-             immutable (tombstone flags excepted; see DESIGN.md on
-             retraction visibility). *)
+             cells by VALUE into a fresh record — the tuples array, its
+             length, and the store list — because the live relation may
+             later grow new index stores, merge subsidiaries or
+             reallocate the subs array, and a frozen reader must never
+             chase those.  Sealed tuple arrays and their stores are never
+             written again (a merge builds fresh ones), so the capture
+             is immutable; kills after the freeze stamp a later
+             generation than the view's, so it still sees those tuples
+             (DESIGN.md §11, kill generations). *)
           if st.subs.(st.nsubs - 1).n > 0 then push_sub st;
           merge_sealed st;
+          let gen = Tuple.freeze_generation () in
           let nsealed = st.nsubs - 1 in
           let snaps =
             Array.init nsealed (fun s ->
                 let sub = st.subs.(s) in
-                sub.tuples, sub.n, sub.stores)
+                { tuples = sub.tuples; n = sub.n; stores = sub.stores; live = sub.live })
           in
           let f_scan ~pattern =
             let parts = ref [] in
             for s = nsealed - 1 downto 0 do
-              let tuples, n, stores = snaps.(s) in
-              if n > 0 then parts := candidates ~tuples ~stores ~limit:n ~pattern :: !parts
+              let sub = snaps.(s) in
+              if sub.n > 0 then
+                parts :=
+                  candidates ~tuples:sub.tuples ~stores:sub.stores ~limit:sub.n ~pattern :: !parts
             done;
             Seq.filter
-              (fun (t : Tuple.t) -> not t.Tuple.dead)
+              (fun (t : Tuple.t) -> Tuple.visible t gen)
               (List.fold_right Seq.append !parts Seq.empty)
           in
+          let f_iter ~pattern f = iter_subs snaps 0 nsealed ~gen ~pattern f in
           let f_mem (tuple : Tuple.t) =
             let pattern =
               if Tuple.is_ground tuple then Some (tuple.Tuple.terms, Bindenv.empty) else None
             in
             Seq.exists (fun ex -> Tuple.subsumes ex tuple) (f_scan ~pattern)
           in
-          Some { Relation.f_scan; f_mem; f_cardinal = st.live; f_indexes = st.specs });
+          Some { Relation.f_scan; f_iter; f_mem; f_cardinal = st.live; f_indexes = st.specs });
       i_clear =
         (fun () ->
           st.subs <- Array.make 4 dummy_sub;
           st.nsubs <- 0;
           push_sub st;
           st.live <- 0;
-          Hashtbl.reset st.dups;
+          Tuple.Tbl.reset st.dups;
           st.nonground <- [])
     }
   in

@@ -44,4 +44,22 @@ val probe : t -> Term.t array -> Bindenv.t -> Tuple.t list option
     cannot be used and the caller must scan).  Candidates are a
     superset of the matching tuples and must still be unified. *)
 
+val key : t -> Term.t array -> Bindenv.t -> int
+(** The bucket key {!probe} would read for this pattern, or -1 when
+    the index cannot be used (keys are never negative). *)
+
+val keyed : t -> int -> Tuple.t list
+(** The tuples stored under a key, newest first (without the [var]
+    bucket). *)
+
+val var_bucket : t -> Tuple.t list
+(** The [var] bucket, newest first. *)
+
+val iter_candidates :
+  gen:int -> var:Tuple.t list -> keyed:Tuple.t list -> (Tuple.t -> bool) -> bool
+(** Hand [f] the candidates of a captured [var] bucket and key bucket
+    that are visible at [gen] (see {!Tuple.visible}), in {!probe}'s
+    order (the [var] bucket oldest first, then the key bucket newest
+    first), until it returns false; false when it stopped. *)
+
 val cardinal : t -> int

@@ -6,13 +6,13 @@ type state = {
 let create ~name ~arity () =
   let st = { intervals = [ [] ]; live = 0 } in
   let all_live () =
-    List.concat_map (List.filter (fun t -> not t.Tuple.dead)) st.intervals
+    List.concat_map (List.filter Tuple.live) st.intervals
   in
   let insert ~dedup tuple =
     let dup =
       dedup
       && List.exists
-           (fun ex -> (not ex.Tuple.dead) && Tuple.subsumes ex tuple)
+           (fun ex -> Tuple.live ex && Tuple.subsumes ex tuple)
            (List.concat st.intervals)
     in
     if dup then false
@@ -33,13 +33,13 @@ let create ~name ~arity () =
     (* Snapshot: lists are immutable once captured, so a scan never sees
        tuples inserted after it was opened. *)
     let parts = List.map (fun l -> List.to_seq (List.rev l)) selected in
-    Seq.filter (fun t -> not t.Tuple.dead) (List.fold_right Seq.append parts Seq.empty)
+    Seq.filter Tuple.live (List.fold_right Seq.append parts Seq.empty)
   in
   let impl =
     { Relation.i_insert = insert;
       i_retire =
         (fun t ->
-          if not t.Tuple.dead then begin
+          if Tuple.live t then begin
             Tuple.kill t;
             st.live <- st.live - 1
           end);
@@ -65,10 +65,11 @@ let create ~name ~arity () =
       i_add_index = (fun _ -> ());
       i_indexes = (fun () -> []);
       i_scan = scan;
+      i_iter = Relation.iter_of_scan scan;
       i_mem =
         (fun tuple ->
           List.exists
-            (fun ex -> (not ex.Tuple.dead) && Tuple.subsumes ex tuple)
+            (fun ex -> Tuple.live ex && Tuple.subsumes ex tuple)
             (List.concat st.intervals));
       i_freeze =
         (fun () ->
@@ -80,16 +81,21 @@ let create ~name ~arity () =
           | [] :: _ -> ()
           | _ -> st.intervals <- [] :: st.intervals);
           let captured = st.intervals in
+          let gen = Tuple.freeze_generation () in
           let f_scan ~pattern:_ =
             let parts = List.rev_map (fun l -> List.to_seq (List.rev l)) captured in
             Seq.filter
-              (fun (t : Tuple.t) -> not t.Tuple.dead)
+              (fun (t : Tuple.t) -> Tuple.visible t gen)
               (List.fold_right Seq.append parts Seq.empty)
+          in
+          let f_iter ~pattern f =
+            Relation.iter_of_scan (fun ~from_mark:_ ~to_mark:_ ~pattern -> f_scan ~pattern)
+              ~from_mark:0 ~to_mark:(-1) ~pattern f
           in
           let f_mem tuple =
             Seq.exists (fun ex -> Tuple.subsumes ex tuple) (f_scan ~pattern:None)
           in
-          Some { Relation.f_scan; f_mem; f_cardinal = st.live; f_indexes = [] });
+          Some { Relation.f_scan; f_iter; f_mem; f_cardinal = st.live; f_indexes = [] });
       i_clear =
         (fun () ->
           st.intervals <- [ [] ];

@@ -21,6 +21,12 @@ and impl = {
   i_indexes : unit -> Index.spec list;
   i_scan :
     from_mark:int -> to_mark:int -> pattern:(Term.t array * Bindenv.t) option -> Tuple.t Seq.t;
+  i_iter :
+    from_mark:int ->
+    to_mark:int ->
+    pattern:(Term.t array * Bindenv.t) option ->
+    (Tuple.t -> bool) ->
+    unit;
   i_mem : Tuple.t -> bool;
   i_clear : unit -> unit;
   i_freeze : unit -> frozen option;
@@ -39,6 +45,7 @@ and stats = {
    which gives the happens-before edge for every captured cell. *)
 and frozen = {
   f_scan : pattern:(Term.t array * Bindenv.t) option -> Tuple.t Seq.t;
+  f_iter : pattern:(Term.t array * Bindenv.t) option -> (Tuple.t -> bool) -> unit;
   f_mem : Tuple.t -> bool;
   f_cardinal : int;
   f_indexes : Index.spec list;
@@ -109,6 +116,21 @@ let scan r ?(from_mark = 0) ?(to_mark = -1) ?pattern () =
 let scan_quiet r ?(from_mark = 0) ?(to_mark = -1) ?pattern () =
   r.impl.i_scan ~from_mark ~to_mark ~pattern
 
+let iter r ~from_mark ~to_mark ~pattern f =
+  r.stats.scans <- r.stats.scans + 1;
+  incr g_scans;
+  r.impl.i_iter ~from_mark ~to_mark ~pattern f
+
+let iter_quiet r ~from_mark ~to_mark ~pattern f = r.impl.i_iter ~from_mark ~to_mark ~pattern f
+
+let iter_of_scan scan ~from_mark ~to_mark ~pattern f =
+  let rec go seq =
+    match seq () with
+    | Seq.Nil -> ()
+    | Seq.Cons (t, rest) -> if f t then go rest
+  in
+  go (scan ~from_mark ~to_mark ~pattern)
+
 let note_scans r n =
   r.stats.scans <- r.stats.scans + n;
   g_scans := !g_scans + n
@@ -156,6 +178,7 @@ let freeze ?on_miss r =
         i_scan =
           (fun ~from_mark ~to_mark:_ ~pattern ->
             if from_mark > 0 then Seq.empty else fz.f_scan ~pattern);
+        i_iter = (fun ~from_mark ~to_mark:_ ~pattern f -> if from_mark = 0 then fz.f_iter ~pattern f);
         i_mem = fz.f_mem;
         i_clear = (fun () -> read_only ());
         i_freeze = (fun () -> Some fz)

@@ -51,6 +51,17 @@ and impl = {
   i_indexes : unit -> Index.spec list;
   i_scan :
     from_mark:int -> to_mark:int -> pattern:(Term.t array * Bindenv.t) option -> Tuple.t Seq.t;
+  i_iter :
+    from_mark:int ->
+    to_mark:int ->
+    pattern:(Term.t array * Bindenv.t) option ->
+    (Tuple.t -> bool) ->
+    unit;
+      (** The candidates [i_scan] would hand out, in the same order,
+          passed to the callback until it returns false: the join
+          kernel's read path, which allocates nothing per candidate
+          where the store is walked directly (see {!iter_of_scan} for
+          stores that are not) *)
   i_mem : Tuple.t -> bool;
       (** Read-only duplicate test: would inserting this tuple be
           rejected as a duplicate (equal or subsumed by a live tuple)?
@@ -71,6 +82,7 @@ and impl = {
     publication provides that happens-before edge). *)
 and frozen = {
   f_scan : pattern:(Term.t array * Bindenv.t) option -> Tuple.t Seq.t;
+  f_iter : pattern:(Term.t array * Bindenv.t) option -> (Tuple.t -> bool) -> unit;
   f_mem : Tuple.t -> bool;
   f_cardinal : int;
   f_indexes : Index.spec list;  (** the specs the captured index stores cover *)
@@ -123,6 +135,39 @@ val scan_quiet : t -> ?from_mark:int -> ?to_mark:int -> ?pattern:Term.t array * 
     parallel workers, which count scans in task-local arrays flushed
     later via {!note_scans}. *)
 
+val iter :
+  t ->
+  from_mark:int ->
+  to_mark:int ->
+  pattern:(Term.t array * Bindenv.t) option ->
+  (Tuple.t -> bool) ->
+  unit
+(** [scan]'s candidates over the same interval, in its order, handed to
+    the callback until it returns false; counts one scan.  The join
+    kernel's read path (the arguments are not optional, so a call
+    allocates nothing). *)
+
+val iter_quiet :
+  t ->
+  from_mark:int ->
+  to_mark:int ->
+  pattern:(Term.t array * Bindenv.t) option ->
+  (Tuple.t -> bool) ->
+  unit
+(** [iter] without touching the stats counters (see {!scan_quiet}). *)
+
+val iter_of_scan :
+  (from_mark:int ->
+  to_mark:int ->
+  pattern:(Term.t array * Bindenv.t) option ->
+  Tuple.t Seq.t) ->
+  from_mark:int ->
+  to_mark:int ->
+  pattern:(Term.t array * Bindenv.t) option ->
+  (Tuple.t -> bool) ->
+  unit
+(** An [i_iter] for a store that only implements [i_scan]. *)
+
 val mem : t -> Tuple.t -> bool
 (** Read-only duplicate test (see [impl.i_mem]). *)
 
@@ -141,8 +186,9 @@ val note_visited : int -> unit
 val freeze : ?on_miss:(Index.spec -> unit) -> t -> t option
 (** An immutable, read-only view of this relation's current sealed
     contents, wrapped back into the uniform interface: scans (index
-    probes included) see exactly the tuples present at freeze time and
-    never anything inserted later; writes raise.  Mark semantics match
+    probes included) see exactly the tuples present at freeze time:
+    never anything inserted later, and every tuple deleted later (see
+    {!Tuple.visible}); writes raise.  Mark semantics match
     persistent relations ([marks] = 0, delta scans from a positive mark
     are empty).  [None] when the implementation cannot snapshot.  The
     caller must hold the write lane: [freeze] seals the open subsidiary

@@ -71,11 +71,6 @@ let evict_excess t =
       t.evictions <- t.evictions + 1
   done
 
-let adornment_of (a : Coral.Ast.atom) =
-  Array.map
-    (fun arg -> if Coral.Term.is_ground arg then Coral.Ast.Bound else Coral.Ast.Free)
-    a.Coral.Ast.args
-
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -101,39 +96,13 @@ let prepare t db text =
   match parse () with
   | Error e -> Error e
   | Ok lits ->
-    let planned = ref 0 and fresh = ref 0 in
-    List.iter
-      (fun lit ->
-        match (lit : Coral.Ast.literal) with
-        | Coral.Ast.Pos a -> begin
-          match
-            Coral.Engine.plan_for (Coral.engine db) ~pred:a.Coral.Ast.pred
-              ~arity:(Array.length a.Coral.Ast.args) ~adorn:(adornment_of a)
-          with
-          | Ok (_, `Hit) -> incr planned
-          | Ok (_, `Miss) ->
-            incr planned;
-            incr fresh
-          | Error _ -> ()  (* base/foreign literal: nothing to prepare *)
-        end
-        | Coral.Ast.Neg _ | Coral.Ast.Cmp _ | Coral.Ast.Is _ -> ())
-      lits;
-    let tag =
-      with_lock t (fun () ->
-          if !planned = 0 then begin
-            t.unplanned <- t.unplanned + 1;
-            `Unplanned
-          end
-          else if !fresh = 0 then begin
-            t.hits <- t.hits + 1;
-            `Hit
-          end
-          else begin
-            t.misses <- t.misses + 1;
-            `Miss
-          end)
-    in
-    Ok (lits, tag)
+    let prepared, tag = Coral.Engine.prepare (Coral.engine db) lits in
+    with_lock t (fun () ->
+        match tag with
+        | `Unplanned -> t.unplanned <- t.unplanned + 1
+        | `Hit -> t.hits <- t.hits + 1
+        | `Miss -> t.misses <- t.misses + 1);
+    Ok (lits, tag, prepared)
 
 let stats t =
   with_lock t (fun () ->

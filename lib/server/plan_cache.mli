@@ -4,10 +4,12 @@
     varying constants: [path(1, Y)], [path(7, Y)], ... all share the
     adorned form [path/2:bf].  Preparing a request parses its text
     once (memoized on the text) and looks each form up in the engine's
-    plan table ([Engine.plan_for]), which plans a form once per rule
-    generation and shares the plan with every snapshot view of the
-    same rules.  Data changes never replan; loading a module replans
-    only that module's forms. *)
+    plan table ([Engine.prepare]), which plans a form once per rule
+    generation and shares the plan, and the module compiled from it,
+    with every snapshot view of the same rules.  The entries found are
+    handed to evaluation ([Engine.query ~prepared]), so a served query
+    looks its forms up once.  Data changes never replan; loading a
+    module replans only that module's forms. *)
 
 type t
 
@@ -33,9 +35,12 @@ val prepare :
   t ->
   Coral.t ->
   string ->
-  (Coral.Ast.literal list * [ `Hit | `Miss | `Unplanned ], Coral.Parser.error) result
-(** Parse a query (memoized on the text) and ensure every positive
-    literal over a module export has a plan in [db]'s plan table.
+  ( Coral.Ast.literal list * [ `Hit | `Miss | `Unplanned ] * Coral.Engine.prepared,
+    Coral.Parser.error )
+  result
+(** Parse a query (memoized on the text) and look up (planning if
+    needed) every positive literal over a module export in [db]'s plan
+    table; the entries are for [Engine.query ~prepared].
     [`Hit]: every form was already planned; [`Miss]: at least one
     form was planned now; [`Unplanned]: no literal needed a plan (pure
     base/builtin query).  Planning failures are not errors here — the

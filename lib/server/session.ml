@@ -57,6 +57,9 @@ type store = {
   next_sid : int Atomic.t;
   bytes_read : int Atomic.t;  (* wire bytes in/out, summed over sessions *)
   bytes_written : int Atomic.t;
+  eval_words : int Atomic.t;
+      (* minor-heap words allocated evaluating requests, each counted
+         on the domain that evaluated it *)
   (* incremental-maintenance accounting, summed over updates *)
   maint_inserts : int Atomic.t;  (* insert requests applied *)
   maint_retracts : int Atomic.t;  (* retract requests applied *)
@@ -94,6 +97,7 @@ let make_store ?(databases = []) ?(limits = Admission.default) db =
     next_sid = Atomic.make 0;
     bytes_read = Atomic.make 0;
     bytes_written = Atomic.make 0;
+    eval_words = Atomic.make 0;
     maint_inserts = Atomic.make 0;
     maint_retracts = Atomic.make 0;
     maint_derived = Atomic.make 0;
@@ -415,7 +419,15 @@ let evaluated t ~dbv ?(epoch = 0) ~wrap ~kind ?(adorned = "") ?(plan_cache = "")
     Obs.Span.with_
       ~attrs:(fun () -> [ "query", string_of_int qid ])
       ("server." ^ kind)
-      (fun () -> wrap (fun () -> with_guards t dbv entry resource f))
+      (fun () ->
+        wrap (fun () ->
+            let w0 = Gc.minor_words () in
+            Fun.protect
+              ~finally:(fun () ->
+                ignore
+                  (Atomic.fetch_and_add t.store.eval_words
+                     (int_of_float (Gc.minor_words () -. w0))))
+              (fun () -> with_guards t dbv entry resource f)))
   with
   | v ->
     finish "ok" ~rows:(rows_of v);
@@ -537,15 +549,14 @@ let do_query t text =
   Fun.protect ~finally:(fun () -> Snapshot.release version)
   @@ fun () ->
   let epoch = Snapshot.version_epoch version in
-  let run ~dbv ~wrap prepared =
-    let lits, tag = prepared in
+  let run ~dbv ~wrap (lits, tag, prepared) =
     let plan_cache =
       match tag with `Hit -> "hit" | `Miss -> "miss" | `Unplanned -> "unplanned"
     in
     evaluated t ~dbv ~epoch ~wrap ~kind:"query" ~adorned:(adorned_of_lits lits) ~plan_cache
       text
       ~rows_of:(fun (r : Coral.Engine.query_result) -> List.length r.Coral.Engine.rows)
-      (fun () -> Coral.Engine.query (Coral.engine dbv) lits)
+      (fun () -> Coral.Engine.query ~prepared (Coral.engine dbv) lits)
       (fun r ->
         let cache_note =
           match tag with
@@ -570,7 +581,7 @@ let do_query t text =
     let rdb = Coral.of_engine (Coral.Engine.read_view view) in
     match Plan_cache.prepare store.cache rdb text with
     | Error e -> Protocol.err Protocol.Parse (Format.asprintf "%a" Coral.Parser.pp_error e)
-    | Ok ((lits, _) as prepared) ->
+    | Ok ((lits, _, _) as prepared) ->
       if mutating_lits lits then run ~dbv:store.sdb ~wrap:(wrap_write store) prepared
       else begin
         match run ~dbv:rdb ~wrap:Exec_pool.run prepared with
@@ -796,6 +807,9 @@ let samples store =
        delta exchange *)
     counter "server.bytes.read" (Atomic.get store.bytes_read);
     counter "server.bytes.written" (Atomic.get store.bytes_written);
+    (* allocation per request, a work counter like derivations: what
+       the evaluating domain allocated on its minor heap *)
+    counter "server.eval_minor_words" (Atomic.get store.eval_words);
     gauge "admission.inflight" (Admission.inflight store.admission);
     counter "admission.admitted" (Admission.admitted store.admission);
     counter "admission.waited" (Admission.waited store.admission);

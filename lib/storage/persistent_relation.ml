@@ -218,6 +218,7 @@ let open_ ?(pool_frames = 64) ?(indexes = []) ?injector ?(verify = true) ~dir ~n
         i_add_index = (fun _ -> ());
         i_indexes = (fun () -> List.map (fun (c, _) -> Index.Args [ c ]) index_handles);
         i_scan = scan;
+        i_iter = Relation.iter_of_scan scan;
         i_mem =
           (fun t ->
             (* exact-duplicate check via the uniqueness index; ground

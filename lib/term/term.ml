@@ -150,36 +150,39 @@ let mix h x = ((h * 0x01000193) lxor x) land max_int
    matching keys as candidate supersets and unify afterwards.  The
    benign write race mirrors [hid]: every writer stores the same
    deterministic value. *)
-let rec ground_key t =
+let rec key t =
   match t with
-  | Const v -> Some (Value.hash v * 0x9e3779b1 land max_int)
-  | Var _ -> None
+  | Const v -> Value.hash v * 0x9e3779b1 land max_int
+  | Var _ -> -1
   | App a ->
-    if a.gkey > 0 then Some a.gkey
-    else if a.gkey < 0 || a.hid < 0 then None
+    if a.gkey > 0 then a.gkey
+    else if a.gkey < 0 || a.hid < 0 then -1
     else begin
-      let h = ref (Symbol.hash a.sym land max_int) in
-      let ground = ref true in
       let n = Array.length a.args in
-      for i = 0 to n - 1 do
-        if !ground then begin
-          match ground_key a.args.(i) with
-          | Some k -> h := mix !h k
-          | None -> ground := false
+      let rec go h i =
+        if i >= n then h
+        else begin
+          let k = key a.args.(i) in
+          if k < 0 then -1 else go (mix h k) (i + 1)
         end
-      done;
-      if !ground then begin
-        let k = if !h = 0 then 1 else !h in
-        a.gkey <- k;
-        Some k
+      in
+      let h = go (Symbol.hash a.sym land max_int) 0 in
+      if h < 0 then begin
+        a.gkey <- -1;
+        -1
       end
       else begin
-        a.gkey <- -1;
-        None
+        let k = if h = 0 then 1 else h in
+        a.gkey <- k;
+        k
       end
     end
 
-let is_ground t = ground_key t <> None
+let ground_key t =
+  let k = key t in
+  if k < 0 then None else Some k
+
+let is_ground t = key t >= 0
 
 (* Process-stable structural hash.  [ground_key] mixes [Symbol.hash],
    which is the intern id — a function of interning ORDER, so two

@@ -70,6 +70,10 @@ val ground_key : t -> int option
     terms always produce the same key, on any domain, lock-free; two
     different terms may collide.  Relation indexes key on this. *)
 
+val key : t -> int
+(** {!ground_key} without the option: the key, or -1 for a term
+    containing variables (keys are never negative). *)
+
 val is_ground : t -> bool
 
 val stable_hash : t -> int

@@ -87,11 +87,14 @@ let repr_double f =
       | None -> s ^ ".0"
   end
 
-(* The one value printer: doubles print with %g, strings with OCaml
-   %S quoting; only an opaque value's own [o_print] needs Format. *)
+(* The one value printer: doubles print losslessly ([repr_double]:
+   the shortest text that reads back to the same double, always with a
+   point or an exponent, so it reads back as a double), strings with
+   OCaml %S quoting; only an opaque value's own [o_print] needs
+   Format. *)
 let to_buffer buf = function
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Double f -> Buffer.add_string buf (Printf.sprintf "%g" f)
+  | Double f -> Buffer.add_string buf (repr_double f)
   | Str s ->
     Buffer.add_char buf '"';
     Buffer.add_string buf (String.escaped s);

@@ -59,8 +59,9 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val to_buffer : Buffer.t -> t -> unit
-(** Append the surface text of a value: doubles with %g, strings in
-    OCaml %S quoting, an opaque value through its [o_print]. *)
+(** Append the surface text of a value: doubles losslessly (see
+    {!repr_double}), strings in OCaml %S quoting, an opaque value
+    through its [o_print]. *)
 
 val pp : Format.formatter -> t -> unit
 (** [to_buffer] onto a formatter. *)

@@ -69,3 +69,23 @@ let check ?drop ~what ~stats ~metrics () =
   Alcotest.(check (list string))
     (what ^ ": no TYPE name twice")
     (uniq types) (List.sort compare types)
+
+(* Rows both views must carry (named as [stats] prints them), each with
+   a value at least [min] in [stats]. *)
+let check_rows ~what ~stats ~metrics ?(min = 0.) names =
+  List.iter
+    (fun name ->
+      let prefix = name ^ "=" in
+      (match List.find_opt (String.starts_with ~prefix) stats with
+      | Some l ->
+        let v = String.sub l (String.length prefix) (String.length l - String.length prefix) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s=%s is at least %g" what name v min)
+          true
+          (Option.fold ~none:false ~some:(fun v -> v >= min) (float_of_string_opt v))
+      | None -> Alcotest.fail (Printf.sprintf "%s: no stats row %s" what name));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: metrics sample for %s" what name)
+        true
+        (List.mem (prom_name name) (sample_names metrics)))
+    names

@@ -2171,11 +2171,12 @@ let test_router_stats_metrics_parity () =
       "router.relay_seconds_total"
     ];
   let strip l = if String.starts_with ~prefix:"txt " l then String.sub l 4 (String.length l - 4) else l in
+  let metrics = String.split_on_char '\n' (Router.metrics_text cl.router) in
   Parity.check ~what:"router"
     ~drop:(String.starts_with ~prefix:"coral_shard_")
-    ~stats:(List.map strip stats)
-    ~metrics:(String.split_on_char '\n' (Router.metrics_text cl.router))
-    ();
+    ~stats:(List.map strip stats) ~metrics ();
+  Parity.check_rows ~what:"router" ~stats:(List.map strip stats) ~metrics
+    [ "server.eval_minor_words" ];
   ignore (request c "quit");
   close_client c
 
@@ -2252,7 +2253,7 @@ let test_resync_edb_values () =
     Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> run spath)
   in
   Alcotest.(check bool) "the single node holds the bytes" true
-    (List.mem "ans X = -0, Y = \"cr\\rnul\\000\"" (List.hd w_before));
+    (List.mem "ans X = -0.0, Y = \"cr\\rnul\\000\"" (List.hd w_before));
   Coral_obs.Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Coral_obs.Obs.set_enabled false) @@ fun () ->
   let cl = start_cluster ~shards:2 ~key:0 () in
@@ -2262,6 +2263,30 @@ let test_resync_edb_values () =
   Alcotest.(check (list (list string))) "same answers as a single node" w_before before;
   Alcotest.(check (list (list string))) "and after the retract's resync" w_after after;
   Alcotest.(check (pair int int)) "two resyncs, every read fanned out" (2, 6) moved
+
+(* Doubles print losslessly on a single node and through a cluster
+   alike: the router relays the workers' answer lines as they are. *)
+let test_doubles_lossless () =
+  let program =
+    "m(1.0000001). m(2.0). m(2). m(123456789.5).\n\
+     module m_mm.\nexport mm(f).\nmm(X) :- m(X).\nend_module.\n"
+  in
+  let lossless = [ "ans X = 1.0000001"; "ans X = 123456789.5"; "ans X = 2"; "ans X = 2.0" ] in
+  let run path =
+    let c = connect_unix path in
+    consult_all c [ program ];
+    let got = answers c "mm(X)" in
+    ignore (request c "quit");
+    close_client c;
+    got
+  in
+  let spath = sock_path () in
+  let srv = Server.start ~listen:(`Unix spath) (Coral.create ()) in
+  let single = Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> run spath) in
+  Alcotest.(check (list string)) "single node" lossless single;
+  let cl = start_cluster ~shards:2 ~key:0 () in
+  Fun.protect ~finally:(fun () -> stop_cluster cl) @@ fun () ->
+  Alcotest.(check (list string)) "cluster" lossless (run cl.router_path)
 
 (* A non-ground derived tuple or seed has no owner shard: its
    variables all hash to one bucket, while its ground instances live
@@ -2603,6 +2628,8 @@ let () =
             test_kernel_parity;
           Alcotest.test_case "differential: EDB values through a resync" `Quick
             test_resync_edb_values;
+          Alcotest.test_case "doubles print losslessly through the router" `Quick
+            test_doubles_lossless;
           Alcotest.test_case "edb# loads before the closure, is a delta after" `Quick
             test_edb_load_then_delta;
           Alcotest.test_case "non-ground tuples are not partitioned" `Quick

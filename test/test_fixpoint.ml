@@ -48,7 +48,9 @@ let make_instance ?trace ?(module_ = tc_module) edges =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  Fixpoint.create ?trace (Module_struct.compile ~resolve plan), edge_rel
+  Fixpoint.create ?trace
+    (Option.get (Module_struct.instantiate ~resolve (Module_struct.compile ~resolve plan))),
+  edge_rel
 
 let answers_of inst =
   Fixpoint.answers inst ()
@@ -130,7 +132,7 @@ let test_provenance () =
            Term.equal t.Tuple.terms.(0) (Term.int a) && Term.equal t.Tuple.terms.(1) (Term.int b))
   in
   (* path(1, 3) was derived by the recursive rule with a path witness *)
-  (match Fixpoint.provenance inst (answer (1, 3)) ~slot:ms.Module_struct.answer_slot with
+  (match Fixpoint.provenance inst (answer (1, 3)) ~slot:ms.Module_struct.code.Module_struct.answer_slot with
   | Some (rule_text, witnesses) ->
     Alcotest.(check bool) "rule text mentions the head" true
       (String.length rule_text > 0);
@@ -142,7 +144,7 @@ let test_provenance () =
   Fixpoint.run inst2;
   let ms2 = Fixpoint.module_structure inst2 in
   Alcotest.(check bool) "no provenance without trace" true
-    (Fixpoint.provenance inst2 (answer (1, 2)) ~slot:ms2.Module_struct.answer_slot = None)
+    (Fixpoint.provenance inst2 (answer (1, 2)) ~slot:ms2.Module_struct.code.Module_struct.answer_slot = None)
 
 let test_answer_pattern_scan () =
   let inst, _ = make_instance [ 1, 2; 1, 3; 2, 3 ] in
@@ -156,7 +158,7 @@ let test_answer_pattern_scan () =
    than answer it with the first one's reachable set. *)
 let test_single_context_seed () =
   let inst, _ = make_instance ~module_:(parse_module (tc_text "")) [ 1, 2; 2, 3; 5, 6 ] in
-  (match (Fixpoint.module_structure inst).Module_struct.plan.Optimizer.seed with
+  (match (Fixpoint.module_structure inst).Module_struct.code.Module_struct.plan.Optimizer.seed with
   | Some s -> Alcotest.(check bool) "plan is single-context" true s.Optimizer.single_context
   | None -> Alcotest.fail "expected a seeded plan");
   Alcotest.(check bool) "first seed" true (Fixpoint.add_seed inst [| Term.int 1 |]);

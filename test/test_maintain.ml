@@ -329,6 +329,59 @@ let test_fallback_class () =
   Alcotest.(check (list (list string))) "recompute fallback after retract" []
     (rows e "reach(3, Y)")
 
+(* A view pinned before an update reads its own epoch after it: the
+   update's kills stamp a later generation than the view's freeze
+   (DRed's over-deletions, the base fact itself, an insert, and the
+   recompute fallback's rebuild alike). *)
+let test_pinned_view_across_updates () =
+  let view e = Coral.of_engine (Coral.Engine.read_view (Option.get (Coral.Engine.snapshot (eng e)))) in
+  let e = Coral.create () in
+  Coral.consult_text e ("edge(1, 2). edge(2, 3). edge(1, 3).\n" ^ tc_program);
+  Coral.Engine.set_maintenance (eng e) true;
+  let closure = [ [ "1"; "2" ]; [ "1"; "3" ]; [ "2"; "3" ] ] in
+  Alcotest.(check (list (list string))) "closure" closure (rows e "path(X, Y)");
+  let pinned = view e in
+  let rep = Coral.Engine.retract_facts (eng e) [ sym "edge", [| Term.int 2; Term.int 3 |] ] in
+  Alcotest.(check bool) "retract maintained (DRed)" true rep.Coral.Engine.ur_maintained;
+  Alcotest.(check (list (list string))) "live after retract"
+    [ [ "1"; "2" ]; [ "1"; "3" ] ]
+    (rows e "path(X, Y)");
+  Alcotest.(check (list (list string))) "pinned view after retract" closure
+    (rows pinned "path(X, Y)");
+  Alcotest.(check (list (list string))) "pinned base after retract"
+    [ [ "1"; "2" ]; [ "1"; "3" ]; [ "2"; "3" ] ]
+    (rows pinned "edge(X, Y)");
+  let before = view e in
+  let rep = Coral.Engine.insert_facts (eng e) [ sym "edge", [| Term.int 3; Term.int 4 |] ] in
+  Alcotest.(check bool) "insert maintained" true rep.Coral.Engine.ur_maintained;
+  Alcotest.(check (list (list string))) "pinned view after insert"
+    [ [ "1"; "2" ]; [ "1"; "3" ] ]
+    (rows before "path(X, Y)");
+  Alcotest.(check (list (list string))) "first view still" closure (rows pinned "path(X, Y)");
+  (* the recompute fallback: negation keeps [reach] out of maintenance *)
+  let e = Coral.create () in
+  Coral.consult_text e
+    "edge(1, 2). edge(2, 3). blocked(4).\n\
+     module safe.\n\
+     export reach(ff).\n\
+     reach(X, Y) :- edge(X, Y), not blocked(Y).\n\
+     reach(X, Y) :- reach(X, Z), edge(Z, Y), not blocked(Y).\n\
+     end_module.\n";
+  Coral.Engine.set_maintenance (eng e) true;
+  let reach = [ [ "1"; "2" ]; [ "1"; "3" ]; [ "2"; "3" ] ] in
+  Alcotest.(check (list (list string))) "reach" reach (rows e "reach(X, Y)");
+  let pinned = view e in
+  Alcotest.(check bool) "reach recomputes" true
+    (List.exists (fun (p, _) -> p = "reach/2") (Coral.Engine.maintenance_fallbacks (eng e)));
+  ignore (Coral.Engine.retract_facts (eng e) [ sym "edge", [| Term.int 2; Term.int 3 |] ]);
+  Alcotest.(check (list (list string))) "live after fallback retract" [ [ "1"; "2" ] ]
+    (rows e "reach(X, Y)");
+  Alcotest.(check (list (list string))) "pinned view after fallback retract" reach
+    (rows pinned "reach(X, Y)");
+  ignore (Coral.Engine.insert_facts (eng e) [ sym "edge", [| Term.int 2; Term.int 3 |] ]);
+  Alcotest.(check (list (list string))) "pinned view after fallback insert" reach
+    (rows pinned "reach(X, Y)")
+
 let test_maintenance_info () =
   let e = chain_engine () in
   match Coral.Engine.maintenance_info (eng e) with
@@ -476,7 +529,10 @@ let test_fixpoint_index_choice () =
     with
     | Error msg -> Alcotest.fail msg
     | Ok plan ->
-      let ms = Coral_eval.Module_struct.compile ~resolve plan in
+      let ms =
+        let open Coral_eval.Module_struct in
+        Option.get (instantiate ~resolve (compile ~resolve plan))
+      in
       fun name ->
         match Coral_eval.Module_struct.relation ms (sym name) with
         | Some rel -> specs rel
@@ -516,6 +572,7 @@ let () =
           Alcotest.test_case "retract rederives" `Quick test_retract_dred_rederives;
           Alcotest.test_case "missing accounting" `Quick test_retract_missing_accounting;
           Alcotest.test_case "fallback class" `Quick test_fallback_class;
+          Alcotest.test_case "pinned view across updates" `Quick test_pinned_view_across_updates;
           Alcotest.test_case "maintenance info" `Quick test_maintenance_info;
           Alcotest.test_case "chain forest flaps" `Quick test_chain_forest_flaps;
           Alcotest.test_case "maintenance phase" `Quick test_maintenance_phase

@@ -109,7 +109,8 @@ let make_instance edges =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  Fixpoint.create (Module_struct.compile ~resolve plan)
+  Fixpoint.create
+    (Option.get (Module_struct.instantiate ~resolve (Module_struct.compile ~resolve plan)))
 
 (* The regression the per-instance state fix is for: with module-level
    [cancel_check]/[tick_budget] refs, an expired check installed for
@@ -219,7 +220,7 @@ let test_plan_cache_bound () =
   let cache = Plan_cache.create ~parsed_capacity:256 () in
   for i = 0 to 99_999 do
     match Plan_cache.prepare cache db (Printf.sprintf "edge(%d, Y)" i) with
-    | Ok (_, `Unplanned) -> ()
+    | Ok (_, `Unplanned, _) -> ()
     | Ok _ -> Alcotest.fail "base query should be unplanned"
     | Error _ -> Alcotest.fail "parse error"
   done;

@@ -352,7 +352,7 @@ let test_freeze_merges_subsidiaries () =
   let with_key k rows = List.filter (fun row -> List.hd row = k) rows in
   List.iter
     (fun (i, fz, own) ->
-      let expected = ints_of (List.filter (fun (t : Tuple.t) -> not t.Tuple.dead) own) in
+      let expected = ints_of own in
       let label what = Printf.sprintf "view %d %s" i what in
       Alcotest.(check (list (list int))) (label "scan") expected (ints_of (Relation.to_list fz));
       for k = 0 to keys - 1 do
@@ -371,6 +371,61 @@ let test_freeze_merges_subsidiaries () =
           done
         done)
     !views
+
+(* The join kernel's iterator hands out exactly the candidates a scan
+   does, in the same order: over every mark interval, with and without
+   an index probe (non-ground tuples in the var bucket included), after
+   kills, on frozen views, and on list relations; and it stops when the
+   callback says so. *)
+let test_iter_matches_scan () =
+  let same what rel ~from_mark ~to_mark pattern =
+    let scanned = List.of_seq (Relation.scan rel ~from_mark ~to_mark ?pattern ()) in
+    let iterated = ref [] in
+    Relation.iter rel ~from_mark ~to_mark ~pattern (fun t ->
+        iterated := t :: !iterated;
+        true);
+    Alcotest.(check bool) what true (List.equal ( == ) scanned (List.rev !iterated))
+  in
+  let patterns =
+    None :: List.init 5 (fun k -> Some ([| t_int k; Term.var 0 |], Bindenv.empty))
+  in
+  let check_all rel views =
+    List.iter
+      (fun pattern ->
+        for from_mark = 0 to Relation.marks rel + 1 do
+          for to_mark = -1 to Relation.marks rel + 1 do
+            same "live" rel ~from_mark ~to_mark pattern
+          done
+        done;
+        List.iter (fun v -> same "view" v ~from_mark:0 ~to_mark:(-1) pattern) views)
+      patterns
+  in
+  let r = Hash_relation.create ~indexes:[ Index.Args [ 0 ] ] ~name:"p" ~arity:2 () in
+  let l = List_relation.create ~name:"q" ~arity:2 () in
+  let rng = Random.State.make [| 5 |] in
+  let views = ref [] in
+  for i = 1 to 200 do
+    let t = if i mod 37 = 0 then Tuple.of_terms [| Term.var 0; t_int i |] else tup [ Random.State.int rng 5; i ] in
+    ignore (Relation.insert r t);
+    ignore (Relation.insert l t);
+    if i mod 7 = 0 then begin
+      ignore (Relation.mark r);
+      ignore (Relation.mark l)
+    end;
+    if i mod 11 = 0 then begin
+      let victim (t : Tuple.t) = Tuple.is_ground t && Random.State.int rng 4 = 0 in
+      ignore (Relation.delete r victim);
+      ignore (Relation.delete l victim)
+    end;
+    if i mod 60 = 0 then views := Option.get (Relation.freeze r) :: Option.get (Relation.freeze l) :: !views
+  done;
+  check_all r !views;
+  check_all l [];
+  let n = ref 0 in
+  Relation.iter r ~from_mark:0 ~to_mark:(-1) ~pattern:None (fun _ ->
+      incr n;
+      !n < 3);
+  Alcotest.(check int) "stops when asked" 3 !n
 
 let test_freeze_read_only () =
   let r = Hash_relation.create ~name:"p" ~arity:1 () in
@@ -427,6 +482,7 @@ let () =
         [ Alcotest.test_case "isolation" `Quick test_freeze_isolation;
           Alcotest.test_case "read only" `Quick test_freeze_read_only;
           Alcotest.test_case "list relation" `Quick test_freeze_list_relation;
-          Alcotest.test_case "merges subsidiaries" `Quick test_freeze_merges_subsidiaries
+          Alcotest.test_case "merges subsidiaries" `Quick test_freeze_merges_subsidiaries;
+          Alcotest.test_case "iterator matches scan" `Quick test_iter_matches_scan
         ] )
     ]

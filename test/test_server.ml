@@ -251,7 +251,7 @@ let test_plan_cache_unit () =
   let cache = Plan_cache.create () in
   let tag_of text =
     match Plan_cache.prepare cache db text with
-    | Ok (_, tag) -> tag
+    | Ok (_, tag, _) -> tag
     | Error _ -> Alcotest.fail "unexpected parse error"
   in
   (* the exported form was planned when the module loaded *)
@@ -326,6 +326,22 @@ let test_plan_cache_over_wire () =
   check_prefix "export planned at load" "ok 4 answers (plan cache: hit)" status;
   Alcotest.check Alcotest.string "prepared stats after the reload"
     "prepared.hits=4 prepared.misses=2" (prepared_stats c);
+  ignore (request c "quit");
+  close c
+
+(* An answer prints a double losslessly: the shortest text that reads
+   back to it, with a point, so 2.0 and 2 stay apart. *)
+let test_doubles_wire () =
+  let srv = start_server () in
+  Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
+  let c = connect srv in
+  let _, status = request c "consult m(1.0000001). m(2.0). m(2). m(123456789.5)." in
+  check_prefix "consult" "ok" status;
+  let lines, status = request c "query m(X)" in
+  check_prefix "query" "ok 4 answers" status;
+  Alcotest.(check (list string)) "lossless answers"
+    [ "ans X = 1.0000001"; "ans X = 2.0"; "ans X = 2"; "ans X = 123456789.5" ]
+    lines;
   ignore (request c "quit");
   close c
 
@@ -948,6 +964,88 @@ let stats_value s prefix =
         int_of_string_opt (String.sub l (String.length p) (String.length l - String.length p))
       | _ -> None)
     r.Protocol.payload
+
+(* The bound-query serve path, pinned.  [query path(s, Y)] on a store
+   without maintenance runs the rewritten fixpoint for every request;
+   over a fixed 64-node ring with one chord per node, its work counters
+   and its reply bytes are recorded values, so a change to the join
+   kernel, the plan table or the compiled-module cache that changes
+   what evaluation does shows here.  A served query looks its form up
+   in the plan table once. *)
+let serve_path_graph () =
+  let n = 64 in
+  let seed = ref 7 in
+  let next bound =
+    seed := (!seed * 1103515245 + 12345) land 0x3fffffff;
+    !seed mod bound
+  in
+  let name = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = next (i + 1) in
+    let t = name.(i) in
+    name.(i) <- name.(j);
+    name.(j) <- t
+  done;
+  List.concat
+    (List.init n (fun i -> [ name.(i), name.((i + 1) mod n); name.(i), name.(next n) ]))
+  |> List.sort_uniq compare
+
+let serve_path ~workers expected () =
+  let store = Session.make_store (Coral.create ~workers ()) in
+  let s = Session.create store in
+  let facts =
+    String.concat " "
+      (List.map (fun (a, b) -> Printf.sprintf "edge(%d, %d)." a b) (serve_path_graph ()))
+  in
+  let program =
+    "module paths. export path(bf). path(X, Y) :- edge(X, Y). \
+     path(X, Y) :- edge(X, Z), path(Z, Y). end_module. " ^ facts
+  in
+  (match (Session.handle s (Protocol.Consult program)).Protocol.status with
+  | Ok _ -> ()
+  | Error (_, msg) -> Alcotest.fail msg);
+  let counters =
+    [ "engine.derivations"; "engine.duplicates"; "engine.scans"; "engine.tuples_visited";
+      "plans.hits"
+    ]
+  in
+  let read () = List.map (fun c -> Option.get (stats_value s c)) counters in
+  List.iter
+    (fun (src, want) ->
+      let before = read () in
+      let r = Session.handle s (Protocol.Query (Printf.sprintf "path(%d, Y)" src)) in
+      let after = read () in
+      let buf = Buffer.create 1024 in
+      Protocol.render buf r;
+      let work = List.map2 ( - ) after before in
+      Alcotest.(check string)
+        (Printf.sprintf "path(%d, Y)" src)
+        want
+        (Printf.sprintf "%s %s"
+           (String.concat "/" (List.map string_of_int work))
+           (Digest.to_hex (Digest.string (Buffer.contents buf)))))
+    expected
+
+(* Work per request (derivations/duplicates/scans/tuples visited), then
+   plan-table hits, and the reply's digest: sequential, and striped over
+   four lanes (more scans, and the merge's insertion order). *)
+let test_bound_serve_path =
+  serve_path ~workers:1
+    [ 0, "193/129/236/516/1 ea150b659c9b04a84eee72f28dc3ed9e";
+      1, "193/129/236/516/1 3dcced95b3eec57ddd42c37e465af1e2";
+      17, "193/129/236/516/1 526e935856fb3b2cf2229396d6d0f0b4";
+      33, "193/129/236/516/1 6b1dcfed60c5d68ab524294b3b9baa83";
+      63, "193/129/238/516/1 14b9f8f7bfc17b9d0d48335a6f77bed1"
+    ]
+
+let test_bound_serve_path_parallel =
+  serve_path ~workers:4
+    [ 0, "193/129/362/522/1 3add91790a9a7dc1d0c35689a0440ebd";
+      1, "193/129/362/522/1 ec6b1d710713c582c8bd9fd14fbff113";
+      17, "193/129/362/522/1 1c59236261b1c683b75cd1cce3a317c8";
+      33, "193/129/362/522/1 ea2d324a161b92b0308e9981cfa5622b";
+      63, "193/129/370/522/1 1f973d68a2a777e271846fd29d3140f1"
+    ]
 
 (* The accept loop must survive descriptor exhaustion: hoard fds until
    the process hits EMFILE, push a connection at the starved server,
@@ -1863,6 +1961,10 @@ let test_stats_metrics_parity () =
   check_prefix "stats" "ok" status;
   let metrics = String.split_on_char '\n' (Session.metrics_text (Server.store srv)) in
   Parity.check ~what:"server" ~stats:(List.map strip_txt stats) ~metrics ();
+  (* the query allocated: minor words are a work counter like
+     derivations *)
+  Parity.check_rows ~what:"server" ~stats:(List.map strip_txt stats) ~metrics ~min:1.
+    [ "server.eval_minor_words" ];
   ignore (request c "quit");
   close c
 
@@ -2053,6 +2155,10 @@ let () =
           Alcotest.test_case "plan cache (unit)" `Quick test_plan_cache_unit;
           Alcotest.test_case "plan cache (wire)" `Quick test_plan_cache_over_wire;
           Alcotest.test_case "plans survive commits" `Quick test_plans_survive_commits;
+          Alcotest.test_case "bound serve path pinned" `Quick test_bound_serve_path;
+          Alcotest.test_case "bound serve path pinned, 4 lanes" `Quick
+            test_bound_serve_path_parallel;
+          Alcotest.test_case "doubles print losslessly" `Quick test_doubles_wire;
           Alcotest.test_case "explain analyze (wire)" `Quick test_explain_analyze_wire;
           Alcotest.test_case "metrics (wire)" `Quick test_metrics_wire;
           Alcotest.test_case "byte counters (wire)" `Quick test_byte_counters_wire;

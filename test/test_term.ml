@@ -163,9 +163,10 @@ let point_ops =
     ()
 
 (* The surface text of every kind of term, captured from the
-   Format-based printer this table was written against: answers,
-   [stats], [explain] and [why] all print through [Term.to_string], so
-   any printer must reproduce these bytes exactly. *)
+   Format-based printer this table was written against (doubles since
+   print losslessly, as [Value.repr_double]): answers, [stats],
+   [explain] and [why] all print through [Term.to_string], so any
+   printer must reproduce these bytes exactly. *)
 let printer_golden =
   let a = Term.atom and i = Term.int and app s args = Term.app (Symbol.intern s) args in
   [ i 0, "0";
@@ -173,15 +174,15 @@ let printer_golden =
     i (-7), "-7";
     i max_int, string_of_int max_int;
     i min_int, string_of_int min_int;
-    Term.double 2.0, "2";
-    Term.double (-0.0), "-0";
+    Term.double 2.0, "2.0";
+    Term.double (-0.0), "-0.0";
     Term.double 0.1, "0.1";
-    Term.double 1.0000001, "1";
-    Term.double 3.14159265358979, "3.14159";
-    Term.double 1e300, "1e+300";
-    Term.double 1e-5, "1e-05";
-    Term.double 123456789.0, "1.23457e+08";
-    Term.double 4.9e-324, "4.94066e-324";
+    Term.double 1.0000001, "1.0000001";
+    Term.double 3.14159265358979, "3.14159265358979";
+    Term.double 1e300, "1.0e+300";
+    Term.double 1e-5, "1.0e-05";
+    Term.double 123456789.0, "123456789.0";
+    Term.double 4.9e-324, "5.0e-324";
     Term.double Float.nan, "nan";
     Term.double Float.infinity, "inf";
     Term.double Float.neg_infinity, "-inf";
