@@ -909,6 +909,20 @@ let exp_maintain () =
 (* E20: the bound serve path                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* perfbench's bound_query graph: an [n]-node ring, shuffled, with one
+   chord per node *)
+let bound_query_edges n =
+  let next = Workloads.lcg 7 in
+  let name = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = next (i + 1) in
+    let t = name.(i) in
+    name.(i) <- name.(j);
+    name.(j) <- t
+  done;
+  List.sort_uniq compare
+    (List.concat (List.init n (fun i -> [ name.(i), name.((i + 1) mod n); name.(i), name.(next n) ])))
+
 let exp_serve_path () =
   header "E20 serve_path: a bound call instantiates a module compiled once"
     "Engine.call path(s, Y) on perfbench's bound_query graph (a 64-node ring\n\
@@ -920,18 +934,8 @@ let exp_serve_path () =
      compiles a call triggers (none after the first).  The compile row is\n\
      what a call would pay if the module were compiled per request.";
   let n = 64 in
-  let next = Workloads.lcg 7 in
-  let name = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = next (i + 1) in
-    let t = name.(i) in
-    name.(i) <- name.(j);
-    name.(j) <- t
-  done;
   let db = Workloads.fresh_db () in
-  Workloads.load_pairs db "edge"
-    (List.sort_uniq compare
-       (List.concat (List.init n (fun i -> [ name.(i), name.((i + 1) mod n); name.(i), name.(next n) ]))));
+  Workloads.load_pairs db "edge" (bound_query_edges n);
   Coral.consult_text db
     "module paths.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
      path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module.";
@@ -996,6 +1000,101 @@ let exp_serve_path () =
     (per call_us /. 1e6);
   if compiles <> 0 then failwith "serve_path: a call compiled its module again"
 
+(* ------------------------------------------------------------------ *)
+(* E21: the answer path                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Served queries on an in-process session, each reply written as the
+   server writes it (to /dev/null); evaluation runs inline on the
+   calling domain, so its minor words are counted there. *)
+let answer_path_rows () =
+  let module Session = Coral_server.Session in
+  let module Protocol = Coral_server.Protocol in
+  Unix.putenv "CORAL_READ_DOMAINS" "0";
+  let serve ~maintained setup =
+    let db = Coral.create () in
+    Coral.Engine.set_maintenance (Coral.engine db) maintained;
+    setup db;
+    let store = Session.make_store db in
+    Session.create store
+  in
+  let tc =
+    "module paths.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
+     path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module."
+  in
+  (* a stored closure of 2,048 tuples, as a shard worker holds it *)
+  let scan =
+    serve ~maintained:false (fun db ->
+        Workloads.load_pairs db "path" (List.init 2048 (fun i -> i / 32, (i * 7) mod 64)))
+  in
+  let bound =
+    serve ~maintained:false (fun db ->
+        Workloads.load_pairs db "edge" (bound_query_edges 64);
+        Coral.consult_text db tc)
+  in
+  (* perfbench's update_visible forest: 48 chains of 16, maintained *)
+  let forest =
+    serve ~maintained:true (fun db ->
+        Workloads.load_pairs db "edge"
+          (List.concat
+             (List.init 48 (fun c -> List.init 15 (fun p -> (c * 16) + p, (c * 16) + p + 1))));
+        Coral.consult_text db tc)
+  in
+  let null = open_out_bin "/dev/null" in
+  let run (label, s, queries, reps) =
+    let handle q =
+      let r = Coral_server.Session.handle s (Protocol.Query q) in
+      ignore (Protocol.write_response null r);
+      match r.Protocol.status with
+      | Ok detail -> Scanf.sscanf detail "%d" Fun.id (* "N answers ..." *)
+      | Error (_, m) -> failwith ("answer_path: " ^ m)
+    in
+    let queries = Array.of_list queries in
+    Array.iter (fun q -> ignore (handle q)) queries;
+    Gc.full_major ();
+    let rows = ref 0 in
+    let w0 = Gc.minor_words () and t0 = now_ns () in
+    for i = 1 to reps do
+      rows := !rows + handle queries.(i mod Array.length queries)
+    done;
+    let us = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e3 in
+    let words = Gc.minor_words () -. w0 in
+    let per_row x = x /. float_of_int (max 1 !rows) in
+    label, us /. float_of_int reps, per_row us, per_row words, !rows / reps
+  in
+  Fun.protect ~finally:(fun () -> close_out null) @@ fun () ->
+  List.map run
+    [ "bare scan path(X, Y), 2,048 stored", scan, [ "path(X, Y)" ], 300;
+      "path(s, Y), bound_query ring", bound, List.init 64 (Printf.sprintf "path(%d, Y)"), 640;
+      ( "extent path(a, Y), update_visible forest",
+        forest,
+        List.init 48 (fun c -> Printf.sprintf "path(%d, Y)" (c * 16)),
+        4800 )
+    ]
+
+let exp_answer_path () =
+  header "E21 answer_path: rows print straight from the join kernel into the reply"
+    "Session.handle of a served query, reply written: a bare scan of 2,048\n\
+     stored tuples (what a dist_closure worker answers), path(s, Y) on the\n\
+     bound_query ring (a module call per request), and path(a, Y) read from\n\
+     the maintained extent of the update_visible forest.  Per request and\n\
+     per row: time and minor-heap words.  Fails if the bare scan allocates\n\
+     more than 40 words per row.";
+  let rows = answer_path_rows () in
+  table [ "query"; "us/request"; "rows"; "us/row"; "words/row" ]
+    (List.map
+       (fun (label, req_us, row_us, row_words, n) ->
+         [ label; Printf.sprintf "%.1f" req_us; string_of_int n; Printf.sprintf "%.3f" row_us;
+           Printf.sprintf "%.1f" row_words ])
+       rows);
+  List.iter
+    (fun (label, req_us, _, _, _) -> record ~label ~work:(0, 0, 0) (req_us /. 1e6))
+    rows;
+  match rows with
+  | (_, _, _, words, _) :: _ when words > 40.0 ->
+    failwith (Printf.sprintf "answer_path: the bare scan allocates %.1f words per row (> 40)" words)
+  | _ -> ()
+
 let experiments =
   [ "agg_selection", exp_agg_selection;
     "magic", exp_magic;
@@ -1016,7 +1115,8 @@ let experiments =
     "sip", exp_sip;
     "parallel", exp_parallel;
     "maintain", exp_maintain;
-    "serve_path", exp_serve_path
+    "serve_path", exp_serve_path;
+    "answer_path", exp_answer_path
   ]
 
 let () =

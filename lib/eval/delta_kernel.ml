@@ -32,7 +32,10 @@ let target k pred arity =
   | Some s -> Module_struct.Slot s
   | None -> Module_struct.Fn (Hashtbl.find k.fns key)
 
-let compile_rule k ?delta r = Module_struct.compile_rule ~rels:k.rels ~target:(target k) ?delta r
+let compile_rule k ?delta r =
+  Module_struct.compile_rule
+    ~index:(fun s spec -> Relation.add_index k.rels.(s) spec)
+    ~target:(target k) ?delta r
 
 let compile_scan k ~scan:(i, rel) r =
   k.rels <- Array.append k.rels [| rel |];

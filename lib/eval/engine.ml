@@ -8,10 +8,13 @@ exception Engine_error of string
 
 (* Per-phase latency histograms: planning/rewriting vs. fixpoint
    evaluation vs. incremental maintenance (extent rebuilds and update
-   propagation); answer rendering is timed by the emitting layer. *)
+   propagation) vs. the answer path (the top-level join and the rows it
+   hands the caller, who prints them as they come), less the module
+   evaluations that join calls. *)
 let h_rewrite = Obs.histogram "phase.rewrite"
 let h_eval = Obs.histogram "phase.eval"
 let h_maintain = Obs.histogram "phase.maintain"
+let h_emit = Obs.histogram "phase.emit"
 
 let max_call_depth = 256
 
@@ -41,12 +44,34 @@ type plans = {
   lock : Mutex.t;
 }
 
+(* A top-level query compiled into the join kernel's form (paper
+   section 5.1): the anonymous rule [query(V1, ..., Vk) :- body] over
+   the query's variables in occurrence order.  Slot [i] of an
+   evaluation's relations holds the [i]th relation the body reads
+   ([c_reads]: how each body predicate resolved at compile, in slot
+   order).  It holds no relation, so one value serves every engine and
+   read view; each evaluation binds its own. *)
+type compiled = {
+  c_vars : Term.var list;  (* the head's variables, numbered as the body uses them *)
+  c_rule : Module_struct.crule;
+  c_reads : (Symbol.t * int * Module_struct.target) list;
+  c_scan : bool;  (* one positive literal over pairwise-distinct variables *)
+}
+
+(* A query's literals and, from its first evaluation, its compiled
+   rule; the serving layer keeps one per query text. *)
+type form = {
+  f_lits : Ast.literal list;
+  f_code : compiled option Atomic.t;
+}
+
 (* The entries of one query's forms, looked up once by the serving
    layer, with the table they came from: evaluation on an engine of the
    same rule generation uses them instead of looking again. *)
 type prepared = {
   p_plans : plans;
   p_entries : entry list;
+  p_form : form;
 }
 
 type t = {
@@ -59,8 +84,9 @@ type t = {
   mutable call_depth : int;
   plan_hits : int Atomic.t;  (* plan lookups answered from the table *)
   plan_misses : int Atomic.t;  (* plan lookups that ran the optimizer *)
-  compiles : int Atomic.t;  (* module structures compiled *)
+  compiles : int Atomic.t;  (* module structures and query rules compiled *)
   mutable prepared : entry list;  (* the current query's prepared forms *)
+  mutable eval_ns : int;  (* time in outermost module evaluations, for phase.emit *)
   mutable cancel : (unit -> bool) option;
       (* ambient cancellation check, installed into every fixpoint
          instance this engine runs (including cached saved instances) *)
@@ -324,6 +350,7 @@ let create ?(builtins = true) ?workers () =
       plan_misses = Atomic.make 0;
       compiles = Atomic.make 0;
       prepared = [];
+      eval_ns = 0;
       cancel = None;
       progress = None;
       workers = (match workers with Some w -> max 1 (min 64 w) | None -> default_workers ());
@@ -546,10 +573,14 @@ let plan_for t ~pred ~arity ~adorn =
 let adornment_of (args : Term.t array) =
   Array.map (fun a -> if Term.is_ground a then Ast.Bound else Ast.Free) args
 
+let form lits = { f_lits = lits; f_code = Atomic.make None }
+let form_lits f = f.f_lits
+
 (* Look each positive literal's form up once, as a call of it will:
    [`Hit] when every form was planned already, [`Miss] when one was
    planned now, [`Unplanned] when no literal names a module export. *)
-let prepare t lits =
+let prepare t form =
+  let lits = form.f_lits in
   let plans = t.plans in
   let entries =
     List.filter_map
@@ -571,7 +602,7 @@ let prepare t lits =
     else if List.for_all (fun (_, tag) -> tag = `Hit) entries then `Hit
     else `Miss
   in
-  { p_plans = plans; p_entries = List.map fst entries }, tag
+  { p_plans = plans; p_entries = List.map fst entries; p_form = form }, tag
 
 (* Index choice at module load (paper sections 4.2, 5.5.1): plan every
    exported form of a materialized module, which also fills the plan
@@ -675,23 +706,28 @@ let rec call_module t (m : Ast.module_) pred args env : Tuple.t Seq.t =
       end
   end
 
-and protected_run t inst =
-  t.call_depth <- t.call_depth + 1;
-  (* installed on every run, so cached save-module instances pick up
-     the current request's deadline (and drop the previous one's) *)
-  Fixpoint.set_cancel_check inst t.cancel;
-  Fixpoint.set_progress inst t.progress;
-  Fun.protect
-    ~finally:(fun () -> t.call_depth <- t.call_depth - 1)
-    (fun () -> Obs.Histogram.time h_eval (fun () -> Fixpoint.run inst))
+and protected_run t inst = evaluate t inst Fixpoint.run
+and protected_step t inst = evaluate t inst Fixpoint.step
 
-and protected_step t inst =
-  t.call_depth <- t.call_depth + 1;
+(* Run [f] on a fixpoint instance under phase.eval.  The cancel check
+   and progress hook are installed on every run, so cached save-module
+   instances pick up the current request's deadline (and drop the
+   previous one's).  An outermost evaluation's time also accumulates in
+   [eval_ns], which the answer path subtracts from its own. *)
+and evaluate : 'a. t -> Fixpoint.t -> (Fixpoint.t -> 'a) -> 'a =
+ fun t inst f ->
+  let depth = t.call_depth in
+  t.call_depth <- depth + 1;
   Fixpoint.set_cancel_check inst t.cancel;
   Fixpoint.set_progress inst t.progress;
+  let t0 = Obs.now_ns () in
   Fun.protect
-    ~finally:(fun () -> t.call_depth <- t.call_depth - 1)
-    (fun () -> Obs.Histogram.time h_eval (fun () -> Fixpoint.step inst))
+    ~finally:(fun () ->
+      t.call_depth <- depth;
+      let dt = Obs.now_ns () - t0 in
+      Obs.Histogram.observe_ns h_eval dt;
+      if depth = 0 then t.eval_ns <- t.eval_ns + dt)
+    (fun () -> f inst)
 
 (* A relation whose scans call another module: the uniform
    get-next-tuple interface of section 5.6. *)
@@ -799,37 +835,45 @@ type query_result = {
   rows : Term.t array list;
 }
 
-(* The top level behaves like a pipelined caller whose literals resolve
-   through module calls, so bindings propagate into each called module
-   (and its magic rewriting) left to right. *)
-let top_rulebase t =
-  { Pipeline.rules_of = (fun _ _ -> []);
-    relation_of =
-      (fun pred arity ->
-        match module_of_pred t pred arity with
-        | Some m -> begin
-          (* maintained predicates answer top-level literals straight
-             from their materialized extent *)
-          match extent_of t pred arity with
-          | Some ext -> Some ext
-          | None -> Some (module_call_relation t m pred arity)
-        end
-        | None -> Some (base_relation t pred arity));
-    foreign_of = (fun pred arity -> foreign_of t pred arity);
-    tick = engine_tick t
-  }
+(* What a top-level literal reads, resolved as a pipelined caller
+   would: a module export its maintained extent when it has one, else a
+   call on the module (binding propagation into the call, and its magic
+   rewriting, comes from the pattern the join hands the scan); a foreign
+   predicate its function; anything else the stored relation. *)
+type top_source =
+  | T_stored of Relation.t  (* a base relation or a maintained extent *)
+  | T_call of Relation.t  (* [module_call_relation] *)
+  | T_fn of Builtin.foreign
 
-let query ?prepared t (lits : Ast.literal list) =
-  (* renumber variables densely across the query *)
-  let arrays =
-    List.map
-      (fun lit ->
-        match (lit : Ast.literal) with
-        | Ast.Pos a | Ast.Neg a -> a.Ast.args
-        | Ast.Cmp (_, a, b) | Ast.Is (a, b) -> [| a; b |])
-      lits
-  in
-  let renumbered, nvars = Rename.number_term_lists arrays in
+let top_source t pred arity =
+  match module_of_pred t pred arity with
+  | Some m -> begin
+    match extent_of t pred arity with
+    | Some ext -> T_stored ext
+    | None -> T_call (module_call_relation t m pred arity)
+  end
+  | None -> begin
+    match foreign_of t pred arity with
+    | Some f -> T_fn f
+    | None -> T_stored (base_relation t pred arity)
+  end
+
+(* The query rule's head predicate.  It is never stored or looked up,
+   so any symbol serves; one interned at startup is used because
+   interning a new one would shift the ids of every symbol interned
+   after it, and with them the order in which hash tables (aggregate
+   groups) hand out answers. *)
+let query_pred = Symbol.nil
+
+let literal_terms (lit : Ast.literal) =
+  match lit with
+  | Ast.Pos a | Ast.Neg a -> a.Ast.args
+  | Ast.Cmp (_, a, b) | Ast.Is (a, b) -> [| a; b |]
+
+(* A query's literals with their variables numbered densely in
+   occurrence order, those variables, and how many there are. *)
+let number_query lits =
+  let renumbered, nvars = Rename.number_term_lists (List.map literal_terms lits) in
   let lits =
     List.map2
       (fun lit args ->
@@ -844,52 +888,217 @@ let query ?prepared t (lits : Ast.literal list) =
     let seen = Hashtbl.create 8 in
     List.concat_map (fun arr -> List.concat_map Term.vars (Array.to_list arr)) renumbered
     |> List.filter (fun (v : Term.var) ->
-           if Hashtbl.mem seen v.Term.vid then false
-           else begin
+           (not (Hashtbl.mem seen v.Term.vid))
+           && begin
              Hashtbl.add seen v.Term.vid ();
              true
            end)
   in
+  lits, qvars, nvars
+
+(* Compile a query's literals as [query(V1, ..., Vk) :- lits], its
+   variables numbered as the interpreter numbers them.  No index is
+   installed: a probe uses the indexes its relation already carries, so
+   rows come in the order a scan of the relation hands them. *)
+let compile_query t lits =
+  Atomic.incr t.compiles;
+  let lits, vars, _ = number_query lits in
+  let read pred arity (p, n, _) = Symbol.equal p pred && n = arity in
+  let reads = ref [] and nrels = ref 0 in
+  List.iter
+    (fun lit ->
+      match Ast.literal_atom lit with
+      | Some a when not (List.exists (read a.Ast.pred (Array.length a.Ast.args)) !reads) ->
+        let arity = Array.length a.Ast.args in
+        let target =
+          match top_source t a.Ast.pred arity with
+          | T_fn f -> Module_struct.Fn f
+          | T_stored _ | T_call _ ->
+            incr nrels;
+            Module_struct.Slot (!nrels - 1)
+        in
+        reads := (a.Ast.pred, arity, target) :: !reads
+      | Some _ | None -> ())
+    lits;
+  let reads = List.rev !reads in
+  let target pred arity =
+    match List.find_opt (read pred arity) reads with
+    | Some (_, _, target) -> target
+    | None -> Module_struct.Slot 0 (* the head: rows never reach a relation *)
+  in
+  let head =
+    Ast.head_of_atom
+      { Ast.pred = query_pred; args = Array.of_list (List.map (fun v -> Term.Var v) vars) }
+  in
+  let rule =
+    Module_struct.compile_rule ~index:(fun _ _ -> ()) ~target { Ast.head; body = lits }
+  in
+  let scan =
+    match lits, rule.Module_struct.body with
+    | [ Ast.Pos _ ], [| Module_struct.Scan { args; _ } |] ->
+      Array.length args = Array.length rule.Module_struct.head_args
+      && Array.for_all (function Term.Var _ -> true | _ -> false) args
+    | _ -> false
+  in
+  { c_vars = vars; c_rule = rule; c_reads = reads; c_scan = scan }
+
+(* This engine's relations for a compiled query's slots, and whether
+   its rows need no deduplication: a whole-tuple scan of a stored set
+   relation hands each stored tuple once, and a set stores no tuple
+   twice.  [None] when a predicate no longer resolves as it did at
+   compile (a module now exports it, a foreign predicate was
+   registered): recompile. *)
+let bind t c =
+  let distinct = ref c.c_scan in
+  let rec go rels = function
+    | [] -> Some (Array.of_list (List.rev rels), !distinct)
+    | (pred, arity, target) :: rest -> begin
+      match (target : Module_struct.target), top_source t pred arity with
+      | Module_struct.Slot _, T_stored rel ->
+        if rel.Relation.multiset then distinct := false;
+        go (rel :: rels) rest
+      | Module_struct.Slot _, T_call rel ->
+        distinct := false;
+        go (rel :: rels) rest
+      | Module_struct.Fn f, T_fn f' when f == f' -> go rels rest
+      | (Module_struct.Slot _ | Module_struct.Fn _), (T_stored _ | T_call _ | T_fn _) -> None
+    end
+  in
+  go [] c.c_reads
+
+let code_for t form =
+  let fresh () =
+    let c = compile_query t form.f_lits in
+    Atomic.set form.f_code (Some c);
+    c, Option.get (bind t c)
+  in
+  match Atomic.get form.f_code with
+  | None -> fresh ()
+  | Some c -> begin
+    match bind t c with
+    | Some b -> c, b
+    | None -> fresh ()
+  end
+
+(* Run a compiled query through the join kernel, handing [emit] each
+   distinct row once, in first-seen order.  A ground row is built in a
+   scratch array and handed on as it is when rows cannot repeat.
+   Otherwise rows are deduplicated on their resolved terms, as the
+   interpreter did (a relation's duplicate check would also merge a
+   non-ground row into a more general one); a kept row keeps its array,
+   so the scratch is replaced. *)
+let run_compiled t form start =
+  let c, (rels, distinct) = code_for t form in
+  let emit = start c.c_vars in
+  let rule = c.c_rule in
+  let k = Array.length rule.Module_struct.head_args in
+  let seen = if distinct then None else Some (Term.ArrayTbl.create 16) in
+  let scratch = ref (Array.make k Term.nil) in
+  let on_match env =
+    let row =
+      if Joiner.ground_head rule env !scratch then !scratch
+      else Array.map (fun a -> Unify.resolve a env) rule.Module_struct.head_args
+    in
+    match seen with
+    | None -> emit row
+    | Some seen ->
+      if not (Term.ArrayTbl.mem seen row) then begin
+        Term.ArrayTbl.add seen row ();
+        if row == !scratch then scratch := Array.make k Term.nil;
+        emit row
+      end
+  in
+  let timed = Obs.enabled () in
+  let t0 = if timed then Obs.now_ns () else 0 and e0 = t.eval_ns in
+  (* the candidates this join visits are the rows themselves: the
+     tuples-visited counter keeps measuring rule evaluation *)
+  Joiner.run ~rels ~range:Joiner.full_range ~backjump:t.backjump ~visited:(ref 0)
+    ~tick:(engine_tick t) rule ~on_match;
+  if timed then Obs.Histogram.observe_ns h_emit (Obs.now_ns () - t0 - (t.eval_ns - e0))
+
+(* The top level as a pipelined caller whose literals resolve as
+   [top_source] says: the interpreter that serves queries calling the
+   update builtins, whose side effects must happen in the order
+   pipelining guarantees (paper section 5.2). *)
+let solve_updates t lits start =
+  let lits, qvars, nvars = number_query lits in
+  let rb =
+    { Pipeline.rules_of = (fun _ _ -> []);
+      relation_of =
+        (fun pred arity ->
+          match top_source t pred arity with
+          | T_stored rel | T_call rel -> Some rel
+          | T_fn _ -> None);
+      foreign_of =
+        (fun pred arity ->
+          match top_source t pred arity with
+          | T_fn f -> Some f
+          | T_stored _ | T_call _ -> None);
+      tick = engine_tick t
+    }
+  in
+  let emit = start qvars in
   let env = Bindenv.create (max nvars 1) in
-  let rows = ref [] in
-  let seen_rows = Term.ArrayTbl.create 64 in
+  let seen_rows = Term.ArrayTbl.create 16 in
+  Pipeline.solve rb lits ~nvars ~env (fun () ->
+      let row = Array.of_list (List.map (fun v -> Unify.resolve (Term.Var v) env) qvars) in
+      if not (Term.ArrayTbl.mem seen_rows row) then begin
+        Term.ArrayTbl.add seen_rows row ();
+        emit row
+      end)
+
+let calls_update lits =
+  List.exists
+    (fun (lit : Ast.literal) ->
+      match lit with
+      | Ast.Pos a | Ast.Neg a ->
+        let n = Symbol.name a.Ast.pred in
+        (n = "assert" || n = "retract") && Array.length a.Ast.args = 1
+      | Ast.Cmp _ | Ast.Is _ -> false)
+    lits
+
+let answer ?prepared t lits start =
   let outer = t.prepared in
-  (match prepared with
-  | Some p when p.p_plans == t.plans -> t.prepared <- p.p_entries
-  | Some _ | None -> ());
+  let form =
+    match prepared with
+    | Some p ->
+      if p.p_plans == t.plans then t.prepared <- p.p_entries;
+      if p.p_form.f_lits == lits then p.p_form else form lits
+    | None -> form lits
+  in
   Fun.protect
     ~finally:(fun () -> t.prepared <- outer)
-    (fun () ->
-      Pipeline.solve (top_rulebase t) lits ~nvars ~env (fun () ->
-          let row = Array.of_list (List.map (fun v -> Unify.resolve (Term.Var v) env) qvars) in
-          if not (Term.ArrayTbl.mem seen_rows row) then begin
-            Term.ArrayTbl.add seen_rows row ();
-            rows := row :: !rows
-          end));
-  { qvars; rows = List.rev !rows }
+    (fun () -> if calls_update lits then solve_updates t lits start else run_compiled t form start)
+
+let query ?prepared t lits =
+  let qvars = ref [] and rows = ref [] in
+  answer ?prepared t lits (fun vars ->
+      qvars := vars;
+      fun row -> rows := Array.copy row :: !rows);
+  { qvars = !qvars; rows = List.rev !rows }
 
 let query_string t src =
   match Parser.query src with
   | Ok lits -> query t lits
   | Error e -> raise (Engine_error (Format.asprintf "%a" Parser.pp_error e))
 
+(* Does a candidate tuple unify with a pattern of constants and
+   variables?  Scans hand out candidate supersets; a direct call, the
+   explanation tool and explain analyze filter them with this. *)
+let matches args =
+  let tr = Trail.create () and qenv = Bindenv.create (max 1 (Array.length args)) in
+  fun (tuple : Tuple.t) ->
+    let m = Trail.mark tr in
+    let tenv =
+      if tuple.Tuple.nvars = 0 then Bindenv.empty else Bindenv.create tuple.Tuple.nvars
+    in
+    let hit = Unify.unify_arrays tr args qenv tuple.Tuple.terms tenv in
+    Trail.undo_to tr m;
+    hit
+
 let call t pred args =
   let arity = Array.length args in
-  (* scans return candidate supersets; a direct call filters them *)
-  let filter seq =
-    let tr = Trail.create () in
-    Seq.filter
-      (fun (tuple : Tuple.t) ->
-        let m = Trail.mark tr in
-        let qenv = Bindenv.create 8 in
-        let tenv =
-          if tuple.Tuple.nvars = 0 then Bindenv.empty else Bindenv.create tuple.Tuple.nvars
-        in
-        let hit = Unify.unify_arrays tr args qenv tuple.Tuple.terms tenv in
-        Trail.undo_to tr m;
-        hit)
-      seq
-  in
+  let filter seq = Seq.filter (matches args) seq in
   match module_of_pred t pred arity with
   | Some m -> begin
     match extent_of t pred arity with
@@ -1058,23 +1267,14 @@ let why t src =
                 (expand_witnesses [] witnesses)
           end
         in
-        let qenv = Bindenv.create 8 in
-        let tr = Trail.create () in
-        let count = ref 0 in
+        let count = ref 0 and hit = matches a.Ast.args in
         Seq.iter
           (fun (tuple : Tuple.t) ->
-            let mk = Trail.mark tr in
-            let tenv =
-              if tuple.Tuple.nvars = 0 then Bindenv.empty
-              else Bindenv.create tuple.Tuple.nvars
-            in
-            let matches = Unify.unify_arrays tr a.Ast.args qenv tuple.Tuple.terms tenv in
-            Trail.undo_to tr mk;
-            if matches && !count < 5 then begin
+            if hit tuple && !count < 5 then begin
               incr count;
               render "" ms.Module_struct.code.Module_struct.answer_slot tuple []
             end)
-          (Relation.scan (Fixpoint.answer_relation inst) ~pattern:(a.Ast.args, qenv) ());
+          (Relation.scan (Fixpoint.answer_relation inst) ~pattern:(a.Ast.args, Bindenv.empty) ());
         if !count = 0 then
           Ok
             (Printf.sprintf "no derivation: %s is not among the answers of module %s.\n" lit
@@ -1167,21 +1367,13 @@ let explain_analyze t src =
                 (fun n (_, (p : Module_struct.rule_prof)) -> n + p.Module_struct.rp_visited)
                 0 rules));
         (* matching answers vs. everything the answer relation holds *)
-        let qenv = Bindenv.create 8 in
-        let tr = Trail.create () in
-        let matching = ref 0 in
-        Seq.iter
-          (fun (tuple : Tuple.t) ->
-            let mk = Trail.mark tr in
-            let tenv =
-              if tuple.Tuple.nvars = 0 then Bindenv.empty
-              else Bindenv.create tuple.Tuple.nvars
-            in
-            if Unify.unify_arrays tr a.Ast.args qenv tuple.Tuple.terms tenv then incr matching;
-            Trail.undo_to tr mk)
-          (Relation.scan (Fixpoint.answer_relation inst) ~pattern:(a.Ast.args, qenv) ());
+        let matching =
+          Seq.length
+            (Seq.filter (matches a.Ast.args)
+               (Relation.scan (Fixpoint.answer_relation inst) ~pattern:(a.Ast.args, Bindenv.empty) ()))
+        in
         Buffer.add_string buf
-          (Printf.sprintf "answers: %d matching of %d stored, total time %s\n" !matching
+          (Printf.sprintf "answers: %d matching of %d stored, total time %s\n" matching
              (Relation.cardinal (Fixpoint.answer_relation inst))
              (fmt_ns elapsed));
         Ok (Buffer.contents buf)
@@ -1352,6 +1544,7 @@ let read_view v =
     plan_misses = v.rv_misses;
     compiles = v.rv_compiles;
     prepared = [];
+    eval_ns = 0;
     cancel = None;
     progress = None;
     workers = v.rv_workers;

@@ -121,22 +121,63 @@ type query_result = {
   rows : Term.t array list;  (** one value row per answer, aligned with [qvars] *)
 }
 
-type prepared
-(** The plan-table entries of one query's forms (see {!prepare}). *)
+type form
+(** A top-level query's literals and, once an evaluation has needed
+    it, the query compiled into the join kernel's form: the anonymous
+    rule [query(V1, ..., Vk) :- body] over the query's variables (paper
+    section 5.1).  The compiled rule holds no relation, so a form kept
+    across requests serves every engine and read view; each evaluation
+    binds its own engine's relations, and recompiles only when a body
+    predicate no longer resolves as it did (a module now exports it, a
+    foreign predicate was registered). *)
 
-val prepare : t -> Ast.literal list -> prepared * [ `Hit | `Miss | `Unplanned ]
+val form : Ast.literal list -> form
+val form_lits : form -> Ast.literal list
+
+type prepared
+(** A form with the plan-table entries of its module calls (see
+    {!prepare}). *)
+
+val prepare : t -> form -> prepared * [ `Hit | `Miss | `Unplanned ]
 (** Look up (planning if needed) the form of every positive literal
     over a module export, once: [`Hit] when every form was planned
     already, [`Miss] when one was planned now, [`Unplanned] when no
     literal names an export.  Forms that fail to plan are left for the
     evaluation to report. *)
 
+val answer :
+  ?prepared:prepared -> t -> Ast.literal list -> (Term.var list -> Term.t array -> unit) -> unit
+(** [answer t lits start] evaluates a conjunctive query and hands its
+    rows on as they are found: [start qvars] is called once, with the
+    query's variables in occurrence order, and the function it returns
+    once per distinct row, in first-seen order, with the values aligned
+    with [qvars].  The row array is only valid during that call.
+
+    The query runs as one rule through the join kernel ({!Joiner}):
+    a literal over a module export reads its maintained extent or
+    calls the module with the bindings the join has made (left to
+    right, so they reach the module's magic rewriting); a foreign
+    predicate runs its function; any other literal reads the stored
+    relation, probing the indexes it carries.  Rows are deduplicated
+    on their resolved terms, except those of one positive literal over
+    a stored set relation whose arguments are pairwise-distinct
+    variables, which cannot repeat.  Rows, and their order, are what
+    pipelined resolution of the same literals gives.  A query that
+    calls [assert/1] or [retract/1] is solved by pipelined resolution
+    itself, whose evaluation order those side effects rely on (paper
+    section 5.2).
+
+    With [prepared] (from this [lits]' form), the module calls take its
+    entries without looking in the plan table again when it came from
+    this engine's rule generation, and a kept compiled rule is reused. *)
+
 val query : ?prepared:prepared -> t -> Ast.literal list -> query_result
-(** Evaluate a conjunctive query.  Literals over module exports call
-    the modules (with binding propagation, left to right); base,
-    foreign and comparison literals evaluate directly.  A call of a
-    [prepared] form takes its entry without looking in the plan table
-    again, when [prepared] came from this engine's rule generation. *)
+(** {!answer}, with the rows collected. *)
+
+val calls_update : Ast.literal list -> bool
+(** Does a query call the update builtins [assert/1] or [retract/1]
+    at its top level?  The serving layer sends such a query to the
+    write lane. *)
 
 val query_string : t -> string -> query_result
 (** Parse and evaluate ([Engine_error] on parse errors). *)
@@ -168,9 +209,10 @@ val plan_for :
     ([`Miss]); exposes the rewritten program text. *)
 
 val compile_count : t -> int
-(** Module structures compiled by this engine and its read views: one
-    per plan-table entry that an evaluation needed, plus recompiles
-    when a predicate's resolution changed since. *)
+(** Module structures and query rules compiled by this engine and its
+    read views: one per plan-table entry that an evaluation needed and
+    one per {!form} evaluated, plus recompiles when a predicate's
+    resolution changed since. *)
 
 val provider : t -> Symbol.t -> int -> Module_struct.provider
 (** How compiled rules on this engine resolve a predicate that no rule

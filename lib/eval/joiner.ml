@@ -81,6 +81,7 @@ type frame = {
       (* when witnesses are tracked, [chosen.(i)] holds the tuple
          selected at body position i on the current search path *)
   prof : rule_prof option;
+  tick : unit -> unit;  (* polled as each literal over a relation or function is solved *)
   on_match : Bindenv.t -> unit;
   env : Bindenv.t;
   mutable trail : Trail.t option;  (* made on the first unification *)
@@ -149,6 +150,7 @@ let rec eval fr i =
   else begin
     match rule.body.(i) with
     | Scan { slot; local; _ } ->
+      fr.tick ();
       let from_mark, to_mark = fr.range ~op_index:i ~slot ~local in
       if from_mark = to_mark && to_mark >= 0 then backtrack fr i
       else begin
@@ -162,13 +164,16 @@ let rec eval fr i =
         else backtrack fr i
       end
     | Foreign { f; args } ->
+      fr.tick ();
       let answers = f.Builtin.fsolve args fr.env in
       enumerate_rows fr i args answers false
     | Negcheck { slot; _ } ->
+      fr.tick ();
       fr.matched.(i) <- false;
       iter_slot fr slot ~from_mark:0 ~to_mark:(-1) ~pattern:fr.patterns.(i) fr.visit.(i);
       if fr.matched.(i) then backtrack fr i else eval fr (i + 1)
     | Negforeign { f; args } ->
+      fr.tick ();
       let answers = f.Builtin.fsolve args fr.env in
       if matches_any_row fr args answers then backtrack fr i else eval fr (i + 1)
     | Compare (op, t1, t2) ->
@@ -280,7 +285,7 @@ and matches_any_row fr args seq =
 let no_visit (_ : Tuple.t) = false
 
 let run ~rels ~range ?(backjump = true) ?stripe ?scan_counts ?visited ?witness ?prof
-    (rule : crule) ~on_match =
+    ?(tick = ignore) (rule : crule) ~on_match =
   let n = Array.length rule.body in
   let env = Bindenv.create (max rule.nvars 1) in
   let fr =
@@ -292,6 +297,7 @@ let run ~rels ~range ?(backjump = true) ?stripe ?scan_counts ?visited ?witness ?
       witness;
       chosen = (match witness with Some _ -> Array.make n None | None -> [||]);
       prof;
+      tick;
       on_match;
       env;
       trail = None;

@@ -26,6 +26,7 @@ val run :
   ?visited:int ref ->
   ?witness:(int * Tuple.t) list ref ->
   ?prof:Module_struct.rule_prof ->
+  ?tick:(unit -> unit) ->
   Module_struct.crule ->
   on_match:(Bindenv.t -> unit) ->
   unit
@@ -37,6 +38,11 @@ val run :
     (in body order) — the raw material of the explanation tool.  When
     [prof] is supplied, body matches and enumerated candidate tuples
     are counted into it.
+
+    [tick] (default none) is called each time a literal over a
+    relation or a foreign predicate is solved, as pipelined resolution
+    polls per solved atom: the top level installs its cancellation
+    check there.
 
     [backjump] (default true) is the intelligent-backtracking knob
     (paper section 4.2): when false, a literal with no matching tuples
@@ -66,6 +72,13 @@ val head_tuple : Module_struct.crule -> Bindenv.t -> Tuple.t
 val head_row : Module_struct.crule -> Bindenv.t -> Term.t array
 (** Resolve the head argument row (aggregate rules: grouping happens on
     these rows afterwards). *)
+
+val ground_head : Module_struct.crule -> Bindenv.t -> Term.t array -> bool
+(** [ground_head rule env into] writes the head's terms under [env]
+    into [into] (of the head's arity), as {!head_tuple} would store
+    them, when every one is ground: true then.  False as soon as one is
+    not ([into] is then partly written).  A variable bound to a ground
+    term is followed without building anything. *)
 
 val insert_head : Relation.t -> Module_struct.crule -> Bindenv.t -> Term.t array ref -> bool
 (** [insert_head rel rule env scratch] inserts the head of a successful

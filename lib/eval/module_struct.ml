@@ -274,10 +274,8 @@ let compile_rule_with ~rid ~index ~local ~target ?delta (r : Ast.rule) =
     text = Pretty.rule_to_string r
   }
 
-let compile_rule ~rels ~target ?delta r =
-  compile_rule_with ~rid:0
-    ~index:(fun slot spec -> Relation.add_index rels.(slot) spec)
-    ~local:(fun _ -> false) ~target ?delta r
+let compile_rule ~index ~target ?delta r =
+  compile_rule_with ~rid:0 ~index ~local:(fun _ -> false) ~target ?delta r
 
 (* Semi-naive positions of a rule: its scans of the module's own
    relations. *)

@@ -136,20 +136,21 @@ type target =
   | Fn of Builtin.foreign
 
 val compile_rule :
-  rels:Relation.t array ->
+  index:(int -> Index.spec -> unit) ->
   target:(Symbol.t -> int -> target) ->
   ?delta:int * int ->
   Ast.rule ->
   crule
 (** Compile one rule against the caller's slot resolution, for
-    {!Joiner.run} over [rels]; no plan is involved.  Every scan reads
-    its whole relation ([range] decides).  With [delta = (i, slot)]
-    the result is an {e activation}: positive body literal [i] scans
-    [rels.(slot)] first, then the rest of the body runs in source
-    order.  Like {!compile}, it installs on [rels] the indexes the
+    {!Joiner.run} over the caller's relations; no plan is involved.
+    Every scan reads its whole relation ([range] decides).  With
+    [delta = (i, slot)] the result is an {e activation}: positive body
+    literal [i] scans slot [slot] first, then the rest of the body
+    runs in source order.  Like {!compile}, it chooses the indexes the
     joins probe (paper section 4.2): a literal gets an argument-form
     index on the positions bound before it runs, unless that is every
-    position or none.
+    position or none; each choice is handed to [index slot spec], in
+    join order, for the caller to install (or not).
     @raise Invalid_argument if the head resolves to a foreign
     predicate or the delta literal is not positive. *)
 

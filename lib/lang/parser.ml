@@ -101,9 +101,13 @@ and parse_unary st =
     | FLOAT f ->
       advance st;
       Term.double (-.f)
-    | BIG s ->
+    | BIG s -> begin
       advance st;
-      Term.big (Bignum.neg (Bignum.of_string s))
+      (* min_int's digits overflow an int only without the sign *)
+      match int_of_string_opt ("-" ^ s) with
+      | Some i -> Term.int i
+      | None -> Term.big (Bignum.neg (Bignum.of_string s))
+    end
     | _ -> Term.app sym_minus [| Term.int 0; parse_unary st |]
   end
   | _ -> parse_primary st

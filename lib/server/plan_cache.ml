@@ -4,7 +4,7 @@
    lifetime.  Doubly-linked nodes give O(1) touch and eviction. *)
 type node = {
   ntext : string;
-  lits : Coral.Ast.literal list;
+  form : Coral.Engine.form;  (* the parse, and the query rule once compiled *)
   mutable prev : node option;
   mutable next : node option;
 }
@@ -81,22 +81,23 @@ let prepare t db text =
         match Hashtbl.find_opt t.parsed text with
         | Some n ->
           touch t n;
-          Ok n.lits
+          Ok n.form
         | None -> begin
           match Coral.Parser.query text with
           | Ok lits ->
-            let n = { ntext = text; lits; prev = None; next = None } in
+            let n = { ntext = text; form = Coral.Engine.form lits; prev = None; next = None } in
             Hashtbl.add t.parsed text n;
             push_front t n;
             evict_excess t;
-            Ok lits
+            Ok n.form
           | Error e -> Error e
         end)
   in
   match parse () with
   | Error e -> Error e
-  | Ok lits ->
-    let prepared, tag = Coral.Engine.prepare (Coral.engine db) lits in
+  | Ok form ->
+    let lits = Coral.Engine.form_lits form in
+    let prepared, tag = Coral.Engine.prepare (Coral.engine db) form in
     with_lock t (fun () ->
         match tag with
         | `Unplanned -> t.unplanned <- t.unplanned + 1

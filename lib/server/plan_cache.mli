@@ -7,9 +7,14 @@
     plan table ([Engine.prepare]), which plans a form once per rule
     generation and shares the plan, and the module compiled from it,
     with every snapshot view of the same rules.  The entries found are
-    handed to evaluation ([Engine.query ~prepared]), so a served query
+    handed to evaluation ([Engine.answer ~prepared]), so a served query
     looks its forms up once.  Data changes never replan; loading a
-    module replans only that module's forms. *)
+    module replans only that module's forms.
+
+    The memo keeps each text's {!Coral.Engine.form}: once the first
+    evaluation has compiled the query into the join kernel's rule, a
+    repeated text compiles nothing (each request binds its own read
+    view's relations into the rule's slots). *)
 
 type t
 
@@ -38,9 +43,10 @@ val prepare :
   ( Coral.Ast.literal list * [ `Hit | `Miss | `Unplanned ] * Coral.Engine.prepared,
     Coral.Parser.error )
   result
-(** Parse a query (memoized on the text) and look up (planning if
-    needed) every positive literal over a module export in [db]'s plan
-    table; the entries are for [Engine.query ~prepared].
+(** Parse a query (memoized on the text, with its compiled rule) and
+    look up (planning if needed) every positive literal over a module
+    export in [db]'s plan table; the result is for
+    [Engine.answer ~prepared].
     [`Hit]: every form was already planned; [`Miss]: at least one
     form was planned now; [`Unplanned]: no literal needed a plan (pure
     base/builtin query).  Planning failures are not errors here — the

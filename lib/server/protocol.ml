@@ -50,7 +50,6 @@ type error_code =
   | Cluster
 
 type payload =
-  | Ans of string
   | Txt of string
   | Raw of string
 
@@ -115,6 +114,14 @@ let one_line s =
           Buffer.add_char b c)
       s;
     Buffer.contents b
+  end
+
+let one_line_from buf start =
+  let s = Buffer.sub buf start (Buffer.length buf - start) in
+  let line = one_line s in
+  if line != s then begin
+    Buffer.truncate buf start;
+    Buffer.add_string buf line
   end
 
 (* Split a request line into command and argument at the first run of
@@ -304,25 +311,36 @@ let err code msg = { payload = []; status = Error (code, one_line msg) }
 let busy ~retry_after_ms msg =
   err Busy (Printf.sprintf "%d %s" (max 0 retry_after_ms) msg)
 
-let render buf r =
-  List.iter
-    (function
-      | Ans s ->
-        Buffer.add_string buf "ans ";
-        Buffer.add_string buf (one_line s);
-        Buffer.add_char buf '\n'
-      | Txt s ->
-        Buffer.add_string buf "txt ";
-        Buffer.add_string buf (one_line s);
-        Buffer.add_char buf '\n'
-      | Raw block -> Buffer.add_string buf block)
-    r.payload;
-  (match r.status with
-  | Ok "" -> Buffer.add_string buf "ok"
-  | Ok detail -> Buffer.add_string buf ("ok " ^ one_line detail)
+let render_item buf = function
+  | Txt s ->
+    Buffer.add_string buf "txt ";
+    Buffer.add_string buf (one_line s);
+    Buffer.add_char buf '\n'
+  | Raw block -> Buffer.add_string buf block
+
+let render_status buf = function
+  | Ok "" -> Buffer.add_string buf "ok\n"
+  | Ok detail ->
+    Buffer.add_string buf "ok ";
+    Buffer.add_string buf (one_line detail);
+    Buffer.add_char buf '\n'
   | Error (code, msg) ->
-    Buffer.add_string buf (Printf.sprintf "err %s %s" (code_string code) (one_line msg)));
-  Buffer.add_char buf '\n'
+    Buffer.add_string buf (Printf.sprintf "err %s %s\n" (code_string code) (one_line msg))
+
+let render buf r =
+  List.iter (render_item buf) r.payload;
+  render_status buf r.status
+
+let answers r =
+  List.concat_map
+    (function
+      | Txt _ -> []
+      | Raw block ->
+        String.split_on_char '\n' block
+        |> List.filter_map (fun l ->
+               if String.starts_with ~prefix:"ans " l then Some (String.sub l 4 (String.length l - 4))
+               else None))
+    r.payload
 
 let is_status line =
   line = "ok"
@@ -442,9 +460,24 @@ let read_exact r n =
   fill have;
   Bytes.unsafe_to_string out
 
+(* A [Raw] block goes to the channel as it is; the lines around it are
+   rendered into a small buffer first. *)
 let write_response oc response =
-  let buf = Buffer.create 256 in
-  render buf response;
-  Out_channel.output_string oc (Buffer.contents buf);
+  let buf = Buffer.create 256 and written = ref 0 in
+  let drain () =
+    written := !written + Buffer.length buf;
+    Buffer.output_buffer oc buf;
+    Buffer.clear buf
+  in
+  List.iter
+    (function
+      | Raw block ->
+        drain ();
+        written := !written + String.length block;
+        Out_channel.output_string oc block
+      | item -> render_item buf item)
+    response.payload;
+  render_status buf response.status;
+  drain ();
   Out_channel.flush oc;
-  Buffer.length buf
+  !written

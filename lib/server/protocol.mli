@@ -173,11 +173,11 @@ type error_code =
   | Cluster
 
 type payload =
-  | Ans of string  (** a query answer row *)
   | Txt of string  (** a report line *)
   | Raw of string
-      (** complete, LF-terminated reply lines relayed as another
-          server sent them (a router's fan-out) *)
+      (** complete, LF-terminated reply lines: a query's answers
+          printed straight into one block, or relayed as another server
+          sent them (a router's fan-out) *)
 
 type response = {
   payload : payload list;
@@ -226,6 +226,16 @@ val code_of_string : string -> error_code option
 val one_line : string -> string
 (** Collapse a (possibly multi-line) message into a single protocol
     line: newlines become ["; "], control characters become spaces. *)
+
+val one_line_from : Buffer.t -> int -> unit
+(** [one_line_from buf start] makes the bytes appended to [buf] since
+    [start] one protocol line, byte for byte as {!one_line} makes a
+    string of them: a query's row printed straight into its [Raw]
+    block stays one [ans] line. *)
+
+val answers : response -> string list
+(** The answer rows of a reply, without their ["ans "] prefix: the
+    ["ans "] lines of its [Raw] blocks, in order. *)
 
 val render : Buffer.t -> response -> unit
 (** Serialize a response, payload lines then the status line. *)

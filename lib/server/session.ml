@@ -12,7 +12,6 @@ let h_query = Obs.histogram "server.query_seconds"
 let observe_query ns =
   Obs.Histogram.observe_ns h_request ns;
   Obs.Histogram.observe_ns h_query ns
-let h_emit = Obs.histogram "phase.emit"
 
 (* Concurrency model (DESIGN.md §11).  Reads are MVCC: every committed
    mutation publishes an immutable epoch-stamped view of the engine
@@ -255,7 +254,14 @@ type t = {
   mutable limit_tuples : int;  (* per-session derived-tuple budget; 0 = none *)
   mutable limit_bytes : int;  (* per-session bytes-estimate budget; 0 = none *)
   mutable closed : bool;
+  reply : Buffer.t;  (* a query's answer lines are printed here *)
 }
+
+(* The session's reply buffer, emptied.  It keeps the size its answers
+   needed, up to 1 MiB; past that it starts small again. *)
+let reply_buffer t =
+  if Buffer.length t.reply > 1 lsl 20 then Buffer.reset t.reply else Buffer.clear t.reply;
+  t.reply
 
 (* Atomically claim a session slot against [cap] (0 = uncapped).  The
    accept loop reserves BEFORE spawning the connection thread — a
@@ -281,7 +287,8 @@ let create ?(reserved = false) store =
     deadline_ms = 0;
     limit_tuples = 0;
     limit_bytes = 0;
-    closed = false
+    closed = false;
+    reply = Buffer.create 1024
   }
 
 let close t =
@@ -456,23 +463,36 @@ let evaluated t ~dbv ?(epoch = 0) ~wrap ~kind ?(adorned = "") ?(plan_cache = "")
     finish (match e with Coral.Cancelled -> "timeout" | _ -> "error") ~rows:0;
     raise e
 
-let render_rows (r : Coral.Engine.query_result) =
-  let buf = Buffer.create 64 in
-  List.map
-    (fun row ->
-      if r.Coral.Engine.qvars = [] then Protocol.Ans "true"
-      else begin
-        Buffer.clear buf;
-        List.iteri
-          (fun i (v : Coral.Term.var) ->
-            if i > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf v.Coral.Term.vname;
-            Buffer.add_string buf " = ";
-            Coral.Term.to_buffer buf row.(i))
-          r.Coral.Engine.qvars;
-        Protocol.Ans (Buffer.contents buf)
-      end)
-    r.Coral.Engine.rows
+(* Values whose printed text holds no control byte: numbers, and
+   strings, which print escaped.  A row of anything else (a symbol, an
+   opaque value's own printer, a variable) is cleaned into one line. *)
+let plain (v : Coral.Term.t) =
+  match v with
+  | Coral.Term.Const (Coral.Value.Int _ | Coral.Value.Double _ | Coral.Value.Str _ | Coral.Value.Big _)
+    ->
+    true
+  | Coral.Term.Const (Coral.Value.Opaque _) | Coral.Term.Var _ | Coral.Term.App _ -> false
+
+let rec all_plain row i = i >= Array.length row || (plain row.(i) && all_plain row (i + 1))
+
+(* One answer line, printed straight into the reply's block:
+   "ans X = 1, Y = 2" ("ans true" for a query without variables), made
+   one protocol line as [Protocol.one_line] makes a string. *)
+let rec print_bindings buf (row : Coral.Term.t array) i = function
+  | [] -> ()
+  | (v : Coral.Term.var) :: rest ->
+    if i > 0 then Buffer.add_string buf ", ";
+    Buffer.add_string buf v.Coral.Term.vname;
+    Buffer.add_string buf " = ";
+    Coral.Term.to_buffer buf row.(i);
+    print_bindings buf row (i + 1) rest
+
+let print_row buf qvars row =
+  Buffer.add_string buf "ans ";
+  let start = Buffer.length buf in
+  if qvars = [] then Buffer.add_string buf "true" else print_bindings buf row 0 qvars;
+  if not (all_plain row 0) then Protocol.one_line_from buf start;
+  Buffer.add_char buf '\n'
 
 (* ------------------------------------------------------------------ *)
 (* Lane selection                                                      *)
@@ -488,18 +508,6 @@ let string_contains ~sub s =
 let read_only_violation = function
   | Coral.Engine.Engine_error m -> string_contains ~sub:"unavailable in a snapshot read" m
   | _ -> false
-
-(* A query whose top-level literals call the update predicates is
-   routed to the write lane up front (deeper uses inside module rules
-   are caught by the violation fallback). *)
-let mutating_lits lits =
-  List.exists
-    (function
-      | Coral.Ast.Pos (a : Coral.Ast.atom) ->
-        let n = Coral.Symbol.name a.Coral.Ast.pred in
-        (n = "assert" || n = "retract") && Array.length a.Coral.Ast.args = 1
-      | _ -> false)
-    lits
 
 (* Write-lane wrapper for requests that may mutate: evaluate under the
    lock, stage the next version while still holding it, publish after
@@ -555,20 +563,25 @@ let do_query t text =
     in
     evaluated t ~dbv ~epoch ~wrap ~kind:"query" ~adorned:(adorned_of_lits lits) ~plan_cache
       text
-      ~rows_of:(fun (r : Coral.Engine.query_result) -> List.length r.Coral.Engine.rows)
-      (fun () -> Coral.Engine.query ~prepared (Coral.engine dbv) lits)
-      (fun r ->
+      ~rows_of:snd
+      (fun () ->
+        let buf = reply_buffer t and n = ref 0 in
+        Coral.Engine.answer ~prepared (Coral.engine dbv) lits (fun qvars row ->
+            incr n;
+            print_row buf qvars row);
+        buf, !n)
+      (fun (buf, n) ->
+        let block = Buffer.contents buf in
+        ignore (reply_buffer t);
         let cache_note =
           match tag with
           | `Hit -> " (plan cache: hit)"
           | `Miss -> " (plan cache: miss)"
           | `Unplanned -> ""
         in
-        let n = List.length r.Coral.Engine.rows in
-        let payload = Obs.Histogram.time h_emit (fun () -> render_rows r) in
         Protocol.ok
           ~detail:(Printf.sprintf "%d answer%s%s" n (if n = 1 then "" else "s") cache_note)
-          payload)
+          (if n = 0 then [] else [ Protocol.Raw block ]))
   in
   match Snapshot.view version with
   | None -> begin
@@ -582,7 +595,7 @@ let do_query t text =
     match Plan_cache.prepare store.cache rdb text with
     | Error e -> Protocol.err Protocol.Parse (Format.asprintf "%a" Coral.Parser.pp_error e)
     | Ok ((lits, _, _) as prepared) ->
-      if mutating_lits lits then run ~dbv:store.sdb ~wrap:(wrap_write store) prepared
+      if Coral.Engine.calls_update lits then run ~dbv:store.sdb ~wrap:(wrap_write store) prepared
       else begin
         match run ~dbv:rdb ~wrap:Exec_pool.run prepared with
         | r ->

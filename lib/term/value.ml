@@ -87,13 +87,26 @@ let repr_double f =
       | None -> s ^ ".0"
   end
 
+(* An int's decimal digits, written straight into the buffer (no
+   format string, no intermediate string).  The digits are taken from
+   the negated value, so min_int, which has no positive counterpart,
+   needs no special case. *)
+let rec add_digits buf n =
+  (* n <= 0 *)
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then Buffer.add_char buf '-';
+  add_digits buf (if i < 0 then i else -i)
+
 (* The one value printer: doubles print losslessly ([repr_double]:
    the shortest text that reads back to the same double, always with a
    point or an exponent, so it reads back as a double), strings with
    OCaml %S quoting; only an opaque value's own [o_print] needs
    Format. *)
 let to_buffer buf = function
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Double f -> Buffer.add_string buf (repr_double f)
   | Str s ->
     Buffer.add_char buf '"';

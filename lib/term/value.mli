@@ -59,9 +59,10 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val to_buffer : Buffer.t -> t -> unit
-(** Append the surface text of a value: doubles losslessly (see
-    {!repr_double}), strings in OCaml %S quoting, an opaque value
-    through its [o_print]. *)
+(** Append the surface text of a value: ints as [string_of_int]
+    prints them (written digit by digit, no string built), doubles
+    losslessly (see {!repr_double}), strings in OCaml %S quoting, an
+    opaque value through its [o_print]. *)
 
 val pp : Format.formatter -> t -> unit
 (** [to_buffer] onto a formatter. *)

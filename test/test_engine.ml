@@ -419,6 +419,188 @@ let test_opaque_values () =
   | exception Coral.Builtin.Eval_error m ->
     Alcotest.(check string) "error" "arithmetic on an opaque value" m
 
+(* ------------------------------------------------------------------ *)
+(* The answer path against the interpreter                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle: pipelined resolution over the same predicate resolution
+   compiled modules use (another module's export, its maintained extent
+   when it has one, a foreign predicate, else the stored relation), rows
+   deduplicated on their resolved terms in first-seen order. *)
+let oracle eng lits =
+  let open Coral_lang in
+  let arrays =
+    List.map
+      (function
+        | Ast.Pos a | Ast.Neg a -> a.Ast.args
+        | Ast.Cmp (_, a, b) | Ast.Is (a, b) -> [| a; b |])
+      lits
+  in
+  let renumbered, nvars = Rename.number_term_lists arrays in
+  let lits =
+    List.map2
+      (fun lit args ->
+        match (lit : Ast.literal) with
+        | Ast.Pos a -> Ast.Pos { a with Ast.args }
+        | Ast.Neg a -> Ast.Neg { a with Ast.args }
+        | Ast.Cmp (op, _, _) -> Ast.Cmp (op, args.(0), args.(1))
+        | Ast.Is _ -> Ast.Is (args.(0), args.(1)))
+      lits renumbered
+  in
+  let seen = Hashtbl.create 8 in
+  let qvars =
+    List.concat_map (fun a -> List.concat_map Term.vars (Array.to_list a)) renumbered
+    |> List.filter (fun (v : Term.var) ->
+           (not (Hashtbl.mem seen v.Term.vid)) && (Hashtbl.add seen v.Term.vid (); true))
+  in
+  let provider p n = Coral.Engine.provider eng p n in
+  let rb =
+    { Coral_eval.Pipeline.rules_of = (fun _ _ -> []);
+      relation_of =
+        (fun p n ->
+          match provider p n with
+          | Coral_eval.Module_struct.P_rel r -> Some r
+          | Coral_eval.Module_struct.P_foreign _ -> None);
+      foreign_of =
+        (fun p n ->
+          match provider p n with
+          | Coral_eval.Module_struct.P_foreign f -> Some f
+          | Coral_eval.Module_struct.P_rel _ -> None);
+      tick = ignore
+    }
+  in
+  let env = Bindenv.create (max nvars 1) in
+  let rows = ref [] and dedup = Term.ArrayTbl.create 16 in
+  Coral_eval.Pipeline.solve rb lits ~nvars ~env (fun () ->
+      let row = Array.of_list (List.map (fun v -> Unify.resolve (Term.Var v) env) qvars) in
+      if not (Term.ArrayTbl.mem dedup row) then begin
+        Term.ArrayTbl.add dedup row ();
+        rows := row :: !rows
+      end);
+  qvars, List.rev !rows
+
+(* A row as the wire prints it. *)
+let row_text qvars row =
+  if qvars = [] then "true"
+  else
+    String.concat ", "
+      (List.mapi
+         (fun i (v : Term.var) -> v.Term.vname ^ " = " ^ Term.to_string row.(i))
+         qvars)
+
+let answer_texts f =
+  match f () with
+  | qvars, rows -> List.map (row_text qvars) rows
+  | exception Coral.Builtin.Eval_error m -> [ "error: " ^ m ]
+
+(* Generated programs: a ground edge relation over ints, functor terms,
+   doubles and strings; non-ground facts in a relation of their own; a
+   closure module exported in three forms, a pipelined module (whose
+   answers repeat) and an aggregate; an interactive rule; numbers for
+   arithmetic.  Generated queries cover single literals with bound
+   and free arguments, repeated variables and constants, joins,
+   negation, comparisons and arithmetic assignment. *)
+let gen_program rs =
+  let pick l = List.nth l (Random.State.int rs (List.length l)) in
+  let value () =
+    match Random.State.int rs 10 with
+    | 0 -> Printf.sprintf "f(%d)" (Random.State.int rs 3)
+    | 1 -> Printf.sprintf "%d.5" (Random.State.int rs 3)
+    | 2 -> Printf.sprintf "\"s%d\"" (Random.State.int rs 3)
+    | _ -> string_of_int (Random.State.int rs 7)
+  in
+  let edges = List.init 24 (fun _ -> Printf.sprintf "e(%s, %s)." (value ()) (value ())) in
+  let program =
+    String.concat "\n" edges
+    ^ "\ng(X, 3). g(f(Y), Y). g(1, 2). g(\"s1\", f(Z)). g(1, 2).\n\
+       n(0). n(1). n(2). n(3). n(5).\n\
+       module tc. export path(bf). export path(ff). export path(fb).\n\
+       path(X, Y) :- e(X, Y). path(X, Y) :- e(X, Z), path(Z, Y). end_module.\n\
+       s(X, Y) :- e(Y, X).\n\
+       module pp. @pipelined. export pp(ff). export pp(bf).\n\
+       pp(X, Y) :- e(X, Y). pp(X, Y) :- e(Y, X). end_module.\n\
+       module agg. export cnt(ff). cnt(X, count(Y)) :- e(X, Y). end_module.\n"
+  in
+  let c () = value () in
+  let queries =
+    [ "e(X, Y)"; "e(" ^ c () ^ ", Y)"; "e(X, " ^ c () ^ ")"; "e(X, X)"; "e(X, _)";
+      "e(" ^ c () ^ ", " ^ c () ^ ")"; "e(f(A), B)"; "path(" ^ c () ^ ", Y)"; "path(X, Y)";
+      "path(X, X)"; "path(X, " ^ c () ^ ")"; "s(X, Y)"; "s(" ^ c () ^ ", Y)";
+      "e(X, Y), e(Y, Z)"; "e(X, Y), not e(Y, X)"; "e(X, Y), not path(Y, X)";
+      "path(X, Y), e(Y, " ^ c () ^ ")"; "n(X), n(Y), X < Y"; "n(X), Y = X * 2 + 1";
+      "n(X), X = Y"; "n(X), not e(X, _)"; "g(X, Y)"; "g(f(A), B)"; "g(1, Y)"; "g(X, 3)";
+      "g(X, Y), e(Y, Z)"; "member(X, [1, 2, 1]), e(X, Y)"; "e(X, Y), " ^ pick [ "X"; "Y" ] ^ " = 2";
+      "pp(X, Y)"; "pp(" ^ c () ^ ", Y)"; "n(X), pp(X, Y)"; "cnt(X, N)"; "cnt(X, N), N > 1"
+    ]
+  in
+  program, queries
+
+let test_answer_differential () =
+  let parse q = Result.get_ok (Coral.Parser.query q) in
+  let compare_on label eng q =
+    let lits = parse q in
+    let got =
+      answer_texts (fun () ->
+          let r = Coral.Engine.query eng lits in
+          r.Coral.Engine.qvars, r.Coral.Engine.rows)
+    in
+    let want = answer_texts (fun () -> oracle eng lits) in
+    Alcotest.(check (list string)) (label ^ ": " ^ q) want got
+  in
+  for seed = 1 to 12 do
+    let rs = Random.State.make [| seed |] in
+    let program, queries = gen_program rs in
+    List.iter
+      (fun maintained ->
+        let db = Coral.create () in
+        Coral.Engine.set_maintenance (Coral.engine db) maintained;
+        Coral.consult_text db program;
+        let eng = Coral.engine db in
+        let tag = Printf.sprintf "seed %d%s" seed (if maintained then " maintained" else "") in
+        List.iter (compare_on (tag ^ " live") eng) queries;
+        let view = Option.get (Coral.Engine.snapshot eng) in
+        List.iter (compare_on (tag ^ " view") (Coral.Engine.read_view view)) queries;
+        (* a commit after the pin: the pinned view keeps its epoch *)
+        ignore
+          (Coral.Engine.insert_facts eng
+             [ Symbol.intern "e", [| Coral.int 0; Coral.int 6 |];
+               Symbol.intern "e", [| Coral.int 6; Coral.int 0 |]
+             ]);
+        ignore (Coral.Engine.retract_facts eng [ Symbol.intern "n", [| Coral.int 1 |] ]);
+        ignore (Coral.Engine.snapshot eng);
+        List.iter (compare_on (tag ^ " pinned") (Coral.Engine.read_view view)) queries;
+        List.iter (compare_on (tag ^ " after") eng) queries)
+      [ false; true ]
+  done
+
+(* A kept form compiles once; a request on a read view binds the view's
+   relations into the same rule; a predicate that starts resolving
+   differently (a foreign predicate registered under a stored name)
+   recompiles the form, and then reads the new source. *)
+let test_form_compiles_once () =
+  let db = setup "sq(2, 4). sq(3, 9).\nmodule m. export twice(bf). twice(X, Y) :- sq(X, Z), Y = Z * 2. end_module." in
+  let eng = Coral.engine db in
+  let lits = Result.get_ok (Coral.Parser.query "sq(X, Y), twice(X, T)") in
+  let form = Coral.Engine.form lits in
+  let run eng =
+    let prepared, _ = Coral.Engine.prepare eng form in
+    List.map
+      (fun row -> Array.to_list row |> List.map Term.to_string)
+      (Coral.Engine.query ~prepared eng lits).Coral.Engine.rows
+  in
+  let c0 = Coral.Engine.compile_count eng in
+  let first = run eng in
+  let c1 = Coral.Engine.compile_count eng in
+  Alcotest.(check (list (list string))) "answers" [ [ "2"; "4"; "8" ]; [ "3"; "9"; "18" ] ] first;
+  let view = Coral.Engine.read_view (Option.get (Coral.Engine.snapshot eng)) in
+  Alcotest.(check (list (list string))) "a view reads the same" first (run view);
+  Alcotest.(check (list (list string))) "and again" first (run eng);
+  Alcotest.(check int) "one query rule and one module compiled" 2 (c1 - c0);
+  Alcotest.(check int) "a kept form compiles nothing more" c1 (Coral.Engine.compile_count eng);
+  Coral.define_predicate db "sq" 2 (fun _ _ -> Seq.return [| Term.int 4; Term.int 16 |]);
+  Alcotest.(check (list (list string))) "the foreign predicate answers" [ [ "4"; "16"; "32" ] ]
+    (run eng)
+
 let () =
   Alcotest.run "coral_engine"
     [ ( "builtins",
@@ -447,6 +629,10 @@ let () =
           Alcotest.test_case "view pinned across reload" `Quick test_view_pinned_across_reload
         ] );
       ("extensibility", [ Alcotest.test_case "opaque values" `Quick test_opaque_values ]);
+      ( "answer path",
+        [ Alcotest.test_case "differential vs interpreter" `Quick test_answer_differential;
+          Alcotest.test_case "a form compiles once" `Quick test_form_compiles_once
+        ] );
       ( "index choice",
         [ Alcotest.test_case "view probes load-time index" `Quick
             test_view_probes_load_time_index;

@@ -101,7 +101,7 @@ let test_protocol_parse () =
     (Protocol.one_line "a\nb\tc");
   let buf = Buffer.create 64 in
   Protocol.render buf
-    (Protocol.ok ~detail:"2 answers" [ Protocol.Ans "X = 1"; Protocol.Txt "note" ]);
+    (Protocol.ok ~detail:"2 answers" [ Protocol.Raw "ans X = 1\n"; Protocol.Txt "note" ]);
   Alcotest.check Alcotest.string "render" "ans X = 1\ntxt note\nok 2 answers\n"
     (Buffer.contents buf);
   let buf = Buffer.create 64 in
@@ -189,12 +189,21 @@ let test_line_reader () =
   Alcotest.(check (list string)) "a reply in 1-byte writes"
     [ "ans X = 1"; "txt note"; "ok 2 answers" ]
     (with_reader (List.init (String.length reply) (fun i -> String.make 1 reply.[i])) lines);
-  (* rows with embedded CR/LF render on one line, byte for byte as
-     before; rows without come back as they are *)
+  (* rows with embedded CR/LF print as one line, byte for byte as
+     before; rows without stay as they are *)
+  let block = Buffer.create 64 in
+  List.iter
+    (fun row ->
+      Buffer.add_string block "ans ";
+      let start = Buffer.length block in
+      Buffer.add_string block row;
+      Protocol.one_line_from block start;
+      Buffer.add_char block '\n')
+    [ "X = \"a\r\nb\"\r\n"; "Y = 1" ];
   let buf = Buffer.create 64 in
   Protocol.render buf
     (Protocol.ok ~detail:"2 answers\r\nmore"
-       [ Protocol.Ans "X = \"a\r\nb\"\r\n"; Protocol.Ans "Y = 1"; Protocol.Txt "\nx\ty\r" ]);
+       [ Protocol.Raw (Buffer.contents block); Protocol.Txt "\nx\ty\r" ]);
   Alcotest.check Alcotest.string "render golden"
     "ans X = \"a; b\"\nans Y = 1\ntxt x y\nok 2 answers; more\n" (Buffer.contents buf);
   let row = "X = 1, Y = 2" in
@@ -331,6 +340,49 @@ let test_plan_cache_over_wire () =
 
 (* An answer prints a double losslessly: the shortest text that reads
    back to it, with a point, so 2.0 and 2 stay apart. *)
+(* Rows print straight into the reply, and each stays one protocol
+   line with the bytes an [ans] item of its text rendered as: an opaque
+   value whose printer emits newlines, CR, NUL and tabs, a symbol with
+   control and non-ASCII bytes, and a string with CR, NUL and non-ASCII
+   bytes (strings print escaped).  The expected replies are recorded
+   from the interpreter-backed answer path that preceded this one. *)
+exception Blob of string
+
+let test_control_bytes_one_line () =
+  let blob =
+    Coral.define_type ~name:"blob"
+      ~compare:(fun a b -> match a, b with Blob x, Blob y -> compare x y | _ -> assert false)
+      ~print:(fun ppf -> function Blob s -> Format.pp_print_string ppf s | _ -> assert false)
+      ()
+  in
+  let db = Coral.create () in
+  Coral.facts db "v"
+    [ [ Coral.int 1; blob (Blob "\nlead\r\nb\x00l\tob\n") ];
+      [ Coral.int 2; Coral.str "a\r\nb\x00c\xc3\xa9" ];
+      [ Coral.int 3; Coral.atom "x\ry\x00z\xe2\x82\xac" ];
+      [ Coral.int 4; Coral.atom "plain" ];
+      [ Coral.int 5; blob (Blob "\n\n") ]
+    ];
+  let s = Session.create (Session.make_store db) in
+  List.iter
+    (fun (q, want) ->
+      let buf = Buffer.create 256 in
+      Protocol.render buf (Session.handle s (Protocol.Query q));
+      Alcotest.(check string) q want (Buffer.contents buf))
+    [ ( "v(K, X)",
+        "ans K = 1, X = ; lead; b l ob\nans K = 2, X = \"a\\r\\nb\\000c\\195\\169\"\nans K = 3, X = \
+         xy z\226\130\172\nans K = 4, X = plain\nans K = 5, X = \nok 5 answers\n" );
+      "v(2, X)", "ans X = \"a\\r\\nb\\000c\\195\\169\"\nok 1 answer\n";
+      ( "v(K, X), K < 4",
+        "ans K = 1, X = ; lead; b l ob\nans K = 2, X = \"a\\r\\nb\\000c\\195\\169\"\nans K = 3, X = \
+         xy z\226\130\172\nok 3 answers\n" );
+      ( "v(K, X), v(K, Y)",
+        "ans K = 1, X = ; lead; b l ob; , Y = ; lead; b l ob\nans K = 2, X = \
+         \"a\\r\\nb\\000c\\195\\169\", Y = \"a\\r\\nb\\000c\\195\\169\"\nans K = 3, X = \
+         xy z\226\130\172, Y = xy z\226\130\172\nans K = 4, X = plain, Y = plain\nans K = 5, X = ; , \
+         Y = \nok 5 answers\n" )
+    ]
+
 let test_doubles_wire () =
   let srv = start_server () in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
@@ -1486,11 +1538,11 @@ let test_session_direct () =
   in
   ignore (ok_status (Session.handle s (Protocol.Consult paths_program)));
   let r = Session.handle s (Protocol.Query "path(1, Y), Y != 3") in
-  Alcotest.(check int) "conjunctive query answers" 2 (List.length r.Protocol.payload);
+  Alcotest.(check int) "conjunctive query answers" 2 (List.length (Protocol.answers r));
   (* insert goes to the base relation and is visible to the module *)
   ignore (ok_status (Session.handle s (Protocol.Insert "edge(4, 5). edge(5, 6).")));
   let r = Session.handle s (Protocol.Query "path(4, Y)") in
-  Alcotest.(check int) "inserted facts derive" 2 (List.length r.Protocol.payload);
+  Alcotest.(check int) "inserted facts derive" 2 (List.length (Protocol.answers r));
   (* explain renders the rewritten program *)
   let r = Session.handle s (Protocol.Explain "path(1, Y)") in
   ignore (ok_status r);
@@ -1531,12 +1583,12 @@ let test_session_updates () =
   let d = status (Session.handle s (Protocol.Insert "edge(1, 2). edge(4, 5).")) in
   Alcotest.(check string) "insert detail" "inserted 1, duplicate 1" d;
   let r = Session.handle s (Protocol.Query "path(3, Y)") in
-  Alcotest.(check int) "paths through the new edge" 2 (List.length r.Protocol.payload);
+  Alcotest.(check int) "paths through the new edge" 2 (List.length (Protocol.answers r));
   (* retract: one present, one never stored *)
   let d = status (Session.handle s (Protocol.Retract "edge(4, 5). edge(9, 9).")) in
   Alcotest.(check string) "retract detail" "retracted 1, missing 1" d;
   let r = Session.handle s (Protocol.Query "path(3, Y)") in
-  Alcotest.(check int) "derived paths withdrawn" 1 (List.length r.Protocol.payload);
+  Alcotest.(check int) "derived paths withdrawn" 1 (List.length (Protocol.answers r));
   (* parse errors stay on the session *)
   (match (Session.handle s (Protocol.Retract "path(")).Protocol.status with
   | Error (Protocol.Parse, _) -> ()
@@ -1605,6 +1657,99 @@ let test_snapshot_epoch () =
    scans, and forwards the index its compile asked for; one commit
    with no data change publishes an epoch that carries it, and the
    second read visits what a live engine visits. *)
+(* Readers pinned across 50 seeded commits (inserts, retracts and fact
+   consults on a maintained store): after every commit, each pinned
+   reader's answers through its frozen view equal the closure of the
+   edges its own epoch held, and are byte for byte the rows it read
+   when it pinned. *)
+let test_pinned_readers_across_commits () =
+  let rs = Random.State.make [| 29 |] in
+  let db = Coral.create () in
+  Coral.Engine.set_maintenance (Coral.engine db) true;
+  let store = Session.make_store db in
+  let s = Session.create store in
+  let ok r =
+    match r.Protocol.status with
+    | Ok _ -> ()
+    | Error (c, m) -> Alcotest.fail (Protocol.code_string c ^ ": " ^ m)
+  in
+  let nodes = 10 in
+  let edge () = Random.State.int rs nodes, Random.State.int rs nodes in
+  let fact (a, b) = Printf.sprintf "edge(%d, %d)." a b in
+  let initial = List.sort_uniq compare (List.init 14 (fun _ -> edge ())) in
+  ok (Session.handle s (Protocol.Consult (paths_module ^ String.concat " " (List.map fact initial))));
+  let closure edges =
+    let rec grow known =
+      let next =
+        List.sort_uniq compare
+          (known
+          @ List.concat_map
+              (fun (a, b) -> List.filter_map (fun (c, d) -> if b = c then Some (a, d) else None) edges)
+              known)
+      in
+      if next = known then known else grow next
+    in
+    grow (List.sort_uniq compare edges)
+  in
+  let queries = [ "path(X, Y)"; "path(3, Y)"; "edge(X, Y)"; "edge(X, Y), not path(Y, X)" ] in
+  let expected edges =
+    let paths = closure edges in
+    let pair (a, b) = Printf.sprintf "X = %d, Y = %d" a b in
+    [ List.map pair paths;
+      List.filter_map (fun (a, b) -> if a = 3 then Some (Printf.sprintf "Y = %d" b) else None) paths;
+      List.map pair edges;
+      List.map pair (List.filter (fun (a, b) -> not (List.mem (b, a) paths)) edges)
+    ]
+  in
+  let answers view =
+    let eng = Coral.Engine.read_view view in
+    List.map
+      (fun q ->
+        let r = Coral.Engine.query eng (Result.get_ok (Coral.Parser.query q)) in
+        List.map
+          (fun row ->
+            String.concat ", "
+              (List.mapi
+                 (fun i (v : Coral.Term.var) -> v.Coral.Term.vname ^ " = " ^ Coral.Term.to_string row.(i))
+                 r.Coral.Engine.qvars))
+          r.Coral.Engine.rows)
+      queries
+  in
+  let edges = ref initial in
+  let readers = ref [] in
+  let pin () =
+    let view = Option.get (Session.published_view store) in
+    let first = answers view in
+    Alcotest.(check (list (list string))) "a fresh pin reads its epoch" (expected !edges)
+      (List.map (List.sort compare) first);
+    readers := (view, !edges, first) :: !readers
+  in
+  pin ();
+  for i = 1 to 50 do
+    let e = edge () in
+    (match Random.State.int rs 3 with
+    | 0 ->
+      ok (Session.handle s (Protocol.Insert (fact e)));
+      edges := List.sort_uniq compare (e :: !edges)
+    | 1 ->
+      let e = if !edges = [] then e else List.nth !edges (Random.State.int rs (List.length !edges)) in
+      ok (Session.handle s (Protocol.Retract (fact e)));
+      edges := List.filter (( <> ) e) !edges
+    | _ ->
+      ok (Session.handle s (Protocol.Consult (fact e)));
+      edges := List.sort_uniq compare (e :: !edges));
+    List.iter
+      (fun (view, held, first) ->
+        let now = answers view in
+        List.iter2
+          (fun q (want, got) ->
+            Alcotest.(check (list string)) (Printf.sprintf "commit %d: %s" i q) want (List.sort compare got))
+          queries (List.combine (expected held) now);
+        Alcotest.(check (list (list string))) (Printf.sprintf "commit %d: same bytes" i) first now)
+      !readers;
+    if i mod 10 = 0 then pin ()
+  done
+
 let test_read_forwards_index_misses () =
   let program =
     "reach(X, Y) :- link(X, Y).\nreach(X, Y) :- link(X, Z), reach(Z, Y).\n"
@@ -1625,7 +1770,7 @@ let test_read_forwards_index_misses () =
   let s = Session.create store in
   let answers r =
     match r.Protocol.status with
-    | Ok _ -> List.length r.Protocol.payload
+    | Ok _ -> List.length (Protocol.answers r)
     | Error (c, m) -> Alcotest.fail (Protocol.code_string c ^ ": " ^ m)
   in
   ignore (answers (Session.handle s (Protocol.Consult program)));
@@ -1785,12 +1930,7 @@ let test_snapshot_differential () =
       match r.Protocol.status with
       | Error (c, m) -> fail_with (Printf.sprintf "reader %d: %s: %s" id (Protocol.code_string c) m)
       | Ok _ ->
-        let got =
-          List.filter_map
-            (function Protocol.Ans a -> Some a | Protocol.Txt _ | Protocol.Raw _ -> None)
-            r.Protocol.payload
-          |> List.sort compare
-        in
+        let got = List.sort compare (Protocol.answers r) in
         let c = List.length got in
         if c < 1 || c > chain then
           fail_with (Printf.sprintf "reader %d: impossible answer count %d" id c)
@@ -1812,9 +1952,7 @@ let test_snapshot_differential () =
   (* after the writer joins, a fresh read sees the full chain *)
   let s = Session.create store in
   let r = Session.handle s (Protocol.Query "path(1, Y)") in
-  Alcotest.(check int) "final state complete" (chain)
-    (List.length
-       (List.filter (function Protocol.Ans _ -> true | _ -> false) r.Protocol.payload))
+  Alcotest.(check int) "final state complete" (chain) (List.length (Protocol.answers r))
 
 (* Mixed-operation stress: queries, inserts, consults, stats and ps
    interleaving from several sessions; nothing may error or wedge.
@@ -1883,8 +2021,7 @@ let test_assert_replays_on_write_lane () =
   | Error (c, m) -> Alcotest.fail ("bump: " ^ Protocol.code_string c ^ ": " ^ m));
   (* the mutation took effect and was committed as a new epoch *)
   let r = Session.handle s (Protocol.Query "seen(X)") in
-  Alcotest.(check int) "asserted fact visible" 1
-    (List.length (List.filter (function Protocol.Ans _ -> true | _ -> false) r.Protocol.payload));
+  Alcotest.(check int) "asserted fact visible" 1 (List.length (Protocol.answers r));
   Alcotest.(check bool) "mutating query bumped the epoch" true
     (Session.snapshot_epoch store > e0)
 
@@ -2159,6 +2296,7 @@ let () =
           Alcotest.test_case "bound serve path pinned, 4 lanes" `Quick
             test_bound_serve_path_parallel;
           Alcotest.test_case "doubles print losslessly" `Quick test_doubles_wire;
+          Alcotest.test_case "control bytes stay one line" `Quick test_control_bytes_one_line;
           Alcotest.test_case "explain analyze (wire)" `Quick test_explain_analyze_wire;
           Alcotest.test_case "metrics (wire)" `Quick test_metrics_wire;
           Alcotest.test_case "byte counters (wire)" `Quick test_byte_counters_wire;
@@ -2201,6 +2339,8 @@ let () =
           Alcotest.test_case "assert replays on write lane" `Quick
             test_assert_replays_on_write_lane;
           Alcotest.test_case "reads forward index misses" `Quick test_read_forwards_index_misses;
+          Alcotest.test_case "pinned readers across 50 commits" `Quick
+            test_pinned_readers_across_commits;
           Alcotest.test_case "unindexable relation forwards once" `Quick
             test_unindexable_forwards_once
         ] )

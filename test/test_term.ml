@@ -228,6 +228,32 @@ let test_printer_golden () =
       Alcotest.(check string) ("to_buffer appends " ^ want) ("=" ^ want) (Buffer.contents buf))
     printer_golden
 
+(* Ints print their digits straight into the buffer: the bytes must be
+   string_of_int's, at the edges of the range too. *)
+let test_int_digits () =
+  List.iter
+    (fun i ->
+      let buf = Buffer.create 8 in
+      Buffer.add_char buf '<';
+      Value.to_buffer buf (Value.Int i);
+      Alcotest.(check string) (string_of_int i) ("<" ^ string_of_int i) (Buffer.contents buf);
+      Alcotest.(check string) ("term " ^ string_of_int i) (string_of_int i)
+        (Term.to_string (Term.int i)))
+    [ 0; 1; -1; 9; 10; -10; 99; 100; 123456789; -987654321; max_int; min_int; max_int - 1;
+      min_int + 1 ]
+
+(* Any int prints as string_of_int does and parses back to itself. *)
+let prop_int_print_parse =
+  QCheck2.Test.make ~name:"ints round-trip through print and parse" ~count:1000
+    QCheck2.Gen.(oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int; 0 ] ])
+    (fun i ->
+      let text = Term.to_string (Term.int i) in
+      text = string_of_int i
+      &&
+      match Coral_lang.Parser.term text with
+      | Ok t -> Term.equal t (Term.int i)
+      | Error _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Bindenv & unification: the Figure 2 example                        *)
 (* ------------------------------------------------------------------ *)
@@ -403,7 +429,11 @@ let () =
         ]
         @ qcheck [ prop_hashcons_id_iff_equal ] );
       ("lists", [ Alcotest.test_case "round trips" `Quick test_lists ]);
-      ("printing", [ Alcotest.test_case "golden table" `Quick test_printer_golden ]);
+      ( "printing",
+        [ Alcotest.test_case "golden table" `Quick test_printer_golden;
+          Alcotest.test_case "int digits" `Quick test_int_digits
+        ]
+        @ qcheck [ prop_int_print_parse ] );
       ( "unify",
         [ Alcotest.test_case "figure 2" `Quick test_figure2;
           Alcotest.test_case "basic" `Quick test_unify_basic;
