@@ -118,7 +118,9 @@ val query_rows : t -> string -> Term.t array list
 
 val call : t -> string -> Term.t array -> Tuple.t Seq.t
 (** Direct call on a predicate with a pattern of constants and
-    variables (use {!Term.var} / {!var} for free positions). *)
+    variables (use {!Term.var} / {!var} for free positions); the
+    answers are collected when the call is made (see
+    {!Engine.call}). *)
 
 val exists : t -> string -> bool
 (** Does the query have at least one answer? *)

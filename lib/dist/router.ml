@@ -164,14 +164,16 @@ let replica_batches t (a : Plan.analysis) =
       List.iter
         (fun (sym, arity, rel) ->
           let name = Coral.Symbol.name sym in
+          let each f = Coral.Relation.iter rel ~from_mark:0 ~to_mark:(-1) ~pattern:None f in
           if List.mem (name, arity) a.Plan.idb then
-            Seq.iter
-              (fun tuple ->
+            each (fun tuple ->
                 Delta_codec.add_tuple seeds.(Partition.owner part tuple) name tuple;
-                incr seeded)
-              (Coral.Relation.scan rel ())
+                incr seeded;
+                true)
           else if not (String.contains name '@') then
-            Seq.iter (Delta_codec.add_tuple ~vars:true edb name) (Coral.Relation.scan rel ()))
+            each (fun tuple ->
+                Delta_codec.add_tuple ~vars:true edb name tuple;
+                true))
         (Coral.Engine.base_relations eng));
   edb, seeds, !seeded
 

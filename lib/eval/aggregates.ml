@@ -64,8 +64,13 @@ let combine op values =
       Term.list_of sorted
   end
 
+(* Groups come out in the order their first row came in, so answer
+   order depends on the rows alone, never on how the table hashes
+   their keys (term hashes mix symbol ids, which depend on the
+   process's interning history). *)
 let group ~plain_positions ~agg_positions ~arity matches =
   let groups : Term.t list array Term.ArrayTbl.t = Term.ArrayTbl.create 64 in
+  let first_seen = ref [] in
   (* key: plain columns; per group, one value list per aggregate column *)
   let nagg = List.length agg_positions in
   Seq.iter
@@ -77,17 +82,18 @@ let group ~plain_positions ~agg_positions ~arity matches =
         | None ->
           let c = Array.make nagg [] in
           Term.ArrayTbl.add groups key c;
+          first_seen := (key, c) :: !first_seen;
           c
       in
       List.iteri (fun j (pos, _) -> cell.(j) <- row.(pos) :: cell.(j)) agg_positions)
     matches;
-  Term.ArrayTbl.fold
-    (fun key cell acc ->
+  List.rev_map
+    (fun (key, cell) ->
       let out = Array.make arity Term.nil in
       List.iteri (fun k pos -> out.(pos) <- key.(k)) plain_positions;
-      List.iteri (fun j (pos, op) -> out.(pos) <- combine op cell.(j)) agg_positions;
-      out :: acc)
-    groups []
+      List.iteri (fun j (pos, op) -> out.(pos) <- combine op (List.rev cell.(j))) agg_positions;
+      out)
+    !first_seen
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate selections                                                *)

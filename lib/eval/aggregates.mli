@@ -29,7 +29,8 @@ val group :
   Term.t array list
 (** Group the resolved head-argument tuples of an aggregate rule's body
     matches and compute each aggregate column, returning one full-arity
-    tuple per group. *)
+    tuple per group, in the order the groups' first matches came; each
+    aggregate folds its group's values in match order. *)
 
 val selection_hook :
   pattern:Term.t array ->

@@ -659,11 +659,15 @@ let add_query_seed inst (plan : Optimizer.plan) (args : Term.t array) =
     ignore (Fixpoint.add_seed inst seed)
   | None -> ()
 
-let rec call_module t (m : Ast.module_) pred args env : Tuple.t Seq.t =
+(* Answer a call on a module, handing [f] each answer until it returns
+   false: a pipelined module's as they are derived, a lazy module's at
+   the end of every iteration (stepping again only while [f] wants
+   more), any other module's once its fixpoint is complete. *)
+let rec call_module t (m : Ast.module_) pred args env f =
   if t.call_depth > max_call_depth then
     raise (Engine_error "module call depth exceeded (recursive module invocation?)");
   let pipelined = List.mem Ast.Ann_pipelined m.Ast.annotations in
-  if pipelined then Pipeline.answers (rulebase_of t m) pred args env
+  if pipelined then Pipeline.answers (rulebase_of t m) pred args env f
   else begin
     let resolved = Array.map (fun a -> Unify.resolve a env) args in
     let adorn = adornment_of resolved in
@@ -688,21 +692,18 @@ let rec call_module t (m : Ast.module_) pred args env : Tuple.t Seq.t =
       add_query_seed inst plan resolved;
       let pattern = resolved, Bindenv.empty in
       if plan.Optimizer.lazy_eval then begin
-        (* answers surface at the end of every iteration *)
-        let rec go () : Tuple.t Seq.node =
-          Seq.append
-            (Fixpoint.new_answers inst ~pattern ())
-            (fun () ->
-              let progressed = protected_step t inst in
-              if progressed then go ()
-              else (Fixpoint.new_answers inst ~pattern ()) ())
-            ()
+        let rec go () =
+          if Seq.for_all f (Fixpoint.new_answers inst ~pattern ()) then begin
+            if protected_step t inst then go ()
+            else ignore (Seq.for_all f (Fixpoint.new_answers inst ~pattern ()))
+          end
         in
-        Seq.memoize go
+        go ()
       end
       else begin
         protected_run t inst;
-        Relation.scan (Fixpoint.answer_relation inst) ~pattern ()
+        Relation.iter (Fixpoint.answer_relation inst) ~from_mark:0 ~to_mark:(-1)
+          ~pattern:(Some pattern) f
       end
   end
 
@@ -729,18 +730,16 @@ and evaluate : 'a. t -> Fixpoint.t -> (Fixpoint.t -> 'a) -> 'a =
       if depth = 0 then t.eval_ns <- t.eval_ns + dt)
     (fun () -> f inst)
 
-(* A relation whose scans call another module: the uniform
+(* A relation whose reads call another module: the uniform
    get-next-tuple interface of section 5.6. *)
 and module_call_relation t (m : Ast.module_) pred arity =
-  let scan ~from_mark ~to_mark ~pattern =
-    ignore to_mark;
-    if from_mark > 0 then Seq.empty
-    else begin
+  let iter ~from_mark ~to_mark:_ ~pattern f =
+    if from_mark = 0 then begin
       match pattern with
-      | Some (args, env) -> call_module t m pred args env
+      | Some (args, env) -> call_module t m pred args env f
       | None ->
         let free = Array.init arity (fun i -> Term.var ~name:("Q" ^ string_of_int i) i) in
-        call_module t m pred free (Bindenv.create (max arity 1))
+        call_module t m pred free (Bindenv.create (max arity 1)) f
     end
   in
   Relation.v ~name:(Symbol.name pred) ~arity
@@ -752,11 +751,10 @@ and module_call_relation t (m : Ast.module_) pred arity =
       i_cardinal = (fun () -> 0);
       i_add_index = (fun _ -> ());
       i_indexes = (fun () -> []);
-      i_scan = scan;
-      i_iter = Relation.iter_of_scan scan;
+      i_iter = iter;
       i_mem = (fun _ -> false);
       i_clear = (fun () -> ());
-      (* a scan runs a whole module evaluation against live engine
+      (* a read runs a whole module evaluation against live engine
          state; there is no immutable view to capture *)
       i_freeze = (fun () -> None)
     }
@@ -1098,18 +1096,23 @@ let matches args =
 
 let call t pred args =
   let arity = Array.length args in
-  let filter seq = Seq.filter (matches args) seq in
-  match module_of_pred t pred arity with
+  let hit = matches args and rows = ref [] in
+  let keep tuple =
+    if hit tuple then rows := tuple :: !rows;
+    true
+  in
+  let pattern = Some (args, Bindenv.empty) in
+  (match module_of_pred t pred arity with
   | Some m -> begin
     match extent_of t pred arity with
-    | Some ext -> filter (Relation.scan ext ~pattern:(args, Bindenv.empty) ())
-    | None -> filter (call_module t m pred args Bindenv.empty)
+    | Some ext -> Relation.iter ext ~from_mark:0 ~to_mark:(-1) ~pattern keep
+    | None -> call_module t m pred args Bindenv.empty keep
   end
-  | None -> begin
-    match Hashtbl.find_opt t.base (key pred arity) with
-    | Some rel -> filter (Relation.scan rel ~pattern:(args, Bindenv.empty) ())
-    | None -> Seq.empty
-  end
+  | None ->
+    Option.iter
+      (fun rel -> Relation.iter rel ~from_mark:0 ~to_mark:(-1) ~pattern keep)
+      (Hashtbl.find_opt t.base (key pred arity)));
+  List.to_seq (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Consulting program text                                            *)
@@ -1268,13 +1271,13 @@ let why t src =
           end
         in
         let count = ref 0 and hit = matches a.Ast.args in
-        Seq.iter
-          (fun (tuple : Tuple.t) ->
+        Relation.iter (Fixpoint.answer_relation inst) ~from_mark:0 ~to_mark:(-1)
+          ~pattern:(Some (a.Ast.args, Bindenv.empty)) (fun tuple ->
             if hit tuple && !count < 5 then begin
               incr count;
               render "" ms.Module_struct.code.Module_struct.answer_slot tuple []
-            end)
-          (Relation.scan (Fixpoint.answer_relation inst) ~pattern:(a.Ast.args, Bindenv.empty) ());
+            end;
+            !count < 5);
         if !count = 0 then
           Ok
             (Printf.sprintf "no derivation: %s is not among the answers of module %s.\n" lit
@@ -1367,13 +1370,13 @@ let explain_analyze t src =
                 (fun n (_, (p : Module_struct.rule_prof)) -> n + p.Module_struct.rp_visited)
                 0 rules));
         (* matching answers vs. everything the answer relation holds *)
-        let matching =
-          Seq.length
-            (Seq.filter (matches a.Ast.args)
-               (Relation.scan (Fixpoint.answer_relation inst) ~pattern:(a.Ast.args, Bindenv.empty) ()))
-        in
+        let matching = ref 0 and hit = matches a.Ast.args in
+        Relation.iter (Fixpoint.answer_relation inst) ~from_mark:0 ~to_mark:(-1)
+          ~pattern:(Some (a.Ast.args, Bindenv.empty)) (fun tuple ->
+            if hit tuple then incr matching;
+            true);
         Buffer.add_string buf
-          (Printf.sprintf "answers: %d matching of %d stored, total time %s\n" matching
+          (Printf.sprintf "answers: %d matching of %d stored, total time %s\n" !matching
              (Relation.cardinal (Fixpoint.answer_relation inst))
              (fmt_ns elapsed));
         Ok (Buffer.contents buf)

@@ -2,20 +2,23 @@
     inter-module calls (paper sections 2, 5.6).
 
     Every relation — base, derived-by-rules, persistent, or defined by a
-    host-language function — presents the same scan interface, and a
-    literal over another module's export is compiled to a relation whose
-    scan sets up a call on that module: "the calling module will wait
+    host-language function — presents the same read interface
+    ({!Coral_rel.Relation.iter}), and a literal over another module's
+    export is compiled to a relation whose read sets up a call on that
+    module: "the calling module will wait
     until the called module returns answers to the subquery ... this is
     independent of the evaluation modes of the two modules involved."
 
     A call on a materialized module plans the query form (adornment
     derived from the actual bindings), compiles the rewritten program,
     seeds the magic predicate with the query constants, runs the chosen
-    fixpoint, and scans the answers; intermediate state is discarded
-    when the call ends unless the module was declared [@save_module], in
-    which case the instance persists and later calls continue
-    incrementally.  A call on a [@pipelined] module resumes a frozen
-    top-down computation per answer. *)
+    fixpoint, and hands the reader the answers; intermediate state is
+    discarded when the call ends unless the module was declared
+    [@save_module], in which case the instance persists and later calls
+    continue incrementally.  A [@lazy_eval] module hands over each
+    iteration's new answers and iterates again only while the reader
+    wants more; a [@pipelined] module hands over each answer as its
+    top-down search finds it, and the reader can stop the search. *)
 
 open Coral_term
 open Coral_lang
@@ -185,7 +188,9 @@ val query_string : t -> string -> query_result
 val call : t -> Symbol.t -> Term.t array -> Tuple.t Seq.t
 (** A direct call on an exported or base predicate with a pattern of
     constants and variables: the host-API equivalent of a module call.
-    Returned tuples are the matching stored/derived facts. *)
+    Returned tuples are the matching stored/derived facts, collected
+    when [call] is applied: the sequence is not lazy, so a call on a
+    [@lazy_eval] or [@pipelined] module runs to completion first. *)
 
 val consult : t -> string -> (Ast.literal list * query_result) list
 (** Load program text: facts, modules, clauses; queries are evaluated

@@ -386,7 +386,7 @@ let eval_agg_rule t (rule : crule) =
   let grouped =
     Aggregates.group ~plain_positions:rule.plain_positions ~agg_positions:rule.agg_positions
       ~arity:(Array.length rule.head_args)
-      (List.to_seq !rows)
+      (List.to_seq (List.rev !rows))
   in
   List.iter
     (fun row ->

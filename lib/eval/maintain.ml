@@ -190,9 +190,9 @@ let refresh t =
       if is_ext then
         Option.iter
           (fun rel ->
-            Seq.iter
-              (fun (tu : Tuple.t) -> grow s (Tuple.of_terms tu.Tuple.terms))
-              (Relation.scan rel ()))
+            Relation.iter rel ~from_mark:0 ~to_mark:(-1) ~pattern:None (fun (tu : Tuple.t) ->
+                grow s (Tuple.of_terms tu.Tuple.terms);
+                true))
           (stored t s))
     t.kernel.is_ext;
   (* round 0: one naive full pass per rule (covers bodies over pure-EDB
@@ -306,9 +306,9 @@ let retract t facts =
     Array.iteri
       (fun s o ->
         if o then
-          Seq.iter
-            (fun tu -> deleted := !deleted + delete_exact (full s) tu)
-            (Relation.scan_quiet cand.(s) ()))
+          Relation.iter_quiet cand.(s) ~from_mark:0 ~to_mark:(-1) ~pattern:None (fun tu ->
+              deleted := !deleted + delete_exact (full s) tu;
+              true))
       over;
     (* rederivation: an over-deleted tuple with alternative support — a
        surviving base fact, or a match of a support activation over the
@@ -326,9 +326,9 @@ let retract t facts =
         if o then begin
           Option.iter
             (fun base ->
-              Seq.iter
-                (fun tu -> if Relation.mem base tu then restore s tu)
-                (Relation.scan_quiet cand.(s) ()))
+              Relation.iter_quiet cand.(s) ~from_mark:0 ~to_mark:(-1) ~pattern:None (fun tu ->
+                  if Relation.mem base tu then restore s tu;
+                  true))
             (stored t s);
           List.iter (fun rule -> Delta_kernel.run k rule restore) support.(s)
         end)

@@ -79,15 +79,15 @@ let solve rb lits ~nvars:_ ~env k =
        uniform scan interface) *)
     (match rb.relation_of a.Ast.pred arity with
     | Some rel ->
-      Seq.iter
+      Relation.iter rel ~from_mark:0 ~to_mark:(-1) ~pattern:(Some (a.Ast.args, env))
         (fun (tuple : Tuple.t) ->
           let m = Trail.mark tr in
           let tenv =
             if tuple.Tuple.nvars = 0 then Bindenv.empty else Bindenv.create tuple.Tuple.nvars
           in
           if Unify.unify_arrays tr a.Ast.args env tuple.Tuple.terms tenv then k ();
-          Trail.undo_to tr m)
-        (Relation.scan rel ~pattern:(a.Ast.args, env) ())
+          Trail.undo_to tr m;
+          true)
     | None -> ());
     (match rb.foreign_of a.Ast.pred arity with
     | Some f ->
@@ -112,41 +112,16 @@ let solve rb lits ~nvars:_ ~env k =
   in
   solve_lits lits env k
 
-(* ------------------------------------------------------------------ *)
-(* Frozen computations: effect-based generator                        *)
-(* ------------------------------------------------------------------ *)
-
-type _ Effect.t += Yield : Tuple.t -> unit Effect.t
-
-let generator (produce : yield:(Tuple.t -> unit) -> unit) : Tuple.t Seq.t =
-  let open Effect.Deep in
-  let start () =
-    match_with
-      (fun () -> produce ~yield:(fun t -> Effect.perform (Yield t)))
-      ()
-      { retc = (fun () -> Seq.Nil);
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Yield t ->
-              Some
-                (fun (k : (a, _) continuation) -> Seq.Cons (t, fun () -> continue k ()))
-            | _ -> None)
-      }
-  in
-  (* memoized: resuming a one-shot continuation twice is an error, and
-     consumers may legitimately share the sequence *)
-  Seq.memoize (fun () -> start ())
-
-let answers rb pred args env =
-  (* The query pattern is canonicalized into the generator's own
-     variable space so a suspension cannot be affected by caller-side
-     backtracking between pulls. *)
+let answers rb pred args env f =
+  (* The query pattern is canonicalized into the producer's own
+     variable space, so its answers do not depend on the caller's
+     environment, which the consumer binds and unbinds per answer. *)
   let snapshot, nvars = Unify.canonicalize args env in
-  generator (fun ~yield ->
-      let genv = Bindenv.create (max nvars 1) in
-      solve rb
-        [ Ast.Pos { Ast.pred; args = snapshot } ]
-        ~nvars ~env:genv
-        (fun () -> yield (Tuple.make snapshot genv)))
+  let genv = Bindenv.create (max nvars 1) in
+  let exception Stop in
+  try
+    solve rb
+      [ Ast.Pos { Ast.pred; args = snapshot } ]
+      ~nvars ~env:genv
+      (fun () -> if not (f (Tuple.make snapshot genv)) then raise Stop)
+  with Stop -> ()

@@ -4,10 +4,11 @@
     interface, it generates an answer (if there is one) and transfers
     control back to the consumer of answers.  Control is transferred
     back to the (suspended) rule evaluation when more answers are
-    desired."  The suspension is implemented with OCaml effect handlers:
-    the producer performs a [Yield] effect per answer and its
-    continuation is stored in the sequence node — a frozen computation
-    in the paper's sense.
+    desired."  Here the consumer is a callback: the producer hands it
+    each answer as it is found and carries on only if the callback asks
+    for more, so the rest of the computation waits on the stack instead
+    of in a stored continuation, and a consumer that has seen enough
+    stops the producer.
 
     Rules are tried in the order they appear in the module; body
     literals run left to right; negation is negation-as-failure.  Facts
@@ -35,9 +36,10 @@ val solve :
 (** Depth-first resolution of a renumbered literal list; the
     continuation runs once per solution with the bindings in [env]. *)
 
-val answers : rulebase -> Symbol.t -> Term.t array -> Bindenv.t -> Tuple.t Seq.t
-(** Lazy answers to a single-predicate query: each pull resumes the
-    frozen computation until the next answer.  The sequence is
-    memoized, so it can be shared and re-traversed. *)
+val answers :
+  rulebase -> Symbol.t -> Term.t array -> Bindenv.t -> (Tuple.t -> bool) -> unit
+(** [answers rb pred args env f] hands [f] the answers to a
+    single-predicate query, each as soon as it is derived, until [f]
+    returns false, which abandons the rest of the search. *)
 
 exception Pipeline_error of string

@@ -189,14 +189,14 @@ let rec iter_from subs s last gen pos key top_n top_var top_keyed f =
     if more then iter_from subs (s + 1) last gen pos key top_n top_var top_keyed f
   end
 
-(* The join kernel's read path: hand [f] the candidates of subsidiaries
+(* The relation's read path: hand [f] the candidates of subsidiaries
    [first, last) visible at [gen], oldest subsidiary first, until [f]
    returns false.  A pattern probes, in every subsidiary, the first
    index whose positions it binds (each subsidiary carries one store
    per spec, in spec order); without one, subsidiaries hand out their
    arrays.  [f] may insert into this relation, which extends only the
    open subsidiary, so the extent of the last one is read before the
-   first candidate, as a [scan] snapshots it when opened. *)
+   first candidate: the call reads the extent it started with. *)
 let rec probe_from subs first last gen top args env pos stores f =
   match stores with
   | [] -> iter_from subs first last gen (-1) 0 top.n [] [] f
@@ -240,53 +240,18 @@ let create ?(indexes = []) ~name ~arity () =
       true
     end
   in
-  let rec seq_array arr limit i () =
-    if i >= limit then Seq.Nil else Seq.Cons (arr.(i), seq_array arr limit (i + 1))
-  in
-  let candidates ~tuples ~stores ~limit ~pattern =
-    match pattern with
-    | Some (args, env) ->
-      let rec try_stores = function
-        | [] -> None
-        | store :: rest -> begin
-          match Index.probe store args env with
-          | Some found -> Some found
-          | None -> try_stores rest
-        end
-      in
-      (match try_stores stores with
-      | Some found -> List.to_seq found
-      | None -> seq_array tuples limit 0)
-    | None -> seq_array tuples limit 0
-  in
-  let candidates_of_sub sub ~pattern ~snapshot =
-    candidates ~tuples:sub.tuples ~stores:sub.stores ~limit:snapshot ~pattern
-  in
-  let scan ~from_mark ~to_mark ~pattern =
-    let last = if to_mark < 0 then st.nsubs else min to_mark st.nsubs in
-    let from_mark = max 0 from_mark in
-    (* Snapshot each subsidiary's length now: tuples inserted after the
-       scan opens are not seen (mark semantics for the open interval). *)
-    let parts = ref [] in
-    for s = last - 1 downto from_mark do
-      let sub = st.subs.(s) in
-      if sub.n > 0 then parts := candidates_of_sub sub ~pattern ~snapshot:sub.n :: !parts
-    done;
-    Seq.filter Tuple.live (List.fold_right Seq.append !parts Seq.empty)
-  in
   let iter ~from_mark ~to_mark ~pattern f =
     let last = if to_mark < 0 then st.nsubs else min to_mark st.nsubs in
     iter_subs st.subs (max 0 from_mark) last ~gen:Tuple.live_gen ~pattern f
   in
   let delete ~pattern pred =
     let count = ref 0 in
-    Seq.iter
-      (fun t ->
+    iter ~from_mark:0 ~to_mark:(-1) ~pattern (fun t ->
         if pred t then begin
           kill st t;
           incr count
-        end)
-      (scan ~from_mark:0 ~to_mark:(-1) ~pattern);
+        end;
+        true);
     !count
   in
   let impl =
@@ -314,7 +279,6 @@ let create ?(indexes = []) ~name ~arity () =
             done
           end);
       i_indexes = (fun () -> st.specs);
-      i_scan = scan;
       i_iter = iter;
       i_mem = (fun tuple -> is_duplicate st tuple);
       i_freeze =
@@ -340,26 +304,18 @@ let create ?(indexes = []) ~name ~arity () =
                 let sub = st.subs.(s) in
                 { tuples = sub.tuples; n = sub.n; stores = sub.stores; live = sub.live })
           in
-          let f_scan ~pattern =
-            let parts = ref [] in
-            for s = nsealed - 1 downto 0 do
-              let sub = snaps.(s) in
-              if sub.n > 0 then
-                parts :=
-                  candidates ~tuples:sub.tuples ~stores:sub.stores ~limit:sub.n ~pattern :: !parts
-            done;
-            Seq.filter
-              (fun (t : Tuple.t) -> Tuple.visible t gen)
-              (List.fold_right Seq.append !parts Seq.empty)
-          in
           let f_iter ~pattern f = iter_subs snaps 0 nsealed ~gen ~pattern f in
           let f_mem (tuple : Tuple.t) =
             let pattern =
               if Tuple.is_ground tuple then Some (tuple.Tuple.terms, Bindenv.empty) else None
             in
-            Seq.exists (fun ex -> Tuple.subsumes ex tuple) (f_scan ~pattern)
+            let found = ref false in
+            f_iter ~pattern (fun ex ->
+                found := Tuple.subsumes ex tuple;
+                not !found);
+            !found
           in
-          Some { Relation.f_scan; f_iter; f_mem; f_cardinal = st.live; f_indexes = st.specs });
+          Some { Relation.f_iter; f_mem; f_cardinal = st.live; f_indexes = st.specs });
       i_clear =
         (fun () ->
           st.subs <- Array.make 4 dummy_sub;
@@ -371,7 +327,8 @@ let create ?(indexes = []) ~name ~arity () =
     }
   in
   let r = Relation.v ~name ~arity impl in
-  (* Scans snapshot subsidiary lengths and arrays only grow by copy, so
-     readers on other domains are safe while the owner inserts. *)
+  (* A read fixes the open subsidiary's extent when it starts and arrays
+     only grow by copy, so readers on other domains are safe while the
+     owner inserts. *)
   r.Relation.scan_safe <- true;
   r

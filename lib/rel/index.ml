@@ -134,8 +134,4 @@ let rec iter_list gen f = function
 let iter_candidates ~gen ~var ~keyed f =
   (match var with [] -> true | _ :: _ -> iter_list gen f (List.rev var)) && iter_list gen f keyed
 
-let probe idx pattern env =
-  let k = key idx pattern env in
-  if k < 0 then None else Some (List.rev_append idx.var_bucket (keyed idx k))
-
 let cardinal idx = idx.count

@@ -37,16 +37,12 @@ val create : spec -> t
 
 val insert : t -> Tuple.t -> unit
 
-val probe : t -> Term.t array -> Bindenv.t -> Tuple.t list option
-(** [probe idx pattern env] returns the candidate tuples for a query
-    pattern — the matching key bucket plus the [var] bucket — or [None]
-    when the pattern is not ground at every indexed position (the index
-    cannot be used and the caller must scan).  Candidates are a
-    superset of the matching tuples and must still be unified. *)
-
 val key : t -> Term.t array -> Bindenv.t -> int
-(** The bucket key {!probe} would read for this pattern, or -1 when
-    the index cannot be used (keys are never negative). *)
+(** The bucket key a probe for this pattern reads, or -1 when the
+    pattern is not ground at every indexed position and the index
+    cannot be used (keys are never negative).  A probe's candidates are
+    the key's bucket plus the [var] bucket: a superset of the matching
+    tuples, which the caller must still unify. *)
 
 val keyed : t -> int -> Tuple.t list
 (** The tuples stored under a key, newest first (without the [var]
@@ -58,8 +54,8 @@ val var_bucket : t -> Tuple.t list
 val iter_candidates :
   gen:int -> var:Tuple.t list -> keyed:Tuple.t list -> (Tuple.t -> bool) -> bool
 (** Hand [f] the candidates of a captured [var] bucket and key bucket
-    that are visible at [gen] (see {!Tuple.visible}), in {!probe}'s
-    order (the [var] bucket oldest first, then the key bucket newest
-    first), until it returns false; false when it stopped. *)
+    that are visible at [gen] (see {!Tuple.visible}), in probe order
+    (the [var] bucket oldest first, then the key bucket newest first),
+    until it returns false; false when it stopped. *)
 
 val cardinal : t -> int

@@ -3,6 +3,22 @@ type state = {
   mutable live : int;
 }
 
+(* Hand [f] the tuples of the intervals [\[from_mark, to_mark)] visible
+   at [gen], oldest interval first and oldest tuple first, until it
+   returns false.  The interval lists are immutable, so a read never
+   sees tuples inserted after it started. *)
+let iter_intervals gen intervals ~from_mark ~to_mark f =
+  let oldest_first = List.rev intervals in
+  let total = List.length oldest_first in
+  let last = if to_mark < 0 then total else min to_mark total in
+  let rec go i = function
+    | l :: rest when i < last ->
+      if i < from_mark || List.for_all (fun t -> (not (Tuple.visible t gen)) || f t) (List.rev l)
+      then go (i + 1) rest
+    | _ -> ()
+  in
+  go 0 oldest_first
+
 let create ~name ~arity () =
   let st = { intervals = [ [] ]; live = 0 } in
   let all_live () =
@@ -23,17 +39,6 @@ let create ~name ~arity () =
       st.live <- st.live + 1;
       true
     end
-  in
-  let scan ~from_mark ~to_mark ~pattern =
-    ignore pattern;
-    let oldest_first = List.rev st.intervals in
-    let total = List.length oldest_first in
-    let last = if to_mark < 0 then total else min to_mark total in
-    let selected = List.filteri (fun i _ -> i >= from_mark && i < last) oldest_first in
-    (* Snapshot: lists are immutable once captured, so a scan never sees
-       tuples inserted after it was opened. *)
-    let parts = List.map (fun l -> List.to_seq (List.rev l)) selected in
-    Seq.filter Tuple.live (List.fold_right Seq.append parts Seq.empty)
   in
   let impl =
     { Relation.i_insert = insert;
@@ -64,8 +69,9 @@ let create ~name ~arity () =
       i_cardinal = (fun () -> st.live);
       i_add_index = (fun _ -> ());
       i_indexes = (fun () -> []);
-      i_scan = scan;
-      i_iter = Relation.iter_of_scan scan;
+      i_iter =
+        (fun ~from_mark ~to_mark ~pattern:_ f ->
+          iter_intervals Tuple.live_gen st.intervals ~from_mark ~to_mark f);
       i_mem =
         (fun tuple ->
           List.exists
@@ -82,20 +88,15 @@ let create ~name ~arity () =
           | _ -> st.intervals <- [] :: st.intervals);
           let captured = st.intervals in
           let gen = Tuple.freeze_generation () in
-          let f_scan ~pattern:_ =
-            let parts = List.rev_map (fun l -> List.to_seq (List.rev l)) captured in
-            Seq.filter
-              (fun (t : Tuple.t) -> Tuple.visible t gen)
-              (List.fold_right Seq.append parts Seq.empty)
-          in
-          let f_iter ~pattern f =
-            Relation.iter_of_scan (fun ~from_mark:_ ~to_mark:_ ~pattern -> f_scan ~pattern)
-              ~from_mark:0 ~to_mark:(-1) ~pattern f
-          in
+          let f_iter ~pattern:_ f = iter_intervals gen captured ~from_mark:0 ~to_mark:(-1) f in
           let f_mem tuple =
-            Seq.exists (fun ex -> Tuple.subsumes ex tuple) (f_scan ~pattern:None)
+            let found = ref false in
+            f_iter ~pattern:None (fun ex ->
+                found := Tuple.subsumes ex tuple;
+                not !found);
+            !found
           in
-          Some { Relation.f_scan; f_iter; f_mem; f_cardinal = st.live; f_indexes = [] });
+          Some { Relation.f_iter; f_mem; f_cardinal = st.live; f_indexes = [] });
       i_clear =
         (fun () ->
           st.intervals <- [ [] ];
@@ -103,6 +104,6 @@ let create ~name ~arity () =
     }
   in
   let r = Relation.v ~name ~arity impl in
-  (* Interval lists are immutable once captured by a scan. *)
+  (* Interval lists are immutable once captured by a read. *)
   r.Relation.scan_safe <- true;
   r

@@ -19,8 +19,6 @@ and impl = {
   i_cardinal : unit -> int;
   i_add_index : Index.spec -> unit;
   i_indexes : unit -> Index.spec list;
-  i_scan :
-    from_mark:int -> to_mark:int -> pattern:(Term.t array * Bindenv.t) option -> Tuple.t Seq.t;
   i_iter :
     from_mark:int ->
     to_mark:int ->
@@ -44,7 +42,6 @@ and stats = {
    any lock — the snapshot layer publishes the view through an atomic,
    which gives the happens-before edge for every captured cell. *)
 and frozen = {
-  f_scan : pattern:(Term.t array * Bindenv.t) option -> Tuple.t Seq.t;
   f_iter : pattern:(Term.t array * Bindenv.t) option -> (Tuple.t -> bool) -> unit;
   f_mem : Tuple.t -> bool;
   f_cardinal : int;
@@ -105,31 +102,25 @@ let mark r = r.impl.i_mark ()
 let marks r = r.impl.i_marks ()
 let cardinal r = r.impl.i_cardinal ()
 
-let scan r ?(from_mark = 0) ?(to_mark = -1) ?pattern () =
-  r.stats.scans <- r.stats.scans + 1;
-  incr g_scans;
-  r.impl.i_scan ~from_mark ~to_mark ~pattern
-
-(* Uncounted scan for parallel workers: the stats cells are plain
-   mutable ints owned by the merge thread, so workers count their scans
-   in task-local arrays and the merge flushes them via [note_scans]. *)
-let scan_quiet r ?(from_mark = 0) ?(to_mark = -1) ?pattern () =
-  r.impl.i_scan ~from_mark ~to_mark ~pattern
-
 let iter r ~from_mark ~to_mark ~pattern f =
   r.stats.scans <- r.stats.scans + 1;
   incr g_scans;
   r.impl.i_iter ~from_mark ~to_mark ~pattern f
 
+(* Uncounted iteration for parallel workers: the stats cells are plain
+   mutable ints owned by the merge thread, so workers count their scans
+   in task-local arrays and the merge flushes them via [note_scans]. *)
 let iter_quiet r ~from_mark ~to_mark ~pattern f = r.impl.i_iter ~from_mark ~to_mark ~pattern f
 
-let iter_of_scan scan ~from_mark ~to_mark ~pattern f =
-  let rec go seq =
-    match seq () with
-    | Seq.Nil -> ()
-    | Seq.Cons (t, rest) -> if f t then go rest
-  in
-  go (scan ~from_mark ~to_mark ~pattern)
+let collect r ~from_mark ~to_mark ~pattern =
+  let acc = ref [] in
+  iter r ~from_mark ~to_mark ~pattern (fun t ->
+      acc := t :: !acc;
+      true);
+  List.rev !acc
+
+let scan r ?(from_mark = 0) ?(to_mark = -1) ?pattern () =
+  List.to_seq (collect r ~from_mark ~to_mark ~pattern)
 
 let note_scans r n =
   r.stats.scans <- r.stats.scans + n;
@@ -143,7 +134,7 @@ let note_visited n = g_visited := !g_visited + n
 
 let mem r tuple = r.impl.i_mem tuple
 
-let to_list r = List.of_seq (scan r ())
+let to_list r = collect r ~from_mark:0 ~to_mark:(-1) ~pattern:None
 let add_index r spec = r.impl.i_add_index spec
 let indexes r = r.impl.i_indexes ()
 let clear r = r.impl.i_clear ()
@@ -175,9 +166,6 @@ let freeze ?on_miss r =
             if not (List.exists (Index.spec_equal spec) fz.f_indexes) then
               Option.iter (fun forward -> forward spec) on_miss);
         i_indexes = (fun () -> fz.f_indexes);
-        i_scan =
-          (fun ~from_mark ~to_mark:_ ~pattern ->
-            if from_mark > 0 then Seq.empty else fz.f_scan ~pattern);
         i_iter = (fun ~from_mark ~to_mark:_ ~pattern f -> if from_mark = 0 then fz.f_iter ~pattern f);
         i_mem = fz.f_mem;
         i_clear = (fun () -> read_only ());
@@ -191,4 +179,4 @@ let freeze ?on_miss r =
 
 let pp ppf r =
   Format.fprintf ppf "@[<v>%s/%d (%d tuples)@,@]" r.name r.arity (cardinal r);
-  Seq.iter (fun t -> Format.fprintf ppf "%s%a@," r.name Tuple.pp t) (scan r ())
+  List.iter (fun t -> Format.fprintf ppf "%s%a@," r.name Tuple.pp t) (to_list r)

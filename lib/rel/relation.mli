@@ -1,8 +1,10 @@
 (** The generic relation interface (paper sections 3, 5.6, 7.2).
 
     Everything the query evaluation system knows about a relation goes
-    through this interface: insert, delete, marks, and scans that hand
-    out tuples one at a time.  Base relations, derived relations,
+    through this interface: insert, delete, marks, and one read
+    primitive, {!iter}, which pushes candidate tuples one at a time to
+    a callback that can stop it (the paper's get-next-tuple, with the
+    consumer's continuation in place of a cursor).  Base relations, derived relations,
     persistent relations and foreign (host-function) relations all
     implement it, which is what lets modules with different evaluation
     strategies interact transparently ("the 'get-next-tuple' interface
@@ -49,19 +51,18 @@ and impl = {
   i_cardinal : unit -> int;
   i_add_index : Index.spec -> unit;
   i_indexes : unit -> Index.spec list;
-  i_scan :
-    from_mark:int -> to_mark:int -> pattern:(Term.t array * Bindenv.t) option -> Tuple.t Seq.t;
   i_iter :
     from_mark:int ->
     to_mark:int ->
     pattern:(Term.t array * Bindenv.t) option ->
     (Tuple.t -> bool) ->
     unit;
-      (** The candidates [i_scan] would hand out, in the same order,
-          passed to the callback until it returns false: the join
-          kernel's read path, which allocates nothing per candidate
-          where the store is walked directly (see {!iter_of_scan} for
-          stores that are not) *)
+      (** The store's one read path: hand the callback the live
+          candidates of the mark interval (see {!iter}) until it
+          returns false.  The extent is fixed when the call starts:
+          the callback may insert into the relation, and those tuples
+          are not handed out; a tuple deleted before it is reached is
+          skipped (a frozen view keeps seeing it, see {!freeze}). *)
   i_mem : Tuple.t -> bool;
       (** Read-only duplicate test: would inserting this tuple be
           rejected as a duplicate (equal or subsumed by a live tuple)?
@@ -77,11 +78,10 @@ and impl = {
 
 (** An immutable snapshot of a relation's contents at freeze time.
     Every cell a frozen view can reach was written before the freeze
-    completed, so scans from other domains need no lock once the view
+    completed, so reads from other domains need no lock once the view
     has been published through an atomic (the snapshot manager's epoch
     publication provides that happens-before edge). *)
 and frozen = {
-  f_scan : pattern:(Term.t array * Bindenv.t) option -> Tuple.t Seq.t;
   f_iter : pattern:(Term.t array * Bindenv.t) option -> (Tuple.t -> bool) -> unit;
   f_mem : Tuple.t -> bool;
   f_cardinal : int;
@@ -123,18 +123,6 @@ val mark : t -> int
 val marks : t -> int
 val cardinal : t -> int
 
-val scan : t -> ?from_mark:int -> ?to_mark:int -> ?pattern:Term.t array * Bindenv.t -> unit -> Tuple.t Seq.t
-(** Live tuples inserted in the mark interval [\[from_mark, to_mark)]
-    ([to_mark = -1], the default, means "through now").  When a
-    [pattern] is supplied and an index covers it, candidates come from
-    an index probe; they are a superset of the matching tuples and the
-    caller unifies. *)
-
-val scan_quiet : t -> ?from_mark:int -> ?to_mark:int -> ?pattern:Term.t array * Bindenv.t -> unit -> Tuple.t Seq.t
-(** [scan] without touching the (unsynchronized) stats counters: used by
-    parallel workers, which count scans in task-local arrays flushed
-    later via {!note_scans}. *)
-
 val iter :
   t ->
   from_mark:int ->
@@ -142,10 +130,14 @@ val iter :
   pattern:(Term.t array * Bindenv.t) option ->
   (Tuple.t -> bool) ->
   unit
-(** [scan]'s candidates over the same interval, in its order, handed to
-    the callback until it returns false; counts one scan.  The join
-    kernel's read path (the arguments are not optional, so a call
-    allocates nothing). *)
+(** Hand the callback the live tuples inserted in the mark interval
+    [\[from_mark, to_mark)] ([to_mark = -1] means "through now"), oldest
+    subsidiary first, until it returns false; counts one scan.  When a
+    [pattern] is supplied and an index covers it, candidates come from
+    an index probe (the [var] bucket oldest first, then the key's bucket
+    newest first); they are a superset of the matching tuples and the
+    caller unifies.  The arguments are not optional, so a call
+    allocates nothing. *)
 
 val iter_quiet :
   t ->
@@ -154,19 +146,16 @@ val iter_quiet :
   pattern:(Term.t array * Bindenv.t) option ->
   (Tuple.t -> bool) ->
   unit
-(** [iter] without touching the stats counters (see {!scan_quiet}). *)
+(** [iter] without touching the (unsynchronized) stats counters: used
+    by parallel workers, which count scans in task-local arrays flushed
+    later via {!note_scans}, and by evaluator-private scratch
+    relations. *)
 
-val iter_of_scan :
-  (from_mark:int ->
-  to_mark:int ->
-  pattern:(Term.t array * Bindenv.t) option ->
-  Tuple.t Seq.t) ->
-  from_mark:int ->
-  to_mark:int ->
-  pattern:(Term.t array * Bindenv.t) option ->
-  (Tuple.t -> bool) ->
-  unit
-(** An [i_iter] for a store that only implements [i_scan]. *)
+val scan : t -> ?from_mark:int -> ?to_mark:int -> ?pattern:Term.t array * Bindenv.t -> unit -> Tuple.t Seq.t
+(** {!iter}'s candidates as a sequence, for tests, tools and cursors:
+    they are collected when the scan opens (one scan counted), so the
+    sequence is a snapshot — later inserts and deletes do not change
+    it. *)
 
 val mem : t -> Tuple.t -> bool
 (** Read-only duplicate test (see [impl.i_mem]). *)
@@ -185,7 +174,7 @@ val note_visited : int -> unit
 
 val freeze : ?on_miss:(Index.spec -> unit) -> t -> t option
 (** An immutable, read-only view of this relation's current sealed
-    contents, wrapped back into the uniform interface: scans (index
+    contents, wrapped back into the uniform interface: reads (index
     probes included) see exactly the tuples present at freeze time:
     never anything inserted later, and every tuple deleted later (see
     {!Tuple.visible}); writes raise.  Mark semantics match

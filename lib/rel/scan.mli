@@ -2,11 +2,11 @@
 
     "The query evaluation system has a well defined 'get-next-tuple'
     interface with the data manager for access to relations" (paper
-    section 2).  A scan wraps any tuple sequence — a base relation scan,
-    an index probe, or a derived relation's lazily produced answers —
-    behind a cursor with [next], the analogue of CORAL's [C_ScanDesc]
-    and of an SQL cursor.  Multiple scans over one relation are
-    independent. *)
+    section 2).  A scan wraps any tuple sequence — typically
+    {!Relation.scan}'s snapshot of a relation's candidates — behind a
+    cursor with [next], the analogue of CORAL's [C_ScanDesc] and of an
+    SQL cursor.  Multiple scans over one relation are independent.
+    The engine itself reads relations through {!Relation.iter}. *)
 
 open Coral_term
 

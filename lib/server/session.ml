@@ -551,62 +551,76 @@ let commit store f =
       Coral.drop_saved store.sdb;
       r)
 
-let do_query t text =
+(* The read lane of query, why, explain and explain analyze.  The
+   request pins the current version for its whole run.  With a
+   lock-free snapshot view, it is prepared against a read view and
+   evaluated on the read pool; any index specs its compile asked for
+   are then forwarded, and it replays on the write lane if it [writes]
+   or an update predicate fired inside a module rule (the read view
+   mutated nothing).  Without one (persistent relations), it is
+   prepared and evaluated on the locked lane.  [eval] gets the pinned
+   epoch, the database to read and the lane to run on. *)
+let read_lane t ?(writes = fun _ -> false) ~prepare eval =
   let store = t.store in
   let version = Snapshot.pin store.snap in
   Fun.protect ~finally:(fun () -> Snapshot.release version)
   @@ fun () ->
   let epoch = Snapshot.version_epoch version in
-  let run ~dbv ~wrap (lits, tag, prepared) =
-    let plan_cache =
-      match tag with `Hit -> "hit" | `Miss -> "miss" | `Unplanned -> "unplanned"
-    in
-    evaluated t ~dbv ~epoch ~wrap ~kind:"query" ~adorned:(adorned_of_lits lits) ~plan_cache
-      text
-      ~rows_of:snd
-      (fun () ->
-        let buf = reply_buffer t and n = ref 0 in
-        Coral.Engine.answer ~prepared (Coral.engine dbv) lits (fun qvars row ->
-            incr n;
-            print_row buf qvars row);
-        buf, !n)
-      (fun (buf, n) ->
-        let block = Buffer.contents buf in
-        ignore (reply_buffer t);
-        let cache_note =
-          match tag with
-          | `Hit -> " (plan cache: hit)"
-          | `Miss -> " (plan cache: miss)"
-          | `Unplanned -> ""
-        in
-        Protocol.ok
-          ~detail:(Printf.sprintf "%d answer%s%s" n (if n = 1 then "" else "s") cache_note)
-          (if n = 0 then [] else [ Protocol.Raw block ]))
-  in
+  let on_write_lane p = eval p ~epoch ~dbv:store.sdb ~wrap:(wrap_write store) in
   match Snapshot.view version with
   | None -> begin
-    (* no lock-free view (persistent relations): the locked lane *)
-    match Plan_cache.prepare store.cache store.sdb text with
-    | Error e -> Protocol.err Protocol.Parse (Format.asprintf "%a" Coral.Parser.pp_error e)
-    | Ok prepared -> run ~dbv:store.sdb ~wrap:(locked store) prepared
+    match prepare store.sdb with
+    | Error r -> r
+    | Ok p -> eval p ~epoch ~dbv:store.sdb ~wrap:(locked store)
   end
   | Some view -> begin
     let rdb = Coral.of_engine (Coral.Engine.read_view view) in
-    match Plan_cache.prepare store.cache rdb text with
-    | Error e -> Protocol.err Protocol.Parse (Format.asprintf "%a" Coral.Parser.pp_error e)
-    | Ok ((lits, _, _) as prepared) ->
-      if Coral.Engine.calls_update lits then run ~dbv:store.sdb ~wrap:(wrap_write store) prepared
-      else begin
-        match run ~dbv:rdb ~wrap:Exec_pool.run prepared with
-        | r ->
-          forward_index_requests store;
-          r
-        | exception e when read_only_violation e ->
-          (* an update predicate fired inside a module rule: replay on
-             the write lane (the read view mutated nothing) *)
-          run ~dbv:store.sdb ~wrap:(wrap_write store) prepared
-      end
+    match prepare rdb with
+    | Error r -> r
+    | Ok p when writes p -> on_write_lane p
+    | Ok p -> begin
+      match eval p ~epoch ~dbv:rdb ~wrap:Exec_pool.run with
+      | r ->
+        forward_index_requests store;
+        r
+      | exception e when read_only_violation e -> on_write_lane p
+    end
   end
+
+let do_query t text =
+  let store = t.store in
+  let prepare dbv =
+    Plan_cache.prepare store.cache dbv text
+    |> Result.map_error (fun e ->
+           Protocol.err Protocol.Parse (Format.asprintf "%a" Coral.Parser.pp_error e))
+  in
+  read_lane t ~prepare
+    ~writes:(fun (lits, _, _) -> Coral.Engine.calls_update lits)
+    (fun (lits, tag, prepared) ~epoch ~dbv ~wrap ->
+      let plan_cache =
+        match tag with `Hit -> "hit" | `Miss -> "miss" | `Unplanned -> "unplanned"
+      in
+      evaluated t ~dbv ~epoch ~wrap ~kind:"query" ~adorned:(adorned_of_lits lits) ~plan_cache
+        text
+        ~rows_of:snd
+        (fun () ->
+          let buf = reply_buffer t and n = ref 0 in
+          Coral.Engine.answer ~prepared (Coral.engine dbv) lits (fun qvars row ->
+              incr n;
+              print_row buf qvars row);
+          buf, !n)
+        (fun (buf, n) ->
+          let block = Buffer.contents buf in
+          ignore (reply_buffer t);
+          let cache_note =
+            match tag with
+            | `Hit -> " (plan cache: hit)"
+            | `Miss -> " (plan cache: miss)"
+            | `Unplanned -> ""
+          in
+          Protocol.ok
+            ~detail:(Printf.sprintf "%d answer%s%s" n (if n = 1 then "" else "s") cache_note)
+            (if n = 0 then [] else [ Protocol.Raw block ])))
 
 let do_consult t text =
   let store = t.store in
@@ -721,34 +735,24 @@ let single_literal text =
   | Ok _ -> Error (Protocol.err Protocol.Parse "expected a single positive literal")
 
 let do_explain t text =
-  let store = t.store in
   match single_literal text with
   | Error r -> r
-  | Ok a -> begin
+  | Ok a ->
     let adorn =
       Array.map
         (fun arg -> if Coral.Term.is_ground arg then Coral.Ast.Bound else Coral.Ast.Free)
         a.Coral.Ast.args
     in
-    let version = Snapshot.pin store.snap in
-    Fun.protect ~finally:(fun () -> Snapshot.release version)
-    @@ fun () ->
-    let plan_for dbv =
-      Coral.Engine.plan_for (Coral.engine dbv) ~pred:a.Coral.Ast.pred
-        ~arity:(Array.length a.Coral.Ast.args) ~adorn
-      |> Result.map fst
-    in
-    let planned =
-      match Snapshot.view version with
-      | Some view -> plan_for (Coral.of_engine (Coral.Engine.read_view view))
-      | None -> locked store (fun () -> plan_for store.sdb)
-    in
-    match planned with
-    | Error e -> Protocol.err Protocol.Eval e
-    | Ok plan ->
-      let text = Format.asprintf "%a" Coral.Optimizer.pp_plan plan in
-      Protocol.ok (List.map (fun l -> Protocol.Txt l) (String.split_on_char '\n' text))
-  end
+    read_lane t ~prepare:Result.ok (fun _ ~epoch:_ ~dbv ~wrap ->
+        match
+          wrap (fun () ->
+              Coral.Engine.plan_for (Coral.engine dbv) ~pred:a.Coral.Ast.pred
+                ~arity:(Array.length a.Coral.Ast.args) ~adorn)
+        with
+        | Error e -> Protocol.err Protocol.Eval e
+        | Ok (plan, _) ->
+          let text = Format.asprintf "%a" Coral.Optimizer.pp_plan plan in
+          Protocol.ok (List.map (fun l -> Protocol.Txt l) (String.split_on_char '\n' text)))
 
 let report_response = function
   | Error e -> Protocol.err Protocol.Eval e
@@ -757,31 +761,13 @@ let report_response = function
     let lines = List.filter (fun l -> l <> "") lines in
     Protocol.ok (List.map (fun l -> Protocol.Txt l) lines)
 
-(* why / explain analyze: evaluating reports — same lane selection as
-   queries, with the same write-lane replay if an update predicate
-   fires inside a module rule. *)
+(* why / explain analyze: evaluating reports on the read lane. *)
 let do_report t ~kind run text =
-  let store = t.store in
-  let version = Snapshot.pin store.snap in
-  Fun.protect ~finally:(fun () -> Snapshot.release version)
-  @@ fun () ->
-  let epoch = Snapshot.version_epoch version in
-  let eval ~dbv ~wrap =
-    evaluated t ~dbv ~epoch ~wrap ~kind text
-      ~rows_of:(fun _ -> 0)
-      (fun () -> run dbv)
-      report_response
-  in
-  match Snapshot.view version with
-  | None -> eval ~dbv:store.sdb ~wrap:(locked store)
-  | Some view -> begin
-    let rdb = Coral.of_engine (Coral.Engine.read_view view) in
-    match eval ~dbv:rdb ~wrap:Exec_pool.run with
-    | r ->
-      forward_index_requests store;
-      r
-    | exception e when read_only_violation e -> eval ~dbv:store.sdb ~wrap:(wrap_write store)
-  end
+  read_lane t ~prepare:Result.ok (fun _ ~epoch ~dbv ~wrap ->
+      evaluated t ~dbv ~epoch ~wrap ~kind text
+        ~rows_of:(fun _ -> 0)
+        (fun () -> run dbv)
+        report_response)
 
 let do_why t text =
   do_report t ~kind:"why" (fun dbv -> Coral.Engine.why (Coral.engine dbv) text) text

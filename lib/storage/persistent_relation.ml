@@ -147,11 +147,12 @@ let open_ ?(pool_frames = 64) ?(indexes = []) ?injector ?(verify = true) ~dir ~n
   in
   let decode_tuple record = Tuple.of_terms (Codec.decode record) in
   (* Candidates for a pattern: a B-tree probe when some indexed column
-     is ground in the pattern, else a full heap scan through the pool. *)
-  let scan ~from_mark ~to_mark ~pattern =
-    ignore to_mark;
-    if from_mark > 0 then Seq.empty
-    else begin
+     is ground in the pattern, else a full heap scan through the pool,
+     one page at a time: a page's tuples are decoded while it is pinned
+     and handed to [f] after it is released (so [f] may itself use the
+     pool), and no further page is read once [f] says stop. *)
+  let iter ~from_mark ~to_mark:_ ~pattern f =
+    if from_mark = 0 then begin
       let probe =
         match pattern with
         | None -> None
@@ -169,10 +170,14 @@ let open_ ?(pool_frames = 64) ?(indexes = []) ?injector ?(verify = true) ~dir ~n
       in
       match probe with
       | Some rids ->
-        List.to_seq rids
-        |> Seq.filter_map (fun rid -> Option.map decode_tuple (Heap_file.read heap rid))
+        ignore
+          (List.for_all
+             (fun rid ->
+               match Heap_file.read heap rid with
+               | Some record -> f (decode_tuple record)
+               | None -> true)
+             rids)
       | None ->
-        (* page-at-a-time streaming scan *)
         let npages = Disk.npages (Buffer_pool.disk files.(0).bp) in
         let page_tuples pid =
           let acc = ref [] in
@@ -181,11 +186,8 @@ let open_ ?(pool_frames = 64) ?(indexes = []) ?injector ?(verify = true) ~dir ~n
               (), false);
           List.rev !acc
         in
-        let rec pages pid () =
-          if pid >= npages then Seq.Nil
-          else Seq.append (List.to_seq (page_tuples pid)) (pages (pid + 1)) ()
-        in
-        pages 1
+        let rec pages pid = pid < npages && List.for_all f (page_tuples pid) && pages (pid + 1) in
+        ignore (pages 1)
     end
   in
   let remove_tuple (t : Tuple.t) =
@@ -201,9 +203,9 @@ let open_ ?(pool_frames = 64) ?(indexes = []) ?injector ?(verify = true) ~dir ~n
   in
   let delete ~pattern pred =
     let victims = ref [] in
-    Seq.iter
-      (fun t -> if pred t then victims := t :: !victims)
-      (scan ~from_mark:0 ~to_mark:(-1) ~pattern);
+    iter ~from_mark:0 ~to_mark:(-1) ~pattern (fun t ->
+        if pred t then victims := t :: !victims;
+        true);
     List.iter remove_tuple !victims;
     List.length !victims
   in
@@ -217,8 +219,7 @@ let open_ ?(pool_frames = 64) ?(indexes = []) ?injector ?(verify = true) ~dir ~n
         i_cardinal = (fun () -> Btree.cardinal uniq);
         i_add_index = (fun _ -> ());
         i_indexes = (fun () -> List.map (fun (c, _) -> Index.Args [ c ]) index_handles);
-        i_scan = scan;
-        i_iter = Relation.iter_of_scan scan;
+        i_iter = iter;
         i_mem =
           (fun t ->
             (* exact-duplicate check via the uniqueness index; ground
@@ -226,7 +227,7 @@ let open_ ?(pool_frames = 64) ?(indexes = []) ?injector ?(verify = true) ~dir ~n
                non-ground rows at insert) *)
             Btree.find_all uniq (Codec.encode t.Tuple.terms) <> []);
         i_clear = (fun () -> failwith "persistent relations cannot be cleared in place");
-        (* scans do buffer-pool I/O (latches, evictions), so there is no
+        (* reads do buffer-pool I/O (latches, evictions), so there is no
            lock-free immutable view to hand out; snapshot readers fall
            back to the locked lane for databases serving these *)
         i_freeze = (fun () -> None)

@@ -1,16 +1,37 @@
 open Term
 
+(* Occurs check across environments: does variable (vid, venv) occur in
+   the dereferenced expansion of t?  A ground compound (a hash-cons id
+   or a ground key) holds no variable, so it is never walked. *)
+let rec occurs vid venv t env =
+  let t, env = Bindenv.deref t env in
+  match t with
+  | Var v -> v.vid = vid && env == venv
+  | Const _ -> false
+  | App a ->
+    a.hid <= 0 && a.gkey <= 0
+    && begin
+      let rec go i = i >= 0 && (occurs vid venv a.args.(i) env || go (i - 1)) in
+      go (Array.length a.args - 1)
+    end
+
 let rec unify tr t1 e1 t2 e2 =
   let t1, e1 = Bindenv.deref t1 e1 in
   let t2, e2 = Bindenv.deref t2 e2 in
   match t1, t2 with
   | Var v1, Var v2 when e1 == e2 && v1.vid = v2.vid -> true
   | Var v1, _ ->
-    Trail.bind tr e1 v1.vid t2 e2;
-    true
+    (not (occurs v1.vid e1 t2 e2))
+    && begin
+      Trail.bind tr e1 v1.vid t2 e2;
+      true
+    end
   | _, Var v2 ->
-    Trail.bind tr e2 v2.vid t1 e1;
-    true
+    (not (occurs v2.vid e2 t1 e1))
+    && begin
+      Trail.bind tr e2 v2.vid t1 e1;
+      true
+    end
   | Const a, Const b -> Value.equal a b
   | App a, App b -> begin
     (* Hash-consing fast path: ground terms unify iff ids are equal. *)
@@ -30,52 +51,6 @@ and unify_args tr args1 e1 args2 e2 =
 
 let unify_arrays tr a e1 b e2 =
   Array.length a = Array.length b && unify_args tr a e1 b e2
-
-(* Occurs check across environments: does variable (vid, venv) occur in
-   the dereferenced expansion of t? *)
-let rec occurs vid venv t env =
-  let t, env = Bindenv.deref t env in
-  match t with
-  | Var v -> v.vid = vid && env == venv
-  | Const _ -> false
-  | App a ->
-    a.hid <= 0 && a.gkey <= 0
-    && begin
-      let rec go i = i >= 0 && (occurs vid venv a.args.(i) env || go (i - 1)) in
-      go (Array.length a.args - 1)
-    end
-
-let rec unify_occurs tr t1 e1 t2 e2 =
-  let t1, e1 = Bindenv.deref t1 e1 in
-  let t2, e2 = Bindenv.deref t2 e2 in
-  match t1, t2 with
-  | Var v1, Var v2 when e1 == e2 && v1.vid = v2.vid -> true
-  | Var v1, _ ->
-    (not (occurs v1.vid e1 t2 e2))
-    && begin
-      Trail.bind tr e1 v1.vid t2 e2;
-      true
-    end
-  | _, Var v2 ->
-    (not (occurs v2.vid e2 t1 e1))
-    && begin
-      Trail.bind tr e2 v2.vid t1 e1;
-      true
-    end
-  | Const a, Const b -> Value.equal a b
-  | App a, App b -> begin
-    match ground_id t1, ground_id t2 with
-    | Some i, Some j -> i = j
-    | Some _, None | None, Some _ | None, None ->
-      Symbol.equal a.sym b.sym
-      && Array.length a.args = Array.length b.args
-      && begin
-        let n = Array.length a.args in
-        let rec go i = i >= n || (unify_occurs tr a.args.(i) e1 b.args.(i) e2 && go (i + 1)) in
-        go 0
-      end
-  end
-  | (Const _ | App _), _ -> false
 
 let rec match_ tr pat pe obj oe =
   let pat, pe = Bindenv.deref pat pe in

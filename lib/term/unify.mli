@@ -8,18 +8,14 @@
 val unify : Trail.t -> Term.t -> Bindenv.t -> Term.t -> Bindenv.t -> bool
 (** [unify tr t1 e1 t2 e2] attempts unification, recording bindings on
     [tr].  On failure the caller must [Trail.undo_to] its own mark (the
-    function does not undo partial bindings itself).  No occurs check,
-    as in CORAL/Prolog. *)
+    function does not undo partial bindings itself).  With the occurs
+    check: a variable is never bound to a term containing it, so every
+    binding resolves to a finite term (ground compounds are not walked,
+    so the check costs nothing on them). *)
 
 val unify_arrays :
   Trail.t -> Term.t array -> Bindenv.t -> Term.t array -> Bindenv.t -> bool
 (** Pointwise unification of equal-length argument arrays. *)
-
-val unify_occurs : Trail.t -> Term.t -> Bindenv.t -> Term.t -> Bindenv.t -> bool
-(** Unification with the occurs check: refuses bindings that would
-    create cyclic terms.  CORAL (like Prolog) omits the check in the
-    evaluation engine for speed; this variant exists for callers that
-    must guarantee finite terms. *)
 
 val match_ : Trail.t -> Term.t -> Bindenv.t -> Term.t -> Bindenv.t -> bool
 (** One-way unification: [match_ tr pat pe obj oe] binds only variables

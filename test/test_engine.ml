@@ -235,6 +235,42 @@ let test_top_level_negation () =
   let e = setup tc_program in
   check e "edge(X, Y), not path(Y, 4)" [ [ "3"; "4" ] ]
 
+(* A variable is never bound to a term containing it: g(X, X) against
+   g(f(Y), Y) would bind Y to f(Y), and printing that row would never
+   end. *)
+let test_occurs_check () =
+  let e = setup "g(f(Y), Y).\nh(Z, Z).\n" in
+  check e "g(X, X)" [];
+  check e "h(f(A), A)" [];
+  check e "g(f(a), B)" [ [ "a" ] ]
+
+(* Aggregate rows come in the order their groups first match, whatever
+   symbols the process interned before (term hashes mix symbol ids, so
+   a hash table's order would follow the interning history). *)
+let test_aggregate_order () =
+  for i = 0 to 499 do
+    ignore (Symbol.intern (Printf.sprintf "agg_order_pad_%d" i))
+  done;
+  let names = List.init 12 (Printf.sprintf "agg_order_k%d") in
+  let facts =
+    String.concat ""
+      (List.concat_map
+         (fun n -> [ Printf.sprintf "sale(%s, 2).\n" n; Printf.sprintf "sale(%s, 3).\n" n ])
+         names)
+  in
+  let e =
+    setup
+      (facts
+     ^ "module agg.\nexport total(ff).\ntotal(K, sum(C)) :- sale(K, C).\nend_module.\n")
+  in
+  let got =
+    Coral.query_rows e "total(K, S)"
+    |> List.map (fun row -> Array.to_list row |> List.map Term.to_string)
+  in
+  Alcotest.(check (list (list string))) "first-seen group order"
+    (List.map (fun n -> [ n; "5" ]) names)
+    got
+
 let test_direct_call () =
   let e = setup tc_program in
   let seq = Coral.call e "path" [| Coral.int 2; Coral.var 0 |] in
@@ -622,6 +658,8 @@ let () =
         [ Alcotest.test_case "reload invalidates plans" `Quick test_module_reload;
           Alcotest.test_case "call depth guard" `Quick test_call_depth_guard;
           Alcotest.test_case "top-level negation" `Quick test_top_level_negation;
+          Alcotest.test_case "occurs check" `Quick test_occurs_check;
+          Alcotest.test_case "aggregate rows in first-seen group order" `Quick test_aggregate_order;
           Alcotest.test_case "direct calls" `Quick test_direct_call;
           Alcotest.test_case "consult file" `Quick test_consult_file;
           Alcotest.test_case "foreign predicates" `Quick test_define_predicate;

@@ -372,60 +372,216 @@ let test_freeze_merges_subsidiaries () =
         done)
     !views
 
-(* The join kernel's iterator hands out exactly the candidates a scan
-   does, in the same order: over every mark interval, with and without
-   an index probe (non-ground tuples in the var bucket included), after
-   kills, on frozen views, and on list relations; and it stops when the
-   callback says so. *)
-let test_iter_matches_scan () =
-  let same what rel ~from_mark ~to_mark pattern =
-    let scanned = List.of_seq (Relation.scan rel ~from_mark ~to_mark ?pattern ()) in
-    let iterated = ref [] in
+(* A list model of relation reads, the oracle for [Relation.iter] (and
+   [Relation.scan], built on it).  The model keeps each mark interval's
+   inserts in order (killed tuples stay in their interval, as in the
+   stores) and the tuples killed so far.  Reads hand out the live
+   tuples of the selected intervals, oldest interval first; a usable
+   index probe on column 0 hands out, per interval, the tuples whose
+   column 0 is a variable (the [var] bucket) oldest first, then the
+   key's bucket newest first.  A hash relation's freeze seals the open
+   interval and merges sealed ones size-tiered (an older interval
+   merges into the one after it while it holds at most twice its live
+   tuples); a list relation's only seals.  A view reads the intervals
+   at freeze time, killed tuples as of then.  A persistent relation
+   has no marks and no [var] bucket: its reads are the live tuples in
+   insertion order, a probe only those with the key. *)
+type model = {
+  mutable ivals : Tuple.t list list;  (* oldest first; the last one is open *)
+  mutable dead : Tuple.t list;
+}
+
+let m_live m (t : Tuple.t) = not (List.memq t m.dead)
+
+let m_insert m t =
+  match List.rev m.ivals with
+  | open_ :: sealed -> m.ivals <- List.rev ((open_ @ [ t ]) :: sealed)
+  | [] -> assert false
+
+let m_mark m =
+  m.ivals <- m.ivals @ [ [] ];
+  List.length m.ivals - 1
+
+let col0_var (t : Tuple.t) = match t.Tuple.terms.(0) with Term.Var _ -> true | _ -> false
+let col0_is k (t : Tuple.t) = Term.equal t.Tuple.terms.(0) (t_int k)
+
+(* [probe]: the key of a usable column-0 probe, if any; [hash]: the
+   probe reads hash buckets (else the key's tuples in insertion
+   order). *)
+let m_candidates ~hash ivals live ~from_mark ~to_mark probe =
+  let n = List.length ivals in
+  let last = if to_mark < 0 then n else min to_mark n in
+  List.filteri (fun i _ -> i >= from_mark && i < last) ivals
+  |> List.concat_map (fun iv ->
+         let iv = List.filter live iv in
+         match probe with
+         | None -> iv
+         | Some k when hash -> List.filter col0_var iv @ List.rev (List.filter (col0_is k) iv)
+         | Some k -> List.filter (col0_is k) iv)
+
+let m_delete m ~hash probe pred =
+  let victims =
+    m_candidates ~hash m.ivals (m_live m) ~from_mark:0 ~to_mark:(-1) probe
+    |> List.filter pred
+  in
+  m.dead <- victims @ m.dead;
+  List.length victims
+
+(* The view a freeze captures, as intervals of tuples visible to it. *)
+let m_freeze ~merge m =
+  (match List.rev m.ivals with
+  | [] :: _ -> ()
+  | _ -> m.ivals <- m.ivals @ [ [] ]);
+  (if merge then
+     let sealed = List.filteri (fun i _ -> i < List.length m.ivals - 1) m.ivals in
+     let live iv = List.length (List.filter (m_live m) iv) in
+     let rec settle = function
+       | newer :: older :: rest when live older <= 2 * live newer ->
+         settle ((List.filter (m_live m) older @ List.filter (m_live m) newer) :: rest)
+       | stack -> stack
+     in
+     let stack = List.fold_left (fun stack iv -> settle (iv :: stack)) [] sealed in
+     m.ivals <- List.rev ([] :: stack));
+  let dead = m.dead in
+  List.map (List.filter (fun t -> not (List.memq t dead))) m.ivals
+
+let pattern_of = function
+  | `None -> None
+  | `Key k -> Some ([| t_int k; Term.var 0 |], Bindenv.empty)
+  | `Unusable k -> Some ([| Term.var 0; t_int k |], Bindenv.empty)
+
+let probe_of ~indexed = function `Key k when indexed -> Some k | `None | `Key _ | `Unusable _ -> None
+
+(* A relation's reads agree with the model through iter, through scan,
+   and under early stop (the first [j] candidates, then nothing). *)
+let check_reads ~same what rel ~from_mark ~to_mark pat expected =
+  let pattern = pattern_of pat in
+  let label how =
+    Printf.sprintf "%s %s [%d, %d) %s" what how from_mark to_mark
+      (match pat with
+      | `None -> "no pattern"
+      | `Key k -> Printf.sprintf "key %d" k
+      | `Unusable k -> Printf.sprintf "unusable %d" k)
+  in
+  let agree how got =
+    Alcotest.(check bool) (label how) true
+      (List.length got = List.length expected && List.for_all2 same got expected)
+  in
+  let iterated = ref [] in
+  Relation.iter rel ~from_mark ~to_mark ~pattern (fun t ->
+      iterated := t :: !iterated;
+      true);
+  agree "iter" (List.rev !iterated);
+  agree "scan" (List.of_seq (Relation.scan rel ~from_mark ~to_mark ?pattern ()));
+  for j = 1 to min 3 (List.length expected) do
+    let got = ref [] in
     Relation.iter rel ~from_mark ~to_mark ~pattern (fun t ->
-        iterated := t :: !iterated;
-        true);
-    Alcotest.(check bool) what true (List.equal ( == ) scanned (List.rev !iterated))
-  in
-  let patterns =
-    None :: List.init 5 (fun k -> Some ([| t_int k; Term.var 0 |], Bindenv.empty))
-  in
-  let check_all rel views =
+        got := t :: !got;
+        List.length !got < j);
+    Alcotest.(check bool) (label (Printf.sprintf "stop after %d" j)) true
+      (List.for_all2 same (List.rev !got) (List.filteri (fun i _ -> i < j) expected))
+  done
+
+let patterns = `None :: `Unusable 3 :: List.init 5 (fun k -> `Key k)
+
+let tmpdir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  dir
+
+let test_reads_match_model () =
+  let h = Hash_relation.create ~indexes:[ Index.Args [ 0 ] ] ~name:"p" ~arity:2 () in
+  let l = List_relation.create ~name:"q" ~arity:2 () in
+  let dir = tmpdir "rel_model" in
+  let ph = Coral_storage.Persistent_relation.open_ ~indexes:[ 0 ] ~dir ~name:"r" ~arity:2 () in
+  Fun.protect ~finally:(fun () ->
+      Coral_storage.Persistent_relation.close ph;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let p = Coral_storage.Persistent_relation.relation ph in
+  let mh = { ivals = [ [] ]; dead = [] } and ml = { ivals = [ [] ]; dead = [] } in
+  let mp = { ivals = [ [] ]; dead = [] } in
+  let views = ref [] in
+  let check_live () =
     List.iter
-      (fun pattern ->
-        for from_mark = 0 to Relation.marks rel + 1 do
-          for to_mark = -1 to Relation.marks rel + 1 do
-            same "live" rel ~from_mark ~to_mark pattern
-          done
+      (fun pat ->
+        List.iter
+          (fun (what, rel, m, indexed) ->
+            for from_mark = 0 to Relation.marks rel + 1 do
+              for to_mark = -1 to Relation.marks rel + 1 do
+                check_reads ~same:( == ) what rel ~from_mark ~to_mark pat
+                  (m_candidates ~hash:true m.ivals (m_live m) ~from_mark ~to_mark
+                     (probe_of ~indexed pat))
+              done
+            done)
+          [ "hash", h, mh, true; "list", l, ml, false ];
+        for from_mark = 0 to 1 do
+          check_reads ~same:Tuple.equal "persistent" p ~from_mark ~to_mark:(-1) pat
+            (if from_mark > 0 then []
+             else
+               m_candidates ~hash:false mp.ivals (m_live mp) ~from_mark ~to_mark:(-1)
+                 (probe_of ~indexed:true pat))
         done;
-        List.iter (fun v -> same "view" v ~from_mark:0 ~to_mark:(-1) pattern) views)
+        List.iter
+          (fun (what, view, ivals, indexed) ->
+            for from_mark = 0 to 1 do
+              check_reads ~same:( == ) what view ~from_mark ~to_mark:(-1) pat
+                (if from_mark > 0 then []
+                 else
+                   m_candidates ~hash:true ivals (fun _ -> true) ~from_mark ~to_mark:(-1)
+                     (probe_of ~indexed pat))
+            done)
+          !views)
       patterns
   in
-  let r = Hash_relation.create ~indexes:[ Index.Args [ 0 ] ] ~name:"p" ~arity:2 () in
-  let l = List_relation.create ~name:"q" ~arity:2 () in
-  let rng = Random.State.make [| 5 |] in
-  let views = ref [] in
-  for i = 1 to 200 do
-    let t = if i mod 37 = 0 then Tuple.of_terms [| Term.var 0; t_int i |] else tup [ Random.State.int rng 5; i ] in
-    ignore (Relation.insert r t);
-    ignore (Relation.insert l t);
+  for i = 1 to 240 do
+    let k = (i * 7 + i / 3) mod 5 in
+    (* one tuple object per relation: a kill marks the object *)
+    let fresh () = if i mod 37 = 0 then Tuple.of_terms [| Term.var 0; t_int i |] else tup [ k; i ] in
+    let t = fresh () and t' = fresh () in
+    Alcotest.(check bool) "hash insert" true (Relation.insert h t);
+    Alcotest.(check bool) "list insert" true (Relation.insert l t');
+    m_insert mh t;
+    m_insert ml t';
+    (* the persistent relation also gets tuples no key probe reads, so
+       its heap spans several pages *)
+    List.iter
+      (fun t ->
+        Alcotest.(check bool) "persistent insert" true (Relation.insert p t);
+        m_insert mp t)
+      ((if Tuple.is_ground t then [ tup [ k; i ] ] else [])
+      @ List.init 4 (fun j -> tup [ 5; (1000 * j) + i ]));
     if i mod 7 = 0 then begin
-      ignore (Relation.mark r);
-      ignore (Relation.mark l)
+      Alcotest.(check int) "hash mark" (m_mark mh) (Relation.mark h);
+      Alcotest.(check int) "list mark" (m_mark ml) (Relation.mark l);
+      Alcotest.(check int) "persistent mark" 0 (Relation.mark p)
     end;
     if i mod 11 = 0 then begin
-      let victim (t : Tuple.t) = Tuple.is_ground t && Random.State.int rng 4 = 0 in
-      ignore (Relation.delete r victim);
-      ignore (Relation.delete l victim)
+      let victim (t : Tuple.t) =
+        Tuple.is_ground t
+        && match t.Tuple.terms.(1) with Term.Const (Value.Int n) -> (n + i) mod 4 = 0 | _ -> false
+      in
+      let pat = if i mod 22 = 0 then `Key (i mod 5) else `None in
+      let pattern = pattern_of pat in
+      let deleted rel = Relation.delete rel ?pattern victim in
+      Alcotest.(check int) "hash delete"
+        (m_delete mh ~hash:true (probe_of ~indexed:true pat) victim) (deleted h);
+      Alcotest.(check int) "list delete" (m_delete ml ~hash:true None victim) (deleted l);
+      let expected_p = m_delete mp ~hash:false (probe_of ~indexed:true pat) victim in
+      Alcotest.(check int) "persistent delete" expected_p (deleted p)
     end;
-    if i mod 60 = 0 then views := Option.get (Relation.freeze r) :: Option.get (Relation.freeze l) :: !views
+    if i mod 50 = 0 then begin
+      let vh = Option.get (Relation.freeze h) and vl = Option.get (Relation.freeze l) in
+      views :=
+        ("hash view", vh, m_freeze ~merge:true mh, true)
+        :: ("list view", vl, m_freeze ~merge:false ml, false)
+        :: !views
+    end;
+    if i mod 30 = 0 then check_live ()
   done;
-  check_all r !views;
-  check_all l [];
-  let n = ref 0 in
-  Relation.iter r ~from_mark:0 ~to_mark:(-1) ~pattern:None (fun _ ->
-      incr n;
-      !n < 3);
-  Alcotest.(check int) "stops when asked" 3 !n
+  check_live ()
 
 let test_freeze_read_only () =
   let r = Hash_relation.create ~name:"p" ~arity:1 () in
@@ -476,13 +632,13 @@ let () =
         @ qcheck [ prop_index_candidates_complete ] );
       ( "scan",
         [ Alcotest.test_case "list relation" `Quick test_list_relation;
-          Alcotest.test_case "cursors" `Quick test_scan_cursor
+          Alcotest.test_case "cursors" `Quick test_scan_cursor;
+          Alcotest.test_case "reads match a list model" `Quick test_reads_match_model
         ] );
       ( "freeze",
         [ Alcotest.test_case "isolation" `Quick test_freeze_isolation;
           Alcotest.test_case "read only" `Quick test_freeze_read_only;
           Alcotest.test_case "list relation" `Quick test_freeze_list_relation;
-          Alcotest.test_case "merges subsidiaries" `Quick test_freeze_merges_subsidiaries;
-          Alcotest.test_case "iterator matches scan" `Quick test_iter_matches_scan
+          Alcotest.test_case "merges subsidiaries" `Quick test_freeze_merges_subsidiaries
         ] )
     ]

@@ -397,6 +397,24 @@ let test_doubles_wire () =
   ignore (request c "quit");
   close c
 
+(* A query whose unification would bind a variable to a term containing
+   it answers nothing, and the reply arrives (without the occurs check
+   the row never finished printing and the lane was held for good). *)
+let test_occurs_check_wire () =
+  let srv = start_server () in
+  Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
+  let c = connect srv in
+  Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 20.;
+  let _, status = request c "consult g(f(Y), Y)." in
+  check_prefix "consult" "ok" status;
+  let lines, status = request c "query g(X, X)" in
+  check_prefix "cyclic query" "ok 0 answers" status;
+  Alcotest.(check (list string)) "no rows" [] lines;
+  let _, status = request c "ping" in
+  check_prefix "still serving" "ok pong" status;
+  ignore (request c "quit");
+  close c
+
 (* Plans belong to the rules: 50 maintained insert/retract commits, each
    followed by the read that must show it, plan nothing. *)
 let test_plans_survive_commits () =
@@ -2296,6 +2314,7 @@ let () =
           Alcotest.test_case "bound serve path pinned, 4 lanes" `Quick
             test_bound_serve_path_parallel;
           Alcotest.test_case "doubles print losslessly" `Quick test_doubles_wire;
+          Alcotest.test_case "occurs check (wire)" `Quick test_occurs_check_wire;
           Alcotest.test_case "control bytes stay one line" `Quick test_control_bytes_one_line;
           Alcotest.test_case "explain analyze (wire)" `Quick test_explain_analyze_wire;
           Alcotest.test_case "metrics (wire)" `Quick test_metrics_wire;
