@@ -932,7 +932,9 @@ let exp_serve_path () =
      applied) and runs the seeded semi-naive fixpoint.  Per call: time and\n\
      minor-heap words, whole and split into instantiate and run, and the\n\
      compiles a call triggers (none after the first).  The compile row is\n\
-     what a call would pay if the module were compiled per request.";
+     what a call would pay if the module were compiled per request.  The\n\
+     calls run with observability on, as in the server; the observability\n\
+     rows are the same calls with it off and the ratio of the two.";
   let n = 64 in
   let db = Workloads.fresh_db () in
   Workloads.load_pairs db "edge" (bound_query_edges n);
@@ -961,6 +963,11 @@ let exp_serve_path () =
   let call_us, call_words = span (fun s -> ignore (call s)) in
   let i1, d1, s1 = Coral.Relation.global_stats () and v1 = Coral.Relation.tuples_visited () in
   let compiles = Coral.Engine.compile_count e - compiles0 in
+  (* the same calls with observability off, the library default *)
+  let obs = Coral_obs.Obs.enabled () in
+  Coral_obs.Obs.set_enabled false;
+  let off_us, off_words = span (fun s -> ignore (call s)) in
+  Coral_obs.Obs.set_enabled obs;
   let plan =
     match
       Coral.Engine.plan_for e ~pred:path ~arity:2 ~adorn:[| Coral.Ast.Bound; Coral.Ast.Free |]
@@ -986,6 +993,8 @@ let exp_serve_path () =
   in
   table [ "per call"; "us"; "minor words" ]
     [ row "Engine.call path(s, Y)" call_us call_words;
+      row "  observability off" off_us off_words;
+      [ "  observability on/off"; Printf.sprintf "%.3f" (call_us /. off_us); "" ];
       row "  instantiate" inst_us inst_words;
       row "  run (seed + fixpoint)" (both_us -. inst_us) (both_words -. inst_words);
       row "compile (once per plan)" compile_us compile_words

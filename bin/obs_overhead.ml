@@ -4,12 +4,17 @@
    Usage: obs_overhead [--chain N] [--runs N] [--max-ratio R] [--workers N]
                        [--trace-out FILE]
 
-   The workload is full transitive closure of a chain — the fixpoint
-   inner loop at its purest, so per-iteration span and profile hooks
-   are as hot as they ever get.  The same workload runs with
-   observability disabled and enabled (median of --runs fresh-database
-   evaluations each); the gate fails when enabled exceeds
+   Two workloads, each run with observability disabled and enabled
+   and gated on its own: the gate fails when enabled exceeds
    disabled * --max-ratio (default 1.05, i.e. 5%).
+   - Full transitive closure of a chain (median of --runs
+     fresh-database evaluations): the fixpoint inner loop at its
+     purest, few rounds of large joins.
+   - Bound calls: repeated [Engine.call path(s, Y)] on the 64-node
+     ring with chords that perfbench's bound_query serves, each call a
+     whole seeded fixpoint of many small joins, so any per-round or
+     per-join instrumentation shows here (median of --runs batches,
+     enabled and disabled alternating).
 
    --trace-out writes the enabled run's span ring as Chrome trace_event
    JSON (load it in chrome://tracing or Perfetto). *)
@@ -88,6 +93,62 @@ let measure ~runs ~chain ~enabled =
   instrument := false;
   median times
 
+(* The bound_query graph: a 64-node ring with one chord per node,
+   shuffled by a fixed LCG. *)
+let ring_edges n =
+  let seed = ref 7 in
+  let next bound =
+    seed := (!seed * 1103515245 + 12345) land 0x3fffffff;
+    !seed mod bound
+  in
+  let name = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = next (i + 1) in
+    let t = name.(i) in
+    name.(i) <- name.(j);
+    name.(j) <- t
+  done;
+  List.sort_uniq compare
+    (List.concat (List.init n (fun i -> [ name.(i), name.((i + 1) mod n); name.(i), name.(next n) ])))
+
+let bound_calls ~runs =
+  let n = 64 and calls = 1000 in
+  let db = Coral.create () in
+  if !workers > 0 then Coral.set_workers db !workers;
+  List.iter (fun (a, b) -> Coral.fact db "edge" [ Coral.int a; Coral.int b ]) (ring_edges n);
+  Coral.consult_text db
+    "module paths.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
+     path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module.\n";
+  let e = Coral.engine db and path = Coral.Symbol.intern "path" in
+  let batch enabled =
+    Obs.set_enabled enabled;
+    let t0 = Obs.now_ns () in
+    for i = 1 to calls do
+      let answers = Seq.length (Coral.Engine.call e path [| Coral.int (i mod n); Coral.var 0 |]) in
+      if answers <> n then begin
+        Printf.eprintf "obs_overhead: path(%d, Y) gave %d answers (expected %d)\n" (i mod n)
+          answers n;
+        exit 1
+      end
+    done;
+    let dt = Obs.now_ns () - t0 in
+    Obs.set_enabled false;
+    dt
+  in
+  ignore (batch false);
+  ignore (batch true);
+  let pairs = List.init runs (fun _ -> let off = batch false in off, batch true) in
+  median (List.map fst pairs), median (List.map snd pairs)
+
+let report ~what ~max_ratio off_ns on_ns =
+  let ratio = float_of_int on_ns /. float_of_int (max 1 off_ns) in
+  Printf.printf "  %s\n    disabled: %.3fms\n    enabled:  %.3fms\n    ratio: %.3f (budget %.2f)\n"
+    what
+    (float_of_int off_ns /. 1e6)
+    (float_of_int on_ns /. 1e6)
+    ratio max_ratio;
+  ratio <= max_ratio
+
 let () =
   let chain = ref 192 and runs = ref 5 in
   let max_ratio = ref 1.05 in
@@ -120,23 +181,25 @@ let () =
   let off_ns = measure ~runs:!runs ~chain:!chain ~enabled:false in
   Obs.Span.clear ();
   let on_ns = measure ~runs:!runs ~chain:!chain ~enabled:true in
-  let ratio = float_of_int on_ns /. float_of_int (max 1 off_ns) in
-  Printf.printf
-    "obs_overhead: chain %d, median of %d runs\n  disabled: %.3fms\n  enabled:  %.3fms\n  \
-     ratio: %.3f (budget %.2f)\n  spans recorded: %d\n"
-    !chain !runs
-    (float_of_int off_ns /. 1e6)
-    (float_of_int on_ns /. 1e6)
-    ratio !max_ratio (Obs.Span.count ());
+  let spans = Obs.Span.count () in
+  Printf.printf "obs_overhead: median of %d runs\n" !runs;
+  let closure_ok =
+    report ~what:(Printf.sprintf "full closure of a %d-node chain" !chain) ~max_ratio:!max_ratio
+      off_ns on_ns
+  in
+  Printf.printf "    spans recorded: %d\n" spans;
+  let off_b, on_b = bound_calls ~runs:!runs in
+  let bound_ok =
+    report ~what:"1000 bound calls path(s, Y) on the 64-node ring" ~max_ratio:!max_ratio off_b on_b
+  in
   if !trace_out <> "" then begin
     let oc = open_out !trace_out in
     output_string oc (Obs.Span.to_chrome_json ());
     close_out oc;
     Printf.printf "  wrote %s\n" !trace_out
   end;
-  if ratio > !max_ratio then begin
-    Printf.eprintf "obs_overhead: FAIL: enabled/disabled ratio %.3f exceeds %.2f\n" ratio
-      !max_ratio;
+  if not (closure_ok && bound_ok) then begin
+    Printf.eprintf "obs_overhead: FAIL: an enabled/disabled ratio exceeds %.2f\n" !max_ratio;
     exit 1
   end;
   print_endline "obs_overhead: PASS"

@@ -137,7 +137,7 @@ let rec advance w =
    order they arrive, sleeping in [select] over all the connections: no
    thread per client, and a slow client delays no other's timing.  Any
    IO failure poisons that client's connection and never resends. *)
-let request_all ?abandon reqs =
+let request_all ?abandon ?(on_reply = ignore) reqs =
   let t0 = Unix.gettimeofday () in
   let out = Array.make (Array.length reqs) Abandoned in
   let locked = ref [] in
@@ -179,7 +179,9 @@ let request_all ?abandon reqs =
         (fun w ->
           match advance w with
           | true ->
-            out.(w.slot) <- Replies (List.rev w.got, Unix.gettimeofday () -. t0);
+            let secs = Unix.gettimeofday () -. t0 in
+            out.(w.slot) <- Replies (List.rev w.got, secs);
+            on_reply secs;
             false
           | false -> true
           | exception e ->

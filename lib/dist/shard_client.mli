@@ -29,14 +29,19 @@ type outcome =
   | Abandoned  (** [abandon] fired first; the connection is closed *)
 
 val request_all :
-  ?abandon:(unit -> bool) -> (t * (string * string option) list) array -> outcome array
+  ?abandon:(unit -> bool) ->
+  ?on_reply:(float -> unit) ->
+  (t * (string * string option) list) array ->
+  outcome array
 (** Send every client its commands (each a command line plus optional
     raw payload bytes), pipelined, then read all the replies in the
     order they arrive, waiting in [select] over the connections: one
     thread serves any number of clients.  [abandon] is polled about
     every 20 ms while replies are owed; once it answers [true], the
     clients still owed a reply are closed rather than left holding it.
-    Without [abandon] the wait has no bound. *)
+    Without [abandon] the wait has no bound.  [on_reply] is called
+    with the seconds since sending each time a client's last reply is
+    in. *)
 
 
 val fetch :

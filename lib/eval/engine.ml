@@ -1045,15 +1045,7 @@ let solve_updates t lits start =
         emit row
       end)
 
-let calls_update lits =
-  List.exists
-    (fun (lit : Ast.literal) ->
-      match lit with
-      | Ast.Pos a | Ast.Neg a ->
-        let n = Symbol.name a.Ast.pred in
-        (n = "assert" || n = "retract") && Array.length a.Ast.args = 1
-      | Ast.Cmp _ | Ast.Is _ -> false)
-    lits
+let calls_update = Module_struct.calls_update
 
 let answer ?prepared t lits start =
   let outer = t.prepared in
@@ -1345,13 +1337,21 @@ let explain_analyze t src =
         Buffer.add_string buf "rules (rewritten program):\n";
         let rules = Fixpoint.profiled_rules inst in
         let rules_derived = ref 0 in
+        let number rid =
+          1 + Option.get (List.find_index (fun ((c : Module_struct.crule), _) -> c.rid = rid) rules)
+        in
         List.iteri
           (fun i ((c : Module_struct.crule), (p : Module_struct.rule_prof)) ->
             rules_derived := !rules_derived + p.Module_struct.rp_derived;
             Buffer.add_string buf
-              (Printf.sprintf "  [%2d] attempts=%d derived=%d dup=%d tuples=%d time=%s\n"
+              (Printf.sprintf
+                 "  [%2d] attempts=%d derived=%d dup=%d tuples=%d runs=%d skipped=%d%s time=%s\n"
                  (i + 1) p.Module_struct.rp_attempts p.Module_struct.rp_derived
-                 p.Module_struct.rp_dups p.Module_struct.rp_tuples
+                 p.Module_struct.rp_dups p.Module_struct.rp_tuples p.Module_struct.rp_runs
+                 p.Module_struct.rp_skipped
+                 (match Fixpoint.joined_with inst c with
+                 | Some rid -> Printf.sprintf " join=[%d]" (number rid)
+                 | None -> "")
                  (fmt_ns p.Module_struct.rp_time_ns));
             Buffer.add_string buf (Printf.sprintf "       %s\n" c.Module_struct.text))
           rules;

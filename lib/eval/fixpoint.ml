@@ -36,12 +36,15 @@ type t = {
   ms : Module_struct.instance;
   mode : Ast.fixpoint;
   os : bool;
-  monotonic : bool;  (* no negation, no aggregation: incremental re-open is sound *)
   profile : bool;  (* fill per-rule profiles and step deltas (explain analyze) *)
   mutable phase : int;
   mutable activated : bool;
   mutable complete : bool;
   mutable nrounds : int;
+  mutable nsteps : int;  (* steps that derived something *)
+  mutable late_seed : bool;
+      (* a seed arrived while evaluation was under way: lower strata
+         may grow again, so no stratum is run only once *)
   mutable seed_inserts : int;  (* local inserts made by add_seed, not rules *)
   mutable done_inserts : int;  (* done# facts issued by the OS context *)
   mutable step_deltas : int list;  (* per productive step, newest first *)
@@ -49,8 +52,9 @@ type t = {
   mutable pending : goal list;  (* not yet made available, newest first *)
   mutable live_goals : goal list;  (* every non-Done goal *)
   mutable cur_generator : goal option;  (* generator of the magic fact being inserted *)
-  goal_tables : (int, goal list ref) Hashtbl.t array;  (* per magic slot, by tuple hash *)
-  done_slot : int array;  (* per slot: done relation slot or -1 *)
+  goal_tables : (int, goal list ref) Hashtbl.t array;
+      (* per magic slot, by tuple hash; empty without Ordered Search *)
+  done_slot : int array;  (* per slot: done relation slot or -1; empty without Ordered Search *)
   mutable answer_cursor : int;
   mutable seeds : Tuple.t list;  (* every seed ever added (for re-opens) *)
   mutable cancel : (unit -> bool) option;  (* cooperative cancellation check *)
@@ -68,6 +72,7 @@ type t = {
   backjump : bool;  (* intelligent backtracking (bench ablation E16) *)
   par : bool;  (* module passed the parallel-safety gate *)
   trace : bool;
+  share : bool;  (* a rule's join also derives the rules joined with it *)
   prov : (int, (Tuple.t * int * string * (int * Tuple.t) list) list ref) Hashtbl.t;
       (* head tuple hash -> (tuple, head slot, rule text,
          (body relation slot, witness tuple) list): first derivation of
@@ -199,26 +204,16 @@ let create ?(trace = false) ?(profile = false) ?(workers = 1) ?(backjump = true)
     (ms : Module_struct.instance) =
   let nslots = Array.length ms.rels in
   let os = ms.code.plan.Coral_rewrite.Optimizer.ordered_search in
-  let monotonic =
-    Array.for_all
-      (fun stratum ->
-        stratum.agg_rules = []
-        && List.for_all
-             (fun c ->
-               Array.for_all
-                 (function Negcheck _ | Negforeign _ -> false | _ -> true)
-                 c.body)
-             (stratum.srules @ List.map fst stratum.versions))
-      ms.code.strata
-  in
   let done_slot =
-    Array.init nslots (fun s ->
-        if is_magic_slot ms s then begin
-          let name = ms.rels.(s).Relation.name in
-          let done_pred = Symbol.intern ("done#" ^ String.sub name 2 (String.length name - 2)) in
-          Option.value ~default:(-1) (Module_struct.slot ms.code done_pred)
-        end
-        else -1)
+    if not os then [||]
+    else
+      Array.init nslots (fun s ->
+          if is_magic_slot ms s then begin
+            let name = ms.rels.(s).Relation.name in
+            let done_pred = Symbol.intern ("done#" ^ String.sub name 2 (String.length name - 2)) in
+            Option.value ~default:(-1) (Module_struct.slot ms.code done_pred)
+          end
+          else -1)
   in
   let pool = if workers > 1 then Par_pool.shared ~workers else None in
   let par =
@@ -232,12 +227,13 @@ let create ?(trace = false) ?(profile = false) ?(workers = 1) ?(backjump = true)
     { ms;
       mode = ms.code.plan.Coral_rewrite.Optimizer.fixpoint;
       os;
-      monotonic;
       profile;
       phase = 0;
       activated = false;
       complete = false;
       nrounds = 0;
+      nsteps = 0;
+      late_seed = false;
       seed_inserts = 0;
       done_inserts = 0;
       step_deltas = [];
@@ -245,7 +241,7 @@ let create ?(trace = false) ?(profile = false) ?(workers = 1) ?(backjump = true)
       pending = [];
       live_goals = [];
       cur_generator = None;
-      goal_tables = Array.init nslots (fun _ -> Hashtbl.create 32);
+      goal_tables = (if os then Array.init nslots (fun _ -> Hashtbl.create 32) else [||]);
       done_slot;
       answer_cursor = 0;
       seeds = [];
@@ -257,6 +253,7 @@ let create ?(trace = false) ?(profile = false) ?(workers = 1) ?(backjump = true)
       backjump;
       par;
       trace;
+      share = (not trace) && not par;
       prov = Hashtbl.create (if trace then 256 else 1)
     }
   in
@@ -307,55 +304,104 @@ let provenance t (tuple : Tuple.t) ~slot =
 
 let prof_of t (rule : crule) = t.ms.profs.(rule.rid)
 
-(* one rule application, inserting plain head tuples; under Ordered
-   Search, rules deriving magic facts run with witness tracking so the
-   generating subgoal (the magic literal's tuple) is known when the
-   admission hook routes the new subgoal through the context *)
 let note_insert t (rule : crule) inserted =
   if t.profile then begin
     let p = prof_of t rule in
     if inserted then p.rp_derived <- p.rp_derived + 1 else p.rp_dups <- p.rp_dups + 1
   end
 
+(* Whether an application can match at all.  A positive literal over a
+   local relation whose range is empty (an empty semi-naive delta, or
+   an empty older part) matches nothing; so does one over a stored
+   relation with nothing in it, which in a module without update
+   literals cannot grow while the module evaluates. *)
+let matches_nothing t range (rule : crule) =
+  let rec empty i =
+    i < Array.length rule.body
+    && ((match rule.body.(i) with
+        | Scan { slot; local = true; _ } ->
+          let from_mark, to_mark = range ~op_index:i ~slot ~local:true in
+          from_mark = to_mark && to_mark >= 0
+        | Scan _ | Negcheck _ | Foreign _ | Negforeign _ | Compare _ | Assign _ -> false)
+       || empty (i + 1))
+  in
+  empty 0
+  || Array.exists
+       (fun s ->
+         (* in-memory stores count exactly; a module-call relation
+            answers on read and a persistent one is not asked *)
+         let rel = t.ms.rels.(s) in
+         rel.Relation.scan_safe && Relation.cardinal rel = 0)
+       t.ms.code.stored_reads.(rule.rid)
+
+(* whether the rule's head comes from another rule's join instead *)
+let joined t (rule : crule) = t.share && t.ms.code.joined_by.(rule.rid) >= 0
+
+(* One rule application, inserting plain head tuples (and, when joins
+   are shared, the heads of the rules joined with this one); under
+   Ordered Search, rules deriving magic facts run with witness tracking
+   so the generating subgoal (the magic literal's tuple) is known when
+   the admission hook routes the new subgoal through the context. *)
 let apply_rule t range (rule : crule) =
-  let os_magic_head = t.os && is_magic_slot t.ms rule.head_slot in
-  let prof = if t.profile then Some (prof_of t rule) else None in
-  let t0 = if t.profile then Coral_obs.Obs.now_ns () else 0 in
-  Coral_obs.Obs.Span.with_ "fixpoint.join"
-    ~attrs:(fun () -> [ "head", t.ms.rels.(rule.head_slot).Relation.name ])
-    (fun () ->
-      if t.trace || os_magic_head then begin
-        let witness = ref [] in
-        Joiner.run ~rels:t.ms.rels ~range ~backjump:t.backjump ~witness ?prof rule
-          ~on_match:(fun env ->
-            tick t;
-            let tuple = Joiner.head_tuple rule env in
-            if os_magic_head then begin
-              t.cur_generator <-
-                List.find_map
-                  (fun (pos, (wt : Tuple.t)) ->
-                    match rule.body.(pos) with
-                    | Scan { slot; _ } when is_magic_slot t.ms slot ->
-                      find_goal t.goal_tables.(slot) wt
-                    | _ -> None)
-                  !witness
-            end;
-            let inserted = Relation.insert t.ms.rels.(rule.head_slot) tuple in
-            t.cur_generator <- None;
-            note_insert t rule inserted;
-            if inserted && t.trace then record_prov t rule tuple !witness)
-      end
-      else begin
-        let head = t.ms.rels.(rule.head_slot) in
-        let scratch = ref (Array.make (Array.length rule.head_args) Term.nil) in
-        Joiner.run ~rels:t.ms.rels ~range ~backjump:t.backjump ?prof rule
-          ~on_match:(fun env ->
+  if joined t rule then ()
+  else if matches_nothing t range rule then begin
+    if t.profile then (prof_of t rule).rp_skipped <- (prof_of t rule).rp_skipped + 1
+  end
+  else begin
+    let os_magic_head = t.os && is_magic_slot t.ms rule.head_slot in
+    let prof = if t.profile then Some (prof_of t rule) else None in
+    let t0 = if t.profile then Coral_obs.Obs.now_ns () else 0 in
+    if t.trace || os_magic_head then begin
+      let witness = ref [] in
+      Joiner.run ~rels:t.ms.rels ~range ~backjump:t.backjump ~witness ?prof rule
+        ~on_match:(fun env ->
+          tick t;
+          let tuple = Joiner.head_tuple rule env in
+          if os_magic_head then begin
+            t.cur_generator <-
+              List.find_map
+                (fun (pos, (wt : Tuple.t)) ->
+                  match rule.body.(pos) with
+                  | Scan { slot; _ } when is_magic_slot t.ms slot ->
+                    find_goal t.goal_tables.(slot) wt
+                  | _ -> None)
+                !witness
+          end;
+          let inserted = Relation.insert t.ms.rels.(rule.head_slot) tuple in
+          t.cur_generator <- None;
+          note_insert t rule inserted;
+          if inserted && t.trace then record_prov t rule tuple !witness)
+    end
+    else begin
+      let head = t.ms.rels.(rule.head_slot) in
+      let scratch = ref (Array.make (Array.length rule.head_args) Term.nil) in
+      match if t.share then t.ms.code.extra_heads.(rule.rid) else [] with
+      | [] ->
+        Joiner.run ~rels:t.ms.rels ~range ~backjump:t.backjump ?prof rule ~on_match:(fun env ->
             tick t;
             note_insert t rule (Joiner.insert_head head rule env scratch))
-      end);
-  Option.iter
-    (fun (p : rule_prof) -> p.rp_time_ns <- p.rp_time_ns + (Coral_obs.Obs.now_ns () - t0))
-    prof
+      | extra ->
+        let extra =
+          List.map
+            (fun (c : crule) ->
+              c, t.ms.rels.(c.head_slot), ref (Array.make (Array.length c.head_args) Term.nil))
+            extra
+        in
+        Joiner.run ~rels:t.ms.rels ~range ~backjump:t.backjump ?prof rule ~on_match:(fun env ->
+            tick t;
+            note_insert t rule (Joiner.insert_head head rule env scratch);
+            List.iter
+              (fun ((c : crule), rel, scratch) ->
+                if t.profile then (prof_of t c).rp_attempts <- (prof_of t c).rp_attempts + 1;
+                note_insert t c (Joiner.insert_head rel c env scratch))
+              extra)
+    end;
+    Option.iter
+      (fun (p : rule_prof) ->
+        p.rp_runs <- p.rp_runs + 1;
+        p.rp_time_ns <- p.rp_time_ns + (Coral_obs.Obs.now_ns () - t0))
+      prof
+  end
 
 let eval_agg_rule t (rule : crule) =
   let rows = ref [] in
@@ -421,12 +467,17 @@ let bsn_range cursors d msnap ~op_index ~slot ~local =
 
 let cursors_of t (rule : crule) = t.ms.cursors.(rule.rid)
 
+(* Marks are idempotent, so a relation nothing reached since the last
+   round keeps its mark: every delta interval over it is empty, and the
+   versions reading it are skipped ([matches_nothing]). *)
 let mark_snapshot t =
   Array.mapi (fun s rel -> if t.ms.code.local.(s) then Relation.mark rel else -1) t.ms.rels
 
 (* One BSN round over the given semi-naive versions: seal all local
-   relations, run every version against the common mark snapshot, then
-   advance the consumed cursors. *)
+   relations, run every version that can match against the common mark
+   snapshot, then advance the consumed cursors of all of them (a
+   skipped version consumed its delta too: nothing it could join with
+   it existed). *)
 let round_bsn_seq t versions =
   let msnap = mark_snapshot t in
   List.iter
@@ -471,15 +522,21 @@ let m_par_workers = Coral_obs.Obs.gauge "eval.parallel.workers"
    thing they mean in a sequential round. *)
 let round_bsn_par t pool versions =
   let lanes = Par_pool.workers pool in
-  let varr = Array.of_list versions in
-  let nver = Array.length varr in
   let nslots = Array.length t.ms.rels in
   let msnap = mark_snapshot t in
+  let varr =
+    List.filter
+      (fun ((rule : crule), d) -> not (matches_nothing t (bsn_range (cursors_of t rule) d msnap) rule))
+      versions
+    |> Array.of_list
+  in
+  let nver = Array.length varr in
   let ntasks = nver * lanes in
   let buffers = Array.make ntasks [||] in
   let counts = Array.init ntasks (fun _ -> Array.make nslots 0) in
   let visited = Array.init ntasks (fun _ -> ref 0) in
   let lane_before = Array.init lanes (Par_pool.lane_tasks pool) in
+  let run ~ntasks f = if ntasks > 0 then Par_pool.run_or_seq pool ~ntasks f in
   let apply ~lane:_ ~task =
     let rule, d = varr.(task / lanes) in
     let stripe_lane = task mod lanes in
@@ -501,7 +558,7 @@ let round_bsn_par t pool versions =
         buf := Joiner.head_tuple rule env :: !buf);
     buffers.(task) <- Array.of_list (List.rev !buf)
   in
-  Par_pool.run_or_seq pool ~ntasks apply;
+  run ~ntasks apply;
   (* Phase 2 *)
   let keep = Array.map (fun b -> Array.make (Array.length b) true) buffers in
   let drops = Array.init lanes (fun _ -> Array.make nslots 0) in
@@ -537,7 +594,7 @@ let round_bsn_par t pool versions =
       done
     done
   in
-  Par_pool.run_or_seq pool ~ntasks:lanes dedup;
+  run ~ntasks:(if ntasks > 0 then lanes else 0) dedup;
   (* Phase 3 *)
   let merged = ref 0 in
   for task = 0 to ntasks - 1 do
@@ -747,83 +804,107 @@ let context_action t =
 
 let nstrata t = Array.length t.ms.code.strata
 
-let step_inner t =
-  poll t;
-  if t.complete then false
-  else if t.os then begin
-    (* single phase: all strata active, context drives ordering *)
-    if not t.activated then begin
-      t.activated <- true;
-      for i = 0 to nstrata t - 1 do
-        List.iter (fun rule -> apply_rule t Joiner.full_range rule) t.ms.code.strata.(i).srules
-      done;
-      true
-    end
-    else begin
-      let before = total_inserts t in
-      let versions =
-        Array.to_list t.ms.code.strata |> List.concat_map (fun st -> st.versions)
-      in
-      (* aggregate rules run before the plain round so that consumers
-         (possibly negated, guarded by done facts popped just before
-         this step) never observe an unfilled aggregate relation *)
-      Array.iter (fun st -> List.iter (eval_agg_rule t) st.agg_rules) t.ms.code.strata;
-      (match t.mode with
-      | Ast.Predicate_seminaive -> round_psn t versions
-      | Ast.Naive | Ast.Basic_seminaive | Ast.Ordered_search -> round_bsn t versions);
-      if total_inserts t > before then true
-      else if context_action t then true
-      else begin
-        t.complete <- true;
-        false
-      end
+let finish_phase t =
+  if t.phase < nstrata t - 1 then begin
+    t.phase <- t.phase + 1;
+    t.activated <- false
+  end
+  else t.complete <- true
+
+let round t versions =
+  match t.mode with
+  | Ast.Predicate_seminaive -> round_psn t versions
+  | Ast.Naive | Ast.Basic_seminaive | Ast.Ordered_search -> round_bsn t versions
+
+(* One action of the stratified evaluation: activate the phase's
+   stratum, or run a round of it.  A non-recursive stratum reads only
+   finished strata, so one round after its activation derives all it
+   can: it ends its phase with no confirming round (naive evaluation
+   keeps its rounds, which re-derive everything). *)
+let stratified_action t =
+  let st = t.ms.code.strata.(t.phase) in
+  if not t.activated then begin
+    t.activated <- true;
+    activate_stratum t t.phase;
+    if (not st.recursive) && t.mode <> Ast.Naive && not t.late_seed then begin
+      round t (active_versions t);
+      finish_phase t
     end
   end
   else begin
-    (* stratified phases *)
-    if not t.activated then begin
-      t.activated <- true;
-      activate_stratum t t.phase;
-      true
-    end
-    else begin
-      let before = total_inserts t in
-      (match t.mode with
-      | Ast.Naive -> round_naive t t.phase
-      | Ast.Predicate_seminaive -> round_psn t (active_versions t)
-      | Ast.Basic_seminaive | Ast.Ordered_search -> round_bsn t (active_versions t));
-      if total_inserts t > before then true
-      else if t.phase < nstrata t - 1 then begin
-        t.phase <- t.phase + 1;
-        t.activated <- false;
-        true
-      end
-      else begin
-        t.complete <- true;
-        false
-      end
-    end
+    let before = total_inserts t in
+    (match t.mode with
+    | Ast.Naive -> round_naive t t.phase
+    | Ast.Predicate_seminaive | Ast.Basic_seminaive | Ast.Ordered_search ->
+      round t (active_versions t));
+    if total_inserts t = before then finish_phase t
   end
 
+(* Ordered Search: a single phase with every stratum active; the
+   context drives the order. *)
+let ordered_action t =
+  if not t.activated then begin
+    t.activated <- true;
+    for i = 0 to nstrata t - 1 do
+      List.iter (fun rule -> apply_rule t Joiner.full_range rule) t.ms.code.strata.(i).srules
+    done
+  end
+  else begin
+    let before = total_inserts t in
+    let versions = Array.to_list t.ms.code.strata |> List.concat_map (fun st -> st.versions) in
+    (* aggregate rules run before the plain round so that consumers
+       (possibly negated, guarded by done facts popped just before
+       this step) never observe an unfilled aggregate relation *)
+    Array.iter (fun st -> List.iter (eval_agg_rule t) st.agg_rules) t.ms.code.strata;
+    round t versions;
+    if total_inserts t = before && not (context_action t) then t.complete <- true
+  end
+
+(* A step runs actions until one derives something or evaluation is
+   complete, so every step but a last one that merely confirms has a
+   non-zero delta.  It returns false once evaluation is complete. *)
 let step t =
-  let want_delta = t.profile || Option.is_some t.progress in
-  let before = if want_delta then total_inserts t else 0 in
-  let progressed =
-    Coral_obs.Obs.Span.with_ "fixpoint.iter"
-      ~attrs:(fun () ->
-        [ "round", string_of_int t.nrounds; "phase", string_of_int t.phase ])
-      (fun () -> step_inner t)
+  let before = total_inserts t in
+  let rec go () =
+    poll t;
+    if not t.complete then begin
+      if nstrata t = 0 then t.complete <- true
+      else if t.os then ordered_action t
+      else stratified_action t;
+      if total_inserts t = before then go ()
+    end
   in
-  if want_delta && progressed then begin
-    if t.profile then t.step_deltas <- (total_inserts t - before) :: t.step_deltas;
+  go ();
+  let delta = total_inserts t - before in
+  if delta > 0 then begin
+    t.nsteps <- t.nsteps + 1;
+    if t.profile then t.step_deltas <- delta :: t.step_deltas;
     publish_progress t
   end;
-  progressed
+  not t.complete
 
+(* Inserts attributable to rule applications: everything local minus
+   seeds, context availability inserts, and done facts.  When profiling
+   is on this equals the sum of per-rule [rp_derived] — the two are
+   computed along independent paths, which explain analyze exploits as
+   a self-check. *)
+let rule_derivations t =
+  total_inserts t - t.extra_inserts - t.seed_inserts - t.done_inserts
+
+(* One span per run, not per round or join: its attributes say how much
+   the run did. *)
 let run t =
-  while step t do
-    ()
-  done
+  let r0 = t.nrounds and s0 = t.nsteps and d0 = rule_derivations t in
+  Coral_obs.Obs.Span.with_ "fixpoint.run"
+    ~attrs:(fun () ->
+      [ "rounds", string_of_int (t.nrounds - r0);
+        "steps", string_of_int (t.nsteps - s0);
+        "derivations", string_of_int (rule_derivations t - d0)
+      ])
+    (fun () ->
+      while step t do
+        ()
+      done)
 
 let reset_for_reopen t =
   (* Non-monotonic module re-opened with a new seed: clear local state
@@ -884,10 +965,11 @@ let add_seed t terms =
     else begin
       let was_complete = t.complete in
       let fresh = Relation.insert rel tuple in
+      if fresh && (not was_complete) && (t.activated || t.phase > 0) then t.late_seed <- true;
       if fresh then begin
         t.seed_inserts <- t.seed_inserts + 1;
         t.seeds <- tuple :: t.seeds;
-        if was_complete && not t.monotonic then begin
+        if was_complete && not (Module_struct.monotonic t.ms.code) then begin
           (* non-monotonic module: recompute from scratch with every
              seed seen so far (incremental continuation would leave
              stale negation/aggregation results behind) *)
@@ -928,22 +1010,14 @@ let module_structure t = t.ms
 (* Profiling accessors (populated when created with ~profile:true)    *)
 (* ------------------------------------------------------------------ *)
 
-(* Delta size of each productive step, oldest first (the first entry
-   is the stratum activation, the rest are semi-naive rounds or
-   Ordered-Search context actions). *)
+(* Delta size of each productive step, oldest first. *)
 let step_deltas t = List.rev t.step_deltas
 
 let seed_inserts t = t.seed_inserts
 let done_inserts t = t.done_inserts
 let context_inserts t = t.extra_inserts
 
-(* Inserts attributable to rule applications: everything local minus
-   seeds, context availability inserts, and done facts.  When profiling
-   is on this equals the sum of per-rule [rp_derived] — the two are
-   computed along independent paths, which explain analyze exploits as
-   a self-check. *)
-let rule_derivations t =
-  total_inserts t - t.extra_inserts - t.seed_inserts - t.done_inserts
+let joined_with t (rule : crule) = if joined t rule then Some t.ms.code.joined_by.(rule.rid) else None
 
 let profiled_rules t =
   List.map (fun (c : crule) -> c, prof_of t c) (Module_struct.all_rules t.ms.code)

@@ -111,12 +111,19 @@ val add_seed : t -> Term.t array -> bool
     different seed. *)
 
 val step : t -> bool
-(** Perform one unit of work (one semi-naive round, a stratum-phase
-    activation, or an Ordered-Search context action).  Returns false
-    when evaluation is complete. *)
+(** Perform one productive unit of work: stratum-phase activations,
+    semi-naive rounds and Ordered-Search context actions run until one
+    of them derives something (a non-recursive stratum's activation
+    includes its single round).  Returns false when evaluation is
+    complete.  Rules that cannot match are not run: a semi-naive
+    version with an empty range over a relation of the module, and,
+    in a module with no update literals, a rule with a positive
+    literal over an in-memory stored relation that is empty. *)
 
 val run : t -> unit
-(** Step to completion. *)
+(** Step to completion, inside one [fixpoint.run] span whose
+    attributes are the run's rounds, productive steps and rule
+    derivations. *)
 
 val answer_relation : t -> Relation.t
 
@@ -143,8 +150,7 @@ val module_structure : t -> Module_struct.instance
 
 val step_deltas : t -> int list
 (** Delta size (new local inserts) of each productive step, oldest
-    first: the first entry is the stratum activation, the rest are
-    semi-naive rounds or Ordered-Search context actions. *)
+    first; every entry is positive. *)
 
 val seed_inserts : t -> int
 (** Local inserts made by {!add_seed} rather than by rules. *)
@@ -160,6 +166,12 @@ val rule_derivations : t -> int
     seeds, context availability inserts, and done facts.  Under
     profiling this equals the sum of per-rule [rp_derived], computed
     along an independent path — explain analyze asserts the match. *)
+
+val joined_with : t -> Module_struct.crule -> int option
+(** The [rid] of the rule whose join derives this rule's head in this
+    evaluation (see {!Module_struct.t.joined_by}); such a rule never
+    runs its own join.  [None] when it runs its own, which it always
+    does under tracing and parallel evaluation. *)
 
 val profiled_rules : t -> (Module_struct.crule * Module_struct.rule_prof) list
 (** Every distinct compiled rule, in stratum order, with its profile in

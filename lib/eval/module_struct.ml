@@ -27,7 +27,9 @@ type op =
    whether the head insert found a new fact; tuples counts candidate
    tuples enumerated across the rule's joins (foreign answer rows
    included); visited counts what scans and negation checks handed
-   them, the engine's tuples-visited measure. *)
+   them, the engine's tuples-visited measure; runs and skipped count
+   the applications run and those skipped unrun (an empty delta or
+   an empty stored relation, see [Fixpoint]). *)
 type rule_prof = {
   mutable rp_attempts : int;
   mutable rp_derived : int;
@@ -35,10 +37,20 @@ type rule_prof = {
   mutable rp_tuples : int;
   mutable rp_visited : int;
   mutable rp_time_ns : int;
+  mutable rp_runs : int;
+  mutable rp_skipped : int;
 }
 
 let fresh_prof () =
-  { rp_attempts = 0; rp_derived = 0; rp_dups = 0; rp_tuples = 0; rp_visited = 0; rp_time_ns = 0 }
+  { rp_attempts = 0;
+    rp_derived = 0;
+    rp_dups = 0;
+    rp_tuples = 0;
+    rp_visited = 0;
+    rp_time_ns = 0;
+    rp_runs = 0;
+    rp_skipped = 0
+  }
 
 type crule = {
   rid : int;
@@ -68,6 +80,13 @@ type resolved =
 (* The compiled module: immutable once built, so one value serves every
    instance on every domain. *)
 type t = {
+  stored_reads : int array array;
+      (* by rid: the slots of its positive literals over relations the
+         module does not own; empty when some rule calls assert/retract *)
+  joined_by : int array;  (* by rid: the rule whose join also derives this one's head, or -1 *)
+  extra_heads : crule list array;
+      (* by rid: the later rules this rule's join derives too, each with
+         its head in this rule's variables *)
   slot_of : int Symbol.Tbl.t;
   names : string array;  (* per slot *)
   arities : int array;
@@ -93,6 +112,16 @@ type provider =
   | P_foreign of Builtin.foreign
 
 let is_generated pred = String.contains (Symbol.name pred) '#'
+
+let calls_update lits =
+  List.exists
+    (fun (lit : Ast.literal) ->
+      match lit with
+      | Ast.Pos a | Ast.Neg a ->
+        let n = Symbol.name a.Ast.pred in
+        (n = "assert" || n = "retract") && Array.length a.Ast.args = 1
+      | Ast.Cmp _ | Ast.Is _ -> false)
+    lits
 
 let atom_arities rules =
   let arities : int Symbol.Tbl.t = Symbol.Tbl.create 32 in
@@ -330,6 +359,90 @@ let is_local_of (plan : Optimizer.plan) =
     plan.Optimizer.prules;
   fun pred -> Symbol.Tbl.mem heads pred || is_generated pred
 
+(* [Some map] when body [b] is body [a] with its variables renamed one
+   to one, [map.(vid in b)] being the variable of [a] (-1: unused). *)
+let renaming (a : op array) (b : op array) nvars_b =
+  let fwd = Array.make (max nvars_b 1) (-1) and taken = Hashtbl.create 8 in
+  let rec term (x : Term.t) (y : Term.t) =
+    match x, y with
+    | Term.Var vx, Term.Var vy ->
+      if fwd.(vy.Term.vid) >= 0 then fwd.(vy.Term.vid) = vx.Term.vid
+      else
+        (not (Hashtbl.mem taken vx.Term.vid))
+        && begin
+          fwd.(vy.Term.vid) <- vx.Term.vid;
+          Hashtbl.add taken vx.Term.vid ();
+          true
+        end
+    | Term.App ax, Term.App ay -> Symbol.equal ax.Term.sym ay.Term.sym && terms ax.Term.args ay.Term.args
+    | Term.Const _, Term.Const _ -> Term.equal x y
+    | _ -> false
+  and terms xs ys =
+    Array.length xs = Array.length ys
+    && Array.for_all Fun.id (Array.map2 term xs ys)
+  in
+  let same x y =
+    match x, y with
+    | Scan a, Scan b -> a.slot = b.slot && terms a.args b.args
+    | Negcheck a, Negcheck b -> a.slot = b.slot && terms a.args b.args
+    | Foreign a, Foreign b -> a.f == b.f && terms a.args b.args
+    | Negforeign a, Negforeign b -> a.f == b.f && terms a.args b.args
+    | Compare (oa, a1, a2), Compare (ob, b1, b2) -> oa = ob && term a1 b1 && term a2 b2
+    | Assign (a1, a2), Assign (b1, b2) -> term a1 b1 && term a2 b2
+    | _ -> false
+  in
+  if Array.length a = Array.length b && Array.for_all Fun.id (Array.map2 same a b) then Some fwd
+  else None
+
+(* One join per distinct body (under basic semi-naive, without Ordered
+   Search).  A rule [b] heading a later, non-recursive stratum, whose
+   body is an earlier stratum's rule [a]'s up to renaming, is derived by
+   [a]'s join: every match inserts into both heads.  [a] must have one
+   semi-naive position, the first body literal, so its rounds enumerate
+   the matches in the order one full join of [b] would, and [b] must be
+   its stratum's first rule, so no other rule reaches [b]'s head first:
+   insertion order, hence answer order, is what running [b] gives.  The
+   result is [b]'s rule with its head in [a]'s variables under [a]'s
+   body, for [a]'s join to insert. *)
+let shares_join (strata : stratum array) =
+  let semi_naive i (a : crule) =
+    match strata.(i).versions |> List.filter (fun (c, _) -> c == a) with
+    | [ (_, 0) ] -> true
+    | _ -> false
+  in
+  let rebased (a : crule) (b : crule) =
+    match renaming a.body b.body b.nvars with
+    | None -> None
+    | Some fwd ->
+      let exception Unbound in
+      let var (v : Term.var) =
+        if fwd.(v.Term.vid) < 0 then raise Unbound else Term.Var { v with Term.vid = fwd.(v.Term.vid) }
+      in
+      (match Array.map (Term.map_vars var) b.head_args with
+      | head_args -> Some { b with head_args; body = a.body; nvars = a.nvars; backtrack = a.backtrack }
+      | exception Unbound -> None)
+  in
+  let found = ref [] in
+  Array.iteri
+    (fun j (st : stratum) ->
+      match st.versions with
+      | (b, _) :: _ when (not st.recursive) && st.srules = [] && st.agg_rules = [] ->
+        let rec earlier i =
+          if i < j then begin
+            let hit =
+              List.find_map
+                (fun ((a : crule), _) ->
+                  if semi_naive i a then Option.map (fun b' -> a, b, b') (rebased a b) else None)
+                strata.(i).versions
+            in
+            match hit with Some h -> found := h :: !found | None -> earlier (i + 1)
+          end
+        in
+        earlier 0
+      | _ -> ())
+    strata;
+  List.rev !found
+
 (* Compilation (paper section 5.1): slots for the plan's own relations
    and for what [resolve] says the rest are, the rules of each SCC with
    their semi-naive versions, and the index choices of their joins.  No
@@ -422,20 +535,62 @@ let compile ~resolve (plan : Optimizer.plan) =
         in
         { srules; agg_rules; versions; recursive = graph.Scc.recursive.(i) })
   in
+  (* A stratum with no rules (a base or seed predicate's SCC) would cost
+     an activation and a round for nothing.  Naive evaluation keeps
+     them: each of its rounds re-derives every lower stratum, so its
+     duplicates count the phases. *)
+  let strata =
+    if plan.Optimizer.fixpoint = Ast.Naive then strata
+    else
+      Array.of_list
+        (List.filter
+           (fun st -> st.srules <> [] || st.agg_rules <> [] || st.versions <> [])
+           (Array.to_list strata))
+  in
+  let nrules = !nrules in
+  (* a rule calling assert/retract may change a stored relation while
+     the module evaluates: no rule is skipped for reading an empty one,
+     and no join is shared across strata that would read it at
+     different times *)
+  let updates = List.exists (fun (r : Ast.rule) -> calls_update r.Ast.body) rules in
+  let joined_by = Array.make nrules (-1) and extra_heads = Array.make nrules [] in
+  if
+    plan.Optimizer.fixpoint = Ast.Basic_seminaive
+    && (not plan.Optimizer.ordered_search)
+    && not updates
+  then
+    List.iter
+      (fun ((a : crule), (b : crule), b') ->
+        joined_by.(b.rid) <- a.rid;
+        extra_heads.(a.rid) <- extra_heads.(a.rid) @ [ b' ])
+      (shares_join strata);
   let answer_slot = Option.get (slot_for plan.Optimizer.answer_pred) in
   let seed_slot =
     match plan.Optimizer.seed with
     | Some s -> Option.get (slot_for s.Optimizer.seed_pred)
     | None -> -1
   in
-  { slot_of;
+  let rules_by_rid = Array.of_list (List.rev !compiled) in
+  { stored_reads =
+      Array.map
+        (fun (c : crule) ->
+          if updates then [||]
+          else
+            Array.of_list
+              (List.filter_map
+                 (function Scan { slot; local = false; _ } -> Some slot | _ -> None)
+                 (Array.to_list c.body)))
+        rules_by_rid;
+    joined_by;
+    extra_heads;
+    slot_of;
     names = Array.map (fun (n, _, _) -> n) slots;
     arities = Array.map (fun (_, a, _) -> a) slots;
     local;
     resolved = List.rev !resolved;
     indexes = List.rev !indexes;
     strata;
-    rules = Array.of_list (List.rev !compiled);
+    rules = rules_by_rid;
     answer_slot;
     seed_slot;
     plan
@@ -552,6 +707,19 @@ let plan_indexes (plan : Optimizer.plan) =
   List.rev !chosen
 
 let slot t pred = Symbol.Tbl.find_opt t.slot_of pred
+
+(* No negation and no aggregation: a completed evaluation may take a
+   new seed incrementally. *)
+let monotonic t =
+  Array.for_all
+    (fun stratum ->
+      stratum.agg_rules = []
+      && List.for_all
+           (fun c ->
+             Array.for_all (function Negcheck _ | Negforeign _ -> false | _ -> true) c.body)
+           (stratum.srules @ List.map fst stratum.versions))
+    t.strata
+
 let relation i pred = Option.map (fun s -> i.rels.(s)) (slot i.code pred)
 
 (* Every distinct compiled rule, in stratum order (a rule with several

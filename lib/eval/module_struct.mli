@@ -54,8 +54,10 @@ type op =
     derived/duplicate split of the resulting head inserts, candidate
     tuples enumerated across the rule's joins (foreign answer rows
     included), the tuples its scans and negation checks handed the join
-    (the rule's share of {!Coral_rel.Relation.tuples_visited}), and
-    evaluation time. *)
+    (the rule's share of {!Coral_rel.Relation.tuples_visited}),
+    evaluation time, and the applications run and skipped unrun (a
+    semi-naive range with nothing in it, or a stored relation with
+    nothing in it). *)
 type rule_prof = {
   mutable rp_attempts : int;
   mutable rp_derived : int;
@@ -63,6 +65,8 @@ type rule_prof = {
   mutable rp_tuples : int;
   mutable rp_visited : int;
   mutable rp_time_ns : int;
+  mutable rp_runs : int;
+  mutable rp_skipped : int;
 }
 
 val fresh_prof : unit -> rule_prof
@@ -100,6 +104,25 @@ type resolved =
     every evaluation of its plan, on any domain; {!instantiate} makes
     the per-evaluation state. *)
 type t = {
+  stored_reads : int array array;
+      (** by [rid]: the slots of the rule's positive literals over
+          relations the module does not own.  Such a relation cannot
+          grow while the module evaluates unless some rule calls an
+          update builtin; then every entry is empty. *)
+  joined_by : int array;
+      (** by [rid]: the rule whose join also derives this rule's head,
+          or -1.  Under basic semi-naive evaluation without Ordered
+          Search, in a module where no rule calls an update builtin, a
+          rule leading a later non-recursive stratum whose body is, up
+          to renaming, that of an earlier stratum's rule with one
+          semi-naive position (its first literal) is derived by that
+          rule's join: its matches come in the order its own
+          evaluation would give them, and no other rule reaches its
+          head first. *)
+  extra_heads : crule list array;
+      (** by [rid]: the rules this rule's join also derives, each with
+          its head renamed into this rule's variables (and this rule's
+          body); their [rid] keeps their own profile *)
   slot_of : int Symbol.Tbl.t;
   names : string array;  (** per slot: the relation's name *)
   arities : int array;
@@ -109,6 +132,8 @@ type t = {
       (** the index choices of the joins (paper section 4.2), in install
           order *)
   strata : stratum array;
+      (** SCCs in evaluation order; an SCC with no rules (a base or seed
+          predicate) has no stratum, except under naive evaluation *)
   rules : crule array;  (** by [rid] *)
   answer_slot : int;
   seed_slot : int;  (** -1 when the plan has no seed *)
@@ -134,6 +159,9 @@ type provider =
 type target =
   | Slot of int  (** a relation in the caller's [rels] array *)
   | Fn of Builtin.foreign
+
+val calls_update : Ast.literal list -> bool
+(** Some literal calls the update builtins ([assert/1], [retract/1]). *)
 
 val compile_rule :
   index:(int -> Index.spec -> unit) ->
@@ -181,6 +209,11 @@ val plan_indexes : Optimizer.plan -> (Symbol.t * int * Index.spec) list
     predicates when it loads a module. *)
 
 val slot : t -> Symbol.t -> int option
+
+val monotonic : t -> bool
+(** No rule negates or aggregates: a completed evaluation can take a
+    new seed incrementally. *)
+
 val relation : instance -> Symbol.t -> Relation.t option
 
 val all_rules : t -> crule list

@@ -260,7 +260,9 @@ let create ?(indexes = []) ~name ~arity () =
       i_retire = (fun t -> if Tuple.live t then kill st t);
       i_mark =
         (fun () ->
-          push_sub st;
+          (* idempotent: an open subsidiary nothing reached yet already
+             starts the interval a fresh mark would *)
+          if st.subs.(st.nsubs - 1).n > 0 then push_sub st;
           st.nsubs - 1);
       i_marks = (fun () -> st.nsubs - 1);
       i_cardinal = (fun () -> st.live);

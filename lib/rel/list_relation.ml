@@ -63,7 +63,9 @@ let create ~name ~arity () =
           !count);
       i_mark =
         (fun () ->
-          st.intervals <- [] :: st.intervals;
+          (match st.intervals with
+          | [] :: _ -> ()
+          | _ -> st.intervals <- [] :: st.intervals);
           List.length st.intervals - 1);
       i_marks = (fun () -> List.length st.intervals - 1);
       i_cardinal = (fun () -> st.live);

@@ -13,10 +13,13 @@
 
     {b Marks.}  A mark seals the current subsidiary relation and starts
     a new one; scans can be restricted to the tuples inserted between
-    two marks.  This is the feature semi-naive evaluation is built on:
-    delta relations are mark-delimited views of the single stored
-    relation, and indexes keep working because each subsidiary carries
-    its own index stores. *)
+    two marks.  Marking is idempotent: while nothing has been inserted
+    since the last mark, a mark returns the same position and allocates
+    nothing, so an interval [\[m, m)] is exactly "nothing new".  This
+    is the feature semi-naive evaluation is built on: delta relations
+    are mark-delimited views of the single stored relation, and indexes
+    keep working because each subsidiary carries its own index
+    stores. *)
 
 open Coral_term
 
@@ -118,7 +121,10 @@ val retire : t -> Tuple.t -> unit
 (** Tombstone one known-live stored tuple without scanning. *)
 
 val mark : t -> int
-(** Seal the current subsidiary; returns the new mark count. *)
+(** Seal the current subsidiary; returns the new mark count.  When the
+    current subsidiary is still empty it is left open and its position
+    returned: a mark with no insert since the previous one returns the
+    previous one's value. *)
 
 val marks : t -> int
 val cardinal : t -> int

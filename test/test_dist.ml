@@ -1775,6 +1775,111 @@ let test_fanout_kill_wedged () =
       close_client cl)
     [ c; op ]
 
+(* A sync on a shard that accepts and reads but never answers: the
+   sync's own bound, not the query's deadline, ends it.  The query gets
+   [err UNAVAIL] within the bound, the cluster stays dirty, the sync
+   lock is released (a second connection's query answers too), and once
+   a real worker listens at that address again the next query answers
+   like a single node. *)
+let test_sync_bound_silent_shard () =
+  let real_path, real_srv = start_worker () in
+  let silent_path = sock_path () in
+  let silent = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind silent (Unix.ADDR_UNIX silent_path);
+  Unix.listen silent 8;
+  let stop = Atomic.make false in
+  let reader =
+    Thread.create
+      (fun () ->
+        let conns = ref [] in
+        let buf = Bytes.create 4096 in
+        while not (Atomic.get stop) do
+          match Unix.select (silent :: !conns) [] [] 0.05 with
+          | ready, _, _ ->
+            List.iter
+              (fun fd ->
+                if fd == silent then conns := fst (Unix.accept silent) :: !conns
+                else if (try Unix.read fd buf 0 4096 with Unix.Unix_error _ -> 0) = 0 then begin
+                  Unix.close fd;
+                  conns := List.filter (fun c -> c != fd) !conns
+                end)
+              ready
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        done;
+        List.iter Unix.close !conns;
+        Unix.close silent)
+      ()
+  in
+  let rpath = sock_path () in
+  let router =
+    Router.start ~listen:(`Unix rpath) ~shard_addrs:[ real_path; silent_path ] ~key:1
+      (Coral.create ())
+  in
+  let replacement = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join reader;
+      Router.shutdown router;
+      Server.shutdown real_srv;
+      Option.iter Server.shutdown !replacement)
+  @@ fun () ->
+  let texts = [ tc_program; "edge(1, 2).\nedge(2, 3).\n" ] in
+  let c = connect_unix rpath in
+  consult_all c texts;
+  let _, status = request c "timeout 1000" in
+  check_prefix "timeout set" "ok" status;
+  let bound = 2.0 in
+  let t0 = Unix.gettimeofday () in
+  output_string c.oc "query path(1, Y)\n";
+  flush c.oc;
+  (* a second connection asks while the first sync holds the lock *)
+  Thread.delay 0.2;
+  let c2 = connect_unix rpath in
+  let second = ref "" in
+  let asker = Thread.create (fun () -> second := snd (request c2 "query path(2, Y)")) () in
+  let rec read_status () =
+    match In_channel.input_line c.ic with
+    | None -> "<closed>"
+    | Some l when Protocol.is_status l -> l
+    | Some _ -> read_status ()
+  in
+  let status = read_status () in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_prefix "silent shard: the sync fails" "err UNAVAIL" status;
+  Alcotest.(check bool) (Printf.sprintf "within the bound (%.2fs)" dt) true (dt < bound +. 1.5);
+  Thread.join asker;
+  let dt2 = Unix.gettimeofday () -. t0 in
+  check_prefix "the second query is answered, not blocked" "err UNAVAIL" !second;
+  Alcotest.(check bool) (Printf.sprintf "second reply in time (%.2fs)" dt2) true
+    (dt2 < (3. *. bound) +. 2.);
+  let stats, _ = request c "stats" in
+  Alcotest.(check bool) "the cluster stays dirty" true (List.mem "txt router.dirty=1" stats);
+  (* a real worker takes over the silent shard's address *)
+  Atomic.set stop true;
+  Thread.join reader;
+  Sys.remove silent_path;
+  let db = Coral.create () in
+  let srv = Server.start ~listen:(`Unix silent_path) db in
+  replacement := Some srv;
+  let store = Server.store srv in
+  let worker =
+    Worker.create ~eng:(Coral.engine db) ~commit:(Session.commit store)
+      ~locked:(fun f -> Session.locked store f)
+      ~budget:(fun () -> (Admission.config (Session.admission store)).Admission.max_query_tuples)
+  in
+  Session.set_dist_handler store (Worker.handle worker);
+  let queries = [ "path(1, Y)"; "path(X, Y)" ] in
+  List.iter2
+    (fun (q, want) (_, got) -> Alcotest.(check (list string)) ("healed: " ^ q) want got)
+    (reference texts queries)
+    (List.map (fun q -> q, answers c q) queries);
+  List.iter
+    (fun cl ->
+      ignore (request cl "quit");
+      close_client cl)
+    [ c; c2 ]
+
 (* Programs outside the linear class still answer — on the router's
    local replica, with single-node semantics. *)
 let test_local_fallback () =
@@ -2612,6 +2717,8 @@ let () =
             test_differential_value_kinds;
           Alcotest.test_case "fan-out: open fds stay flat" `Quick test_fanout_fds_flat;
           Alcotest.test_case "fan-out: kill a wedged fan-out" `Quick test_fanout_kill_wedged;
+          Alcotest.test_case "sync: a silent shard is lost within the bound" `Quick
+            test_sync_bound_silent_shard;
           Alcotest.test_case "differential: insert/retract sequences" `Quick
             test_update_differential;
           Alcotest.test_case "worker refuses malformed edb#" `Quick test_edb_refused;
