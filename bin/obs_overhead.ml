@@ -5,16 +5,16 @@
                        [--trace-out FILE]
 
    Two workloads, each run with observability disabled and enabled
-   and gated on its own: the gate fails when enabled exceeds
-   disabled * --max-ratio (default 1.05, i.e. 5%).
-   - Full transitive closure of a chain (median of --runs
-     fresh-database evaluations): the fixpoint inner loop at its
-     purest, few rounds of large joins.
-   - Bound calls: repeated [Engine.call path(s, Y)] on the 64-node
+   (the two alternating, median of --runs each) and gated on its own:
+   the gate fails when enabled exceeds disabled * --max-ratio (default
+   1.05, i.e. 5%).
+   - Full transitive closure of a chain, one fresh-database evaluation
+     per run: the fixpoint inner loop at its purest, few rounds of
+     large joins.
+   - Bound calls: batches of [Engine.call path(s, Y)] on the 64-node
      ring with chords that perfbench's bound_query serves, each call a
      whole seeded fixpoint of many small joins, so any per-round or
-     per-join instrumentation shows here (median of --runs batches,
-     enabled and disabled alternating).
+     per-join instrumentation shows here.
 
    --trace-out writes the enabled run's span ring as Chrome trace_event
    JSON (load it in chrome://tracing or Perfetto). *)
@@ -82,16 +82,35 @@ let median xs =
   let sorted = List.sort compare xs in
   List.nth sorted (List.length sorted / 2)
 
-let measure ~runs ~chain ~enabled =
-  Obs.set_enabled enabled;
-  instrument := enabled;
-  (* one untimed warm-up absorbs first-touch effects (symbol interning,
-     minor-heap growth) for both variants alike *)
-  ignore (run_once chain);
-  let times = List.init runs (fun _ -> run_once chain) in
-  Obs.set_enabled false;
-  instrument := false;
-  median times
+(* Disabled and enabled runs alternate, the pair's order flipping each
+   time, so host drift and whatever one run leaves the next (garbage to
+   collect) fall on both alike; one untimed warm-up of each absorbs
+   first-touch effects (symbol interning, minor-heap growth).  Returns
+   the disabled and enabled medians. *)
+let alternate ~runs once =
+  ignore (once false);
+  ignore (once true);
+  let pair k =
+    if k mod 2 = 0 then begin
+      let off = once false in
+      off, once true
+    end
+    else begin
+      let on = once true in
+      once false, on
+    end
+  in
+  let pairs = List.init runs pair in
+  median (List.map fst pairs), median (List.map snd pairs)
+
+let measure ~runs ~chain =
+  alternate ~runs (fun enabled ->
+      Obs.set_enabled enabled;
+      instrument := enabled;
+      let dt = run_once chain in
+      Obs.set_enabled false;
+      instrument := false;
+      dt)
 
 (* The bound_query graph: a 64-node ring with one chord per node,
    shuffled by a fixed LCG. *)
@@ -135,10 +154,7 @@ let bound_calls ~runs =
     Obs.set_enabled false;
     dt
   in
-  ignore (batch false);
-  ignore (batch true);
-  let pairs = List.init runs (fun _ -> let off = batch false in off, batch true) in
-  median (List.map fst pairs), median (List.map snd pairs)
+  alternate ~runs batch
 
 let report ~what ~max_ratio off_ns on_ns =
   let ratio = float_of_int on_ns /. float_of_int (max 1 off_ns) in
@@ -177,10 +193,9 @@ let () =
       exit 2
   in
   parse_args (List.tl (Array.to_list Sys.argv));
-  (* disabled first so the enabled run's spans survive for --trace-out *)
-  let off_ns = measure ~runs:!runs ~chain:!chain ~enabled:false in
+  (* only the enabled runs record spans, for --trace-out *)
   Obs.Span.clear ();
-  let on_ns = measure ~runs:!runs ~chain:!chain ~enabled:true in
+  let off_ns, on_ns = measure ~runs:!runs ~chain:!chain in
   let spans = Obs.Span.count () in
   Printf.printf "obs_overhead: median of %d runs\n" !runs;
   let closure_ok =

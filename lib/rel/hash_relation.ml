@@ -99,14 +99,17 @@ let rec in_bucket (tuple : Tuple.t) = function
   | [] -> false
   | e :: rest -> (Tuple.live e.tuple && Tuple.equal e.tuple tuple) || in_bucket tuple rest
 
-let is_duplicate st (tuple : Tuple.t) =
-  (match Tuple.Tbl.find st.dups tuple.Tuple.hash with
-  | bucket -> in_bucket tuple !bucket
-  | exception Not_found -> false)
+(* [bucket] is the duplicate-table bucket of the tuple's hash, looked
+   up once by the caller and reused by an insert. *)
+let duplicate_in st bucket (tuple : Tuple.t) =
+  (match bucket with Some b -> in_bucket tuple !b | None -> false)
   ||
   match st.nonground with
   | [] -> false
   | nonground -> List.exists (fun ex -> Tuple.live ex && Tuple.subsumes ex tuple) nonground
+
+let is_duplicate st (tuple : Tuple.t) =
+  duplicate_in st (Tuple.Tbl.find_opt st.dups tuple.Tuple.hash) tuple
 
 (* Inserting a more general non-ground tuple retires the tuples it
    strictly subsumes: answers are preserved (every instance of a
@@ -226,16 +229,20 @@ let create ?(indexes = []) ~name ~arity () =
   in
   push_sub st;
   let insert ~dedup tuple =
-    if dedup && is_duplicate st tuple then false
+    let h = tuple.Tuple.hash in
+    let bucket = Tuple.Tbl.find_opt st.dups h in
+    if dedup && duplicate_in st bucket tuple then false
     else begin
-      if dedup && not (Tuple.is_ground tuple) then retire_subsumed st tuple;
+      let ground = Tuple.is_ground tuple in
+      if dedup && not ground then retire_subsumed st tuple;
       let sub = st.subs.(st.nsubs - 1) in
       sub_append sub tuple;
       let e = { tuple; home = sub } in
-      (match Tuple.Tbl.find_opt st.dups tuple.Tuple.hash with
+      (* retiring subsumed tuples may have removed this very bucket *)
+      (match if ground then bucket else Tuple.Tbl.find_opt st.dups h with
       | Some bucket -> bucket := e :: !bucket
-      | None -> Tuple.Tbl.add st.dups tuple.Tuple.hash (ref [ e ]));
-      if not (Tuple.is_ground tuple) then st.nonground <- tuple :: st.nonground;
+      | None -> Tuple.Tbl.add st.dups h (ref [ e ]));
+      if not ground then st.nonground <- tuple :: st.nonground;
       st.live <- st.live + 1;
       true
     end
