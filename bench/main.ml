@@ -909,20 +909,6 @@ let exp_maintain () =
 (* E20: the bound serve path                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* perfbench's bound_query graph: an [n]-node ring, shuffled, with one
-   chord per node *)
-let bound_query_edges n =
-  let next = Workloads.lcg 7 in
-  let name = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = next (i + 1) in
-    let t = name.(i) in
-    name.(i) <- name.(j);
-    name.(j) <- t
-  done;
-  List.sort_uniq compare
-    (List.concat (List.init n (fun i -> [ name.(i), name.((i + 1) mod n); name.(i), name.(next n) ])))
-
 let exp_serve_path () =
   header "E20 serve_path: a bound call instantiates a module compiled once"
     "Engine.call path(s, Y) on perfbench's bound_query graph (a 64-node ring\n\
@@ -937,7 +923,7 @@ let exp_serve_path () =
      rows are the same calls with it off and the ratio of the two.";
   let n = 64 in
   let db = Workloads.fresh_db () in
-  Workloads.load_pairs db "edge" (bound_query_edges n);
+  Workloads.load_pairs db "edge" (Workloads.bound_query_edges n);
   Coral.consult_text db
     "module paths.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
      path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module.";
@@ -1038,7 +1024,7 @@ let answer_path_rows () =
   in
   let bound =
     serve ~maintained:false (fun db ->
-        Workloads.load_pairs db "edge" (bound_query_edges 64);
+        Workloads.load_pairs db "edge" (Workloads.bound_query_edges 64);
         Coral.consult_text db tc)
   in
   (* perfbench's update_visible forest: 48 chains of 16, maintained *)

@@ -7,6 +7,20 @@ let lcg seed =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
     !state mod bound
 
+(* perfbench's bound_query graph: an [n]-node ring, shuffled, with one
+   chord per node *)
+let bound_query_edges n =
+  let next = lcg 7 in
+  let name = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = next (i + 1) in
+    let t = name.(i) in
+    name.(i) <- name.(j);
+    name.(j) <- t
+  done;
+  List.sort_uniq compare
+    (List.concat (List.init n (fun i -> [ name.(i), name.((i + 1) mod n); name.(i), name.(next n) ])))
+
 let chain n = List.init (n - 1) (fun i -> i, i + 1)
 let cycle n = List.init n (fun i -> i, (i + 1) mod n)
 

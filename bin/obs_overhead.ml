@@ -112,29 +112,11 @@ let measure ~runs ~chain =
       instrument := false;
       dt)
 
-(* The bound_query graph: a 64-node ring with one chord per node,
-   shuffled by a fixed LCG. *)
-let ring_edges n =
-  let seed = ref 7 in
-  let next bound =
-    seed := (!seed * 1103515245 + 12345) land 0x3fffffff;
-    !seed mod bound
-  in
-  let name = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = next (i + 1) in
-    let t = name.(i) in
-    name.(i) <- name.(j);
-    name.(j) <- t
-  done;
-  List.sort_uniq compare
-    (List.concat (List.init n (fun i -> [ name.(i), name.((i + 1) mod n); name.(i), name.(next n) ])))
-
 let bound_calls ~runs =
   let n = 64 and calls = 1000 in
   let db = Coral.create () in
   if !workers > 0 then Coral.set_workers db !workers;
-  List.iter (fun (a, b) -> Coral.fact db "edge" [ Coral.int a; Coral.int b ]) (ring_edges n);
+  List.iter (fun (a, b) -> Coral.fact db "edge" [ Coral.int a; Coral.int b ]) (Workloads.bound_query_edges n);
   Coral.consult_text db
     "module paths.\nexport path(bf).\npath(X, Y) :- edge(X, Y).\n\
      path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module.\n";

@@ -30,7 +30,6 @@ type t = {
   addrs : string array;
   key : int;
   mutable abandon : (unit -> bool) option;  (* polled while replies are owed *)
-  mutable bounded : bool;  (* inside [with_sync_bound] *)
   straggler_factor : float;
       (* a shard is flagged when its step time exceeds this multiple
          of the round's median (plus an absolute floor, so microsecond
@@ -86,7 +85,6 @@ let create ?(straggler_factor = default_straggler_factor) ~addrs ~key () =
     addrs;
     key;
     abandon = None;
-    bounded = false;
     straggler_factor = (if straggler_factor < 1.0 then 1.0 else straggler_factor)
   }
 
@@ -99,18 +97,6 @@ let disconnect t = Array.iter Shard_client.disconnect t.clients
 let abandon_when t abandon f =
   t.abandon <- Some abandon;
   Fun.protect f ~finally:(fun () -> t.abandon <- None)
-
-(* A sync's own bound on one exchange: once a shard has answered, a
-   shard still silent after the straggler factor times that first
-   answer's time, and never less than [sync_floor_s], is lost.  Until
-   one answers there is no bound: a large round is slow on every shard
-   alike, and a bound from earlier, smaller exchanges would fail it on
-   every try. *)
-let sync_floor_s = 2.0
-
-let with_sync_bound t f =
-  t.bounded <- true;
-  Fun.protect f ~finally:(fun () -> t.bounded <- false)
 
 (* Append the calling thread's trace context to a control-plane
    command, so worker-side spans and events carry the router's trace
@@ -138,37 +124,15 @@ let status_result client status =
    serialize rounds on cross-shard traffic.  Timed from this side of
    the socket, so a time includes the worker's wait for its peers. *)
 let ask t targets =
-  let t0 = Unix.gettimeofday () and first = ref Float.infinity in
-  let bound () = Float.max sync_floor_s (t.straggler_factor *. !first) in
-  let silent () = t.bounded && Unix.gettimeofday () -. t0 > bound () in
-  let abandon =
-    match t.abandon with
-    | Some f -> Some (fun () -> silent () || f ())
-    | None when t.bounded -> Some silent
-    | None -> None
-  in
-  let outcomes =
-    Shard_client.request_all ?abandon
-      ~on_reply:(fun secs -> first := Float.min !first secs)
-      (Array.map (fun (i, cmd, payload) -> t.clients.(i), [ cmd, payload ]) targets)
-  in
-  let lost = silent () in
-  Array.mapi
-    (fun k outcome ->
-      let i, _, _ = targets.(k) in
-      match outcome with
-      | Shard_client.Replies ([ (_, status) ], secs) ->
-        status_result t.clients.(i) status, secs
-      | Shard_client.Replies _ -> Error (Protocol.Proto, "unexpected reply count"), 0.
-      | Shard_client.Failed m -> Error (Protocol.Unavail, m), 0.
-      | Shard_client.Abandoned when lost ->
-        ( Error
-            ( Protocol.Unavail,
-              Printf.sprintf "%s: no reply within %.1fs; shard treated as lost"
-                (Shard_client.addr t.clients.(i)) (bound ()) ),
-          0. )
-      | Shard_client.Abandoned -> Error (Protocol.Killed, "abandoned"), 0.)
-    outcomes
+  Shard_client.request_all ?abandon:t.abandon
+    (Array.map (fun (i, cmd, payload) -> t.clients.(i), [ cmd, payload ]) targets)
+  |> Array.mapi (fun k outcome ->
+         let i, _, _ = targets.(k) in
+         match outcome with
+         | Shard_client.Replies ([ (_, status) ], secs) -> status_result t.clients.(i) status, secs
+         | Shard_client.Replies _ -> Error (Protocol.Proto, "unexpected reply count"), 0.
+         | Shard_client.Failed m -> Error (Protocol.Unavail, m), 0.
+         | Shard_client.Abandoned -> Error (Protocol.Killed, "abandoned"), 0.)
 
 let broadcast t ?payload cmd_of = ask t (Array.mapi (fun i _ -> i, cmd_of i, payload) t.clients)
 

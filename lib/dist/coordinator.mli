@@ -68,15 +68,6 @@ val abandon_when : t -> (unit -> bool) -> (unit -> 'a) -> 'a
     [true], the exchange closes the connections still owed a reply and
     fails with [KILLED] (the caller names the real cause). *)
 
-val with_sync_bound : t -> (unit -> 'a) -> 'a
-(** [with_sync_bound t f] runs [f] with every worker exchange bounded
-    on its own, whatever the caller's kill or deadline: once one shard
-    has answered an exchange, a shard that has not answered within the
-    straggler factor times that first answer's time (never less than
-    2 s) counts as lost, and the exchange fails with [UNAVAIL] (its
-    connection is closed, so the next exchange reconnects).  An
-    exchange no shard has answered yet is not bounded. *)
-
 val configure : t -> (unit, Coral_server.Protocol.error_code * string) result
 (** Send every worker its [shard <i> <n> <key> <addrs>] identity. *)
 

@@ -292,9 +292,6 @@ let ensure_synced ?abandon t =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.cl_lock)
     (fun () ->
-      (* a shard silent past the sync's own bound is lost: the sync
-         fails, the cluster stays dirty, and the lock is released *)
-      Coordinator.with_sync_bound t.coord @@ fun () ->
       (match abandon with Some f -> Coordinator.abandon_when t.coord f | None -> fun g -> g ())
       @@ fun () ->
       match t.verdict with
@@ -541,9 +538,11 @@ let do_dist_query t session text =
   let rec go ~retry =
     (* A routine sync is not abandoned for the query: that would leave
        the cluster dirty for the next query, and a stream of kills could
-       starve it.  Its own bound (see [ensure_synced]) still ends it on a
-       silent shard.  The resync after a lost connection may also be
-       abandoned, since the worker that dropped it may now be wedged. *)
+       starve it.  A shard that stops answering fails it all the same
+       ([Shard_client.request_all]'s liveness probe): the cluster stays
+       dirty and the lock is released.  The resync after a lost
+       connection may also be abandoned, since the worker that dropped
+       it may now be wedged. *)
     match ensure_synced ?abandon:(if retry then None else Some abandon) t with
     | `Error _ when (not retry) && abandon () -> abandoned ()
     | `Error (code, msg) -> timed (Protocol.err code ("cluster sync failed: " ^ msg))

@@ -12,7 +12,15 @@
    cluster state dirty and reruns the fixpoint from [dreset].
 
    Each client is mutexed for the whole exchange, so two callers can
-   never interleave request/reply pairs on one socket. *)
+   never interleave request/reply pairs on one socket.
+
+   Liveness: a reply may take as long as the work behind it (a large
+   or skewed fixpoint round), so no exchange is timed out.  A client
+   still owed a reply is instead asked [ping] on a fresh connection
+   every [probe_after_s]; its server answers that on another thread
+   whatever the request is doing.  A ping unanswered within
+   [probe_within_s] (a stopped process, a socket nobody writes to)
+   fails the request: waiting for that shard could last forever. *)
 
 open Coral_server
 
@@ -109,6 +117,46 @@ let io_error t = function
   | End_of_file | Protocol.Line_too_long -> Printf.sprintf "%s: connection lost" t.addr
   | e -> raise e
 
+let probe_after_s = 1.0
+let probe_within_s = 1.0
+
+(* Whether the server at [addr] answers a [ping] line within
+   [probe_within_s], on a connection of its own: any reply line will
+   do (a server at capacity sheds it with [busy], and is alive). *)
+let answers_ping addr =
+  let deadline = Unix.gettimeofday () +. probe_within_s in
+  let sa = sockaddr_of addr in
+  match Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+    Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    let rec ready ~read =
+      let left = deadline -. Unix.gettimeofday () in
+      left > 0.
+      &&
+      match Unix.select (if read then [ fd ] else []) (if read then [] else [ fd ]) [] left with
+      | r, w, _ -> r <> [] || w <> []
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ready ~read
+    in
+    let buf = Bytes.create 256 in
+    let rec reply_line () =
+      ready ~read:true
+      &&
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> false
+      | n -> Bytes.contains (Bytes.sub buf 0 n) '\n' || reply_line ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> reply_line ()
+    in
+    (try
+       Unix.set_nonblock fd;
+       (try Unix.connect fd sa
+        with Unix.Unix_error (Unix.EINPROGRESS, _, _) ->
+          if not (ready ~read:false && Unix.getsockopt_error fd = None) then raise Exit);
+       Unix.single_write_substring fd "ping\n" 0 5 = 5
+     with Exit | Unix.Unix_error _ -> false)
+    && reply_line ()
+
 (* One client's share of [request_all]: its connection and the replies
    still to read.  [payload] collects the payload lines of the reply
    being read. *)
@@ -136,8 +184,9 @@ let rec advance w =
 (* Write every client its commands first, then read the replies in the
    order they arrive, sleeping in [select] over all the connections: no
    thread per client, and a slow client delays no other's timing.  Any
-   IO failure poisons that client's connection and never resends. *)
-let request_all ?abandon ?(on_reply = ignore) reqs =
+   IO failure poisons that client's connection and never resends; so
+   does a ping the client's server leaves unanswered. *)
+let request_all ?abandon reqs =
   let t0 = Unix.gettimeofday () in
   let out = Array.make (Array.length reqs) Abandoned in
   let locked = ref [] in
@@ -172,16 +221,15 @@ let request_all ?abandon ?(on_reply = ignore) reqs =
     poison w.client w.c;
     out.(w.slot) <- Failed (io_error w.client e)
   in
-  let tick = if abandon = None then -1. else 0.02 in
+  let tick = if abandon = None then Float.infinity else 0.02 in
+  let next_probe = ref (t0 +. probe_after_s) in
   let rec loop waits =
     let waits =
       List.filter
         (fun w ->
           match advance w with
           | true ->
-            let secs = Unix.gettimeofday () -. t0 in
-            out.(w.slot) <- Replies (List.rev w.got, secs);
-            on_reply secs;
+            out.(w.slot) <- Replies (List.rev w.got, Unix.gettimeofday () -. t0);
             false
           | false -> true
           | exception e ->
@@ -189,14 +237,35 @@ let request_all ?abandon ?(on_reply = ignore) reqs =
             false)
         waits
     in
+    let waits =
+      if waits = [] || Unix.gettimeofday () < !next_probe then waits
+      else begin
+        let live =
+          List.filter
+            (fun w ->
+              answers_ping w.client.addr
+              || begin
+                fail w
+                  (Down
+                     (Printf.sprintf "%s: no answer to a ping within %.1fs; shard treated as lost"
+                        w.client.addr probe_within_s));
+                false
+              end)
+            waits
+        in
+        next_probe := Unix.gettimeofday () +. probe_after_s;
+        live
+      end
+    in
     match waits with
     | [] -> ()
     | _ when Option.fold ~none:false ~some:(fun f -> f ()) abandon ->
       (* the replies still owed would desynchronize the connections *)
       List.iter (fun w -> poison w.client w.c) waits
     | _ ->
+      let wait = Float.max 0. (Float.min tick (!next_probe -. Unix.gettimeofday ())) in
       let ready =
-        match Unix.select (List.map (fun w -> w.c.fd) waits) [] [] tick with
+        match Unix.select (List.map (fun w -> w.c.fd) waits) [] [] wait with
         | r, _, _ -> List.filter (fun w -> List.mem w.c.fd r) waits
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
         | exception Unix.Unix_error _ ->

@@ -28,20 +28,27 @@ type outcome =
   | Failed of string  (** an IO failure; the connection is closed *)
   | Abandoned  (** [abandon] fired first; the connection is closed *)
 
+val probe_after_s : float
+(** 1.0: how long a reply may be owed before the client's server is
+    pinged, and then again between pings. *)
+
+val probe_within_s : float
+(** 1.0: how long a liveness ping may go unanswered before the client
+    counts as lost. *)
+
 val request_all :
-  ?abandon:(unit -> bool) ->
-  ?on_reply:(float -> unit) ->
-  (t * (string * string option) list) array ->
-  outcome array
+  ?abandon:(unit -> bool) -> (t * (string * string option) list) array -> outcome array
 (** Send every client its commands (each a command line plus optional
     raw payload bytes), pipelined, then read all the replies in the
     order they arrive, waiting in [select] over the connections: one
     thread serves any number of clients.  [abandon] is polled about
     every 20 ms while replies are owed; once it answers [true], the
     clients still owed a reply are closed rather than left holding it.
-    Without [abandon] the wait has no bound.  [on_reply] is called
-    with the seconds since sending each time a client's last reply is
-    in. *)
+    A reply may take as long as its work does, but its server must stay
+    alive: a client still owed a reply for {!probe_after_s} is sent
+    [ping] on a fresh connection (again every {!probe_after_s}), and
+    once one goes unanswered for {!probe_within_s} it has [Failed]
+    ("shard treated as lost"). *)
 
 
 val fetch :

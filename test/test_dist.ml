@@ -1775,61 +1775,113 @@ let test_fanout_kill_wedged () =
       close_client cl)
     [ c; op ]
 
-(* A sync on a shard that accepts and reads but never answers: the
-   sync's own bound, not the query's deadline, ends it.  The query gets
-   [err UNAVAIL] within the bound, the cluster stays dirty, the sync
-   lock is released (a second connection's query answers too), and once
-   a real worker listens at that address again the next query answers
-   like a single node. *)
-let test_sync_bound_silent_shard () =
-  let real_path, real_srv = start_worker () in
-  let silent_path = sock_path () in
-  let silent = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind silent (Unix.ADDR_UNIX silent_path);
-  Unix.listen silent 8;
-  let stop = Atomic.make false in
+(* A fake shard at a Unix socket that accepts and reads every
+   connection.  It never writes, unless [answers_control]: then it
+   answers [ok] to each command (skipping the payload of a [cmd# len]
+   one) until the first [barrier] or [delta#], and from there on is
+   silent on every connection, pings included — a worker stopped
+   (SIGSTOP) once the cluster was provisioned.  Returns the stop
+   function. *)
+let fake_shard ~answers_control path =
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.listen sock 8;
+  let stop = Atomic.make false and stopped = ref (not answers_control) in
+  (* per connection: the bytes not yet parsed and the payload bytes to skip *)
+  let reply fd (pending, skip) =
+    let rec go () =
+      if !skip > 0 then begin
+        let k = min !skip (String.length !pending) in
+        pending := String.sub !pending k (String.length !pending - k);
+        skip := !skip - k;
+        if k > 0 then go ()
+      end
+      else
+        match String.index_opt !pending '\n' with
+        | None -> ()
+        | Some i ->
+          let line = String.sub !pending 0 i in
+          pending := String.sub !pending (i + 1) (String.length !pending - i - 1);
+          (match String.split_on_char ' ' line with
+          | cmd :: len :: _ when String.ends_with ~suffix:"#" cmd ->
+            skip := Option.value (int_of_string_opt len) ~default:0
+          | _ -> ());
+          if String.starts_with ~prefix:"barrier" line || String.starts_with ~prefix:"delta#" line
+          then stopped := true;
+          if not !stopped then ignore (Unix.write_substring fd "ok\n" 0 3);
+          go ()
+    in
+    go ()
+  in
   let reader =
     Thread.create
       (fun () ->
         let conns = ref [] in
         let buf = Bytes.create 4096 in
         while not (Atomic.get stop) do
-          match Unix.select (silent :: !conns) [] [] 0.05 with
+          match Unix.select (sock :: List.map fst !conns) [] [] 0.05 with
           | ready, _, _ ->
             List.iter
               (fun fd ->
-                if fd == silent then conns := fst (Unix.accept silent) :: !conns
-                else if (try Unix.read fd buf 0 4096 with Unix.Unix_error _ -> 0) = 0 then begin
-                  Unix.close fd;
-                  conns := List.filter (fun c -> c != fd) !conns
-                end)
+                if fd == sock then conns := (fst (Unix.accept sock), (ref "", ref 0)) :: !conns
+                else
+                  match try Unix.read fd buf 0 4096 with Unix.Unix_error _ -> 0 with
+                  | 0 ->
+                    Unix.close fd;
+                    conns := List.filter (fun (c, _) -> c != fd) !conns
+                  | n ->
+                    let pending, skip = List.assq fd !conns in
+                    pending := !pending ^ Bytes.sub_string buf 0 n;
+                    reply fd (pending, skip))
               ready
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         done;
-        List.iter Unix.close !conns;
-        Unix.close silent)
+        List.iter (fun (fd, _) -> Unix.close fd) !conns;
+        Unix.close sock;
+        Sys.remove path)
       ()
   in
+  let joined = ref false in
+  fun () ->
+    if not !joined then begin
+      joined := true;
+      Atomic.set stop true;
+      Thread.join reader
+    end
+
+(* A sync over one real worker and a shard that stops answering: no
+   bound on the query's side ends it (the session's deadline is shorter
+   than the probe, and a routine sync is not abandoned), but the
+   exchanges' liveness probe does.  The query gets [err UNAVAIL] within
+   about two seconds, the cluster stays dirty, the sync lock is released
+   (a second connection's query answers too), and once a real worker
+   listens at that address again the next query answers like a single
+   node.  With [answers_control] the shard goes silent only at the
+   first fixpoint round, while the real worker is shipping it deltas:
+   the real worker's own probe ends its step, [check_msg] says how. *)
+let sync_bound_case ~answers_control ~check_msg =
+  let real_path, real_srv = start_worker () in
+  let fake_path = sock_path () in
+  let stop_fake = fake_shard ~answers_control fake_path in
   let rpath = sock_path () in
   let router =
-    Router.start ~listen:(`Unix rpath) ~shard_addrs:[ real_path; silent_path ] ~key:1
+    Router.start ~listen:(`Unix rpath) ~shard_addrs:[ real_path; fake_path ] ~key:1
       (Coral.create ())
   in
   let replacement = ref None in
   Fun.protect
     ~finally:(fun () ->
-      Atomic.set stop true;
-      Thread.join reader;
+      stop_fake ();
       Router.shutdown router;
       Server.shutdown real_srv;
       Option.iter Server.shutdown !replacement)
   @@ fun () ->
-  let texts = [ tc_program; "edge(1, 2).\nedge(2, 3).\n" ] in
+  let texts = [ tc_program; tc_edges ~nodes:8 ~extra:0 1 ] in
   let c = connect_unix rpath in
   consult_all c texts;
   let _, status = request c "timeout 1000" in
   check_prefix "timeout set" "ok" status;
-  let bound = 2.0 in
+  let bound = Shard_client.(probe_after_s +. probe_within_s) in
   let t0 = Unix.gettimeofday () in
   output_string c.oc "query path(1, Y)\n";
   flush c.oc;
@@ -1846,7 +1898,8 @@ let test_sync_bound_silent_shard () =
   in
   let status = read_status () in
   let dt = Unix.gettimeofday () -. t0 in
-  check_prefix "silent shard: the sync fails" "err UNAVAIL" status;
+  check_prefix "the sync fails" "err UNAVAIL" status;
+  check_msg status;
   Alcotest.(check bool) (Printf.sprintf "within the bound (%.2fs)" dt) true (dt < bound +. 1.5);
   Thread.join asker;
   let dt2 = Unix.gettimeofday () -. t0 in
@@ -1855,12 +1908,10 @@ let test_sync_bound_silent_shard () =
     (dt2 < (3. *. bound) +. 2.);
   let stats, _ = request c "stats" in
   Alcotest.(check bool) "the cluster stays dirty" true (List.mem "txt router.dirty=1" stats);
-  (* a real worker takes over the silent shard's address *)
-  Atomic.set stop true;
-  Thread.join reader;
-  Sys.remove silent_path;
+  (* a real worker takes over the fake shard's address *)
+  stop_fake ();
   let db = Coral.create () in
-  let srv = Server.start ~listen:(`Unix silent_path) db in
+  let srv = Server.start ~listen:(`Unix fake_path) db in
   replacement := Some srv;
   let store = Server.store srv in
   let worker =
@@ -1879,6 +1930,55 @@ let test_sync_bound_silent_shard () =
       ignore (request cl "quit");
       close_client cl)
     [ c; c2 ]
+
+let contains_sub s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let test_sync_bound_silent_shard () =
+  sync_bound_case ~answers_control:false ~check_msg:(fun status ->
+      Alcotest.(check bool) ("the probe names the lost shard: " ^ status) true
+        (contains_sub status "shard treated as lost"))
+
+let test_sync_bound_stops_mid_round () =
+  sync_bound_case ~answers_control:true ~check_msg:(fun status ->
+      Alcotest.(check bool) ("the live worker's step failed on its peer: " ^ status) true
+        (contains_sub status "peer unreachable mid-round"))
+
+(* A step far slower than its peer's, and longer than the liveness
+   probe's window, is not a lost shard: the slow worker answers pings
+   while it works, so the sync waits for it and the answers match a
+   single node. *)
+let test_sync_waits_for_a_slow_step () =
+  let texts = [ tc_program; "edge(1, 2).\n" ] in
+  let expected = reference texts [ "path(1, Y)" ] in
+  let p0, s0, _ = start_worker_h () in
+  let p1, s1, slow = start_worker_h () in
+  let delay = Shard_client.(probe_after_s +. probe_within_s) +. 0.3 in
+  Worker.set_fault_step_delay slow delay;
+  let rpath = sock_path () in
+  let router =
+    Router.start ~listen:(`Unix rpath) ~shard_addrs:[ p0; p1 ] ~key:1 (Coral.create ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.shutdown router;
+      Server.shutdown s0;
+      Server.shutdown s1)
+  @@ fun () ->
+  let c = connect_unix rpath in
+  consult_all c texts;
+  let t0 = Unix.gettimeofday () in
+  List.iter
+    (fun (q, want) ->
+      Alcotest.(check (list string)) (q ^ ": same as a single node") want (answers c q))
+    expected;
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "the slow steps ran (%.2fs)" dt) true (dt > delay);
+  Alcotest.(check int) "the cluster is clean" 0 (stat_int c "router.dirty");
+  ignore (request c "quit");
+  close_client c
 
 (* Programs outside the linear class still answer — on the router's
    local replica, with single-node semantics. *)
@@ -2719,6 +2819,10 @@ let () =
           Alcotest.test_case "fan-out: kill a wedged fan-out" `Quick test_fanout_kill_wedged;
           Alcotest.test_case "sync: a silent shard is lost within the bound" `Quick
             test_sync_bound_silent_shard;
+          Alcotest.test_case "sync: a shard that stops mid-round is lost" `Quick
+            test_sync_bound_stops_mid_round;
+          Alcotest.test_case "sync: a slow step is waited for" `Quick
+            test_sync_waits_for_a_slow_step;
           Alcotest.test_case "differential: insert/retract sequences" `Quick
             test_update_differential;
           Alcotest.test_case "worker refuses malformed edb#" `Quick test_edb_refused;

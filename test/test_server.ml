@@ -457,26 +457,6 @@ let contains needle hay =
 let strip_txt l =
   if String.starts_with ~prefix:"txt " l then String.sub l 4 (String.length l - 4) else l
 
-(* The bound-query graph: a 64-node ring with one chord per node,
-   shuffled by a fixed LCG (also perfbench's [bound_query] shape). *)
-let serve_path_graph () =
-  let n = 64 in
-  let seed = ref 7 in
-  let next bound =
-    seed := (!seed * 1103515245 + 12345) land 0x3fffffff;
-    !seed mod bound
-  in
-  let name = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = next (i + 1) in
-    let t = name.(i) in
-    name.(i) <- name.(j);
-    name.(j) <- t
-  done;
-  List.concat
-    (List.init n (fun i -> [ name.(i), name.((i + 1) mod n); name.(i), name.(next n) ]))
-  |> List.sort_uniq compare
-
 let test_explain_analyze_wire () =
   let srv = start_server () in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
@@ -558,7 +538,7 @@ let test_explain_analyze_wire () =
      and the answer rule shares the magic rule's join *)
   let facts =
     String.concat " "
-      (List.map (fun (a, b) -> Printf.sprintf "edge(%d, %d)." a b) (serve_path_graph ()))
+      (List.map (fun (a, b) -> Printf.sprintf "edge(%d, %d)." a b) (Workloads.bound_query_edges 64))
   in
   let _, status =
     request c
@@ -1117,7 +1097,7 @@ let serve_path ~workers expected () =
   let s = Session.create store in
   let facts =
     String.concat " "
-      (List.map (fun (a, b) -> Printf.sprintf "edge(%d, %d)." a b) (serve_path_graph ()))
+      (List.map (fun (a, b) -> Printf.sprintf "edge(%d, %d)." a b) (Workloads.bound_query_edges 64))
   in
   let program =
     "module paths. export path(bf). path(X, Y) :- edge(X, Y). \
